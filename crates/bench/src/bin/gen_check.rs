@@ -65,7 +65,7 @@ fn main() {
 
     // Large-p stress point: alltoall alone is Θ(p²) symbolic messages
     // here, so this times the abstract executor on a schedule far past
-    // the thread engines' rank ceiling.
+    // the thread engine's rank ceiling.
     let stress_start = Instant::now();
     let stress_reports = verify_registry(stress_p, 32);
     let stress_ok = stress_reports.iter().all(|r| r.ok());

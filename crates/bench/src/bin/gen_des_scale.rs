@@ -1,23 +1,23 @@
-//! Discrete-event engine scale benchmark: throughput against the pooled
-//! thread engine at thread-feasible sizes, and machine sizes no thread
-//! engine can host at all.
+//! Discrete-event engine scale benchmark: throughput against the thread
+//! engine at thread-feasible sizes, and machine sizes threads cannot host
+//! at all.
 //!
 //! Three suites:
 //!
 //! * `identity gate` — before any timing, re-prove on a reduced grid
-//!   that a DES run is observationally indistinguishable from a pooled
-//!   run (outputs, makespan bits, byte-identical Chrome traces). The
-//!   full-strength 528-point version lives in
+//!   that a DES run is observationally indistinguishable from a
+//!   thread-engine run (outputs, makespan bits, byte-identical Chrome
+//!   traces). The full-strength 528-point version lives in
 //!   `tests/engine_identity.rs`.
 //! * `single_stage` — the same one-stage allreduce program repeated
-//!   under the pooled engine and under DES; simulations per second of
+//!   under the thread engine and under DES; simulations per second of
 //!   each. The DES engine runs `p` ranks on one thread with no
-//!   park/unpark traffic, so it should beat the pool handily at small
-//!   `p` — `COLLOPT_DES_FLOOR` turns that expectation into a gate.
+//!   spawn/park/unpark traffic, so it should win handily at small `p` —
+//!   `COLLOPT_DES_FLOOR` turns that expectation into a gate.
 //! * `scale ladder` — one allreduce at `p = 10³, 10⁴, 10⁵` (and up to
 //!   10⁶ with `DES_SCALE_MAX_P`) under DES, with wall time and
-//!   messages/second. The thread engines refuse these sizes with
-//!   `CapacityExceeded`, which is also asserted here.
+//!   messages/second. The thread engine refuses these sizes with
+//!   `CapacityExceeded` (pinned by a `collopt-machine` unit test).
 //!
 //! Writes `results/BENCH_des.json` and prints a summary. Environment:
 //!
@@ -25,7 +25,7 @@
 //!   (default 3000).
 //! * `DES_SCALE_MAX_P` — largest ladder size (default 100000).
 //! * `COLLOPT_DES_FLOOR` — when set (e.g. `2.0`), exit non-zero unless
-//!   DES single-stage sims/sec reaches the floor times the pooled
+//!   DES single-stage sims/sec reaches the floor times the thread
 //!   engine's; unset = report only. CI sets this on the nightly job.
 
 use std::time::Instant;
@@ -36,7 +36,7 @@ use collopt_core::exec::{execute_traced_with, execute_with, ExecConfig};
 use collopt_core::op::lib as ops;
 use collopt_core::rules::Rule;
 use collopt_core::term::Program;
-use collopt_machine::{chrome_trace_json, ClockParams, ExecEngine, Machine, MachineError};
+use collopt_machine::{chrome_trace_json, ClockParams, ExecEngine};
 
 fn engine_config(engine: ExecEngine) -> ExecConfig {
     ExecConfig {
@@ -46,7 +46,7 @@ fn engine_config(engine: ExecEngine) -> ExecConfig {
 }
 
 /// Reduced identity gate: every observable of a DES run must match the
-/// pooled run to the bit. Returns the number of compared points.
+/// thread-engine run to the bit. Returns the number of compared points.
 fn identity_gate() -> usize {
     let clock = ClockParams::new(100.0, 2.0);
     let mut points = 0usize;
@@ -63,16 +63,16 @@ fn identity_gate() -> usize {
                     };
                     execute_traced_with(&prog, &inputs, clock, config)
                 };
-                let pooled = run(ExecEngine::Pooled);
+                let threads = run(ExecEngine::Threads);
                 let des = run(ExecEngine::Des);
-                assert_eq!(pooled.outcome.outputs, des.outcome.outputs, "{tag}");
+                assert_eq!(threads.outcome.outputs, des.outcome.outputs, "{tag}");
                 assert_eq!(
-                    pooled.outcome.makespan.to_bits(),
+                    threads.outcome.makespan.to_bits(),
                     des.outcome.makespan.to_bits(),
                     "{tag}: makespans"
                 );
                 assert_eq!(
-                    chrome_trace_json(&[(tag.as_str(), &pooled.trace)]),
+                    chrome_trace_json(&[(tag.as_str(), &threads.trace)]),
                     chrome_trace_json(&[(tag.as_str(), &des.trace)]),
                     "{tag}: Chrome exports"
                 );
@@ -89,7 +89,7 @@ fn single_stage(engine: ExecEngine, reps: usize) -> (f64, usize) {
     let prog = Program::new().allreduce(ops::add());
     let inputs = varied_input(8, 4, 42);
     let clock = ClockParams::new(100.0, 2.0);
-    // Warm up (the first pooled run pays the pool construction).
+    // Warm up.
     let want = execute_with(&prog, &inputs, clock, engine_config(engine));
     let start = Instant::now();
     for _ in 0..reps {
@@ -129,36 +129,21 @@ fn main() {
     let reps = env_usize("DES_SCALE_REPS", 3000);
     let max_p = env_usize("DES_SCALE_MAX_P", 100_000);
 
-    println!("# identity gate: des vs pooled engine");
+    println!("# identity gate: des vs thread engine");
     let identity_points = identity_gate();
     println!("#   {identity_points} points bit-identical (traces, makespans)");
 
     println!("# single-stage throughput: p=8 allreduce x{reps}");
-    let (pooled_s, pooled_sims) = single_stage(ExecEngine::Pooled, reps);
+    let (threads_s, threads_sims) = single_stage(ExecEngine::Threads, reps);
     let (des_s, des_sims) = single_stage(ExecEngine::Des, reps);
-    let pooled_rate = pooled_sims as f64 / pooled_s;
+    let threads_rate = threads_sims as f64 / threads_s;
     let des_rate = des_sims as f64 / des_s;
-    let speedup = des_rate / pooled_rate;
+    let speedup = des_rate / threads_rate;
     println!(
-        "  pooled: {pooled_s:>8.3}s for {pooled_sims} sims ({pooled_rate:>9.0} sims/s)\n  \
-         des:    {des_s:>8.3}s for {des_sims} sims ({des_rate:>9.0} sims/s)\n  \
+        "  threads: {threads_s:>8.3}s for {threads_sims} sims ({threads_rate:>9.0} sims/s)\n  \
+         des:     {des_s:>8.3}s for {des_sims} sims ({des_rate:>9.0} sims/s)\n  \
          single-stage throughput speedup {speedup:.2}x"
     );
-
-    // The thread engines must refuse huge-p machines with a clean error,
-    // not a spawn failure.
-    let thread_max_p = ExecEngine::Pooled
-        .max_p()
-        .expect("thread engines have a rank ceiling");
-    let refused = Machine::new(thread_max_p + 1, ClockParams::free())
-        .with_engine(ExecEngine::Pooled)
-        .try_run(|ctx| ctx.rank())
-        .expect_err("over-capacity run must be refused");
-    assert!(
-        matches!(refused, MachineError::CapacityExceeded { .. }),
-        "unexpected refusal: {refused}"
-    );
-    println!("# thread engines refuse p>{thread_max_p}: {refused}");
 
     let mut ladder = vec![1_000usize, 10_000, 100_000];
     ladder.retain(|&p| p <= max_p);
@@ -194,11 +179,11 @@ fn main() {
   "single_stage": {{
     "p": 8,
     "reps": {},
-    "pooled_s": {:.6},
-    "pooled_sims_per_sec": {:.1},
+    "threads_s": {:.6},
+    "threads_sims_per_sec": {:.1},
     "des_s": {:.6},
     "des_sims_per_sec": {:.1},
-    "des_vs_pooled_speedup": {:.3}
+    "des_vs_threads_speedup": {:.3}
   }},
   "scale": [
 {}
@@ -206,10 +191,10 @@ fn main() {
 }}
 "#,
         identity_points,
-        thread_max_p,
+        ExecEngine::THREAD_MAX_P,
         reps,
-        pooled_s,
-        pooled_rate,
+        threads_s,
+        threads_rate,
         des_s,
         des_rate,
         speedup,

@@ -25,7 +25,7 @@
 //! whose `plan` field is the [`FaultPlan::describe`] spec string — paste
 //! it into `collopt --faults` to reproduce.
 
-use collopt_core::exec::{execute, execute_faulted, execute_with, ExecConfig, ExecOutcome};
+use collopt_core::exec::{execute, execute_faulted, ExecConfig};
 use collopt_core::rules::Rule;
 use collopt_core::term::Program;
 use collopt_core::value::Value;
@@ -128,36 +128,6 @@ pub fn random_plan(seed: u64, p: usize, kind: ChaosKind) -> FaultPlan {
         }
         ChaosKind::Crash => plan.with_crash(rng.range_usize(0, p), rng.below(40)),
     }
-}
-
-/// Clean and faulty runs of one program under one plan.
-pub fn run_pair(
-    prog: &Program,
-    p: usize,
-    m: usize,
-    seed: u64,
-    clock: ClockParams,
-    plan: &FaultPlan,
-) -> (ExecOutcome, Result<ExecOutcome, MachineError>) {
-    run_pair_with(prog, p, m, seed, clock, plan, ExecConfig::default())
-}
-
-/// [`run_pair`] with explicit [`ExecConfig`] options — the throughput
-/// benchmark uses this to pin runs to a specific execution engine.
-#[allow(clippy::too_many_arguments)]
-pub fn run_pair_with(
-    prog: &Program,
-    p: usize,
-    m: usize,
-    seed: u64,
-    clock: ClockParams,
-    plan: &FaultPlan,
-    config: ExecConfig,
-) -> (ExecOutcome, Result<ExecOutcome, MachineError>) {
-    let inputs = varied_input(p, m, seed);
-    let clean = execute_with(prog, &inputs, clock, config);
-    let faulty = execute_faulted(prog, &inputs, clock, config, plan);
-    (clean, faulty)
 }
 
 /// Makespan slack for float comparison: the envelope arithmetic combines

@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 //! Shared harness code for the benchmark suite.
 //!
 //! Everything the table/figure generator binaries and the Criterion

@@ -1,25 +1,26 @@
-//! Differential identity: the pooled and discrete-event execution
-//! engines must be *observationally indistinguishable* from the legacy
-//! spawn-per-run engine — same outputs, bit-identical makespans, same
+//! Differential identity: the discrete-event engine must be
+//! *observationally indistinguishable* from its reference, the
+//! thread-per-rank engine — same outputs, bit-identical makespans, same
 //! retry counters, byte-identical Chrome trace exports — across every
 //! Table-1 rule, both sides of each rewrite, machine sizes 2..=9, with
 //! and without fault plans, and under every collective-lowering variant.
 //!
-//! This is the license for making [`ExecEngine::Pooled`] the default
-//! and for trusting [`ExecEngine::Des`] at machine sizes where the
-//! thread engines cannot follow: the simulated clock travels with the
-//! data, so neither OS scheduling (threads) nor event ordering (DES)
-//! can leak into any observable of a run.
+//! This is the license for making [`ExecEngine::Des`] the default and
+//! for trusting it at machine sizes where threads cannot follow: the
+//! simulated clock travels with the data, so neither OS scheduling
+//! (threads) nor event ordering (DES) can leak into any observable of a
+//! run.
 
 use collopt_bench::chaos::{random_plan, ChaosKind};
 use collopt_bench::sweep_driver::par_map;
 use collopt_bench::{rule_lhs, rule_rhs, varied_input};
 use collopt_core::exec::{
-    execute_faulted, execute_faulted_traced, execute_traced_with, ExecConfig, TracedExecOutcome,
+    execute_faulted, execute_faulted_traced, execute_traced_with, ExecConfig, ExecOutcome,
+    TracedExecOutcome,
 };
 use collopt_core::term::Program;
 use collopt_core::value::Value;
-use collopt_machine::{chrome_trace_json, ClockParams, ExecEngine, FaultPlan};
+use collopt_machine::{chrome_trace_json, ClockParams, ExecEngine, FaultPlan, MachineError};
 
 fn engine_config(engine: ExecEngine) -> ExecConfig {
     ExecConfig {
@@ -31,38 +32,38 @@ fn engine_config(engine: ExecEngine) -> ExecConfig {
 
 /// Assert every observable of two runs matches to the bit, including the
 /// serialized Chrome trace.
-fn assert_identical(tag: &str, legacy: &TracedExecOutcome, pooled: &TracedExecOutcome) {
+fn assert_identical(tag: &str, threads: &TracedExecOutcome, des: &TracedExecOutcome) {
     assert_eq!(
-        legacy.outcome.outputs, pooled.outcome.outputs,
+        threads.outcome.outputs, des.outcome.outputs,
         "{tag}: outputs"
     );
     assert_eq!(
-        legacy.outcome.makespan.to_bits(),
-        pooled.outcome.makespan.to_bits(),
+        threads.outcome.makespan.to_bits(),
+        des.outcome.makespan.to_bits(),
         "{tag}: makespan {} vs {}",
-        legacy.outcome.makespan,
-        pooled.outcome.makespan
+        threads.outcome.makespan,
+        des.outcome.makespan
     );
     assert_eq!(
-        legacy.outcome.total_compute.to_bits(),
-        pooled.outcome.total_compute.to_bits(),
+        threads.outcome.total_compute.to_bits(),
+        des.outcome.total_compute.to_bits(),
         "{tag}: compute totals"
     );
     assert_eq!(
-        legacy.outcome.total_messages, pooled.outcome.total_messages,
+        threads.outcome.total_messages, des.outcome.total_messages,
         "{tag}: message counts"
     );
     assert_eq!(
-        legacy.outcome.total_retries, pooled.outcome.total_retries,
+        threads.outcome.total_retries, des.outcome.total_retries,
         "{tag}: retry counters"
     );
     assert_eq!(
-        legacy.outcome.total_retry_time.to_bits(),
-        pooled.outcome.total_retry_time.to_bits(),
+        threads.outcome.total_retry_time.to_bits(),
+        des.outcome.total_retry_time.to_bits(),
         "{tag}: retry time"
     );
-    let a = chrome_trace_json(&[(tag, &legacy.trace)]);
-    let b = chrome_trace_json(&[(tag, &pooled.trace)]);
+    let a = chrome_trace_json(&[(tag, &threads.trace)]);
+    let b = chrome_trace_json(&[(tag, &des.trace)]);
     assert_eq!(a, b, "{tag}: Chrome trace exports differ");
 }
 
@@ -72,7 +73,7 @@ fn run_traced(
     clock: ClockParams,
     plan: Option<&FaultPlan>,
     engine: ExecEngine,
-) -> Result<TracedExecOutcome, collopt_machine::MachineError> {
+) -> Result<TracedExecOutcome, MachineError> {
     match plan {
         None => Ok(execute_traced_with(
             prog,
@@ -84,8 +85,45 @@ fn run_traced(
     }
 }
 
+/// Run `prog` traced on both engines and assert the runs identical.
+fn assert_engines_identical(
+    tag: &str,
+    prog: &Program,
+    inputs: &[Value],
+    clock: ClockParams,
+    plan: Option<&FaultPlan>,
+) {
+    let threads = run_traced(prog, inputs, clock, plan, ExecEngine::Threads)
+        .unwrap_or_else(|e| panic!("{tag} threads: {e}"));
+    let des = run_traced(prog, inputs, clock, plan, ExecEngine::Des)
+        .unwrap_or_else(|e| panic!("{tag} des: {e}"));
+    assert_identical(tag, &threads, &des);
+}
+
+/// Under a plan that may abort the run, both engines must share one fate:
+/// the same outputs and makespan bits, or the same [`MachineError`].
+fn assert_engines_share_a_fate(
+    tag: &str,
+    prog: &Program,
+    inputs: &[Value],
+    clock: ClockParams,
+    plan: &FaultPlan,
+) {
+    let run = |engine| -> Result<ExecOutcome, MachineError> {
+        execute_faulted(prog, inputs, clock, engine_config(engine), plan)
+    };
+    match (run(ExecEngine::Threads), run(ExecEngine::Des)) {
+        (Ok(a), Ok(b)) => {
+            assert_eq!(a.outputs, b.outputs, "{tag}");
+            assert_eq!(a.makespan.to_bits(), b.makespan.to_bits(), "{tag}");
+        }
+        (Err(a), Err(b)) => assert_eq!(a, b, "{tag}: errors differ"),
+        (a, b) => panic!("{tag}: engines disagree on success: {a:?} vs {b:?}"),
+    }
+}
+
 #[test]
-fn pooled_engine_is_bit_identical_to_legacy_across_rules_sizes_and_plans() {
+fn des_is_bit_identical_to_threads_across_rules_sizes_and_plans() {
     // Every p gets an independent battery — fan the sizes across cores.
     par_map((2usize..=9).collect(), |p| {
         let clock = ClockParams::new(100.0, 2.0);
@@ -101,16 +139,7 @@ fn pooled_engine_is_bit_identical_to_legacy_across_rules_sizes_and_plans() {
             for (side, prog) in [("LHS", rule_lhs(rule)), ("RHS", rule_rhs(rule))] {
                 for (i, plan) in plans.iter().enumerate() {
                     let tag = format!("{rule} {side} p={p} plan#{i}");
-                    let legacy =
-                        run_traced(&prog, &inputs, clock, plan.as_ref(), ExecEngine::Legacy)
-                            .unwrap_or_else(|e| panic!("{tag} legacy: {e}"));
-                    let pooled =
-                        run_traced(&prog, &inputs, clock, plan.as_ref(), ExecEngine::Pooled)
-                            .unwrap_or_else(|e| panic!("{tag} pooled: {e}"));
-                    let des = run_traced(&prog, &inputs, clock, plan.as_ref(), ExecEngine::Des)
-                        .unwrap_or_else(|e| panic!("{tag} des: {e}"));
-                    assert_identical(&tag, &legacy, &pooled);
-                    assert_identical(&format!("{tag} (des)"), &legacy, &des);
+                    assert_engines_identical(&tag, &prog, &inputs, clock, plan.as_ref());
                 }
             }
         }
@@ -120,7 +149,7 @@ fn pooled_engine_is_bit_identical_to_legacy_across_rules_sizes_and_plans() {
 #[test]
 fn engines_agree_on_crash_plan_errors() {
     // A crashed run must surface the *same* MachineError from both
-    // engines — pooled teardown must not change failure reporting.
+    // engines — how a rank is torn down must not change failure reporting.
     for p in [2usize, 5, 9] {
         let clock = ClockParams::new(100.0, 2.0);
         let seed = 7 + p as u64;
@@ -129,35 +158,7 @@ fn engines_agree_on_crash_plan_errors() {
         for rule in collopt_core::rules::Rule::ALL {
             for (side, prog) in [("LHS", rule_lhs(rule)), ("RHS", rule_rhs(rule))] {
                 let tag = format!("{rule} {side} p={p}");
-                let legacy = execute_faulted(
-                    &prog,
-                    &inputs,
-                    clock,
-                    engine_config(ExecEngine::Legacy),
-                    &plan,
-                );
-                for other in [ExecEngine::Pooled, ExecEngine::Des] {
-                    let outcome =
-                        execute_faulted(&prog, &inputs, clock, engine_config(other), &plan);
-                    match (&legacy, &outcome) {
-                        (Ok(a), Ok(b)) => {
-                            assert_eq!(a.outputs, b.outputs, "{tag} vs {}", other.name());
-                            assert_eq!(
-                                a.makespan.to_bits(),
-                                b.makespan.to_bits(),
-                                "{tag} vs {}",
-                                other.name()
-                            );
-                        }
-                        (Err(a), Err(b)) => {
-                            assert_eq!(a, b, "{tag}: {} errors differ", other.name())
-                        }
-                        (a, b) => panic!(
-                            "{tag}: {} disagrees on success: {a:?} vs {b:?}",
-                            other.name()
-                        ),
-                    }
-                }
+                assert_engines_share_a_fate(&tag, &prog, &inputs, clock, &plan);
             }
         }
     }
@@ -167,7 +168,7 @@ fn engines_agree_on_crash_plan_errors() {
 fn generated_pipeline_batch_is_bit_identical_across_engines() {
     // A fixed-seed batch of 64 fuzz-generated pipelines — arbitrary stage
     // compositions, table operators, machine sizes, fault plans, and
-    // pre-fused forms — through the same three-engine identity gate the
+    // pre-fused forms — through the same two-engine identity gate the
     // hand-enumerated rule batteries use above. Failures print the
     // case's spec string, replayable via `collopt fuzz --replay`.
     use collopt_fuzz::{generate_case, GenConfig};
@@ -181,45 +182,10 @@ fn generated_pipeline_batch_is_bit_identical_across_engines() {
         let inputs = case.inputs();
         let plan = case.plan.as_ref();
         if plan.is_none_or(FaultPlan::is_recoverable) {
-            let legacy = run_traced(&prog, &inputs, clock, plan, ExecEngine::Legacy)
-                .unwrap_or_else(|e| panic!("{tag} legacy: {e}"));
-            let pooled = run_traced(&prog, &inputs, clock, plan, ExecEngine::Pooled)
-                .unwrap_or_else(|e| panic!("{tag} pooled: {e}"));
-            let des = run_traced(&prog, &inputs, clock, plan, ExecEngine::Des)
-                .unwrap_or_else(|e| panic!("{tag} des: {e}"));
-            assert_identical(&tag, &legacy, &pooled);
-            assert_identical(&format!("{tag} (des)"), &legacy, &des);
+            assert_engines_identical(&tag, &prog, &inputs, clock, plan);
         } else {
             // Crash plans: runs may abort, so compare Result-level outcomes.
-            let plan = plan.unwrap();
-            let legacy = execute_faulted(
-                &prog,
-                &inputs,
-                clock,
-                engine_config(ExecEngine::Legacy),
-                plan,
-            );
-            for other in [ExecEngine::Pooled, ExecEngine::Des] {
-                let outcome = execute_faulted(&prog, &inputs, clock, engine_config(other), plan);
-                match (&legacy, &outcome) {
-                    (Ok(a), Ok(b)) => {
-                        assert_eq!(a.outputs, b.outputs, "{tag} vs {}", other.name());
-                        assert_eq!(
-                            a.makespan.to_bits(),
-                            b.makespan.to_bits(),
-                            "{tag} vs {}",
-                            other.name()
-                        );
-                    }
-                    (Err(a), Err(b)) => {
-                        assert_eq!(a, b, "{tag}: {} errors differ", other.name())
-                    }
-                    (a, b) => panic!(
-                        "{tag}: {} disagrees on success: {a:?} vs {b:?}",
-                        other.name()
-                    ),
-                }
-            }
+            assert_engines_share_a_fate(&tag, &prog, &inputs, clock, plan.unwrap());
         }
     });
 }
@@ -247,11 +213,10 @@ fn engines_agree_under_every_collective_lowering_variant() {
                     profile: true,
                     engine: Some(engine),
                 };
-                let legacy = execute_traced_with(&prog, &inputs, clock, config(ExecEngine::Legacy));
-                let pooled = execute_traced_with(&prog, &inputs, clock, config(ExecEngine::Pooled));
+                let threads =
+                    execute_traced_with(&prog, &inputs, clock, config(ExecEngine::Threads));
                 let des = execute_traced_with(&prog, &inputs, clock, config(ExecEngine::Des));
-                assert_identical(&tag, &legacy, &pooled);
-                assert_identical(&format!("{tag} (des)"), &legacy, &des);
+                assert_identical(&tag, &threads, &des);
             }
         }
     }

@@ -1202,7 +1202,7 @@ pub fn planted_variants() -> Vec<PlantedVariant> {
 /// Runnable twins of the planted-bug schedules — real lowerings with the
 /// same defects, used to demonstrate that what the static verifier
 /// rejects also fails dynamically (the DES engine detects the deadlock
-/// and panics; the thread engines would hang).
+/// and panics; the thread engine would hang).
 pub mod planted {
     use super::*;
     use crate::op::Splittable;

@@ -1,9 +1,10 @@
 //! Equality saturation over stage sequences — the exact rewrite search.
 //!
-//! [`Rewriter::optimize_optimal`](crate::rewrite::Rewriter::optimize_optimal)
-//! used to brute-force every order of rule applications: exponential in the
-//! number of fusible windows. This module replaces it with a small,
-//! dependency-free e-graph specialized to the shape of our terms.
+//! The optimal search used to brute-force every order of rule
+//! applications: exponential in the number of fusible windows.
+//! [`Rewriter::saturate`](crate::rewrite::Rewriter::saturate) replaces it
+//! with this module's small, dependency-free e-graph specialized to the
+//! shape of our terms.
 //!
 //! ## Representation
 //!
@@ -237,7 +238,7 @@ pub struct SaturationOutcome {
 
 /// Saturate `prog` under `cfg` and extract the cost-least program together
 /// with a certificate-carrying derivation. This is what
-/// [`Rewriter::optimize_optimal`] delegates to.
+/// [`Rewriter::saturate`] delegates to.
 pub fn saturate_program(prog: &Program, cfg: &SaturateConfig) -> SaturationOutcome {
     let (start, init_norms) = if cfg.normalize {
         enabling::normalize(prog)

@@ -55,13 +55,13 @@ pub struct ExecConfig {
     /// [`collopt_machine::ProfileReport`]. Only meaningful together with
     /// tracing (see [`execute_traced_with`]); silently inert otherwise.
     pub profile: bool,
-    /// Pin the run to a specific execution engine (persistent rank pool,
-    /// legacy spawn-per-run, or the single-threaded discrete-event
-    /// scheduler). `None` uses the session default ([`ExecEngine::Pooled`]
-    /// unless overridden via `COLLOPT_ENGINE=legacy|pooled|des`). All
-    /// engines are observationally identical — outputs, makespan bits,
-    /// retry counts and traces match — but only [`ExecEngine::Des`] hosts
-    /// rank counts past [`ExecEngine::THREAD_MAX_P`].
+    /// The execution engine. `None` and `Some(Des)` both run on the
+    /// single-threaded discrete-event scheduler ([`ExecEngine::Des`]);
+    /// `Some(Threads)` runs on one scoped thread per rank, which is how the
+    /// identity suites hold the event engine to its reference. The two are
+    /// observationally identical — outputs, makespan bits, retry counts
+    /// and traces match — but only `Des` hosts rank counts past
+    /// [`ExecEngine::THREAD_MAX_P`].
     pub engine: Option<ExecEngine>,
 }
 
@@ -245,27 +245,27 @@ fn try_run_program(
     if let Some(plan) = faults {
         machine = machine.with_faults(plan.clone());
     }
-    if let Some(engine) = config.engine {
-        machine = machine.with_engine(engine);
-    }
     let inputs: Arc<Vec<Value>> = Arc::new(inputs.to_vec());
-    // One engine-agnostic rank body. On the thread engines its awaits
+    // One engine-agnostic rank body. On the thread engine its awaits
     // resolve immediately (the Ctx methods block the rank thread), so
     // `drive` completes it in a single poll; on the DES engine the same
     // future genuinely suspends and the event scheduler interleaves ranks.
-    let run = if machine.engine() == ExecEngine::Des {
-        // `try_run_des` requires the rank future to borrow nothing but its
-        // `Ctx`, so each rank owns a (shallow — stage closures are `Arc`s)
-        // clone of the program and the shared input handle.
-        let prog = prog.clone();
-        let inputs = Arc::clone(&inputs);
-        machine.try_run_des(move |ctx| {
+    let run = match config.engine.unwrap_or(ExecEngine::Des) {
+        ExecEngine::Des => {
+            // `try_run_des` requires the rank future to borrow nothing but
+            // its `Ctx`, so each rank owns a (shallow — stage closures are
+            // `Arc`s) clone of the program and the shared input handle.
             let prog = prog.clone();
             let inputs = Arc::clone(&inputs);
-            Box::pin(async move { rank_main(&prog, &inputs, config, ctx).await })
-        })?
-    } else {
-        machine.try_run(|ctx| drive(rank_main(prog, &inputs, config, ctx)))?
+            machine.try_run_des(move |ctx| {
+                let prog = prog.clone();
+                let inputs = Arc::clone(&inputs);
+                Box::pin(async move { rank_main(&prog, &inputs, config, ctx).await })
+            })?
+        }
+        ExecEngine::Threads => {
+            machine.try_run(|ctx| drive(rank_main(prog, &inputs, config, ctx)))?
+        }
     };
     let total_retries = run.total_retries();
     let total_retry_time = run.total_retry_time();

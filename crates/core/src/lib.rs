@@ -31,7 +31,7 @@
 //!   (`op_sr2`, `op_sr`, `op_ss`, the comcast `e`/`o` pairs, `op_br`, …);
 //! * [`rewrite`] — the exhaustive and cost-guided rewrite engine;
 //! * [`egraph`] — equality saturation with cost-model extraction, the
-//!   exact search behind `Rewriter::optimize_optimal`;
+//!   exact search behind `Rewriter::saturate`;
 //! * [`exec`] — lowering onto the simulated message-passing machine of
 //!   [`collopt_machine`] via the collective algorithms of
 //!   [`collopt_collectives`].

@@ -466,7 +466,9 @@ mod tests {
     fn optimize_result_json_is_byte_stable_and_complete() {
         let params = MachineParams::parsytec_like(64);
         let prog = example();
-        let result = Rewriter::cost_guided(params, 8.0).optimize_optimal(&prog, &params, 8.0);
+        let result = Rewriter::cost_guided(params, 8.0)
+            .saturate(&prog, &params, 8.0)
+            .result;
         let a = optimize_result_json(&prog, &result, &params, 8.0).render();
         let b = optimize_result_json(&prog, &result, &params, 8.0).render();
         assert_eq!(a, b);

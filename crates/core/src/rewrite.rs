@@ -455,7 +455,9 @@ impl Rewriter {
 
     /// Globally optimal rewriting: the reachable program with the least
     /// predicted cost for `(params, m)`, found by equality saturation
-    /// with cost-model extraction ([`crate::egraph`]).
+    /// with cost-model extraction ([`crate::egraph`]). The optimization is
+    /// the outcome's `result`; its `stats` carry the e-graph's effort
+    /// counters — node/class/application counts, budget exhaustion.
     ///
     /// Greedy first-match rewriting is not always optimal: on
     /// `scan(⊕); scan(⊕); reduce(⊕)` it fuses the two scans first
@@ -472,18 +474,6 @@ impl Rewriter {
     /// [`Rewriter::optimize`]. The historical brute-force enumeration is
     /// kept as [`Rewriter::optimize_brute_force`] — a test oracle this
     /// search is checked against on every fuzz-generated pipeline.
-    pub fn optimize_optimal(
-        &self,
-        prog: &Program,
-        params: &MachineParams,
-        m: f64,
-    ) -> OptimizeResult {
-        self.saturate(prog, params, m).result
-    }
-
-    /// [`Rewriter::optimize_optimal`] with the e-graph's effort counters —
-    /// node/class/application counts, budget exhaustion — for callers that
-    /// surface search statistics (the `collopt saturate` CLI, benches).
     pub fn saturate(
         &self,
         prog: &Program,
@@ -834,7 +824,7 @@ mod tests {
             .scan(lib::add())
             .reduce(lib::add());
         let greedy = Rewriter::exhaustive().optimize(&prog);
-        let optimal = Rewriter::exhaustive().optimize_optimal(&prog, &params, m);
+        let optimal = Rewriter::exhaustive().saturate(&prog, &params, m).result;
         let g = program_cost(&greedy.program, &params, m);
         let o = program_cost(&optimal.program, &params, m);
         assert!(o < g, "optimal {o} must beat greedy {g}");
@@ -857,7 +847,7 @@ mod tests {
             Program::new().bcast().scan(lib::mul()).scan(lib::add()),
         ] {
             let greedy = Rewriter::exhaustive().optimize(&prog);
-            let optimal = Rewriter::exhaustive().optimize_optimal(&prog, &params, 4.0);
+            let optimal = Rewriter::exhaustive().saturate(&prog, &params, 4.0).result;
             assert_eq!(
                 program_cost(&greedy.program, &params, 4.0),
                 program_cost(&optimal.program, &params, 4.0),
@@ -871,7 +861,7 @@ mod tests {
         let params = MachineParams::low_latency(64);
         // At huge m nothing pays off: the optimum is the original.
         let prog = Program::new().scan(lib::add()).scan(lib::add());
-        let res = Rewriter::exhaustive().optimize_optimal(&prog, &params, 1e6);
+        let res = Rewriter::exhaustive().saturate(&prog, &params, 1e6).result;
         assert!(res.steps.is_empty());
         assert_eq!(res.program.to_string(), prog.to_string());
     }
@@ -939,7 +929,7 @@ mod tests {
 
     #[test]
     fn optimal_reports_normalizations_for_normalizable_inputs() {
-        // Regression: `optimize_optimal` used to hard-code
+        // Regression: the optimal search used to hard-code
         // `normalizations: Vec::new()`. Both the saturation path and the
         // brute-force oracle must report the bcast/map commutation this
         // input needs before any rule can fire.
@@ -949,7 +939,7 @@ mod tests {
             .map("f", 1.0, |v| Value::Int(v.as_int() + 1))
             .scan(lib::add());
         for res in [
-            Rewriter::exhaustive().optimize_optimal(&prog, &params, 4.0),
+            Rewriter::exhaustive().saturate(&prog, &params, 4.0).result,
             Rewriter::exhaustive().optimize_brute_force(&prog, &params, 4.0),
         ] {
             assert!(
@@ -980,7 +970,7 @@ mod tests {
         ];
         for m in [1.0, 8.0, 1e4] {
             for prog in &programs {
-                let sat = Rewriter::exhaustive().optimize_optimal(prog, &params, m);
+                let sat = Rewriter::exhaustive().saturate(prog, &params, m).result;
                 let brute = Rewriter::exhaustive().optimize_brute_force(prog, &params, m);
                 assert_eq!(
                     sat.program.to_string(),
@@ -1005,7 +995,8 @@ mod tests {
         let samples = ints(&[-5, -2, 0, 1, 3, 7]);
         let res = Rewriter::exhaustive()
             .audited(samples)
-            .optimize_optimal(&prog, &params, 8.0);
+            .saturate(&prog, &params, 8.0)
+            .result;
         assert!(res.steps.is_empty(), "the lying rule must not fire");
         assert_eq!(res.rejections.len(), 1, "rejections must be deduped");
         assert_eq!(res.rejections[0].rule, Rule::SrReduction);

@@ -115,7 +115,7 @@
 //! ## 7. When greedy is not enough
 //!
 //! Overlapping fusible windows can make first-match rewriting suboptimal;
-//! `optimize_optimal` searches every application order:
+//! `saturate` searches every application order:
 //!
 //! ```
 //! use collopt_core::{op::lib as ops, program_cost, rewrite::Rewriter, Program};
@@ -124,7 +124,7 @@
 //! let prog = Program::new().scan(ops::add()).scan(ops::add()).reduce(ops::add());
 //! let params = MachineParams::new(64, 100.0, 2.0);
 //! let greedy = Rewriter::exhaustive().optimize(&prog).program;
-//! let optimal = Rewriter::exhaustive().optimize_optimal(&prog, &params, 8.0).program;
+//! let optimal = Rewriter::exhaustive().saturate(&prog, &params, 8.0).result.program;
 //! assert!(program_cost(&optimal, &params, 8.0) < program_cost(&greedy, &params, 8.0));
 //! ```
 

@@ -375,7 +375,7 @@ pub struct CaseSpec {
     pub p: usize,
     /// Words per rank block (`m == 1` means scalar values).
     pub m: usize,
-    /// Engine oracle 1 executes on (oracle 2 always runs all three).
+    /// Engine oracle 1 executes on (oracle 2 always runs both).
     pub engine: ExecEngine,
     /// Value domain.
     pub domain: CaseDomain,
@@ -388,14 +388,6 @@ pub struct CaseSpec {
     /// A rule pre-applied at a stage index, so the case *starts* from a
     /// fused form (exercises Comcast/balanced/IterLocal stages).
     pub fuse: Option<(Rule, usize)>,
-}
-
-fn engine_token(e: ExecEngine) -> &'static str {
-    match e {
-        ExecEngine::Legacy => "legacy",
-        ExecEngine::Pooled => "pooled",
-        ExecEngine::Des => "des",
-    }
 }
 
 fn rule_by_name(name: &str) -> Result<Rule, String> {
@@ -437,7 +429,7 @@ impl CaseSpec {
             self.seed,
             self.p,
             self.m,
-            engine_token(self.engine),
+            self.engine.name(),
             self.domain.label(),
             prog,
             tables,
@@ -827,7 +819,7 @@ pub fn generate_case(seed: u64, cfg: &GenConfig) -> CaseSpec {
     let mut rng = Rng::new(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0xF022_2026);
     let p = rng.range_usize(2, cfg.pmax + 1);
     let m = rng.range_usize(1, cfg.mmax + 1);
-    let engine = [ExecEngine::Legacy, ExecEngine::Pooled, ExecEngine::Des][rng.range_usize(0, 3)];
+    let engine = [ExecEngine::Threads, ExecEngine::Des][rng.range_usize(0, 2)];
     let plan = random_case_plan(&mut rng, seed, p);
 
     let mut case = CaseSpec {
@@ -1212,6 +1204,20 @@ mod tests {
                 CaseSpec::parse(&spec).unwrap_or_else(|e| panic!("seed {seed}: {e}\nspec: {spec}"));
             assert_eq!(back.render(), spec, "seed {seed}");
             assert_eq!(back, case, "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn unknown_engines_are_parse_errors_not_panics() {
+        let case = generate_case(0, &GenConfig::default());
+        let spec = case.render();
+        let engine = format!("engine={}", case.engine.name());
+        // `pooled` and `legacy` went with the engines they named: ordinary
+        // unknown values now, no aliases.
+        for bad in ["pooled", "legacy", "warp", ""] {
+            let mutated = spec.replace(&engine, &format!("engine={bad}"));
+            assert_ne!(mutated, spec);
+            assert!(CaseSpec::parse(&mutated).is_err(), "engine={bad} parsed");
         }
     }
 

@@ -5,7 +5,7 @@
 //!    execution outputs bit-identical on every rank (rank 0 only for the
 //!    paper's Local rules, and only on pipelines where that comparison
 //!    is sound).
-//! 2. **Engines** — the Legacy, Pooled and Des execution engines must
+//! 2. **Engines** — the Threads and Des execution engines must
 //!    produce identical outputs, makespan bits, message/retry counters
 //!    and Chrome trace exports for the same program, inputs and fault
 //!    plan (identical [`MachineError`]s for unrecoverable plans).
@@ -16,7 +16,7 @@
 //!    laws) must likewise surface in both the auditor and the linter.
 //! 4. **Saturation** — on every pipeline short enough for the
 //!    exponential search (≤ 6 stages), the equality-saturation extraction
-//!    behind `optimize_optimal` must bit-match the brute-force optimum's
+//!    behind `Rewriter::saturate` must bit-match the brute-force optimum's
 //!    program and cost, never exceed the greedy cost, and (on honest
 //!    tables) carry certificates that revalidate.
 //! 5. **StaticCheck** — the static schedule verifier must accept every
@@ -121,7 +121,7 @@ pub fn run_case(case: &CaseSpec, ledger: &mut CoverageLedger) -> Vec<FuzzFailure
     let mut failures = Vec::new();
     ledger.cases += 1;
     *ledger.domains.entry(case.domain.label()).or_insert(0) += 1;
-    *ledger.engines.entry(engine_name(case.engine)).or_insert(0) += 1;
+    *ledger.engines.entry(case.engine.name()).or_insert(0) += 1;
     *ledger.faults.entry(fault_kind(case)).or_insert(0) += 1;
     for stage in case.program().stages() {
         ledger.record_stage(stage_kind(&stage.describe()));
@@ -205,14 +205,6 @@ fn check_static(case: &CaseSpec, ledger: &mut CoverageLedger, failures: &mut Vec
         } else {
             ledger.static_rejects += 1;
         }
-    }
-}
-
-fn engine_name(e: ExecEngine) -> &'static str {
-    match e {
-        ExecEngine::Legacy => "legacy",
-        ExecEngine::Pooled => "pooled",
-        ExecEngine::Des => "des",
     }
 }
 
@@ -379,7 +371,7 @@ fn compare_programs(
 }
 
 // ---------------------------------------------------------------------
-// Oracle 2: Legacy == Pooled == Des
+// Oracle 2: Threads == Des
 // ---------------------------------------------------------------------
 
 fn check_engines(case: &CaseSpec, failures: &mut Vec<FuzzFailure>) {
@@ -391,7 +383,14 @@ fn check_engines(case: &CaseSpec, failures: &mut Vec<FuzzFailure>) {
         profile: true,
         ..ExecConfig::default()
     };
-    let engines = [ExecEngine::Legacy, ExecEngine::Pooled, ExecEngine::Des];
+    let mut diverge = |what: String| {
+        push(
+            failures,
+            case,
+            OracleKind::Engines,
+            format!("threads vs des: {what}"),
+        );
+    };
 
     let recoverable = case
         .plan
@@ -399,105 +398,61 @@ fn check_engines(case: &CaseSpec, failures: &mut Vec<FuzzFailure>) {
         .is_none_or(collopt_machine::FaultPlan::is_recoverable);
     if recoverable {
         // Completed traced runs: compare every observable bit-for-bit.
-        let mut runs: Vec<(ExecEngine, TracedExecOutcome)> = Vec::new();
-        for engine in engines {
-            let run = match &case.plan {
+        let run = |engine| -> Result<TracedExecOutcome, MachineError> {
+            match &case.plan {
                 None => Ok(execute_traced_with(&prog, &inputs, clock, config(engine))),
                 Some(plan) => execute_faulted_traced(&prog, &inputs, clock, config(engine), plan),
-            };
-            match run {
-                Ok(run) => runs.push((engine, run)),
-                Err(e) => {
-                    push(
-                        failures,
-                        case,
-                        OracleKind::Engines,
-                        format!("{} failed a recoverable plan: {e}", engine_name(engine)),
-                    );
-                    return;
-                }
             }
-        }
-        let (base_engine, base) = &runs[0];
-        for (engine, run) in &runs[1..] {
-            let tag = format!("{} vs {}", engine_name(*base_engine), engine_name(*engine));
-            let a = &base.outcome;
-            let b = &run.outcome;
-            let mut diverge = |what: &str| {
-                push(
-                    failures,
-                    case,
-                    OracleKind::Engines,
-                    format!("{tag}: {what} differ"),
-                );
-            };
-            if a.outputs != b.outputs {
-                diverge("outputs");
-            } else if a.makespan.to_bits() != b.makespan.to_bits() {
-                diverge("makespan bits");
-            } else if a.total_compute.to_bits() != b.total_compute.to_bits() {
-                diverge("compute-time bits");
-            } else if a.total_messages != b.total_messages {
-                diverge("message counts");
-            } else if a.total_retries != b.total_retries {
-                diverge("retry counts");
-            } else if a.total_retry_time.to_bits() != b.total_retry_time.to_bits() {
-                diverge("retry-time bits");
-            } else if chrome_trace_json(&[("fuzz", &base.trace)])
-                != chrome_trace_json(&[("fuzz", &run.trace)])
-            {
-                diverge("Chrome trace exports");
-            }
-        }
+        };
+        let (threads, des) = match (run(ExecEngine::Threads), run(ExecEngine::Des)) {
+            (Ok(threads), Ok(des)) => (threads, des),
+            (Err(e), _) => return diverge(format!("threads failed a recoverable plan: {e}")),
+            (_, Err(e)) => return diverge(format!("des failed a recoverable plan: {e}")),
+        };
+        let a = &threads.outcome;
+        let b = &des.outcome;
+        let what = if a.outputs != b.outputs {
+            "outputs"
+        } else if a.makespan.to_bits() != b.makespan.to_bits() {
+            "makespan bits"
+        } else if a.total_compute.to_bits() != b.total_compute.to_bits() {
+            "compute-time bits"
+        } else if a.total_messages != b.total_messages {
+            "message counts"
+        } else if a.total_retries != b.total_retries {
+            "retry counts"
+        } else if a.total_retry_time.to_bits() != b.total_retry_time.to_bits() {
+            "retry-time bits"
+        } else if chrome_trace_json(&[("fuzz", &threads.trace)])
+            != chrome_trace_json(&[("fuzz", &des.trace)])
+        {
+            "Chrome trace exports"
+        } else {
+            return;
+        };
+        diverge(format!("{what} differ"));
     } else {
         // Unrecoverable plan: engines must agree on the error too.
         let plan = case.plan.as_ref().expect("unrecoverable implies a plan");
-        let results: Vec<(ExecEngine, Result<_, MachineError>)> = engines
-            .map(|e| (e, execute_faulted(&prog, &inputs, clock, config(e), plan)))
-            .into_iter()
-            .collect();
-        let (base_engine, base) = &results[0];
-        for (engine, outcome) in &results[1..] {
-            let tag = format!("{} vs {}", engine_name(*base_engine), engine_name(*engine));
-            match (base, outcome) {
-                (Ok(a), Ok(b)) => {
-                    if a.outputs != b.outputs {
-                        push(
-                            failures,
-                            case,
-                            OracleKind::Engines,
-                            format!("{tag}: outputs differ"),
-                        );
-                    } else if a.makespan.to_bits() != b.makespan.to_bits() {
-                        push(
-                            failures,
-                            case,
-                            OracleKind::Engines,
-                            format!("{tag}: makespan bits differ"),
-                        );
-                    }
+        let run = |engine| execute_faulted(&prog, &inputs, clock, config(engine), plan);
+        match (run(ExecEngine::Threads), run(ExecEngine::Des)) {
+            (Ok(a), Ok(b)) => {
+                if a.outputs != b.outputs {
+                    diverge("outputs differ".to_string());
+                } else if a.makespan.to_bits() != b.makespan.to_bits() {
+                    diverge("makespan bits differ".to_string());
                 }
-                (Err(a), Err(b)) => {
-                    if a != b {
-                        push(
-                            failures,
-                            case,
-                            OracleKind::Engines,
-                            format!("{tag}: errors differ ({a} vs {b})"),
-                        );
-                    }
-                }
-                (a, b) => push(
-                    failures,
-                    case,
-                    OracleKind::Engines,
-                    format!(
-                        "{tag}: disagree on success ({} vs {})",
-                        if a.is_ok() { "ok" } else { "err" },
-                        if b.is_ok() { "ok" } else { "err" }
-                    ),
-                ),
             }
+            (Err(a), Err(b)) => {
+                if a != b {
+                    diverge(format!("errors differ ({a} vs {b})"));
+                }
+            }
+            (a, b) => diverge(format!(
+                "disagree on success ({} vs {})",
+                if a.is_ok() { "ok" } else { "err" },
+                if b.is_ok() { "ok" } else { "err" }
+            )),
         }
     }
 }
@@ -720,7 +675,7 @@ fn check_saturation(case: &CaseSpec, ledger: &mut CoverageLedger, failures: &mut
     let params = MachineParams::new(case.p, 100.0, 2.0); // = oracle_clock()
     let m = case.m as f64;
     let rewriter = Rewriter::exhaustive();
-    let sat = rewriter.optimize_optimal(&prog, &params, m);
+    let sat = rewriter.saturate(&prog, &params, m).result;
     let brute = rewriter.optimize_brute_force(&prog, &params, m);
     let greedy = Rewriter::cost_guided(params, m).optimize(&prog);
 

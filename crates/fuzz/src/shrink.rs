@@ -3,7 +3,7 @@
 //! [`shrink`] repeatedly proposes structurally smaller variants of a
 //! failing [`CaseSpec`] — drop the fuse annotation, delete a stage, strip
 //! the fault plan element by element, lower `p` and `m`, fall back to the
-//! Legacy engine, zero table cells, drop orphaned tables — and keeps any
+//! Des engine, zero table cells, drop orphaned tables — and keeps any
 //! variant on which the caller's predicate still fails. Restarting from
 //! the first candidate class after every acceptance makes the result a
 //! local minimum: no single remaining simplification preserves the
@@ -91,9 +91,9 @@ fn candidates(case: &CaseSpec) -> Vec<CaseSpec> {
     }
 
     // 5. Canonical engine.
-    if case.engine != ExecEngine::Legacy {
+    if case.engine != ExecEngine::Des {
         let mut c = case.clone();
-        c.engine = ExecEngine::Legacy;
+        c.engine = ExecEngine::Des;
         out.push(c);
     }
 
@@ -217,7 +217,7 @@ mod tests {
         assert_eq!(out.m, 1);
         assert!(out.plan.is_none());
         assert!(out.fuse.is_none());
-        assert_eq!(out.engine, ExecEngine::Legacy);
+        assert_eq!(out.engine, ExecEngine::Des);
         assert!(out.stages.len() <= case.stages.len());
         assert!(out.validate().is_ok());
     }

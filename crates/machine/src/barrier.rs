@@ -11,7 +11,7 @@
 //! directly and turns `Parked` into an event-queue suspension.
 //!
 //! [`ClockBarrier`] wraps the algebra in a `Mutex` + `Condvar` for the
-//! thread-per-rank engines. Its observable behaviour (release times, abort
+//! thread-per-rank engine. Its observable behaviour (release times, abort
 //! errors, generation handling) is byte-identical to the pre-split
 //! implementation: `wait` is exactly `arrive` + condvar-loop-on-`check`.
 
@@ -110,19 +110,9 @@ impl BarrierAlgebra {
             self.aborted = Some(err);
         }
     }
-
-    /// Restore the freshly constructed state. Only called between runs,
-    /// when no rank can be waiting.
-    pub(crate) fn reset(&mut self) {
-        self.arrived = 0;
-        self.generation = 0;
-        self.max_time = 0.0;
-        self.release_time = 0.0;
-        self.aborted = None;
-    }
 }
 
-/// Clock-aware barrier for the thread-per-rank engines: the algebra under
+/// Clock-aware barrier for the thread-per-rank engine: the algebra under
 /// a mutex, with a condvar to park not-yet-released ranks.
 pub(crate) struct ClockBarrier {
     state: Mutex<BarrierAlgebra>,
@@ -162,11 +152,6 @@ impl ClockBarrier {
         s.abort(err);
         drop(s);
         self.cv.notify_all();
-    }
-
-    /// Restore the freshly constructed state between runs.
-    pub(crate) fn reset(&self) {
-        self.state.lock().expect("barrier lock poisoned").reset();
     }
 }
 
@@ -221,16 +206,6 @@ mod tests {
             Some(Err(MachineError::RankFailed { rank: 2 }))
         );
         assert_eq!(b.arrive(4.0), Err(MachineError::RankFailed { rank: 2 }));
-    }
-
-    #[test]
-    fn reset_restores_pristine_state() {
-        let mut b = BarrierAlgebra::new(2);
-        let _ = b.arrive(100.0);
-        b.abort(MachineError::RankFailed { rank: 1 });
-        b.reset();
-        assert_eq!(b.arrive(2.0).unwrap(), Arrival::Parked { generation: 0 });
-        assert_eq!(b.arrive(3.0).unwrap(), Arrival::Released(3.0));
     }
 
     #[test]

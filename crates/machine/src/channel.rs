@@ -18,10 +18,6 @@
 //! peer's inbox so blocked receivers observe a disconnect instead of
 //! hanging — the same semantics a per-pair channel would give when its
 //! sending half is dropped (queued packets still drain first).
-//!
-//! The inbox array itself lives in a [`Mesh`] that survives across runs:
-//! the persistent engine resets the queues in place via [`Mesh::issue`]
-//! instead of reallocating `p²` queues per simulation.
 
 use std::any::Any;
 use std::collections::VecDeque;
@@ -80,18 +76,6 @@ impl Inbox {
             }),
         }
     }
-
-    /// Restore the pristine post-construction state in place, keeping the
-    /// queue allocations. Called between runs by [`Mesh::issue`].
-    fn reset(&self) {
-        let mut state = self.state.lock().expect("inbox poisoned");
-        for q in &mut state.queues {
-            q.clear();
-        }
-        state.live.fill(true);
-        state.next_scan = 0;
-        state.waiter = None;
-    }
 }
 
 /// Wake the parked receiver, if any. Must be called *after* mutating the
@@ -109,8 +93,7 @@ fn wake(state: &mut InboxState) {
 pub struct Mailboxes {
     rank: usize,
     /// Shared, not per-rank-cloned: handing out `p` views costs `p` Arc
-    /// bumps instead of `p²`, which matters when a pooled engine reissues
-    /// views for every one of thousands of short runs.
+    /// bumps instead of `p²`.
     inboxes: Arc<Vec<Arc<Inbox>>>,
 }
 
@@ -243,48 +226,15 @@ impl Drop for Mailboxes {
     }
 }
 
-/// The persistent `p × p` inbox array. Constructing one allocates all
-/// queues; [`issue`](Mesh::issue) resets them in place and hands each rank
-/// a fresh [`Mailboxes`] view, so a pooled engine pays the allocation once
-/// per pool instead of once per run.
-pub struct Mesh {
-    inboxes: Arc<Vec<Arc<Inbox>>>,
-}
-
-impl Mesh {
-    /// Allocate a mesh for `p` ranks.
-    pub fn new(p: usize) -> Mesh {
-        Mesh {
-            inboxes: Arc::new((0..p).map(|_| Arc::new(Inbox::new(p))).collect()),
-        }
-    }
-
-    /// Number of ranks.
-    pub fn size(&self) -> usize {
-        self.inboxes.len()
-    }
-
-    /// Reset every inbox to its pristine state (empty queues, all ranks
-    /// live) and hand out one [`Mailboxes`] view per rank. The previous
-    /// run's views must have been dropped first; the reset erases the
-    /// dead-rank marks they left behind, so the new run starts from a
-    /// state indistinguishable from a freshly built mesh.
-    pub fn issue(&self) -> Vec<Mailboxes> {
-        for inbox in self.inboxes.iter() {
-            inbox.reset();
-        }
-        (0..self.inboxes.len())
-            .map(|rank| Mailboxes {
-                rank,
-                inboxes: self.inboxes.clone(),
-            })
-            .collect()
-    }
-}
-
 /// Builds a full `p × p` mesh and hands each rank its mailboxes.
 pub fn build_mesh(p: usize) -> Vec<Mailboxes> {
-    Mesh::new(p).issue()
+    let inboxes: Arc<Vec<Arc<Inbox>>> = Arc::new((0..p).map(|_| Arc::new(Inbox::new(p))).collect());
+    (0..p)
+        .map(|rank| Mailboxes {
+            rank,
+            inboxes: inboxes.clone(),
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -428,28 +378,8 @@ mod tests {
     }
 
     #[test]
-    fn mesh_issue_resets_state_between_runs() {
-        let mesh = Mesh::new(2);
-        let mut boxes = mesh.issue();
-        let m1 = boxes.pop().unwrap();
-        let m0 = boxes.pop().unwrap();
-        // Leave a packet queued and drop both views (marking ranks dead).
-        m0.push(1, packet(9u8, 1)).unwrap();
-        drop(m0);
-        drop(m1);
-        // A reissued mesh must behave like a fresh one: no residue, no
-        // dead marks.
-        let reissued = mesh.issue();
-        assert!(reissued[1].try_pop(0).unwrap().is_none());
-        reissued[0].push(1, packet(3u8, 1)).unwrap();
-        let p = reissued[1].pop(0).unwrap();
-        assert_eq!(*p.payload.downcast::<u8>().unwrap(), 3);
-    }
-
-    #[test]
     fn parked_receiver_wakes_on_push() {
-        let mesh = Mesh::new(2);
-        let mut boxes = mesh.issue();
+        let mut boxes = build_mesh(2);
         let m1 = boxes.pop().unwrap();
         let m0 = boxes.pop().unwrap();
         let handle = std::thread::spawn(move || {

@@ -1,6 +1,6 @@
 //! The discrete-event execution engine ([`ExecEngine::Des`]).
 //!
-//! The thread engines give every rank an OS thread and let the kernel
+//! The thread engine gives every rank an OS thread and lets the kernel
 //! interleave them; blocking operations park real threads. That caps `p`
 //! at the host's thread budget (~4k) and pays a context switch per
 //! message. This engine instead runs *all* ranks on one thread: each rank
@@ -8,7 +8,7 @@
 //! decides which rank steps next, ordered by the simulated timestamp at
 //! which it became runnable. `p` is bounded by memory — a rank costs one
 //! boxed future plus its inbox — so 10^5..10^6-rank machines fit where the
-//! thread engines stop at thousands.
+//! thread engine stops at thousands.
 //!
 //! ## Event model
 //!
@@ -33,7 +33,7 @@
 //! disconnect, rotating `recv_any` scan, first-error-wins barrier abort,
 //! abort-then-death unwind order). Every observable — outputs, makespan
 //! bits, retry counters, Chrome traces — is therefore bit-identical to
-//! the thread engines, which `bench/tests/engine_identity.rs` enforces
+//! the thread engine, which `bench/tests/engine_identity.rs` enforces
 //! over a 528-point differential grid.
 //!
 //! [`ExecEngine::Des`]: crate::machine::ExecEngine::Des
@@ -393,7 +393,7 @@ impl Future for DesBarrier {
 type RankFut<'a, T> = Pin<Box<dyn Future<Output = (T, SimClock, Trace)> + 'a>>;
 
 /// Drive all `p` rank futures to completion on the calling thread and
-/// return their outcomes, mirroring the thread engines' `rank_body`
+/// return their outcomes, mirroring the thread engine's `rank_body`
 /// semantics exactly: `catch_unwind` per step, barrier abort before the
 /// death cascade on an unwind, completed ranks going dead without an
 /// abort (their `Mailboxes` drop would do the same).
@@ -432,7 +432,7 @@ where
             let blocked: Vec<usize> = (0..p).filter(|&r| outcomes[r].is_none()).collect();
             panic!(
                 "DES deadlock: ranks {blocked:?} are blocked with no pending events \
-                 (the thread engines would hang here)"
+                 (the thread engine would hang here)"
             );
         };
         if outcomes[rank].is_some() {
@@ -452,7 +452,7 @@ where
             }
             Err(payload) => {
                 futures[rank] = None;
-                // Unblock peers in the thread engines' order: barrier
+                // Unblock peers in the thread engine's order: barrier
                 // abort first, then the disconnect cascade.
                 let outcome = match payload.downcast::<FaultAbort>() {
                     Ok(fa) => {
@@ -629,6 +629,28 @@ mod tests {
                 ctx.barrier_async().await;
             })
         });
+    }
+
+    #[test]
+    fn thread_engine_refuses_what_des_accepts() {
+        let p = ExecEngine::THREAD_MAX_P + 1;
+        let m = Machine::new(p, ClockParams::free());
+        // A clean error before any thread is spawned, not a spawn failure.
+        let refused = m
+            .try_run(|ctx| ctx.rank())
+            .expect_err("over-capacity run must be refused");
+        assert_eq!(
+            refused,
+            MachineError::CapacityExceeded {
+                requested: p,
+                limit: ExecEngine::THREAD_MAX_P,
+                engine: "threads",
+            }
+        );
+        let run = m
+            .try_run_des(|ctx| Box::pin(async move { ctx.rank() }))
+            .expect("the event engine has no rank ceiling");
+        assert_eq!(run.results.len(), p);
     }
 
     #[test]

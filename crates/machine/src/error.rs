@@ -73,8 +73,8 @@ pub enum MachineError {
     },
     /// The machine was constructed with zero processors.
     EmptyMachine,
-    /// The run asked for more ranks than the selected engine can host.
-    /// The thread-per-rank engines cap `p` at
+    /// The run asked for more ranks than the engine can host. The
+    /// thread-per-rank engine caps `p` at
     /// [`ExecEngine::THREAD_MAX_P`](crate::ExecEngine::THREAD_MAX_P)
     /// (spawning past the OS thread budget would abort mid-run); the
     /// discrete-event engine (`des`) has no such cap.
@@ -83,7 +83,7 @@ pub enum MachineError {
         requested: usize,
         /// The engine's rank ceiling.
         limit: usize,
-        /// Name of the engine that refused (`pooled`, `legacy`).
+        /// Name of the engine that refused (`threads`).
         engine: &'static str,
     },
 }
@@ -178,9 +178,9 @@ mod tests {
                 MachineError::CapacityExceeded {
                     requested: 100_000,
                     limit: 4096,
-                    engine: "pooled",
+                    engine: "threads",
                 },
-                vec!["100000", "4096", "pooled"],
+                vec!["100000", "4096", "threads"],
             ),
         ];
         for (err, needles) in cases {
@@ -218,7 +218,7 @@ mod tests {
         assert!(!MachineError::CapacityExceeded {
             requested: 10_000,
             limit: 4096,
-            engine: "legacy"
+            engine: "threads"
         }
         .is_recoverable());
     }

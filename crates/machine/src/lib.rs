@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 //! # collopt-machine — a simulated SPMD message-passing machine
 //!
 //! This crate is the substrate on which the collective operations of
@@ -10,17 +11,23 @@
 //! `ts + m*tw` (start-up time plus per-word transfer time). One local
 //! computation operation costs one time unit.
 //!
-//! This crate provides exactly that machine, twice over:
+//! This crate provides exactly that machine: a **deterministic simulated
+//! clock** ([`clock`]) is carried by every message, so each run yields an
+//! exact, scheduler-independent *simulated makespan* under the paper's
+//! `ts`/`tw` cost model. This is what lets us regenerate the paper's
+//! Table 1 and Figures 7–8 without the authors' 64-processor Parsytec.
 //!
-//! * a **threaded runtime** ([`Machine::run`]) that spawns one OS thread per
-//!   virtual processor and moves real data through typed channels — used for
-//!   wall-clock benchmarking and for exercising the real concurrency of the
-//!   algorithms; and
-//! * a **deterministic simulated clock** ([`clock`]) carried by every
-//!   message, so each run also yields an exact, scheduler-independent
-//!   *simulated makespan* under the paper's `ts`/`tw` cost model. This is
-//!   what lets us regenerate the paper's Table 1 and Figures 7–8 without the
-//!   authors' 64-processor Parsytec.
+//! A program runs on one of two engines ([`ExecEngine`]), bit-identical in
+//! every observable. Which one is decided by the shape of the rank body,
+//! not by a setting:
+//!
+//! * [`Machine::run_des`] takes an async rank body and runs it on the
+//!   single-threaded **discrete-event engine** — what `collopt_core::exec`
+//!   uses by default, and the only engine past
+//!   [`ExecEngine::THREAD_MAX_P`] ranks;
+//! * [`Machine::run`] takes a blocking rank body and runs it on one fresh
+//!   scoped OS thread per rank — the **reference** the event engine is
+//!   held to, exercising the real concurrency of the algorithms.
 //!
 //! The [`topology`] module contains the rank arithmetic shared by all
 //! collective algorithms: binomial trees, butterfly (hypercube) partners,
@@ -59,7 +66,6 @@ pub(crate) mod des;
 pub mod error;
 pub mod fault;
 pub mod machine;
-pub mod pool;
 pub mod profile;
 pub mod rng;
 pub mod topology;
@@ -70,7 +76,6 @@ pub use clock::{ClockParams, ClusterParams};
 pub use error::MachineError;
 pub use fault::{FaultInjector, FaultPlan, RetryParams};
 pub use machine::{drive, Ctx, ExecEngine, Machine, RunResult};
-pub use pool::RankPool;
 pub use profile::{
     critical_path, CriticalPath, ProfileError, ProfileReport, RankProfile, StageProfile,
 };

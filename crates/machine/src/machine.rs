@@ -47,21 +47,18 @@
 //! panicking. A plan that injects nothing is observationally inert: the
 //! run is bit-identical to a plain one.
 
-use std::cell::RefCell;
-use std::collections::HashMap;
 use std::future::Future;
 use std::pin::Pin;
 use std::rc::Rc;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::Arc;
 use std::task::{Context as TaskContext, Poll, Waker};
 
 use crate::barrier::ClockBarrier;
-use crate::channel::{build_mesh, Mailboxes, Mesh, Packet};
+use crate::channel::{build_mesh, Mailboxes, Packet};
 use crate::clock::{ClockParams, SimClock};
 use crate::des::DesShared;
 use crate::error::MachineError;
 use crate::fault::{FaultInjector, FaultPlan};
-use crate::pool::RankPool;
 use crate::trace::{EventKind, Trace};
 
 /// The panic payload a rank throws to unwind out of the SPMD closure when
@@ -94,7 +91,7 @@ pub(crate) fn install_quiet_fault_hook() {
 }
 
 /// Communication backend behind a [`Ctx`]: real mailboxes plus a blocking
-/// barrier for the thread-per-rank engines, or a handle into the shared
+/// barrier for the thread-per-rank engine, or a handle into the shared
 /// single-threaded event state for the discrete-event engine. All cost,
 /// fault and trace accounting lives *above* this enum — the operation
 /// sequences are shared verbatim — so the engines are bit-identical by
@@ -391,7 +388,7 @@ impl Ctx {
 
     /// Engine-agnostic form of [`recv`](Self::recv): suspends the rank
     /// future on the DES engine, resolves immediately (the mailbox blocks
-    /// the thread internally) on the thread engines.
+    /// the thread internally) on the thread engine.
     pub async fn recv_async<T: Send + 'static>(&mut self, from: usize) -> T {
         self.fault_tick();
         let packet = match self.pop_packet(from).await {
@@ -587,7 +584,7 @@ impl Ctx {
 }
 
 /// Run a `Ctx` future to completion on the calling thread with a no-op
-/// waker. On the thread engines every `*_async` operation resolves on its
+/// waker. On the thread engine every `*_async` operation resolves on its
 /// first poll (blocking happens inside the mailboxes/barrier), so a single
 /// poll suffices and the sync wrappers cost nothing. `Poll::Pending` means
 /// a DES-backed context reached a sync entry point — only the DES
@@ -651,31 +648,32 @@ pub(crate) enum RankOutcome<T> {
     Panicked(Box<dyn std::any::Any + Send>),
 }
 
-/// How [`Machine::run`] maps ranks onto OS threads.
+/// The two ways a program runs on the machine.
 ///
-/// Both engines execute the identical per-rank body against the identical
-/// channel/clock/barrier machinery, and the simulated clock travels with
+/// Both execute the identical `Ctx` operation sequences against the same
+/// clock, fault and trace accounting, and the simulated clock travels with
 /// the data, so every observable output — results, makespans, traces,
-/// retry counters — is bit-identical between them. The difference is pure
-/// host-side overhead: `Legacy` spawns and joins `p` fresh threads per
-/// run, `Pooled` dispatches to a persistent per-thread worker pool with
-/// reusable mesh and barrier (roughly an order of magnitude cheaper for
-/// the short runs a sweep is made of).
+/// retry counters — is bit-identical between them. The choice is
+/// structural, not configurable: a blocking rank body
+/// ([`Machine::run`]/[`Machine::try_run`]) can only run on threads, an
+/// async one ([`Machine::run_des`]/[`Machine::try_run_des`]) always runs
+/// on the event engine. `core::exec` runs on `Des` unless a caller asks
+/// for `Threads`, which the identity suites do to hold `Des` to its
+/// reference.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecEngine {
-    /// Persistent rank pool, reused mesh/barrier (default).
-    Pooled,
-    /// Spawn `p` fresh scoped threads per run (the historical engine).
-    Legacy,
+    /// One fresh scoped OS thread per rank, joined before the run returns:
+    /// the reference engine, and the only one that can host a blocking
+    /// rank body.
+    Threads,
     /// Single-threaded discrete-event scheduler: each rank is a resumable
     /// future driven off a binary-heap event queue, so `p` is bounded by
-    /// memory rather than OS threads. Requires async rank bodies
-    /// ([`Machine::try_run_des`]); `core::exec` dispatches automatically.
+    /// memory rather than OS threads.
     Des,
 }
 
 impl ExecEngine {
-    /// Largest `p` the thread-per-rank engines accept before reporting
+    /// Largest `p` the thread engine accepts before reporting
     /// [`MachineError::CapacityExceeded`] instead of exhausting the host's
     /// thread budget mid-spawn.
     pub const THREAD_MAX_P: usize = 4096;
@@ -683,71 +681,34 @@ impl ExecEngine {
     /// The engine's rank-count ceiling; `None` means memory-bound (DES).
     pub fn max_p(self) -> Option<usize> {
         match self {
-            ExecEngine::Pooled | ExecEngine::Legacy => Some(Self::THREAD_MAX_P),
+            ExecEngine::Threads => Some(Self::THREAD_MAX_P),
             ExecEngine::Des => None,
         }
     }
 
-    /// Stable lowercase name, matching the `COLLOPT_ENGINE` values.
+    /// Stable lowercase name, as accepted by `collopt --engine` and the
+    /// service's `"engine"` option.
     pub fn name(self) -> &'static str {
         match self {
-            ExecEngine::Pooled => "pooled",
-            ExecEngine::Legacy => "legacy",
+            ExecEngine::Threads => "threads",
             ExecEngine::Des => "des",
         }
-    }
-
-    /// The process-wide default engine: `Pooled`, unless overridden via
-    /// the `COLLOPT_ENGINE` environment variable (read once). This is
-    /// what a [`Machine`] uses when no engine is pinned with
-    /// [`Machine::with_engine`].
-    pub fn process_default() -> ExecEngine {
-        default_engine()
     }
 }
 
 impl std::str::FromStr for ExecEngine {
     type Err = String;
 
-    /// Parse an engine by its [`name`](ExecEngine::name); the inverse of
-    /// `name()`, shared by the `COLLOPT_ENGINE` variable and the
-    /// `collopt --engine` flag.
+    /// Parse an engine by its [`name`](ExecEngine::name).
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s {
-            "pooled" => Ok(ExecEngine::Pooled),
-            "legacy" => Ok(ExecEngine::Legacy),
+            "threads" => Ok(ExecEngine::Threads),
             "des" => Ok(ExecEngine::Des),
             other => Err(format!(
-                "unknown engine '{other}' (expected legacy, pooled or des)"
+                "unknown engine '{other}' (expected threads or des)"
             )),
         }
     }
-}
-
-/// Process-wide default engine: `Pooled`, unless overridden once via the
-/// `COLLOPT_ENGINE` environment variable (`legacy`, `pooled` or `des`).
-fn default_engine() -> ExecEngine {
-    static DEFAULT: OnceLock<ExecEngine> = OnceLock::new();
-    *DEFAULT.get_or_init(|| {
-        std::env::var("COLLOPT_ENGINE")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(ExecEngine::Pooled)
-    })
-}
-
-/// The per-host-thread persistent substrate for one machine size: parked
-/// rank workers plus the reusable mesh and barrier they run against.
-/// Caching per calling thread (rather than globally) keeps concurrent
-/// sweep workers from serializing on a shared pool.
-struct Engine {
-    pool: RankPool,
-    mesh: Mesh,
-    barrier: Arc<ClockBarrier>,
-}
-
-thread_local! {
-    static ENGINES: RefCell<HashMap<usize, Engine>> = RefCell::new(HashMap::new());
 }
 
 /// A virtual machine of `p` fully connected processors.
@@ -757,7 +718,6 @@ pub struct Machine {
     params: ClockParams,
     tracing: bool,
     faults: Option<Arc<FaultPlan>>,
-    engine: Option<ExecEngine>,
 }
 
 impl Machine {
@@ -769,20 +729,12 @@ impl Machine {
             params,
             tracing: false,
             faults: None,
-            engine: None,
         }
     }
 
     /// Enable event tracing for subsequent runs.
     pub fn with_tracing(mut self) -> Self {
         self.tracing = true;
-        self
-    }
-
-    /// Pin the execution engine for this machine, overriding the process
-    /// default (see [`ExecEngine`]; observable behaviour is identical).
-    pub fn with_engine(mut self, engine: ExecEngine) -> Self {
-        self.engine = Some(engine);
         self
     }
 
@@ -809,11 +761,6 @@ impl Machine {
         self.faults.as_deref()
     }
 
-    /// The engine runs will use: the pinned one, else the process default.
-    pub fn engine(&self) -> ExecEngine {
-        self.engine.unwrap_or_else(default_engine)
-    }
-
     /// Run one SPMD program: `f` executes once per rank, concurrently.
     ///
     /// The closure is shared between threads, so captured state must be
@@ -834,6 +781,13 @@ impl Machine {
 
     /// Run one SPMD program, surfacing injected faults as errors.
     ///
+    /// A blocking rank body needs a thread to block, so this always runs on
+    /// `p` fresh scoped threads ([`ExecEngine::Threads`]); machines larger
+    /// than [`ExecEngine::THREAD_MAX_P`] are refused with
+    /// [`MachineError::CapacityExceeded`] before any thread is spawned (a
+    /// clean error instead of a panic mid-spawn when the host's thread
+    /// budget runs out).
+    ///
     /// Returns `Err` when a fault plan crashes a rank
     /// ([`MachineError::RankFailed`]) or exhausts a message's retry budget
     /// ([`MachineError::Timeout`]); the error describes the *originating*
@@ -845,36 +799,38 @@ impl Machine {
         T: Send,
         F: Fn(&mut Ctx) -> T + Sync,
     {
-        self.check_capacity()?;
+        let p = self.p;
+        if p > ExecEngine::THREAD_MAX_P {
+            return Err(MachineError::CapacityExceeded {
+                requested: p,
+                limit: ExecEngine::THREAD_MAX_P,
+                engine: ExecEngine::Threads.name(),
+            });
+        }
         if self.faults.is_some() {
             install_quiet_fault_hook();
         }
-        let outcomes = match self.engine() {
-            ExecEngine::Pooled => self.run_ranks_pooled(&f),
-            ExecEngine::Legacy => self.run_ranks_spawned(&f),
-            ExecEngine::Des => panic!(
-                "ExecEngine::Des cannot drive a blocking rank body: use \
-                 Machine::try_run_des with an async body (core::exec dispatches automatically)"
-            ),
-        };
-        collect_outcomes(self.p, outcomes)
-    }
-
-    /// Reject runs whose `p` exceeds the selected engine's rank capacity,
-    /// *before* any thread is spawned (a clean error instead of a panic
-    /// mid-spawn when the host's thread budget runs out).
-    fn check_capacity(&self) -> Result<(), MachineError> {
-        let engine = self.engine();
-        if let Some(limit) = engine.max_p() {
-            if self.p > limit {
-                return Err(MachineError::CapacityExceeded {
-                    requested: self.p,
-                    limit,
-                    engine: engine.name(),
+        // Immutable run configuration (fault plan, params) is shared by
+        // reference into the scope — no per-rank deep clones.
+        let barrier = Arc::new(ClockBarrier::new(p));
+        let (params, tracing, plan, f) = (self.params, self.tracing, self.faults.as_ref(), &f);
+        let mut outcomes = Vec::with_capacity(p);
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = build_mesh(p)
+                .into_iter()
+                .map(|mailboxes| {
+                    let barrier = &barrier;
+                    scope.spawn(move || rank_body(mailboxes, barrier, params, tracing, plan, p, f))
+                })
+                .collect();
+            for h in handles {
+                outcomes.push(match h.join() {
+                    Ok(outcome) => outcome,
+                    Err(payload) => RankOutcome::Panicked(payload),
                 });
             }
-        }
-        Ok(())
+        });
+        collect_outcomes(p, outcomes)
     }
 
     /// Run one SPMD program on the discrete-event engine: `f` is called
@@ -882,7 +838,7 @@ impl Machine {
     /// [`Ctx`]. All ranks advance cooperatively on the calling thread, so
     /// `p` is bounded by memory, not threads — the observable results
     /// (outputs, makespan bits, retries, traces) are bit-identical to the
-    /// thread engines.
+    /// thread engine.
     ///
     /// Injected faults surface as `Err` exactly as in
     /// [`try_run`](Self::try_run); genuine panics propagate.
@@ -909,96 +865,12 @@ impl Machine {
         self.try_run_des(f)
             .unwrap_or_else(|e| panic!("machine run failed: {e}"))
     }
-
-    /// Historical engine: `p` fresh scoped threads per run. Immutable run
-    /// configuration (fault plan, params) is shared by reference into the
-    /// scope — no per-rank deep clones.
-    fn run_ranks_spawned<T, F>(&self, f: &F) -> Vec<RankOutcome<T>>
-    where
-        T: Send,
-        F: Fn(&mut Ctx) -> T + Sync,
-    {
-        let mesh = build_mesh(self.p);
-        let barrier = Arc::new(ClockBarrier::new(self.p));
-        let tracing = self.tracing;
-        let params = self.params;
-        let plan = self.faults.as_ref();
-        let p = self.p;
-
-        let mut outcomes = Vec::with_capacity(p);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = mesh
-                .into_iter()
-                .map(|mailboxes| {
-                    let barrier = &barrier;
-                    scope.spawn(move || rank_body(mailboxes, barrier, params, tracing, plan, p, f))
-                })
-                .collect();
-            for h in handles {
-                outcomes.push(match h.join() {
-                    Ok(outcome) => outcome,
-                    Err(payload) => RankOutcome::Panicked(payload),
-                });
-            }
-        });
-        outcomes
-    }
-
-    /// Pooled engine: dispatch the run to this host thread's persistent
-    /// workers, resetting the cached mesh and barrier in place. Observable
-    /// behaviour is identical to the spawn engine — the rank body, channel
-    /// semantics and clock are shared — only the host-side setup differs.
-    fn run_ranks_pooled<T, F>(&self, f: &F) -> Vec<RankOutcome<T>>
-    where
-        T: Send,
-        F: Fn(&mut Ctx) -> T + Sync,
-    {
-        let tracing = self.tracing;
-        let params = self.params;
-        let plan = self.faults.as_ref();
-        let p = self.p;
-        ENGINES.with(|cell| {
-            let mut engines = cell.borrow_mut();
-            let engine = engines.entry(p).or_insert_with(|| Engine {
-                pool: RankPool::new(p),
-                mesh: Mesh::new(p),
-                barrier: Arc::new(ClockBarrier::new(p)),
-            });
-            engine.barrier.reset();
-            let handout: Vec<Mutex<Option<Mailboxes>>> = engine
-                .mesh
-                .issue()
-                .into_iter()
-                .map(|m| Mutex::new(Some(m)))
-                .collect();
-            let slots: Vec<Mutex<Option<RankOutcome<T>>>> =
-                (0..p).map(|_| Mutex::new(None)).collect();
-            let barrier = &engine.barrier;
-            engine.pool.run_on(&|rank| {
-                let mailboxes = handout[rank]
-                    .lock()
-                    .expect("mailbox cell poisoned")
-                    .take()
-                    .expect("mailbox taken twice");
-                let outcome = rank_body(mailboxes, barrier, params, tracing, plan, p, f);
-                *slots[rank].lock().expect("outcome slot poisoned") = Some(outcome);
-            });
-            slots
-                .into_iter()
-                .map(|s| {
-                    s.into_inner()
-                        .expect("outcome slot poisoned")
-                        .expect("worker finished without an outcome")
-                })
-                .collect()
-        })
-    }
 }
 
-/// The SPMD body of one rank — identical for every engine. Builds the
-/// rank's context, runs the user closure under `catch_unwind`, and turns
-/// an unwind into a [`RankOutcome`] after unblocking peers (barrier abort
-/// first, then the mailbox-drop disconnect cascade).
+/// The body of one rank thread. Builds the rank's context, runs the user
+/// closure under `catch_unwind`, and turns an unwind into a
+/// [`RankOutcome`] after unblocking peers (barrier abort first, then the
+/// mailbox-drop disconnect cascade).
 fn rank_body<T, F>(
     mailboxes: Mailboxes,
     barrier: &Arc<ClockBarrier>,
@@ -1125,10 +997,12 @@ mod tests {
 
     #[test]
     fn engine_names_round_trip() {
-        for engine in [ExecEngine::Pooled, ExecEngine::Legacy, ExecEngine::Des] {
+        for engine in [ExecEngine::Threads, ExecEngine::Des] {
             assert_eq!(engine.name().parse::<ExecEngine>(), Ok(engine));
         }
-        assert!("threads".parse::<ExecEngine>().is_err());
+        for removed in ["pooled", "legacy"] {
+            assert!(removed.parse::<ExecEngine>().is_err());
+        }
     }
 
     #[test]

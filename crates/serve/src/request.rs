@@ -319,19 +319,22 @@ mod tests {
         assert_eq!(e.code, ErrorCode::BadRequest);
         let e = parse_request(r#"{"pipeline":"map f","p":-1}"#).unwrap_err();
         assert_eq!(e.code, ErrorCode::BadRequest);
-        let e = parse_request(r#"{"pipeline":"map f","options":{"engine":"warp"}}"#).unwrap_err();
-        assert_eq!(e.code, ErrorCode::BadRequest);
+        for engine in ["warp", "pooled"] {
+            let line = format!(r#"{{"pipeline":"map f","options":{{"engine":"{engine}"}}}}"#);
+            let e = parse_request(&line).unwrap_err();
+            assert_eq!(e.code, ErrorCode::BadRequest);
+        }
     }
 
     #[test]
-    fn thread_engines_refuse_oversized_machines_only_when_simulating() {
+    fn thread_engine_refuses_oversized_machines_only_when_simulating() {
         let line =
-            r#"{"pipeline":"map f","p":100000,"options":{"engine":"pooled","simulate":true}}"#;
+            r#"{"pipeline":"map f","p":100000,"options":{"engine":"threads","simulate":true}}"#;
         let e = parse_request(line).unwrap_err();
         assert_eq!(e.code, ErrorCode::BadRequest);
         assert!(e.message.contains("des"));
         // Without simulation the engine is irrelevant, so huge p is fine.
-        let line = r#"{"pipeline":"map f","p":100000,"options":{"engine":"pooled"}}"#;
+        let line = r#"{"pipeline":"map f","p":100000,"options":{"engine":"threads"}}"#;
         assert!(parse_request(line).is_ok());
     }
 

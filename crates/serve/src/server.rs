@@ -22,10 +22,8 @@
 //! the order it sent requests (the queue is FIFO per sender).
 //!
 //! Batches of size one — the common case under low concurrency — run
-//! inline on the long-lived dispatcher thread, where the machine
-//! crate's thread-local per-`p` engine cache persists across requests:
-//! repeated machine shapes reuse their rank pool and mesh instead of
-//! rebuilding them. Larger batches trade that for parallelism.
+//! inline on the dispatcher thread; only larger batches pay for worker
+//! threads.
 //!
 //! ## Graceful shutdown
 //!

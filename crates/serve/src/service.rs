@@ -205,7 +205,7 @@ impl Service {
 fn render_body(canonical: &Program, req: &OptimizeRequest) -> String {
     let params = MachineParams::new(req.p, req.ts, req.tw);
     let rewriter = Rewriter::cost_guided(params, req.m).allow_rank0_rules(!req.all_ranks);
-    let result = rewriter.optimize_optimal(canonical, &params, req.m);
+    let result = rewriter.saturate(canonical, &params, req.m).result;
 
     let mut doc = optimize_result_json(canonical, &result, &params, req.m);
     let lint = if req.lint {

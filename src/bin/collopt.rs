@@ -28,9 +28,9 @@
 //!   and show how gracefully they degrade, e.g.
 //!   `--faults "seed=42,straggler=3x2.5,link=0-1x2+50,drop=0.05/3"`
 //! * `--engine E`    simulation engine for `--profile`/`--faults`:
-//!   `legacy` and `pooled` run one OS thread per rank (p ≤ 4096), `des`
-//!   is the single-threaded discrete-event scheduler whose `p` is bounded
-//!   by memory only. Default: `pooled`, or the `COLLOPT_ENGINE` variable.
+//!   `des` (the default) is the single-threaded discrete-event scheduler
+//!   whose `p` is bounded by memory only; `threads`, its reference, runs
+//!   one OS thread per rank (p ≤ 4096).
 //! * `--table1`      also print the analytic Table 1 and exit
 //! * `--json`        emit the byte-stable optimization JSON (the core of
 //!   the serve response schema) instead of the human summary
@@ -99,7 +99,7 @@
 //!
 //! ```text
 //! $ collopt fuzz --iters 500 --seed 42
-//! $ collopt fuzz --replay "v1|seed=7|p=2|m=1|engine=legacy|domain=table|..."
+//! $ collopt fuzz --replay "v1|seed=7|p=2|m=1|engine=des|domain=table|..."
 //! ```
 //!
 //! * `--iters N`        cases to generate and check (default 500)
@@ -731,13 +731,13 @@ fn main() {
         eprintln!(
             "usage: collopt \"<pipeline>\" [--p N] [--ts X] [--tw X] [--m X] \
              [--exhaustive] [--all-ranks] [--report] [--profile] \
-             [--faults SPEC] [--engine legacy|pooled|des] [--table1]"
+             [--faults SPEC] [--engine threads|des] [--table1]"
         );
         eprintln!("  pipeline: e.g. \"map f ; scan(mul) ; reduce(add) ; bcast\"");
         eprintln!("  operators: add mul max min and or fadd fmul maxplus");
         eprintln!(
-            "  engines : legacy/pooled run p<={} rank threads; des is the \
-             single-threaded\n            discrete-event scheduler (p bounded by memory)",
+            "  engines : des (default) is the single-threaded discrete-event \
+             scheduler\n            (p bounded by memory); threads runs p<={} rank threads",
             ExecEngine::THREAD_MAX_P
         );
         eprintln!("  lint mode: collopt lint \"<pipeline>\" [--json] [--deny warnings]");
@@ -777,7 +777,7 @@ fn main() {
     let mut profile = false;
     let mut json = false;
     let mut faults: Option<FaultPlan> = None;
-    let mut engine: Option<ExecEngine> = None;
+    let mut engine = ExecEngine::Des;
 
     let mut it = args.into_iter();
     while let Some(arg) = it.next() {
@@ -809,7 +809,7 @@ fn main() {
                 }
             }
             "--engine" => match grab("--engine").parse() {
-                Ok(e) => engine = Some(e),
+                Ok(e) => engine = e,
                 Err(e) => {
                     eprintln!("bad --engine: {e}");
                     std::process::exit(2);
@@ -848,12 +848,9 @@ fn main() {
     }
     .allow_rank0_rules(!all_ranks);
 
-    // Simulation engine for --profile/--faults: the flag wins, then the
-    // process-wide default (`COLLOPT_ENGINE`, else pooled). The thread
-    // engines have a hard rank ceiling — refuse oversized machines up
-    // front with a pointer at the DES engine rather than failing
-    // mid-spawn.
-    let engine = engine.unwrap_or_else(ExecEngine::process_default);
+    // Simulation engine for --profile/--faults. The thread engine has a
+    // hard rank ceiling — refuse oversized machines up front with a
+    // pointer at the DES engine rather than failing mid-spawn.
     let engine_desc = match engine.max_p() {
         Some(cap) => format!("{} (p <= {cap})", engine.name()),
         None => format!("{} (p memory-bound)", engine.name()),
@@ -924,7 +921,7 @@ fn main() {
         // The machine-readable path: the same byte-stable document the
         // serve front end returns (sans lint/simulation sections).
         let result = if optimal {
-            rewriter.optimize_optimal(&prog, &params, m)
+            rewriter.saturate(&prog, &params, m).result
         } else {
             rewriter.optimize(&prog)
         };
@@ -942,7 +939,7 @@ fn main() {
     println!("original : {prog}");
     let before = program_cost(&prog, &params, m);
     let result = if optimal {
-        rewriter.optimize_optimal(&prog, &params, m)
+        rewriter.saturate(&prog, &params, m).result
     } else {
         rewriter.optimize(&prog)
     };

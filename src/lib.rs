@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 //! # collopt — optimization rules for programming with collective operations
 //!
 //! A Rust reproduction of

@@ -86,7 +86,9 @@ fn bss2_is_a_corollary_of_ss2_and_bs() {
     }
 
     // The optimal search agrees: it picks the direct rule.
-    let best = Rewriter::exhaustive().optimize_optimal(&original, &params, 32.0);
+    let best = Rewriter::exhaustive()
+        .saturate(&original, &params, 32.0)
+        .result;
     assert_eq!(best.steps.len(), 1);
     assert_eq!(best.steps[0].rule, Rule::Bss2Comcast);
 }

@@ -211,7 +211,7 @@ fn fuzz_defense_oracle_is_unanimous_in_both_directions() {
 
     // Left projection declared commutative — a lie (over-claim).
     let lie = CaseSpec::parse(
-        "v1|seed=103|p=2|m=1|engine=legacy|domain=table|\
+        "v1|seed=103|p=2|m=1|engine=threads|domain=table|\
          prog=scan(t0) ; reduce(t0)|tables=t0:0000111122223333:c|plan=none|fuse=none",
     )
     .expect("over-claim spec parses");
@@ -225,7 +225,7 @@ fn fuzz_defense_oracle_is_unanimous_in_both_directions() {
 
     // Min without `.commutative()` — the truth, withheld (under-claim).
     let shy = CaseSpec::parse(
-        "v1|seed=105|p=2|m=1|engine=legacy|domain=table|\
+        "v1|seed=105|p=2|m=1|engine=threads|domain=table|\
          prog=scan(t0) ; allreduce(t0)|tables=t0:0000011101220123:-|plan=none|fuse=none",
     )
     .expect("under-claim spec parses");

@@ -34,7 +34,7 @@ fn extracted_cost_is_monotone_non_increasing() {
         let prog = case.base_program();
         let params = oracle_params(case.p);
         let m = case.m as f64;
-        let result = Rewriter::exhaustive().optimize_optimal(&prog, &params, m);
+        let result = Rewriter::exhaustive().saturate(&prog, &params, m).result;
         let before = program_cost(&prog, &params, m);
         let after = program_cost(&result.program, &params, m);
         assert!(
@@ -59,7 +59,7 @@ fn extraction_is_deterministic_across_runs_and_workers() {
         let prog = case.base_program();
         let params = oracle_params(case.p);
         let m = case.m as f64;
-        let result = Rewriter::exhaustive().optimize_optimal(&prog, &params, m);
+        let result = Rewriter::exhaustive().saturate(&prog, &params, m).result;
         let cost = program_cost(&result.program, &params, m);
         (
             result.program.to_string(),
@@ -98,7 +98,7 @@ fn extracted_steps_certificates_revalidate() {
     let mut steps_seen = 0;
     for prog in &programs {
         for m in [1.0, 8.0, 64.0] {
-            let result = Rewriter::exhaustive().optimize_optimal(prog, &params, m);
+            let result = Rewriter::exhaustive().saturate(prog, &params, m).result;
             let issues = validate_result(&result, &samples, &AuditConfig::default());
             assert!(
                 issues.is_empty(),
@@ -121,13 +121,13 @@ fn scan_scan_reduce_family_beats_greedy() {
         .reduce(lib::add());
     for m in [1.0, 4.0, 8.0, 32.0] {
         let greedy = Rewriter::cost_guided(params, m).optimize(&prog);
-        let optimal = Rewriter::exhaustive().optimize_optimal(&prog, &params, m);
+        let optimal = Rewriter::exhaustive().saturate(&prog, &params, m).result;
         let g = program_cost(&greedy.program, &params, m);
         let o = program_cost(&optimal.program, &params, m);
         assert!(o <= g + 1e-9, "m={m}: optimal {o} exceeds greedy {g}");
     }
     // At m=8 the gap is strict and the plan is exactly one SR-Reduction.
-    let optimal = Rewriter::exhaustive().optimize_optimal(&prog, &params, 8.0);
+    let optimal = Rewriter::exhaustive().saturate(&prog, &params, 8.0).result;
     let greedy = Rewriter::cost_guided(params, 8.0).optimize(&prog);
     assert!(
         program_cost(&optimal.program, &params, 8.0) < program_cost(&greedy.program, &params, 8.0)
