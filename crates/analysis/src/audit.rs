@@ -26,13 +26,16 @@
 //! *candidates* for declaration, while over-claims (a concrete refuting
 //! witness in hand) are definite bugs.
 
+use std::collections::BTreeMap;
+use std::sync::{Mutex, PoisonError};
+
 use collopt_core::op::{lib, BinOp, Counterexample, RequiredLaw, FLOAT_RTOL};
 use collopt_core::value::Value;
 use collopt_machine::Rng;
 
 /// The value domain an operator is defined over; determines the sample
 /// pool the auditor enumerates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Domain {
     /// `Value::Int` scalars.
     Int,
@@ -57,7 +60,7 @@ pub enum Exactness {
 }
 
 /// Auditor configuration. Deterministic for a fixed seed.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AuditConfig {
     /// Seed for the randomized sample search.
     pub seed: u64,
@@ -151,6 +154,41 @@ pub fn samples_for_domain(domain: Domain, cfg: &AuditConfig) -> Vec<Value> {
     pool
 }
 
+static LAW_FACTS: Mutex<BTreeMap<(Domain, String), Option<Counterexample>>> =
+    Mutex::new(BTreeMap::new());
+
+#[cfg(test)]
+thread_local!(static PROBES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) });
+
+/// Search `domain`'s pool under `cfg` for a (shrunk) refutation of `law` —
+/// the one place a law is probed. A fact about library operators under the
+/// default config depends on nothing a caller can vary (the name identifies
+/// the function, [`BinOp::is_library`]) and is probed once per process —
+/// one generation, filled lazily, never evicted, library names × peers, a
+/// few KB; every other operator or config is probed per call.
+pub(crate) fn audit_law(
+    law: &RequiredLaw,
+    domain: Domain,
+    cfg: &AuditConfig,
+) -> Option<Counterexample> {
+    let probe = || {
+        #[cfg(test)]
+        PROBES.with(|n| n.set(n.get() + 1));
+        let rtol = match exactness_of(domain) {
+            Exactness::Approximate => cfg.tolerance,
+            Exactness::Exact => 0.0,
+        };
+        law.counterexample_with(&samples_for_domain(domain, cfg), rtol)
+    };
+    if !law.ops().iter().all(|op| op.is_library()) || *cfg != AuditConfig::default() {
+        return probe();
+    }
+    // A probe that panics has inserted nothing, so a poisoned map is still valid.
+    let mut facts = LAW_FACTS.lock().unwrap_or_else(PoisonError::into_inner);
+    let fact = facts.entry((domain, law.describe())).or_insert_with(probe);
+    fact.clone()
+}
+
 /// A declared property refuted by a concrete (shrunk) witness — unsound:
 /// the engine would apply a wrong rule on its strength.
 #[derive(Debug, Clone)]
@@ -204,18 +242,12 @@ impl OpAudit {
 /// same-domain operators distributivity is probed against (for
 /// under-claim detection); pass `&[]` to check only the declared laws.
 pub fn audit_operator(op: &BinOp, domain: Domain, peers: &[BinOp], cfg: &AuditConfig) -> OpAudit {
-    let samples = samples_for_domain(domain, cfg);
-    let rtol = match exactness_of(domain) {
-        Exactness::Approximate => cfg.tolerance,
-        Exactness::Exact => 0.0,
-    };
     let mut verified = Vec::new();
     let mut over_claims = Vec::new();
     let mut under_claims = Vec::new();
 
     let mut check = |law: RequiredLaw, declared: bool, declaration: &str| {
-        let cex = law.counterexample_with(&samples, rtol);
-        match (declared, cex) {
+        match (declared, audit_law(&law, domain, cfg)) {
             (true, None) => verified.push(law.describe()),
             (true, Some(counterexample)) => over_claims.push(OverClaim {
                 op: op.name().to_string(),
@@ -358,6 +390,37 @@ mod tests {
             assert_eq!(audit.exactness, Exactness::Approximate);
             assert!(audit.is_sound(), "{:?}", audit.over_claims);
         }
+    }
+
+    #[test]
+    fn library_laws_are_probed_once_and_only_under_the_default_config() {
+        // Probes are counted per thread, so concurrent tests (all on the
+        // default config) can only warm the table, not move the counts.
+        let run = |cfg: &AuditConfig| {
+            PROBES.with(|n| n.set(0));
+            let audits = audit_builtin_table(cfg);
+            (format!("{audits:?}"), PROBES.with(|n| n.get()))
+        };
+        let default = AuditConfig::default();
+        let (first, _) = run(&default);
+        let (second, probes) = run(&default);
+        assert_eq!(first, second);
+        assert_eq!(probes, 0, "a warm table is not probed");
+
+        // Another config is probed on every call — honoured, and never
+        // added to the table — and leaves the default's facts in place.
+        let seeded = AuditConfig {
+            seed: 1,
+            ..default.clone()
+        };
+        assert_ne!(
+            format!("{:?}", samples_for_domain(Domain::Int, &seeded)),
+            format!("{:?}", samples_for_domain(Domain::Int, &default))
+        );
+        let (_, probes) = run(&seeded);
+        assert!(probes > 0);
+        assert_eq!(run(&seeded).1, probes, "nothing was remembered");
+        assert_eq!(run(&default).1, 0, "the default's facts survived");
     }
 
     #[test]

@@ -29,14 +29,14 @@ use std::sync::Arc;
 use collopt_core::egraph::{saturate_program, LawGate, SaturateConfig};
 use collopt_core::op::BinOp;
 use collopt_core::parser::{parse_pipeline_spanned, ParseError, Span};
-use collopt_core::rewrite::{program_cost, RULE_PRIORITY};
+use collopt_core::rewrite::{program_cost, OptimizeResult, RULE_PRIORITY};
 use collopt_core::rules;
 use collopt_core::rules::enabling::{self, Normalization};
 use collopt_core::term::{Program, Stage};
 use collopt_cost::MachineParams;
 use collopt_machine::Json;
 
-use crate::audit::{audit_operator, domain_of_builtin, AuditConfig, Domain, Exactness};
+use crate::audit::{audit_law, audit_operator, domain_of_builtin, AuditConfig, Domain};
 
 /// Diagnostic severity, ordered most severe first.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -62,7 +62,7 @@ impl std::fmt::Display for Severity {
 /// One structured finding.
 #[derive(Debug, Clone)]
 pub struct Diagnostic {
-    /// Stable code, `COL001`..`COL006`.
+    /// Stable code, `COL001`..`COL012`.
     pub code: &'static str,
     /// Severity class.
     pub severity: Severity,
@@ -182,6 +182,11 @@ impl LintReport {
     /// Render the report as compact JSON (hand-rolled, byte-stable for a
     /// fixed input and config).
     pub fn render_json(&self) -> String {
+        self.to_json().render()
+    }
+
+    /// The report as a JSON value, for embedding in a larger document.
+    pub fn to_json(&self) -> Json {
         let span_json = |span: Option<Span>| match span {
             Some(s) => Json::Obj(vec![
                 ("start".into(), Json::Num(s.start as f64)),
@@ -228,7 +233,6 @@ impl LintReport {
                 ]),
             ),
         ])
-        .render()
     }
 }
 
@@ -265,8 +269,27 @@ pub fn lint_source(src: &str, cfg: &LintConfig) -> Result<LintReport, ParseError
 /// `parse_pipeline_spanned`) is optional; without it diagnostics anchor on
 /// stage indices only.
 pub fn lint_program(prog: &Program, spans: Option<&[Span]>, cfg: &LintConfig) -> LintReport {
+    lint_with_plan(prog, spans, cfg, &lint_plan(prog, cfg))
+}
+
+/// The plan the linter measures `prog` against: equality saturation under
+/// `cfg`'s machine model, rank-0 rules allowed, behind the [`law_gate`].
+pub fn lint_plan(prog: &Program, cfg: &LintConfig) -> OptimizeResult {
+    let sat = SaturateConfig::new(cfg.params, cfg.block).law_gate(law_gate(prog, cfg));
+    saturate_program(prog, &sat).result
+}
+
+/// [`lint_program`] for a caller that already holds [`lint_plan`]'s result
+/// for the same `prog` and `cfg` (the service serves that plan and lints
+/// against it, saturating once).
+pub fn lint_with_plan(
+    prog: &Program,
+    spans: Option<&[Span]>,
+    cfg: &LintConfig,
+    plan: &OptimizeResult,
+) -> LintReport {
     let mut diags = Vec::new();
-    fusion_pass(prog, spans, cfg, &mut diags);
+    fusion_pass(prog, spans, cfg, plan, &mut diags);
     operator_pass(prog, spans, cfg, &mut diags);
     redundancy_pass(prog, spans, &mut diags);
     crate::distflow::distflow_pass(prog, spans, cfg, &mut diags);
@@ -278,47 +301,42 @@ pub fn lint_program(prog: &Program, spans: Option<&[Span]>, cfg: &LintConfig) ->
     }
 }
 
-/// Verify a window's required laws at runtime where the operators'
-/// domains are known. Returns `Some(true)` = verified, `Some(false)` = a
-/// law fails (the declaration lies — the matching rule must not be
-/// suggested), `None` = no domain available, trust the declarations.
+/// The runtime check of a window's required laws, for `prog`'s windows:
+/// `false` when a law fails on its operators' domain — the declaration
+/// lies, the matching rule must not be suggested, and the operator pass
+/// reports the lie; `true` when they hold or no one domain is known
+/// (trust the declarations).
 ///
-/// `source_ops` names the operators declared by the pipeline under
-/// analysis: `cfg.fallback_domain` applies only to those. Operators a
-/// rewrite *derived* (the fused `op_sr2[..]`/`op_ss[..]` families, which
-/// the exact pass encounters on second-generation windows) work over
-/// tuples — probing them with scalar fallback-domain samples would be
-/// ill-typed, and their laws hold by construction when the sources' do,
-/// so they are trusted here and re-checked by the certificate validator.
-fn window_laws_hold(
-    rule: rules::Rule,
-    window: &[Stage],
-    cfg: &LintConfig,
-    source_ops: &std::collections::BTreeSet<String>,
-) -> Option<bool> {
-    let laws = rules::required_laws(rule, window)?;
-    let mut domain = None;
-    for law in &laws {
-        for name in law.op_names() {
-            let fallback = cfg.fallback_domain.filter(|_| source_ops.contains(name));
-            let d = domain_of_builtin(name).or(fallback)?;
-            match domain {
-                None => domain = Some(d),
-                Some(prev) if prev == d => {}
-                Some(_) => return None, // mixed domains: cannot sample
-            }
-        }
-    }
-    let domain = domain?;
-    let samples = crate::audit::samples_for_domain(domain, &cfg.audit);
-    let rtol = match crate::audit::exactness_of(domain) {
-        Exactness::Approximate => cfg.audit.tolerance,
-        Exactness::Exact => 0.0,
-    };
-    Some(
-        laws.iter()
-            .all(|l| l.counterexample_with(&samples, rtol).is_none()),
-    )
+/// `cfg.fallback_domain` applies only to the operators `prog` itself
+/// declares. Operators a rewrite *derived* (the fused
+/// `op_sr2[..]`/`op_ss[..]` families, which the exact pass encounters on
+/// second-generation windows) work over tuples — probing them with scalar
+/// fallback-domain samples would be ill-typed, and their laws hold by
+/// construction when the sources' do, so they are trusted here and
+/// re-checked by the certificate validator.
+fn law_gate(prog: &Program, cfg: &LintConfig) -> LawGate {
+    let (fallback, audit) = (cfg.fallback_domain, cfg.audit.clone());
+    let source_ops: std::collections::BTreeSet<String> = prog
+        .stages()
+        .iter()
+        .filter_map(stage_op)
+        .map(|op| op.name().to_string())
+        .collect();
+    Arc::new(move |rule, window: &[Stage]| {
+        let Some(laws) = rules::required_laws(rule, window) else {
+            return true;
+        };
+        let mut domains = laws
+            .iter()
+            .flat_map(|law| law.op_names())
+            .map(|name| domain_of_builtin(name).or(fallback.filter(|_| source_ops.contains(name))));
+        // No domain, an unknown one or a second one: cannot sample.
+        let Some(Some(domain)) = domains.next() else {
+            return true;
+        };
+        domains.any(|d| d != Some(domain))
+            || laws.iter().all(|l| audit_law(l, domain, &audit).is_none())
+    })
 }
 
 /// Replay an [`enabling::normalize`] log onto the per-stage origin map
@@ -370,36 +388,22 @@ fn dist_narrowing_diag(
     }
 }
 
-/// COL001 / COL003, exact: equality saturation ([`saturate_program`])
-/// finds the cost-optimal program under this machine model, and every
-/// step of the replayed optimal plan becomes one COL001 anchored on the
-/// original stages it rewrites. Windows the plan leaves alone are then
-/// swept in the engine's priority order: a matching rule there can only
-/// regress cost (else extraction would have used it), yielding COL003.
+/// COL001 / COL003, exact: `plan` ([`lint_plan`]) is the cost-optimal
+/// program under this machine model, and every step of it becomes one
+/// COL001 anchored on the original stages it rewrites. Windows the plan
+/// leaves alone are then swept in the engine's priority order: a matching
+/// rule there can only regress cost (else extraction would have used it),
+/// yielding COL003.
 fn fusion_pass(
     prog: &Program,
     spans: Option<&[Span]>,
     cfg: &LintConfig,
+    plan: &OptimizeResult,
     diags: &mut Vec<Diagnostic>,
 ) {
     if prog.is_empty() {
         return;
     }
-    // A window whose declared condition fails verification is not a
-    // fusion opportunity; the operator pass reports the lie.
-    let source_ops: std::collections::BTreeSet<String> = prog
-        .stages()
-        .iter()
-        .filter_map(stage_op)
-        .map(|op| op.name().to_string())
-        .collect();
-    let gate_cfg = cfg.clone();
-    let gate_ops = source_ops.clone();
-    let gate: LawGate = Arc::new(move |rule, window: &[Stage]| {
-        window_laws_hold(rule, window, &gate_cfg, &gate_ops) != Some(false)
-    });
-    let sat = SaturateConfig::new(cfg.params, cfg.block).law_gate(gate);
-    let plan = saturate_program(prog, &sat).result;
 
     // Replay the plan over the original program, tracking which original
     // stages each current stage descends from.
@@ -458,6 +462,7 @@ fn fusion_pass(
     // order. With the plan empty, a match here is *proof* of a regression:
     // saturation explored every ordering and still kept the original.
     let stages = prog.stages();
+    let admits = law_gate(prog, cfg);
     let exhaustive = plan.steps.is_empty();
     let mut at = 0;
     while at < prog.len() {
@@ -466,7 +471,7 @@ fn fusion_pass(
             let Some(rw) = rules::try_match(rule, &stages[at..]) else {
                 continue;
             };
-            if window_laws_hold(rule, &stages[at..], cfg, &source_ops) == Some(false) {
+            if !admits(rule, &stages[at..]) {
                 continue;
             }
             let len = rules::window_len(rule);
@@ -535,19 +540,25 @@ fn operator_pass(
     cfg: &LintConfig,
     diags: &mut Vec<Diagnostic>,
 ) {
-    let stages = prog.stages();
+    // The first stage of each distinct operator with a known domain,
+    // grouped by domain: a group is its members' peer set.
     let mut seen = std::collections::HashSet::new();
-    for (i, stage) in stages.iter().enumerate() {
-        let Some(op) = stage_op(stage) else { continue };
-        if !seen.insert(op.name().to_string()) {
-            continue;
-        }
-        let Some(domain) = domain_of_builtin(op.name()).or(cfg.fallback_domain) else {
+    let mut distinct: Vec<(Domain, usize, &BinOp)> = Vec::new();
+    for (i, stage) in prog.stages().iter().enumerate() {
+        let Some(op) = stage_op(stage).filter(|op| seen.insert(op.name())) else {
             continue;
         };
-        let span = window_span(spans, i, 1);
-        if domain == Domain::Float {
-            diags.push(Diagnostic {
+        if let Some(domain) = domain_of_builtin(op.name()).or(cfg.fallback_domain) {
+            distinct.push((domain, i, op));
+        }
+    }
+    distinct.sort_by_key(|&(domain, i, _)| (domain, i));
+    for group in distinct.chunk_by(|a, b| a.0 == b.0) {
+        let peers: Vec<BinOp> = group.iter().map(|&(_, _, op)| op.clone()).collect();
+        for &(domain, i, op) in group {
+            let span = window_span(spans, i, 1);
+            if domain == Domain::Float {
+                diags.push(Diagnostic {
                 code: "COL006",
                 severity: Severity::Note,
                 message: format!(
@@ -560,38 +571,27 @@ fn operator_pass(
                 span,
                 suggestion: None,
             });
-        }
-        // Peers: the other distinct same-domain operators in the pipeline.
-        let mut peer_seen = std::collections::HashSet::new();
-        let peers: Vec<BinOp> = stages
-            .iter()
-            .filter_map(stage_op)
-            .filter(|p| {
-                domain_of_builtin(p.name()).or(cfg.fallback_domain) == Some(domain)
-                    && peer_seen.insert(p.name().to_string())
-            })
-            .cloned()
-            .collect();
-        let audit = audit_operator(op, domain, &peers, &cfg.audit);
-        for claim in &audit.over_claims {
-            diags.push(Diagnostic {
-                code: "COL002",
-                severity: Severity::Error,
-                message: format!(
-                    "unsound declaration: `{}` declares {} but it fails — {}",
-                    claim.op, claim.law, claim.counterexample
-                ),
-                stage: i,
-                len: 1,
-                span,
-                suggestion: Some(format!(
-                    "remove the false property declaration from `{}`",
-                    claim.op
-                )),
-            });
-        }
-        for claim in &audit.under_claims {
-            diags.push(Diagnostic {
+            }
+            let audit = audit_operator(op, domain, &peers, &cfg.audit);
+            for claim in &audit.over_claims {
+                diags.push(Diagnostic {
+                    code: "COL002",
+                    severity: Severity::Error,
+                    message: format!(
+                        "unsound declaration: `{}` declares {} but it fails — {}",
+                        claim.op, claim.law, claim.counterexample
+                    ),
+                    stage: i,
+                    len: 1,
+                    span,
+                    suggestion: Some(format!(
+                        "remove the false property declaration from `{}`",
+                        claim.op
+                    )),
+                });
+            }
+            for claim in &audit.under_claims {
+                diags.push(Diagnostic {
                 code: "COL005",
                 severity: Severity::Note,
                 message: format!(
@@ -603,6 +603,7 @@ fn operator_pass(
                 span,
                 suggestion: None,
             });
+            }
         }
     }
 }

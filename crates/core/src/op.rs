@@ -29,6 +29,8 @@ pub struct BinOp {
     distributes_over: Vec<String>,
     ops_per_word: f64,
     width: f64,
+    /// `f` is one of [`lib`]'s functions, so `name` identifies it.
+    library: bool,
 }
 
 impl BinOp {
@@ -47,6 +49,7 @@ impl BinOp {
             distributes_over: Vec::new(),
             ops_per_word: 1.0,
             width: 1.0,
+            library: false,
         }
     }
 
@@ -94,6 +97,13 @@ impl BinOp {
     /// Operator name (identity for property lookups).
     pub fn name(&self) -> &str {
         &self.name
+    }
+
+    /// Was the operator built by [`lib`]? Only then does its name identify
+    /// its function — anyone can build `BinOp::new("add", ..)` over another
+    /// body. The declaration builders keep the flag: they do not touch `f`.
+    pub fn is_library(&self) -> bool {
+        self.library
     }
 
     /// Is the operator declared associative?
@@ -484,9 +494,20 @@ impl RequiredLaw {
 pub mod lib {
     use super::*;
 
+    /// [`BinOp::new`] marked as this library's (see [`BinOp::is_library`]).
+    fn library(
+        name: impl Into<String>,
+        f: impl Fn(&Value, &Value) -> Value + Send + Sync + 'static,
+    ) -> BinOp {
+        BinOp {
+            library: true,
+            ..BinOp::new(name, f)
+        }
+    }
+
     /// Integer addition — associative, commutative.
     pub fn add() -> BinOp {
-        BinOp::new("add", |a, b| {
+        library("add", |a, b| {
             Value::Int(a.as_int().wrapping_add(b.as_int()))
         })
         .commutative()
@@ -495,7 +516,7 @@ pub mod lib {
     /// Integer multiplication — associative, commutative, distributes
     /// over [`add`] (and over itself trivially not).
     pub fn mul() -> BinOp {
-        BinOp::new("mul", |a, b| {
+        library("mul", |a, b| {
             Value::Int(a.as_int().wrapping_mul(b.as_int()))
         })
         .commutative()
@@ -509,7 +530,7 @@ pub mod lib {
     /// by the distributivity rules. Found by the operator auditor
     /// (`collopt-analysis`): the declaration was originally missing.
     pub fn max() -> BinOp {
-        BinOp::new("max", |a, b| Value::Int(a.as_int().max(b.as_int())))
+        library("max", |a, b| Value::Int(a.as_int().max(b.as_int())))
             .commutative()
             .distributes_over_op("min")
     }
@@ -517,7 +538,7 @@ pub mod lib {
     /// Integer minimum — the lattice dual of [`max`]; distributes over it
     /// (see there).
     pub fn min() -> BinOp {
-        BinOp::new("min", |a, b| Value::Int(a.as_int().min(b.as_int())))
+        library("min", |a, b| Value::Int(a.as_int().min(b.as_int())))
             .commutative()
             .distributes_over_op("max")
     }
@@ -526,7 +547,7 @@ pub mod lib {
     /// semiring used in dynamic-programming workloads
     /// (`a + max(b,c) = max(a+b, a+c)`).
     pub fn add_tropical() -> BinOp {
-        BinOp::new("add", |a, b| {
+        library("add", |a, b| {
             Value::Int(a.as_int().wrapping_add(b.as_int()))
         })
         .commutative()
@@ -536,26 +557,26 @@ pub mod lib {
 
     /// Boolean AND — distributes over OR.
     pub fn and() -> BinOp {
-        BinOp::new("and", |a, b| Value::Bool(a.as_bool() && b.as_bool()))
+        library("and", |a, b| Value::Bool(a.as_bool() && b.as_bool()))
             .commutative()
             .distributes_over_op("or")
     }
 
     /// Boolean OR — distributes over AND.
     pub fn or() -> BinOp {
-        BinOp::new("or", |a, b| Value::Bool(a.as_bool() || b.as_bool()))
+        library("or", |a, b| Value::Bool(a.as_bool() || b.as_bool()))
             .commutative()
             .distributes_over_op("and")
     }
 
     /// Float addition (commutative; associativity up to rounding).
     pub fn fadd() -> BinOp {
-        BinOp::new("fadd", |a, b| Value::Float(a.as_float() + b.as_float())).commutative()
+        library("fadd", |a, b| Value::Float(a.as_float() + b.as_float())).commutative()
     }
 
     /// Float multiplication — distributes over float addition.
     pub fn fmul() -> BinOp {
-        BinOp::new("fmul", |a, b| Value::Float(a.as_float() * b.as_float()))
+        library("fmul", |a, b| Value::Float(a.as_float() * b.as_float()))
             .commutative()
             .distributes_over_op("fadd")
     }
@@ -563,7 +584,7 @@ pub mod lib {
     /// Modular addition (wrap at `modulus`) — commutative.
     pub fn add_mod(modulus: i64) -> BinOp {
         assert!(modulus > 0);
-        BinOp::new(format!("add_mod{modulus}"), move |a, b| {
+        library(format!("add_mod{modulus}"), move |a, b| {
             Value::Int((a.as_int() + b.as_int()).rem_euclid(modulus))
         })
         .commutative()
@@ -573,7 +594,7 @@ pub mod lib {
     /// go to the smaller index. Associative and commutative, the standard
     /// way to locate a global maximum's owner with one allreduce.
     pub fn maxloc() -> BinOp {
-        BinOp::new("maxloc", |x, y| {
+        library("maxloc", |x, y| {
             let (v1, i1) = (x.proj(0).as_int(), x.proj(1).as_int());
             let (v2, i2) = (y.proj(0).as_int(), y.proj(1).as_int());
             if v1 > v2 || (v1 == v2 && i1 <= i2) {
@@ -589,7 +610,7 @@ pub mod lib {
 
     /// MPI_MINLOC: the smaller value wins; ties go to the smaller index.
     pub fn minloc() -> BinOp {
-        BinOp::new("minloc", |x, y| {
+        library("minloc", |x, y| {
             let (v1, i1) = (x.proj(0).as_int(), x.proj(1).as_int());
             let (v2, i2) = (y.proj(0).as_int(), y.proj(1).as_int());
             if v1 < v2 || (v1 == v2 && i1 <= i2) {
@@ -616,14 +637,14 @@ pub mod lib {
             }
             a
         }
-        BinOp::new("gcd", |a, b| Value::Int(g(a.as_int(), b.as_int()))).commutative()
+        library("gcd", |a, b| Value::Int(g(a.as_int(), b.as_int()))).commutative()
     }
 
     /// String-free non-commutative associative operator: 2×2 integer
     /// matrix multiplication over tuples `(a,b,c,d)`. Used by tests that
     /// must detect operand-ordering bugs.
     pub fn mat2mul() -> BinOp {
-        BinOp::new("mat2mul", |x, y| {
+        library("mat2mul", |x, y| {
             let (a, b, c, d) = (
                 x.proj(0).as_int(),
                 x.proj(1).as_int(),

@@ -28,7 +28,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use collopt_analysis::{lint_program, LintConfig};
+use collopt_analysis::lint::{lint_plan, lint_program, lint_with_plan, LintConfig};
 use collopt_core::exec::{execute_with, ExecConfig};
 use collopt_core::parser::parse_pipeline;
 use collopt_core::report::optimize_result_json;
@@ -200,22 +200,34 @@ impl Service {
     }
 }
 
-/// The cold path: saturate, lint, simulate, render. Pure — called at
-/// most once per cache key (modulo benign same-key races).
+/// The cold path: saturate once, lint against that plan, simulate,
+/// render. Pure — called at most once per cache key (modulo benign
+/// same-key races).
 fn render_body(canonical: &Program, req: &OptimizeRequest) -> String {
     let params = MachineParams::new(req.p, req.ts, req.tw);
-    let rewriter = Rewriter::cost_guided(params, req.m).allow_rank0_rules(!req.all_ranks);
-    let result = rewriter.saturate(canonical, &params, req.m).result;
+    let lint_cfg = LintConfig {
+        params,
+        block: req.m,
+        ..LintConfig::default()
+    };
+    // The linter's plan is the served plan unless `all_ranks`: the same
+    // saturation, behind a law gate that refuses nothing the parser can
+    // name (`analysis/tests/table_audit.rs`). With `all_ranks` the served
+    // plan lacks the rank-0 rules whose COL001/COL012 findings the linter
+    // still owes, so the linter saturates on its own.
+    let shared_plan = req.lint && !req.all_ranks;
+    let result = if shared_plan {
+        lint_plan(canonical, &lint_cfg)
+    } else {
+        let rewriter = Rewriter::cost_guided(params, req.m).allow_rank0_rules(!req.all_ranks);
+        rewriter.saturate(canonical, &params, req.m).result
+    };
 
     let mut doc = optimize_result_json(canonical, &result, &params, req.m);
-    let lint = if req.lint {
-        let cfg = LintConfig {
-            params,
-            block: req.m,
-            ..LintConfig::default()
-        };
-        let report = lint_program(canonical, None, &cfg);
-        Json::parse(&report.render_json()).expect("lint JSON round-trips")
+    let lint = if shared_plan {
+        lint_with_plan(canonical, None, &lint_cfg, &result).to_json()
+    } else if req.lint {
+        lint_program(canonical, None, &lint_cfg).to_json()
     } else {
         Json::Null
     };
