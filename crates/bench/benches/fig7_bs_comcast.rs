@@ -2,7 +2,7 @@
 //! `bcast ; scan(+)` versus processor count at a fixed block size.
 //!
 //! The simulated-time series (the paper's axes) comes from
-//! `cargo run -p collopt-bench --bin gen_fig7`; this Criterion bench
+//! `collopt repro fig7`; this Criterion bench
 //! measures the same three algorithms moving real blocks through real
 //! threads, so the per-phase structure (2 phases of work per processor
 //! doubling) shows up in wall-clock as well.

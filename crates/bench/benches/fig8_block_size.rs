@@ -1,9 +1,9 @@
 //! Figure 8 as a wall-clock benchmark: the three implementations of
 //! `bcast ; scan(+)` versus block size at a fixed processor count.
 //!
-//! The simulated-time series comes from `gen_fig8`; here real blocks of
-//! `m` words move through the channels, so the linear-in-`m` growth and
-//! the `bcast;repeat` advantage are visible in wall-clock.
+//! The simulated-time series comes from `collopt repro fig8`; here real
+//! blocks of `m` words move through the channels, so the linear-in-`m`
+//! growth and the `bcast;repeat` advantage are visible in wall-clock.
 
 use collopt_bench::harness::{BenchmarkId, Criterion, Throughput};
 use collopt_bench::{criterion_group, criterion_main};

@@ -3,9 +3,10 @@
 //! machine (p = 8, m = 64, latency-dominated preset).
 //!
 //! The *simulated* times are validated exactly elsewhere
-//! (`tests/cost_crossvalidation.rs`, `gen_table1`); this bench shows the
-//! same win/lose structure in real thread-and-channel wall-clock, where
-//! the saved message start-ups correspond to saved channel round-trips.
+//! (`tests/cost_crossvalidation.rs`, `collopt repro table1`); this bench
+//! shows the same win/lose structure in real thread-and-channel
+//! wall-clock, where the saved message start-ups correspond to saved
+//! channel round-trips.
 
 use collopt_bench::harness::{BenchmarkId, Criterion};
 use collopt_bench::{criterion_group, criterion_main};

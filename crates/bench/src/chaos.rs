@@ -1,7 +1,7 @@
 //! Deterministic chaos testing of the Table-1 rule programs.
 //!
-//! The differential oracle behind `tests/chaos_dst.rs` and the
-//! `gen_chaos` binary: run every rule's LHS and RHS program twice — once
+//! The differential oracle behind `tests/chaos_dst.rs` and `collopt
+//! chaos`: run every rule's LHS and RHS program twice — once
 //! clean, once under a seeded [`FaultPlan`] — and check that the fault
 //! layer keeps its contract:
 //!
@@ -29,7 +29,7 @@ use collopt_core::exec::{execute, execute_faulted, ExecConfig};
 use collopt_core::rules::Rule;
 use collopt_core::term::Program;
 use collopt_core::value::Value;
-use collopt_machine::{ClockParams, FaultInjector, FaultPlan, MachineError, Rng};
+use collopt_machine::{ClockParams, FaultInjector, FaultPlan, Json, MachineError, Rng};
 
 use crate::{rule_lhs, rule_rhs, varied_input};
 
@@ -332,6 +332,29 @@ pub fn sweep_parallel(
         .collect()
 }
 
+/// The violations of a sweep as a JSON list, one reproducing
+/// `(seed, plan)` record per line — what `collopt chaos --out` writes.
+pub fn failures_json(failures: &[(ChaosKind, ChaosFailure)]) -> String {
+    let quoted = |s: &str| Json::Str(s.to_string()).render();
+    let entries: Vec<String> = failures
+        .iter()
+        .map(|(kind, f)| {
+            format!(
+                "  {{\"kind\": {}, \"seed\": {}, \"p\": {}, \"rule\": {}, \"side\": {}, \
+                 \"plan\": {}, \"what\": {}}}",
+                quoted(kind.label()),
+                f.seed,
+                f.p,
+                quoted(&f.rule),
+                quoted(f.side),
+                quoted(&f.plan),
+                quoted(&f.what),
+            )
+        })
+        .collect();
+    format!("[\n{}\n]\n", entries.join(",\n"))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -402,5 +425,27 @@ mod tests {
                     .join("\n")
             );
         }
+    }
+
+    #[test]
+    fn failures_json_escapes_and_parses() {
+        let failure = ChaosFailure {
+            seed: 7,
+            plan: "seed=7,straggler=1x2".to_string(),
+            rule: "SR-Reduction".to_string(),
+            side: "RHS",
+            p: 5,
+            what: "expected \"RankFailed\"".to_string(),
+        };
+        let doc = Json::parse(&failures_json(&[(ChaosKind::Crash, failure)])).expect("parses");
+        let [entry] = doc.as_array().expect("a list") else {
+            panic!("one failure in, one entry out")
+        };
+        assert_eq!(entry.get("kind").and_then(Json::as_str), Some("crash"));
+        assert_eq!(entry.get("seed").and_then(Json::as_f64), Some(7.0));
+        assert_eq!(
+            entry.get("what").and_then(Json::as_str),
+            Some("expected \"RankFailed\"")
+        );
     }
 }

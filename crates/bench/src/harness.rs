@@ -271,97 +271,9 @@ macro_rules! criterion_main {
     };
 }
 
-/// Read an environment variable as a `u64`, falling back to `default`
-/// when the variable is unset or does not parse.
-///
-/// Every generator binary takes its knobs from the environment
-/// (`CHAOS_SEEDS`, `FUZZ_ITERS`, `SERVE_REQS`, …); this family of
-/// helpers is the one place the unset/garbage-input policy lives.
-pub fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .unwrap_or(default)
-}
-
-/// [`env_u64`] for `usize` knobs (budgets, repetition counts, sizes).
-pub fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .unwrap_or(default)
-}
-
-/// [`env_u64`] for floating-point knobs (throughput floors, skew
-/// fractions). Returns `default` rather than panicking on garbage so a
-/// mistyped CI variable degrades to report-only instead of masking the
-/// bench behind an unrelated crash.
-pub fn env_f64(name: &str, default: f64) -> f64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .unwrap_or(default)
-}
-
-/// An optional gate floor: `None` when the variable is unset or empty
-/// (report-only mode), `Some(x)` when it parses. A set-but-garbage value
-/// panics — a CI gate that silently stops gating is worse than a loud
-/// failure.
-pub fn env_floor(name: &str) -> Option<f64> {
-    let raw = std::env::var(name).ok()?;
-    let trimmed = raw.trim();
-    if trimmed.is_empty() {
-        return None;
-    }
-    Some(
-        trimmed
-            .parse()
-            .unwrap_or_else(|_| panic!("{name} must be a number, got '{trimmed}'")),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn env_helpers_default_override_and_invalid() {
-        // Unique variable names: tests run on parallel threads and the
-        // environment is process-global.
-        std::env::set_var("COLLOPT_TEST_ENV_U64", "42");
-        assert_eq!(env_u64("COLLOPT_TEST_ENV_U64", 7), 42);
-        assert_eq!(env_u64("COLLOPT_TEST_ENV_U64_UNSET", 7), 7);
-        std::env::set_var("COLLOPT_TEST_ENV_U64_BAD", "not-a-number");
-        assert_eq!(env_u64("COLLOPT_TEST_ENV_U64_BAD", 7), 7);
-
-        std::env::set_var("COLLOPT_TEST_ENV_USIZE", " 99 ");
-        assert_eq!(env_usize("COLLOPT_TEST_ENV_USIZE", 1), 99);
-        assert_eq!(env_usize("COLLOPT_TEST_ENV_USIZE_UNSET", 3), 3);
-        std::env::set_var("COLLOPT_TEST_ENV_USIZE_BAD", "-5");
-        assert_eq!(env_usize("COLLOPT_TEST_ENV_USIZE_BAD", 3), 3);
-
-        std::env::set_var("COLLOPT_TEST_ENV_F64", "2.5");
-        assert_eq!(env_f64("COLLOPT_TEST_ENV_F64", 0.0), 2.5);
-        assert_eq!(env_f64("COLLOPT_TEST_ENV_F64_UNSET", 1.5), 1.5);
-        std::env::set_var("COLLOPT_TEST_ENV_F64_BAD", "fast");
-        assert_eq!(env_f64("COLLOPT_TEST_ENV_F64_BAD", 1.5), 1.5);
-    }
-
-    #[test]
-    fn env_floor_unset_and_empty_mean_no_gate() {
-        assert_eq!(env_floor("COLLOPT_TEST_FLOOR_UNSET"), None);
-        std::env::set_var("COLLOPT_TEST_FLOOR_EMPTY", "  ");
-        assert_eq!(env_floor("COLLOPT_TEST_FLOOR_EMPTY"), None);
-        std::env::set_var("COLLOPT_TEST_FLOOR_SET", "5.5");
-        assert_eq!(env_floor("COLLOPT_TEST_FLOOR_SET"), Some(5.5));
-    }
-
-    #[test]
-    #[should_panic(expected = "must be a number")]
-    fn env_floor_garbage_panics() {
-        std::env::set_var("COLLOPT_TEST_FLOOR_BAD", "quick");
-        env_floor("COLLOPT_TEST_FLOOR_BAD");
-    }
 
     #[test]
     fn ids_render_like_criterion() {

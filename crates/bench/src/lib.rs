@@ -1,10 +1,13 @@
 #![forbid(unsafe_code)]
-//! Shared harness code for the benchmark suite.
+//! The paper's evaluation and the code its parts share.
 //!
-//! Everything the table/figure generator binaries and the Criterion
-//! benches have in common lives here: the per-rule LHS/RHS program
-//! builders, the three comcast implementations measured in Figures 7–8,
-//! and workload generators.
+//! [`repro`] reproduces every committed artifact under `results/` (behind
+//! `collopt repro`), [`chaos`] is the fault-injection oracle (behind
+//! `collopt chaos`), [`sweep_driver`] fans independent simulation points
+//! out across host cores, and [`harness`] is the Criterion stand-in of the
+//! `benches/`. What they have in common lives here: the per-rule LHS/RHS
+//! program builders, the three comcast implementations measured in
+//! Figures 7–8, and workload generators.
 //!
 //! The Figures 7–8 workloads run the collectives *directly* on native
 //! `Vec<i64>` blocks (no dynamic `Value` layer) so that wall-clock numbers
@@ -13,14 +16,13 @@
 
 pub mod chaos;
 pub mod harness;
+pub mod repro;
 pub mod sweep_driver;
 
 use collopt_collectives::{
     bcast_binomial, comcast_bcast_repeat, comcast_cost_optimal, scan_butterfly, Combine, RepeatOp,
 };
-use collopt_core::exec::execute_traced;
 use collopt_core::op::lib as ops;
-use collopt_core::rewrite::Rewriter;
 use collopt_core::rules::{try_match, window_len, Rule};
 use collopt_core::term::Program;
 use collopt_core::value::Value;
@@ -79,54 +81,6 @@ pub fn varied_input(p: usize, m: usize, seed: u64) -> Vec<Value> {
             )
         })
         .collect()
-}
-
-/// The paper's running Example program (map; scan(×); reduce(+); map;
-/// bcast) on scalar blocks — the subject of the Figure 1/3 run-time
-/// diagrams.
-pub fn example_program() -> Program {
-    Program::new()
-        .map("f", 1.0, |v| Value::Int(v.as_int() + 1))
-        .scan(ops::mul())
-        .reduce(ops::add())
-        .map("g", 1.0, |v| Value::Int(v.as_int() * 2))
-        .bcast()
-}
-
-/// Render the Figure 1 / Figure 3 run-time diagrams — the per-processor
-/// activity of the Example program before and after rule SR2-Reduction —
-/// from real machine traces. This is exactly what the `gen_timeline`
-/// binary prints and what `results/timeline.txt` snapshots.
-///
-/// Legend: `>` send, `<` receive, `x` simultaneous exchange, `*` local
-/// computation, `|` barrier. Columns are distinct simulated time points.
-pub fn timeline_report() -> String {
-    let p = 8;
-    let example = example_program();
-    let optimized = Rewriter::exhaustive().optimize(&example).program;
-
-    let mut out = String::new();
-    let mut makespans = Vec::new();
-    for (name, prog) in [
-        ("Example (original)", &example),
-        ("Example after SR2-Reduction", &optimized),
-    ] {
-        let inputs: Vec<Value> = (0..p as i64).map(|i| Value::Int(i % 5 + 1)).collect();
-        let run = execute_traced(prog, &inputs, ClockParams::parsytec_like());
-        out.push_str(&format!("== {name} ==\n"));
-        out.push_str(&format!("program : {prog}\n"));
-        out.push_str(&format!("makespan: {:.0} simulated units\n", run.makespan));
-        out.push_str(&run.trace.ascii_timeline(p));
-        out.push('\n');
-        makespans.push(run.makespan);
-    }
-    out.push_str(&format!(
-        "time saved by SR2-Reduction (Figure 3's shaded region): {:.0} units ({:.1}%)\n",
-        makespans[0] - makespans[1],
-        100.0 * (makespans[0] - makespans[1]) / makespans[0]
-    ));
-    assert!(makespans[1] < makespans[0]);
-    out
 }
 
 /// Which of the three Figure-7/8 implementations to run.

@@ -1,7 +1,7 @@
 //! Run-level parallel sweep driver.
 //!
-//! Chaos sweeps, profile generation and the heavy property suites all
-//! share one shape: a list of *independent* simulation points (seeds,
+//! Chaos sweeps, fuzz campaigns, server batches and the heavy property
+//! suites all share one shape: a list of *independent* simulation points (seeds,
 //! rules, parameter combinations), each of which runs a handful of
 //! simulated-machine executions and yields a result that does not depend
 //! on any other point. [`par_map`] fans such a list out across host

@@ -20,6 +20,21 @@ impl MachineParams {
         MachineParams { p, ts, tw }
     }
 
+    /// [`MachineParams::new`] for values that arrive from outside the
+    /// program: the model's domain — `p ≥ 1`, `ts` and `tw` finite and
+    /// `≥ 0` — as an error to report instead of an assertion.
+    pub fn try_new(p: usize, ts: f64, tw: f64) -> Result<Self, String> {
+        if p < 1 {
+            return Err("p must be at least 1".to_string());
+        }
+        for (name, x) in [("ts", ts), ("tw", tw)] {
+            if !(x.is_finite() && x >= 0.0) {
+                return Err(format!("{name} must be finite and non-negative, got {x}"));
+            }
+        }
+        Ok(MachineParams { p, ts, tw })
+    }
+
     /// `⌈log₂ p⌉` — the phase count of every butterfly collective.
     pub fn log_p(&self) -> f64 {
         if self.p <= 1 {
@@ -58,6 +73,24 @@ mod tests {
     #[should_panic(expected = "at least one")]
     fn zero_processors_rejected() {
         let _ = MachineParams::new(0, 1.0, 1.0);
+    }
+
+    #[test]
+    fn try_new_reports_what_new_asserts() {
+        assert_eq!(
+            MachineParams::try_new(8, 100.0, 2.0),
+            Ok(MachineParams::new(8, 100.0, 2.0))
+        );
+        assert!(MachineParams::try_new(1, 0.0, 0.0).is_ok());
+        for (p, ts, tw) in [
+            (0, 1.0, 1.0),
+            (8, -1.0, 1.0),
+            (8, 1.0, -0.5),
+            (8, f64::NAN, 1.0),
+            (8, 1.0, f64::INFINITY),
+        ] {
+            assert!(MachineParams::try_new(p, ts, tw).is_err(), "{p} {ts} {tw}");
+        }
     }
 
     #[test]

@@ -179,8 +179,8 @@ pub fn render_allreduce_variants(params: &MachineParams, blocks: &[f64]) -> Stri
     out
 }
 
-/// Render the crossover table as aligned text (for the `gen_crossovers`
-/// binary and EXPERIMENTS.md).
+/// Render the crossover table as aligned text (for `collopt repro
+/// crossovers` and EXPERIMENTS.md).
 pub fn render_crossovers(ts: f64, tw: f64) -> String {
     let mut out = format!("crossover block sizes m* at ts = {ts}, tw = {tw}\n");
     out.push_str(&format!(

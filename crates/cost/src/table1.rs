@@ -247,7 +247,7 @@ pub fn table1_rules() -> Vec<RuleEstimate> {
 pub static TABLE1_RULES: [Rule; 11] = Rule::ALL;
 
 /// Renders the table in the paper's layout (name, before, after,
-/// condition), for the `gen_table1` binary and EXPERIMENTS.md.
+/// condition), for `collopt repro table1` and EXPERIMENTS.md.
 pub fn render_table1() -> String {
     let mut out = String::new();
     out.push_str(&format!(

@@ -39,7 +39,10 @@ pub use ledger::CoverageLedger;
 pub use oracle::{run_case, FuzzFailure, OracleKind};
 pub use shrink::shrink;
 
+use std::path::Path;
+
 use collopt_bench::sweep_driver::{par_map, par_map_with};
+use collopt_machine::Json;
 
 /// Campaign knobs.
 #[derive(Debug, Clone)]
@@ -112,25 +115,83 @@ pub fn run_campaign(cfg: &CampaignConfig) -> CampaignResult {
     result
 }
 
-/// Shrink every campaign failure (capped) against a reproduce-the-same-
-/// oracle predicate, returning `(original, shrunk)` pairs in input order.
-pub fn shrink_failures(failures: &[FuzzFailure], cap: usize) -> Vec<(FuzzFailure, CaseSpec)> {
-    failures
+/// The campaign verdict `collopt fuzz --out` writes (committed as
+/// `results/BENCH_fuzz.json`): seed, size, failure count, coverage. A pure
+/// function of `(seed, iters, gen)` — no wall time, no worker count — so
+/// the committed file reproduces byte for byte.
+pub fn verdict_json(cfg: &CampaignConfig, result: &CampaignResult) -> String {
+    let missing: Vec<String> = result
+        .ledger
+        .missing_rules()
         .iter()
-        .take(cap)
-        .filter_map(|failure| {
-            let case = CaseSpec::parse(&failure.spec).ok()?;
-            let oracle = failure.oracle;
-            let reproduces = move |candidate: &CaseSpec| {
-                let mut ledger = CoverageLedger::new();
-                run_case(candidate, &mut ledger)
-                    .iter()
-                    .any(|f| f.oracle == oracle)
-            };
-            let shrunk = shrink(&case, &reproduces);
-            Some((failure.clone(), shrunk))
-        })
-        .collect()
+        .map(|r| format!("\"{r}\""))
+        .collect();
+    format!(
+        concat!(
+            "{{\n",
+            "  \"bench\": \"fuzz\",\n",
+            "  \"seed\": {},\n",
+            "  \"iters\": {},\n",
+            "  \"failures\": {},\n",
+            "  \"missing_rules\": [{}],\n",
+            "  \"passed\": {},\n",
+            "  \"coverage\": {}\n",
+            "}}\n"
+        ),
+        cfg.seed,
+        cfg.iters,
+        result.failures.len(),
+        missing.join(", "),
+        result.passed(),
+        result.ledger.to_json(),
+    )
+}
+
+/// Cap on how many failures get the (expensive) shrink treatment.
+const SHRINK_CAP: usize = 10;
+
+/// What a campaign does with its violations: shrink each (the first
+/// `SHRINK_CAP`) to a local minimum against a reproduce-the-same-oracle
+/// predicate, pin the shrunk case into `pin_dir` when one is given — from
+/// where `tests/corpus_replay.rs` replays it forever — and return the
+/// `(original, shrunk)` specs as a JSON list. Progress goes to stderr.
+pub fn report_failures(failures: &[FuzzFailure], pin_dir: Option<&Path>) -> String {
+    let quoted = |s: &str| Json::Str(s.to_string()).render();
+    let mut entries = Vec::new();
+    for failure in failures.iter().take(SHRINK_CAP) {
+        let Ok(case) = CaseSpec::parse(&failure.spec) else {
+            continue;
+        };
+        let reproduces = |candidate: &CaseSpec| {
+            let mut ledger = CoverageLedger::new();
+            run_case(candidate, &mut ledger)
+                .iter()
+                .any(|f| f.oracle == failure.oracle)
+        };
+        let small = shrink(&case, &reproduces);
+        let small_spec = small.render();
+        eprintln!("  shrunk seed={}: {small_spec}", failure.seed);
+        if let Some(dir) = pin_dir {
+            let notes = [
+                format!("oracle: {}", failure.oracle.label()),
+                format!("what: {}", failure.what),
+                format!("original: {}", failure.spec),
+            ];
+            match pin(dir, &small, &notes) {
+                Ok(path) => eprintln!("  pinned to {}", path.display()),
+                Err(e) => eprintln!("  pin failed: {e}"),
+            }
+        }
+        entries.push(format!(
+            "  {{\"seed\": {}, \"oracle\": {}, \"what\": {}, \"spec\": {}, \"shrunk\": {}}}",
+            failure.seed,
+            quoted(failure.oracle.label()),
+            quoted(&failure.what),
+            quoted(&failure.spec),
+            quoted(&small_spec),
+        ));
+    }
+    format!("[\n{}\n]\n", entries.join(",\n"))
 }
 
 #[cfg(test)]
@@ -166,5 +227,45 @@ mod tests {
             result.ledger.static_rejects > 0,
             "no planted lowering was statically rejected"
         );
+    }
+
+    #[test]
+    fn a_failure_is_shrunk_pinned_and_listed() {
+        // Synthetic: the case passes every oracle, so nothing smaller
+        // "still fails" and the shrinker hands the case back unchanged.
+        let spec = generate_case(9, &GenConfig::default()).render();
+        let failure = FuzzFailure {
+            seed: 9,
+            oracle: OracleKind::Rewrite,
+            spec: spec.clone(),
+            what: "said \"no\"".to_string(),
+        };
+        let dir = std::env::temp_dir().join(format!("collopt-fuzz-report-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+
+        let unpinned = report_failures(std::slice::from_ref(&failure), None);
+        assert!(!dir.exists(), "no --pin directory, nothing written");
+        let listed = report_failures(&[failure], Some(&dir));
+        assert_eq!(listed, unpinned, "pinning does not change the list");
+
+        let doc = Json::parse(&listed).expect("failures JSON parses");
+        let [entry] = doc.as_array().expect("a list") else {
+            panic!("one failure in, one entry out: {listed}")
+        };
+        assert_eq!(entry.get("seed").and_then(Json::as_f64), Some(9.0));
+        assert_eq!(entry.get("oracle").and_then(Json::as_str), Some("rewrite"));
+        assert_eq!(
+            entry.get("what").and_then(Json::as_str),
+            Some("said \"no\"")
+        );
+        assert_eq!(entry.get("spec").and_then(Json::as_str), Some(&spec[..]));
+        assert_eq!(entry.get("shrunk").and_then(Json::as_str), Some(&spec[..]));
+
+        let [pinned] = &load_corpus(&dir).expect("corpus loads")[..] else {
+            panic!("exactly one case pinned")
+        };
+        assert_eq!(pinned.case.render(), spec);
+        assert!(pinned.notes.iter().any(|n| n == "oracle: rewrite"));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -432,8 +432,7 @@ impl ProfileReport {
     }
 
     /// Render the report as aligned text tables (per stage, then per
-    /// rank) — the artifact `gen_profile` prints next to the Chrome
-    /// traces it writes.
+    /// rank) — what `collopt --profile` prints.
     pub fn render(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!(

@@ -23,10 +23,10 @@
 //!   deterministic worker pool and answers in order, with graceful
 //!   drain-then-stop shutdown.
 //!
-//! `gen_serve` (this crate's bin) is the load generator that gates the
-//! whole stack: cache hits ≥10× faster than cold saturation and
-//! byte-identical to it, sustained req/s and tail latency recorded in
-//! `results/BENCH_serve.json`. See DESIGN.md §13.
+//! Hits byte-identical to cold responses, replies invariant under worker
+//! count and transport: `tests/` here and `tests/serve_integration.rs`.
+//! What a request costs, cold and hot: the `serve_cold` and `serve_hot`
+//! workloads of `benchmark/`. See DESIGN.md §13.
 
 pub mod cache;
 pub mod request;

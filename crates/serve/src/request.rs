@@ -1,7 +1,7 @@
 //! The JSON-lines request protocol.
 //!
 //! One request per line, one response per line, over any byte stream
-//! (the server speaks it over TCP; `gen_serve` also drives it
+//! (the server speaks it over TCP; tests and the benchmark also drive it
 //! in-process). A request is a JSON object:
 //!
 //! ```json

@@ -5,7 +5,8 @@
 //! (stats aside): the same line always produces the same response
 //! bytes, regardless of batch composition, worker count, or cache
 //! state. That invariant is what makes both caching and batched
-//! dispatch safe, and the integration tests + `gen_serve` gate it.
+//! dispatch safe; `tests/replay_invariance.rs` and the integration
+//! tests hold it.
 //!
 //! ## Cache key derivation
 //!

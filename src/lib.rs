@@ -21,6 +21,9 @@
 //! * [`analysis`] — the static soundness analyzer: operator-property
 //!   auditing with counterexample shrinking, rewrite-certificate
 //!   validation, and the `collopt lint` pipeline linter;
+//! * [`mod@bench`] — the paper's evaluation: every table and figure as a
+//!   function behind one table (`collopt repro`), the fault-injection
+//!   oracle (`collopt chaos`), and the parallel sweep driver;
 //! * [`fuzz`] — coverage-guided differential fuzzing of all of the above:
 //!   a seeded pipeline generator, four oracles (rewrite soundness,
 //!   cross-engine identity, defense-layer unanimity on planted law lies,
@@ -54,6 +57,7 @@
 //! ```
 
 pub use collopt_analysis as analysis;
+pub use collopt_bench as bench;
 pub use collopt_collectives as collectives;
 pub use collopt_core as core;
 pub use collopt_cost as cost;

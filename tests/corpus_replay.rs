@@ -3,8 +3,8 @@
 //! was hand-written to pin an interesting boundary — and must replay
 //! green against all three differential oracles forever.
 //!
-//! `gen_fuzz` appends shrunk failures here automatically (`FUZZ_PIN=1`,
-//! the default); a case can also be replayed by hand with
+//! `collopt fuzz --pin tests/corpus` (the nightly campaign) writes shrunk
+//! failures here; a case can also be replayed by hand with
 //! `collopt fuzz --replay "<spec>"`.
 
 use std::path::Path;

@@ -9,7 +9,7 @@
 
 use collopt::analysis::audit::AuditConfig;
 use collopt::analysis::certify::validate_result;
-use collopt::core::egraph::{saturate_program, SaturateConfig};
+use collopt::core::egraph::{saturate_program, SaturateConfig, DEFAULT_NODE_BUDGET};
 use collopt::core::op::lib;
 use collopt::core::rewrite::{program_cost, Rewriter};
 use collopt::core::rules::Rule;
@@ -138,14 +138,26 @@ fn scan_scan_reduce_family_beats_greedy() {
     );
 }
 
-/// Chains of 8–12 stages are far beyond the brute-force oracle, but the
-/// e-graph saturates (or hits its explicit node budget) and still
-/// extracts a sound, never-worse program — deterministically.
+/// Chains of up to 12 stages are far beyond the brute-force oracle, but
+/// the e-graph saturates (or hits its explicit node budget — a tight one
+/// and the engine's default) and still extracts a sound, never-worse
+/// program — deterministically.
 #[test]
 fn deep_chains_terminate_under_node_budget() {
     let params = oracle_params(64);
     let m = 8.0;
-    for depth in 8..=12usize {
+    // `scan-chain`: every adjacent pair fuses and the search must pick
+    // which fusions to forgo — the worst case for ordering. `mixed-chain`:
+    // a scan/map/bcast round-robin that exercises the enabling
+    // normalizations and the broadcast rules alongside fusion.
+    let scan_chain = |depth: usize| {
+        let mut prog = Program::new();
+        for _ in 0..depth - 1 {
+            prog = prog.scan(lib::add());
+        }
+        prog.reduce(lib::add())
+    };
+    let mixed_chain = |depth: usize| {
         let mut prog = Program::new();
         for i in 0..depth - 1 {
             prog = match i % 3 {
@@ -154,26 +166,35 @@ fn deep_chains_terminate_under_node_budget() {
                 _ => prog.bcast(),
             };
         }
-        let prog = prog.reduce(lib::add());
-        let budget = 4000;
-        let cfg = SaturateConfig::new(params, m).node_budget(budget);
-        let outcome = saturate_program(&prog, &cfg);
-        assert!(
-            outcome.stats.nodes <= budget,
-            "depth {depth}: {} nodes exceeds the {budget} budget",
-            outcome.stats.nodes
-        );
-        let before = program_cost(&prog, &params, m);
-        let after = program_cost(&outcome.result.program, &params, m);
-        assert!(
-            after <= before + 1e-9,
-            "depth {depth}: budgeted extraction worsened the program"
-        );
-        let again = saturate_program(&prog, &cfg);
-        assert_eq!(
-            outcome.result.program.to_string(),
-            again.result.program.to_string(),
-            "depth {depth}: budgeted extraction is nondeterministic"
-        );
+        prog.reduce(lib::add())
+    };
+    for depth in 2..=12usize {
+        for (family, prog) in [
+            ("scan-chain", scan_chain(depth)),
+            ("mixed-chain", mixed_chain(depth)),
+        ] {
+            for budget in [4000, DEFAULT_NODE_BUDGET] {
+                let tag = format!("{family} depth {depth} budget {budget}");
+                let cfg = SaturateConfig::new(params, m).node_budget(budget);
+                let outcome = saturate_program(&prog, &cfg);
+                assert!(
+                    outcome.stats.nodes <= budget,
+                    "{tag}: {} nodes exceeds the budget",
+                    outcome.stats.nodes
+                );
+                let before = program_cost(&prog, &params, m);
+                let after = program_cost(&outcome.result.program, &params, m);
+                assert!(
+                    after <= before + 1e-9,
+                    "{tag}: budgeted extraction worsened the program"
+                );
+                let again = saturate_program(&prog, &cfg);
+                assert_eq!(
+                    outcome.result.program.to_string(),
+                    again.result.program.to_string(),
+                    "{tag}: budgeted extraction is nondeterministic"
+                );
+            }
+        }
     }
 }

@@ -17,13 +17,15 @@
 use collopt::analysis::schedule::{render_reports_json, verify_planted, verify_registry};
 use collopt::collectives::schedule::planted;
 use collopt::machine::{ClockParams, Machine};
+use collopt_bench::sweep_driver::par_map;
 
 #[test]
 fn every_shipped_lowering_verifies_across_the_full_p_sweep() {
-    for p in 2..=64usize {
+    par_map((2..=64usize).collect(), |p| {
         // m = 5 puts m < p on most of the sweep; 97 is prime (ragged
-        // against every p > 1); 64 divides evenly on the pow2 points.
-        for m in [1u64, 5, 64, 97] {
+        // against every p > 1); 32 and 64 divide evenly on the pow2
+        // points; 4096 is a block far larger than any machine here.
+        for m in [1u64, 5, 32, 64, 97, 4096] {
             for report in verify_registry(p, m) {
                 assert!(
                     report.ok(),
@@ -33,7 +35,7 @@ fn every_shipped_lowering_verifies_across_the_full_p_sweep() {
                 );
             }
         }
-    }
+    });
 }
 
 #[test]
@@ -47,8 +49,8 @@ fn verifier_output_is_deterministic() {
 
 #[test]
 fn planted_bugs_are_rejected_at_every_applicable_point() {
-    for p in 2..=16usize {
-        for m in [4u64, 9, 32] {
+    for p in 2..=64usize {
+        for m in [1u64, 4, 9, 32, 97, 4096] {
             for (report, expected) in verify_planted(p, m) {
                 assert!(
                     report.diagnostics.iter().any(|d| d.code == expected),
