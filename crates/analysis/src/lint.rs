@@ -273,7 +273,8 @@ pub fn lint_program(prog: &Program, spans: Option<&[Span]>, cfg: &LintConfig) ->
 }
 
 /// The plan the linter measures `prog` against: equality saturation under
-/// `cfg`'s machine model, rank-0 rules allowed, behind the [`law_gate`].
+/// `cfg`'s machine model, rank-0 rules allowed, behind the linter's law gate
+/// (a rule whose required laws fail on their operators' domain does not fire).
 pub fn lint_plan(prog: &Program, cfg: &LintConfig) -> OptimizeResult {
     let sat = SaturateConfig::new(cfg.params, cfg.block).law_gate(law_gate(prog, cfg));
     saturate_program(prog, &sat).result

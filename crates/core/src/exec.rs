@@ -253,13 +253,12 @@ fn try_run_program(
     let run = match config.engine.unwrap_or(ExecEngine::Des) {
         ExecEngine::Des => {
             // `try_run_des` requires the rank future to borrow nothing but
-            // its `Ctx`, so each rank owns a (shallow — stage closures are
-            // `Arc`s) clone of the program and the shared input handle.
-            let prog = prog.clone();
-            let inputs = Arc::clone(&inputs);
+            // its `Ctx`, so the program is copied once per run (a `BinOp`
+            // clone allocates its name and law list) and each rank holds a
+            // handle on that copy and on the inputs.
+            let prog = Arc::new(prog.clone());
             machine.try_run_des(move |ctx| {
-                let prog = prog.clone();
-                let inputs = Arc::clone(&inputs);
+                let (prog, inputs) = (Arc::clone(&prog), Arc::clone(&inputs));
                 Box::pin(async move { rank_main(&prog, &inputs, config, ctx).await })
             })?
         }
@@ -326,16 +325,14 @@ async fn exec_stage(stage: &Stage, ctx: &mut Ctx, v: &mut Value, config: ExecCon
             // Convert the operator's per-element charge into the
             // per-message-word charge the collective layer expects.
             let ops_per_word = op.ops_per_word() * m / words as f64;
-            let opc = op.clone();
-            let f = move |a: &Value, b: &Value| opc.apply(a, b);
+            let f = |a: &Value, b: &Value| op.apply(a, b);
             let combine = Combine::with_cost(&f, ops_per_word);
             *v = collopt_collectives::scan_butterfly_async(ctx, v.clone(), words, &combine).await;
         }
         Stage::Reduce(op) => {
             let words = v.words().max(1);
             let ops_per_word = op.ops_per_word() * m / words as f64;
-            let opc = op.clone();
-            let f = move |a: &Value, b: &Value| opc.apply(a, b);
+            let f = |a: &Value, b: &Value| op.apply(a, b);
             let combine = Combine::with_cost(&f, ops_per_word);
             if let Some(r) = reduce_binomial_async(ctx, 0, v.clone(), words, &combine).await {
                 *v = r;
@@ -346,8 +343,7 @@ async fn exec_stage(stage: &Stage, ctx: &mut Ctx, v: &mut Value, config: ExecCon
             let words = v.words().max(1);
             let ops_per_word = op.ops_per_word() * m / words as f64;
             let commutative = op.is_commutative();
-            let opc = op.clone();
-            let f = move |a: &Value, b: &Value| opc.apply(a, b);
+            let f = |a: &Value, b: &Value| op.apply(a, b);
             let mut combine = Combine::with_cost(&f, ops_per_word);
             if commutative {
                 combine = combine.assume_commutative();
