@@ -3,19 +3,16 @@
 //!
 //! [`repro`] reproduces every committed artifact under `results/` (behind
 //! `collopt repro`), [`chaos`] is the fault-injection oracle (behind
-//! `collopt chaos`), [`sweep_driver`] fans independent simulation points
-//! out across host cores, and [`harness`] is the Criterion stand-in of the
-//! `benches/`. What they have in common lives here: the per-rule LHS/RHS
-//! program builders, the three comcast implementations measured in
-//! Figures 7–8, and workload generators.
+//! `collopt chaos`), and [`sweep_driver`] fans independent simulation
+//! points out across host cores. What they have in common lives here: the
+//! per-rule LHS/RHS program builders, the three comcast implementations
+//! measured in Figures 7–8, and workload generators.
 //!
 //! The Figures 7–8 workloads run the collectives *directly* on native
-//! `Vec<i64>` blocks (no dynamic `Value` layer) so that wall-clock numbers
-//! measure the algorithms, not interpretation overhead; the simulated
-//! makespans come from the same runs' deterministic clocks.
+//! `Vec<i64>` blocks (no dynamic `Value` layer); the simulated makespans
+//! come from the runs' deterministic clocks.
 
 pub mod chaos;
-pub mod harness;
 pub mod repro;
 pub mod sweep_driver;
 

@@ -15,9 +15,7 @@
 //!   (rule SS-Scan, Figure 5), and both implementations of the comcast
 //!   pattern in [`comcast`] (rules *-Comcast, Figure 6 and the
 //!   cost-optimal variant of Section 3.4);
-//! * [`Comm`] — MPI-style communicators over subgroups;
-//! * two-level cluster collectives ([`hierarchical`]) and the pipelined
-//!   chain broadcast ([`pipelined`]);
+//! * the pipelined chain broadcast ([`pipelined`]);
 //! * the *bandwidth-optimal* reduction family ([`mod@reduce_scatter`]):
 //!   recursive-halving and ring reduce-scatter, Rabenseifner's
 //!   reduce-scatter + allgather allreduce, and the ring allreduce, plus
@@ -48,9 +46,7 @@ pub mod alltoall;
 pub mod balanced;
 pub mod bcast;
 pub mod comcast;
-pub mod comm;
 pub mod gather;
-pub mod hierarchical;
 pub mod op;
 pub mod pipelined;
 pub mod reduce;
@@ -70,13 +66,9 @@ pub use comcast::{
     comcast_bcast_repeat, comcast_bcast_repeat_async, comcast_cost_optimal,
     comcast_cost_optimal_async, RepeatOp,
 };
-pub use comm::Comm;
 pub use gather::{
     allgather, allgather_async, barrier, barrier_async, gather_binomial, gather_binomial_async,
     scatter_binomial, scatter_binomial_async,
-};
-pub use hierarchical::{
-    allreduce_hierarchical, allreduce_two_level, bcast_hierarchical, bcast_two_level,
 };
 pub use op::{Combine, Splittable};
 pub use pipelined::{bcast_pipelined, bcast_pipelined_async, chain_cost, optimal_segments};

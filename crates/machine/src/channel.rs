@@ -51,9 +51,6 @@ impl std::fmt::Debug for Packet {
 struct InboxState {
     queues: Vec<VecDeque<Packet>>,
     live: Vec<bool>,
-    /// Rotating start index so [`Mailboxes::pop_any`] is fair across
-    /// sources rather than always favouring rank 0.
-    next_scan: usize,
     /// The owning rank's thread, registered while it is parked waiting for
     /// a packet. Single-slot: only the owner ever receives from its inbox.
     waiter: Option<Thread>,
@@ -71,7 +68,6 @@ impl Inbox {
             state: Mutex::new(InboxState {
                 queues: (0..p).map(|_| VecDeque::new()).collect(),
                 live: vec![true; p],
-                next_scan: 0,
                 waiter: None,
             }),
         }
@@ -151,65 +147,6 @@ impl Mailboxes {
             state = inbox.state.lock().expect("inbox poisoned");
         }
     }
-
-    /// Block until a packet arrives from *any* source (MPI_ANY_SOURCE);
-    /// returns `(source, packet)`. A rotating scan start keeps the choice
-    /// fair when several sources are ready.
-    pub fn pop_any(&self) -> Result<(usize, Packet), MachineError> {
-        let p = self.inboxes.len();
-        let inbox = &self.inboxes[self.rank];
-        let mut state = inbox.state.lock().expect("inbox poisoned");
-        loop {
-            let start = state.next_scan;
-            for off in 0..p {
-                let src = (start + off) % p;
-                if let Some(packet) = state.queues[src].pop_front() {
-                    state.next_scan = (src + 1) % p;
-                    state.waiter = None;
-                    return Ok((src, packet));
-                }
-            }
-            // Every queue is empty; if every *other* rank is also gone, no
-            // packet can ever arrive (a rank blocked in `pop_any` cannot
-            // send to itself), so report the lowest dead peer rather than
-            // waiting forever. A single dead peer is fine — the others may
-            // still send.
-            let dead_peer = (0..p).find(|&src| src != self.rank && !state.live[src]);
-            let any_live_peer = (0..p).any(|src| src != self.rank && state.live[src]);
-            if !any_live_peer {
-                if let Some(dead) = dead_peer.or((p == 1).then_some(0)) {
-                    state.waiter = None;
-                    return Err(MachineError::Disconnected { rank: dead });
-                }
-            }
-            state.waiter = Some(std::thread::current());
-            drop(state);
-            std::thread::park();
-            state = inbox.state.lock().expect("inbox poisoned");
-        }
-    }
-
-    /// Non-blocking variant of [`pop`](Self::pop): `Ok(None)` when the
-    /// mailbox from `src` is currently empty.
-    pub fn try_pop(&self, src: usize) -> Result<Option<Packet>, MachineError> {
-        if src >= self.inboxes.len() {
-            return Err(MachineError::InvalidRank {
-                rank: src,
-                size: self.inboxes.len(),
-            });
-        }
-        let mut state = self.inboxes[self.rank]
-            .state
-            .lock()
-            .expect("inbox poisoned");
-        if let Some(p) = state.queues[src].pop_front() {
-            return Ok(Some(p));
-        }
-        if !state.live[src] {
-            return Err(MachineError::Disconnected { rank: src });
-        }
-        Ok(None)
-    }
 }
 
 impl Drop for Mailboxes {
@@ -288,15 +225,6 @@ mod tests {
     }
 
     #[test]
-    fn try_pop_empty_returns_none() {
-        let mesh = build_mesh(2);
-        assert!(mesh[0].try_pop(1).unwrap().is_none());
-        mesh[1].push(0, packet(9u16, 1)).unwrap();
-        let got = mesh[0].try_pop(1).unwrap().unwrap();
-        assert_eq!(*got.payload.downcast::<u16>().unwrap(), 9);
-    }
-
-    #[test]
     fn invalid_rank_is_reported() {
         let mesh = build_mesh(2);
         assert_eq!(
@@ -340,41 +268,6 @@ mod tests {
             m1.pop(0).unwrap_err(),
             MachineError::Disconnected { rank: 0 }
         );
-    }
-
-    #[test]
-    fn pop_any_reports_disconnect_when_all_peers_die() {
-        let mut mesh = build_mesh(3);
-        let m2 = mesh.pop().unwrap();
-        let m1 = mesh.pop().unwrap();
-        let m0 = mesh.pop().unwrap();
-        // Rank 1 sends one packet then dies; rank 2 dies silently. Rank 0
-        // must drain the queued packet, then observe the disconnect (it
-        // can never receive from itself while blocked).
-        m1.push(0, packet(1u8, 1)).unwrap();
-        drop(m1);
-        drop(m2);
-        let (src, p) = m0.pop_any().unwrap();
-        assert_eq!(src, 1);
-        assert_eq!(*p.payload.downcast::<u8>().unwrap(), 1);
-        let err = m0.pop_any().unwrap_err();
-        assert_eq!(err, MachineError::Disconnected { rank: 1 });
-    }
-
-    #[test]
-    fn pop_any_is_fair_across_ready_sources() {
-        let mesh = build_mesh(3);
-        for _ in 0..2 {
-            mesh[0].push(2, packet(0usize, 1)).unwrap();
-            mesh[1].push(2, packet(1usize, 1)).unwrap();
-        }
-        let mut sources = Vec::new();
-        for _ in 0..4 {
-            let (src, _) = mesh[2].pop_any().unwrap();
-            sources.push(src);
-        }
-        sources.sort_unstable();
-        assert_eq!(sources, vec![0, 0, 1, 1]);
     }
 
     #[test]

@@ -12,55 +12,8 @@
 //! exchange end up at that same instant. The resulting *makespan*
 //! (maximum final clock over all ranks) is deterministic: it depends only
 //! on the communication structure and the declared computation amounts,
-//! never on OS scheduling. This is what lets the benches reproduce the
+//! never on OS scheduling. This is what lets `collopt repro` reproduce the
 //! paper's Table 1 and Figures 7–8 exactly.
-
-/// How ranks map onto SMP nodes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum NodeAssignment {
-    /// Consecutive blocks: node of rank `r` is `r / node_size`. The
-    /// MPI-default layout; power-of-two communication strides below
-    /// `node_size` stay on-node, so binomial trees are automatically
-    /// locality-friendly.
-    Block {
-        /// Ranks per node.
-        node_size: usize,
-    },
-    /// Round-robin: node of rank `r` is `r % nodes`. Arises when a
-    /// scheduler interleaves ranks across nodes; for a non-power-of-two
-    /// node count, *every* power-of-two stride crosses nodes, which is
-    /// what makes two-level algorithms win.
-    Cyclic {
-        /// Number of nodes.
-        nodes: usize,
-    },
-}
-
-impl NodeAssignment {
-    /// The node housing `rank`.
-    #[inline]
-    pub fn node_of(&self, rank: usize) -> usize {
-        match *self {
-            NodeAssignment::Block { node_size } => rank / node_size,
-            NodeAssignment::Cyclic { nodes } => rank % nodes,
-        }
-    }
-}
-
-/// Two-level cluster extension: processors are grouped into SMP nodes;
-/// messages *within* a node use the cheap `local_ts`/`local_tw`
-/// parameters instead of the network's `ts`/`tw`. This models the
-/// clusters-of-SMPs platforms (SIMPLE et al.) the paper's Section 2.2
-/// names as a target of the framework.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ClusterParams {
-    /// Rank-to-node mapping.
-    pub assignment: NodeAssignment,
-    /// Intra-node message start-up time.
-    pub local_ts: f64,
-    /// Intra-node per-word transfer time.
-    pub local_tw: f64,
-}
 
 /// Deterministic straggler injection: every message completion is
 /// stretched by a pseudo-random factor in `[1, 1 + amplitude]`, derived
@@ -96,16 +49,13 @@ impl JitterParams {
 
 /// Machine cost parameters: start-up time `ts` and per-word transfer time
 /// `tw`, in units of one computation operation (the paper's convention).
-/// Optionally a two-level [`ClusterParams`] for SMP-cluster simulation
-/// and deterministic [`JitterParams`] straggler injection.
+/// Optionally deterministic [`JitterParams`] straggler injection.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClockParams {
     /// Message start-up time (latency), in compute-op units.
     pub ts: f64,
     /// Per-word transfer time (inverse bandwidth), in compute-op units.
     pub tw: f64,
-    /// Optional SMP-cluster structure; `None` = the paper's flat machine.
-    pub cluster: Option<ClusterParams>,
     /// Optional deterministic message-time jitter.
     pub jitter: Option<JitterParams>,
 }
@@ -117,43 +67,6 @@ impl ClockParams {
         ClockParams {
             ts,
             tw,
-            cluster: None,
-            jitter: None,
-        }
-    }
-
-    /// A clustered parameter set with the block layout: inter-node
-    /// messages cost `ts + m·tw`, intra-node messages (between ranks in
-    /// the same block of `node_size` consecutive ranks) cost
-    /// `local_ts + m·local_tw`.
-    pub fn clustered(ts: f64, tw: f64, node_size: usize, local_ts: f64, local_tw: f64) -> Self {
-        assert!(ts >= 0.0 && tw >= 0.0 && local_ts >= 0.0 && local_tw >= 0.0);
-        assert!(node_size >= 1, "a node holds at least one rank");
-        ClockParams {
-            ts,
-            tw,
-            cluster: Some(ClusterParams {
-                assignment: NodeAssignment::Block { node_size },
-                local_ts,
-                local_tw,
-            }),
-            jitter: None,
-        }
-    }
-
-    /// A clustered parameter set with the cyclic (round-robin) layout
-    /// over `nodes` nodes.
-    pub fn clustered_cyclic(ts: f64, tw: f64, nodes: usize, local_ts: f64, local_tw: f64) -> Self {
-        assert!(ts >= 0.0 && tw >= 0.0 && local_ts >= 0.0 && local_tw >= 0.0);
-        assert!(nodes >= 1);
-        ClockParams {
-            ts,
-            tw,
-            cluster: Some(ClusterParams {
-                assignment: NodeAssignment::Cyclic { nodes },
-                local_ts,
-                local_tw,
-            }),
             jitter: None,
         }
     }
@@ -163,7 +76,6 @@ impl ClockParams {
         ClockParams {
             ts: 0.0,
             tw: 0.0,
-            cluster: None,
             jitter: None,
         }
     }
@@ -177,7 +89,6 @@ impl ClockParams {
         ClockParams {
             ts: 200.0,
             tw: 2.0,
-            cluster: None,
             jitter: None,
         }
     }
@@ -189,7 +100,6 @@ impl ClockParams {
         ClockParams {
             ts: 4.0,
             tw: 0.5,
-            cluster: None,
             jitter: None,
         }
     }
@@ -201,34 +111,10 @@ impl ClockParams {
         self
     }
 
-    /// Transfer time for a message of `words` words: `ts + words·tw`
-    /// (the flat inter-node cost; cluster locality is decided by
-    /// [`transfer_between`](Self::transfer_between)).
+    /// Transfer time for a message of `words` words: `ts + words·tw`.
     #[inline]
     pub fn transfer(&self, words: u64) -> f64 {
         self.ts + words as f64 * self.tw
-    }
-
-    /// Transfer time between two specific ranks, honouring cluster
-    /// locality when configured.
-    #[inline]
-    pub fn transfer_between(&self, a: usize, b: usize, words: u64) -> f64 {
-        match &self.cluster {
-            Some(c) if c.assignment.node_of(a) == c.assignment.node_of(b) => {
-                c.local_ts + words as f64 * c.local_tw
-            }
-            _ => self.transfer(words),
-        }
-    }
-
-    /// Are two ranks on the same SMP node? (Always true on a flat
-    /// machine only when `a == b`.)
-    #[inline]
-    pub fn same_node(&self, a: usize, b: usize) -> bool {
-        match &self.cluster {
-            Some(c) => c.assignment.node_of(a) == c.assignment.node_of(b),
-            None => a == b,
-        }
     }
 }
 
@@ -330,7 +216,7 @@ impl SimClock {
     }
 
     /// [`complete_exchange`](Self::complete_exchange) with an explicit
-    /// transfer cost (used by the machine for cluster-local links).
+    /// transfer cost (used by the machine for fault-inflated links).
     /// Applies the configured jitter stretch, keyed by this rank's
     /// message counter so reruns reproduce the same noise.
     #[inline]

@@ -13,9 +13,8 @@
 //!
 //! ## Event model
 //!
-//! A rank runs until it *blocks* (directed receive with nothing queued
-//! from that source, `recv_any` with an empty inbox, or a barrier that has
-//! not released).
+//! A rank runs until it *blocks* (a receive with nothing queued from that
+//! source, or a barrier that has not released).
 //! Blocking registers a [`Waiting`] entry recording the operation and the
 //! rank's clock at suspension, then returns `Poll::Pending` to the
 //! scheduler. Unblocking events — a packet push, a barrier release, a
@@ -32,11 +31,11 @@
 //! only the blocking primitive underneath (`Mailboxes`/`ClockBarrier`
 //! vs. this module's queues and [`BarrierAlgebra`]) differs, and those
 //! mirror the channel semantics operation for operation (drain before
-//! disconnect, rotating `recv_any` scan, first-error-wins barrier abort,
-//! abort-then-death unwind order). Every observable — outputs, makespan
-//! bits, retry counters, Chrome traces — is therefore bit-identical to
-//! the thread engine, which `bench/tests/engine_identity.rs` enforces
-//! over a 528-point differential grid.
+//! disconnect, first-error-wins barrier abort, abort-then-death unwind
+//! order). Every observable — outputs, makespan bits, retry counters,
+//! Chrome traces — is therefore bit-identical to the thread engine, which
+//! `bench/tests/engine_identity.rs` enforces over a 528-point differential
+//! grid.
 //!
 //! [`ExecEngine::Des`]: crate::machine::ExecEngine::Des
 
@@ -66,24 +65,20 @@ enum Waiting {
     None,
     /// Blocked in a directed receive from `from`.
     Recv { from: usize, at: f64 },
-    /// Blocked in `recv_any` with an empty inbox.
-    RecvAny { at: f64 },
     /// Parked in a barrier generation that has not released.
     Barrier { at: f64 },
 }
 
 /// One rank's incoming packets in arrival order, each tagged with its
 /// source — an MPI library's unexpected-message queue. Per-pair FIFO is
-/// arrival order restricted to the pair, so one queue answers both kinds of
-/// receive and a message costs a slot in it, not a table entry and a buffer
+/// arrival order restricted to the pair, so one queue serves every source
+/// and a message costs a slot in it, not a table entry and a buffer
 /// per `(from, to)` pair (nearly every pair of a butterfly or a binomial
 /// tree talks once). The footprint stays proportional to what is actually
 /// parked — O(p log p) over the machine, not the thread mesh's dense O(p²).
 #[derive(Default)]
 struct DesInbox {
     queue: VecDeque<(usize, Packet)>,
-    /// Rotating fair-scan cursor for `recv_any`, mirroring the channel's.
-    next_scan: usize,
 }
 
 impl DesInbox {
@@ -101,21 +96,6 @@ impl DesInbox {
         let i = self.queue.iter().position(|&(s, _)| s == src)?;
         self.queue.remove(i).map(|(_, packet)| packet)
     }
-
-    /// The thread mesh's rotating scan over per-source FIFOs: the oldest
-    /// packet of the first source at or after the cursor (mod `p`), then
-    /// the cursor moves past that source. O(queue length).
-    fn pop_any(&mut self, p: usize) -> Option<(usize, Packet)> {
-        let start = self.next_scan;
-        let (i, _) = self
-            .queue
-            .iter()
-            .enumerate()
-            .min_by_key(|&(i, &(src, _))| ((src + p - start) % p, i))?;
-        let (src, packet) = self.queue.remove(i)?;
-        self.next_scan = (src + 1) % p;
-        Some((src, packet))
-    }
 }
 
 /// "No rank" in the intrusive waiter lists.
@@ -131,8 +111,6 @@ struct DesState {
     /// A rank is dead once it finished, faulted or panicked — the DES
     /// equivalent of the thread mesh's mailbox-drop disconnect cascade.
     dead: Vec<bool>,
-    /// Ranks not yet dead, for O(1) all-peers-dead checks in `recv_any`.
-    live: usize,
     /// Directed receivers, as one intrusive doubly-linked list per source:
     /// `wait_head[src]` is the latest rank to block on `src`, `wait_next` /
     /// `wait_prev` are indexed by the blocked rank (it waits on at most one
@@ -144,10 +122,9 @@ struct DesState {
     wait_head: Vec<usize>,
     wait_next: Vec<usize>,
     wait_prev: Vec<usize>,
-    /// `recv_any` and barrier waiters are appended on suspension and
-    /// checked against `waiting` when consumed, so entries left behind by
-    /// wake-ups already delivered are harmless.
-    any_waiters: Vec<usize>,
+    /// Barrier waiters are appended on suspension and checked against
+    /// `waiting` when consumed, so entries left behind by wake-ups already
+    /// delivered are harmless.
     barrier_waiters: Vec<usize>,
 }
 
@@ -193,11 +170,9 @@ impl DesShared {
                 wakes: Vec::new(),
                 barrier: BarrierAlgebra::new(p),
                 dead: vec![false; p],
-                live: p,
                 wait_head: vec![NIL; p],
                 wait_next: vec![NIL; p],
                 wait_prev: vec![NIL; p],
-                any_waiters: Vec::new(),
                 barrier_waiters: Vec::new(),
             }),
         }
@@ -217,7 +192,6 @@ impl DesShared {
         let s = &mut *guard;
         let wake = match s.waiting[to] {
             Waiting::Recv { from: want, at } if want == from => Some(at.max(packet.send_time)),
-            Waiting::RecvAny { at } => Some(at.max(packet.send_time)),
             _ => None,
         };
         s.inboxes[to].push(from, packet);
@@ -238,7 +212,6 @@ impl DesShared {
             return;
         }
         s.dead[rank] = true;
-        s.live -= 1;
         // Directed receivers blocked on this rank; each wake unlinks the head.
         while s.wait_head[rank] != NIL {
             let r = s.wait_head[rank];
@@ -247,13 +220,6 @@ impl DesShared {
             };
             s.set_waiting(r, Waiting::None);
             s.wakes.push((at, r));
-        }
-        // Every `recv_any` waiter re-examines its inbox and the dead set.
-        for r in std::mem::take(&mut s.any_waiters) {
-            if let Waiting::RecvAny { at } = s.waiting[r] {
-                s.waiting[r] = Waiting::None;
-                s.wakes.push((at, r));
-            }
         }
     }
 
@@ -322,49 +288,6 @@ impl Future for DesPop {
         }
         let (from, at) = (this.from, this.at);
         s.set_waiting(this.me, Waiting::Recv { from, at });
-        Poll::Pending
-    }
-}
-
-/// Future form of `Mailboxes::pop_any`: rotating fair scan over all
-/// sources, disconnect only when every peer is dead and nothing is queued.
-pub(crate) struct DesPopAny {
-    shared: Rc<DesShared>,
-    me: usize,
-    at: f64,
-}
-
-impl DesPopAny {
-    pub(crate) fn new(shared: Rc<DesShared>, me: usize, at: f64) -> Self {
-        DesPopAny { shared, me, at }
-    }
-}
-
-impl Future for DesPopAny {
-    type Output = Result<(usize, Packet), MachineError>;
-
-    fn poll(self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<Self::Output> {
-        let this = self.get_mut();
-        let p = this.shared.p;
-        let mut guard = this.shared.state.borrow_mut();
-        let s = &mut *guard;
-        if let Some(hit) = s.inboxes[this.me].pop_any(p) {
-            return Poll::Ready(Ok(hit));
-        }
-        // Nothing queued: disconnect once every peer is dead (same pick
-        // as the thread mesh's scan — the lowest dead peer).
-        if s.live <= usize::from(!s.dead[this.me]) {
-            let rank = if p == 1 {
-                0
-            } else if this.me == 0 {
-                1
-            } else {
-                0
-            };
-            return Poll::Ready(Err(MachineError::Disconnected { rank }));
-        }
-        s.set_waiting(this.me, Waiting::RecvAny { at: this.at });
-        s.any_waiters.push(this.me);
         Poll::Pending
     }
 }
@@ -530,7 +453,7 @@ mod tests {
     use crate::clock::ClockParams;
     use crate::error::MachineError;
     use crate::fault::FaultPlan;
-    use crate::machine::{drive, Ctx, ExecEngine, Machine};
+    use crate::machine::{ExecEngine, Machine};
 
     fn packet(v: u64) -> Packet {
         Packet {
@@ -726,80 +649,6 @@ mod tests {
         assert_eq!(threaded.trace.events(), des.trace.events());
     }
 
-    /// `send ; barrier ; root receives ; barrier`, three times over: the
-    /// first barrier puts the round's sends in the root's inbox before it
-    /// scans, the second keeps the next round's out, so the scan sees the
-    /// same packets on threads as on the event engine.
-    async fn staggered_gather(ctx: &mut Ctx) -> (Vec<(usize, u64)>, f64) {
-        let mut got = Vec::new();
-        for round in 0..3u64 {
-            if ctx.rank() > 0 {
-                ctx.charge((ctx.rank() * 13 % 5) as f64, "skew");
-                for k in 0..2 {
-                    ctx.send(0, 100 * round + 10 * ctx.rank() as u64 + k, 1 + k);
-                }
-            }
-            ctx.barrier_async().await;
-            if ctx.rank() == 0 {
-                // Five of twelve: the cursor stops mid-ring and the next
-                // round starts there, over leftovers and new arrivals.
-                let take = if round < 2 { 5 } else { 36 - 10 };
-                for _ in 0..take {
-                    got.push(ctx.recv_any_async::<u64>().await);
-                }
-            }
-            ctx.barrier_async().await;
-        }
-        (got, ctx.time())
-    }
-
-    #[test]
-    fn recv_any_scan_matches_the_thread_engine_bit_for_bit() {
-        let m = Machine::new(7, ClockParams::new(50.0, 2.0)).with_tracing();
-        let threaded = m.run(|ctx| drive(staggered_gather(ctx)));
-        let des = m.run_des(|ctx| Box::pin(staggered_gather(ctx)));
-        let (got, _) = &threaded.results[0];
-        let sources: Vec<usize> = got.iter().map(|&(src, _)| src).collect();
-        // Round 1 stops after source 5; round 2 resumes at 6 and wraps.
-        assert_eq!(sources[..10], [1, 2, 3, 4, 5, 6, 1, 2, 3, 4]);
-        assert_eq!(got.len(), 36);
-        assert_eq!(threaded.results, des.results);
-        assert_eq!(threaded.makespan.to_bits(), des.makespan.to_bits());
-        assert_eq!(threaded.finish_times, des.finish_times);
-        assert_eq!(threaded.messages, des.messages);
-        assert_eq!(threaded.trace.events(), des.trace.events());
-    }
-
-    #[test]
-    fn recv_any_drains_all_sources_deterministically() {
-        let m = Machine::new(5, ClockParams::free());
-        let a = run_gather(&m);
-        let b = run_gather(&m);
-        assert_eq!(a, 7 * (1 + 2 + 3 + 4));
-        assert_eq!(a, b);
-    }
-
-    fn run_gather(m: &Machine) -> u64 {
-        let run = m.run_des(|ctx| {
-            Box::pin(async move {
-                if ctx.rank() == 0 {
-                    let mut sum = 0u64;
-                    for _ in 1..ctx.size() {
-                        let (src, v): (usize, u64) = ctx.recv_any_async().await;
-                        assert_eq!(v, src as u64 * 7);
-                        sum += v;
-                    }
-                    sum
-                } else {
-                    ctx.charge((ctx.rank() * 13 % 5) as f64, "skew");
-                    ctx.send(0, ctx.rank() as u64 * 7, 1);
-                    0
-                }
-            })
-        });
-        run.results[0]
-    }
-
     #[test]
     fn injected_crash_surfaces_like_the_thread_engines() {
         let m =
@@ -813,26 +662,6 @@ mod tests {
             })
             .expect_err("barrier can never complete");
         assert_eq!(err, MachineError::RankFailed { rank: 1 });
-    }
-
-    #[test]
-    fn crash_with_recv_any_peers_does_not_hang_on_des() {
-        let m =
-            Machine::new(3, ClockParams::free()).with_faults(FaultPlan::new(0).with_crash(2, 0));
-        let err = m
-            .try_run_des(|ctx| {
-                Box::pin(async move {
-                    if ctx.rank() == 0 {
-                        for _ in 1..ctx.size() {
-                            let _: (usize, u64) = ctx.recv_any_async().await;
-                        }
-                    } else {
-                        ctx.send(0, ctx.rank() as u64, 1);
-                    }
-                })
-            })
-            .expect_err("rank 0 waits on a message that never comes");
-        assert_eq!(err, MachineError::RankFailed { rank: 2 });
     }
 
     #[test]

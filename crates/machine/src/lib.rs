@@ -72,7 +72,7 @@ pub mod topology;
 pub mod trace;
 
 pub use chrome::{chrome_trace, chrome_trace_json, Json};
-pub use clock::{ClockParams, ClusterParams};
+pub use clock::ClockParams;
 pub use error::MachineError;
 pub use fault::{FaultInjector, FaultPlan, RetryParams};
 pub use machine::{drive, Ctx, ExecEngine, Machine, RunResult};

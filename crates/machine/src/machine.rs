@@ -180,16 +180,6 @@ impl Ctx {
         }
     }
 
-    /// Dequeue the next packet from *any* source (rotating fair scan).
-    async fn pop_any_packet(&self) -> Result<(usize, Packet), MachineError> {
-        match &self.comm {
-            Comm::Thread { mailboxes, .. } => mailboxes.pop_any(),
-            Comm::Des { rank, shared, .. } => {
-                crate::des::DesPopAny::new(Rc::clone(shared), *rank, self.clock.now()).await
-            }
-        }
-    }
-
     /// Current simulated time on this rank.
     #[inline]
     pub fn time(&self) -> f64 {
@@ -229,7 +219,7 @@ impl Ctx {
     /// none apply).
     #[inline]
     fn link_cost(&self, a: usize, b: usize, words: u64) -> f64 {
-        let base = self.clock.params().transfer_between(a, b, words);
+        let base = self.clock.params().transfer(words);
         match &self.injector {
             Some(inj) => inj.inflate_link(a, b, base),
             None => base,
@@ -424,55 +414,6 @@ impl Ctx {
                 }
             )
         })
-    }
-
-    /// Receive the next message from *any* source (MPI_ANY_SOURCE),
-    /// returning `(source, value)`. Cost accounting is identical to
-    /// [`recv`](Self::recv) from the actual source.
-    ///
-    /// # Panics
-    /// Panics if the payload is not a `T`.
-    pub fn recv_any<T: Send + 'static>(&mut self) -> (usize, T) {
-        drive(self.recv_any_async())
-    }
-
-    /// Engine-agnostic form of [`recv_any`](Self::recv_any).
-    pub async fn recv_any_async<T: Send + 'static>(&mut self) -> (usize, T) {
-        self.fault_tick();
-        let (from, packet) = match self.pop_any_packet().await {
-            Ok(r) => r,
-            Err(e) => self.channel_failure("recv_any", e),
-        };
-        let words = packet.words;
-        let cost = self.link_cost(self.rank(), from, words);
-        let (start, t) = self
-            .clock
-            .complete_exchange_spanning(packet.send_time, words, cost);
-        if self.trace.is_enabled() {
-            let rank = self.rank();
-            self.trace.record(
-                rank,
-                start,
-                t,
-                EventKind::Recv {
-                    from,
-                    words,
-                    sent_at: packet.send_time,
-                },
-            );
-        }
-        let to = self.rank();
-        let v = *packet.payload.downcast::<T>().unwrap_or_else(|_| {
-            panic!(
-                "{}",
-                MachineError::TypeMismatch {
-                    from,
-                    to,
-                    expected: std::any::type_name::<T>()
-                }
-            )
-        });
-        (from, v)
     }
 
     /// Simultaneous bidirectional exchange with `partner`: sends `value`,
@@ -1127,53 +1068,6 @@ mod tests {
     }
 
     #[test]
-    fn recv_any_collects_from_all_sources() {
-        let m = Machine::new(5, ClockParams::free());
-        let run = m.run(|ctx| {
-            if ctx.rank() == 0 {
-                let mut seen = vec![false; ctx.size()];
-                let mut sum = 0u64;
-                for _ in 1..ctx.size() {
-                    let (src, v): (usize, u64) = ctx.recv_any();
-                    assert!(!seen[src], "duplicate source {src}");
-                    seen[src] = true;
-                    assert_eq!(v, src as u64 * 7);
-                    sum += v;
-                }
-                sum
-            } else {
-                // Stagger the sends so arrival order is nontrivial.
-                ctx.charge((ctx.rank() * 13 % 5) as f64, "skew");
-                ctx.send(0, ctx.rank() as u64 * 7, 1);
-                0
-            }
-        });
-        assert_eq!(run.results[0], 7 * (1 + 2 + 3 + 4));
-    }
-
-    #[test]
-    fn recv_any_is_cost_equivalent_to_directed_recv() {
-        let m = Machine::new(2, ClockParams::new(10.0, 1.0));
-        let any = m.run(|ctx| {
-            if ctx.rank() == 0 {
-                let (_, _v): (usize, ()) = ctx.recv_any();
-            } else {
-                ctx.send(0, (), 5);
-            }
-            ctx.time()
-        });
-        let directed = m.run(|ctx| {
-            if ctx.rank() == 0 {
-                let _: () = ctx.recv(1);
-            } else {
-                ctx.send(0, (), 5);
-            }
-            ctx.time()
-        });
-        assert_eq!(any.results, directed.results);
-    }
-
-    #[test]
     fn tracing_collects_events_from_all_ranks() {
         let m = Machine::new(2, ClockParams::free()).with_tracing();
         let run = m.run(|ctx| {
@@ -1403,26 +1297,6 @@ mod tests {
             })
             .expect_err("barrier can never complete");
         assert_eq!(err, MachineError::RankFailed { rank: 1 });
-    }
-
-    #[test]
-    fn crash_with_recv_any_peers_does_not_hang() {
-        // Rank 0 collects from everyone; rank 2 dies first. pop_any must
-        // observe the eventual all-peers-dead state instead of spinning.
-        let m = Machine::new(3, ClockParams::free());
-        let err = m
-            .with_faults(FaultPlan::new(0).with_crash(2, 0))
-            .try_run(|ctx| {
-                if ctx.rank() == 0 {
-                    for _ in 1..ctx.size() {
-                        let _: (usize, u64) = ctx.recv_any();
-                    }
-                } else {
-                    ctx.send(0, ctx.rank() as u64, 1);
-                }
-            })
-            .expect_err("rank 0 waits on a message that never comes");
-        assert_eq!(err, MachineError::RankFailed { rank: 2 });
     }
 
     #[test]

@@ -364,7 +364,7 @@ fn comcast_gather_and_alltoall_satisfy_the_oracle() {
 }
 
 #[test]
-fn the_oracle_holds_under_jitter_and_on_clusters() {
+fn the_oracle_holds_under_jitter() {
     let add = iadd();
     for p in [3usize, 5, 8] {
         let jittery = ClockParams::new(100.0, 2.0).with_jitter(7, 0.5);
