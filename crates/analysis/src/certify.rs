@@ -20,6 +20,7 @@ use collopt_core::op::{Counterexample, RequiredLaw};
 use collopt_core::rewrite::{Certificate, OptimizeResult, RewriteStep};
 use collopt_core::rules::Rule;
 use collopt_core::value::Value;
+use collopt_cost::table1::Laws;
 
 use crate::audit::{domain_of_builtin, exactness_of, samples_for_domain, AuditConfig, Exactness};
 
@@ -118,17 +119,13 @@ impl std::fmt::Display for CertificateIssue {
     }
 }
 
-/// The law kinds a rule's side condition demands (always at least
-/// associativity; see `collopt_cost::table1::Rule::condition_str`).
+/// The law kinds a rule's side condition demands: associativity, plus
+/// its law class's commutativity or distributivity.
 pub fn required_kinds(rule: Rule) -> &'static [&'static str] {
-    match rule {
-        Rule::Sr2Reduction | Rule::Ss2Scan | Rule::Bss2Comcast | Rule::Bsr2Local => {
-            &["associativity", "distributivity"]
-        }
-        Rule::SrReduction | Rule::SsScan | Rule::BssComcast | Rule::BsrLocal => {
-            &["associativity", "commutativity"]
-        }
-        Rule::BsComcast | Rule::BrLocal | Rule::CrAlllocal => &["associativity"],
+    match rule.spec().laws {
+        Laws::Associative => &["associativity"],
+        Laws::Commutative => &["associativity", "commutativity"],
+        Laws::Distributive { .. } => &["associativity", "distributivity"],
     }
 }
 

@@ -23,6 +23,7 @@ use collopt_core::op::lib as ops;
 use collopt_core::rules::{try_match, window_len, Rule};
 use collopt_core::term::Program;
 use collopt_core::value::Value;
+use collopt_cost::table1::{Pat, Slot};
 use collopt_machine::{ClockParams, Machine};
 
 /// The paper's Parsytec-like machine constants used for all figure
@@ -31,21 +32,23 @@ pub fn figure_clock() -> ClockParams {
     ClockParams::parsytec_like()
 }
 
-/// LHS program of each Table-1 rule, with unit-cost base operators.
+/// LHS program of each Table-1 rule, with unit-cost base operators:
+/// `⊗` = `mul`, `⊕` = `add`, and `reduce` for a window that admits either
+/// reduction.
 pub fn rule_lhs(rule: Rule) -> Program {
-    match rule {
-        Rule::Sr2Reduction => Program::new().scan(ops::mul()).reduce(ops::add()),
-        Rule::SrReduction => Program::new().scan(ops::add()).reduce(ops::add()),
-        Rule::Ss2Scan => Program::new().scan(ops::mul()).scan(ops::add()),
-        Rule::SsScan => Program::new().scan(ops::add()).scan(ops::add()),
-        Rule::BsComcast => Program::new().bcast().scan(ops::add()),
-        Rule::Bss2Comcast => Program::new().bcast().scan(ops::mul()).scan(ops::add()),
-        Rule::BssComcast => Program::new().bcast().scan(ops::add()).scan(ops::add()),
-        Rule::BrLocal => Program::new().bcast().reduce(ops::add()),
-        Rule::Bsr2Local => Program::new().bcast().scan(ops::mul()).reduce(ops::add()),
-        Rule::BsrLocal => Program::new().bcast().scan(ops::add()).reduce(ops::add()),
-        Rule::CrAlllocal => Program::new().bcast().allreduce(ops::add()),
-    }
+    let op = |slot| match slot {
+        Slot::Times => ops::mul(),
+        Slot::Plus => ops::add(),
+    };
+    rule.spec()
+        .lhs
+        .iter()
+        .fold(Program::new(), |prog, pat| match *pat {
+            Pat::Bcast => prog.bcast(),
+            Pat::Scan(s) => prog.scan(op(s)),
+            Pat::Reduce(s) | Pat::AnyReduce(s) => prog.reduce(op(s)),
+            Pat::AllReduce(s) => prog.allreduce(op(s)),
+        })
 }
 
 /// RHS program of each rule (the rule applied at position 0).

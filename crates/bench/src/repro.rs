@@ -26,7 +26,7 @@ use collopt_core::rules::fused;
 use collopt_core::term::Program;
 use collopt_core::value::Value;
 use collopt_cost::sweep::{allreduce_crossover_m, recommend, render_crossovers};
-use collopt_cost::table1::render_table1;
+use collopt_cost::table1::{render_table1, Laws};
 use collopt_cost::{MachineParams, Rule};
 use collopt_machine::topology::{butterfly_partner, BalancedStep, BalancedTree};
 use collopt_machine::{chrome_trace_json, ClockParams, Machine, Trace};
@@ -462,12 +462,10 @@ fn rules() -> Files {
     w += "== The optimization rules, as implemented ==\n\n";
     for rule in Rule::ALL {
         let est = rule.estimate();
-        let algebra = match rule {
-            Rule::Sr2Reduction | Rule::Ss2Scan | Rule::Bss2Comcast | Rule::Bsr2Local => {
-                "⊗ distributes over ⊕"
-            }
-            Rule::SrReduction | Rule::SsScan | Rule::BssComcast | Rule::BsrLocal => "⊕ commutative",
-            Rule::BsComcast | Rule::BrLocal | Rule::CrAlllocal => "⊕ associative",
+        let algebra = match rule.spec().laws {
+            Laws::Distributive { .. } => "⊗ distributes over ⊕",
+            Laws::Commutative => "⊕ commutative",
+            Laws::Associative => "⊕ associative",
         };
         w += &format!("─── {} ───\n", rule.name());
         w += &format!("  pattern    : {}\n", rule_lhs(rule));

@@ -32,6 +32,8 @@
 //! final state from `RootOnly` to `Bottom` — the `COL012` rule-soundness
 //! hole the law auditor cannot see.
 
+use collopt_cost::table1::Pat;
+
 use crate::rules::Rule;
 use crate::term::Stage;
 
@@ -134,11 +136,6 @@ pub fn transfer(state: DistState, stage: &Stage) -> DistState {
     }
 }
 
-/// Fold [`transfer`] over a window of stages.
-pub fn window_post(pre: DistState, stages: &[Stage]) -> DistState {
-    stages.iter().fold(pre, transfer)
-}
-
 /// Canonical distribution state a rule's LHS window assumes on entry.
 /// Every Table-1 window starts from per-rank data (the leading `bcast`
 /// of the `B*` rules consumes only rank 0's copy).
@@ -150,24 +147,14 @@ pub fn expected_pre(_rule: Rule) -> DistState {
 /// application preserved only rank 0's value.
 ///
 /// A `rank0_only` application always ends in [`DistState::Bottom`]: the
-/// fused local iteration never materializes the non-root values the LHS
-/// produced. A full application ends where the LHS ends — `Scanned` for
-/// the scan/comcast families, `Replicated` for the allreduce variants.
+/// fused form never materializes the non-root values the LHS produced. A
+/// full application ends where the LHS ends — `Scanned` after a `scan`,
+/// `Replicated` after the (all)reduce variants.
 pub fn expected_post(rule: Rule, rank0_only: bool) -> DistState {
-    if rank0_only {
-        return DistState::Bottom;
-    }
-    match rule {
-        // Full (allreduce-variant) applications of the reduction family.
-        Rule::Sr2Reduction | Rule::SrReduction => DistState::Replicated,
-        // The scan and comcast families end with per-rank prefix values.
-        Rule::Ss2Scan | Rule::SsScan => DistState::Scanned,
-        Rule::Bss2Comcast | Rule::BssComcast | Rule::BsComcast => DistState::Scanned,
-        // Local-rule allreduce variants replicate via the local iteration
-        // on every rank (CR-Alllocal) or an appended broadcast.
-        Rule::Bsr2Local | Rule::BsrLocal | Rule::BrLocal | Rule::CrAlllocal => {
-            DistState::Replicated
-        }
+    match rule.spec().last() {
+        _ if rank0_only => DistState::Bottom,
+        Pat::Scan(_) => DistState::Scanned,
+        _ => DistState::Replicated,
     }
 }
 
@@ -225,13 +212,24 @@ mod tests {
     }
 
     #[test]
+    fn expected_post_is_pinned_for_all_22_instantiations() {
+        use DistState::{Bottom, Replicated as R, Scanned as S};
+        // `Rule::ALL` order; a full application ends where the LHS ends.
+        let full = [R, R, S, S, S, S, S, R, R, R, R];
+        for (rule, want) in Rule::ALL.into_iter().zip(full) {
+            assert_eq!(expected_post(rule, false), want, "{rule}");
+            assert_eq!(expected_post(rule, true), Bottom, "{rule}");
+        }
+    }
+
+    #[test]
     fn rank0_application_narrows_to_bottom() {
         let prog = Program::new().scan(lib::mul()).reduce(lib::add());
         let res = Rewriter::exhaustive().optimize(&prog);
         assert!(res.steps[0].rank0_only);
         assert_eq!(res.steps[0].certificate.dist_post, DistState::Bottom);
         // The narrowing is visible against the LHS window's own post.
-        let lhs_post = window_post(DistState::Blocked, prog.stages());
+        let lhs_post = prog.stages().iter().fold(DistState::Blocked, transfer);
         assert_eq!(lhs_post, DistState::RootOnly);
         assert_ne!(res.steps[0].certificate.dist_post, lhs_post);
     }

@@ -24,14 +24,14 @@
 //!
 //! Matching walks concrete node paths `n0 → n1 [→ n2]` (a window of 2–3
 //! stages), tries every Table-1 rule of that window length via
-//! [`rules::try_match`], and — when the rule's laws certify exactly as in
-//! [`Rewriter::certify`](crate::rewrite::Rewriter) — builds the
-//! replacement chain over the path's residual tail and unions it with the
-//! head's class. The enabling normalizations (map fusion, bcast/map
-//! commutation, gather/scatter elimination) run as additional 2-window
-//! rewrites. Refuted laws exclude the match; in audited mode the refusal
-//! is recorded with a shrunk counterexample, deduped per `(rule, law)`
-//! exactly like the greedy engine.
+//! `rules::match_rule`, and — when the rule's laws certify exactly as in
+//! the greedy [`Rewriter`] — builds the replacement chain over the path's
+//! residual tail and unions it with the head's class. The enabling
+//! normalizations (map fusion, bcast/map commutation, gather/scatter
+//! elimination) run as additional 2-window rewrites. Refuted laws exclude
+//! the match; in audited mode the refusal is recorded with a shrunk
+//! counterexample, deduped per `(rule, law)` exactly like the greedy
+//! engine.
 //!
 //! Termination: every rule strictly reduces a chain's collective count and
 //! the fused forms never re-match any rule, so the stage alphabet and the
@@ -71,8 +71,8 @@ use std::sync::Arc;
 use collopt_cost::MachineParams;
 
 use crate::rewrite::{
-    dedupe_rejections, program_cost, stage_cost, Certificate, OptimizeResult, RewriteStep,
-    Rewriter, RuleRejection, Witness, RULE_PRIORITY,
+    certify, dedupe_rejections, program_cost, stage_cost, Certificate, OptimizeResult, RewriteStep,
+    Rewriter, RuleRejection, RULE_PRIORITY,
 };
 use crate::rules::enabling::{self, Normalization};
 use crate::rules::{self, Rule};
@@ -105,10 +105,9 @@ const TAG_GATHER_SCATTER: u32 = 102;
 /// lying-declaration gates as the windowed passes did.
 pub type LawGate = Arc<dyn Fn(Rule, &[Stage]) -> bool + Send + Sync>;
 
-/// Configuration for one saturation run. Mirrors the knobs of
-/// [`Rewriter`]: rank-0 rules, normalization, verified/audited law
-/// checking — plus the cost model `(params, m)` extraction minimizes and
-/// the node budget.
+/// Configuration for one saturation run: [`Rewriter`]'s rank-0 switch and
+/// audit samples, plus the cost model `(params, m)` extraction minimizes,
+/// the node budget and an optional [`LawGate`].
 #[derive(Clone)]
 pub struct SaturateConfig {
     /// Machine the extraction cost model targets.
@@ -119,29 +118,23 @@ pub struct SaturateConfig {
     pub node_budget: usize,
     /// Allow the Local rules that only preserve rank 0's value.
     pub allow_rank0_rules: bool,
-    /// Apply the enabling normalizations (as saturation rewrites and when
-    /// canonicalizing extracted/replayed programs).
-    pub normalize: bool,
-    /// Verify required laws on these samples before certifying a match.
+    /// Verify required laws on these samples before certifying a match,
+    /// recording refusals (with shrunk counterexamples) in `rejections`.
     pub verify_samples: Option<Vec<Value>>,
-    /// Record refusals (with shrunk counterexamples) in `rejections`.
-    pub audited: bool,
     /// Extra per-window admission predicate (see [`LawGate`]).
     pub law_gate: Option<LawGate>,
 }
 
 impl SaturateConfig {
     /// Defaults matching `Rewriter::exhaustive()` plus the given cost
-    /// model: rank-0 rules allowed, normalization on, laws trusted.
+    /// model: rank-0 rules allowed, laws trusted.
     pub fn new(params: MachineParams, m: f64) -> Self {
         SaturateConfig {
             params,
             m,
             node_budget: DEFAULT_NODE_BUDGET,
             allow_rank0_rules: true,
-            normalize: true,
             verify_samples: None,
-            audited: false,
             law_gate: None,
         }
     }
@@ -158,22 +151,6 @@ impl SaturateConfig {
         self
     }
 
-    /// See [`Rewriter::with_normalization`].
-    pub fn with_normalization(mut self, yes: bool) -> Self {
-        self.normalize = yes;
-        self
-    }
-
-    /// See [`Rewriter::verify_properties`].
-    pub fn verify_properties(mut self, samples: Vec<Value>) -> Self {
-        assert!(
-            !samples.is_empty(),
-            "verification needs at least one sample value"
-        );
-        self.verify_samples = Some(samples);
-        self
-    }
-
     /// See [`Rewriter::audited`].
     pub fn audited(mut self, samples: Vec<Value>) -> Self {
         assert!(
@@ -181,7 +158,6 @@ impl SaturateConfig {
             "auditing needs at least one sample value"
         );
         self.verify_samples = Some(samples);
-        self.audited = true;
         self
     }
 
@@ -199,8 +175,7 @@ impl std::fmt::Debug for SaturateConfig {
             .field("m", &self.m)
             .field("node_budget", &self.node_budget)
             .field("allow_rank0_rules", &self.allow_rank0_rules)
-            .field("normalize", &self.normalize)
-            .field("audited", &self.audited)
+            .field("audited", &self.verify_samples.is_some())
             .field("law_gate", &self.law_gate.as_ref().map(|_| "<fn>"))
             .finish()
     }
@@ -240,11 +215,7 @@ pub struct SaturationOutcome {
 /// with a certificate-carrying derivation. This is what
 /// [`Rewriter::saturate`] delegates to.
 pub fn saturate_program(prog: &Program, cfg: &SaturateConfig) -> SaturationOutcome {
-    let (start, init_norms) = if cfg.normalize {
-        enabling::normalize(prog)
-    } else {
-        (prog.clone(), Vec::new())
-    };
+    let (start, init_norms) = enabling::normalize(prog);
     let mut eg = EGraph::new(cfg.clone());
     let root = eg.insert_chain(&start);
     eg.run();
@@ -271,15 +242,10 @@ pub fn saturate_program(prog: &Program, cfg: &SaturateConfig) -> SaturationOutco
             // back to the (sound, certified, possibly suboptimal) greedy
             // engine so callers always get a replayable result.
             eg.stats.replay_fell_back = true;
-            let mut rw = Rewriter::cost_guided(cfg.params, cfg.m)
-                .allow_rank0_rules(cfg.allow_rank0_rules)
-                .with_normalization(cfg.normalize);
+            let mut rw =
+                Rewriter::cost_guided(cfg.params, cfg.m).allow_rank0_rules(cfg.allow_rank0_rules);
             if let Some(samples) = &cfg.verify_samples {
-                rw = if cfg.audited {
-                    rw.audited(samples.clone())
-                } else {
-                    rw.verify_properties(samples.clone())
-                };
+                rw = rw.audited(samples.clone());
             }
             let mut result = rw.optimize(prog);
             let mut rejections = std::mem::take(&mut eg.rejections);
@@ -653,7 +619,7 @@ impl EGraph {
                 self.try_rule(rule, path, &ids);
             }
         }
-        if self.cfg.normalize && path.len() == 2 {
+        if path.len() == 2 {
             self.try_norm(path, &ids);
         }
     }
@@ -663,27 +629,38 @@ impl EGraph {
         if !self.attempted.insert((tag, path.to_vec())) {
             return;
         }
-        let window: Vec<Stage> = ids.iter().map(|&i| self.stages[i].clone()).collect();
-        let Some(rewrite) = rules::try_match(rule, &window) else {
+        let stages = &self.stages;
+        let Some(hit) = rules::match_rule(rule, ids.iter().map(|&i| &stages[i])) else {
             return;
         };
-        if !self.cfg.allow_rank0_rules && rewrite.rank0_only {
+        let rank0_only = hit.rank0_only();
+        if !self.cfg.allow_rank0_rules && rank0_only {
             return;
         }
         if let Some(gate) = &self.cfg.law_gate {
+            let window: Vec<Stage> = ids.iter().map(|&i| stages[i].clone()).collect();
             if !gate(rule, &window) {
                 return;
             }
         }
-        let Some(certificate) = self.certify(rule, &window, ids, path[0]) else {
+        // Certified once per stage-id window, so audited rejections are
+        // recorded once per distinct window.
+        let cache_key = (tag, ids.to_vec());
+        let certificate = match self.cert_cache.get(&cache_key) {
+            Some(cached) => cached.clone(),
+            None => {
+                let at = self.depth_hint.get(&path[0]).copied().unwrap_or(0);
+                let samples = self.cfg.verify_samples.as_deref();
+                let fresh = certify(rule, &hit, samples, at, &mut self.rejections);
+                self.cert_cache.insert(cache_key, fresh.clone());
+                fresh
+            }
+        };
+        let Some(certificate) = certificate else {
             return;
         };
-        let rank0_only = rewrite.rank0_only;
-        let replacement: Vec<usize> = rewrite
-            .stages
-            .iter()
-            .map(|s| self.intern_stage(s))
-            .collect();
+        let rhs = hit.rhs();
+        let replacement: Vec<usize> = rhs.iter().map(|s| self.intern_stage(s)).collect();
         self.apply(path, replacement.clone());
         let event_key = (tag, ids.to_vec());
         if let Entry::Vacant(slot) = self.event_ids.entry(event_key) {
@@ -695,57 +672,6 @@ impl EGraph {
                 rank0_only,
             });
         }
-    }
-
-    /// Certify `rule` on `window` with the configured samples — the same
-    /// contract as `Rewriter::certify`, cached per stage-id window so
-    /// audited rejections are recorded once per distinct window.
-    fn certify(
-        &mut self,
-        rule: Rule,
-        window: &[Stage],
-        ids: &[usize],
-        head: usize,
-    ) -> Option<Certificate> {
-        let cache_key = (rule_tag(rule), ids.to_vec());
-        if let Some(cached) = self.cert_cache.get(&cache_key) {
-            return cached.clone();
-        }
-        let at = self.depth_hint.get(&head).copied().unwrap_or(0);
-        let result = (|| {
-            let laws = rules::required_laws(rule, window)?;
-            let witness = match &self.cfg.verify_samples {
-                None => Witness::Declared,
-                Some(samples) => {
-                    for law in &laws {
-                        if let Some(cex) = law.counterexample(samples) {
-                            if self.cfg.audited {
-                                self.rejections.push(RuleRejection {
-                                    rule,
-                                    at,
-                                    law: law.describe(),
-                                    counterexample: cex,
-                                });
-                            }
-                            return None;
-                        }
-                    }
-                    Witness::Checked {
-                        samples: samples.len(),
-                    }
-                }
-            };
-            let rank0_only = rules::try_match(rule, window).is_some_and(|rw| rw.rank0_only);
-            Some(Certificate {
-                rule,
-                laws,
-                witness,
-                dist_pre: crate::dist::expected_pre(rule),
-                dist_post: crate::dist::expected_post(rule, rank0_only),
-            })
-        })();
-        self.cert_cache.insert(cache_key, result.clone());
-        result
     }
 
     /// Splice a rewrite into the graph: build the replacement chain over
@@ -897,9 +823,7 @@ impl EGraph {
             for sid in chain {
                 prog = prog.push(self.stages[sid].clone());
             }
-            if self.cfg.normalize {
-                prog = enabling::normalize(&prog).0;
-            }
+            prog = enabling::normalize(&prog).0;
             let key = (prog.len(), prog.to_string());
             if winner
                 .as_ref()
@@ -976,13 +900,8 @@ impl EGraph {
                         .iter()
                         .map(|&i| self.stages[i].clone())
                         .collect();
-                    let mut next = current.splice(at, window_len, replacement);
-                    let mut norms = Vec::new();
-                    if self.cfg.normalize {
-                        let (p, log) = enabling::normalize(&next);
-                        next = p;
-                        norms = log;
-                    }
+                    let (next, norms) =
+                        enabling::normalize(&current.splice(at, window_len, replacement));
                     let next_key = next.to_string();
                     if programs.contains_key(&next_key) {
                         continue;

@@ -17,7 +17,7 @@
 //! application strictly decreases the number of collective stages, so the
 //! engine terminates structurally.
 
-use collopt_cost::{collectives as ccost, MachineParams, PhaseCost};
+use collopt_cost::{collectives as ccost, MachineParams};
 
 use crate::op::{Counterexample, RequiredLaw};
 use crate::rules::enabling::{self, Normalization};
@@ -92,52 +92,6 @@ pub fn program_cost(prog: &Program, params: &MachineParams, m: f64) -> f64 {
     prog.stages().iter().map(|s| stage_cost(s, params, m)).sum()
 }
 
-/// The symbolic per-phase cost of a stage, for reporting.
-pub fn stage_phase_cost(stage: &Stage) -> PhaseCost {
-    match stage {
-        Stage::Map { ops, .. } | Stage::MapIndexed { ops, .. } => PhaseCost::new(0.0, 0.0, *ops),
-        Stage::Bcast => ccost::bcast(),
-        Stage::Scan(op) => ccost::scan(op.ops_per_word(), op.width()),
-        Stage::Reduce(op) | Stage::AllReduce(op) => ccost::reduce(op.ops_per_word(), op.width()),
-        Stage::ReduceBalanced {
-            ops_combine,
-            words_factor,
-            ..
-        } => ccost::reduce_balanced(*ops_combine, *words_factor as f64),
-        Stage::ScanBalanced {
-            ops_upper,
-            words_factor,
-            ..
-        } => ccost::scan_balanced(*ops_upper, *words_factor as f64),
-        Stage::Comcast {
-            ops_e,
-            ops_o,
-            words_factor,
-            variant,
-            ..
-        } => match variant {
-            ComcastVariant::BcastRepeat => ccost::comcast_bcast_repeat(*ops_o),
-            ComcastVariant::CostOptimal => {
-                ccost::comcast_cost_optimal(*ops_e, *ops_o, *words_factor as f64)
-            }
-        },
-        Stage::IterLocal {
-            ops_combine, all, ..
-        } => {
-            let iter = ccost::local_iter(*ops_combine);
-            if *all {
-                iter + ccost::bcast()
-            } else {
-                iter
-            }
-        }
-        // Approximation: the true gather/scatter cost has a (p-1)/log p
-        // word coefficient; `stage_cost` computes it exactly.
-        Stage::Gather | Stage::Scatter => PhaseCost::new(1.0, 1.0, 0.0),
-        Stage::AllGather => PhaseCost::new(2.0, 2.0, 0.0),
-    }
-}
-
 /// How a certificate's laws were established at rewrite time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Witness {
@@ -145,7 +99,7 @@ pub enum Witness {
     /// runtime check (the default fast path).
     Declared,
     /// Every law was verified on `samples` sample values at application
-    /// time ([`Rewriter::verify_properties`] / [`Rewriter::audited`]).
+    /// time ([`Rewriter::audited`]).
     Checked {
         /// Size of the sample pool the laws were checked over.
         samples: usize,
@@ -271,9 +225,7 @@ enum Strategy {
 pub struct Rewriter {
     strategy: Strategy,
     allow_rank0_rules: bool,
-    normalize: bool,
-    verify_samples: Option<Vec<crate::value::Value>>,
-    audited: bool,
+    verify_samples: Option<Vec<Value>>,
 }
 
 /// Rules tried at each position, longest window first; within a length,
@@ -301,9 +253,7 @@ impl Rewriter {
         Rewriter {
             strategy: Strategy::Exhaustive,
             allow_rank0_rules: true,
-            normalize: true,
             verify_samples: None,
-            audited: false,
         }
     }
 
@@ -313,9 +263,7 @@ impl Rewriter {
         Rewriter {
             strategy: Strategy::CostGuided { params, block },
             allow_rank0_rules: true,
-            normalize: true,
             verify_samples: None,
-            audited: false,
         }
     }
 
@@ -328,91 +276,21 @@ impl Rewriter {
         self
     }
 
-    /// Before applying any rule, *verify* the algebraic properties its
-    /// side condition relies on — associativity, commutativity,
-    /// distributivity — on the given sample values (randomized checking
-    /// per [`crate::rules::verify_conditions`]). A rule whose declared
-    /// condition fails verification is skipped. This guards against
-    /// user-defined operators with incorrect property declarations, at
-    /// the cost of O(samples³) operator applications per candidate rule.
-    pub fn verify_properties(mut self, samples: Vec<crate::value::Value>) -> Self {
-        assert!(
-            !samples.is_empty(),
-            "verification needs at least one sample value"
-        );
-        self.verify_samples = Some(samples);
-        self
-    }
-
-    /// Like [`Rewriter::verify_properties`], but *loud*: a rule whose
-    /// required law fails on the samples is not silently skipped — the
-    /// refusal is reported in [`OptimizeResult::rejections`] together with
-    /// a shrunk counterexample, and every applied step's certificate
+    /// Before applying any rule, verify the algebraic laws its side
+    /// condition relies on — associativity, commutativity, distributivity —
+    /// on the given sample values. A rule whose law fails is refused, and
+    /// the refusal is reported in [`OptimizeResult::rejections`] together
+    /// with a shrunk counterexample; every applied step's certificate
     /// carries a [`Witness::Checked`] witness. This is the mode the
-    /// soundness analyzer (`collopt-analysis`) builds on.
-    pub fn audited(mut self, samples: Vec<crate::value::Value>) -> Self {
+    /// soundness analyzer (`collopt-analysis`) builds on, at the cost of
+    /// O(samples³) operator applications per candidate rule.
+    pub fn audited(mut self, samples: Vec<Value>) -> Self {
         assert!(
             !samples.is_empty(),
             "auditing needs at least one sample value"
         );
         self.verify_samples = Some(samples);
-        self.audited = true;
         self
-    }
-
-    /// Whether to apply the enabling transformations of
-    /// [`crate::rules::enabling`] (map fusion, bcast/map commutation)
-    /// before and between rule applications. Default `true`; they are
-    /// cost-neutral and can expose fusible windows hidden behind local
-    /// stages.
-    pub fn with_normalization(mut self, yes: bool) -> Self {
-        self.normalize = yes;
-        self
-    }
-
-    /// Build the precondition certificate for applying `rule` to the
-    /// window starting at `window` (which must have structurally matched).
-    /// Returns `None` — refusing the application — when a required law
-    /// fails verification on the configured samples, or when no laws can
-    /// be extracted at all; in audited mode the refusal is recorded in
-    /// `rejections` with a shrunk counterexample.
-    fn certify(
-        &self,
-        rule: Rule,
-        window: &[Stage],
-        at: usize,
-        rejections: &mut Vec<RuleRejection>,
-    ) -> Option<Certificate> {
-        let laws = rules::required_laws(rule, window)?;
-        let witness = match &self.verify_samples {
-            None => Witness::Declared,
-            Some(samples) => {
-                for law in &laws {
-                    if let Some(cex) = law.counterexample(samples) {
-                        if self.audited {
-                            rejections.push(RuleRejection {
-                                rule,
-                                at,
-                                law: law.describe(),
-                                counterexample: cex,
-                            });
-                        }
-                        return None;
-                    }
-                }
-                Witness::Checked {
-                    samples: samples.len(),
-                }
-            }
-        };
-        let rank0_only = rules::try_match(rule, window).is_some_and(|rw| rw.rank0_only);
-        Some(Certificate {
-            rule,
-            laws,
-            witness,
-            dist_pre: crate::dist::expected_pre(rule),
-            dist_post: crate::dist::expected_post(rule, rank0_only),
-        })
     }
 
     #[allow(clippy::type_complexity)]
@@ -423,17 +301,18 @@ impl Rewriter {
     ) -> Option<(usize, Rule, Vec<Stage>, Option<f64>, Certificate, bool)> {
         for at in 0..prog.len() {
             for rule in RULE_PRIORITY {
-                let Some(rw) = rules::try_match(rule, &prog.stages()[at..]) else {
+                let Some(hit) = rules::match_rule(rule, &prog.stages()[at..]) else {
                     continue;
                 };
-                if !self.allow_rank0_rules && rw.rank0_only {
+                let rank0_only = hit.rank0_only();
+                if !self.allow_rank0_rules && rank0_only {
                     continue;
                 }
-                let Some(cert) = self.certify(rule, &prog.stages()[at..], at, rejections) else {
+                let samples = self.verify_samples.as_deref();
+                let Some(cert) = certify(rule, &hit, samples, at, rejections) else {
                     continue;
                 };
-                let rank0_only = rw.rank0_only;
-                let replacement = rw.stages;
+                let replacement = hit.rhs();
                 match self.strategy {
                     Strategy::Exhaustive => {
                         return Some((at, rule, replacement, None, cert, rank0_only))
@@ -481,14 +360,9 @@ impl Rewriter {
         m: f64,
     ) -> crate::egraph::SaturationOutcome {
         let mut cfg = crate::egraph::SaturateConfig::new(*params, m)
-            .allow_rank0_rules(self.allow_rank0_rules)
-            .with_normalization(self.normalize);
+            .allow_rank0_rules(self.allow_rank0_rules);
         if let Some(samples) = &self.verify_samples {
-            cfg = if self.audited {
-                cfg.audited(samples.clone())
-            } else {
-                cfg.verify_properties(samples.clone())
-            };
+            cfg = cfg.audited(samples.clone());
         }
         crate::egraph::saturate_program(prog, &cfg)
     }
@@ -509,11 +383,7 @@ impl Rewriter {
         params: &MachineParams,
         m: f64,
     ) -> OptimizeResult {
-        let (start, start_norms) = if self.normalize {
-            enabling::normalize(prog)
-        } else {
-            (prog.clone(), Vec::new())
-        };
+        let (start, start_norms) = enabling::normalize(prog);
         let mut best_prog = start.clone();
         let mut best_key = brute_key(&start, params, m);
         let mut best_steps: Vec<RewriteStep> = Vec::new();
@@ -526,25 +396,21 @@ impl Rewriter {
         while let Some((current, steps, norms)) = stack.pop() {
             for at in 0..current.len() {
                 for rule in RULE_PRIORITY {
-                    let Some(rw) = rules::try_match(rule, &current.stages()[at..]) else {
+                    let Some(hit) = rules::match_rule(rule, &current.stages()[at..]) else {
                         continue;
                     };
-                    if !self.allow_rank0_rules && rw.rank0_only {
+                    let rank0_only = hit.rank0_only();
+                    if !self.allow_rank0_rules && rank0_only {
                         continue;
                     }
-                    let Some(cert) =
-                        self.certify(rule, &current.stages()[at..], at, &mut rejections)
-                    else {
+                    let samples = self.verify_samples.as_deref();
+                    let Some(cert) = certify(rule, &hit, samples, at, &mut rejections) else {
                         continue;
                     };
-                    let rank0_only = rw.rank0_only;
-                    let mut next = current.splice(at, rules::window_len(rule), rw.stages);
+                    let spliced = current.splice(at, rules::window_len(rule), hit.rhs());
+                    let (next, log) = enabling::normalize(&spliced);
                     let mut next_norms = norms.clone();
-                    if self.normalize {
-                        let (p, log) = enabling::normalize(&next);
-                        next = p;
-                        next_norms.extend(log);
-                    }
+                    next_norms.extend(log);
                     if !seen.insert(next.to_string()) {
                         continue;
                     }
@@ -582,14 +448,7 @@ impl Rewriter {
 
     /// Run the engine to fixpoint.
     pub fn optimize(&self, prog: &Program) -> OptimizeResult {
-        let mut normalizations = Vec::new();
-        let mut current = if self.normalize {
-            let (p, log) = enabling::normalize(prog);
-            normalizations.extend(log);
-            p
-        } else {
-            prog.clone()
-        };
+        let (mut current, mut normalizations) = enabling::normalize(prog);
         let mut steps = Vec::new();
         let mut rejections = Vec::new();
         // Each application removes at least one collective stage, so
@@ -611,12 +470,9 @@ impl Rewriter {
                 certificate: cert,
                 rank0_only,
             });
-            current = next;
-            if self.normalize {
-                let (p, log) = enabling::normalize(&current);
-                normalizations.extend(log);
-                current = p;
-            }
+            let (p, log) = enabling::normalize(&next);
+            normalizations.extend(log);
+            current = p;
         }
         OptimizeResult {
             program: current,
@@ -625,6 +481,47 @@ impl Rewriter {
             rejections: dedupe_rejections(rejections),
         }
     }
+}
+
+/// The precondition certificate for applying `rule` at stage `at`, where
+/// it matched as `hit`: the laws the match binds, verified on `samples` when
+/// given. Returns `None` — refusing the application — when a law fails
+/// there, recording the refusal in `rejections` with a shrunk
+/// counterexample.
+pub(crate) fn certify(
+    rule: Rule,
+    hit: &rules::Match,
+    samples: Option<&[Value]>,
+    at: usize,
+    rejections: &mut Vec<RuleRejection>,
+) -> Option<Certificate> {
+    let laws = hit.laws();
+    let witness = match samples {
+        None => Witness::Declared,
+        Some(samples) => {
+            for law in &laws {
+                if let Some(counterexample) = law.counterexample(samples) {
+                    rejections.push(RuleRejection {
+                        rule,
+                        at,
+                        law: law.describe(),
+                        counterexample,
+                    });
+                    return None;
+                }
+            }
+            Witness::Checked {
+                samples: samples.len(),
+            }
+        }
+    };
+    Some(Certificate {
+        rule,
+        laws,
+        witness,
+        dist_pre: crate::dist::expected_pre(rule),
+        dist_post: crate::dist::expected_post(rule, hit.rank0_only()),
+    })
 }
 
 /// The deterministic comparison key shared by the brute-force oracle and
@@ -904,9 +801,7 @@ mod tests {
             crate::op::BinOp::new("sub", |a, b| Value::Int(a.as_int() - b.as_int())).commutative();
         let prog = Program::new().scan(lying_sub.clone()).reduce(lying_sub);
         let samples = ints(&[-5, -2, 0, 1, 3, 7]);
-        let res = Rewriter::exhaustive()
-            .audited(samples.clone())
-            .optimize(&prog);
+        let res = Rewriter::exhaustive().audited(samples).optimize(&prog);
         assert!(res.steps.is_empty(), "the lying rule must not fire");
         assert_eq!(res.rejections.len(), 1);
         let rej = &res.rejections[0];
@@ -917,14 +812,6 @@ mod tests {
             "counterexample should be shrunk: {}",
             rej.counterexample
         );
-        // verify_properties stays silent (pre-existing behavior).
-        let quiet_sub =
-            crate::op::BinOp::new("sub", |a, b| Value::Int(a.as_int() - b.as_int())).commutative();
-        let quiet = Rewriter::exhaustive()
-            .verify_properties(samples)
-            .optimize(&Program::new().scan(quiet_sub.clone()).reduce(quiet_sub));
-        assert!(quiet.steps.is_empty());
-        assert!(quiet.rejections.is_empty());
     }
 
     #[test]

@@ -2,29 +2,48 @@
 //!
 //! Every optimization rule trades collective operations for a more complex
 //! operator on auxiliary tuples. These constructors build those operators
-//! generically from the base operators `⊗`/`⊕`, together with the exact
-//! operation counts the paper uses in Table 1. All scalar-level functions
-//! are lifted elementwise over `m`-word blocks.
-//!
-//! Operation counts per block element (unit base operations):
-//!
-//! | operator  | count | breakdown |
-//! |-----------|-------|-----------|
-//! | `op_sr2`  | 3     | `s1 ⊕ (r1 ⊗ s2)`: 2, `r1 ⊗ r2`: 1 |
-//! | `op_sr`   | 4     | `t1⊕t2⊕u1`: 2, `uu`: 1, `uu⊕uu`: 1 (the paper's "four rather than five") |
-//! | `op_ss`   | 5 / 8 | shared `ttu,uu,uuuu,vv`: 5; upper adds `s2⊕t1⊕v1`: 2 and `uu⊕vv`: 1 (the paper's "twelve to eight") |
-//! | BS `e`/`o`| 1 / 2 | `u⊕u`; `t⊕u` |
-//! | BSS2 `e`/`o`| 3 / 5 | |
-//! | BSS `e`/`o` | 5 / 8 | |
-//! | `op_br`   | 1     | `s⊕s` |
-//! | `op_bsr2` | 3     | `s⊕(s⊗t)`: 2, `t⊗t`: 1 |
-//! | `op_bsr`  | 4     | `t⊕t⊕u`: 2, `uu`: 1, `uu⊕uu`: 1 |
+//! generically from the base operators `⊗`/`⊕`; `parts` picks a rule's
+//! constructor, the one per-rule `match` outside the rule table. What each
+//! constructor costs per block element is its rule's `RuleSpec::ops` entry
+//! (`collopt_cost::table1`, with the breakdowns). All scalar-level
+//! functions are lifted elementwise over `m`-word blocks.
 
 use std::sync::Arc;
 
+use collopt_cost::table1::{RuleSpec, OP_SR2};
+
+use super::Rule;
 use crate::op::BinOp;
 use crate::term::{PairedFn, ValueFn, ValueFn2};
 use crate::value::Value;
+
+/// The fused functions of one rule's right-hand side.
+pub(crate) enum Fused {
+    /// One associative operator.
+    Op(BinOp),
+    /// A balanced-tree combine and its unary variant.
+    Tree((ValueFn2, ValueFn)),
+    /// A paired butterfly combine and its solo variant.
+    Paired((PairedFn, ValueFn)),
+    /// The comcast steps `e` and `o`.
+    Steps((ValueFn, ValueFn)),
+}
+
+/// `rule`'s fused functions over `⊗` (for the rules that bind one) and `⊕`.
+pub(crate) fn parts(rule: Rule, otimes: Option<&BinOp>, oplus: &BinOp) -> Fused {
+    let ot = || otimes.expect("the rule's pattern binds ⊗");
+    match rule {
+        Rule::Sr2Reduction | Rule::Ss2Scan => Fused::Op(op_sr2(ot(), oplus)),
+        Rule::SrReduction => Fused::Tree(op_sr(oplus)),
+        Rule::SsScan => Fused::Paired(op_ss(oplus)),
+        Rule::BsComcast => Fused::Steps(bs_eo(oplus)),
+        Rule::Bss2Comcast => Fused::Steps(bss2_eo(ot(), oplus)),
+        Rule::BssComcast => Fused::Steps(bss_eo(oplus)),
+        Rule::BrLocal | Rule::CrAlllocal => Fused::Tree(br_iter(oplus)),
+        Rule::Bsr2Local => Fused::Tree(bsr2_iter(ot(), oplus)),
+        Rule::BsrLocal => Fused::Tree(bsr_iter(oplus)),
+    }
+}
 
 /// `op_sr2` (rules SR2-Reduction and SS2-Scan): on pairs `(s, r)`,
 ///
@@ -38,7 +57,7 @@ pub fn op_sr2(otimes: &BinOp, oplus: &BinOp) -> BinOp {
     let ot = otimes.clone();
     let op = oplus.clone();
     let name = format!("op_sr2[{},{}]", otimes.name(), oplus.name());
-    let cost = oplus.ops_per_word() + 2.0 * otimes.ops_per_word();
+    let cost = RuleSpec::count(OP_SR2, oplus.ops_per_word(), otimes.ops_per_word());
     BinOp::new(name, move |a, b| {
         let (s1, r1) = (a.proj(0), a.proj(1));
         let (s2, r2) = (b.proj(0), b.proj(1));

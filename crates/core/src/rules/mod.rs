@@ -2,8 +2,11 @@
 //!
 //! Each rule is a *semantic equality*: a window of stages whose side
 //! condition holds may be replaced by the rule's right-hand side without
-//! changing the program's meaning. [`try_match`] implements the
-//! pattern-and-condition check and builds the replacement; the engine in
+//! changing the program's meaning. Each rule is one entry of the rule table
+//! ([`Rule::spec`], in `collopt-cost`): `match_rule` checks a window
+//! against the entry's pattern and law class, and `Match::rhs` builds the
+//! replacement from the entry's RHS kind and operation counts over the
+//! fused operators of [`fused`]; [`try_match`] does both. The engine in
 //! [`crate::rewrite`] decides *where* and *whether* (cost-guidedly) to
 //! apply.
 //!
@@ -16,41 +19,34 @@
 //!
 //! The paper notes (Section 3.5) that `bcast; reduce(⊕) → iter(op_br)`
 //! drops the broadcast's side effect: the original leaves every processor
-//! holding `b`, the local version touches only processor 0. The rules
-//! BR-Local, BSR2-Local and BSR-Local are therefore equalities **on the
-//! first component** of the distributed list; CR-Alllocal (which ends with
-//! a broadcast) and every other rule preserve all components. The rewrite
-//! engine only applies the first-component rules when asked to
-//! ([`crate::rewrite::Rewriter::allow_rank0_rules`]).
+//! holding `b`, the local version touches only processor 0. Every
+//! application whose window ends in `reduce` (BR-Local, BSR2-Local,
+//! BSR-Local, and SR2-/SR-Reduction on `reduce`) is therefore an equality
+//! **on the first component** of the distributed list; the rest preserve
+//! all components. The rewrite engine only applies the first-component
+//! rules when asked to ([`crate::rewrite::Rewriter::allow_rank0_rules`]).
 
 pub mod enabling;
 pub mod fused;
 
 pub use collopt_cost::Rule;
 
+use std::sync::Arc;
+
+use collopt_cost::table1::{Laws, Pat, RhsKind, RuleSpec, Slot};
+
 use crate::adjust;
-use crate::op::RequiredLaw;
-use crate::term::{ComcastVariant, Stage};
+use crate::op::{BinOp, RequiredLaw};
+use crate::term::{ComcastVariant, Stage, ValueFn};
+use fused::Fused;
 
 /// Length of the stage window the rule matches (2 or 3 collectives).
 pub fn window_len(rule: Rule) -> usize {
-    match rule {
-        Rule::Sr2Reduction
-        | Rule::SrReduction
-        | Rule::Ss2Scan
-        | Rule::SsScan
-        | Rule::BsComcast
-        | Rule::BrLocal
-        | Rule::CrAlllocal => 2,
-        Rule::Bss2Comcast | Rule::BssComcast | Rule::Bsr2Local | Rule::BsrLocal => 3,
-    }
+    rule.spec().lhs.len()
 }
 
 /// A matched rewrite: the replacement stages, plus whether the equality
-/// only covers processor 0's value (see module docs — rules whose
-/// left-hand side ends in `reduce` drop the scan/broadcast side effects on
-/// the other processors; the `allreduce` variants and all others preserve
-/// every position).
+/// only covers processor 0's value (see module docs).
 #[derive(Clone)]
 pub struct Rewrite {
     /// The stages replacing the matched window.
@@ -59,313 +55,212 @@ pub struct Rewrite {
     pub rank0_only: bool,
 }
 
-impl Rewrite {
-    fn full(stages: Vec<Stage>) -> Option<Rewrite> {
-        Some(Rewrite {
-            stages,
-            rank0_only: false,
-        })
+/// A window that matches a rule's pattern and whose side condition holds
+/// by declaration on its operators.
+pub(crate) struct Match<'a> {
+    rule: Rule,
+    /// The window's operators, in window order.
+    ops: [Option<&'a BinOp>; 2],
+    /// `⊗`, for the rules that have one, and `⊕`, each bound where its
+    /// slot first occurs.
+    otimes: Option<&'a BinOp>,
+    oplus: &'a BinOp,
+    last: &'a Stage,
+}
+
+/// Match `rule` at the *start* of `window` without allocating: the
+/// entry's pattern binds the operator slots (a repeated slot must name the
+/// same operator), then its law class is checked on the declarations.
+pub(crate) fn match_rule<'a>(
+    rule: Rule,
+    window: impl IntoIterator<Item = &'a Stage>,
+) -> Option<Match<'a>> {
+    let spec = rule.spec();
+    let mut window = window.into_iter();
+    let (mut ops, mut slots) = ([None; 2], [None; 2]);
+    let (mut last, mut n) = (None, 0);
+    for pat in spec.lhs {
+        let stage = window.next()?;
+        last = Some(stage);
+        let (slot, op) = match (*pat, stage) {
+            (Pat::Bcast, Stage::Bcast) => continue,
+            (Pat::Scan(s), Stage::Scan(op))
+            | (Pat::Reduce(s) | Pat::AnyReduce(s), Stage::Reduce(op))
+            | (Pat::AllReduce(s) | Pat::AnyReduce(s), Stage::AllReduce(op)) => (s, op),
+            _ => return None,
+        };
+        match slots[slot as usize] {
+            None => slots[slot as usize] = Some(op),
+            Some(bound) if bound.name() != op.name() => return None,
+            Some(_) => {}
+        }
+        ops[n] = Some(op);
+        n += 1;
+    }
+    let (otimes, oplus) = (slots[Slot::Times as usize], slots[Slot::Plus as usize]?);
+    let holds = match spec.laws {
+        Laws::Associative => true,
+        Laws::Commutative => oplus.is_commutative(),
+        Laws::Distributive { differ } => otimes
+            .is_some_and(|ot| ot.distributes_over(oplus) && !(differ && ot.name() == oplus.name())),
+    };
+    holds.then_some(Match {
+        rule,
+        ops,
+        otimes,
+        oplus,
+        last: last?,
+    })
+}
+
+impl Match<'_> {
+    /// `true` when only processor 0's value is guaranteed equal: the
+    /// window ends in `reduce`, so the fused form never materializes what
+    /// the other processors held after the window.
+    pub(crate) fn rank0_only(&self) -> bool {
+        matches!(self.last, Stage::Reduce(_))
     }
 
-    fn rank0(stages: Vec<Stage>) -> Option<Rewrite> {
-        Some(Rewrite {
-            stages,
-            rank0_only: true,
-        })
+    /// The algebraic side conditions bound to the window's operators:
+    /// associativity of each, in window order, then the entry's
+    /// commutativity (of each) or distributivity. This is the
+    /// machine-checkable content of a rewrite certificate — every law can
+    /// be re-verified later with [`RequiredLaw::counterexample`].
+    pub(crate) fn laws(&self) -> Vec<RequiredLaw> {
+        let ops = self.ops.iter().flatten();
+        let n = ops.clone().count();
+        let class = self.rule.spec().laws;
+        let extra = match class {
+            Laws::Associative => 0,
+            Laws::Commutative => n,
+            Laws::Distributive { .. } => 1,
+        };
+        let mut laws = Vec::with_capacity(n + extra);
+        laws.extend(ops.clone().map(|&op| RequiredLaw::Associative(op.clone())));
+        match class {
+            Laws::Associative => {}
+            Laws::Commutative => laws.extend(ops.map(|&op| RequiredLaw::Commutative(op.clone()))),
+            Laws::Distributive { .. } => {
+                let ot = self.otimes.expect("a distributive match binds ⊗");
+                laws.push(RequiredLaw::DistributesOver(ot.clone(), self.oplus.clone()));
+            }
+        }
+        laws
+    }
+
+    /// The stages replacing the window: the entry's RHS kind over the
+    /// rule's fused operator, charged the entry's operation counts, with
+    /// the input injected into the entry's tuple and projected back.
+    pub(crate) fn rhs(&self) -> Vec<Stage> {
+        let spec = self.rule.spec();
+        let (ot, op) = (self.otimes, self.oplus);
+        let ct = ot.map_or(0.0, BinOp::ops_per_word);
+        let [crit, other] = spec.ops.map(|k| RuleSpec::count(k, op.ops_per_word(), ct));
+        let label = || match ot {
+            Some(ot) => format!("{}[{},{}]", spec.label, ot.name(), op.name()),
+            None => format!("{}[{}]", spec.label, op.name()),
+        };
+        let all = matches!(self.last, Stage::AllReduce(_));
+        let words_factor = spec.words;
+        let stage = match (spec.rhs, fused::parts(self.rule, ot, op)) {
+            (RhsKind::Fused, Fused::Op(f)) => match self.last {
+                Stage::Scan(_) => Stage::Scan(f),
+                Stage::AllReduce(_) => Stage::AllReduce(f),
+                _ => Stage::Reduce(f),
+            },
+            (RhsKind::ReduceBalanced, Fused::Tree((combine, solo))) => Stage::ReduceBalanced {
+                combine,
+                solo,
+                all,
+                ops_combine: crit,
+                ops_solo: other,
+                words_factor,
+                label: label(),
+            },
+            // The solo variant of a balanced scan is the identity.
+            (RhsKind::ScanBalanced, Fused::Paired((combine, solo))) => Stage::ScanBalanced {
+                combine,
+                solo,
+                ops_lower: other,
+                ops_upper: crit,
+                ops_solo: 0.0,
+                words_factor,
+                label: label(),
+            },
+            (RhsKind::Comcast, Fused::Steps((e, o))) => Stage::Comcast {
+                e,
+                o,
+                inject: inject(spec.inject).1,
+                project: Arc::new(adjust::pi1),
+                ops_e: other,
+                ops_o: crit,
+                words_factor,
+                variant: ComcastVariant::BcastRepeat,
+                label: label(),
+            },
+            (RhsKind::IterLocal, Fused::Tree((combine, solo))) => Stage::IterLocal {
+                combine,
+                solo,
+                all,
+                ops_combine: crit,
+                ops_solo: other,
+                label: label(),
+            },
+            _ => unreachable!("{}: rules::fused disagrees with the RHS kind", self.rule),
+        };
+        // A comcast injects and projects inside the stage.
+        if spec.inject == 1 || spec.rhs == RhsKind::Comcast {
+            return vec![stage];
+        }
+        let (name, f) = inject(spec.inject);
+        let map = |label: &str, f| Stage::Map {
+            f,
+            ops: 0.0,
+            label: label.to_string(),
+        };
+        vec![map(name, f), stage, map("pi1", Arc::new(adjust::pi1))]
+    }
+}
+
+/// `pair` / `triple` / `quadruple`: the adjustment into an `arity`-tuple.
+fn inject(arity: usize) -> (&'static str, ValueFn) {
+    match arity {
+        2 => ("pair", Arc::new(adjust::pair)),
+        3 => ("triple", Arc::new(adjust::triple)),
+        _ => ("quadruple", Arc::new(adjust::quadruple)),
     }
 }
 
 /// The algebraic side conditions `rule` relies on at the *start* of
-/// `window`: associativity of every collective operator in the matched
-/// window, plus the rule's own condition (commutativity or
-/// distributivity), each bound to the concrete operators. This is the
-/// machine-checkable content of a rewrite certificate — every law can be
-/// re-verified later with [`RequiredLaw::counterexample`].
-///
-/// Returns `None` when the window is too short or carries no operator the
-/// rule could be certified over (such a rewrite must be refused by
-/// auditing engines).
+/// `window`: associativity of each of its operators, in window order, then
+/// the entry's commutativity (of each) or distributivity, bound to the
+/// concrete operators. This is the machine-checkable content of a rewrite
+/// certificate. `None` when the window does not match.
 pub fn required_laws(rule: Rule, window: &[Stage]) -> Option<Vec<RequiredLaw>> {
-    if window.len() < window_len(rule) {
-        return None;
-    }
-    let ops_of = |s: &Stage| match s {
-        Stage::Scan(op) | Stage::Reduce(op) | Stage::AllReduce(op) => Some(op.clone()),
-        _ => None,
-    };
-    let ops: Vec<crate::op::BinOp> = window[..window_len(rule)]
-        .iter()
-        .filter_map(ops_of)
-        .collect();
-    let mut laws: Vec<RequiredLaw> = ops.iter().cloned().map(RequiredLaw::Associative).collect();
-    match rule {
-        // Distributivity rules: first collective operator over the second.
-        Rule::Sr2Reduction | Rule::Ss2Scan | Rule::Bss2Comcast | Rule::Bsr2Local => {
-            if ops.len() != 2 {
-                return None;
-            }
-            laws.push(RequiredLaw::DistributesOver(ops[0].clone(), ops[1].clone()));
-        }
-        // Commutativity rules: the (shared) operator must commute.
-        Rule::SrReduction | Rule::SsScan | Rule::BssComcast | Rule::BsrLocal => {
-            laws.extend(ops.iter().cloned().map(RequiredLaw::Commutative));
-        }
-        // Associativity-only rules.
-        Rule::BsComcast | Rule::BrLocal | Rule::CrAlllocal => {
-            if ops.is_empty() {
-                return None;
-            }
-        }
-    }
-    Some(laws)
+    match_rule(rule, window).map(|m| m.laws())
 }
 
-/// Randomized verification that the algebraic side conditions a rule
-/// *declares* actually hold on the given sample values — the safety net
-/// for user-defined operators whose property declarations might be wrong.
-///
-/// Checks every law from [`required_laws`]. Returns `true` when every
-/// required law holds on all sample combinations.
-pub fn verify_conditions(rule: Rule, window: &[Stage], samples: &[crate::value::Value]) -> bool {
-    required_laws(rule, window).is_some_and(|laws| laws.iter().all(|l| l.holds_on(samples)))
-}
-
-fn map_pair() -> Stage {
-    Stage::map("pair", 0.0, adjust::pair)
-}
-
-fn map_quadruple() -> Stage {
-    Stage::map("quadruple", 0.0, adjust::quadruple)
-}
-
-fn map_pi1() -> Stage {
-    Stage::map("pi1", 0.0, adjust::pi1)
-}
-
-/// Try to apply `rule` at the *start* of `window`. Returns the rewrite if
-/// the pattern matches and the algebraic side condition holds (by
-/// declaration on the operators), `None` otherwise.
+/// Try to apply `rule` at the *start* of `window`: the rewrite if the
+/// pattern matches and the algebraic side condition holds (by declaration
+/// on the operators), `None` otherwise.
 pub fn try_match(rule: Rule, window: &[Stage]) -> Option<Rewrite> {
-    if window.len() < window_len(rule) {
-        return None;
-    }
-    match rule {
-        Rule::Sr2Reduction => match (&window[0], &window[1]) {
-            (Stage::Scan(ot), Stage::Reduce(op)) if ot.distributes_over(op) => {
-                // The fused reduce no longer materializes the scan's
-                // prefix values on processors 1..p — equality at rank 0.
-                Rewrite::rank0(vec![
-                    map_pair(),
-                    Stage::Reduce(fused::op_sr2(ot, op)),
-                    map_pi1(),
-                ])
-            }
-            (Stage::Scan(ot), Stage::AllReduce(op)) if ot.distributes_over(op) => {
-                Rewrite::full(vec![
-                    map_pair(),
-                    Stage::AllReduce(fused::op_sr2(ot, op)),
-                    map_pi1(),
-                ])
-            }
-            _ => None,
-        },
-        Rule::SrReduction => {
-            let (op, all) = match (&window[0], &window[1]) {
-                (Stage::Scan(a), Stage::Reduce(b)) if a.name() == b.name() => (a, false),
-                (Stage::Scan(a), Stage::AllReduce(b)) if a.name() == b.name() => (a, true),
-                _ => return None,
-            };
-            if !op.is_commutative() {
-                return None;
-            }
-            let (combine, solo) = fused::op_sr(op);
-            let c = op.ops_per_word();
-            let stages = vec![
-                map_pair(),
-                Stage::ReduceBalanced {
-                    combine,
-                    solo,
-                    all,
-                    ops_combine: 4.0 * c,
-                    ops_solo: c,
-                    words_factor: 2,
-                    label: format!("op_sr[{}]", op.name()),
-                },
-                map_pi1(),
-            ];
-            if all {
-                Rewrite::full(stages)
-            } else {
-                Rewrite::rank0(stages)
-            }
-        }
-        Rule::Ss2Scan => match (&window[0], &window[1]) {
-            (Stage::Scan(ot), Stage::Scan(op))
-                if ot.name() != op.name() && ot.distributes_over(op) =>
-            {
-                Rewrite::full(vec![
-                    map_pair(),
-                    Stage::Scan(fused::op_sr2(ot, op)),
-                    map_pi1(),
-                ])
-            }
-            _ => None,
-        },
-        Rule::SsScan => match (&window[0], &window[1]) {
-            (Stage::Scan(a), Stage::Scan(b)) if a.name() == b.name() && a.is_commutative() => {
-                let (combine, solo) = fused::op_ss(a);
-                let c = a.ops_per_word();
-                Rewrite::full(vec![
-                    map_quadruple(),
-                    Stage::ScanBalanced {
-                        combine,
-                        solo,
-                        ops_lower: 5.0 * c,
-                        ops_upper: 8.0 * c,
-                        ops_solo: 0.0,
-                        words_factor: 3,
-                        label: format!("op_ss[{}]", a.name()),
-                    },
-                    map_pi1(),
-                ])
-            }
-            _ => None,
-        },
-        Rule::BsComcast => match (&window[0], &window[1]) {
-            (Stage::Bcast, Stage::Scan(op)) => {
-                let (e, o) = fused::bs_eo(op);
-                let c = op.ops_per_word();
-                Rewrite::full(vec![Stage::Comcast {
-                    e,
-                    o,
-                    inject: std::sync::Arc::new(adjust::pair),
-                    project: std::sync::Arc::new(adjust::pi1),
-                    ops_e: c,
-                    ops_o: 2.0 * c,
-                    words_factor: 2,
-                    variant: ComcastVariant::BcastRepeat,
-                    label: format!("op_comp_bs[{}]", op.name()),
-                }])
-            }
-            _ => None,
-        },
-        Rule::Bss2Comcast => match (&window[0], &window[1], &window[2]) {
-            (Stage::Bcast, Stage::Scan(ot), Stage::Scan(op))
-                if ot.name() != op.name() && ot.distributes_over(op) =>
-            {
-                let (e, o) = fused::bss2_eo(ot, op);
-                let (co, cp) = (ot.ops_per_word(), op.ops_per_word());
-                Rewrite::full(vec![Stage::Comcast {
-                    e,
-                    o,
-                    inject: std::sync::Arc::new(adjust::triple),
-                    project: std::sync::Arc::new(adjust::pi1),
-                    ops_e: cp + 2.0 * co,
-                    ops_o: 2.0 * cp + 3.0 * co,
-                    words_factor: 3,
-                    variant: ComcastVariant::BcastRepeat,
-                    label: format!("op_comp_bss2[{},{}]", ot.name(), op.name()),
-                }])
-            }
-            _ => None,
-        },
-        Rule::BssComcast => match (&window[0], &window[1], &window[2]) {
-            (Stage::Bcast, Stage::Scan(a), Stage::Scan(b))
-                if a.name() == b.name() && a.is_commutative() =>
-            {
-                let (e, o) = fused::bss_eo(a);
-                let c = a.ops_per_word();
-                Rewrite::full(vec![Stage::Comcast {
-                    e,
-                    o,
-                    inject: std::sync::Arc::new(adjust::quadruple),
-                    project: std::sync::Arc::new(adjust::pi1),
-                    ops_e: 5.0 * c,
-                    ops_o: 8.0 * c,
-                    words_factor: 4,
-                    variant: ComcastVariant::BcastRepeat,
-                    label: format!("op_comp_bss[{}]", a.name()),
-                }])
-            }
-            _ => None,
-        },
-        Rule::BrLocal => match (&window[0], &window[1]) {
-            (Stage::Bcast, Stage::Reduce(op)) => {
-                let (combine, solo) = fused::br_iter(op);
-                Rewrite::rank0(vec![Stage::IterLocal {
-                    combine,
-                    solo,
-                    all: false,
-                    ops_combine: op.ops_per_word(),
-                    ops_solo: 0.0,
-                    label: format!("op_br[{}]", op.name()),
-                }])
-            }
-            _ => None,
-        },
-        Rule::Bsr2Local => match (&window[0], &window[1], &window[2]) {
-            (Stage::Bcast, Stage::Scan(ot), Stage::Reduce(op)) if ot.distributes_over(op) => {
-                let (combine, solo) = fused::bsr2_iter(ot, op);
-                Rewrite::rank0(vec![
-                    map_pair(),
-                    Stage::IterLocal {
-                        combine,
-                        solo,
-                        all: false,
-                        ops_combine: op.ops_per_word() + 2.0 * ot.ops_per_word(),
-                        ops_solo: 0.0,
-                        label: format!("op_bsr2[{},{}]", ot.name(), op.name()),
-                    },
-                    map_pi1(),
-                ])
-            }
-            _ => None,
-        },
-        Rule::BsrLocal => match (&window[0], &window[1], &window[2]) {
-            (Stage::Bcast, Stage::Scan(a), Stage::Reduce(b))
-                if a.name() == b.name() && a.is_commutative() =>
-            {
-                let (combine, solo) = fused::bsr_iter(a);
-                let c = a.ops_per_word();
-                Rewrite::rank0(vec![
-                    map_pair(),
-                    Stage::IterLocal {
-                        combine,
-                        solo,
-                        all: false,
-                        ops_combine: 4.0 * c,
-                        ops_solo: c,
-                        label: format!("op_bsr[{}]", a.name()),
-                    },
-                    map_pi1(),
-                ])
-            }
-            _ => None,
-        },
-        Rule::CrAlllocal => match (&window[0], &window[1]) {
-            (Stage::Bcast, Stage::AllReduce(op)) => {
-                let (combine, solo) = fused::br_iter(op);
-                Rewrite::full(vec![Stage::IterLocal {
-                    combine,
-                    solo,
-                    all: true,
-                    ops_combine: op.ops_per_word(),
-                    ops_solo: 0.0,
-                    label: format!("op_br[{}]", op.name()),
-                }])
-            }
-            _ => None,
-        },
-    }
+    let m = match_rule(rule, window)?;
+    Some(Rewrite {
+        rank0_only: m.rank0_only(),
+        stages: m.rhs(),
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::op::lib;
+    use crate::rewrite::program_cost;
     use crate::semantics::eval_program;
     use crate::term::Program;
     use crate::value::Value;
+    use collopt_cost::MachineParams;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn ints(vs: &[i64]) -> Vec<Value> {
         vs.iter().map(|&v| Value::Int(v)).collect()
@@ -623,6 +518,174 @@ mod tests {
         let prog = Program::new().bcast();
         for rule in Rule::ALL {
             assert!(try_match(rule, prog.stages()).is_none(), "{rule}");
+        }
+    }
+
+    // ---- The rule table's discipline (cranelift's "rules for rules") ----
+
+    /// Every window `rule`'s entry admits over `⊗` = `ot` and `⊕` = `op`:
+    /// an `AnyReduce` instantiates as `reduce` and as `allreduce`.
+    fn instantiations(rule: Rule, ot: &BinOp, op: &BinOp) -> Vec<Program> {
+        let slot = |s| match s {
+            Slot::Times => ot.clone(),
+            Slot::Plus => op.clone(),
+        };
+        let mut progs = vec![Program::new()];
+        for pat in rule.spec().lhs {
+            progs = progs
+                .into_iter()
+                .flat_map(|prog| match *pat {
+                    Pat::Bcast => vec![prog.bcast()],
+                    Pat::Scan(s) => vec![prog.scan(slot(s))],
+                    Pat::Reduce(s) => vec![prog.reduce(slot(s))],
+                    Pat::AllReduce(s) => vec![prog.allreduce(slot(s))],
+                    Pat::AnyReduce(s) => {
+                        vec![prog.clone().reduce(slot(s)), prog.allreduce(slot(s))]
+                    }
+                })
+                .collect();
+        }
+        progs
+    }
+
+    /// An integer operator declared to cost `cost` that counts its
+    /// applications in the returned counter.
+    fn counting(name: &str, cost: f64, f: fn(i64, i64) -> i64) -> (BinOp, Arc<AtomicUsize>) {
+        let calls = Arc::new(AtomicUsize::new(0));
+        let seen = calls.clone();
+        let op = BinOp::new(name, move |a, b| {
+            seen.fetch_add(1, Ordering::Relaxed);
+            Value::Int(f(a.as_int(), b.as_int()))
+        });
+        (op.with_cost(cost).commutative(), calls)
+    }
+
+    /// (a) The cost claim, snippet rule 1: for every entry and every window
+    /// it admits, at operator costs `(c⊗, c⊕)` ∈ {(1, 1), (2, 3)}, the
+    /// built LHS and RHS cost exactly the entry's `before` and `after` on
+    /// every machine of the grid, the RHS is strictly cheaper wherever the
+    /// entry predicts a gain, and the fused functions apply `⊕`/`⊗` as
+    /// often per element as the entry's counts say.
+    #[test]
+    fn every_entry_costs_what_it_claims() {
+        for (ct, cp) in [(1.0, 1.0), (2.0, 3.0)] {
+            let (ot, times) = counting("mul", ct, |a, b| a * b);
+            let ot = ot.distributes_over_op("add");
+            let (op, plus) = counting("add", cp, |a, b| a + b);
+            let count = |run: &dyn Fn()| {
+                plus.store(0, Ordering::Relaxed);
+                times.store(0, Ordering::Relaxed);
+                run();
+                let load = |n: &AtomicUsize| n.load(Ordering::Relaxed) as f64;
+                (load(&plus), load(&times))
+            };
+            for rule in Rule::ALL {
+                let spec = rule.spec();
+                let (before, after) = spec.sides(cp, ct);
+                let claim = collopt_cost::RuleEstimate {
+                    rule,
+                    before,
+                    after,
+                };
+                for lhs in instantiations(rule, &ot, &op) {
+                    let rw = try_match(rule, lhs.stages()).expect("an entry matches its own LHS");
+                    let rhs = lhs.splice(0, window_len(rule), rw.stages.clone());
+                    for p in [1, 2, 5, 64] {
+                        for (ts, tw, m) in [
+                            (0.0, 0.0, 1.0),
+                            (0.5, 0.25, 8.0),
+                            (200.0, 2.0, 1.0),
+                            (200.0, 0.25, 1000.0),
+                            (0.5, 2.0, 1000.0),
+                        ] {
+                            let params = MachineParams::new(p, ts, tw);
+                            let l = program_cost(&lhs, &params, m);
+                            let r = program_cost(&rhs, &params, m);
+                            let at = format!("{rule}: {lhs} at p={p} ts={ts} tw={tw} m={m}");
+                            assert_eq!(l, before.eval(&params, m), "before of {at}");
+                            assert_eq!(r, after.eval(&params, m), "after of {at}");
+                            if claim.improves(&params, m) {
+                                assert!(r < l, "{at}: predicted gain, RHS not cheaper");
+                            }
+                        }
+                    }
+                    // One element injected the way the RHS injects it.
+                    let x = match &rw.stages[0] {
+                        Stage::Map { f, .. } => f(&Value::Int(2)),
+                        _ => Value::Int(2),
+                    };
+                    let fused = rw.stages.iter().find(|s| !matches!(s, Stage::Map { .. }));
+                    let counted = match fused.expect("a fused stage") {
+                        Stage::Scan(f) | Stage::Reduce(f) | Stage::AllReduce(f) => {
+                            [count(&|| drop(f.apply(&x, &x))), (0.0, 0.0)]
+                        }
+                        Stage::ReduceBalanced { combine, solo, .. }
+                        | Stage::IterLocal { combine, solo, .. } => {
+                            [count(&|| drop(combine(&x, &x))), count(&|| drop(solo(&x)))]
+                        }
+                        // The lower partner's share of the one paired
+                        // combine cannot be counted apart from the upper's.
+                        Stage::ScanBalanced { combine, .. } => {
+                            [count(&|| drop(combine(&x, &x))), spec.ops[1]]
+                        }
+                        Stage::Comcast { e, o, inject, .. } => {
+                            let x = inject(&x);
+                            [count(&|| drop(o(&x))), count(&|| drop(e(&x)))]
+                        }
+                        other => panic!("{rule}: unexpected RHS stage {other:?}"),
+                    };
+                    assert_eq!(counted, spec.ops, "{rule}: counted (⊕, ⊗) applications");
+                }
+            }
+        }
+    }
+
+    /// (b) `rank0_only` is sound and necessary, snippet rule 2: a full
+    /// rewrite agrees at every position, a rank-0 one at position 0 — and
+    /// some input tells its other positions apart, so the flag is needed.
+    #[test]
+    fn rank0_only_is_sound_and_necessary() {
+        let mut rng = collopt_machine::Rng::new(0x5EED_0026);
+        for rule in Rule::ALL {
+            for lhs in instantiations(rule, &lib::mul(), &lib::add()) {
+                let rw = try_match(rule, lhs.stages()).expect("an entry matches its own LHS");
+                let rhs = lhs.splice(0, window_len(rule), rw.stages);
+                let mut narrowed = false;
+                for p in 1..=9 {
+                    for _ in 0..8 {
+                        let xs: Vec<Value> =
+                            (0..p).map(|_| Value::Int(rng.range_i64(-3, 4))).collect();
+                        let (l, r) = (eval_program(&lhs, &xs), eval_program(&rhs, &xs));
+                        if rw.rank0_only {
+                            assert_eq!(l[0], r[0], "{rule}: {lhs} at rank 0, p={p}");
+                            narrowed |= l[1..] != r[1..];
+                        } else {
+                            assert_eq!(l, r, "{rule}: {lhs} must agree everywhere, p={p}");
+                        }
+                    }
+                }
+                assert!(
+                    narrowed || !rw.rank0_only,
+                    "{rule}: {lhs} is marked rank-0 only but never differs elsewhere"
+                );
+            }
+        }
+    }
+
+    /// (c) Every RHS has strictly fewer collectives than its LHS, snippet
+    /// rule 3: rewriting terminates, and no entry is a bare reassociation
+    /// or commutation.
+    #[test]
+    fn every_rhs_has_fewer_collectives() {
+        for rule in Rule::ALL {
+            for lhs in instantiations(rule, &lib::mul(), &lib::add()) {
+                let rw = try_match(rule, lhs.stages()).expect("an entry matches its own LHS");
+                let rhs = lhs.splice(0, window_len(rule), rw.stages);
+                assert!(
+                    rhs.collective_count() < lhs.collective_count(),
+                    "{rule}: {lhs} → {rhs}"
+                );
+            }
         }
     }
 }

@@ -35,4 +35,4 @@ pub mod table1;
 
 pub use params::MachineParams;
 pub use phase::PhaseCost;
-pub use table1::{Rule, RuleEstimate, TABLE1_RULES};
+pub use table1::{Rule, RuleEstimate};

@@ -1,9 +1,17 @@
-//! The paper's Table 1: per-rule performance estimates.
+//! The optimization rules as one table, and the paper's Table 1 from it.
 //!
-//! For every optimization rule the table gives the cost of the program
-//! term before the rule, the cost after, and the condition under which the
-//! rule improves the target performance (both sides carry a `log p`
-//! factor, omitted here as in the paper):
+//! Every per-rule fact is one [`RuleSpec`] entry ([`Rule::spec`]): the
+//! left-hand-side pattern, the law class of the side condition, the
+//! right-hand side's stage kind and operation counts, and the paper's
+//! "improved if" condition. The matcher, certificates, distribution states,
+//! the fuzz targets and the rule boxes in the other crates read the
+//! entries; only the fused operators themselves (`collopt-core`'s
+//! `rules::fused`) are written per rule.
+//!
+//! Table 1 gives, for every rule, the cost of the program term before the
+//! rule, the cost after, and the condition under which the rule improves
+//! the target performance (both sides carry a `log p` factor, omitted here
+//! as in the paper):
 //!
 //! | Rule          | before              | after             | improved if        |
 //! |---------------|---------------------|-------------------|--------------------|
@@ -19,16 +27,20 @@
 //! | BSR-Local     | 3ts + m(3tw + 3)    | 4m                | tw + ts/m ≥ 1/3    |
 //!
 //! The rows are not transcribed literally: each side is *assembled* from
-//! the per-collective costs of [`crate::collectives`] (broadcast, scan,
-//! reduction, balanced variants, comcast, local iteration with the fused
-//! operators' operation counts), and the unit tests assert that the
-//! assembly reproduces the paper's printed formulas coefficient by
-//! coefficient. CR-Alllocal — stated in the paper's Section 3.5 but not
-//! printed in its Table 1 — is included with costs derived the same way.
+//! an entry and the per-collective costs of [`crate::collectives`]
+//! ([`RuleSpec::sides`]), and the unit tests assert that the assembly
+//! reproduces the paper's printed formulas coefficient by coefficient.
+//! CR-Alllocal — stated in the paper's Section 3.5 but not printed in its
+//! Table 1 — is included with costs derived the same way.
 
 use crate::collectives as coll;
 use crate::params::MachineParams;
 use crate::phase::PhaseCost;
+
+use Laws::{Associative, Commutative, Distributive};
+use Pat::{AllReduce, AnyReduce, Bcast, Reduce, Scan};
+use RhsKind::{Comcast, Fused, IterLocal, ReduceBalanced, ScanBalanced};
+use Slot::{Plus, Times};
 
 /// The optimization rules of Section 3.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -58,6 +70,195 @@ pub enum Rule {
     CrAlllocal,
 }
 
+/// One of the two base-operator slots of a rule's left-hand side.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Slot {
+    /// `⊗`, the operator that distributes over `⊕` in the `*2` rules.
+    Times,
+    /// `⊕`.
+    Plus,
+}
+
+/// One collective of a rule's left-hand side, over an operator slot. A
+/// slot named twice in one pattern means "the same operator".
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Pat {
+    /// `bcast`.
+    Bcast,
+    /// `scan`.
+    Scan(Slot),
+    /// `reduce`.
+    Reduce(Slot),
+    /// `allreduce`.
+    AllReduce(Slot),
+    /// `reduce` or `allreduce`.
+    AnyReduce(Slot),
+}
+
+/// The law class of a rule's side condition. Every class includes the
+/// associativity of each operator in the window.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Laws {
+    /// Associativity only.
+    Associative,
+    /// Plus commutativity of each operator.
+    Commutative,
+    /// Plus `⊗` distributing over `⊕`; `differ` demands two distinct
+    /// operators.
+    Distributive {
+        /// The two slots must bind different operators.
+        differ: bool,
+    },
+}
+
+/// The stage a rule's right-hand side fuses the window into.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RhsKind {
+    /// The window's last collective over one fused operator.
+    Fused,
+    /// A balanced reduction (`reduce_balanced` / `allreduce_balanced`).
+    ReduceBalanced,
+    /// A balanced scan; the critical path pays the upper partner.
+    ScanBalanced,
+    /// A comcast, broadcast then `repeat`; the `o` step is on the
+    /// critical path.
+    Comcast,
+    /// A local iteration, plus a broadcast after an `allreduce` window.
+    IterLocal,
+}
+
+/// Everything the workspace knows about one rule.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct RuleSpec {
+    /// The rule's name as printed in the paper.
+    pub name: &'static str,
+    /// The matched window, collective by collective.
+    pub lhs: &'static [Pat],
+    /// The side condition's law class.
+    pub laws: Laws,
+    /// The right-hand side's stage.
+    pub rhs: RhsKind,
+    /// Operations per block word as `(c⊕, c⊗)` coefficients: first the
+    /// count on the critical path (the operator, combine, upper partner or
+    /// `o`), then the other one (solo, lower partner or `e`).
+    pub ops: [(f64, f64); 2],
+    /// Words on the wire per block word (0 for a local iteration).
+    pub words: u64,
+    /// Width of the auxiliary tuple the window's input is injected into
+    /// (1: no tuple).
+    pub inject: usize,
+    /// Display-name prefix of the fused stage or operator.
+    pub label: &'static str,
+    /// The paper's "improved if" column, verbatim.
+    pub condition: &'static str,
+}
+
+/// `op_sr2` on pairs: `s1 ⊕ (r1 ⊗ s2)` is one `⊕` and one `⊗`, `r1 ⊗ r2`
+/// one more `⊗`.
+pub const OP_SR2: (f64, f64) = (1.0, 2.0);
+
+/// `op_sr`'s combine `(t1⊕t2⊕u1, uu⊕uu)` with `uu = u1⊕u2` is four `⊕`
+/// (the paper's "four rather than five"); its solo `u⊕u` one.
+const OP_SR: [(f64, f64); 2] = [(4.0, 0.0), (1.0, 0.0)];
+
+const NONE: (f64, f64) = (0.0, 0.0);
+
+/// Indexed by `Rule as usize`, i.e. in [`Rule::ALL`] order; per entry, the
+/// left-hand side, then the side condition and the paper's "improved if",
+/// then the right-hand side.
+///
+/// The right-hand sides' counts, beyond [`OP_SR2`] and `OP_SR`: `op_ss`'s
+/// shared `ttu, uu, uuuu, vv` are five and the upper partner adds
+/// `s2⊕t1⊕v1` and `uu⊕vv` (the paper's "twelve to eight"), three of its
+/// four components crossing the link per direction. BS: `e = (t, u⊕u)`,
+/// `o = (t⊕u, u⊕u)`. BSS2: `o` pays `t⊕(s⊗u)` and `t⊕(t⊗u)`, two each, and
+/// `u⊗u`; `e` drops `t⊕(s⊗u)`. BSS: `o` pays `s⊕t⊕v`, `t⊕t⊕u` and
+/// `uu⊕v⊕v`, two each, `uu` and `uu⊕uu`; `e` keeps `s` and pays `v⊕v` for
+/// `uu⊕v⊕v`. `op_br = s⊕s`; `op_bsr2` and `op_bsr` are `op_sr2`'s and
+/// `op_sr`'s diagonals. CR-Alllocal's `allreduce` costs as a `reduce`
+/// (eq. 16) and its right-hand side is `iter(op_br); bcast`.
+#[rustfmt::skip]
+const RULES: [RuleSpec; 11] = [
+    RuleSpec { name: "SR2-Reduction", lhs: &[Scan(Times), AnyReduce(Plus)],
+        laws: Distributive { differ: false }, condition: "always",
+        rhs: Fused, ops: [OP_SR2, NONE], words: 2, inject: 2, label: "op_sr2" },
+    RuleSpec { name: "SR-Reduction", lhs: &[Scan(Plus), AnyReduce(Plus)],
+        laws: Commutative, condition: "ts > m",
+        rhs: ReduceBalanced, ops: OP_SR, words: 2, inject: 2, label: "op_sr" },
+    RuleSpec { name: "SS2-Scan", lhs: &[Scan(Times), Scan(Plus)],
+        laws: Distributive { differ: true }, condition: "ts > 2m",
+        rhs: Fused, ops: [OP_SR2, NONE], words: 2, inject: 2, label: "op_sr2" },
+    RuleSpec { name: "SS-Scan", lhs: &[Scan(Plus), Scan(Plus)],
+        laws: Commutative, condition: "ts > m*(tw + 4)",
+        rhs: ScanBalanced, ops: [(8.0, 0.0), (5.0, 0.0)], words: 3, inject: 4, label: "op_ss" },
+    RuleSpec { name: "BS-Comcast", lhs: &[Bcast, Scan(Plus)],
+        laws: Associative, condition: "always",
+        rhs: Comcast, ops: [(2.0, 0.0), (1.0, 0.0)], words: 2, inject: 2, label: "op_comp_bs" },
+    RuleSpec { name: "BSS2-Comcast", lhs: &[Bcast, Scan(Times), Scan(Plus)],
+        laws: Distributive { differ: true }, condition: "tw + ts/m > 1/2",
+        rhs: Comcast, ops: [(2.0, 3.0), (1.0, 2.0)], words: 3, inject: 3, label: "op_comp_bss2" },
+    RuleSpec { name: "BSS-Comcast", lhs: &[Bcast, Scan(Plus), Scan(Plus)],
+        laws: Commutative, condition: "tw + ts/m > 2",
+        rhs: Comcast, ops: [(8.0, 0.0), (5.0, 0.0)], words: 4, inject: 4, label: "op_comp_bss" },
+    RuleSpec { name: "BR-Local", lhs: &[Bcast, Reduce(Plus)],
+        laws: Associative, condition: "always",
+        rhs: IterLocal, ops: [(1.0, 0.0), NONE], words: 0, inject: 1, label: "op_br" },
+    RuleSpec { name: "BSR2-Local", lhs: &[Bcast, Scan(Times), Reduce(Plus)],
+        laws: Distributive { differ: false }, condition: "always",
+        rhs: IterLocal, ops: [OP_SR2, NONE], words: 0, inject: 2, label: "op_bsr2" },
+    RuleSpec { name: "BSR-Local", lhs: &[Bcast, Scan(Plus), Reduce(Plus)],
+        laws: Commutative, condition: "tw + ts/m >= 1/3",
+        rhs: IterLocal, ops: OP_SR, words: 0, inject: 2, label: "op_bsr" },
+    RuleSpec { name: "CR-Alllocal", lhs: &[Bcast, AllReduce(Plus)],
+        laws: Associative, condition: "always",
+        rhs: IterLocal, ops: [(1.0, 0.0), NONE], words: 0, inject: 1, label: "op_br" },
+];
+
+impl RuleSpec {
+    /// Per-word operation count of coefficients `k` when `⊕` costs `cp`
+    /// and `⊗` costs `ct` operations per word.
+    pub fn count(k: (f64, f64), cp: f64, ct: f64) -> f64 {
+        k.0 * cp + k.1 * ct
+    }
+
+    /// The window's last collective.
+    pub fn last(&self) -> Pat {
+        self.lhs[self.lhs.len() - 1]
+    }
+
+    /// Per-phase cost of the left- and right-hand side when `⊕` costs `cp`
+    /// and `⊗` costs `ct` operations per word. The left-hand side is the
+    /// sum of its collectives, in window order; an `allreduce` costs as a
+    /// `reduce` (eq. 16).
+    pub fn sides(&self, cp: f64, ct: f64) -> (PhaseCost, PhaseCost) {
+        let c = |slot| match slot {
+            Plus => cp,
+            Times => ct,
+        };
+        let before = self
+            .lhs
+            .iter()
+            .map(|pat| match *pat {
+                Bcast => coll::bcast(),
+                Scan(s) => coll::scan(c(s), 1.0),
+                Reduce(s) | AllReduce(s) | AnyReduce(s) => coll::reduce(c(s), 1.0),
+            })
+            .sum();
+        let crit = Self::count(self.ops[0], cp, ct);
+        let words = self.words as f64;
+        let after = match (self.rhs, self.last()) {
+            (Fused, Scan(_)) => coll::scan(crit, words),
+            (Fused, _) => coll::reduce(crit, words),
+            (ReduceBalanced, _) => coll::reduce_balanced(crit, words),
+            (ScanBalanced, _) => coll::scan_balanced(crit, words),
+            (Comcast, _) => coll::comcast_bcast_repeat(crit),
+            (IterLocal, AllReduce(_)) => coll::local_iter(crit) + coll::bcast(),
+            (IterLocal, _) => coll::local_iter(crit),
+        };
+        (before, after)
+    }
+}
+
 impl Rule {
     /// All rules, in the paper's Table-1 order (CR-Alllocal appended).
     pub const ALL: [Rule; 11] = [
@@ -74,86 +275,19 @@ impl Rule {
         Rule::CrAlllocal,
     ];
 
-    /// The rule's name as printed in the paper.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Rule::Sr2Reduction => "SR2-Reduction",
-            Rule::SrReduction => "SR-Reduction",
-            Rule::Ss2Scan => "SS2-Scan",
-            Rule::SsScan => "SS-Scan",
-            Rule::BsComcast => "BS-Comcast",
-            Rule::Bss2Comcast => "BSS2-Comcast",
-            Rule::BssComcast => "BSS-Comcast",
-            Rule::BrLocal => "BR-Local",
-            Rule::Bsr2Local => "BSR2-Local",
-            Rule::BsrLocal => "BSR-Local",
-            Rule::CrAlllocal => "CR-Alllocal",
-        }
+    /// The rule's table entry.
+    pub fn spec(self) -> &'static RuleSpec {
+        &RULES[self as usize]
     }
 
-    /// The full estimate row for this rule.
+    /// The rule's name as printed in the paper.
+    pub fn name(&self) -> &'static str {
+        self.spec().name
+    }
+
+    /// The full estimate row for this rule, with unit-cost operators.
     pub fn estimate(&self) -> RuleEstimate {
-        // Operation counts of the fused operators (per block word):
-        //   op_sr2 : 3 (s1 ⊕ (r1 ⊗ s2): 2, r1 ⊗ r2: 1), pair on the wire.
-        //   op_sr  : 4 (t1⊕t2⊕u1: 2, uu: 1, uu⊕uu: 1), pair on the wire.
-        //   op_ss  : 8 on the upper partner (§3.3: "twelve to eight");
-        //            3 of 4 components on the wire per direction.
-        //   BS  o  : 2 (t⊕u, u⊕u).
-        //   BSS2 o : 5 (t⊕(s⊗u): 2, t⊕(t⊗u): 2, u⊗u: 1).
-        //   BSS o  : 8 (s⊕t⊕v: 2, t⊕t⊕u: 2, uu + uu⊕uu: 2, uu⊕v⊕v: 2).
-        //   op_br  : 1 (s⊕s).
-        //   op_bsr2: 3 (s⊕(s⊗t): 2, t⊗t: 1).
-        //   op_bsr : 4 (t⊕t⊕u: 2, uu: 1, uu⊕uu: 1).
-        let (before, after) = match self {
-            Rule::Sr2Reduction => (
-                coll::scan(1.0, 1.0) + coll::reduce(1.0, 1.0),
-                coll::reduce(3.0, 2.0),
-            ),
-            Rule::SrReduction => (
-                coll::scan(1.0, 1.0) + coll::reduce(1.0, 1.0),
-                coll::reduce_balanced(4.0, 2.0),
-            ),
-            Rule::Ss2Scan => (
-                coll::scan(1.0, 1.0) + coll::scan(1.0, 1.0),
-                coll::scan(3.0, 2.0),
-            ),
-            Rule::SsScan => (
-                coll::scan(1.0, 1.0) + coll::scan(1.0, 1.0),
-                coll::scan_balanced(8.0, 3.0),
-            ),
-            Rule::BsComcast => (
-                coll::bcast() + coll::scan(1.0, 1.0),
-                coll::comcast_bcast_repeat(2.0),
-            ),
-            Rule::Bss2Comcast => (
-                coll::bcast() + coll::scan(1.0, 1.0) + coll::scan(1.0, 1.0),
-                coll::comcast_bcast_repeat(5.0),
-            ),
-            Rule::BssComcast => (
-                coll::bcast() + coll::scan(1.0, 1.0) + coll::scan(1.0, 1.0),
-                coll::comcast_bcast_repeat(8.0),
-            ),
-            Rule::BrLocal => (
-                coll::bcast() + coll::reduce(1.0, 1.0),
-                coll::local_iter(1.0),
-            ),
-            Rule::Bsr2Local => (
-                coll::bcast() + coll::scan(1.0, 1.0) + coll::reduce(1.0, 1.0),
-                coll::local_iter(3.0),
-            ),
-            Rule::BsrLocal => (
-                coll::bcast() + coll::scan(1.0, 1.0) + coll::reduce(1.0, 1.0),
-                coll::local_iter(4.0),
-            ),
-            Rule::CrAlllocal => {
-                // bcast; allreduce — allreduce costs as reduce (eq. 16) —
-                // versus iter(op_br); bcast.
-                (
-                    coll::bcast() + coll::reduce(1.0, 1.0),
-                    coll::local_iter(1.0) + coll::bcast(),
-                )
-            }
-        };
+        let (before, after) = self.spec().sides(1.0, 1.0);
         RuleEstimate {
             rule: *self,
             before,
@@ -163,16 +297,7 @@ impl Rule {
 
     /// The paper's "improved if" column, verbatim.
     pub fn condition_str(&self) -> &'static str {
-        match self {
-            Rule::Sr2Reduction | Rule::BsComcast | Rule::BrLocal | Rule::Bsr2Local => "always",
-            Rule::SrReduction => "ts > m",
-            Rule::Ss2Scan => "ts > 2m",
-            Rule::SsScan => "ts > m*(tw + 4)",
-            Rule::Bss2Comcast => "tw + ts/m > 1/2",
-            Rule::BssComcast => "tw + ts/m > 2",
-            Rule::BsrLocal => "tw + ts/m >= 1/3",
-            Rule::CrAlllocal => "always",
-        }
+        self.spec().condition
     }
 }
 
@@ -225,26 +350,7 @@ impl RuleEstimate {
         let m = -intercept / slope;
         (m > 0.0).then_some(m)
     }
-
-    /// The start-up time `ts*` at which the saving changes sign for the
-    /// given `tw` and `m`.
-    pub fn crossover_ts(&self, tw: f64, m: f64) -> Option<f64> {
-        let d = self.before.minus(&self.after);
-        if d.ts == 0.0 {
-            return None;
-        }
-        let ts = -(d.mtw * tw + d.m) * m / d.ts;
-        (ts > 0.0).then_some(ts)
-    }
 }
-
-/// All Table-1 rows (plus CR-Alllocal), in the paper's order.
-pub fn table1_rules() -> Vec<RuleEstimate> {
-    Rule::ALL.iter().map(Rule::estimate).collect()
-}
-
-/// All Table-1 rows as a constant-friendly accessor.
-pub static TABLE1_RULES: [Rule; 11] = Rule::ALL;
 
 /// Renders the table in the paper's layout (name, before, after,
 /// condition), for `collopt repro table1` and EXPERIMENTS.md.
@@ -385,23 +491,6 @@ mod tests {
         let p = MachineParams::new(8, 2.0, 0.2);
         assert!(est.improves(&p, 10.0)); // 0.2 + 0.2 = 0.4 > 1/3
         assert!(!est.improves(&p, 60.0)); // 0.2 + 1/30 < 1/3
-    }
-
-    #[test]
-    fn crossover_ts_inverts_improves() {
-        for rule in Rule::ALL {
-            let est = rule.estimate();
-            let (tw, m) = (2.0, 16.0);
-            if let Some(ts_star) = est.crossover_ts(tw, m) {
-                let above = MachineParams::new(8, ts_star * 1.01, tw);
-                let below = MachineParams::new(8, ts_star * 0.99, tw);
-                assert_ne!(
-                    est.improves(&above, m),
-                    est.improves(&below, m),
-                    "{rule}: sign must flip at ts* = {ts_star}"
-                );
-            }
-        }
     }
 
     #[test]

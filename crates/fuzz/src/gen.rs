@@ -21,6 +21,7 @@ use collopt_core::op::{lib as ops, BinOp};
 use collopt_core::rules::{self, Rule};
 use collopt_core::term::{Program, Stage};
 use collopt_core::value::Value;
+use collopt_cost::table1::{Laws, Pat, Slot};
 use collopt_machine::{ExecEngine, FaultPlan, Rng};
 
 /// Size of the lookup-table operator domain `{0..N-1}`.
@@ -927,22 +928,6 @@ fn sample_table(rng: &mut Rng, want: impl Fn(&TableSpec) -> bool, fallback: usiz
     t
 }
 
-/// Is `rule` one of the distributivity (`*2`) variants?
-fn needs_distributivity(rule: Rule) -> bool {
-    matches!(
-        rule,
-        Rule::Sr2Reduction | Rule::Ss2Scan | Rule::Bss2Comcast | Rule::Bsr2Local
-    )
-}
-
-/// Is `rule` one of the commutativity variants?
-fn needs_commutativity(rule: Rule) -> bool {
-    matches!(
-        rule,
-        Rule::SrReduction | Rule::SsScan | Rule::BssComcast | Rule::BsrLocal
-    )
-}
-
 fn fill_honest(case: &mut CaseSpec, rule: Rule, rng: &mut Rng) {
     // Domains with exactly-verifiable laws only, so the targeted rule is
     // guaranteed to fire under property verification (coverage gate).
@@ -953,7 +938,8 @@ fn fill_honest(case: &mut CaseSpec, rule: Rule, rng: &mut Rng) {
     };
 
     // Pick the window operator(s) honestly for the rule's side condition.
-    let (ot, op) = if needs_distributivity(rule) {
+    let spec = rule.spec();
+    let (ot, op) = if let Laws::Distributive { .. } = spec.laws {
         match case.domain {
             CaseDomain::Table => {
                 let (t0, t1) = honest_distributive_pair(rng);
@@ -970,7 +956,7 @@ fn fill_honest(case: &mut CaseSpec, rule: Rule, rng: &mut Rng) {
             }
         }
     } else {
-        let need_comm = needs_commutativity(rule);
+        let need_comm = spec.laws == Laws::Commutative;
         let op = match case.domain {
             CaseDomain::Table => {
                 let mut t = sample_table(
@@ -990,28 +976,23 @@ fn fill_honest(case: &mut CaseSpec, rule: Rule, rng: &mut Rng) {
     };
 
     // The targeted window sits at position 0 (no prefix, so no other rule
-    // can consume it first); SR-family rules draw reduce vs allreduce.
-    let tail = |rng: &mut Rng, op: OpRef| {
-        if rng.chance(0.5) {
-            StageSpec::Reduce(op)
-        } else {
-            StageSpec::AllReduce(op)
-        }
+    // can consume it first); an `AnyReduce` draws reduce vs allreduce.
+    let slot = |s| match s {
+        Slot::Times => ot.clone(),
+        Slot::Plus => op.clone(),
     };
-    case.stages = match rule {
-        Rule::Sr2Reduction => vec![StageSpec::Scan(ot), tail(rng, op)],
-        Rule::SrReduction => vec![StageSpec::Scan(ot), tail(rng, op)],
-        Rule::Ss2Scan | Rule::SsScan => vec![StageSpec::Scan(ot), StageSpec::Scan(op)],
-        Rule::BsComcast => vec![StageSpec::Bcast, StageSpec::Scan(op)],
-        Rule::Bss2Comcast | Rule::BssComcast => {
-            vec![StageSpec::Bcast, StageSpec::Scan(ot), StageSpec::Scan(op)]
-        }
-        Rule::BrLocal => vec![StageSpec::Bcast, StageSpec::Reduce(op)],
-        Rule::Bsr2Local | Rule::BsrLocal => {
-            vec![StageSpec::Bcast, StageSpec::Scan(ot), StageSpec::Reduce(op)]
-        }
-        Rule::CrAlllocal => vec![StageSpec::Bcast, StageSpec::AllReduce(op)],
-    };
+    case.stages = spec
+        .lhs
+        .iter()
+        .map(|pat| match *pat {
+            Pat::Bcast => StageSpec::Bcast,
+            Pat::Scan(s) => StageSpec::Scan(slot(s)),
+            Pat::Reduce(s) => StageSpec::Reduce(slot(s)),
+            Pat::AllReduce(s) => StageSpec::AllReduce(slot(s)),
+            Pat::AnyReduce(s) if rng.chance(0.5) => StageSpec::Reduce(slot(s)),
+            Pat::AnyReduce(s) => StageSpec::AllReduce(slot(s)),
+        })
+        .collect();
 
     append_suffix(case, rule, rng);
 
@@ -1035,9 +1016,15 @@ fn fill_honest(case: &mut CaseSpec, rule: Rule, rng: &mut Rng) {
 
 /// Random extra stages *after* the targeted window. Suffix-only keeps the
 /// window at position 0 where the targeted rule matches first; a scan is
-/// never appended directly after a BS-Comcast window (it would extend the
-/// match into a higher-priority BSS window).
+/// never appended directly after a window that is a proper prefix of a
+/// longer rule's (BS-Comcast's: it would extend the match into a
+/// higher-priority BSS window).
 fn append_suffix(case: &mut CaseSpec, rule: Rule, rng: &mut Rng) {
+    let lhs = rule.spec().lhs;
+    let prefix_of_longer = Rule::ALL.iter().any(|r| {
+        let longer = r.spec().lhs;
+        longer.len() > lhs.len() && longer.starts_with(lhs)
+    });
     let extra_op = |case: &CaseSpec, rng: &mut Rng| -> OpRef {
         match case.domain {
             // Reuse a case table (they are associative by construction).
@@ -1053,7 +1040,7 @@ fn append_suffix(case: &mut CaseSpec, rule: Rule, rng: &mut Rng) {
             0..=1 => StageSpec::MapId,
             2..=3 => StageSpec::Bcast,
             4..=5 => {
-                if i == 0 && rule == Rule::BsComcast {
+                if i == 0 && prefix_of_longer {
                     StageSpec::MapId
                 } else {
                     StageSpec::Scan(extra_op(case, rng))

@@ -275,7 +275,7 @@ fn check_rewrite(case: &CaseSpec, ledger: &mut CoverageLedger, failures: &mut Ve
 
     // Pass (a): full-rank-preserving rules only — every rank comparable.
     let full = Rewriter::exhaustive()
-        .verify_properties(samples.clone())
+        .audited(samples.clone())
         .allow_rank0_rules(false)
         .optimize(&prog);
     for step in &full.steps {
@@ -285,9 +285,7 @@ fn check_rewrite(case: &CaseSpec, ledger: &mut CoverageLedger, failures: &mut Ve
 
     // Pass (b): with the Local (rank0-only) rules. Sound to compare only
     // when non-root ranks cannot feed back into rank 0 afterwards.
-    let local = Rewriter::exhaustive()
-        .verify_properties(samples)
-        .optimize(&prog);
+    let local = Rewriter::exhaustive().audited(samples).optimize(&prog);
     let applied_rank0 = local.steps.iter().any(|s| s.rank0_only);
     for step in &local.steps {
         ledger.record_rule(step.rule);

@@ -75,6 +75,6 @@ pub mod prelude {
     pub use collopt_core::rewrite::{program_cost, Rewriter};
     pub use collopt_core::semantics::eval_program;
     pub use collopt_core::{execute, BinOp, ExecOutcome, Program, Rule, Stage, Value};
-    pub use collopt_cost::{MachineParams, PhaseCost, Rule as CostRule};
+    pub use collopt_cost::{MachineParams, PhaseCost};
     pub use collopt_machine::{ClockParams, Ctx, Machine};
 }

@@ -1,7 +1,7 @@
 //! The rewriter's property-verification safety net.
 //!
 //! The rules are only sound if the declared operator algebra is true. A
-//! user can declare anything; `Rewriter::verify_properties` re-checks the
+//! user can declare anything; `Rewriter::audited` re-checks the
 //! side condition on sample values before each application and skips
 //! rules whose condition fails — turning a silent wrong-answer bug into a
 //! skipped optimization.
@@ -57,7 +57,7 @@ fn unverified_rewriter_trusts_lies_and_gets_wrong_answers() {
 fn verified_rewriter_skips_rules_with_false_conditions() {
     let prog = Program::new().scan(lying_sub()).allreduce(lying_sub());
     let opt = Rewriter::exhaustive()
-        .verify_properties(int_samples())
+        .audited(int_samples())
         .optimize(&prog);
     assert!(
         opt.steps.is_empty(),
@@ -73,7 +73,7 @@ fn verified_rewriter_rejects_false_distributivity() {
     assert_eq!(blind.steps.len(), 1);
     // With verification over samples containing negatives, it is skipped.
     let checked = Rewriter::exhaustive()
-        .verify_properties(int_samples())
+        .audited(int_samples())
         .optimize(&prog);
     assert!(checked.steps.is_empty());
     // And indeed the blind rewrite is wrong on a negative input — on the
@@ -97,7 +97,7 @@ fn verified_rewriter_rejects_false_distributivity() {
 fn verified_rewriter_still_applies_true_rules() {
     let prog = Program::new().scan(ops::mul()).allreduce(ops::add());
     let opt = Rewriter::exhaustive()
-        .verify_properties(int_samples())
+        .audited(int_samples())
         .optimize(&prog);
     assert_eq!(opt.steps.len(), 1);
     let input = ints(&[2, -1, 3, 2]);
@@ -117,7 +117,7 @@ fn verification_accepts_true_commutativity_and_tropical_distributivity() {
         Program::new().bcast().scan(ops::add()).scan(ops::add()),
     ] {
         let opt = Rewriter::exhaustive()
-            .verify_properties(int_samples())
+            .audited(int_samples())
             .optimize(&prog);
         assert_eq!(opt.steps.len(), 1, "{prog}");
     }
@@ -129,13 +129,13 @@ fn verification_composes_with_cost_guidance() {
     // True condition + profitable: fires.
     let good = Program::new().scan(ops::add()).allreduce(ops::add());
     let r = Rewriter::cost_guided(params, 1.0)
-        .verify_properties(int_samples())
+        .audited(int_samples())
         .optimize(&good);
     assert_eq!(r.steps.len(), 1);
     // False condition + (would-be) profitable: skipped.
     let bad = Program::new().scan(lying_sub()).allreduce(lying_sub());
     let r = Rewriter::cost_guided(params, 1.0)
-        .verify_properties(int_samples())
+        .audited(int_samples())
         .optimize(&bad);
     assert!(r.steps.is_empty());
 }

@@ -202,7 +202,7 @@ fn verified_rewriter_accepts_iff_brute_force_condition_holds() {
         let op = t.binop(0);
         let prog = Program::new().scan(op.clone()).allreduce(op.clone());
         let res = Rewriter::exhaustive()
-            .verify_properties(full_domain())
+            .audited(full_domain())
             .optimize(&prog);
         let truly_ok = t.is_associative() && t.is_commutative();
         assert_eq!(!res.steps.is_empty(), truly_ok);
