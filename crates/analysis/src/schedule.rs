@@ -2,10 +2,11 @@
 //!
 //! Input: a symbolic per-rank [`Schedule`] extracted by
 //! `collopt_collectives::schedule` — no payloads, just who sends what to
-//! whom in which order. The verifier executes the schedule *abstractly*
-//! over the machine's channel semantics (directed per-pair FIFOs,
-//! non-blocking sends, blocking receives, full-machine clock barriers)
-//! and proves, without running a single simulated clock tick:
+//! whom in which order. The verifier executes the schedule *abstractly*,
+//! event by event, over the machine's channel semantics (directed
+//! per-pair FIFOs, non-blocking sends, blocking receives, full-machine
+//! clock barriers) and proves, without running a single simulated clock
+//! tick:
 //!
 //! * **deadlock-freedom** — the abstract execution drains every rank to
 //!   completion; a stall is diagnosed as a wait-for cycle or a barrier
@@ -26,8 +27,6 @@
 //! receive half of an exchange completes in the send's round
 //! (`max(own, stamp)` after the push), which is what makes a butterfly
 //! exchange cost one round where a send + receive pair costs two.
-
-use std::collections::{HashMap, VecDeque};
 
 use collopt_collectives::schedule::{
     planted_variants, shipped_variants, CollectiveKind, SchedOp, Schedule, Variant,
@@ -90,43 +89,86 @@ impl ScheduleReport {
     }
 }
 
-/// One rank-level micro-op after desugaring exchanges into their
-/// send + receive halves on the same directed channels.
-#[derive(Debug, Clone, Copy)]
-enum Micro {
-    Send {
-        to: usize,
-        words: u64,
-    },
-    /// `exchange_half` marks the receive that completes an exchange:
-    /// its round joins the send's instead of opening a new one.
-    Recv {
-        from: usize,
-        exchange_half: bool,
-    },
-    Barrier,
+/// One rank of the abstract machine.
+#[derive(Clone, Default)]
+struct RankState {
+    /// Index of the next op in the rank's program.
+    pc: usize,
+    /// Critical-path rounds so far.
+    depth: u64,
+    /// The op at `pc` is an exchange whose send half is posted.
+    posted: bool,
+    /// The source the rank is blocked on.
+    waits: Option<usize>,
+    /// First and last arena slot of the rank's arrival-ordered inbox.
+    head: Option<usize>,
+    tail: Option<usize>,
 }
 
-fn desugar(ops: &[SchedOp]) -> Vec<Micro> {
-    let mut out = Vec::with_capacity(ops.len());
-    for op in ops {
-        match *op {
-            SchedOp::Send { to, words } => out.push(Micro::Send { to, words }),
-            SchedOp::Recv { from } => out.push(Micro::Recv {
-                from,
-                exchange_half: false,
-            }),
-            SchedOp::Exchange { peer, words } => {
-                out.push(Micro::Send { to: peer, words });
-                out.push(Micro::Recv {
-                    from: peer,
-                    exchange_half: true,
-                });
-            }
-            SchedOp::Barrier => out.push(Micro::Barrier),
-        }
+impl RankState {
+    /// Complete the receive at `pc` with a message stamped `stamp`; an
+    /// exchange's receive half joins its send's round.
+    fn complete(&mut self, stamp: u64) {
+        self.depth = (self.depth + u64::from(!self.posted)).max(stamp);
+        self.posted = false;
+        self.pc += 1;
     }
-    out
+}
+
+/// The abstract machine: its ranks, one arena of queued `(sender, stamp,
+/// next in the receiver's inbox)` messages, and the runnable ranks.
+struct Exec {
+    ranks: Vec<RankState>,
+    msgs: Vec<(usize, u64, Option<usize>)>,
+    runnable: Vec<usize>,
+}
+
+impl Exec {
+    /// `from` posts a message to `to`: a receiver blocked on `from` takes
+    /// it at once and becomes runnable, any other queues it.
+    fn post(&mut self, from: usize, to: usize) {
+        self.ranks[from].depth += 1;
+        let stamp = self.ranks[from].depth;
+        let r = &mut self.ranks[to];
+        if r.waits == Some(from) {
+            r.waits = None;
+            r.complete(stamp);
+            self.runnable.push(to);
+            return;
+        }
+        let slot = Some(self.msgs.len());
+        self.msgs.push((from, stamp, None));
+        match r.tail {
+            Some(t) => self.msgs[t].2 = slot,
+            None => r.head = slot,
+        }
+        r.tail = slot;
+    }
+
+    /// `rank` receives from `from`: it takes the first message from `from`
+    /// in its inbox, as `machine::des`'s `pop_from` does, so every directed
+    /// pair stays FIFO — or, if there is none, blocks on `from`.
+    fn recv(&mut self, rank: usize, from: usize) -> bool {
+        let r = &mut self.ranks[rank];
+        let (mut prev, mut cur) = (None, r.head);
+        while let Some(i) = cur.filter(|&i| self.msgs[i].0 != from) {
+            (prev, cur) = (Some(i), self.msgs[i].2);
+        }
+        let Some(i) = cur else {
+            r.waits = Some(from);
+            return false;
+        };
+        let (_, stamp, next) = self.msgs[i];
+        match prev {
+            Some(prev) => self.msgs[prev].2 = next,
+            None => r.head = next,
+        }
+        if r.tail == cur {
+            r.tail = prev;
+        }
+        r.complete(stamp);
+        true
+    }
 }
 
 fn diag(code: &'static str, severity: Severity, message: String) -> Diagnostic {
@@ -143,7 +185,8 @@ fn diag(code: &'static str, severity: Severity, message: String) -> Diagnostic {
 
 /// Abstractly execute `sched` and verify it; `name` labels diagnostics,
 /// `kind` selects the lower bound, `expected_rounds` is the cost model's
-/// promise.
+/// promise. A rank program too many or too few, or a peer outside
+/// `0..p`, is one `COL009` error.
 pub fn verify_schedule(
     name: &'static str,
     kind: CollectiveKind,
@@ -152,144 +195,152 @@ pub fn verify_schedule(
     m: u64,
 ) -> ScheduleReport {
     let p = sched.p;
-    let progs: Vec<Vec<Micro>> = sched.ranks.iter().map(|ops| desugar(ops)).collect();
-    let mut pc = vec![0usize; p];
-    let mut depth = vec![0u64; p];
-    // Directed per-(from, to) FIFO of (words, sender round stamp).
-    let mut channels: HashMap<(usize, usize), VecDeque<(u64, u64)>> = HashMap::new();
-    let mut diagnostics = Vec::new();
+    let finish = |rounds: u64, diagnostics: Vec<Diagnostic>| ScheduleReport {
+        variant: name,
+        p,
+        m,
+        rounds,
+        expected_rounds,
+        lower_bound: min_rounds(bound_kind(kind), p),
+        messages: sched.message_count(),
+        words: sched.total_words(),
+        diagnostics,
+    };
+    let peer = |op: &SchedOp| match *op {
+        SchedOp::Send { to, .. } => to,
+        SchedOp::Recv { from } => from,
+        SchedOp::Exchange { peer, .. } => peer,
+        SchedOp::Barrier => 0,
+    };
+    let malformed = if sched.ranks.len() != p {
+        Some(format!("{} rank programs for p = {p}", sched.ranks.len()))
+    } else {
+        (0..p).find_map(|rank| {
+            let bad = sched.ranks[rank].iter().map(peer).find(|&to| to >= p)?;
+            Some(format!("rank {rank} names peer {bad}, outside 0..{p}"))
+        })
+    };
+    if let Some(why) = malformed {
+        let message = format!("{name}: malformed schedule — {why}");
+        return finish(0, vec![diag("COL009", Severity::Error, message)]);
+    }
 
-    let finished = |pc: &[usize], rank: usize| pc[rank] >= progs[rank].len();
-    loop {
-        let mut progressed = false;
-        for rank in 0..p {
-            while pc[rank] < progs[rank].len() {
-                match progs[rank][pc[rank]] {
-                    Micro::Send { to, words } => {
-                        depth[rank] += 1;
-                        channels
-                            .entry((rank, to))
-                            .or_default()
-                            .push_back((words, depth[rank]));
-                        pc[rank] += 1;
-                        progressed = true;
-                    }
-                    Micro::Recv {
-                        from,
-                        exchange_half,
-                    } => {
-                        let Some((_, stamp)) =
-                            channels.get_mut(&(from, rank)).and_then(|q| q.pop_front())
-                        else {
-                            break;
-                        };
-                        depth[rank] = if exchange_half {
-                            depth[rank].max(stamp)
-                        } else {
-                            (depth[rank] + 1).max(stamp)
-                        };
-                        pc[rank] += 1;
-                        progressed = true;
-                    }
-                    Micro::Barrier => break,
+    let mut ex = Exec {
+        ranks: vec![RankState::default(); p],
+        msgs: Vec::with_capacity(sched.message_count() as usize),
+        runnable: (0..p).rev().collect(),
+    };
+    // Every receive names its source, so this is a Kahn network: the order
+    // ranks run in changes no final state. Each runs until it finishes,
+    // parks at a barrier or blocks on a receive.
+    let mut at_barrier = 0;
+    while let Some(rank) = ex.runnable.pop() {
+        while let Some(&op) = sched.ranks[rank].get(ex.ranks[rank].pc) {
+            let from = match op {
+                SchedOp::Send { to, .. } => {
+                    ex.post(rank, to);
+                    ex.ranks[rank].pc += 1;
+                    continue;
                 }
-            }
-        }
-        // The clock barrier completes only when *every* rank is at one.
-        let at_barrier =
-            |pc: &[usize], rank: usize| matches!(progs[rank].get(pc[rank]), Some(Micro::Barrier));
-        if p > 0 && (0..p).all(|r| at_barrier(&pc, r)) {
-            let sync = depth.iter().copied().max().unwrap_or(0);
-            for rank in 0..p {
-                depth[rank] = sync;
-                pc[rank] += 1;
-            }
-            progressed = true;
-        }
-        if (0..p).all(|r| finished(&pc, r)) {
-            break;
-        }
-        if progressed {
-            continue;
-        }
-        // Stall: classify.
-        let waiting_at_barrier: Vec<usize> = (0..p).filter(|&r| at_barrier(&pc, r)).collect();
-        if !waiting_at_barrier.is_empty() {
-            let absent: Vec<usize> = (0..p).filter(|&r| !at_barrier(&pc, r)).collect();
-            diagnostics.push(diag(
-                "COL008",
-                Severity::Error,
-                format!(
-                    "{name}: barrier inconsistency — ranks {waiting_at_barrier:?} wait at a \
-                     clock barrier that ranks {absent:?} never reach"
-                ),
-            ));
-            return finish(name, sched, m, kind, expected_rounds, 0, diagnostics);
-        }
-        // Every stuck rank sits at a plain receive. If its source has
-        // terminated, the receive is an orphan; otherwise every stuck
-        // rank waits on another stuck rank and the wait-for graph has a
-        // cycle.
-        let mut waits_on: HashMap<usize, usize> = HashMap::new();
-        for rank in 0..p {
-            if finished(&pc, rank) {
-                continue;
-            }
-            if let Micro::Recv { from, .. } = progs[rank][pc[rank]] {
-                if finished(&pc, from) {
-                    diagnostics.push(diag(
-                        "COL009",
-                        Severity::Error,
-                        format!(
-                            "{name}: orphan receive — rank {rank} waits for a message from \
-                             rank {from}, which terminated without sending one"
-                        ),
-                    ));
-                } else {
-                    waits_on.insert(rank, from);
+                SchedOp::Recv { from } => from,
+                SchedOp::Exchange { peer, .. } => {
+                    ex.post(rank, peer);
+                    ex.ranks[rank].posted = true;
+                    peer
                 }
+                // The clock barrier completes only when *every* rank is
+                // at one.
+                SchedOp::Barrier => {
+                    at_barrier += 1;
+                    if at_barrier == p {
+                        at_barrier = 0;
+                        let sync = ex.ranks.iter().map(|r| r.depth).max().unwrap_or(0);
+                        for (r, state) in ex.ranks.iter_mut().enumerate() {
+                            state.depth = sync;
+                            state.pc += 1;
+                            ex.runnable.push(r);
+                        }
+                    }
+                    break;
+                }
+            };
+            if !ex.recv(rank, from) {
+                break;
+            }
+        }
+    }
+
+    // A stall leaves every unfinished rank parked at a barrier or blocked
+    // on a receive.
+    let finished = |rank: usize| ex.ranks[rank].pc >= sched.ranks[rank].len();
+    let mut diagnostics = Vec::new();
+    if !(0..p).all(finished) {
+        let parked = |rank: usize| !finished(rank) && ex.ranks[rank].waits.is_none();
+        let (waiting, absent): (Vec<usize>, Vec<usize>) = (0..p).partition(|&r| parked(r));
+        if !waiting.is_empty() {
+            let message = format!(
+                "{name}: barrier inconsistency — ranks {waiting:?} wait at a clock barrier \
+                 that ranks {absent:?} never reach"
+            );
+            return finish(0, vec![diag("COL008", Severity::Error, message)]);
+        }
+        // A receive whose source has terminated is an orphan; if there is
+        // none, every blocked rank waits on another blocked rank and the
+        // wait-for graph has a cycle.
+        for rank in 0..p {
+            if let Some(from) = ex.ranks[rank].waits.filter(|&from| finished(from)) {
+                diagnostics.push(diag(
+                    "COL009",
+                    Severity::Error,
+                    format!(
+                        "{name}: orphan receive — rank {rank} waits for a message from \
+                         rank {from}, which terminated without sending one"
+                    ),
+                ));
             }
         }
         if diagnostics.is_empty() {
-            // All waits point at blocked ranks: follow the edges from the
-            // lowest blocked rank until a rank repeats — that loop is the
-            // deadlock cycle.
-            let start = *waits_on.keys().min().expect("a stall blocks some rank");
-            let mut seen = Vec::new();
-            let mut cur = start;
-            while !seen.contains(&cur) {
-                seen.push(cur);
-                cur = waits_on[&cur];
+            // Follow the edges from the lowest blocked rank until a rank
+            // repeats — that loop is the deadlock cycle.
+            let blocked = |rank: usize| ex.ranks[rank].waits;
+            let mut cur = (0..p)
+                .find(|&r| blocked(r).is_some())
+                .expect("a stall blocks some rank");
+            let mut cycle = Vec::new();
+            while !cycle.contains(&cur) {
+                cycle.push(cur);
+                cur = blocked(cur).expect("a blocked rank waits on a blocked rank");
             }
-            let cycle_start = seen.iter().position(|&r| r == cur).unwrap();
-            let mut cycle: Vec<usize> = seen[cycle_start..].to_vec();
+            let entry = cycle.iter().position(|&r| r == cur);
+            cycle.drain(..entry.expect("the walk stopped on a rank it visited"));
             cycle.push(cur);
-            let cycle_str = cycle
-                .iter()
-                .map(|r| r.to_string())
-                .collect::<Vec<_>>()
-                .join(" -> ");
+            let cycle: Vec<String> = cycle.iter().map(|r| r.to_string()).collect();
             diagnostics.push(diag(
                 "COL008",
                 Severity::Error,
                 format!(
-                    "{name}: deadlock — wait-for cycle {cycle_str}: every rank in the cycle \
+                    "{name}: deadlock — wait-for cycle {}: every rank in the cycle \
                      blocks on a receive its predecessor can only satisfy after its own \
-                     receive completes"
+                     receive completes",
+                    cycle.join(" -> ")
                 ),
             ));
         }
-        return finish(name, sched, m, kind, expected_rounds, 0, diagnostics);
+        return finish(0, diagnostics);
     }
 
-    // Drained: any message still in a channel was sent and never received.
-    let mut leftovers: Vec<(usize, usize, usize)> = channels
-        .iter()
-        .filter(|(_, q)| !q.is_empty())
-        .map(|(&(from, to), q)| (from, to, q.len()))
-        .collect();
+    // Drained: any message still in an inbox was sent and never received.
+    let mut leftovers = Vec::new();
+    for (to, r) in ex.ranks.iter().enumerate() {
+        let mut slot = r.head;
+        while let Some(i) = slot {
+            leftovers.push((ex.msgs[i].0, to));
+            slot = ex.msgs[i].2;
+        }
+    }
     leftovers.sort_unstable();
-    for (from, to, n) in leftovers {
+    for pair in leftovers.chunk_by(|a, b| a == b) {
+        let ((from, to), n) = (pair[0], pair.len());
         diagnostics.push(diag(
             "COL009",
             Severity::Error,
@@ -302,7 +353,7 @@ pub fn verify_schedule(
         ));
     }
 
-    let rounds = depth.iter().copied().max().unwrap_or(0);
+    let rounds = ex.ranks.iter().map(|r| r.depth).max().unwrap_or(0);
     if diagnostics.is_empty() {
         if rounds > expected_rounds {
             diagnostics.push(diag(
@@ -327,29 +378,7 @@ pub fn verify_schedule(
             ));
         }
     }
-    finish(name, sched, m, kind, expected_rounds, rounds, diagnostics)
-}
-
-fn finish(
-    name: &'static str,
-    sched: &Schedule,
-    m: u64,
-    kind: CollectiveKind,
-    expected_rounds: u64,
-    rounds: u64,
-    diagnostics: Vec<Diagnostic>,
-) -> ScheduleReport {
-    ScheduleReport {
-        variant: name,
-        p: sched.p,
-        m,
-        rounds,
-        expected_rounds,
-        lower_bound: min_rounds(bound_kind(kind), sched.p),
-        messages: sched.message_count(),
-        words: sched.total_words(),
-        diagnostics,
-    }
+    finish(rounds, diagnostics)
 }
 
 /// Extract and verify one registry variant at `(p, m)`.
@@ -549,6 +578,130 @@ mod tests {
                 .any(|d| d.code == "COL010" && d.severity == Severity::Note),
             "{r:?}"
         );
+    }
+
+    fn hand_built(ranks: Vec<Vec<SchedOp>>) -> Schedule {
+        Schedule {
+            p: ranks.len(),
+            ranks,
+        }
+    }
+
+    fn verify(sched: &Schedule, expected_rounds: u64) -> ScheduleReport {
+        verify_schedule(
+            "hand_built",
+            CollectiveKind::Bcast,
+            sched,
+            expected_rounds,
+            1,
+        )
+    }
+
+    fn codes(r: &ScheduleReport) -> Vec<&'static str> {
+        r.diagnostics.iter().map(|d| d.code).collect()
+    }
+
+    #[test]
+    fn a_woken_exchange_does_not_post_its_send_half_again() {
+        // Rank 0 posts its half, blocks, and is woken by rank 1's reply.
+        let sched = hand_built(vec![
+            vec![SchedOp::Exchange { peer: 1, words: 1 }],
+            vec![SchedOp::Recv { from: 0 }, SchedOp::Send { to: 0, words: 1 }],
+        ]);
+        let r = verify(&sched, 2);
+        assert!(r.ok(), "{r:?}");
+        assert_eq!(r.rounds, 2);
+    }
+
+    #[test]
+    fn interleaved_sources_keep_per_pair_fifo_and_stamps() {
+        // Rank 0's messages to rank 2 carry stamps 1, 2; rank 1's carry 5,
+        // 6 after four sends to rank 3. Rank 2 takes them alternately.
+        let send = |to| SchedOp::Send { to, words: 1 };
+        let mut from_1 = vec![send(3); 4];
+        from_1.extend([send(2), send(2)]);
+        let sched = hand_built(vec![
+            vec![send(2), send(2)],
+            from_1,
+            [1, 0, 1, 0].map(|from| SchedOp::Recv { from }).to_vec(),
+            vec![SchedOp::Recv { from: 1 }; 4],
+        ]);
+        let r = verify(&sched, 8);
+        assert!(r.ok(), "{r:?}");
+        // max(1, 5), max(6, 1), max(7, 6), max(8, 2).
+        assert_eq!(r.rounds, 8);
+    }
+
+    #[test]
+    fn a_send_from_another_source_does_not_resume_a_blocked_receive() {
+        // Rank 0 waits on rank 1; rank 2's message reaches it first and
+        // must stay queued until the run ends.
+        let sched = hand_built(vec![
+            vec![SchedOp::Recv { from: 1 }],
+            vec![SchedOp::Recv { from: 2 }, SchedOp::Send { to: 0, words: 1 }],
+            vec![
+                SchedOp::Send { to: 0, words: 1 },
+                SchedOp::Send { to: 1, words: 1 },
+            ],
+        ]);
+        let r = verify(&sched, 3);
+        assert_eq!(codes(&r), ["COL009"], "{r:?}");
+        assert!(
+            r.diagnostics[0]
+                .message
+                .contains("rank 2 sent 1 message to rank 0"),
+            "{r:?}"
+        );
+    }
+
+    #[test]
+    fn consecutive_barriers_each_release() {
+        let sched = hand_built(vec![
+            vec![
+                SchedOp::Send { to: 1, words: 1 },
+                SchedOp::Barrier,
+                SchedOp::Barrier,
+            ],
+            vec![
+                SchedOp::Recv { from: 0 },
+                SchedOp::Barrier,
+                SchedOp::Barrier,
+            ],
+        ]);
+        let r = verify(&sched, 1);
+        assert!(r.diagnostics.is_empty(), "{r:?}");
+        assert_eq!(r.rounds, 1);
+    }
+
+    #[test]
+    fn one_rank_and_empty_schedules_verify_clean_in_zero_rounds() {
+        for sched in [
+            hand_built(vec![vec![SchedOp::Barrier, SchedOp::Barrier]]),
+            Schedule::new(1),
+            Schedule::new(5),
+        ] {
+            let r = verify(&sched, 0);
+            assert!(r.diagnostics.is_empty(), "{r:?}");
+            assert_eq!(r.rounds, 0);
+        }
+    }
+
+    #[test]
+    fn malformed_schedules_are_one_col009_not_a_panic() {
+        let mut short = Schedule::new(3);
+        short.ranks.pop();
+        let wild = hand_built(vec![
+            vec![SchedOp::Send { to: 1, words: 1 }],
+            vec![SchedOp::Recv { from: 0 }, SchedOp::Recv { from: 7 }],
+        ]);
+        for (sched, why) in [
+            (short, "2 rank programs for p = 3"),
+            (wild, "rank 1 names peer 7, outside 0..2"),
+        ] {
+            let r = verify(&sched, 0);
+            assert_eq!(codes(&r), ["COL009"], "{r:?}");
+            assert!(r.diagnostics[0].message.ends_with(why), "{r:?}");
+        }
     }
 
     #[test]

@@ -7,14 +7,19 @@
 //!    model's closed forms) across the full p ∈ 2..=64 sweep, including
 //!    non-powers-of-two and blocks smaller than the machine (`m < p`).
 //! 2. **Determinism** — the verifier is a pure function of `(p, m)`;
-//!    its byte-stable JSON rendering must not change between runs.
+//!    its byte-stable JSON rendering must not change between runs, and
+//!    both renderings are pinned: a golden file over a dozen points and
+//!    an FNV-1a hash over the full p ∈ 2..=64 sweep
+//!    (`UPDATE_GOLDEN=1` rewrites the file and prints the hash).
 //! 3. **Ground truth** — each planted-bug lowering is rejected
 //!    statically with its expected code, *and* its runnable async twin
 //!    genuinely deadlocks the discrete-event engine. A verifier whose
 //!    rejections don't correspond to real hangs is just a linter with
 //!    opinions; these drills pin the static verdict to dynamic reality.
 
-use collopt::analysis::schedule::{render_reports_json, verify_planted, verify_registry};
+use collopt::analysis::schedule::{
+    render_reports_human, render_reports_json, verify_planted, verify_registry, ScheduleReport,
+};
 use collopt::collectives::schedule::planted;
 use collopt::machine::{ClockParams, Machine};
 use collopt_bench::sweep_driver::par_map;
@@ -45,6 +50,66 @@ fn verifier_output_is_deterministic() {
         let b = render_reports_json(&verify_registry(p, m), p, m);
         assert_eq!(a, b, "verifier output must be a pure function of (p, m)");
     }
+}
+
+/// Both renderings at one point: the planted drills for humans, the
+/// shipped registry as JSON.
+fn render_point(p: usize, m: u64) -> (String, String) {
+    let planted: Vec<ScheduleReport> = verify_planted(p, m).into_iter().map(|(r, _)| r).collect();
+    (
+        render_reports_human(&planted),
+        render_reports_json(&verify_registry(p, m), p, m),
+    )
+}
+
+#[test]
+fn verifier_output_matches_the_golden_file() {
+    let mut out = String::new();
+    for p in [3usize, 4, 5, 8, 13, 64] {
+        for m in [4u64, 97] {
+            out.push_str(&format!("== planted p={p} m={m}\n{}", render_point(p, m).0));
+        }
+    }
+    for (p, m) in [(2usize, 1u64), (6, 14), (16, 97), (48, 97), (64, 5)] {
+        out.push_str(&format!(
+            "== registry p={p} m={m}\n{}\n",
+            render_point(p, m).1
+        ));
+    }
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/golden/schedule_verifier.txt"
+    );
+    if std::env::var_os("UPDATE_GOLDEN").is_some() {
+        std::fs::write(path, &out).expect("rewrite the golden file");
+    }
+    let golden = std::fs::read_to_string(path).expect("golden file is committed");
+    assert!(
+        out == golden,
+        "verifier output differs from {path}; if the change is intended, \
+         rerun with UPDATE_GOLDEN=1 and inspect the diff"
+    );
+}
+
+/// FNV-1a of both renderings over the full sweep, in sweep order.
+const SWEEP_HASH: u64 = 0x1153_21a7_d529_a450;
+
+#[test]
+fn verifier_output_over_the_full_sweep_matches_its_hash() {
+    let points: Vec<(usize, u64)> = (2..=64usize)
+        .flat_map(|p| [1u64, 4, 9, 32, 97].map(|m| (p, m)))
+        .collect();
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    for (human, json) in par_map(points, |(p, m)| render_point(p, m)) {
+        for b in human.bytes().chain(json.bytes()) {
+            hash ^= u64::from(b);
+            hash = hash.wrapping_mul(0x100_0000_01b3);
+        }
+    }
+    if std::env::var_os("UPDATE_GOLDEN").is_some() {
+        println!("SWEEP_HASH = {hash:#018x}");
+    }
+    assert_eq!(hash, SWEEP_HASH, "got {hash:#018x}");
 }
 
 #[test]
