@@ -17,14 +17,15 @@ pub mod repro;
 pub mod sweep_driver;
 
 use collopt_collectives::{
-    bcast_binomial, comcast_bcast_repeat, comcast_cost_optimal, scan_butterfly, Combine, RepeatOp,
+    bcast_binomial_async, comcast_bcast_repeat_async, comcast_cost_optimal_async,
+    scan_butterfly_async, Combine, RepeatOp,
 };
 use collopt_core::op::lib as ops;
 use collopt_core::rules::{try_match, window_len, Rule};
 use collopt_core::term::Program;
 use collopt_core::value::Value;
 use collopt_cost::table1::{Pat, Slot};
-use collopt_machine::{ClockParams, Machine};
+use collopt_machine::{drive, ClockParams, Machine};
 
 /// The paper's Parsytec-like machine constants used for all figure
 /// regenerations (latency-dominated network; see DESIGN.md §2).
@@ -145,11 +146,11 @@ pub fn run_comcast(which: ComcastImpl, p: usize, m: usize, clock: ClockParams) -
         let seed: Option<Vec<i64>> = (ctx.rank() == 0).then(|| vec![1i64; m]);
         let out: Vec<i64> = match which {
             ComcastImpl::BcastScan => {
-                let b = bcast_binomial(ctx, 0, seed, words);
+                let b = drive(bcast_binomial_async(ctx, 0, seed, words));
                 let add = |a: &Vec<i64>, b: &Vec<i64>| -> Vec<i64> {
                     a.iter().zip(b).map(|(x, y)| x + y).collect()
                 };
-                scan_butterfly(ctx, b, words, &Combine::new(&add))
+                drive(scan_butterfly_async(ctx, b, words, &Combine::new(&add)))
             }
             ComcastImpl::CostOptimal => {
                 let op = RepeatOp {
@@ -159,7 +160,9 @@ pub fn run_comcast(which: ComcastImpl, p: usize, m: usize, clock: ClockParams) -
                     ops_o: 2.0,
                 };
                 let inj = |b: &Vec<i64>| inject(b);
-                comcast_cost_optimal(ctx, 0, seed, words, &inj, &project, &op, 2)
+                drive(comcast_cost_optimal_async(
+                    ctx, 0, seed, words, &inj, &project, &op, 2,
+                ))
             }
             ComcastImpl::BcastRepeat => {
                 let op = RepeatOp {
@@ -169,7 +172,9 @@ pub fn run_comcast(which: ComcastImpl, p: usize, m: usize, clock: ClockParams) -
                     ops_o: 2.0,
                 };
                 let inj = |b: &Vec<i64>| inject(b);
-                comcast_bcast_repeat(ctx, 0, seed, words, &inj, &project, &op)
+                drive(comcast_bcast_repeat_async(
+                    ctx, 0, seed, words, &inj, &project, &op,
+                ))
             }
         };
         // Fold to a checksum so the bench can assert correctness cheaply.

@@ -16,7 +16,7 @@ use std::path::Path;
 use std::sync::Arc;
 
 use collopt_collectives::{
-    allreduce_auto, allreduce_model_cost, choose_allreduce, AllreduceChoice, Combine,
+    allreduce_auto_async, allreduce_model_cost, choose_allreduce, AllreduceChoice, Combine,
 };
 use collopt_core::adjust::{pair, quadruple};
 use collopt_core::exec::{execute, execute_traced, execute_traced_with, ExecConfig};
@@ -29,7 +29,7 @@ use collopt_cost::sweep::{allreduce_crossover_m, recommend, render_crossovers};
 use collopt_cost::table1::{render_table1, Laws};
 use collopt_cost::{MachineParams, Rule};
 use collopt_machine::topology::{butterfly_partner, BalancedStep, BalancedTree};
-use collopt_machine::{chrome_trace_json, ClockParams, Machine, Trace};
+use collopt_machine::{chrome_trace_json, drive, ClockParams, Machine, Trace};
 
 use crate::sweep_driver::par_map;
 use crate::{
@@ -545,7 +545,12 @@ fn allreduce() -> Files {
                     a.iter().zip(b).map(|(x, y)| x + y).collect()
                 };
                 let op = Combine::new(&f).assume_commutative();
-                allreduce_auto(ctx, blocks[ctx.rank()].clone(), 1, &op)
+                drive(allreduce_auto_async(
+                    ctx,
+                    blocks[ctx.rank()].clone(),
+                    1,
+                    &op,
+                ))
             })
             .makespan
     };

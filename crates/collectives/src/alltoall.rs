@@ -2,30 +2,34 @@
 //!
 //! Rounding out the MPI collective family on the simulated machine:
 //!
-//! * [`alltoall`] — every rank holds one block *per destination*; after
-//!   the exchange every rank holds one block *per source*, in source
+//! * [`alltoall_async`] — every rank holds one block *per destination*;
+//!   after the exchange every rank holds one block *per source*, in source
 //!   order. Implemented with the linear-shift schedule (`p − 1` rounds of
 //!   simultaneous pairwise exchanges, round `r` pairing rank `i` with
 //!   `i XOR`-free partners `(i + r) mod p` / `(i − r) mod p`), which works
 //!   for any `p` and keeps every link busy.
-//! * [`reduce_scatter`] — block-wise reduction with scattered results:
-//!   rank `i` ends with `block_i(x₀) ⊕ … ⊕ block_i(x_{p−1})`. Implemented
-//!   as a binomial reduction of the full block vector followed by a
-//!   binomial scatter; the classic recursive-halving algorithm is
-//!   equivalent in cost for power-of-two `p` but unsound for
-//!   non-commutative operators on other sizes, so the simple composition
-//!   is the default.
+//! * [`reduce_scatter_binomial_async`] — block-wise reduction with
+//!   scattered results: rank `i` ends with
+//!   `block_i(x₀) ⊕ … ⊕ block_i(x_{p−1})`. Implemented as a binomial
+//!   reduction of the full block vector followed by a binomial scatter;
+//!   the classic recursive-halving algorithm is equivalent in cost for
+//!   power-of-two `p` but unsound for non-commutative operators on other
+//!   sizes, so the simple composition is the default.
 
 use collopt_machine::Ctx;
 
-use crate::gather::scatter_binomial;
+use crate::gather::scatter_binomial_async;
 use crate::op::Combine;
-use crate::reduce::reduce_binomial;
+use crate::reduce::reduce_binomial_async;
 
 /// All-to-all: `blocks[d]` is this rank's block destined for rank `d`;
 /// returns the received blocks indexed by source rank. `words` is the
 /// size of one block.
-pub fn alltoall<T: Clone + Send + 'static>(ctx: &mut Ctx, blocks: Vec<T>, words: u64) -> Vec<T> {
+pub async fn alltoall_async<T: Clone + Send + 'static>(
+    ctx: &mut Ctx,
+    blocks: Vec<T>,
+    words: u64,
+) -> Vec<T> {
     let p = ctx.size();
     assert_eq!(blocks.len(), p, "need exactly one block per destination");
     let rank = ctx.rank();
@@ -37,11 +41,11 @@ pub fn alltoall<T: Clone + Send + 'static>(ctx: &mut Ctx, blocks: Vec<T>, words:
         let payload = blocks[dst].clone();
         if dst == src {
             // p = 2k and round = k: a true pairwise exchange.
-            let got: T = ctx.exchange(dst, payload, words);
+            let got: T = ctx.exchange_async(dst, payload, words).await;
             out[src] = Some(got);
         } else {
             ctx.send(dst, payload, words);
-            let got: T = ctx.recv(src);
+            let got: T = ctx.recv_async(src).await;
             out[src] = Some(got);
         }
     }
@@ -53,7 +57,7 @@ pub fn alltoall<T: Clone + Send + 'static>(ctx: &mut Ctx, blocks: Vec<T>, words:
 /// Reduce-scatter: `blocks[i]` is this rank's contribution to rank `i`'s
 /// result; rank `i` returns the rank-order reduction of all `blocks[i]`.
 /// `words` is the size of one block.
-pub fn reduce_scatter<T: Clone + Send + 'static>(
+pub async fn reduce_scatter_binomial_async<T: Clone + Send + 'static>(
     ctx: &mut Ctx,
     blocks: Vec<T>,
     words: u64,
@@ -63,22 +67,19 @@ pub fn reduce_scatter<T: Clone + Send + 'static>(
     assert_eq!(blocks.len(), p, "need exactly one block per destination");
     // Reduce the whole vector elementwise to rank 0 …
     let total_words = words * p as u64;
-    let vec_op = {
-        let f = move |a: &Vec<T>, b: &Vec<T>| -> Vec<T> {
-            a.iter().zip(b).map(|(x, y)| op.apply(x, y)).collect()
-        };
-        f
+    let vec_op = |a: &Vec<T>, b: &Vec<T>| -> Vec<T> {
+        a.iter().zip(b).map(|(x, y)| op.apply(x, y)).collect()
     };
     let combine = Combine::with_cost(&vec_op, op.ops_per_word);
-    let reduced = reduce_binomial(ctx, 0, blocks, total_words, &combine);
+    let reduced = reduce_binomial_async(ctx, 0, blocks, total_words, &combine).await;
     // … then scatter one block to each rank.
-    scatter_binomial(ctx, reduced, words)
+    scatter_binomial_async(ctx, reduced, words).await
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use collopt_machine::{ClockParams, Machine};
+    use collopt_machine::{drive, ClockParams, Machine};
 
     #[test]
     fn alltoall_transposes_the_block_matrix() {
@@ -88,7 +89,7 @@ mod tests {
                 // Block for destination d: (my_rank, d).
                 let blocks: Vec<(usize, usize)> =
                     (0..ctx.size()).map(|d| (ctx.rank(), d)).collect();
-                alltoall(ctx, blocks, 2)
+                drive(alltoall_async(ctx, blocks, 2))
             });
             for (rank, received) in run.results.iter().enumerate() {
                 let expected: Vec<(usize, usize)> = (0..p).map(|src| (src, rank)).collect();
@@ -103,8 +104,8 @@ mod tests {
         let m = Machine::new(p, ClockParams::free());
         let run = m.run(|ctx| {
             let blocks: Vec<usize> = (0..ctx.size()).map(|d| ctx.rank() * 100 + d).collect();
-            let once = alltoall(ctx, blocks.clone(), 1);
-            let twice = alltoall(ctx, once, 1);
+            let once = drive(alltoall_async(ctx, blocks.clone(), 1));
+            let twice = drive(alltoall_async(ctx, once, 1));
             (blocks, twice)
         });
         for (blocks, twice) in run.results {
@@ -127,7 +128,12 @@ mod tests {
                 let blocks: Vec<i64> = (0..ctx.size())
                     .map(|d| (ctx.rank() * 10 + d) as i64)
                     .collect();
-                reduce_scatter(ctx, blocks, 1, &Combine::new(&add))
+                drive(reduce_scatter_binomial_async(
+                    ctx,
+                    blocks,
+                    1,
+                    &Combine::new(&add),
+                ))
             });
             for (rank, &got) in run.results.iter().enumerate() {
                 let expected: i64 = (0..p).map(|r| (r * 10 + rank) as i64).sum();
@@ -143,7 +149,12 @@ mod tests {
         let run = m.run(|ctx| {
             let cat = |a: &String, b: &String| format!("{a}{b}");
             let blocks: Vec<String> = (0..ctx.size()).map(|_| ctx.rank().to_string()).collect();
-            reduce_scatter(ctx, blocks, 1, &Combine::new(&cat))
+            drive(reduce_scatter_binomial_async(
+                ctx,
+                blocks,
+                1,
+                &Combine::new(&cat),
+            ))
         });
         for got in run.results {
             assert_eq!(got, "012345");
@@ -157,7 +168,7 @@ mod tests {
             let m = Machine::new(p, params);
             m.run(|ctx| {
                 let blocks: Vec<u64> = vec![0; ctx.size()];
-                alltoall(ctx, blocks, 8)
+                drive(alltoall_async(ctx, blocks, 8))
             })
             .makespan
         };

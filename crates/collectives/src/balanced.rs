@@ -8,18 +8,18 @@
 //! group with a *complete* (power-of-two-sized) sibling group. Two
 //! structures guarantee this for any processor count:
 //!
-//! * [`reduce_balanced`] walks the paper's virtual **balanced tree**
+//! * [`reduce_balanced_async`] walks the paper's virtual **balanced tree**
 //!   ([`BalancedTree`]): all leaves at depth `⌈log₂ p⌉`, the right subtree
 //!   of every binary node complete, and *unary* nodes (empty left subtree)
 //!   where a special one-argument variant of the operator applies —
 //!   `op_sr((), (t,u)) = (t, u⊕u)` in the paper. This is Figure 4.
-//! * [`scan_balanced`] runs a **butterfly** in which each exchange step
+//! * [`scan_balanced_async`] runs a **butterfly** in which each exchange step
 //!   applies a *paired* operator producing new values for both partners,
 //!   and ranks without a partner (only possible when `p` is not a power of
 //!   two) apply a solo variant. This is Figure 5.
 
 use collopt_machine::topology::{butterfly_partner, butterfly_rounds, BalancedTree, RankAction};
-use collopt_machine::{drive, Ctx};
+use collopt_machine::Ctx;
 
 use crate::bcast::bcast_binomial_async;
 
@@ -58,16 +58,6 @@ impl<Q> std::fmt::Debug for BalancedOp<'_, Q> {
 /// order follows the balanced tree exactly, so the operator need not be
 /// associative — only compatible with the tree's complete-right-subtree
 /// invariant, as `op_sr` is.
-pub fn reduce_balanced<Q: Clone + Send + 'static>(
-    ctx: &mut Ctx,
-    value: Q,
-    words: u64,
-    op: &BalancedOp<'_, Q>,
-) -> Option<Q> {
-    drive(reduce_balanced_async(ctx, value, words, op))
-}
-
-/// Engine-agnostic form of [`reduce_balanced`].
 pub async fn reduce_balanced_async<Q: Clone + Send + 'static>(
     ctx: &mut Ctx,
     value: Q,
@@ -106,16 +96,6 @@ pub async fn reduce_balanced_async<Q: Clone + Send + 'static>(
 /// complete — which the non-associative operators cannot tolerate — so the
 /// implementation falls back to a balanced reduction followed by a
 /// broadcast.
-pub fn allreduce_balanced<Q: Clone + Send + 'static>(
-    ctx: &mut Ctx,
-    value: Q,
-    words: u64,
-    op: &BalancedOp<'_, Q>,
-) -> Q {
-    drive(allreduce_balanced_async(ctx, value, words, op))
-}
-
-/// Engine-agnostic form of [`allreduce_balanced`].
 pub async fn allreduce_balanced_async<Q: Clone + Send + 'static>(
     ctx: &mut Ctx,
     value: Q,
@@ -181,19 +161,9 @@ impl<Q> std::fmt::Debug for PairedOp<'_, Q> {
 /// phase `j`, rank `r` and `r XOR 2^j` exchange states and apply the paired
 /// operator; a rank whose partner does not exist applies the solo variant.
 ///
-/// Optionally records each phase's state in the trace via [`Ctx::mark`]
-/// when `trace_states` is true and a formatter is supplied — used by the
-/// tests that reproduce Figure 5 verbatim.
-pub fn scan_balanced<Q: Clone + Send + 'static>(
-    ctx: &mut Ctx,
-    value: Q,
-    words: u64,
-    op: &PairedOp<'_, Q>,
-) -> Q {
-    scan_balanced_traced(ctx, value, words, op, None::<fn(&Q) -> String>)
-}
-
-/// Engine-agnostic form of [`scan_balanced`].
+/// [`scan_balanced_traced_async`] also records each phase's state in the
+/// trace via [`Ctx::mark`] — used by the tests that reproduce Figure 5
+/// verbatim.
 pub async fn scan_balanced_async<Q: Clone + Send + 'static>(
     ctx: &mut Ctx,
     value: Q,
@@ -203,18 +173,8 @@ pub async fn scan_balanced_async<Q: Clone + Send + 'static>(
     scan_balanced_traced_async(ctx, value, words, op, None::<fn(&Q) -> String>).await
 }
 
-/// [`scan_balanced`] with an optional per-phase state formatter for traces.
-pub fn scan_balanced_traced<Q: Clone + Send + 'static>(
-    ctx: &mut Ctx,
-    value: Q,
-    words: u64,
-    op: &PairedOp<'_, Q>,
-    fmt: Option<impl Fn(&Q) -> String>,
-) -> Q {
-    drive(scan_balanced_traced_async(ctx, value, words, op, fmt))
-}
-
-/// Engine-agnostic form of [`scan_balanced_traced`].
+/// [`scan_balanced_async`] with an optional per-phase state formatter for
+/// traces.
 pub async fn scan_balanced_traced_async<Q: Clone + Send + 'static>(
     ctx: &mut Ctx,
     value: Q,
@@ -258,7 +218,7 @@ pub async fn scan_balanced_traced_async<Q: Clone + Send + 'static>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use collopt_machine::{ClockParams, Machine};
+    use collopt_machine::{drive, ClockParams, Machine};
     use std::sync::Arc;
 
     /// The paper's `op_sr` with ⊕ = + (rule SR-Reduction):
@@ -301,7 +261,7 @@ mod tests {
         let m = Machine::new(6, ClockParams::free());
         let run = m.run(move |ctx| {
             let x = inputs[ctx.rank()];
-            reduce_balanced(ctx, (x, x), 1, &sr_balanced_op())
+            drive(reduce_balanced_async(ctx, (x, x), 1, &sr_balanced_op()))
         });
         assert_eq!(run.results[0], Some((86, 200)));
         assert!(run.results[1..].iter().all(Option::is_none));
@@ -316,7 +276,7 @@ mod tests {
             let m = Machine::new(p, ClockParams::free());
             let run = m.run(move |ctx| {
                 let x = shared[ctx.rank()];
-                reduce_balanced(ctx, (x, x), 1, &sr_balanced_op())
+                drive(reduce_balanced_async(ctx, (x, x), 1, &sr_balanced_op()))
             });
             assert_eq!(run.results[0].unwrap().0, expected, "p={p}");
         }
@@ -333,7 +293,7 @@ mod tests {
             let m = Machine::new(p, ClockParams::free());
             let run = m.run(move |ctx| {
                 let x = shared[ctx.rank()];
-                reduce_balanced(ctx, (x, x), 1, &sr_balanced_op())
+                drive(reduce_balanced_async(ctx, (x, x), 1, &sr_balanced_op()))
             });
             assert_eq!(run.results[0].unwrap().1, (1i64 << depth) * sum, "p={p}");
         }
@@ -347,7 +307,7 @@ mod tests {
             let m = Machine::new(p, params);
             let run = m.run(move |ctx| {
                 let x = ctx.rank() as i64;
-                reduce_balanced(ctx, (x, x), mw, &sr_balanced_op())
+                drive(reduce_balanced_async(ctx, (x, x), mw, &sr_balanced_op()))
             });
             let logp = collopt_machine::topology::ceil_log2(p) as f64;
             let expected = logp * (params.ts + mw as f64 * (2.0 * params.tw + 4.0));
@@ -366,7 +326,7 @@ mod tests {
             let m = Machine::new(p, ClockParams::free());
             let run = m.run(move |ctx| {
                 let x = shared[ctx.rank()];
-                allreduce_balanced(ctx, (x, x), 1, &sr_balanced_op())
+                drive(allreduce_balanced_async(ctx, (x, x), 1, &sr_balanced_op()))
             });
             for (rank, r) in run.results.iter().enumerate() {
                 assert_eq!(r.0, expected, "p={p} rank={rank}");
@@ -401,7 +361,7 @@ mod tests {
                     ops_solo: 0.0,
                     words_factor: 1,
                 };
-                scan_balanced(ctx, (x, x), 1, &op).0
+                drive(scan_balanced_async(ctx, (x, x), 1, &op)).0
             });
             let expected = crate::reference::ref_scan(|a, b| a + b, &inputs);
             assert_eq!(run.results, expected, "p={p}");
@@ -421,7 +381,13 @@ mod tests {
                 ops_solo: 0.0,
                 words_factor: 1,
             };
-            scan_balanced_traced(ctx, (x, x), 1, &op, Some(|q: &(i64, i64)| format!("{q:?}")))
+            drive(scan_balanced_traced_async(
+                ctx,
+                (x, x),
+                1,
+                &op,
+                Some(|q: &(i64, i64)| format!("{q:?}")),
+            ))
         });
         // 4 ranks × 3 marks each (phase0..phase2).
         assert_eq!(run.trace.marks().len(), 12);
@@ -432,7 +398,14 @@ mod tests {
     #[test]
     fn single_rank_balanced_ops_are_identity_like() {
         let m = Machine::new(1, ClockParams::free());
-        let run = m.run(|ctx| reduce_balanced(ctx, (5i64, 5i64), 1, &sr_balanced_op()));
+        let run = m.run(|ctx| {
+            drive(reduce_balanced_async(
+                ctx,
+                (5i64, 5i64),
+                1,
+                &sr_balanced_op(),
+            ))
+        });
         assert_eq!(run.results[0], Some((5, 5)));
         let run = m.run(|ctx| {
             let op = PairedOp {
@@ -443,7 +416,7 @@ mod tests {
                 ops_solo: 0.0,
                 words_factor: 1,
             };
-            scan_balanced(ctx, (7i64, 7i64), 1, &op)
+            drive(scan_balanced_async(ctx, (7i64, 7i64), 1, &op))
         });
         assert_eq!(run.results[0], (7, 7));
     }

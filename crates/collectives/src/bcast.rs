@@ -2,32 +2,21 @@
 //!
 //! Two implementations:
 //!
-//! * [`bcast_binomial`] — the recursive-doubling binomial tree the paper's
+//! * [`bcast_binomial_async`] — the recursive-doubling binomial tree the paper's
 //!   cost model assumes: `⌈log₂ p⌉` rounds, makespan
 //!   `log p · (ts + m·tw)` (eq. 15);
-//! * [`bcast_linear`] — the naive root-sends-to-everyone baseline
+//! * [`bcast_linear_async`] — the naive root-sends-to-everyone baseline
 //!   (`(p-1)·(ts + m·tw)` on the root's clock), kept for the ablation
 //!   benches.
 
 use collopt_machine::topology::binomial_bcast_rank_plan;
-use collopt_machine::{drive, Ctx};
+use collopt_machine::Ctx;
 
 /// Binomial-tree broadcast. Ranks other than `root` pass `None` for
 /// `value`; every rank returns the root's block.
 ///
 /// # Panics
 /// Panics if the root passes `None` or a non-root passes `Some`.
-pub fn bcast_binomial<T: Clone + Send + 'static>(
-    ctx: &mut Ctx,
-    root: usize,
-    value: Option<T>,
-    words: u64,
-) -> T {
-    drive(bcast_binomial_async(ctx, root, value, words))
-}
-
-/// Engine-agnostic form of [`bcast_binomial`] (runs on any engine,
-/// including DES).
 pub async fn bcast_binomial_async<T: Clone + Send + 'static>(
     ctx: &mut Ctx,
     root: usize,
@@ -53,16 +42,6 @@ pub async fn bcast_binomial_async<T: Clone + Send + 'static>(
 }
 
 /// Linear broadcast: the root sends to every other rank in turn.
-pub fn bcast_linear<T: Clone + Send + 'static>(
-    ctx: &mut Ctx,
-    root: usize,
-    value: Option<T>,
-    words: u64,
-) -> T {
-    drive(bcast_linear_async(ctx, root, value, words))
-}
-
-/// Engine-agnostic form of [`bcast_linear`].
 pub async fn bcast_linear_async<T: Clone + Send + 'static>(
     ctx: &mut Ctx,
     root: usize,
@@ -90,13 +69,13 @@ pub async fn bcast_linear_async<T: Clone + Send + 'static>(
 mod tests {
     use super::*;
     use collopt_machine::topology::ceil_log2;
-    use collopt_machine::{ClockParams, Machine};
+    use collopt_machine::{drive, ClockParams, Machine};
 
     fn run_bcast(p: usize, root: usize, params: ClockParams) -> (Vec<Vec<u64>>, f64) {
         let m = Machine::new(p, params);
         let run = m.run(|ctx| {
             let value = (ctx.rank() == root).then(|| vec![42u64, 7, root as u64]);
-            bcast_binomial(ctx, root, value, 3)
+            drive(bcast_binomial_async(ctx, root, value, 3))
         });
         (run.results, run.makespan)
     }
@@ -125,7 +104,7 @@ mod tests {
             let machine = Machine::new(p, params);
             let run = machine.run(|ctx| {
                 let value = (ctx.rank() == 0).then(|| vec![1u8; m as usize]);
-                bcast_binomial(ctx, 0, value, m)
+                drive(bcast_binomial_async(ctx, 0, value, m))
             });
             let expected = ceil_log2(p) as f64 * (params.ts + m as f64 * params.tw);
             assert_eq!(run.makespan, expected, "p={p} m={m}");
@@ -139,12 +118,12 @@ mod tests {
         let m = Machine::new(p, params);
         let run_lin = m.run(|ctx| {
             let value = (ctx.rank() == 0).then_some(11u32);
-            bcast_linear(ctx, 0, value, 4)
+            drive(bcast_linear_async(ctx, 0, value, 4))
         });
         assert!(run_lin.results.iter().all(|&v| v == 11));
         let run_tree = m.run(|ctx| {
             let value = (ctx.rank() == 0).then_some(11u32);
-            bcast_binomial(ctx, 0, value, 4)
+            drive(bcast_binomial_async(ctx, 0, value, 4))
         });
         assert!(
             run_lin.makespan > run_tree.makespan,
@@ -161,7 +140,7 @@ mod tests {
         let m = Machine::new(8, ClockParams::new(10.0, 1.0));
         let run = m.run(|ctx| {
             let value = (ctx.rank() == 0).then_some(1.5f64);
-            bcast_binomial(ctx, 0, value, 1)
+            drive(bcast_binomial_async(ctx, 0, value, 1))
         });
         assert!(run.compute_ops.iter().all(|&c| c == 0.0));
     }
@@ -169,7 +148,7 @@ mod tests {
     #[test]
     fn single_rank_bcast_is_identity() {
         let m = Machine::new(1, ClockParams::parsytec_like());
-        let run = m.run(|ctx| bcast_binomial(ctx, 0, Some(99u8), 1));
+        let run = m.run(|ctx| drive(bcast_binomial_async(ctx, 0, Some(99u8), 1)));
         assert_eq!(run.results, vec![99]);
         assert_eq!(run.makespan, 0.0);
     }
@@ -178,6 +157,6 @@ mod tests {
     #[should_panic(expected = "root rank")]
     fn missing_root_value_panics() {
         let m = Machine::new(2, ClockParams::free());
-        m.run(|ctx| bcast_binomial::<u8>(ctx, 0, None, 1));
+        m.run(|ctx| drive(bcast_binomial_async::<u8>(ctx, 0, None, 1)));
     }
 }

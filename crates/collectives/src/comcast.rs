@@ -5,11 +5,11 @@
 //! The paper gives two implementations and the surprising verdict that the
 //! asymptotically wasteful one is faster in practice:
 //!
-//! * [`comcast_bcast_repeat`] — broadcast `b`, then every processor locally
+//! * [`comcast_bcast_repeat_async`] — broadcast `b`, then every processor locally
 //!   runs [`repeat_apply`] over the binary digits of its own rank: digit 0
 //!   applies `e`, digit 1 applies `o` (Figure 6; the square-and-multiply
 //!   idea of Knuth §4.6.3). Logarithmic time, redundant computation.
-//! * [`comcast_cost_optimal`] — successive doubling: processor 0 computes
+//! * [`comcast_cost_optimal_async`] — successive doubling: processor 0 computes
 //!   `e`/`o` on the seed and ships `o`'s result to processor 1; the step
 //!   repeats with 2, 4, … active processors. Cost-optimal in total work
 //!   but *slower* in time because the auxiliary tuple components must
@@ -23,7 +23,7 @@
 //! and `π1` adjustment functions).
 
 use collopt_machine::topology::ceil_log2;
-use collopt_machine::{drive, Ctx};
+use collopt_machine::Ctx;
 
 use crate::bcast::bcast_binomial_async;
 
@@ -68,24 +68,6 @@ pub fn repeat_apply<S>(mut state: S, k: usize, rounds: u32, op: &RepeatOp<'_, S>
 ///
 /// `inject` is the pre-adjustment (`pair`, `triple`, `quadruple`),
 /// `project` the post-adjustment (`π1`). Non-root ranks pass `None`.
-pub fn comcast_bcast_repeat<B, S>(
-    ctx: &mut Ctx,
-    root: usize,
-    value: Option<B>,
-    words: u64,
-    inject: &(dyn Fn(&B) -> S + Sync),
-    project: &(dyn Fn(&S) -> B + Sync),
-    op: &RepeatOp<'_, S>,
-) -> B
-where
-    B: Clone + Send + 'static,
-{
-    drive(comcast_bcast_repeat_async(
-        ctx, root, value, words, inject, project, op,
-    ))
-}
-
-/// Engine-agnostic form of [`comcast_bcast_repeat`].
 pub async fn comcast_bcast_repeat_async<B, S>(
     ctx: &mut Ctx,
     root: usize,
@@ -98,44 +80,13 @@ pub async fn comcast_bcast_repeat_async<B, S>(
 where
     B: Clone + Send + 'static,
 {
-    let b = bcast_binomial_async(ctx, root, value, words).await;
-    let k = (ctx.rank() + ctx.size() - root) % ctx.size();
-    let rounds = ceil_log2(ctx.size());
-    let mut state = inject(&b);
-    for j in 0..rounds {
-        if (k >> j) & 1 == 0 {
-            state = (op.e)(&state);
-            ctx.charge(words as f64 * op.ops_e, "comcast:e");
-        } else {
-            state = (op.o)(&state);
-            ctx.charge(words as f64 * op.ops_o, "comcast:o");
-        }
-    }
-    project(&state)
+    let no_fmt = None::<fn(&S) -> String>;
+    comcast_bcast_repeat_traced_async(ctx, root, value, words, inject, project, op, no_fmt).await
 }
 
-/// [`comcast_bcast_repeat`] recording the state after each repeat step via
-/// [`Ctx::mark`] — used to reproduce Figure 6 verbatim.
-#[allow(clippy::too_many_arguments)]
-pub fn comcast_bcast_repeat_traced<B, S>(
-    ctx: &mut Ctx,
-    root: usize,
-    value: Option<B>,
-    words: u64,
-    inject: &(dyn Fn(&B) -> S + Sync),
-    project: &(dyn Fn(&S) -> B + Sync),
-    op: &RepeatOp<'_, S>,
-    fmt: impl Fn(&S) -> String,
-) -> B
-where
-    B: Clone + Send + 'static,
-{
-    drive(comcast_bcast_repeat_traced_async(
-        ctx, root, value, words, inject, project, op, fmt,
-    ))
-}
-
-/// Engine-agnostic form of [`comcast_bcast_repeat_traced`].
+/// [`comcast_bcast_repeat_async`] with an optional formatter: when given,
+/// the state after each repeat step is recorded via [`Ctx::mark`] — used
+/// to reproduce Figure 6 verbatim.
 #[allow(clippy::too_many_arguments)]
 pub async fn comcast_bcast_repeat_traced_async<B, S>(
     ctx: &mut Ctx,
@@ -145,7 +96,7 @@ pub async fn comcast_bcast_repeat_traced_async<B, S>(
     inject: &(dyn Fn(&B) -> S + Sync),
     project: &(dyn Fn(&S) -> B + Sync),
     op: &RepeatOp<'_, S>,
-    fmt: impl Fn(&S) -> String,
+    fmt: Option<impl Fn(&S) -> String>,
 ) -> B
 where
     B: Clone + Send + 'static,
@@ -154,7 +105,9 @@ where
     let k = (ctx.rank() + ctx.size() - root) % ctx.size();
     let rounds = ceil_log2(ctx.size());
     let mut state = inject(&b);
-    ctx.mark(format!("step0:{}", fmt(&state)));
+    if let Some(f) = &fmt {
+        ctx.mark(format!("step0:{}", f(&state)));
+    }
     for j in 0..rounds {
         if (k >> j) & 1 == 0 {
             state = (op.e)(&state);
@@ -163,7 +116,9 @@ where
             state = (op.o)(&state);
             ctx.charge(words as f64 * op.ops_o, "comcast:o");
         }
-        ctx.mark(format!("step{}:{}", j + 1, fmt(&state)));
+        if let Some(f) = &fmt {
+            ctx.mark(format!("step{}:{}", j + 1, f(&state)));
+        }
     }
     project(&state)
 }
@@ -175,37 +130,9 @@ where
 /// on the wire, `words · words_factor` words), and keeps `e(s)` to stay
 /// current for later rounds. Total work is O(p) operator applications, but
 /// the critical path pays `log p · (ts + f·m·tw + (ops_e + ops_o)·m)`,
-/// which loses to [`comcast_bcast_repeat`]'s
+/// which loses to [`comcast_bcast_repeat_async`]'s
 /// `log p · (ts + m·tw + ops_o·m)` whenever the auxiliary factor `f > 1` —
 /// the paper's observation that the cost-optimal version is slower.
-#[allow(clippy::too_many_arguments)]
-pub fn comcast_cost_optimal<B, S>(
-    ctx: &mut Ctx,
-    root: usize,
-    value: Option<B>,
-    words: u64,
-    inject: &(dyn Fn(&B) -> S + Sync),
-    project: &(dyn Fn(&S) -> B + Sync),
-    op: &RepeatOp<'_, S>,
-    words_factor: u64,
-) -> B
-where
-    B: Clone + Send + 'static,
-    S: Clone + Send + 'static,
-{
-    drive(comcast_cost_optimal_async(
-        ctx,
-        root,
-        value,
-        words,
-        inject,
-        project,
-        op,
-        words_factor,
-    ))
-}
-
-/// Engine-agnostic form of [`comcast_cost_optimal`].
 #[allow(clippy::too_many_arguments)]
 pub async fn comcast_cost_optimal_async<B, S>(
     ctx: &mut Ctx,
@@ -261,7 +188,7 @@ where
 mod tests {
     use super::*;
     use crate::reference::ref_comcast;
-    use collopt_machine::{ClockParams, Machine};
+    use collopt_machine::{drive, ClockParams, Machine};
 
     /// BS-Comcast's repeat operator with ⊕ = + (Figure 6):
     /// `e(t,u) = (t, u+u)`, `o(t,u) = (t+u, u+u)`.
@@ -286,6 +213,35 @@ mod tests {
         }
     }
 
+    /// Broadcast + repeat with the BS operator, seed `b` held by `root`.
+    fn bs_repeat(ctx: &mut Ctx, root: usize, b: i64, words: u64) -> i64 {
+        let value = (ctx.rank() == root).then_some(b);
+        drive(comcast_bcast_repeat_async(
+            ctx,
+            root,
+            value,
+            words,
+            &pair,
+            &pi1,
+            &bs_op(),
+        ))
+    }
+
+    /// The cost-optimal variant with the BS operator, seed `b` at rank 0.
+    fn bs_cost_optimal(ctx: &mut Ctx, b: i64, words: u64) -> i64 {
+        let value = (ctx.rank() == 0).then_some(b);
+        drive(comcast_cost_optimal_async(
+            ctx,
+            0,
+            value,
+            words,
+            &pair,
+            &pi1,
+            &bs_op(),
+            2,
+        ))
+    }
+
     #[test]
     fn repeat_apply_computes_k_plus_one_times_b() {
         // With the BS operator, π1(repeat k (b,b)) = (k+1)·b.
@@ -305,10 +261,7 @@ mod tests {
     fn figure6_exact_result_on_six_processors() {
         // Figure 6: b = 2, six processors, result [2,4,6,8,10,12].
         let m = Machine::new(6, ClockParams::free());
-        let run = m.run(|ctx| {
-            let value = (ctx.rank() == 0).then_some(2i64);
-            comcast_bcast_repeat(ctx, 0, value, 1, &pair, &pi1, &bs_op())
-        });
+        let run = m.run(|ctx| bs_repeat(ctx, 0, 2i64, 1));
         assert_eq!(run.results, vec![2, 4, 6, 8, 10, 12]);
     }
 
@@ -318,9 +271,17 @@ mod tests {
         let m = Machine::new(6, ClockParams::free()).with_tracing();
         let run = m.run(|ctx| {
             let value = (ctx.rank() == 0).then_some(2i64);
-            comcast_bcast_repeat_traced(ctx, 0, value, 1, &pair, &pi1, &bs_op(), |s| {
-                format!("{},{}", s.0, s.1)
-            })
+            let fmt = |s: &(i64, i64)| format!("{},{}", s.0, s.1);
+            drive(comcast_bcast_repeat_traced_async(
+                ctx,
+                0,
+                value,
+                1,
+                &pair,
+                &pi1,
+                &bs_op(),
+                Some(fmt),
+            ))
         });
         assert_eq!(run.results, vec![2, 4, 6, 8, 10, 12]);
         let marks = run.trace.marks();
@@ -348,15 +309,9 @@ mod tests {
                 ref_comcast(|x| x + seed, &xs)
             };
             let m = Machine::new(p, ClockParams::free());
-            let run_fast = m.run(|ctx| {
-                let value = (ctx.rank() == 0).then_some(seed);
-                comcast_bcast_repeat(ctx, 0, value, 1, &pair, &pi1, &bs_op())
-            });
+            let run_fast = m.run(|ctx| bs_repeat(ctx, 0, seed, 1));
             assert_eq!(run_fast.results, expect, "bcast_repeat p={p}");
-            let run_opt = m.run(|ctx| {
-                let value = (ctx.rank() == 0).then_some(seed);
-                comcast_cost_optimal(ctx, 0, value, 1, &pair, &pi1, &bs_op(), 2)
-            });
+            let run_opt = m.run(|ctx| bs_cost_optimal(ctx, seed, 1));
             assert_eq!(run_opt.results, expect, "cost_optimal p={p}");
         }
     }
@@ -369,14 +324,8 @@ mod tests {
         let mw = 64u64;
         for p in [8usize, 16, 64] {
             let m = Machine::new(p, params);
-            let fast = m.run(|ctx| {
-                let value = (ctx.rank() == 0).then_some(1i64);
-                comcast_bcast_repeat(ctx, 0, value, mw, &pair, &pi1, &bs_op())
-            });
-            let opt = m.run(|ctx| {
-                let value = (ctx.rank() == 0).then_some(1i64);
-                comcast_cost_optimal(ctx, 0, value, mw, &pair, &pi1, &bs_op(), 2)
-            });
+            let fast = m.run(|ctx| bs_repeat(ctx, 0, 1i64, mw));
+            let opt = m.run(|ctx| bs_cost_optimal(ctx, 1i64, mw));
             assert!(
                 opt.makespan > fast.makespan,
                 "p={p}: cost-optimal {} should exceed bcast;repeat {}",
@@ -392,10 +341,7 @@ mod tests {
         let params = ClockParams::new(100.0, 2.0);
         for (p, mw) in [(8usize, 10u64), (64, 32)] {
             let m = Machine::new(p, params);
-            let run = m.run(move |ctx| {
-                let value = (ctx.rank() == 0).then_some(1i64);
-                comcast_bcast_repeat(ctx, 0, value, mw, &pair, &pi1, &bs_op())
-            });
+            let run = m.run(move |ctx| bs_repeat(ctx, 0, 1i64, mw));
             let logp = collopt_machine::topology::ceil_log2(p) as f64;
             let expected = logp * (params.ts + mw as f64 * (params.tw + 2.0));
             assert_eq!(run.makespan, expected, "p={p} m={mw}");
@@ -405,10 +351,7 @@ mod tests {
     #[test]
     fn nonzero_root_rotates_the_pattern() {
         let m = Machine::new(5, ClockParams::free());
-        let run = m.run(|ctx| {
-            let value = (ctx.rank() == 2).then_some(10i64);
-            comcast_bcast_repeat(ctx, 2, value, 1, &pair, &pi1, &bs_op())
-        });
+        let run = m.run(|ctx| bs_repeat(ctx, 2, 10i64, 1));
         // Virtual index of rank r is (r - 2) mod 5.
         assert_eq!(run.results, vec![40, 50, 10, 20, 30]);
     }

@@ -8,7 +8,7 @@
 //! `log p` -round algorithms.
 
 use collopt_machine::topology::ceil_log2;
-use collopt_machine::{drive, Ctx};
+use collopt_machine::Ctx;
 
 use crate::bcast::bcast_binomial_async;
 
@@ -18,15 +18,6 @@ use crate::bcast::bcast_binomial_async;
 /// covers ranks `v..v+2^j`, so each merge concatenates contiguous,
 /// rank-ordered segments. Returns `Some(blocks)` on rank 0 (index `i` =
 /// rank `i`'s block), `None` elsewhere. `words` is the size of one block.
-pub fn gather_binomial<T: Clone + Send + 'static>(
-    ctx: &mut Ctx,
-    value: T,
-    words: u64,
-) -> Option<Vec<T>> {
-    drive(gather_binomial_async(ctx, value, words))
-}
-
-/// Engine-agnostic form of [`gather_binomial`].
 pub async fn gather_binomial_async<T: Clone + Send + 'static>(
     ctx: &mut Ctx,
     value: T,
@@ -53,17 +44,8 @@ pub async fn gather_binomial_async<T: Clone + Send + 'static>(
 }
 
 /// Scatter rank 0's vector of blocks (`blocks[i]` for rank `i`) across all
-/// ranks. The inverse of [`gather_binomial`]: message sizes halve along the
-/// tree. `words` is the size of one block.
-pub fn scatter_binomial<T: Clone + Send + 'static>(
-    ctx: &mut Ctx,
-    blocks: Option<Vec<T>>,
-    words: u64,
-) -> T {
-    drive(scatter_binomial_async(ctx, blocks, words))
-}
-
-/// Engine-agnostic form of [`scatter_binomial`].
+/// ranks. The inverse of [`gather_binomial_async`]: message sizes halve
+/// along the tree. `words` is the size of one block.
 pub async fn scatter_binomial_async<T: Clone + Send + 'static>(
     ctx: &mut Ctx,
     blocks: Option<Vec<T>>,
@@ -101,12 +83,7 @@ pub async fn scatter_binomial_async<T: Clone + Send + 'static>(
 /// Allgather: every rank ends with every rank's block, in rank order.
 /// Implemented as a binomial gather followed by a binomial broadcast of the
 /// assembled vector (`2 log p` rounds).
-pub fn allgather<T: Clone + Send + 'static>(ctx: &mut Ctx, value: T, words: u64) -> Vec<T> {
-    drive(allgather_async(ctx, value, words))
-}
-
-/// Engine-agnostic form of [`allgather`].
-pub async fn allgather_async<T: Clone + Send + 'static>(
+pub async fn allgather_binomial_async<T: Clone + Send + 'static>(
     ctx: &mut Ctx,
     value: T,
     words: u64,
@@ -117,16 +94,12 @@ pub async fn allgather_async<T: Clone + Send + 'static>(
 }
 
 /// MPI_Barrier over the whole machine: a dissemination barrier of empty
-/// messages, `⌈log₂ p⌉` rounds. Unlike [`collopt_machine::Ctx::barrier`]
-/// (which also aligns the simulated clocks to the global maximum), this
-/// one is a pure message-passing construct whose cost is visible in the
-/// makespan, like a real MPI barrier.
-pub fn barrier(ctx: &mut Ctx) {
-    drive(barrier_async(ctx))
-}
-
-/// Engine-agnostic form of [`barrier`].
-pub async fn barrier_async(ctx: &mut Ctx) {
+/// messages, `⌈log₂ p⌉` rounds. Unlike
+/// [`Ctx::barrier_async`](collopt_machine::Ctx::barrier_async) (which also
+/// aligns the simulated clocks to the global maximum), this one is a pure
+/// message-passing construct whose cost is visible in the makespan, like a
+/// real MPI barrier.
+pub async fn barrier_dissemination_async(ctx: &mut Ctx) {
     let p = ctx.size();
     for round in 0..ceil_log2(p) {
         let dist = 1usize << round;
@@ -146,13 +119,13 @@ pub async fn barrier_async(ctx: &mut Ctx) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use collopt_machine::{ClockParams, Machine};
+    use collopt_machine::{drive, ClockParams, Machine};
 
     #[test]
     fn gather_assembles_in_rank_order() {
         for p in 1..=20usize {
             let m = Machine::new(p, ClockParams::free());
-            let run = m.run(|ctx| gather_binomial(ctx, ctx.rank() * 10, 1));
+            let run = m.run(|ctx| drive(gather_binomial_async(ctx, ctx.rank() * 10, 1)));
             let expected: Vec<usize> = (0..p).map(|r| r * 10).collect();
             assert_eq!(run.results[0], Some(expected), "p={p}");
             assert!(run.results[1..].iter().all(Option::is_none));
@@ -166,7 +139,7 @@ mod tests {
             let run = m.run(move |ctx| {
                 let blocks =
                     (ctx.rank() == 0).then(|| (0..ctx.size()).map(|r| r * 7 + 1).collect());
-                scatter_binomial(ctx, blocks, 1)
+                drive(scatter_binomial_async(ctx, blocks, 1))
             });
             let expected: Vec<usize> = (0..p).map(|r| r * 7 + 1).collect();
             assert_eq!(run.results, expected, "p={p}");
@@ -181,8 +154,8 @@ mod tests {
             let m = Machine::new(p, ClockParams::free());
             let run = m.run(move |ctx| {
                 let blocks = (ctx.rank() == 0).then(|| orig2.as_ref().clone());
-                let mine = scatter_binomial(ctx, blocks, 4);
-                gather_binomial(ctx, mine, 4)
+                let mine = drive(scatter_binomial_async(ctx, blocks, 4));
+                drive(gather_binomial_async(ctx, mine, 4))
             });
             assert_eq!(run.results[0], Some(original), "p={p}");
         }
@@ -192,7 +165,7 @@ mod tests {
     fn allgather_gives_everyone_everything() {
         for p in [1usize, 2, 5, 8, 11] {
             let m = Machine::new(p, ClockParams::free());
-            let run = m.run(|ctx| allgather(ctx, ctx.rank() as i64, 1));
+            let run = m.run(|ctx| drive(allgather_binomial_async(ctx, ctx.rank() as i64, 1)));
             let expected: Vec<i64> = (0..p as i64).collect();
             for (rank, r) in run.results.iter().enumerate() {
                 assert_eq!(r, &expected, "p={p} rank={rank}");
@@ -206,7 +179,7 @@ mod tests {
             let params = ClockParams::new(50.0, 1.0);
             let m = Machine::new(p, params);
             let run = m.run(|ctx| {
-                barrier(ctx);
+                drive(barrier_dissemination_async(ctx));
                 ctx.time()
             });
             if p == 1 {
@@ -229,7 +202,7 @@ mod tests {
             if ctx.rank() == 2 {
                 ctx.charge(500.0, "slow");
             }
-            barrier(ctx);
+            drive(barrier_dissemination_async(ctx));
             ctx.time()
         });
         for (rank, &t) in run.finish_times.iter().enumerate() {
@@ -243,7 +216,7 @@ mod tests {
     #[test]
     fn gather_charges_no_compute() {
         let m = Machine::new(8, ClockParams::new(10.0, 1.0));
-        let run = m.run(|ctx| gather_binomial(ctx, ctx.rank(), 2));
+        let run = m.run(|ctx| drive(gather_binomial_async(ctx, ctx.rank(), 2)));
         assert!(run.compute_ops.iter().all(|&c| c == 0.0));
         assert!(run.makespan > 0.0);
     }

@@ -22,7 +22,7 @@
 //! machine-dependent implementation choice the paper's cost calculus is
 //! built to arbitrate — here applied one level below the algebraic rules.
 
-use collopt_machine::{drive, Ctx};
+use collopt_machine::Ctx;
 
 use crate::op::Splittable;
 
@@ -66,23 +66,6 @@ pub fn chain_cost(p: usize, words: u64, segments: u64, ts: f64, tw: f64) -> f64 
 /// `r − 1` and immediately forwards it to `r + 1` (the root is rank 0 in
 /// the chain ordering `(rank − root) mod p`). `words_per_elem` sizes the
 /// cost charge.
-pub fn bcast_pipelined<T: Clone + Send + 'static>(
-    ctx: &mut Ctx,
-    root: usize,
-    value: Option<Vec<T>>,
-    words_per_elem: u64,
-    segments: u64,
-) -> Vec<T> {
-    drive(bcast_pipelined_async(
-        ctx,
-        root,
-        value,
-        words_per_elem,
-        segments,
-    ))
-}
-
-/// Engine-agnostic form of [`bcast_pipelined`].
 pub async fn bcast_pipelined_async<T: Clone + Send + 'static>(
     ctx: &mut Ctx,
     root: usize,
@@ -130,8 +113,8 @@ pub async fn bcast_pipelined_async<T: Clone + Send + 'static>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bcast::bcast_binomial;
-    use collopt_machine::{ClockParams, Machine};
+    use crate::bcast::bcast_binomial_async;
+    use collopt_machine::{drive, ClockParams, Machine};
 
     #[test]
     fn pipelined_bcast_delivers_the_block_everywhere() {
@@ -140,7 +123,7 @@ mod tests {
                 let m = Machine::new(p, ClockParams::free());
                 let run = m.run(move |ctx| {
                     let value = (ctx.rank() == 0).then(|| (0..23i64).collect::<Vec<i64>>());
-                    bcast_pipelined(ctx, 0, value, 1, segments)
+                    drive(bcast_pipelined_async(ctx, 0, value, 1, segments))
                 });
                 let expected: Vec<i64> = (0..23).collect();
                 for (rank, r) in run.results.iter().enumerate() {
@@ -156,7 +139,7 @@ mod tests {
         let m = Machine::new(p, ClockParams::free());
         let run = m.run(|ctx| {
             let value = (ctx.rank() == 2).then(|| vec![9u8, 8, 7]);
-            bcast_pipelined(ctx, 2, value, 1, 2)
+            drive(bcast_pipelined_async(ctx, 2, value, 1, 2))
         });
         assert!(run.results.iter().all(|r| r == &vec![9, 8, 7]));
     }
@@ -166,7 +149,7 @@ mod tests {
         let m = Machine::new(3, ClockParams::free());
         let run = m.run(|ctx| {
             let value = (ctx.rank() == 0).then(|| vec![1i64, 2]);
-            bcast_pipelined(ctx, 0, value, 1, 64)
+            drive(bcast_pipelined_async(ctx, 0, value, 1, 64))
         });
         assert!(run.results.iter().all(|r| r == &vec![1, 2]));
     }
@@ -182,11 +165,11 @@ mod tests {
         let m = Machine::new(p, clock);
         let tree = m.run(move |ctx| {
             let value = (ctx.rank() == 0).then(|| vec![1u8; mw]);
-            bcast_binomial(ctx, 0, value, mw as u64).len()
+            drive(bcast_binomial_async(ctx, 0, value, mw as u64)).len()
         });
         let chain = m.run(move |ctx| {
             let value = (ctx.rank() == 0).then(|| vec![1u8; mw]);
-            bcast_pipelined(ctx, 0, value, 1, segments).len()
+            drive(bcast_pipelined_async(ctx, 0, value, 1, segments)).len()
         });
         assert!(
             chain.makespan < tree.makespan,
@@ -204,11 +187,11 @@ mod tests {
         let m = Machine::new(p, clock);
         let tree = m.run(move |ctx| {
             let value = (ctx.rank() == 0).then(|| vec![1u8; mw]);
-            bcast_binomial(ctx, 0, value, mw as u64).len()
+            drive(bcast_binomial_async(ctx, 0, value, mw as u64)).len()
         });
         let chain = m.run(move |ctx| {
             let value = (ctx.rank() == 0).then(|| vec![1u8; mw]);
-            bcast_pipelined(ctx, 0, value, 1, 1).len()
+            drive(bcast_pipelined_async(ctx, 0, value, 1, 1)).len()
         });
         assert!(tree.makespan < chain.makespan);
     }
@@ -225,7 +208,7 @@ mod tests {
             let m = Machine::new(p, ClockParams::new(ts, tw));
             let run = m.run(move |ctx| {
                 let value = (ctx.rank() == 0).then(|| vec![1u8; mw as usize]);
-                bcast_pipelined(ctx, 0, value, 1, segments).len()
+                drive(bcast_pipelined_async(ctx, 0, value, 1, segments)).len()
             });
             let predicted = chain_cost(p, mw, segments, ts, tw);
             assert_eq!(

@@ -1,19 +1,19 @@
 //! Reduction (eqs. 5–6): combine the blocks of all ranks with an
 //! associative operator.
 //!
-//! * [`reduce_binomial`] — reduce to a root along the binomial tree;
+//! * [`reduce_binomial_async`] — reduce to a root along the binomial tree;
 //!   makespan `log p · (ts + m·(tw + c))` for an operator charging `c`
 //!   ops/word (eq. 16 with `c = 1`).
-//! * [`allreduce_butterfly`] — every rank gets the result; the butterfly
+//! * [`allreduce_butterfly_async`] — every rank gets the result; the butterfly
 //!   exchange the paper's cost model assumes, `log p` phases. Requires `p`
 //!   to be a power of two (each phase pairs every rank).
-//! * [`allreduce`] — allreduce for any `p` and any associative operator:
+//! * [`allreduce_async`] — allreduce for any `p` and any associative operator:
 //!   the butterfly when `p` is a power of two, otherwise a binomial reduce
 //!   followed by a binomial broadcast (the standard fold-excess trick would
 //!   reorder operands, which is unsound for non-commutative operators).
 
 use collopt_machine::topology::{butterfly_rounds, ceil_log2};
-use collopt_machine::{drive, Ctx};
+use collopt_machine::Ctx;
 
 use crate::bcast::bcast_binomial_async;
 use crate::op::Combine;
@@ -25,17 +25,6 @@ use crate::op::Combine;
 /// `(rank - root) mod p`); with `root = 0` — the paper's convention that
 /// the root is the first processor of the group — this is exactly
 /// `x1 ⊕ x2 ⊕ … ⊕ xn`, so any associative operator is safe.
-pub fn reduce_binomial<T: Clone + Send + 'static>(
-    ctx: &mut Ctx,
-    root: usize,
-    value: T,
-    words: u64,
-    op: &Combine<'_, T>,
-) -> Option<T> {
-    drive(reduce_binomial_async(ctx, root, value, words, op))
-}
-
-/// Engine-agnostic form of [`reduce_binomial`].
 pub async fn reduce_binomial_async<T: Clone + Send + 'static>(
     ctx: &mut Ctx,
     root: usize,
@@ -70,16 +59,6 @@ pub async fn reduce_binomial_async<T: Clone + Send + 'static>(
 /// Butterfly allreduce: `log p` exchange phases; in phase `j` rank `r`
 /// exchanges partial results with `r XOR 2^j` and both combine in rank
 /// order. Requires `p` to be a power of two.
-pub fn allreduce_butterfly<T: Clone + Send + 'static>(
-    ctx: &mut Ctx,
-    value: T,
-    words: u64,
-    op: &Combine<'_, T>,
-) -> T {
-    drive(allreduce_butterfly_async(ctx, value, words, op))
-}
-
-/// Engine-agnostic form of [`allreduce_butterfly`].
 pub async fn allreduce_butterfly_async<T: Clone + Send + 'static>(
     ctx: &mut Ctx,
     value: T,
@@ -109,16 +88,6 @@ pub async fn allreduce_butterfly_async<T: Clone + Send + 'static>(
 
 /// Allreduce for any `p`: the butterfly when `p` is a power of two,
 /// otherwise binomial reduce to rank 0 followed by a binomial broadcast.
-pub fn allreduce<T: Clone + Send + 'static>(
-    ctx: &mut Ctx,
-    value: T,
-    words: u64,
-    op: &Combine<'_, T>,
-) -> T {
-    drive(allreduce_async(ctx, value, words, op))
-}
-
-/// Engine-agnostic form of [`allreduce`].
 pub async fn allreduce_async<T: Clone + Send + 'static>(
     ctx: &mut Ctx,
     value: T,
@@ -140,16 +109,6 @@ pub async fn allreduce_async<T: Clone + Send + 'static>(
 /// reduce-plus-broadcast. The pre-combine pairs rank `2^k + i` with rank
 /// `i`, which permutes operands — hence the commutativity requirement,
 /// asserted here against the operator-free contract by the caller.
-pub fn allreduce_commutative<T: Clone + Send + 'static>(
-    ctx: &mut Ctx,
-    value: T,
-    words: u64,
-    op: &Combine<'_, T>,
-) -> T {
-    drive(allreduce_commutative_async(ctx, value, words, op))
-}
-
-/// Engine-agnostic form of [`allreduce_commutative`].
 pub async fn allreduce_commutative_async<T: Clone + Send + 'static>(
     ctx: &mut Ctx,
     value: T,
@@ -195,7 +154,7 @@ mod tests {
     use super::*;
     use crate::reference::{ref_allreduce, ref_reduce_value};
     use collopt_machine::topology::ceil_log2;
-    use collopt_machine::{ClockParams, Machine};
+    use collopt_machine::{drive, ClockParams, Machine};
 
     #[test]
     fn reduce_sums_to_root_zero() {
@@ -203,7 +162,13 @@ mod tests {
             let m = Machine::new(p, ClockParams::free());
             let run = m.run(|ctx| {
                 let add = |a: &u64, b: &u64| a + b;
-                reduce_binomial(ctx, 0, ctx.rank() as u64 + 1, 1, &Combine::new(&add))
+                drive(reduce_binomial_async(
+                    ctx,
+                    0,
+                    ctx.rank() as u64 + 1,
+                    1,
+                    &Combine::new(&add),
+                ))
             });
             let expected: u64 = (1..=p as u64).sum();
             assert_eq!(run.results[0], Some(expected), "p={p}");
@@ -220,7 +185,7 @@ mod tests {
             let run = m.run(|ctx| {
                 let cat = |a: &String, b: &String| format!("{a}{b}");
                 let mine = char::from(b'a' + ctx.rank() as u8).to_string();
-                reduce_binomial(ctx, 0, mine, 1, &Combine::new(&cat))
+                drive(reduce_binomial_async(ctx, 0, mine, 1, &Combine::new(&cat)))
             });
             let expected: String = (0..p).map(|i| char::from(b'a' + i as u8)).collect();
             assert_eq!(run.results[0], Some(expected), "p={p}");
@@ -232,7 +197,13 @@ mod tests {
         let m = Machine::new(4, ClockParams::free());
         let run = m.run(|ctx| {
             let cat = |a: &String, b: &String| format!("{a}{b}");
-            reduce_binomial(ctx, 2, ctx.rank().to_string(), 1, &Combine::new(&cat))
+            drive(reduce_binomial_async(
+                ctx,
+                2,
+                ctx.rank().to_string(),
+                1,
+                &Combine::new(&cat),
+            ))
         });
         // Virtual order starting at root 2: ranks 2,3,0,1.
         assert_eq!(run.results[2], Some("2301".to_string()));
@@ -250,7 +221,13 @@ mod tests {
                 let run = m.run(move |ctx| {
                     let cat = |a: &String, b: &String| format!("{a}{b}");
                     let mine = char::from(b'a' + ctx.rank() as u8).to_string();
-                    reduce_binomial(ctx, root, mine, 1, &Combine::new(&cat))
+                    drive(reduce_binomial_async(
+                        ctx,
+                        root,
+                        mine,
+                        1,
+                        &Combine::new(&cat),
+                    ))
                 });
                 let expected: String = (0..p)
                     .map(|v| char::from(b'a' + ((root + v) % p) as u8))
@@ -277,7 +254,13 @@ mod tests {
                     a.iter().zip(b).map(|(x, y)| x + y).collect::<Vec<u64>>()
                 };
                 let block = vec![ctx.rank() as u64; mw as usize];
-                reduce_binomial(ctx, 0, block, mw, &Combine::new(&add))
+                drive(reduce_binomial_async(
+                    ctx,
+                    0,
+                    block,
+                    mw,
+                    &Combine::new(&add),
+                ))
             });
             let expected = ceil_log2(p) as f64 * (params.ts + mw as f64 * (params.tw + 1.0));
             assert_eq!(run.makespan, expected, "p={p} m={mw}");
@@ -290,7 +273,12 @@ mod tests {
             let m = Machine::new(p, ClockParams::free());
             let run = m.run(|ctx| {
                 let mul = |a: &u128, b: &u128| a * b;
-                allreduce_butterfly(ctx, ctx.rank() as u128 + 2, 1, &Combine::new(&mul))
+                drive(allreduce_butterfly_async(
+                    ctx,
+                    ctx.rank() as u128 + 2,
+                    1,
+                    &Combine::new(&mul),
+                ))
             });
             let input: Vec<u128> = (0..p as u128).map(|r| r + 2).collect();
             let expected = ref_allreduce(|a, b| a * b, &input);
@@ -304,7 +292,12 @@ mod tests {
             let m = Machine::new(p, ClockParams::free());
             let run = m.run(|ctx| {
                 let cat = |a: &String, b: &String| format!("{a}{b}");
-                allreduce_butterfly(ctx, ctx.rank().to_string(), 1, &Combine::new(&cat))
+                drive(allreduce_butterfly_async(
+                    ctx,
+                    ctx.rank().to_string(),
+                    1,
+                    &Combine::new(&cat),
+                ))
             });
             let expected: String = (0..p).map(|i| i.to_string()).collect();
             assert!(run.results.iter().all(|r| r == &expected), "p={p}");
@@ -317,7 +310,12 @@ mod tests {
             let m = Machine::new(p, ClockParams::free());
             let run = m.run(|ctx| {
                 let cat = |a: &String, b: &String| format!("{a}{b}");
-                allreduce(ctx, ctx.rank().to_string(), 1, &Combine::new(&cat))
+                drive(allreduce_async(
+                    ctx,
+                    ctx.rank().to_string(),
+                    1,
+                    &Combine::new(&cat),
+                ))
             });
             let expected: String = (0..p).map(|i| i.to_string()).collect();
             assert!(run.results.iter().all(|r| r == &expected), "p={p}");
@@ -330,7 +328,12 @@ mod tests {
             let m = Machine::new(p, ClockParams::free());
             let run = m.run(|ctx| {
                 let add = |a: &i64, b: &i64| a + b;
-                allreduce_commutative(ctx, ctx.rank() as i64 + 1, 1, &Combine::new(&add))
+                drive(allreduce_commutative_async(
+                    ctx,
+                    ctx.rank() as i64 + 1,
+                    1,
+                    &Combine::new(&add),
+                ))
             });
             let expected: i64 = (1..=p as i64).sum();
             assert!(
@@ -349,8 +352,15 @@ mod tests {
         let params = ClockParams::parsytec_like();
         let m = Machine::new(p, params);
         let add = |a: &i64, b: &i64| a + b;
-        let generic = m.run(move |ctx| allreduce(ctx, 1i64, 8, &Combine::new(&add)));
-        let comm = m.run(move |ctx| allreduce_commutative(ctx, 1i64, 8, &Combine::new(&add)));
+        let generic = m.run(move |ctx| drive(allreduce_async(ctx, 1i64, 8, &Combine::new(&add))));
+        let comm = m.run(move |ctx| {
+            drive(allreduce_commutative_async(
+                ctx,
+                1i64,
+                8,
+                &Combine::new(&add),
+            ))
+        });
         assert_eq!(generic.results, comm.results);
         assert!(
             comm.makespan < generic.makespan,
@@ -370,7 +380,12 @@ mod tests {
             let add = |a: &Vec<u64>, b: &Vec<u64>| {
                 a.iter().zip(b).map(|(x, y)| x + y).collect::<Vec<u64>>()
             };
-            allreduce_butterfly(ctx, vec![1u64; mw as usize], mw, &Combine::new(&add))
+            drive(allreduce_butterfly_async(
+                ctx,
+                vec![1u64; mw as usize],
+                mw,
+                &Combine::new(&add),
+            ))
         });
         let expected = 4.0 * (50.0 + 10.0 * 1.0 + 10.0);
         assert_eq!(run.makespan, expected);
@@ -390,7 +405,13 @@ mod tests {
             let inputs2 = shared.clone();
             let run = m.run(move |ctx| {
                 let add = |a: &i64, b: &i64| a + b;
-                reduce_binomial(ctx, 0, inputs2[ctx.rank()], 1, &Combine::new(&add))
+                drive(reduce_binomial_async(
+                    ctx,
+                    0,
+                    inputs2[ctx.rank()],
+                    1,
+                    &Combine::new(&add),
+                ))
             });
             assert_eq!(run.results[0], Some(expected));
         }
@@ -402,7 +423,7 @@ mod tests {
         let m = Machine::new(6, ClockParams::free());
         m.run(|ctx| {
             let add = |a: &i64, b: &i64| a + b;
-            allreduce_butterfly(ctx, 1i64, 1, &Combine::new(&add))
+            drive(allreduce_butterfly_async(ctx, 1i64, 1, &Combine::new(&add)))
         });
     }
 }

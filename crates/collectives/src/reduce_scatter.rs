@@ -8,7 +8,7 @@
 //! ([`Splittable`]), reduces *segment-wise* so each round moves only the
 //! half of the data still in flight, and reassembles with an allgather:
 //!
-//! * [`reduce_scatter_halving`] — recursive halving for power-of-two `p`:
+//! * [`reduce_scatter_halving_async`] — recursive halving for power-of-two `p`:
 //!   `log₂ p·ts + m(1−1/p)(tw + c)`. Rounds go **low bit first** (round
 //!   `j` pairs rank `r` with `r XOR 2^j`), so every partial covers a
 //!   contiguous, `2^j`-aligned rank group and combines join complete
@@ -16,20 +16,20 @@
 //!   (and for the paper's balanced fused operators, whose correctness
 //!   needs exactly that complete-sibling-group invariant). The classic
 //!   high-bit-first halving does not have this property.
-//! * [`allgather_doubling`] — recursive doubling, the inverse pattern:
+//! * [`allgather_doubling_async`] — recursive doubling, the inverse pattern:
 //!   `log₂ p·ts + m(1−1/p)·tw`.
-//! * [`reduce_scatter_ring`] — `p − 1` ring steps of `m/p`-word
+//! * [`reduce_scatter_ring_async`] — `p − 1` ring steps of `m/p`-word
 //!   messages, any `p`: `(p−1)(2(ts + (m/p)tw) + (m/p)c)` on this
 //!   machine's half-duplex store-and-forward nodes. Partials accumulate
 //!   in *cyclic* rank order (a rotation of `0..p`), so the operator must
 //!   be declared commutative ([`Combine::assume_commutative`]).
-//! * [`allreduce_rabenseifner`] — reduce-scatter + allgather:
+//! * [`allreduce_rabenseifner_async`] — reduce-scatter + allgather:
 //!   `2 log₂ p·ts + m(1−1/p)(2tw + c)` for power-of-two `p`; the ring
 //!   pair for other `p` when the operator commutes; the order-safe
 //!   reduce + broadcast otherwise.
-//! * [`allreduce_ring`] — ring reduce-scatter + ring allgather, the
+//! * [`allreduce_ring_async`] — ring reduce-scatter + ring allgather, the
 //!   fully bandwidth-optimal choice when start-ups are cheap.
-//! * [`allreduce_balanced_halving`] — the same halving/doubling pair for
+//! * [`allreduce_balanced_halving_async`] — the same halving/doubling pair for
 //!   the fused [`BalancedOp`] operators (rule SR-Reduction's RHS), whose
 //!   pair-tuples cost `words_factor` wire words per block word.
 //!
@@ -37,7 +37,7 @@
 //! block length; the tests assert them to machine precision.
 
 use collopt_machine::topology::butterfly_rounds;
-use collopt_machine::{drive, Ctx};
+use collopt_machine::Ctx;
 
 use crate::balanced::BalancedOp;
 use crate::op::{Combine, Splittable};
@@ -148,16 +148,6 @@ async fn doubling_core<S: Splittable + Clone + Send + 'static>(
 /// rounds preserve operand order. Makespan
 /// `log₂ p·ts + m(1−1/p)(tw + c)` (exact when `p` divides the block
 /// length).
-pub fn reduce_scatter_halving<S: Splittable + Clone + Send + 'static>(
-    ctx: &mut Ctx,
-    value: S,
-    words_per_unit: u64,
-    op: &Combine<'_, S>,
-) -> S {
-    drive(reduce_scatter_halving_async(ctx, value, words_per_unit, op))
-}
-
-/// Engine-agnostic form of [`reduce_scatter_halving`].
 pub async fn reduce_scatter_halving_async<S: Splittable + Clone + Send + 'static>(
     ctx: &mut Ctx,
     value: S,
@@ -176,18 +166,9 @@ pub async fn reduce_scatter_halving_async<S: Splittable + Clone + Send + 'static
 }
 
 /// Recursive-doubling allgather (power-of-two `p`): the inverse of
-/// [`reduce_scatter_halving`] — every rank contributes its segment and
+/// [`reduce_scatter_halving_async`] — every rank contributes its segment and
 /// returns the full block, in rank order. Makespan
 /// `log₂ p·ts + m(1−1/p)·tw`.
-pub fn allgather_doubling<S: Splittable + Clone + Send + 'static>(
-    ctx: &mut Ctx,
-    segment: S,
-    words_per_unit: u64,
-) -> S {
-    drive(allgather_doubling_async(ctx, segment, words_per_unit))
-}
-
-/// Engine-agnostic form of [`allgather_doubling`].
 pub async fn allgather_doubling_async<S: Splittable + Clone + Send + 'static>(
     ctx: &mut Ctx,
     segment: S,
@@ -200,16 +181,6 @@ pub async fn allgather_doubling_async<S: Splittable + Clone + Send + 'static>(
 /// moving one `≈ m/p`-word partial to the successor. Partials accumulate
 /// in cyclic rank order — a rotation of `0..p` — so the operator must be
 /// declared commutative. Makespan `(p−1)(2(ts + (m/p)tw) + (m/p)c)`.
-pub fn reduce_scatter_ring<S: Splittable + Clone + Send + 'static>(
-    ctx: &mut Ctx,
-    value: S,
-    words_per_unit: u64,
-    op: &Combine<'_, S>,
-) -> S {
-    drive(reduce_scatter_ring_async(ctx, value, words_per_unit, op))
-}
-
-/// Engine-agnostic form of [`reduce_scatter_ring`].
 pub async fn reduce_scatter_ring_async<S: Splittable + Clone + Send + 'static>(
     ctx: &mut Ctx,
     value: S,
@@ -263,19 +234,9 @@ pub async fn reduce_scatter_ring_async<S: Splittable + Clone + Send + 'static>(
 /// * power-of-two `p`: recursive halving + recursive doubling —
 ///   `2 log₂ p·ts + m(1−1/p)(2tw + c)`, any associative operator;
 /// * other `p`, commutative operator: ring reduce-scatter + ring
-///   allgather (see [`allreduce_ring`]);
+///   allgather (see [`allreduce_ring_async`]);
 /// * other `p`, non-commutative: the order-safe binomial
-///   reduce + broadcast fallback of [`allreduce`](crate::allreduce).
-pub fn allreduce_rabenseifner<S: Splittable + Clone + Send + 'static>(
-    ctx: &mut Ctx,
-    value: S,
-    words_per_unit: u64,
-    op: &Combine<'_, S>,
-) -> S {
-    drive(allreduce_rabenseifner_async(ctx, value, words_per_unit, op))
-}
-
-/// Engine-agnostic form of [`allreduce_rabenseifner`].
+///   reduce + broadcast fallback of [`allreduce_async`].
 pub async fn allreduce_rabenseifner_async<S: Splittable + Clone + Send + 'static>(
     ctx: &mut Ctx,
     value: S,
@@ -302,16 +263,6 @@ pub async fn allreduce_rabenseifner_async<S: Splittable + Clone + Send + 'static
 /// reduced segments. Makespan
 /// `(p−1)(2(ts + (m/p)tw) + (m/p)c) + 2(p−1)(ts + (m/p)tw)` — only
 /// `≈ 2m·tw` total volume per link, at the price of `2(p−1)` start-ups.
-pub fn allreduce_ring<S: Splittable + Clone + Send + 'static>(
-    ctx: &mut Ctx,
-    value: S,
-    words_per_unit: u64,
-    op: &Combine<'_, S>,
-) -> S {
-    drive(allreduce_ring_async(ctx, value, words_per_unit, op))
-}
-
-/// Engine-agnostic form of [`allreduce_ring`].
 pub async fn allreduce_ring_async<S: Splittable + Clone + Send + 'static>(
     ctx: &mut Ctx,
     value: S,
@@ -334,21 +285,6 @@ pub async fn allreduce_ring_async<S: Splittable + Clone + Send + 'static>(
 /// correct (the solo variant is never needed). Wire words are scaled by
 /// the operator's `words_factor` (2 for `op_sr`'s pairs); makespan
 /// `2 log₂ p·ts + m(1−1/p)(2·wf·tw + c)`.
-pub fn allreduce_balanced_halving<S: Splittable + Clone + Send + 'static>(
-    ctx: &mut Ctx,
-    value: S,
-    words_per_unit: u64,
-    op: &BalancedOp<'_, S>,
-) -> S {
-    drive(allreduce_balanced_halving_async(
-        ctx,
-        value,
-        words_per_unit,
-        op,
-    ))
-}
-
-/// Engine-agnostic form of [`allreduce_balanced_halving`].
 pub async fn allreduce_balanced_halving_async<S: Splittable + Clone + Send + 'static>(
     ctx: &mut Ctx,
     value: S,
@@ -382,7 +318,7 @@ mod tests {
     use super::*;
     use crate::reference::ref_allreduce;
     use collopt_machine::topology::ceil_log2;
-    use collopt_machine::{ClockParams, Machine};
+    use collopt_machine::{drive, ClockParams, Machine};
     use std::sync::Arc;
 
     fn add_blocks(a: &Vec<i64>, b: &Vec<i64>) -> Vec<i64> {
@@ -412,7 +348,12 @@ mod tests {
                 let m = Machine::new(p, ClockParams::free());
                 let run = m.run(move |ctx| {
                     let block = block_of(ctx.rank(), n);
-                    reduce_scatter_halving(ctx, block, 1, &Combine::new(&add_blocks))
+                    drive(reduce_scatter_halving_async(
+                        ctx,
+                        block,
+                        1,
+                        &Combine::new(&add_blocks),
+                    ))
                 });
                 let expected = summed(p, n).split_into(p);
                 for (rank, got) in run.results.iter().enumerate() {
@@ -432,7 +373,12 @@ mod tests {
             let run = m.run(move |ctx| {
                 let letter = char::from(b'a' + ctx.rank() as u8).to_string();
                 let block: Vec<String> = vec![letter; n];
-                reduce_scatter_halving(ctx, block, 1, &Combine::new(&cat_blocks))
+                drive(reduce_scatter_halving_async(
+                    ctx,
+                    block,
+                    1,
+                    &Combine::new(&cat_blocks),
+                ))
             });
             let word: String = (0..p).map(|r| char::from(b'a' + r as u8)).collect();
             for (rank, got) in run.results.iter().enumerate() {
@@ -445,7 +391,7 @@ mod tests {
     fn doubling_reassembles_the_block_in_rank_order() {
         for p in [1usize, 2, 4, 8, 16] {
             let m = Machine::new(p, ClockParams::free());
-            let run = m.run(|ctx| allgather_doubling(ctx, vec![ctx.rank(); 3], 1));
+            let run = m.run(|ctx| drive(allgather_doubling_async(ctx, vec![ctx.rank(); 3], 1)));
             let expected: Vec<usize> = (0..p).flat_map(|r| vec![r; 3]).collect();
             for (rank, got) in run.results.iter().enumerate() {
                 assert_eq!(got, &expected, "p={p} rank={rank}");
@@ -461,7 +407,7 @@ mod tests {
                 let run = m.run(move |ctx| {
                     let block = block_of(ctx.rank(), n);
                     let op = Combine::new(&add_blocks).assume_commutative();
-                    reduce_scatter_ring(ctx, block, 1, &op)
+                    drive(reduce_scatter_ring_async(ctx, block, 1, &op))
                 });
                 let expected = summed(p, n).split_into(p);
                 for (rank, got) in run.results.iter().enumerate() {
@@ -477,7 +423,12 @@ mod tests {
         let m = Machine::new(4, ClockParams::free());
         m.run(|ctx| {
             let block = block_of(ctx.rank(), 8);
-            reduce_scatter_ring(ctx, block, 1, &Combine::new(&add_blocks))
+            drive(reduce_scatter_ring_async(
+                ctx,
+                block,
+                1,
+                &Combine::new(&add_blocks),
+            ))
         });
     }
 
@@ -489,7 +440,7 @@ mod tests {
             let run = machine.run(move |ctx| {
                 let block = block_of(ctx.rank(), n);
                 let op = Combine::new(&add_blocks).assume_commutative();
-                allreduce_rabenseifner(ctx, block, 1, &op)
+                drive(allreduce_rabenseifner_async(ctx, block, 1, &op))
             });
             let inputs: Vec<Vec<i64>> = (0..p).map(|r| block_of(r, n)).collect();
             let expected = ref_allreduce(add_blocks, &inputs);
@@ -504,7 +455,12 @@ mod tests {
             let machine = Machine::new(p, ClockParams::free());
             let run = machine.run(move |ctx| {
                 let letter = char::from(b'a' + ctx.rank() as u8).to_string();
-                allreduce_rabenseifner(ctx, vec![letter; n], 1, &Combine::new(&cat_blocks))
+                drive(allreduce_rabenseifner_async(
+                    ctx,
+                    vec![letter; n],
+                    1,
+                    &Combine::new(&cat_blocks),
+                ))
             });
             let word: String = (0..p).map(|r| char::from(b'a' + r as u8)).collect();
             for (rank, got) in run.results.iter().enumerate() {
@@ -521,7 +477,12 @@ mod tests {
             let machine = Machine::new(p, ClockParams::free());
             let run = machine.run(|ctx| {
                 let letter = char::from(b'a' + ctx.rank() as u8).to_string();
-                allreduce_rabenseifner(ctx, vec![letter; 4], 1, &Combine::new(&cat_blocks))
+                drive(allreduce_rabenseifner_async(
+                    ctx,
+                    vec![letter; 4],
+                    1,
+                    &Combine::new(&cat_blocks),
+                ))
             });
             let word: String = (0..p).map(|r| char::from(b'a' + r as u8)).collect();
             for (rank, got) in run.results.iter().enumerate() {
@@ -538,7 +499,7 @@ mod tests {
             let run = machine.run(move |ctx| {
                 let block = block_of(ctx.rank(), n);
                 let op = Combine::new(&add_blocks).assume_commutative();
-                allreduce_ring(ctx, block, 1, &op)
+                drive(allreduce_ring_async(ctx, block, 1, &op))
             });
             let expected = summed(p, n);
             for (rank, got) in run.results.iter().enumerate() {
@@ -555,7 +516,12 @@ mod tests {
             let machine = Machine::new(p, ClockParams::new(ts, tw));
             let run = machine.run(move |ctx| {
                 let block = block_of(ctx.rank(), mw);
-                reduce_scatter_halving(ctx, block, 1, &Combine::new(&add_blocks))
+                drive(reduce_scatter_halving_async(
+                    ctx,
+                    block,
+                    1,
+                    &Combine::new(&add_blocks),
+                ))
             });
             let frac = 1.0 - 1.0 / p as f64;
             let expected = ceil_log2(p) as f64 * ts + mw as f64 * frac * (tw + 1.0);
@@ -571,7 +537,7 @@ mod tests {
             let machine = Machine::new(p, ClockParams::new(ts, tw));
             let run = machine.run(move |ctx| {
                 let seg = vec![ctx.rank() as i64; mw / ctx.size()];
-                allgather_doubling(ctx, seg, 1)
+                drive(allgather_doubling_async(ctx, seg, 1))
             });
             let frac = 1.0 - 1.0 / p as f64;
             let expected = ceil_log2(p) as f64 * ts + mw as f64 * frac * tw;
@@ -587,7 +553,12 @@ mod tests {
             let machine = Machine::new(p, ClockParams::new(ts, tw));
             let run = machine.run(move |ctx| {
                 let block = block_of(ctx.rank(), mw);
-                allreduce_rabenseifner(ctx, block, 1, &Combine::new(&add_blocks))
+                drive(allreduce_rabenseifner_async(
+                    ctx,
+                    block,
+                    1,
+                    &Combine::new(&add_blocks),
+                ))
             });
             let frac = 1.0 - 1.0 / p as f64;
             let expected = 2.0 * ceil_log2(p) as f64 * ts + mw as f64 * frac * (2.0 * tw + 1.0);
@@ -606,7 +577,7 @@ mod tests {
             let run = machine.run(move |ctx| {
                 let block = block_of(ctx.rank(), mw);
                 let op = Combine::new(&add_blocks).assume_commutative();
-                allreduce_ring(ctx, block, 1, &op)
+                drive(allreduce_ring_async(ctx, block, 1, &op))
             });
             let seg = mw as f64 / p as f64;
             let steps = (p - 1) as f64;
@@ -622,11 +593,21 @@ mod tests {
         let machine = Machine::new(p, clock);
         let butterfly = machine.run(move |ctx| {
             let block = block_of(ctx.rank(), mw);
-            crate::reduce::allreduce_butterfly(ctx, block, mw as u64, &Combine::new(&add_blocks))
+            drive(crate::reduce::allreduce_butterfly_async(
+                ctx,
+                block,
+                mw as u64,
+                &Combine::new(&add_blocks),
+            ))
         });
         let raben = machine.run(move |ctx| {
             let block = block_of(ctx.rank(), mw);
-            allreduce_rabenseifner(ctx, block, 1, &Combine::new(&add_blocks))
+            drive(allreduce_rabenseifner_async(
+                ctx,
+                block,
+                1,
+                &Combine::new(&add_blocks),
+            ))
         });
         assert_eq!(butterfly.results, raben.results);
         assert!(
@@ -644,11 +625,21 @@ mod tests {
         let machine = Machine::new(p, clock);
         let butterfly = machine.run(move |ctx| {
             let block = block_of(ctx.rank(), mw);
-            crate::reduce::allreduce_butterfly(ctx, block, mw as u64, &Combine::new(&add_blocks))
+            drive(crate::reduce::allreduce_butterfly_async(
+                ctx,
+                block,
+                mw as u64,
+                &Combine::new(&add_blocks),
+            ))
         });
         let raben = machine.run(move |ctx| {
             let block = block_of(ctx.rank(), mw);
-            allreduce_rabenseifner(ctx, block, 1, &Combine::new(&add_blocks))
+            drive(allreduce_rabenseifner_async(
+                ctx,
+                block,
+                1,
+                &Combine::new(&add_blocks),
+            ))
         });
         assert!(butterfly.makespan < raben.makespan);
     }
@@ -687,15 +678,20 @@ mod tests {
                     .collect()
             };
             let butterfly = machine.run(move |ctx| {
-                crate::balanced::allreduce_balanced(
+                drive(crate::balanced::allreduce_balanced_async(
                     ctx,
                     block(ctx.rank()),
                     n as u64,
                     &balanced_op(),
-                )
+                ))
             });
             let halving = machine.run(move |ctx| {
-                allreduce_balanced_halving(ctx, block(ctx.rank()), 1, &balanced_op())
+                drive(allreduce_balanced_halving_async(
+                    ctx,
+                    block(ctx.rank()),
+                    1,
+                    &balanced_op(),
+                ))
             });
             assert_eq!(butterfly.results, halving.results, "p={p}");
         }
@@ -728,7 +724,7 @@ mod tests {
                 ops_solo: 1.0,
                 words_factor: 2,
             };
-            allreduce_balanced_halving(ctx, block, 1, &op)
+            drive(allreduce_balanced_halving_async(ctx, block, 1, &op))
         });
         let frac = 1.0 - 1.0 / p as f64;
         let expected = 2.0 * ceil_log2(p) as f64 * ts + mw as f64 * frac * (2.0 * 2.0 * tw + 4.0);
@@ -743,7 +739,12 @@ mod tests {
             let machine = Machine::new(p, ClockParams::free());
             let run = machine.run(move |ctx| {
                 let block = block_of(ctx.rank(), n);
-                allreduce_rabenseifner(ctx, block, 1, &Combine::new(&add_blocks))
+                drive(allreduce_rabenseifner_async(
+                    ctx,
+                    block,
+                    1,
+                    &Combine::new(&add_blocks),
+                ))
             });
             let expected = summed(p, n);
             for got in &run.results {
@@ -765,7 +766,12 @@ mod tests {
             let machine = Machine::new(p, ClockParams::free());
             let run = machine.run(move |ctx| {
                 let op = Combine::new(&add_blocks).assume_commutative();
-                allreduce_rabenseifner(ctx, shared[ctx.rank()].clone(), 1, &op)
+                drive(allreduce_rabenseifner_async(
+                    ctx,
+                    shared[ctx.rank()].clone(),
+                    1,
+                    &op,
+                ))
             });
             let expected = ref_allreduce(add_blocks, &inputs);
             assert_eq!(run.results, expected, "p={p} n={n}");

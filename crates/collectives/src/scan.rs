@@ -1,6 +1,6 @@
 //! Scan / parallel prefix (eq. 7): rank `i` ends with `x1 ⊕ … ⊕ x(i+1)`.
 //!
-//! [`scan_butterfly`] is the hypercube algorithm the paper's cost model
+//! [`scan_butterfly_async`] is the hypercube algorithm the paper's cost model
 //! assumes (Section 4.1, after Quinn): `⌈log₂ p⌉` exchange phases; each
 //! rank maintains a running *result* (prefix up to itself) and a running
 //! *aggregate* (combination of its whole current block). Per phase the
@@ -16,21 +16,11 @@
 //! scan of Figure 5 work on six processors).
 
 use collopt_machine::topology::{butterfly_partner, butterfly_rounds};
-use collopt_machine::{drive, Ctx};
+use collopt_machine::Ctx;
 
 use crate::op::Combine;
 
 /// Inclusive butterfly scan: returns `x1 ⊕ … ⊕ x(rank+1)` on each rank.
-pub fn scan_butterfly<T: Clone + Send + 'static>(
-    ctx: &mut Ctx,
-    value: T,
-    words: u64,
-    op: &Combine<'_, T>,
-) -> T {
-    drive(scan_butterfly_async(ctx, value, words, op))
-}
-
-/// Engine-agnostic form of [`scan_butterfly`].
 pub async fn scan_butterfly_async<T: Clone + Send + 'static>(
     ctx: &mut Ctx,
     value: T,
@@ -62,16 +52,6 @@ pub async fn scan_butterfly_async<T: Clone + Send + 'static>(
 /// (no identity element is assumed). Implemented as an inclusive scan
 /// followed by a single shift round (each rank forwards its inclusive
 /// prefix to the next rank), i.e. one extra `ts + m·tw` phase.
-pub fn exscan<T: Clone + Send + 'static>(
-    ctx: &mut Ctx,
-    value: T,
-    words: u64,
-    op: &Combine<'_, T>,
-) -> Option<T> {
-    drive(exscan_async(ctx, value, words, op))
-}
-
-/// Engine-agnostic form of [`exscan`].
 pub async fn exscan_async<T: Clone + Send + 'static>(
     ctx: &mut Ctx,
     value: T,
@@ -96,7 +76,7 @@ mod tests {
     use super::*;
     use crate::reference::{ref_exscan, ref_scan};
     use collopt_machine::topology::ceil_log2;
-    use collopt_machine::{ClockParams, Machine};
+    use collopt_machine::{drive, ClockParams, Machine};
     use std::sync::Arc;
 
     fn run_scan_i64(inputs: Vec<i64>, op: fn(&i64, &i64) -> i64) -> Vec<i64> {
@@ -105,7 +85,7 @@ mod tests {
         let m = Machine::new(p, ClockParams::free());
         let run = m.run(move |ctx| {
             let c = Combine::new(&op);
-            scan_butterfly(ctx, shared[ctx.rank()], 1, &c)
+            drive(scan_butterfly_async(ctx, shared[ctx.rank()], 1, &c))
         });
         run.results
     }
@@ -132,7 +112,12 @@ mod tests {
             let m = Machine::new(p, ClockParams::free());
             let run = m.run(|ctx| {
                 let cat = |a: &String, b: &String| format!("{a}{b}");
-                scan_butterfly(ctx, ctx.rank().to_string(), 1, &Combine::new(&cat))
+                drive(scan_butterfly_async(
+                    ctx,
+                    ctx.rank().to_string(),
+                    1,
+                    &Combine::new(&cat),
+                ))
             });
             for (rank, r) in run.results.iter().enumerate() {
                 let expected: String = (0..=rank).map(|i| i.to_string()).collect();
@@ -157,7 +142,12 @@ mod tests {
                 let add = |a: &Vec<u64>, b: &Vec<u64>| {
                     a.iter().zip(b).map(|(x, y)| x + y).collect::<Vec<u64>>()
                 };
-                scan_butterfly(ctx, vec![1u64; mw as usize], mw, &Combine::new(&add))
+                drive(scan_butterfly_async(
+                    ctx,
+                    vec![1u64; mw as usize],
+                    mw,
+                    &Combine::new(&add),
+                ))
             });
             let expected = ceil_log2(p) as f64 * (params.ts + mw as f64 * (params.tw + 2.0));
             assert_eq!(run.makespan, expected, "p={p} m={mw}");
@@ -173,7 +163,7 @@ mod tests {
                 a.iter().zip(b).map(|(x, y)| x + y).collect::<Vec<i64>>()
             };
             let block = vec![ctx.rank() as i64, 10 * ctx.rank() as i64];
-            scan_butterfly(ctx, block, 2, &Combine::new(&add))
+            drive(scan_butterfly_async(ctx, block, 2, &Combine::new(&add)))
         });
         for rank in 0..p {
             let s: i64 = (0..=rank as i64).sum();
@@ -189,7 +179,12 @@ mod tests {
             let m = Machine::new(p, ClockParams::free());
             let run = m.run(move |ctx| {
                 let add = |a: &i64, b: &i64| a + b;
-                exscan(ctx, shared[ctx.rank()], 1, &Combine::new(&add))
+                drive(exscan_async(
+                    ctx,
+                    shared[ctx.rank()],
+                    1,
+                    &Combine::new(&add),
+                ))
             });
             assert_eq!(run.results, ref_exscan(|a, b| a + b, &inputs), "p={p}");
         }

@@ -17,9 +17,10 @@
 //! (also runnable, see [`planted`]) that serve as ground truth for the
 //! verifier's reject path.
 //!
-//! Fidelity is pinned by tests that run each lowering on the traced
-//! machine and compare the extracted schedule, op by op, against the
-//! recorded trace events.
+//! Fidelity is pinned by one table-driven test over [`shipped_variants`]:
+//! it runs each entry's `*_async` body on the traced event engine and
+//! compares the extracted schedule, op by op, against the recorded trace
+//! events; an entry with no body to run fails it.
 
 use collopt_machine::topology::{
     binomial_bcast_rank_plan, butterfly_partner, butterfly_rounds, ceil_log2, floor_log2,
@@ -51,7 +52,7 @@ pub enum SchedOp {
         /// Outgoing message size in words.
         words: u64,
     },
-    /// Full-machine clock barrier ([`Ctx::barrier`]): every rank must
+    /// Full-machine clock barrier ([`Ctx::barrier_async`]): every rank must
     /// reach it.
     Barrier,
 }
@@ -136,7 +137,7 @@ pub enum CollectiveKind {
 /// its schedule and what round count its cost closed form promises.
 #[derive(Clone, Copy)]
 pub struct Variant {
-    /// Stable lowercase name (matches the implementing function).
+    /// Stable lowercase name; the implementing function is `{name}_async`.
     pub name: &'static str,
     /// Collective family, for the lower-bound oracle.
     pub kind: CollectiveKind,
@@ -184,7 +185,7 @@ pub fn split_lens(m: u64, n: usize) -> Vec<u64> {
 // implementation exactly; comments reference the implementing function.
 // ---------------------------------------------------------------------------
 
-/// [`crate::bcast::bcast_binomial`] rooted at `root`.
+/// [`crate::bcast::bcast_binomial_async`] rooted at `root`.
 fn bcast_binomial_into(s: &mut Schedule, root: usize, words: u64) {
     for rank in 0..s.p {
         let plan = binomial_bcast_rank_plan(s.p, root, rank);
@@ -203,7 +204,7 @@ fn x_bcast_binomial(p: usize, m: u64) -> Schedule {
     s
 }
 
-/// [`crate::bcast::bcast_linear`]: the root sends to every rank in turn.
+/// [`crate::bcast::bcast_linear_async`]: the root sends to every rank in turn.
 fn x_bcast_linear(p: usize, m: u64) -> Schedule {
     let mut s = Schedule::new(p);
     for dst in 1..p {
@@ -213,7 +214,7 @@ fn x_bcast_linear(p: usize, m: u64) -> Schedule {
     s
 }
 
-/// [`crate::pipelined::bcast_pipelined`] with `segments` chunks of the
+/// [`crate::pipelined::bcast_pipelined_async`] with `segments` chunks of the
 /// `m`-word block, rooted at 0.
 fn bcast_pipelined_into(s: &mut Schedule, m: u64, segments: u64) {
     let p = s.p;
@@ -252,7 +253,7 @@ fn x_bcast_pipelined(p: usize, m: u64) -> Schedule {
     s
 }
 
-/// [`crate::gather::gather_binomial`]: message sizes double up the tree.
+/// [`crate::gather::gather_binomial_async`]: message sizes double up the tree.
 /// `words` is the size of one block; returns each rank's final
 /// accumulated block count (rank 0 ends with `p`).
 fn gather_binomial_into(s: &mut Schedule, words: u64) -> Vec<u64> {
@@ -289,7 +290,7 @@ fn x_gather_binomial(p: usize, m: u64) -> Schedule {
     s
 }
 
-/// [`crate::gather::scatter_binomial`] with a caller-supplied per-block
+/// [`crate::gather::scatter_binomial_async`] with a caller-supplied per-block
 /// length table (`block_lens[i]` blocks... in the uniform case every
 /// entry is 1 and `words` is the per-block size). Messages carry
 /// `words × (number of blocks forwarded)`.
@@ -328,7 +329,7 @@ fn x_scatter_binomial(p: usize, m: u64) -> Schedule {
     s
 }
 
-/// [`crate::gather::allgather`]: binomial gather + binomial broadcast of
+/// [`crate::gather::allgather_binomial_async`]: binomial gather + binomial broadcast of
 /// the assembled `p`-block vector.
 fn x_allgather_binomial(p: usize, m: u64) -> Schedule {
     let mut s = Schedule::new(p);
@@ -337,7 +338,7 @@ fn x_allgather_binomial(p: usize, m: u64) -> Schedule {
     s
 }
 
-/// [`crate::variants::allgather_ring`] where rank `r` always forwards
+/// [`crate::variants::allgather_ring_async`] where rank `r` always forwards
 /// with its own declared block size `per_rank[r]`.
 fn allgather_ring_into(s: &mut Schedule, per_rank: &[u64]) {
     let p = s.p;
@@ -370,7 +371,7 @@ fn x_allgather_ring(p: usize, m: u64) -> Schedule {
     s
 }
 
-/// [`crate::variants::bcast_scatter_allgather`]: binomial scatter of the
+/// [`crate::variants::bcast_scatter_allgather_async`]: binomial scatter of the
 /// `p` pieces (each piece charged `words_per_elem = 1` on the wire, as
 /// the runtime does) followed by a ring allgather of the pieces, where
 /// rank `r` forwards with its own piece size `max(len_r, 1)`.
@@ -386,7 +387,7 @@ fn x_bcast_scatter_allgather(p: usize, m: u64) -> Schedule {
     s
 }
 
-/// [`crate::gather::barrier`]: the dissemination barrier of empty
+/// [`crate::gather::barrier_dissemination_async`]: the dissemination barrier of empty
 /// messages (distinct from the clock barrier [`SchedOp::Barrier`]).
 fn x_barrier_dissemination(p: usize, _m: u64) -> Schedule {
     let mut s = Schedule::new(p);
@@ -408,7 +409,7 @@ fn x_barrier_dissemination(p: usize, _m: u64) -> Schedule {
     s
 }
 
-/// [`crate::reduce::reduce_binomial`] rooted at `root`.
+/// [`crate::reduce::reduce_binomial_async`] rooted at `root`.
 fn reduce_binomial_into(s: &mut Schedule, root: usize, words: u64) {
     let p = s.p;
     for rank in 0..p {
@@ -437,7 +438,7 @@ fn x_reduce_binomial(p: usize, m: u64) -> Schedule {
     s
 }
 
-/// [`crate::reduce::allreduce_butterfly`] (power-of-two `p`): `words`
+/// [`crate::reduce::allreduce_butterfly_async`] (power-of-two `p`): `words`
 /// per exchange, every round.
 fn butterfly_into(s: &mut Schedule, words: u64) {
     let p = s.p;
@@ -458,7 +459,7 @@ fn x_allreduce_butterfly(p: usize, m: u64) -> Schedule {
     s
 }
 
-/// [`crate::reduce::allreduce`]: butterfly for powers of two, otherwise
+/// [`crate::reduce::allreduce_async`]: butterfly for powers of two, otherwise
 /// binomial reduce to 0 + binomial broadcast.
 fn x_allreduce_generic(p: usize, m: u64) -> Schedule {
     let mut s = Schedule::new(p);
@@ -471,7 +472,7 @@ fn x_allreduce_generic(p: usize, m: u64) -> Schedule {
     s
 }
 
-/// [`crate::reduce::allreduce_commutative`]: fold the excess ranks into
+/// [`crate::reduce::allreduce_commutative_async`]: fold the excess ranks into
 /// the leading power-of-two block, butterfly there, ship results back.
 fn x_allreduce_commutative(p: usize, m: u64) -> Schedule {
     let mut s = Schedule::new(p);
@@ -590,7 +591,7 @@ fn x_reduce_scatter_ring(p: usize, m: u64) -> Schedule {
     s
 }
 
-/// [`crate::reduce_scatter::allreduce_ring`]: ring reduce-scatter, then
+/// [`crate::reduce_scatter::allreduce_ring_async`]: ring reduce-scatter, then
 /// ring allgather of the reduced segments.
 fn x_allreduce_ring(p: usize, m: u64) -> Schedule {
     let mut s = Schedule::new(p);
@@ -602,7 +603,7 @@ fn x_allreduce_ring(p: usize, m: u64) -> Schedule {
     s
 }
 
-/// [`crate::reduce_scatter::allreduce_rabenseifner`]: halving+doubling
+/// [`crate::reduce_scatter::allreduce_rabenseifner_async`]: halving+doubling
 /// for powers of two; the commutative ring otherwise (`p = 1` is a
 /// no-op; the registry models the commutative-operator instantiation).
 fn x_allreduce_rabenseifner(p: usize, m: u64) -> Schedule {
@@ -616,7 +617,7 @@ fn x_allreduce_rabenseifner(p: usize, m: u64) -> Schedule {
     }
 }
 
-/// [`crate::reduce_scatter::allreduce_balanced_halving`]: the fused
+/// [`crate::reduce_scatter::allreduce_balanced_halving_async`]: the fused
 /// SR-Reduction operator on the halving/doubling pair — `op_sr` puts
 /// `words_factor = 2` words on the wire per block word.
 fn x_allreduce_balanced_halving(p: usize, m: u64) -> Schedule {
@@ -626,7 +627,7 @@ fn x_allreduce_balanced_halving(p: usize, m: u64) -> Schedule {
     s
 }
 
-/// [`crate::scan::scan_butterfly`]: exchange with the butterfly partner
+/// [`crate::scan::scan_butterfly_async`]: exchange with the butterfly partner
 /// where one exists (any `p`).
 fn scan_butterfly_into(s: &mut Schedule, words: u64) {
     let p = s.p;
@@ -648,7 +649,7 @@ fn x_scan_butterfly(p: usize, m: u64) -> Schedule {
     s
 }
 
-/// [`crate::scan::exscan`]: inclusive scan + one shift round.
+/// [`crate::scan::exscan_async`]: inclusive scan + one shift round.
 fn x_exscan(p: usize, m: u64) -> Schedule {
     let mut s = Schedule::new(p);
     scan_butterfly_into(&mut s, m);
@@ -666,7 +667,7 @@ fn x_exscan(p: usize, m: u64) -> Schedule {
     s
 }
 
-/// [`crate::variants::scan_sklansky`]: fan-based scan; the block leader
+/// [`crate::variants::scan_sklansky_async`]: fan-based scan; the block leader
 /// serializes up to `2^j` sends in round `j` (one-ported model).
 fn x_scan_sklansky(p: usize, m: u64) -> Schedule {
     let mut s = Schedule::new(p);
@@ -686,14 +687,14 @@ fn x_scan_sklansky(p: usize, m: u64) -> Schedule {
     s
 }
 
-/// [`crate::balanced::scan_balanced`] with `op_ss` (`words_factor = 3`).
+/// [`crate::balanced::scan_balanced_async`] with `op_ss` (`words_factor = 3`).
 fn x_scan_balanced(p: usize, m: u64) -> Schedule {
     let mut s = Schedule::new(p);
     scan_butterfly_into(&mut s, m * 3);
     s
 }
 
-/// [`crate::balanced::reduce_balanced`] with `op_sr`
+/// [`crate::balanced::reduce_balanced_async`] with `op_sr`
 /// (`words_factor = 2`): the paper's balanced tree (Figure 4).
 fn reduce_balanced_into(s: &mut Schedule, words: u64) {
     let tree = BalancedTree::new(s.p);
@@ -722,7 +723,7 @@ fn x_reduce_balanced(p: usize, m: u64) -> Schedule {
     s
 }
 
-/// [`crate::balanced::allreduce_balanced`] with `op_sr`: butterfly of
+/// [`crate::balanced::allreduce_balanced_async`] with `op_sr`: butterfly of
 /// doubled words for powers of two, balanced reduce + broadcast
 /// otherwise.
 fn x_allreduce_balanced(p: usize, m: u64) -> Schedule {
@@ -736,7 +737,7 @@ fn x_allreduce_balanced(p: usize, m: u64) -> Schedule {
     s
 }
 
-/// [`crate::comcast::comcast_bcast_repeat`] rooted at 0: all
+/// [`crate::comcast::comcast_bcast_repeat_async`] rooted at 0: all
 /// communication is the broadcast; `repeat` is local.
 fn x_comcast_bcast_repeat(p: usize, m: u64) -> Schedule {
     let mut s = Schedule::new(p);
@@ -744,7 +745,7 @@ fn x_comcast_bcast_repeat(p: usize, m: u64) -> Schedule {
     s
 }
 
-/// [`crate::comcast::comcast_cost_optimal`] rooted at 0 with the pair
+/// [`crate::comcast::comcast_cost_optimal_async`] rooted at 0 with the pair
 /// tuple (`words_factor = 2`): successive doubling of the informed set.
 fn x_comcast_cost_optimal(p: usize, m: u64) -> Schedule {
     let mut s = Schedule::new(p);
@@ -768,7 +769,7 @@ fn x_comcast_cost_optimal(p: usize, m: u64) -> Schedule {
     s
 }
 
-/// [`crate::alltoall::alltoall`]: the linear-shift schedule, `p − 1`
+/// [`crate::alltoall::alltoall_async`]: the linear-shift schedule, `p − 1`
 /// rounds of simultaneous pairwise traffic.
 fn x_alltoall(p: usize, m: u64) -> Schedule {
     let mut s = Schedule::new(p);
@@ -790,7 +791,7 @@ fn x_alltoall(p: usize, m: u64) -> Schedule {
     s
 }
 
-/// [`crate::alltoall::reduce_scatter`]: binomial reduction of the whole
+/// [`crate::alltoall::reduce_scatter_binomial_async`]: binomial reduction of the whole
 /// `p·m`-word block vector to rank 0, then a binomial scatter.
 fn x_reduce_scatter_binomial(p: usize, m: u64) -> Schedule {
     let mut s = Schedule::new(p);
@@ -1208,7 +1209,7 @@ pub mod planted {
     use crate::op::Splittable;
 
     /// The ring reduce-scatter of
-    /// [`crate::reduce_scatter::reduce_scatter_ring`] with the receive
+    /// [`crate::reduce_scatter::reduce_scatter_ring_async`] with the receive
     /// posted *before* the send: for `p ≥ 3` every rank blocks on its
     /// predecessor before anything is on the wire — a classic wait-for
     /// cycle.
@@ -1245,7 +1246,7 @@ pub mod planted {
         ctx.rank()
     }
 
-    /// The binomial broadcast of [`crate::bcast::bcast_binomial`] with
+    /// The binomial broadcast of [`crate::bcast::bcast_binomial_async`] with
     /// every send landing one rank too high: the skipped ranks block on
     /// a message that goes elsewhere.
     pub async fn off_by_one_bcast_async(
@@ -1273,7 +1274,10 @@ pub mod planted {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use collopt_machine::{ClockParams, EventKind, Machine};
+    use crate::*;
+    use collopt_machine::{ClockParams, EventKind, Machine, Trace};
+    use std::future::Future;
+    use std::pin::Pin;
 
     /// Extraction is a pure function of `(p, m)`.
     #[test]
@@ -1301,20 +1305,14 @@ mod tests {
         Barrier,
     }
 
-    /// Replay a traced run and compare the per-rank event sequence
-    /// against the extracted schedule: same op kinds, same peers, same
-    /// word counts. Compute/mark/stage events are cost bookkeeping, not
-    /// communication, and are skipped.
-    fn assert_schedule_matches_trace<T: Send>(
-        sched: &Schedule,
-        run: impl Fn(&mut Ctx) -> T + Sync,
-        name: &str,
-    ) {
+    /// Compare a traced run's per-rank communication events against the
+    /// extracted schedule: same op kinds, same peers, same word counts.
+    /// Compute/mark/stage events are cost bookkeeping, not communication,
+    /// and are skipped.
+    fn assert_schedule_matches_trace(sched: &Schedule, trace: &Trace, what: &str) {
         let p = sched.p;
-        let machine = Machine::new(p, ClockParams::free()).with_tracing();
-        let result = machine.run(run);
         let mut per_rank: Vec<Vec<CommEv>> = vec![Vec::new(); p];
-        for ev in result.trace.events() {
+        for ev in trace.events() {
             let simplified = match &ev.kind {
                 EventKind::Send { to, words } => CommEv::Send(*to, *words),
                 EventKind::Recv { from, .. } => CommEv::Recv(*from),
@@ -1354,91 +1352,16 @@ mod tests {
                 .collect();
             assert_eq!(
                 *traced, expected,
-                "{name} rank {rank}: traced events (left) diverge from the extracted schedule (right)"
+                "{what} rank {rank}: traced events (left) diverge from the extracted schedule (right)"
             );
         }
     }
 
-    #[test]
-    fn bcast_binomial_schedule_matches_trace() {
-        for p in [2usize, 3, 6, 8] {
-            let m = 5u64;
-            assert_schedule_matches_trace(
-                &x_bcast_binomial(p, m),
-                move |ctx| {
-                    let v = (ctx.rank() == 0).then(|| vec![1i64; m as usize]);
-                    crate::bcast::bcast_binomial(ctx, 0, v, m)
-                },
-                "bcast_binomial",
-            );
-        }
-    }
+    /// One rank of a registry entry's lowering at block size `m`.
+    type Runner = for<'a> fn(&'a mut Ctx, u64) -> Pin<Box<dyn Future<Output = ()> + 'a>>;
 
-    #[test]
-    fn gather_and_scatter_schedules_match_trace() {
-        for p in [2usize, 5, 8, 11] {
-            let m = 3u64;
-            assert_schedule_matches_trace(
-                &x_gather_binomial(p, m),
-                move |ctx| crate::gather::gather_binomial(ctx, ctx.rank(), m),
-                "gather_binomial",
-            );
-            assert_schedule_matches_trace(
-                &x_scatter_binomial(p, m),
-                move |ctx| {
-                    let blocks = (ctx.rank() == 0).then(|| (0..ctx.size()).collect::<Vec<_>>());
-                    crate::gather::scatter_binomial(ctx, blocks, m)
-                },
-                "scatter_binomial",
-            );
-        }
-    }
-
-    #[test]
-    fn reduce_and_allreduce_schedules_match_trace() {
-        for p in [2usize, 4, 6, 8, 13] {
-            let m = 2u64;
-            assert_schedule_matches_trace(
-                &x_reduce_binomial(p, m),
-                move |ctx| {
-                    let add = |a: &i64, b: &i64| a + b;
-                    crate::reduce::reduce_binomial(
-                        ctx,
-                        0,
-                        ctx.rank() as i64,
-                        m,
-                        &crate::op::Combine::new(&add),
-                    )
-                },
-                "reduce_binomial",
-            );
-            assert_schedule_matches_trace(
-                &x_allreduce_generic(p, m),
-                move |ctx| {
-                    let add = |a: &i64, b: &i64| a + b;
-                    crate::reduce::allreduce(
-                        ctx,
-                        ctx.rank() as i64,
-                        m,
-                        &crate::op::Combine::new(&add),
-                    )
-                },
-                "allreduce",
-            );
-            assert_schedule_matches_trace(
-                &x_allreduce_commutative(p, m),
-                move |ctx| {
-                    let add = |a: &i64, b: &i64| a + b;
-                    crate::reduce::allreduce_commutative(
-                        ctx,
-                        ctx.rank() as i64,
-                        m,
-                        &crate::op::Combine::new(&add),
-                    )
-                },
-                "allreduce_commutative",
-            );
-        }
+    fn add(a: &i64, b: &i64) -> i64 {
+        a + b
     }
 
     #[allow(clippy::ptr_arg)]
@@ -1446,184 +1369,310 @@ mod tests {
         a.iter().zip(b).map(|(x, y)| x + y).collect()
     }
 
-    #[test]
-    fn segmenting_allreduce_schedules_match_trace() {
-        // Divisible and non-divisible block lengths, including m < p.
-        for (p, m) in [(4usize, 8u64), (8, 21), (4, 3), (6, 14), (5, 2)] {
-            if p.is_power_of_two() {
-                assert_schedule_matches_trace(
-                    &x_reduce_scatter_halving(p, m),
-                    move |ctx| {
-                        let block: Vec<i64> = (0..m as i64).collect();
-                        let op = crate::op::Combine::new(&add_blocks);
-                        crate::reduce_scatter::reduce_scatter_halving(ctx, block, 1, &op)
-                    },
-                    "reduce_scatter_halving",
-                );
-            }
-            assert_schedule_matches_trace(
-                &x_allreduce_rabenseifner(p, m),
-                move |ctx| {
-                    let block: Vec<i64> = (0..m as i64).collect();
-                    let op = crate::op::Combine::new(&add_blocks).assume_commutative();
-                    crate::reduce_scatter::allreduce_rabenseifner(ctx, block, 1, &op)
-                },
-                "allreduce_rabenseifner",
-            );
-            if p >= 2 {
-                assert_schedule_matches_trace(
-                    &x_reduce_scatter_ring(p, m),
-                    move |ctx| {
-                        let block: Vec<i64> = (0..m as i64).collect();
-                        let op = crate::op::Combine::new(&add_blocks).assume_commutative();
-                        crate::reduce_scatter::reduce_scatter_ring(ctx, block, 1, &op)
-                    },
-                    "reduce_scatter_ring",
-                );
-            }
-        }
+    fn add_pair(a: &(i64, i64), b: &(i64, i64)) -> (i64, i64) {
+        (a.0 + b.0, a.1 + b.1)
     }
 
-    #[test]
-    fn scan_family_schedules_match_trace() {
-        for p in [2usize, 4, 6, 8, 11] {
-            let m = 1u64;
-            assert_schedule_matches_trace(
-                &x_scan_butterfly(p, m),
-                move |ctx| {
-                    let add = |a: &i64, b: &i64| a + b;
-                    crate::scan::scan_butterfly(
-                        ctx,
-                        ctx.rank() as i64,
-                        m,
-                        &crate::op::Combine::new(&add),
-                    )
-                },
-                "scan_butterfly",
-            );
-            assert_schedule_matches_trace(
-                &x_exscan(p, m),
-                move |ctx| {
-                    let add = |a: &i64, b: &i64| a + b;
-                    crate::scan::exscan(ctx, ctx.rank() as i64, m, &crate::op::Combine::new(&add))
-                },
-                "exscan",
-            );
-            assert_schedule_matches_trace(
-                &x_scan_sklansky(p, m),
-                move |ctx| {
-                    let add = |a: &i64, b: &i64| a + b;
-                    crate::variants::scan_sklansky(
-                        ctx,
-                        ctx.rank() as i64,
-                        m,
-                        &crate::op::Combine::new(&add),
-                    )
-                },
-                "scan_sklansky",
-            );
-        }
+    #[allow(clippy::ptr_arg)]
+    fn add_pair_blocks(a: &Vec<(i64, i64)>, b: &Vec<(i64, i64)>) -> Vec<(i64, i64)> {
+        a.iter().zip(b).map(|(x, y)| add_pair(x, y)).collect()
     }
 
-    #[test]
-    fn ring_and_vdg_schedules_match_trace() {
-        for (p, m) in [(2usize, 4u64), (3, 7), (6, 25), (8, 8)] {
-            assert_schedule_matches_trace(
-                &x_allgather_ring(p, m),
-                move |ctx| crate::variants::allgather_ring(ctx, ctx.rank(), m),
-                "allgather_ring",
-            );
-            assert_schedule_matches_trace(
-                &x_bcast_scatter_allgather(p, m),
-                move |ctx| {
-                    let v = (ctx.rank() == 0).then(|| (0..m as i64).collect::<Vec<i64>>());
-                    crate::variants::bcast_scatter_allgather(ctx, v, 1)
-                },
-                "bcast_scatter_allgather",
-            );
-        }
+    fn keep<T: Clone>(x: &T) -> T {
+        x.clone()
     }
 
-    #[test]
-    fn balanced_and_comcast_schedules_match_trace() {
-        for p in [2usize, 4, 6, 9] {
-            let m = 1u64;
-            assert_schedule_matches_trace(
-                &x_reduce_balanced(p, m),
-                move |ctx| {
-                    let op = crate::balanced::BalancedOp {
-                        combine: &|a: &(i64, i64), b: &(i64, i64)| {
-                            let uu = a.1 + b.1;
-                            (a.0 + b.0 + a.1, uu + uu)
-                        },
-                        solo: &|x: &(i64, i64)| (x.0, x.1 + x.1),
+    /// The `*_async` body behind each registry entry, instantiated the way
+    /// its extractor models it: root 0, `m` words per block (or an
+    /// `m`-unit block at one word per unit for the segmenting lowerings),
+    /// the fused operators' word factors (2 for `op_sr`, 3 for `op_ss`) and
+    /// a commutative operator where the ring needs one. Payload values are
+    /// irrelevant: no lowering's communication depends on them.
+    fn runner(name: &str) -> Option<Runner> {
+        let run: Runner = match name {
+            "bcast_binomial" => |ctx, m| {
+                Box::pin(async move {
+                    let v = (ctx.rank() == 0).then_some(1i64);
+                    bcast_binomial_async(ctx, 0, v, m).await;
+                })
+            },
+            "bcast_linear" => |ctx, m| {
+                Box::pin(async move {
+                    let v = (ctx.rank() == 0).then_some(1i64);
+                    bcast_linear_async(ctx, 0, v, m).await;
+                })
+            },
+            "bcast_pipelined" => |ctx, m| {
+                Box::pin(async move {
+                    let segments = pipelined_segments(ctx.size(), m);
+                    let v = (ctx.rank() == 0).then(|| vec![1i64; m as usize]);
+                    bcast_pipelined_async(ctx, 0, v, 1, segments).await;
+                })
+            },
+            "bcast_scatter_allgather" => |ctx, m| {
+                Box::pin(async move {
+                    let v = (ctx.rank() == 0).then(|| vec![1i64; m as usize]);
+                    bcast_scatter_allgather_async(ctx, v, 1).await;
+                })
+            },
+            "gather_binomial" => |ctx, m| {
+                Box::pin(async move {
+                    gather_binomial_async(ctx, 1i64, m).await;
+                })
+            },
+            "scatter_binomial" => |ctx, m| {
+                Box::pin(async move {
+                    let blocks = (ctx.rank() == 0).then(|| vec![1i64; ctx.size()]);
+                    scatter_binomial_async(ctx, blocks, m).await;
+                })
+            },
+            "allgather_binomial" => |ctx, m| {
+                Box::pin(async move {
+                    allgather_binomial_async(ctx, 1i64, m).await;
+                })
+            },
+            "allgather_ring" => |ctx, m| {
+                Box::pin(async move {
+                    allgather_ring_async(ctx, 1i64, m).await;
+                })
+            },
+            "barrier_dissemination" => |ctx, _| Box::pin(barrier_dissemination_async(ctx)),
+            "reduce_binomial" => |ctx, m| {
+                Box::pin(async move {
+                    reduce_binomial_async(ctx, 0, 1i64, m, &Combine::new(&add)).await;
+                })
+            },
+            "reduce_balanced" => |ctx, m| {
+                Box::pin(async move {
+                    reduce_balanced_async(ctx, (1i64, 1i64), m, &sr_op()).await;
+                })
+            },
+            "allreduce_butterfly" => |ctx, m| {
+                Box::pin(async move {
+                    allreduce_butterfly_async(ctx, 1i64, m, &Combine::new(&add)).await;
+                })
+            },
+            "allreduce" => |ctx, m| {
+                Box::pin(async move {
+                    allreduce_async(ctx, 1i64, m, &Combine::new(&add)).await;
+                })
+            },
+            "allreduce_commutative" => |ctx, m| {
+                Box::pin(async move {
+                    let op = Combine::new(&add).assume_commutative();
+                    allreduce_commutative_async(ctx, 1i64, m, &op).await;
+                })
+            },
+            "allreduce_rabenseifner" => |ctx, m| {
+                Box::pin(async move {
+                    let op = Combine::new(&add_blocks).assume_commutative();
+                    allreduce_rabenseifner_async(ctx, vec![1i64; m as usize], 1, &op).await;
+                })
+            },
+            "allreduce_ring" => |ctx, m| {
+                Box::pin(async move {
+                    let op = Combine::new(&add_blocks).assume_commutative();
+                    allreduce_ring_async(ctx, vec![1i64; m as usize], 1, &op).await;
+                })
+            },
+            "allreduce_balanced" => |ctx, m| {
+                Box::pin(async move {
+                    allreduce_balanced_async(ctx, (1i64, 1i64), m, &sr_op()).await;
+                })
+            },
+            "allreduce_balanced_halving" => |ctx, m| {
+                Box::pin(async move {
+                    let op = BalancedOp {
+                        combine: &add_pair_blocks,
+                        solo: &keep,
                         ops_combine: 4.0,
                         ops_solo: 1.0,
                         words_factor: 2,
                     };
-                    let x = ctx.rank() as i64;
-                    crate::balanced::reduce_balanced(ctx, (x, x), m, &op)
-                },
-                "reduce_balanced",
-            );
-            assert_schedule_matches_trace(
-                &x_comcast_cost_optimal(p, m),
-                move |ctx| {
-                    let op = crate::comcast::RepeatOp {
-                        e: &|s: &(i64, i64)| (s.0, s.1 + s.1),
-                        o: &|s: &(i64, i64)| (s.0 + s.1, s.1 + s.1),
-                        ops_e: 1.0,
-                        ops_o: 2.0,
+                    let block = vec![(1i64, 1i64); m as usize];
+                    allreduce_balanced_halving_async(ctx, block, 1, &op).await;
+                })
+            },
+            "reduce_scatter_halving" => |ctx, m| {
+                Box::pin(async move {
+                    let op = Combine::new(&add_blocks);
+                    reduce_scatter_halving_async(ctx, vec![1i64; m as usize], 1, &op).await;
+                })
+            },
+            "reduce_scatter_ring" => |ctx, m| {
+                Box::pin(async move {
+                    let op = Combine::new(&add_blocks).assume_commutative();
+                    reduce_scatter_ring_async(ctx, vec![1i64; m as usize], 1, &op).await;
+                })
+            },
+            "reduce_scatter_binomial" => |ctx, m| {
+                Box::pin(async move {
+                    let blocks = vec![1i64; ctx.size()];
+                    reduce_scatter_binomial_async(ctx, blocks, m, &Combine::new(&add)).await;
+                })
+            },
+            "scan_butterfly" => |ctx, m| {
+                Box::pin(async move {
+                    scan_butterfly_async(ctx, 1i64, m, &Combine::new(&add)).await;
+                })
+            },
+            "scan_balanced" => |ctx, m| {
+                Box::pin(async move {
+                    let op = PairedOp {
+                        combine: &|a: &(i64, i64), b: &(i64, i64)| (*a, add_pair(a, b)),
+                        solo: &keep,
+                        ops_lower: 5.0,
+                        ops_upper: 8.0,
+                        ops_solo: 1.0,
+                        words_factor: 3,
                     };
-                    let v = (ctx.rank() == 0).then_some(2i64);
-                    crate::comcast::comcast_cost_optimal(
-                        ctx,
-                        0,
-                        v,
-                        m,
-                        &|b: &i64| (*b, *b),
-                        &|s: &(i64, i64)| s.0,
-                        &op,
-                        2,
-                    )
-                },
-                "comcast_cost_optimal",
-            );
+                    scan_balanced_async(ctx, (1i64, 1i64), m, &op).await;
+                })
+            },
+            "scan_sklansky" => |ctx, m| {
+                Box::pin(async move {
+                    scan_sklansky_async(ctx, 1i64, m, &Combine::new(&add)).await;
+                })
+            },
+            "exscan" => |ctx, m| {
+                Box::pin(async move {
+                    exscan_async(ctx, 1i64, m, &Combine::new(&add)).await;
+                })
+            },
+            "comcast_bcast_repeat" => |ctx, m| {
+                Box::pin(async move {
+                    let v = (ctx.rank() == 0).then_some(1i64);
+                    let pair = |b: &i64| (*b, *b);
+                    comcast_bcast_repeat_async(ctx, 0, v, m, &pair, &|s| s.0, &bs_op()).await;
+                })
+            },
+            "comcast_cost_optimal" => |ctx, m| {
+                Box::pin(async move {
+                    let v = (ctx.rank() == 0).then_some(1i64);
+                    let pair = |b: &i64| (*b, *b);
+                    comcast_cost_optimal_async(ctx, 0, v, m, &pair, &|s| s.0, &bs_op(), 2).await;
+                })
+            },
+            "alltoall" => |ctx, m| {
+                Box::pin(async move {
+                    alltoall_async(ctx, vec![1i64; ctx.size()], m).await;
+                })
+            },
+            _ => return None,
+        };
+        Some(run)
+    }
+
+    /// The paper's `op_sr` shape: pairs on the wire (`words_factor = 2`).
+    fn sr_op() -> BalancedOp<'static, (i64, i64)> {
+        BalancedOp {
+            combine: &add_pair,
+            solo: &keep,
+            ops_combine: 4.0,
+            ops_solo: 1.0,
+            words_factor: 2,
         }
+    }
+
+    /// BS-Comcast's repeat operator over `(t, u)` pairs.
+    fn bs_op() -> RepeatOp<'static, (i64, i64)> {
+        RepeatOp {
+            e: &|s| (s.0, s.1 + s.1),
+            o: &|s| (s.0 + s.1, s.1 + s.1),
+            ops_e: 1.0,
+            ops_o: 2.0,
+        }
+    }
+
+    /// A registry entry's extracted schedule equals, op for op, the trace
+    /// of its `*_async` body on the event engine at every applicable point
+    /// of p = 1..=17 × m ∈ {1, 2, 5, 8, 13, 32} — divisible and ragged
+    /// blocks, m < p and m > p. An entry without a runner fails.
+    fn assert_entry_matches_lowering(v: &Variant) {
+        let run =
+            runner(v.name).unwrap_or_else(|| panic!("registry entry {} has no runner", v.name));
+        for p in 1..=17usize {
+            for m in [1u64, 2, 5, 8, 13, 32] {
+                if !(v.applicable)(p, m) {
+                    continue;
+                }
+                let machine = Machine::new(p, ClockParams::free()).with_tracing();
+                let trace = machine.run_des(|ctx| run(ctx, m)).trace;
+                let what = format!("{} p={p} m={m}", v.name);
+                assert_schedule_matches_trace(&(v.extract)(p, m), &trace, &what);
+            }
+        }
+    }
+
+    /// [`assert_entry_matches_lowering`] for the named registry entries;
+    /// a name the registry does not ship fails.
+    fn assert_entries_match_lowering(names: &[&str]) {
+        let registry = shipped_variants();
+        for name in names {
+            let v = registry
+                .iter()
+                .find(|v| v.name == *name)
+                .unwrap_or_else(|| panic!("{name} is not a registry entry"));
+            assert_entry_matches_lowering(v);
+        }
+    }
+
+    /// Fidelity of the whole registry: all entries, through the same
+    /// runner table as the per-family tests below.
+    #[test]
+    fn every_registry_entry_schedule_matches_its_lowering() {
+        for v in shipped_variants() {
+            assert_entry_matches_lowering(&v);
+        }
+    }
+
+    #[test]
+    fn bcast_binomial_schedule_matches_trace() {
+        assert_entries_match_lowering(&["bcast_binomial"]);
+    }
+
+    #[test]
+    fn gather_and_scatter_schedules_match_trace() {
+        assert_entries_match_lowering(&["gather_binomial", "scatter_binomial"]);
+    }
+
+    #[test]
+    fn reduce_and_allreduce_schedules_match_trace() {
+        assert_entries_match_lowering(&["reduce_binomial", "allreduce", "allreduce_commutative"]);
+    }
+
+    #[test]
+    fn segmenting_allreduce_schedules_match_trace() {
+        assert_entries_match_lowering(&[
+            "reduce_scatter_halving",
+            "allreduce_rabenseifner",
+            "reduce_scatter_ring",
+        ]);
+    }
+
+    #[test]
+    fn scan_family_schedules_match_trace() {
+        assert_entries_match_lowering(&["scan_butterfly", "exscan", "scan_sklansky"]);
+    }
+
+    #[test]
+    fn ring_and_vdg_schedules_match_trace() {
+        assert_entries_match_lowering(&["allgather_ring", "bcast_scatter_allgather"]);
+    }
+
+    #[test]
+    fn balanced_and_comcast_schedules_match_trace() {
+        assert_entries_match_lowering(&["reduce_balanced", "comcast_cost_optimal"]);
     }
 
     #[test]
     fn alltoall_and_barrier_schedules_match_trace() {
-        for p in [2usize, 4, 5, 8] {
-            let m = 2u64;
-            assert_schedule_matches_trace(
-                &x_alltoall(p, m),
-                move |ctx| {
-                    let blocks: Vec<usize> = (0..ctx.size()).collect();
-                    crate::alltoall::alltoall(ctx, blocks, m)
-                },
-                "alltoall",
-            );
-            assert_schedule_matches_trace(
-                &x_barrier_dissemination(p, m),
-                crate::gather::barrier,
-                "barrier_dissemination",
-            );
-        }
+        assert_entries_match_lowering(&["alltoall", "barrier_dissemination"]);
     }
 
     #[test]
     fn pipelined_schedule_matches_trace() {
-        for (p, m) in [(2usize, 10u64), (4, 10), (6, 37)] {
-            assert_schedule_matches_trace(
-                &x_bcast_pipelined(p, m),
-                move |ctx| {
-                    let v = (ctx.rank() == 0).then(|| (0..m as i64).collect::<Vec<i64>>());
-                    crate::pipelined::bcast_pipelined(ctx, 0, v, 1, pipelined_segments(p, m))
-                },
-                "bcast_pipelined",
-            );
-        }
+        assert_entries_match_lowering(&["bcast_pipelined"]);
     }
 
     #[test]

@@ -7,9 +7,9 @@
 //! same `ts`/`tw` calculus the optimization rules use — performance-
 //! directed programming applied one level below the algebraic rules:
 //!
-//! * [`allgather_ring`] — bandwidth-optimal ring allgather:
+//! * [`allgather_ring_async`] — bandwidth-optimal ring allgather:
 //!   `(p−1)·(ts + m·tw)` total, each link carrying each block once;
-//! * [`bcast_scatter_allgather`] — van de Geijn's large-message
+//! * [`bcast_scatter_allgather_async`] — van de Geijn's large-message
 //!   broadcast: scatter the block (`≈ log p·ts + m·tw` with halving
 //!   segments), then ring-allgather the pieces. On this machine's
 //!   half-duplex store-and-forward nodes one ring step costs
@@ -17,14 +17,14 @@
 //!   so the allgather phase is `≈ 2(p−1)(ts + (m/p)·tw)` — still
 //!   `≈ 3m·tw` total volume versus the binomial tree's `log p · m·tw`,
 //!   a win once `log p > 3`, at the price of `p`-proportional start-ups;
-//! * [`scan_sklansky`] — minimum-depth fan-based inclusive scan
+//! * [`scan_sklansky_async`] — minimum-depth fan-based inclusive scan
 //!   (`⌈log₂ p⌉` rounds; half the ranks idle per round but the combining
 //!   work per rank is one application per round, vs two for the
 //!   butterfly);
-//! * [`bcast_auto`] — evaluates the analytic cost of binomial, chain
+//! * [`bcast_auto_async`] — evaluates the analytic cost of binomial, chain
 //!   pipeline and scatter+allgather for the actual `(p, m, ts, tw)` and
 //!   runs the predicted winner;
-//! * [`allreduce_auto`] / [`reduce_auto`] — the same idea for the
+//! * [`allreduce_auto_async`] / [`reduce_auto_async`] — the same idea for the
 //!   reduction family of [`reduce_scatter`](mod@crate::reduce_scatter):
 //!   [`choose_allreduce`] compares the butterfly
 //!   (`log p (ts + m(tw + c))`), Rabenseifner's halving+doubling pair
@@ -37,7 +37,7 @@
 //!   report predicted-vs-measured makespans.
 
 use collopt_machine::topology::{butterfly_rounds, ceil_log2};
-use collopt_machine::{drive, ClockParams, Ctx};
+use collopt_machine::{ClockParams, Ctx};
 
 use crate::bcast::bcast_binomial_async;
 use crate::gather::{gather_binomial_async, scatter_binomial_async};
@@ -52,11 +52,6 @@ use crate::reduce_scatter::{
 /// sends the block it received in step `k−1` to `r+1` and receives a new
 /// one from `r−1`. After `p−1` steps everyone holds all blocks, in rank
 /// order. `words` is the size of one block.
-pub fn allgather_ring<T: Clone + Send + 'static>(ctx: &mut Ctx, value: T, words: u64) -> Vec<T> {
-    drive(allgather_ring_async(ctx, value, words))
-}
-
-/// Engine-agnostic form of [`allgather_ring`].
 pub async fn allgather_ring_async<T: Clone + Send + 'static>(
     ctx: &mut Ctx,
     value: T,
@@ -90,16 +85,7 @@ pub async fn allgather_ring_async<T: Clone + Send + 'static>(
 /// Van de Geijn broadcast: scatter the root's block into `p` pieces, then
 /// ring-allgather the pieces. The block is a `Vec<T>`; `words_per_elem`
 /// sizes the cost charges. Efficient for large blocks; for tiny ones the
-/// extra start-ups lose to the binomial tree (see [`bcast_auto`]).
-pub fn bcast_scatter_allgather<T: Clone + Send + 'static>(
-    ctx: &mut Ctx,
-    value: Option<Vec<T>>,
-    words_per_elem: u64,
-) -> Vec<T> {
-    drive(bcast_scatter_allgather_async(ctx, value, words_per_elem))
-}
-
-/// Engine-agnostic form of [`bcast_scatter_allgather`].
+/// extra start-ups lose to the binomial tree (see [`bcast_auto_async`]).
 pub async fn bcast_scatter_allgather_async<T: Clone + Send + 'static>(
     ctx: &mut Ctx,
     value: Option<Vec<T>>,
@@ -122,16 +108,6 @@ pub async fn bcast_scatter_allgather_async<T: Clone + Send + 'static>(
 /// is set receive the prefix of their `2^j`-aligned left neighbour block
 /// and fold it in. `⌈log₂ p⌉` rounds, one combine per receiving rank per
 /// round (the butterfly pays two).
-pub fn scan_sklansky<T: Clone + Send + 'static>(
-    ctx: &mut Ctx,
-    value: T,
-    words: u64,
-    op: &Combine<'_, T>,
-) -> T {
-    drive(scan_sklansky_async(ctx, value, words, op))
-}
-
-/// Engine-agnostic form of [`scan_sklansky`].
 pub async fn scan_sklansky_async<T: Clone + Send + 'static>(
     ctx: &mut Ctx,
     value: T,
@@ -161,7 +137,7 @@ pub async fn scan_sklansky_async<T: Clone + Send + 'static>(
     acc
 }
 
-/// Which broadcast algorithm [`bcast_auto`] predicts to win.
+/// Which broadcast algorithm [`bcast_auto_async`] predicts to win.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BcastChoice {
     /// Binomial tree: `log p (ts + m tw)`.
@@ -202,15 +178,6 @@ pub fn choose_bcast(p: usize, words: u64, params: &ClockParams) -> BcastChoice {
 
 /// Cost-model-driven broadcast: run whichever algorithm [`choose_bcast`]
 /// predicts to be fastest for this machine and block size.
-pub fn bcast_auto<T: Clone + Send + 'static>(
-    ctx: &mut Ctx,
-    value: Option<Vec<T>>,
-    words_per_elem: u64,
-) -> Vec<T> {
-    drive(bcast_auto_async(ctx, value, words_per_elem))
-}
-
-/// Engine-agnostic form of [`bcast_auto`].
 pub async fn bcast_auto_async<T: Clone + Send + 'static>(
     ctx: &mut Ctx,
     value: Option<Vec<T>>,
@@ -238,7 +205,7 @@ pub async fn bcast_auto_async<T: Clone + Send + 'static>(
     }
 }
 
-/// Which allreduce algorithm [`allreduce_auto`] predicts to win.
+/// Which allreduce algorithm [`allreduce_auto_async`] predicts to win.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AllreduceChoice {
     /// Butterfly: `log p (ts + m(tw + c))`. Latency-optimal; best for
@@ -338,20 +305,10 @@ pub fn choose_allreduce(
 
 /// Cost-model-driven allreduce: run whichever algorithm
 /// [`choose_allreduce`] predicts to be fastest for this machine, block
-/// size and operator. Unlike [`bcast_auto`] no length pre-broadcast is
+/// size and operator. Unlike [`bcast_auto_async`] no length pre-broadcast is
 /// needed: allreduce combines blocks elementwise, so every rank already
 /// holds a block of the (SPMD-uniform) common length and all ranks reach
 /// the same choice independently.
-pub fn allreduce_auto<S: Splittable + Clone + Send + 'static>(
-    ctx: &mut Ctx,
-    value: S,
-    words_per_unit: u64,
-    op: &Combine<'_, S>,
-) -> S {
-    drive(allreduce_auto_async(ctx, value, words_per_unit, op))
-}
-
-/// Engine-agnostic form of [`allreduce_auto`].
 pub async fn allreduce_auto_async<S: Splittable + Clone + Send + 'static>(
     ctx: &mut Ctx,
     value: S,
@@ -374,7 +331,7 @@ pub async fn allreduce_auto_async<S: Splittable + Clone + Send + 'static>(
     }
 }
 
-/// Which reduce-to-root algorithm [`reduce_auto`] predicts to win.
+/// Which reduce-to-root algorithm [`reduce_auto_async`] predicts to win.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReduceChoice {
     /// Binomial tree: `log p (ts + m(tw + c))`.
@@ -433,16 +390,6 @@ pub fn choose_reduce(
 /// `None` elsewhere. For large blocks on a power-of-two machine the
 /// reduce-scatter + gather route halves the bandwidth term of the
 /// binomial tree while staying order-safe for non-commutative operators.
-pub fn reduce_auto<S: Splittable + Clone + Send + 'static>(
-    ctx: &mut Ctx,
-    value: S,
-    words_per_unit: u64,
-    op: &Combine<'_, S>,
-) -> Option<S> {
-    drive(reduce_auto_async(ctx, value, words_per_unit, op))
-}
-
-/// Engine-agnostic form of [`reduce_auto`].
 pub async fn reduce_auto_async<S: Splittable + Clone + Send + 'static>(
     ctx: &mut Ctx,
     value: S,
@@ -490,18 +437,18 @@ pub fn balanced_halving_wins(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bcast::bcast_binomial;
-    use crate::reduce::allreduce_butterfly;
+    use crate::bcast::bcast_binomial_async;
+    use crate::reduce::allreduce_butterfly_async;
     use crate::reference::ref_scan;
-    use crate::scan::scan_butterfly;
-    use collopt_machine::Machine;
+    use crate::scan::scan_butterfly_async;
+    use collopt_machine::{drive, Machine};
     use std::sync::Arc;
 
     #[test]
     fn ring_allgather_is_correct_for_all_sizes() {
         for p in 1..=13usize {
             let m = Machine::new(p, ClockParams::free());
-            let run = m.run(|ctx| allgather_ring(ctx, ctx.rank() * 3, 1));
+            let run = m.run(|ctx| drive(allgather_ring_async(ctx, ctx.rank() * 3, 1)));
             let expected: Vec<usize> = (0..p).map(|r| r * 3).collect();
             for (rank, r) in run.results.iter().enumerate() {
                 assert_eq!(r, &expected, "p={p} rank={rank}");
@@ -515,7 +462,7 @@ mod tests {
             let m = Machine::new(p, ClockParams::free());
             let run = m.run(move |ctx| {
                 let value = (ctx.rank() == 0).then(|| (0..25i64).collect::<Vec<i64>>());
-                bcast_scatter_allgather(ctx, value, 1)
+                drive(bcast_scatter_allgather_async(ctx, value, 1))
             });
             let expected: Vec<i64> = (0..25).collect();
             for (rank, r) in run.results.iter().enumerate() {
@@ -531,11 +478,11 @@ mod tests {
         let machine = Machine::new(p, clock);
         let tree = machine.run(move |ctx| {
             let v = (ctx.rank() == 0).then(|| vec![1u8; mw]);
-            bcast_binomial(ctx, 0, v, mw as u64).len()
+            drive(bcast_binomial_async(ctx, 0, v, mw as u64)).len()
         });
         let vdg = machine.run(move |ctx| {
             let v = (ctx.rank() == 0).then(|| vec![1u8; mw]);
-            bcast_scatter_allgather(ctx, v, 1).len()
+            drive(bcast_scatter_allgather_async(ctx, v, 1)).len()
         });
         assert!(
             vdg.makespan < tree.makespan,
@@ -552,11 +499,11 @@ mod tests {
         let machine = Machine::new(p, clock);
         let tree = machine.run(move |ctx| {
             let v = (ctx.rank() == 0).then(|| vec![1u8; mw]);
-            bcast_binomial(ctx, 0, v, mw as u64).len()
+            drive(bcast_binomial_async(ctx, 0, v, mw as u64)).len()
         });
         let vdg = machine.run(move |ctx| {
             let v = (ctx.rank() == 0).then(|| vec![1u8; mw]);
-            bcast_scatter_allgather(ctx, v, 1).len()
+            drive(bcast_scatter_allgather_async(ctx, v, 1)).len()
         });
         assert!(tree.makespan < vdg.makespan);
     }
@@ -569,7 +516,12 @@ mod tests {
             let m = Machine::new(p, ClockParams::free());
             let run = m.run(move |ctx| {
                 let add = |a: &i64, b: &i64| a + b;
-                scan_sklansky(ctx, shared[ctx.rank()], 1, &Combine::new(&add))
+                drive(scan_sklansky_async(
+                    ctx,
+                    shared[ctx.rank()],
+                    1,
+                    &Combine::new(&add),
+                ))
             });
             assert_eq!(run.results, ref_scan(|a, b| a + b, &inputs), "p={p}");
         }
@@ -581,7 +533,12 @@ mod tests {
             let m = Machine::new(p, ClockParams::free());
             let run = m.run(|ctx| {
                 let cat = |a: &String, b: &String| format!("{a}{b}");
-                scan_sklansky(ctx, ctx.rank().to_string(), 1, &Combine::new(&cat))
+                drive(scan_sklansky_async(
+                    ctx,
+                    ctx.rank().to_string(),
+                    1,
+                    &Combine::new(&cat),
+                ))
             });
             for (rank, r) in run.results.iter().enumerate() {
                 let expected: String = (0..=rank).map(|i| i.to_string()).collect();
@@ -597,11 +554,11 @@ mod tests {
         let machine = Machine::new(p, clock);
         let butterfly = machine.run(|ctx| {
             let add = |a: &i64, b: &i64| a + b;
-            scan_butterfly(ctx, 1i64, 1, &Combine::new(&add))
+            drive(scan_butterfly_async(ctx, 1i64, 1, &Combine::new(&add)))
         });
         let sklansky = machine.run(|ctx| {
             let add = |a: &i64, b: &i64| a + b;
-            scan_sklansky(ctx, 1i64, 1, &Combine::new(&add))
+            drive(scan_sklansky_async(ctx, 1i64, 1, &Combine::new(&add)))
         });
         assert_eq!(butterfly.results, sklansky.results);
         let bf: f64 = butterfly.compute_ops.iter().sum();
@@ -617,7 +574,7 @@ mod tests {
             let machine = Machine::new(p, clock);
             let run = machine.run(move |ctx| {
                 let v = (ctx.rank() == 0).then(|| vec![1u8; mw]);
-                bcast_scatter_allgather(ctx, v, 1).len()
+                drive(bcast_scatter_allgather_async(ctx, v, 1)).len()
             });
             let logp = ceil_log2(p) as f64;
             let predicted = logp * clock.ts
@@ -649,7 +606,7 @@ mod tests {
             let machine = Machine::new(p, clock);
             let auto = machine.run(move |ctx| {
                 let v = (ctx.rank() == 0).then(|| (0..mw as i64).collect::<Vec<i64>>());
-                bcast_auto(ctx, v, 1)
+                drive(bcast_auto_async(ctx, v, 1))
             });
             let expected: Vec<i64> = (0..mw as i64).collect();
             assert!(auto.results.iter().all(|r| r == &expected), "p={p} m={mw}");
@@ -658,11 +615,11 @@ mod tests {
             // pre-broadcast the auto version pays).
             let tree = machine.run(move |ctx| {
                 let v = (ctx.rank() == 0).then(|| vec![0i64; mw]);
-                bcast_binomial(ctx, 0, v, mw as u64).len()
+                drive(bcast_binomial_async(ctx, 0, v, mw as u64)).len()
             });
             let vdg = machine.run(move |ctx| {
                 let v = (ctx.rank() == 0).then(|| vec![0i64; mw]);
-                bcast_scatter_allgather(ctx, v, 1).len()
+                drive(bcast_scatter_allgather_async(ctx, v, 1)).len()
             });
             let preamble = collopt_machine::topology::ceil_log2(p) as f64 * (clock.ts + clock.tw);
             assert!(
@@ -721,7 +678,7 @@ mod tests {
                 let run = machine.run(move |ctx| {
                     let block: Vec<i64> = (0..mw as i64).map(|e| ctx.rank() as i64 + e).collect();
                     let op = Combine::new(&add_blocks).assume_commutative();
-                    allreduce_auto(ctx, block, 1, &op)
+                    drive(allreduce_auto_async(ctx, block, 1, &op))
                 });
                 let expected: Vec<i64> = (0..mw as i64)
                     .map(|e| (0..p as i64).map(|r| r + e).sum())
@@ -749,7 +706,7 @@ mod tests {
                         let block: Vec<i64> =
                             (0..mw as i64).map(|e| ctx.rank() as i64 + e).collect();
                         let op = Combine::new(&add_blocks).assume_commutative();
-                        allreduce_auto(ctx, block, 1, &op)
+                        drive(allreduce_auto_async(ctx, block, 1, &op))
                     });
                     let err = (run.makespan - predicted).abs() / predicted;
                     assert!(
@@ -770,11 +727,21 @@ mod tests {
             let machine = Machine::new(8, params);
             let auto = machine.run(move |ctx| {
                 let block: Vec<i64> = (0..mw as i64).collect();
-                allreduce_auto(ctx, block, 1, &Combine::new(&add_blocks))
+                drive(allreduce_auto_async(
+                    ctx,
+                    block,
+                    1,
+                    &Combine::new(&add_blocks),
+                ))
             });
             let fixed = machine.run(move |ctx| {
                 let block: Vec<i64> = (0..mw as i64).collect();
-                allreduce_butterfly(ctx, block, mw as u64, &Combine::new(&add_blocks))
+                drive(allreduce_butterfly_async(
+                    ctx,
+                    block,
+                    mw as u64,
+                    &Combine::new(&add_blocks),
+                ))
             });
             assert_eq!(auto.results, fixed.results);
             assert!(
@@ -810,7 +777,12 @@ mod tests {
                     let cat = |a: &Vec<String>, b: &Vec<String>| -> Vec<String> {
                         a.iter().zip(b).map(|(x, y)| format!("{x}{y}")).collect()
                     };
-                    reduce_auto(ctx, vec![letter; mw], 1, &Combine::new(&cat))
+                    drive(reduce_auto_async(
+                        ctx,
+                        vec![letter; mw],
+                        1,
+                        &Combine::new(&cat),
+                    ))
                 });
                 let word: String = (0..p).map(|r| char::from(b'a' + r as u8)).collect();
                 assert!(
@@ -836,7 +808,7 @@ mod tests {
                     let run = machine.run(move |ctx| {
                         let block: Vec<i64> =
                             (0..mw as i64).map(|e| ctx.rank() as i64 + e).collect();
-                        reduce_auto(ctx, block, 1, &Combine::new(&add_blocks))
+                        drive(reduce_auto_async(ctx, block, 1, &Combine::new(&add_blocks)))
                     });
                     let err = (run.makespan - predicted).abs() / predicted;
                     assert!(

@@ -11,9 +11,10 @@
 
 use collopt_collectives::op::Combine;
 use collopt_collectives::{
-    allreduce_auto, allreduce_butterfly, allreduce_rabenseifner, allreduce_ring,
+    allreduce_auto_async, allreduce_butterfly_async, allreduce_rabenseifner_async,
+    allreduce_ring_async,
 };
-use collopt_machine::{ClockParams, Machine, Rng};
+use collopt_machine::{drive, ClockParams, Machine, Rng};
 use std::sync::Arc;
 
 type Block = Vec<i64>;
@@ -73,7 +74,12 @@ fn reduction_family_agrees_with_the_sequential_fold() {
             machine.run(move |ctx| {
                 let f = move |a: &Block, b: &Block| apply(kind, a, b);
                 let op = Combine::new(&f).assume_commutative();
-                allreduce_rabenseifner(ctx, shared[ctx.rank()].clone(), 1, &op)
+                drive(allreduce_rabenseifner_async(
+                    ctx,
+                    shared[ctx.rank()].clone(),
+                    1,
+                    &op,
+                ))
             })
         };
         assert!(
@@ -86,7 +92,12 @@ fn reduction_family_agrees_with_the_sequential_fold() {
             machine.run(move |ctx| {
                 let f = move |a: &Block, b: &Block| apply(kind, a, b);
                 let op = Combine::new(&f).assume_commutative();
-                allreduce_ring(ctx, shared[ctx.rank()].clone(), 1, &op)
+                drive(allreduce_ring_async(
+                    ctx,
+                    shared[ctx.rank()].clone(),
+                    1,
+                    &op,
+                ))
             })
         };
         assert!(
@@ -99,7 +110,12 @@ fn reduction_family_agrees_with_the_sequential_fold() {
             machine.run(move |ctx| {
                 let f = move |a: &Block, b: &Block| apply(kind, a, b);
                 let op = Combine::new(&f).assume_commutative();
-                allreduce_auto(ctx, shared[ctx.rank()].clone(), 1, &op)
+                drive(allreduce_auto_async(
+                    ctx,
+                    shared[ctx.rank()].clone(),
+                    1,
+                    &op,
+                ))
             })
         };
         assert!(
@@ -113,7 +129,12 @@ fn reduction_family_agrees_with_the_sequential_fold() {
                 machine.run(move |ctx| {
                     let f = move |a: &Block, b: &Block| apply(kind, a, b);
                     let op = Combine::new(&f);
-                    allreduce_butterfly(ctx, shared[ctx.rank()].clone(), n as u64, &op)
+                    drive(allreduce_butterfly_async(
+                        ctx,
+                        shared[ctx.rank()].clone(),
+                        n as u64,
+                        &op,
+                    ))
                 })
             };
             assert_eq!(
@@ -160,7 +181,12 @@ fn rabenseifner_matches_butterfly_for_nonabelian_ops_on_powers_of_two() {
                 let cat = |a: &Vec<String>, b: &Vec<String>| -> Vec<String> {
                     a.iter().zip(b).map(|(x, y)| format!("{x}{y}")).collect()
                 };
-                allreduce_rabenseifner(ctx, shared[ctx.rank()].clone(), 1, &Combine::new(&cat))
+                drive(allreduce_rabenseifner_async(
+                    ctx,
+                    shared[ctx.rank()].clone(),
+                    1,
+                    &Combine::new(&cat),
+                ))
             })
         };
         let butterfly = {
@@ -169,12 +195,12 @@ fn rabenseifner_matches_butterfly_for_nonabelian_ops_on_powers_of_two() {
                 let cat = |a: &Vec<String>, b: &Vec<String>| -> Vec<String> {
                     a.iter().zip(b).map(|(x, y)| format!("{x}{y}")).collect()
                 };
-                allreduce_butterfly(
+                drive(allreduce_butterfly_async(
                     ctx,
                     shared[ctx.rank()].clone(),
                     n as u64,
                     &Combine::new(&cat),
-                )
+                ))
             })
         };
         assert!(

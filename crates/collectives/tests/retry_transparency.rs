@@ -10,9 +10,10 @@
 //! (tree, butterfly, ring) under both probabilistic and surgical drops.
 
 use collopt_collectives::{
-    allgather_ring, allreduce, bcast_binomial, reduce_binomial, scan_butterfly, Combine,
+    allgather_ring_async, allreduce_async, bcast_binomial_async, reduce_binomial_async,
+    scan_butterfly_async, Combine,
 };
-use collopt_machine::{ClockParams, Ctx, FaultPlan, Machine};
+use collopt_machine::{drive, ClockParams, Ctx, FaultPlan, Machine};
 
 /// Run `f` clean and under `plan`; results must match bit for bit.
 /// Returns the number of retries the faulted run performed so callers
@@ -52,19 +53,35 @@ fn collectives_survive_probabilistic_drops_bit_identically() {
         for p in [2usize, 5, 8] {
             retries += check_transparent("bcast_binomial", p, &plan, |ctx| {
                 let v = (ctx.rank() == 0).then(|| block(0, M));
-                bcast_binomial(ctx, 0, v, M as u64)
+                drive(bcast_binomial_async(ctx, 0, v, M as u64))
             });
             retries += check_transparent("reduce_binomial", p, &plan, |ctx| {
-                reduce_binomial(ctx, 0, block(ctx.rank(), M), M as u64, &Combine::new(&add))
+                drive(reduce_binomial_async(
+                    ctx,
+                    0,
+                    block(ctx.rank(), M),
+                    M as u64,
+                    &Combine::new(&add),
+                ))
             });
             retries += check_transparent("allreduce_butterfly", p, &plan, |ctx| {
-                allreduce(ctx, block(ctx.rank(), M), M as u64, &Combine::new(&add))
+                drive(allreduce_async(
+                    ctx,
+                    block(ctx.rank(), M),
+                    M as u64,
+                    &Combine::new(&add),
+                ))
             });
             retries += check_transparent("scan_butterfly", p, &plan, |ctx| {
-                scan_butterfly(ctx, block(ctx.rank(), M), M as u64, &Combine::new(&add))
+                drive(scan_butterfly_async(
+                    ctx,
+                    block(ctx.rank(), M),
+                    M as u64,
+                    &Combine::new(&add),
+                ))
             });
             retries += check_transparent("allgather_ring", p, &plan, |ctx| {
-                allgather_ring(ctx, block(ctx.rank(), 2), 2)
+                drive(allgather_ring_async(ctx, block(ctx.rank(), 2), 2))
             });
         }
     }
@@ -84,14 +101,19 @@ fn collectives_survive_surgical_drops_bit_identically() {
     for p in [3usize, 4, 6] {
         let r = check_transparent("bcast under surgical drops", p, &plan, |ctx| {
             let v = (ctx.rank() == 0).then(|| block(0, M));
-            bcast_binomial(ctx, 0, v, M as u64)
+            drive(bcast_binomial_async(ctx, 0, v, M as u64))
         });
         assert!(r >= 2, "p={p}: the first tree hop is always dropped twice");
         check_transparent("allreduce under surgical drops", p, &plan, |ctx| {
-            allreduce(ctx, block(ctx.rank(), M), M as u64, &Combine::new(&add))
+            drive(allreduce_async(
+                ctx,
+                block(ctx.rank(), M),
+                M as u64,
+                &Combine::new(&add),
+            ))
         });
         check_transparent("allgather_ring under surgical drops", p, &plan, |ctx| {
-            allgather_ring(ctx, block(ctx.rank(), 2), 2)
+            drive(allgather_ring_async(ctx, block(ctx.rank(), 2), 2))
         });
     }
 }

@@ -6,10 +6,10 @@
 //! the sequential reference fold.
 
 use collopt_collectives::{
-    allreduce_auto, choose_allreduce, choose_reduce, reduce_auto, reference::ref_allreduce,
-    AllreduceChoice, Combine, ReduceChoice,
+    allreduce_auto_async, choose_allreduce, choose_reduce, reduce_auto_async,
+    reference::ref_allreduce, AllreduceChoice, Combine, ReduceChoice,
 };
-use collopt_machine::{ClockParams, Machine};
+use collopt_machine::{drive, ClockParams, Machine};
 use std::sync::Arc;
 
 fn blocks(p: usize, m: usize) -> Vec<Vec<i64>> {
@@ -49,7 +49,12 @@ fn check_allreduce_auto(p: usize, m: usize, commutative: bool, clock: ClockParam
         } else {
             Combine::new(&vfirst)
         };
-        allreduce_auto(ctx, shared[ctx.rank()].clone(), 1, &combine)
+        drive(allreduce_auto_async(
+            ctx,
+            shared[ctx.rank()].clone(),
+            1,
+            &combine,
+        ))
     });
     assert_eq!(
         run.results, expected,
@@ -69,7 +74,13 @@ fn check_reduce_auto(p: usize, m: usize, clock: ClockParams) {
         let value = shared[ctx.rank()].clone();
         // Non-roots keep their block, matching the paper's reduce
         // semantics (eq. 5).
-        reduce_auto(ctx, value.clone(), 1, &Combine::new(&vadd)).unwrap_or(value)
+        drive(reduce_auto_async(
+            ctx,
+            value.clone(),
+            1,
+            &Combine::new(&vadd),
+        ))
+        .unwrap_or(value)
     });
     assert_eq!(run.results, expected, "reduce_auto p={p} m={m}");
 }

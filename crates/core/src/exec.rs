@@ -13,7 +13,7 @@
 use std::sync::Arc;
 
 use collopt_collectives::{
-    allgather_async, allreduce_async, allreduce_auto_async, allreduce_balanced_async,
+    allgather_binomial_async, allreduce_async, allreduce_auto_async, allreduce_balanced_async,
     allreduce_balanced_halving_async, balanced_halving_wins, bcast_auto_async,
     bcast_binomial_async, comcast_bcast_repeat_async, comcast_cost_optimal_async,
     gather_binomial_async, reduce_balanced_async, reduce_binomial_async, scan_balanced_async,
@@ -32,14 +32,14 @@ use crate::value::Value;
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ExecConfig {
     /// Lower `bcast` stages through the cost-model-driven algorithm
-    /// selector ([`collopt_collectives::bcast_auto`]: binomial vs chain
+    /// selector ([`collopt_collectives::bcast_auto_async`]: binomial vs chain
     /// pipeline vs van de Geijn scatter+allgather, chosen per machine and
     /// block size) instead of always using the binomial tree. Applies to
     /// list-valued blocks; scalar broadcasts stay binomial.
     pub adaptive_bcast: bool,
     /// Lower reduction stages through the cost-model-driven selectors:
     /// `allreduce` stages go through
-    /// [`collopt_collectives::allreduce_auto`] (butterfly vs Rabenseifner
+    /// [`collopt_collectives::allreduce_auto_async`] (butterfly vs Rabenseifner
     /// reduce-scatter + allgather vs ring vs reduce+bcast), and fused
     /// balanced allreductions (rule SR-Reduction's RHS) switch to
     /// segmenting halving/doubling when
@@ -485,7 +485,7 @@ async fn exec_stage(stage: &Stage, ctx: &mut Ctx, v: &mut Value, config: ExecCon
         }
         Stage::AllGather => {
             let words = v.words().max(1);
-            *v = Value::list(allgather_async(ctx, v.clone(), words).await);
+            *v = Value::list(allgather_binomial_async(ctx, v.clone(), words).await);
         }
         Stage::IterLocal {
             combine,

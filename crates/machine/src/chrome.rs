@@ -396,7 +396,7 @@ pub fn chrome_trace_json(processes: &[(&str, &Trace)]) -> String {
 mod tests {
     use super::*;
     use crate::clock::ClockParams;
-    use crate::machine::Machine;
+    use crate::machine::{drive, Machine};
 
     fn sample_trace() -> Trace {
         let m = Machine::new(2, ClockParams::new(10.0, 1.0)).with_tracing();
@@ -405,10 +405,10 @@ mod tests {
             if ctx.rank() == 0 {
                 ctx.send(1, 7u64, 3);
             } else {
-                ctx.recv::<u64>(0);
+                drive(ctx.recv_async::<u64>(0));
             }
             ctx.end_stage(0, "stage-label");
-            ctx.barrier();
+            drive(ctx.barrier_async());
         });
         run.trace
     }

@@ -453,7 +453,7 @@ mod tests {
     use crate::clock::ClockParams;
     use crate::error::MachineError;
     use crate::fault::FaultPlan;
-    use crate::machine::{ExecEngine, Machine};
+    use crate::machine::{drive, ExecEngine, Machine};
 
     fn packet(v: u64) -> Packet {
         Packet {
@@ -622,11 +622,11 @@ mod tests {
             let mut v = ctx.rank() as u64;
             for round in 0..3 {
                 let partner = ctx.rank() ^ (1 << round);
-                let got = ctx.exchange(partner, v, 8);
+                let got = drive(ctx.exchange_async(partner, v, 8));
                 v += got;
                 ctx.charge(8.0, "combine");
             }
-            ctx.barrier();
+            drive(ctx.barrier_async());
             (v, ctx.time())
         });
         let des = m.run_des(|ctx| {
@@ -677,14 +677,14 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "cannot run on the DES engine")]
+    #[should_panic(expected = "must .await its *_async")]
     fn sync_entry_points_refuse_to_suspend() {
         let m = Machine::new(2, ClockParams::free());
         let _ = m.run_des(|ctx| {
             Box::pin(async move {
                 if ctx.rank() == 0 {
-                    // Sync recv on a DES context must fail loudly, not hang.
-                    let _: u64 = ctx.recv(1);
+                    // A driven recv on a DES context must fail loudly, not hang.
+                    let _: u64 = drive(ctx.recv_async(1));
                 }
                 ctx.barrier_async().await;
             })

@@ -27,7 +27,8 @@
 //!   [`ExecEngine::THREAD_MAX_P`] ranks;
 //! * [`Machine::run`] takes a blocking rank body and runs it on one fresh
 //!   scoped OS thread per rank — the **reference** the event engine is
-//!   held to, exercising the real concurrency of the algorithms.
+//!   held to, exercising the real concurrency of the algorithms. The body
+//!   runs each waiting operation to completion with [`drive`].
 //!
 //! The [`topology`] module contains the rank arithmetic shared by all
 //! collective algorithms: binomial trees, butterfly (hypercube) partners,
@@ -38,7 +39,7 @@
 //! ## Quick example
 //!
 //! ```
-//! use collopt_machine::{Machine, ClockParams};
+//! use collopt_machine::{drive, Machine, ClockParams};
 //!
 //! // Four processors; each sends its rank to rank 0.
 //! let machine = Machine::new(4, ClockParams::new(10.0, 1.0));
@@ -46,7 +47,7 @@
 //!     if ctx.rank() == 0 {
 //!         let mut sum = 0usize;
 //!         for src in 1..ctx.size() {
-//!             sum += ctx.recv::<usize>(src);
+//!             sum += drive(ctx.recv_async::<usize>(src));
 //!         }
 //!         sum
 //!     } else {

@@ -9,14 +9,14 @@
 //! ## Cost semantics
 //!
 //! * [`Ctx::charge`] — local computation, 1 unit per operation (paper §4.1).
-//! * [`Ctx::send`] / [`Ctx::recv`] — a one-way message of `m` words. The
+//! * [`Ctx::send`] / [`Ctx::recv_async`] — a one-way message of `m` words. The
 //!   sender is *eager*: it pays `ts + m·tw` from its own clock and moves
 //!   on. The receiver completes at `max(own clock, sender's clock at send
 //!   start) + ts + m·tw`.
-//! * [`Ctx::exchange`] — the paper's simultaneous bidirectional exchange:
+//! * [`Ctx::exchange_async`] — the paper's simultaneous bidirectional exchange:
 //!   both partners rendezvous and pay a *single* `ts + m·tw`
 //!   (`T_sendrecv`, §4.1), ending at the same instant.
-//! * [`Ctx::barrier`] — synchronizes control *and* clocks (all ranks leave
+//! * [`Ctx::barrier_async`] — synchronizes control *and* clocks (all ranks leave
 //!   at the global maximum time).
 //!
 //! Because message timestamps travel with the data, the simulated makespan
@@ -366,19 +366,15 @@ impl Ctx {
         }
     }
 
-    /// Receive the next value from rank `from`, blocking until it arrives.
-    /// Completes at `max(own clock, sender's send-start) + ts + words·tw`.
+    /// Receive the next value from rank `from`, waiting until it arrives:
+    /// suspends the rank future on the DES engine, resolves on its first
+    /// poll (the mailbox blocks the thread internally) on the thread
+    /// engine. Completes at
+    /// `max(own clock, sender's send-start) + ts + words·tw`.
     ///
     /// # Panics
     /// Panics if the payload is not a `T` — a type mismatch is a bug in the
     /// SPMD program, not a runtime condition.
-    pub fn recv<T: Send + 'static>(&mut self, from: usize) -> T {
-        drive(self.recv_async(from))
-    }
-
-    /// Engine-agnostic form of [`recv`](Self::recv): suspends the rank
-    /// future on the DES engine, resolves immediately (the mailbox blocks
-    /// the thread internally) on the thread engine.
     pub async fn recv_async<T: Send + 'static>(&mut self, from: usize) -> T {
         self.fault_tick();
         let packet = match self.pop_packet(from).await {
@@ -423,11 +419,6 @@ impl Ctx {
     /// replays its own drop schedule before entering the rendezvous, so
     /// retry delays push the meeting point out without breaking its
     /// symmetry.
-    pub fn exchange<T: Send + 'static>(&mut self, partner: usize, value: T, words: u64) -> T {
-        drive(self.exchange_async(partner, value, words))
-    }
-
-    /// Engine-agnostic form of [`exchange`](Self::exchange).
     pub async fn exchange_async<T: Send + 'static>(
         &mut self,
         partner: usize,
@@ -486,11 +477,6 @@ impl Ctx {
 
     /// Barrier across all ranks; clocks leave at the global maximum. If a
     /// rank dies mid-run the barrier aborts instead of blocking forever.
-    pub fn barrier(&mut self) {
-        drive(self.barrier_async())
-    }
-
-    /// Engine-agnostic form of [`barrier`](Self::barrier).
     pub async fn barrier_async(&mut self) {
         self.fault_tick();
         let entry = self.clock.now();
@@ -525,19 +511,20 @@ impl Ctx {
 }
 
 /// Run a `Ctx` future to completion on the calling thread with a no-op
-/// waker. On the thread engine every `*_async` operation resolves on its
-/// first poll (blocking happens inside the mailboxes/barrier), so a single
-/// poll suffices and the sync wrappers cost nothing. `Poll::Pending` means
-/// a DES-backed context reached a sync entry point — only the DES
-/// scheduler may suspend a rank — so that is a hard error.
+/// waker: how a blocking rank body ([`Machine::run`]) calls a `*_async`
+/// operation or collective. On the thread engine every `Ctx` operation
+/// resolves on its first poll (blocking happens inside the
+/// mailboxes/barrier), so a single poll suffices. `Poll::Pending` means
+/// the future was driven on a DES-backed context — only the DES scheduler
+/// may suspend a rank — so that is a hard error.
 pub fn drive<F: Future>(fut: F) -> F::Output {
     let mut fut = std::pin::pin!(fut);
     let mut cx = TaskContext::from_waker(Waker::noop());
     match fut.as_mut().poll(&mut cx) {
         Poll::Ready(out) => out,
         Poll::Pending => panic!(
-            "sync collective entry point suspended: blocking Ctx methods cannot run on the \
-             DES engine — use the *_async variants via Machine::try_run_des"
+            "drive() suspended: a rank on the DES engine must .await its *_async \
+             operations (Machine::run_des / try_run_des), not drive them"
         ),
     }
 }
@@ -953,9 +940,9 @@ mod tests {
             // Each rank adds its id and passes a token around the ring.
             if ctx.rank() == 0 {
                 ctx.send(1, 0usize, 1);
-                ctx.recv::<usize>(3)
+                drive(ctx.recv_async::<usize>(3))
             } else {
-                let v = ctx.recv::<usize>(ctx.rank() - 1);
+                let v = drive(ctx.recv_async::<usize>(ctx.rank() - 1));
                 let next = (ctx.rank() + 1) % ctx.size();
                 ctx.send(next, v + ctx.rank(), 1);
                 0
@@ -972,7 +959,7 @@ mod tests {
             if ctx.rank() == 1 {
                 ctx.charge(100.0, "work");
             }
-            let got = ctx.exchange(1 - ctx.rank(), ctx.rank() as u64, 5);
+            let got = drive(ctx.exchange_async(1 - ctx.rank(), ctx.rank() as u64, 5));
             (got, ctx.time())
         });
         assert_eq!(run.results[0].0, 1);
@@ -992,7 +979,7 @@ mod tests {
                 ctx.send(2, (), 4);
                 ctx.time()
             } else {
-                ctx.recv::<()>(0);
+                drive(ctx.recv_async::<()>(0));
                 ctx.time()
             }
         });
@@ -1009,7 +996,7 @@ mod tests {
         let m = Machine::new(4, ClockParams::free());
         let run = m.run(|ctx| {
             ctx.charge((ctx.rank() * 10) as f64, "skew");
-            ctx.barrier();
+            drive(ctx.barrier_async());
             ctx.time()
         });
         for t in run.results {
@@ -1024,7 +1011,7 @@ mod tests {
             let mut times = Vec::new();
             for round in 0..5 {
                 ctx.charge(((ctx.rank() + round) % 3) as f64, "w");
-                ctx.barrier();
+                drive(ctx.barrier_async());
                 times.push(ctx.time());
             }
             times
@@ -1052,7 +1039,7 @@ mod tests {
             let mut v = ctx.rank() as u64;
             for round in 0..3 {
                 let partner = ctx.rank() ^ (1 << round);
-                let got = ctx.exchange(partner, v, 8);
+                let got = drive(ctx.exchange_async(partner, v, 8));
                 v += got;
                 ctx.charge(8.0, "combine");
             }
@@ -1074,7 +1061,7 @@ mod tests {
             if ctx.rank() == 0 {
                 ctx.send(1, 1u8, 1);
             } else {
-                ctx.recv::<u8>(0);
+                drive(ctx.recv_async::<u8>(0));
             }
             ctx.mark(format!("done-{}", ctx.rank()));
         });
@@ -1099,8 +1086,8 @@ mod tests {
                 ctx.send(1, String::from("tag"), 1);
                 0.0
             } else {
-                let v: Vec<f64> = ctx.recv(0);
-                let s: String = ctx.recv(0);
+                let v: Vec<f64> = drive(ctx.recv_async(0));
+                let s: String = drive(ctx.recv_async(0));
                 assert_eq!(s, "tag");
                 v.iter().sum()
             }
@@ -1116,7 +1103,7 @@ mod tests {
             if ctx.rank() == 0 {
                 ctx.send(1, 1u32, 1);
             } else {
-                let _: u64 = ctx.recv(0);
+                let _: u64 = drive(ctx.recv_async(0));
             }
         });
     }
@@ -1125,7 +1112,7 @@ mod tests {
     fn single_rank_machine_runs() {
         let m = Machine::new(1, ClockParams::free());
         let run = m.run(|ctx| {
-            ctx.barrier();
+            drive(ctx.barrier_async());
             ctx.charge(3.0, "solo");
             ctx.rank()
         });
@@ -1138,7 +1125,7 @@ mod tests {
         let m = Machine::new(2, ClockParams::new(1.0, 1.0));
         let run = m.run(|ctx| {
             ctx.charge(7.0, "w");
-            ctx.exchange(1 - ctx.rank(), (), 3);
+            drive(ctx.exchange_async(1 - ctx.rank(), (), 3));
         });
         assert_eq!(run.compute_ops, vec![7.0, 7.0]);
         assert_eq!(run.messages, vec![1, 1]);
@@ -1157,16 +1144,16 @@ mod tests {
         let next = (ctx.rank() + 1) % ctx.size();
         let prev = (ctx.rank() + ctx.size() - 1) % ctx.size();
         ctx.send(next, v, 2);
-        v += ctx.recv::<u64>(prev);
+        v += drive(ctx.recv_async::<u64>(prev));
         if ctx.size().is_power_of_two() {
             for round in 0..ctx.size().trailing_zeros() {
                 let partner = ctx.rank() ^ (1 << round);
-                let got = ctx.exchange(partner, v, 2);
+                let got = drive(ctx.exchange_async(partner, v, 2));
                 v = v.wrapping_add(got);
                 ctx.charge(2.0, "combine");
             }
         }
-        ctx.barrier();
+        drive(ctx.barrier_async());
         v
     }
 
@@ -1207,7 +1194,7 @@ mod tests {
                 ctx.send(1, (), 5);
                 ctx.send(2, (), 5);
             } else {
-                ctx.recv::<()>(0);
+                drive(ctx.recv_async::<()>(0));
             }
             ctx.time()
         };
@@ -1292,7 +1279,7 @@ mod tests {
         let err = m
             .with_faults(FaultPlan::new(0).with_crash(1, 0))
             .try_run(|ctx| {
-                ctx.barrier();
+                drive(ctx.barrier_async());
                 ctx.rank()
             })
             .expect_err("barrier can never complete");
@@ -1326,7 +1313,7 @@ mod tests {
         let m =
             Machine::new(2, ClockParams::free()).with_faults(FaultPlan::new(0).with_crash(0, 0));
         let _ = m.run(|ctx| {
-            ctx.barrier();
+            drive(ctx.barrier_async());
         });
     }
 }

@@ -476,7 +476,7 @@ impl ProfileReport {
 mod tests {
     use super::*;
     use crate::clock::ClockParams;
-    use crate::machine::Machine;
+    use crate::machine::{drive, Machine};
 
     #[test]
     fn empty_trace_has_empty_path() {
@@ -510,7 +510,7 @@ mod tests {
                 ctx.charge(100.0, "work");
                 ctx.send(0, (), 5);
             } else {
-                ctx.recv::<()>(1);
+                drive(ctx.recv_async::<()>(1));
             }
         });
         assert_eq!(run.makespan, 115.0);
@@ -530,7 +530,7 @@ mod tests {
         let m = Machine::new(3, ClockParams::free()).with_tracing();
         let run = m.run(|ctx| {
             ctx.charge((ctx.rank() * 10) as f64, "skew");
-            ctx.barrier();
+            drive(ctx.barrier_async());
             ctx.charge(5.0, "after");
         });
         assert_eq!(run.makespan, 25.0);
@@ -552,9 +552,9 @@ mod tests {
         let m = Machine::new(2, ClockParams::free()).with_tracing();
         let run = m.run(|ctx| {
             ctx.charge((1 + ctx.rank()) as f64, "skew");
-            ctx.barrier();
-            ctx.barrier();
-            ctx.barrier();
+            drive(ctx.barrier_async());
+            drive(ctx.barrier_async());
+            drive(ctx.barrier_async());
         });
         let cp = critical_path(&run.trace).unwrap();
         assert_eq!(cp.length(), run.makespan);
@@ -567,7 +567,7 @@ mod tests {
             let mut v = ctx.rank() as u64;
             for round in 0..2 {
                 let partner = ctx.rank() ^ (1 << round);
-                v += ctx.exchange(partner, v, 8);
+                v += drive(ctx.exchange_async(partner, v, 8));
                 ctx.charge(8.0, "combine");
             }
             v
@@ -583,7 +583,7 @@ mod tests {
             if ctx.rank() == 1 {
                 ctx.charge(100.0, "work");
             }
-            ctx.exchange(1 - ctx.rank(), (), 5);
+            drive(ctx.exchange_async(1 - ctx.rank(), (), 5));
         });
         let report = ProfileReport::from_trace(&run.trace, 2, run.makespan);
         for r in &report.ranks {
@@ -611,7 +611,7 @@ mod tests {
         let run = m.run(|ctx| {
             ctx.charge(4.0, "s0");
             ctx.end_stage(0, "compute");
-            ctx.exchange(1 - ctx.rank(), (), 2);
+            drive(ctx.exchange_async(1 - ctx.rank(), (), 2));
             ctx.end_stage(1, "exchange");
         });
         let report = ProfileReport::from_trace(&run.trace, 2, run.makespan);

@@ -7,7 +7,7 @@ use collopt_machine::topology::{
     binomial_bcast_rank_plan, binomial_bcast_schedule, butterfly_partner, butterfly_rounds,
     ceil_log2, BalancedNode, BalancedTree,
 };
-use collopt_machine::{ClockParams, Machine, Rng};
+use collopt_machine::{drive, ClockParams, Machine, Rng};
 
 #[test]
 fn ceil_log2_is_the_least_sufficient_exponent() {
@@ -149,7 +149,7 @@ fn simulated_makespan_is_schedule_independent() {
                     let partner = round[ctx.rank()];
                     if round[partner] == ctx.rank() && partner != ctx.rank() {
                         // Symmetric pair: exchange.
-                        acc += ctx.exchange(partner, acc, 3);
+                        acc += drive(ctx.exchange_async(partner, acc, 3));
                     } else {
                         ctx.charge(5.0, "solo");
                     }
@@ -178,7 +178,7 @@ fn fifo_order_holds_under_bursts() {
             } else {
                 let mut last = None;
                 for _ in 0..count {
-                    let v: u64 = ctx.recv(0);
+                    let v: u64 = drive(ctx.recv_async(0));
                     if let Some(prev) = last {
                         assert!(v > prev, "FIFO violated: {v} after {prev}");
                     }
@@ -198,10 +198,10 @@ fn clock_monotonicity_per_rank() {
         let run = machine.run(|ctx| {
             let partner = ctx.rank() ^ 1;
             if partner < ctx.size() {
-                ctx.exchange(partner, ctx.rank(), 2);
+                drive(ctx.exchange_async(partner, ctx.rank(), 2));
             }
             ctx.charge(3.0, "tail");
-            ctx.barrier();
+            drive(ctx.barrier_async());
         });
         // Events of each rank are non-decreasing in time.
         for rank in 0..p {

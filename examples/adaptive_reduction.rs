@@ -13,10 +13,11 @@
 //! Run with `cargo run --release --example adaptive_reduction`.
 
 use collopt::collectives::{
-    allreduce_auto, allreduce_butterfly, allreduce_rabenseifner, choose_allreduce, Combine,
+    allreduce_auto_async, allreduce_butterfly_async, allreduce_rabenseifner_async,
+    choose_allreduce, Combine,
 };
 use collopt::core::exec::{execute, execute_with, ExecConfig};
-use collopt::prelude::{ops, ClockParams, Machine, Program, Value};
+use collopt::prelude::{drive, ops, ClockParams, Machine, Program, Value};
 
 type Block = Vec<i64>;
 
@@ -29,9 +30,9 @@ fn measure(p: usize, mw: usize, clock: ClockParams) -> (f64, f64, f64, &'static 
             let op = Combine::new(&f).assume_commutative();
             let v: Block = vec![ctx.rank() as i64; mw];
             let out = match which {
-                0 => allreduce_butterfly(ctx, v, mw as u64, &op),
-                1 => allreduce_rabenseifner(ctx, v, 1, &op),
-                _ => allreduce_auto(ctx, v, 1, &op),
+                0 => drive(allreduce_butterfly_async(ctx, v, mw as u64, &op)),
+                1 => drive(allreduce_rabenseifner_async(ctx, v, 1, &op)),
+                _ => drive(allreduce_auto_async(ctx, v, 1, &op)),
             };
             // Every rank must hold the full reduced block.
             assert!(out.len() == mw && out.iter().all(|&x| x == (p * (p - 1) / 2) as i64));

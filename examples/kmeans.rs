@@ -13,8 +13,8 @@
 //!
 //! Run with `cargo run --release --example kmeans`.
 
-use collopt::collectives::{allreduce, Combine};
-use collopt::prelude::{ClockParams, Machine};
+use collopt::collectives::{allreduce_async, Combine};
+use collopt::prelude::{drive, ClockParams, Machine};
 
 const K: usize = 3;
 const DIM: usize = 2;
@@ -92,9 +92,14 @@ fn main() {
             // One accumulator block: K*DIM sums then K counts.
             let mut acc: Vec<f64> = sums.to_vec();
             acc.extend_from_slice(&counts);
-            let total = allreduce(ctx, acc, (K * DIM + K) as u64, &Combine::new(&addv));
+            let total = drive(allreduce_async(
+                ctx,
+                acc,
+                (K * DIM + K) as u64,
+                &Combine::new(&addv),
+            ));
             let moved = recompute(&mut centroids, &total[..K * DIM], &total[K * DIM..]);
-            let global_moved = allreduce(ctx, moved, 1, &Combine::new(&fmax));
+            let global_moved = drive(allreduce_async(ctx, moved, 1, &Combine::new(&fmax)));
             iterations += 1;
             if global_moved < 1e-12 || iterations > 50 {
                 break;

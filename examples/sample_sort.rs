@@ -14,8 +14,8 @@
 //!
 //! Run with `cargo run --example sample_sort`.
 
-use collopt::collectives::{alltoall, bcast_binomial, gather_binomial, Combine};
-use collopt::prelude::{ClockParams, Machine};
+use collopt::collectives::{alltoall_async, bcast_binomial_async, gather_binomial_async, Combine};
+use collopt::prelude::{drive, ClockParams, Machine};
 
 fn main() {
     let p = 8usize;
@@ -34,7 +34,7 @@ fn main() {
 
         // 2. regular sample: p-1 evenly spaced candidates per rank.
         let sample: Vec<i64> = (1..p).map(|k| block[k * n_per_rank / p]).collect();
-        let gathered = gather_binomial(ctx, sample, (p - 1) as u64);
+        let gathered = drive(gather_binomial_async(ctx, sample, (p - 1) as u64));
 
         // 3. rank 0 sorts all candidates and picks global splitters.
         let splitters: Vec<i64> = {
@@ -44,7 +44,7 @@ fn main() {
                 // Every p-1-th candidate: p-1 splitters.
                 (1..p).map(|k| all[k * (p - 1) - 1]).collect::<Vec<i64>>()
             });
-            bcast_binomial(ctx, 0, chosen, (p - 1) as u64)
+            drive(bcast_binomial_async(ctx, 0, chosen, (p - 1) as u64))
         };
 
         // 4. partition the local block into p pieces by splitter …
@@ -54,7 +54,7 @@ fn main() {
             pieces[dest].push(x);
         }
         // … and exchange: piece d goes to rank d.
-        let received = alltoall(ctx, pieces, n_per_rank as u64);
+        let received = drive(alltoall_async(ctx, pieces, n_per_rank as u64));
 
         // 5. local merge (concatenate + sort; pieces are sorted already).
         let mut mine: Vec<i64> = received.into_iter().flatten().collect();
@@ -62,7 +62,12 @@ fn main() {
 
         // Global count check: nothing lost, nothing duplicated.
         let add = |a: &i64, b: &i64| a + b;
-        let total = collopt::collectives::allreduce(ctx, mine.len() as i64, 1, &Combine::new(&add));
+        let total = drive(collopt::collectives::allreduce_async(
+            ctx,
+            mine.len() as i64,
+            1,
+            &Combine::new(&add),
+        ));
         assert_eq!(total as usize, p * n_per_rank);
         mine
     });

@@ -68,13 +68,13 @@ pub use collopt_serve as serve;
 /// One-stop imports for examples and downstream users.
 pub mod prelude {
     pub use collopt_collectives::{
-        allgather, allreduce, bcast_binomial, gather_binomial, reduce_binomial, scan_butterfly,
-        scatter_binomial, Combine,
+        allgather_binomial_async, allreduce_async, bcast_binomial_async, gather_binomial_async,
+        reduce_binomial_async, scan_butterfly_async, scatter_binomial_async, Combine,
     };
     pub use collopt_core::op::lib as ops;
     pub use collopt_core::rewrite::{program_cost, Rewriter};
     pub use collopt_core::semantics::eval_program;
     pub use collopt_core::{execute, BinOp, ExecOutcome, Program, Rule, Stage, Value};
     pub use collopt_cost::{MachineParams, PhaseCost};
-    pub use collopt_machine::{ClockParams, Ctx, Machine};
+    pub use collopt_machine::{drive, ClockParams, Ctx, Machine};
 }

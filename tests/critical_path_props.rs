@@ -17,16 +17,19 @@
 //!   tolerance.
 
 use collopt::collectives::{
-    allgather, allgather_doubling, allgather_ring, allreduce, allreduce_auto, allreduce_balanced,
-    allreduce_balanced_halving, allreduce_commutative, allreduce_rabenseifner, allreduce_ring,
-    alltoall, barrier, bcast_auto, bcast_binomial, bcast_linear, bcast_pipelined,
-    bcast_scatter_allgather, comcast_bcast_repeat, comcast_cost_optimal, exscan, gather_binomial,
-    reduce_auto, reduce_balanced, reduce_binomial, reduce_scatter, reduce_scatter_halving,
-    reduce_scatter_ring, scan_balanced, scan_butterfly, scan_sklansky, scatter_binomial,
-    BalancedOp, Combine, PairedOp, RepeatOp,
+    allgather_binomial_async, allgather_doubling_async, allgather_ring_async, allreduce_async,
+    allreduce_auto_async, allreduce_balanced_async, allreduce_balanced_halving_async,
+    allreduce_commutative_async, allreduce_rabenseifner_async, allreduce_ring_async,
+    alltoall_async, barrier_dissemination_async, bcast_auto_async, bcast_binomial_async,
+    bcast_linear_async, bcast_pipelined_async, bcast_scatter_allgather_async,
+    comcast_bcast_repeat_async, comcast_cost_optimal_async, exscan_async, gather_binomial_async,
+    reduce_auto_async, reduce_balanced_async, reduce_binomial_async, reduce_scatter_binomial_async,
+    reduce_scatter_halving_async, reduce_scatter_ring_async, scan_balanced_async,
+    scan_butterfly_async, scan_sklansky_async, scatter_binomial_async, BalancedOp, Combine,
+    PairedOp, RepeatOp,
 };
 use collopt::machine::{
-    critical_path, ClockParams, Ctx, EventKind, Machine, ProfileReport, RunResult,
+    critical_path, drive, ClockParams, Ctx, EventKind, Machine, ProfileReport, RunResult,
 };
 
 /// Run `f` on `p` traced ranks and check every invariant the trace layer
@@ -151,23 +154,23 @@ fn bcast_variants_satisfy_the_critical_path_oracle() {
     for p in 2..=9 {
         check("bcast_binomial", p, clock(), |ctx| {
             let v = (ctx.rank() == 0).then(|| block(0, M));
-            bcast_binomial(ctx, 0, v, M as u64)
+            drive(bcast_binomial_async(ctx, 0, v, M as u64))
         });
         check("bcast_linear", p, clock(), |ctx| {
             let v = (ctx.rank() == 0).then(|| block(0, M));
-            bcast_linear(ctx, 0, v, M as u64)
+            drive(bcast_linear_async(ctx, 0, v, M as u64))
         });
         check("bcast_pipelined", p, clock(), |ctx| {
             let v = (ctx.rank() == 0).then(|| block(0, M));
-            bcast_pipelined(ctx, 0, v, 1, 3)
+            drive(bcast_pipelined_async(ctx, 0, v, 1, 3))
         });
         check("bcast_scatter_allgather", p, clock(), |ctx| {
             let v = (ctx.rank() == 0).then(|| block(0, M));
-            bcast_scatter_allgather(ctx, v, 1)
+            drive(bcast_scatter_allgather_async(ctx, v, 1))
         });
         check("bcast_auto", p, clock(), |ctx| {
             let v = (ctx.rank() == 0).then(|| block(0, M));
-            bcast_auto(ctx, v, 1)
+            drive(bcast_auto_async(ctx, v, 1))
         });
     }
 }
@@ -177,49 +180,75 @@ fn reduce_and_allreduce_variants_satisfy_the_oracle() {
     let add = iadd();
     for p in 2..=9 {
         check("reduce_binomial", p, clock(), |ctx| {
-            reduce_binomial(ctx, 0, block(ctx.rank(), M), M as u64, &Combine::new(&add))
+            drive(reduce_binomial_async(
+                ctx,
+                0,
+                block(ctx.rank(), M),
+                M as u64,
+                &Combine::new(&add),
+            ))
         });
         check("reduce_auto", p, clock(), |ctx| {
-            reduce_auto(ctx, block(ctx.rank(), M), 1, &Combine::new(&add))
+            drive(reduce_auto_async(
+                ctx,
+                block(ctx.rank(), M),
+                1,
+                &Combine::new(&add),
+            ))
         });
         check("allreduce_butterfly", p, clock(), |ctx| {
-            allreduce(ctx, block(ctx.rank(), M), M as u64, &Combine::new(&add))
+            drive(allreduce_async(
+                ctx,
+                block(ctx.rank(), M),
+                M as u64,
+                &Combine::new(&add),
+            ))
         });
         check("allreduce_commutative", p, clock(), |ctx| {
-            allreduce_commutative(
+            drive(allreduce_commutative_async(
                 ctx,
                 block(ctx.rank(), M),
                 M as u64,
                 &Combine::new(&add).assume_commutative(),
-            )
+            ))
         });
         check("allreduce_ring", p, clock(), |ctx| {
-            allreduce_ring(
+            drive(allreduce_ring_async(
                 ctx,
                 block(ctx.rank(), M),
                 1,
                 &Combine::new(&add).assume_commutative(),
-            )
+            ))
         });
         check("allreduce_auto", p, clock(), |ctx| {
-            allreduce_auto(
+            drive(allreduce_auto_async(
                 ctx,
                 block(ctx.rank(), M),
                 1,
                 &Combine::new(&add).assume_commutative(),
-            )
+            ))
         });
     }
     // The recursive-halving family is defined for power-of-two machines.
     for p in [2usize, 4, 8] {
         check("allreduce_rabenseifner", p, clock(), |ctx| {
-            allreduce_rabenseifner(ctx, block(ctx.rank(), M), 1, &Combine::new(&add))
+            drive(allreduce_rabenseifner_async(
+                ctx,
+                block(ctx.rank(), M),
+                1,
+                &Combine::new(&add),
+            ))
         });
         check("reduce_scatter_halving", p, clock(), |ctx| {
-            reduce_scatter_halving(ctx, block(ctx.rank(), M), 1, &Combine::new(&add))
+            drive(reduce_scatter_halving_async(
+                ctx,
+                block(ctx.rank(), M),
+                1,
+                &Combine::new(&add),
+            ))
         });
         check("allgather_doubling", p, clock(), |ctx| {
-            allgather_doubling(ctx, block(ctx.rank(), 2), 1)
+            drive(allgather_doubling_async(ctx, block(ctx.rank(), 2), 1))
         });
     }
 }
@@ -229,13 +258,28 @@ fn scan_variants_satisfy_the_oracle() {
     let add = iadd();
     for p in 2..=9 {
         check("scan_butterfly", p, clock(), |ctx| {
-            scan_butterfly(ctx, block(ctx.rank(), M), M as u64, &Combine::new(&add))
+            drive(scan_butterfly_async(
+                ctx,
+                block(ctx.rank(), M),
+                M as u64,
+                &Combine::new(&add),
+            ))
         });
         check("scan_sklansky", p, clock(), |ctx| {
-            scan_sklansky(ctx, block(ctx.rank(), M), M as u64, &Combine::new(&add))
+            drive(scan_sklansky_async(
+                ctx,
+                block(ctx.rank(), M),
+                M as u64,
+                &Combine::new(&add),
+            ))
         });
         check("exscan", p, clock(), |ctx| {
-            exscan(ctx, block(ctx.rank(), M), M as u64, &Combine::new(&add))
+            drive(exscan_async(
+                ctx,
+                block(ctx.rank(), M),
+                M as u64,
+                &Combine::new(&add),
+            ))
         });
     }
 }
@@ -253,7 +297,7 @@ fn balanced_tree_collectives_satisfy_the_oracle() {
                 ops_solo: 1.0,
                 words_factor: 1,
             };
-            reduce_balanced(ctx, ctx.rank() as i64 + 1, 1, &op)
+            drive(reduce_balanced_async(ctx, ctx.rank() as i64 + 1, 1, &op))
         });
         check("allreduce_balanced", p, clock(), |ctx| {
             let op = BalancedOp {
@@ -263,7 +307,7 @@ fn balanced_tree_collectives_satisfy_the_oracle() {
                 ops_solo: 1.0,
                 words_factor: 1,
             };
-            allreduce_balanced(ctx, ctx.rank() as i64 + 1, 1, &op)
+            drive(allreduce_balanced_async(ctx, ctx.rank() as i64 + 1, 1, &op))
         });
         check("scan_balanced", p, clock(), |ctx| {
             let paired = |a: &i64, b: &i64| (a + b, a * b);
@@ -275,7 +319,7 @@ fn balanced_tree_collectives_satisfy_the_oracle() {
                 ops_solo: 1.0,
                 words_factor: 1,
             };
-            scan_balanced(ctx, ctx.rank() as i64 + 1, 1, &op)
+            drive(scan_balanced_async(ctx, ctx.rank() as i64 + 1, 1, &op))
         });
     }
     for p in [2usize, 4, 8] {
@@ -291,7 +335,12 @@ fn balanced_tree_collectives_satisfy_the_oracle() {
                 ops_solo: 1.0,
                 words_factor: 1,
             };
-            allreduce_balanced_halving(ctx, block(ctx.rank(), M), 1, &op)
+            drive(allreduce_balanced_halving_async(
+                ctx,
+                block(ctx.rank(), M),
+                1,
+                &op,
+            ))
         });
     }
 }
@@ -313,7 +362,9 @@ fn comcast_gather_and_alltoall_satisfy_the_oracle() {
                 ops_o: 2.0,
             };
             let seed = (ctx.rank() == 0).then_some(1i64);
-            comcast_bcast_repeat(ctx, 0, seed, 1, &inject, &project, &op)
+            drive(comcast_bcast_repeat_async(
+                ctx, 0, seed, 1, &inject, &project, &op,
+            ))
         });
         check("comcast_cost_optimal", p, clock(), |ctx| {
             let op = RepeatOp {
@@ -323,42 +374,49 @@ fn comcast_gather_and_alltoall_satisfy_the_oracle() {
                 ops_o: 2.0,
             };
             let seed = (ctx.rank() == 0).then_some(1i64);
-            comcast_cost_optimal(ctx, 0, seed, 1, &inject, &project, &op, 2)
+            drive(comcast_cost_optimal_async(
+                ctx, 0, seed, 1, &inject, &project, &op, 2,
+            ))
         });
         check("gather_binomial", p, clock(), |ctx| {
-            gather_binomial(ctx, block(ctx.rank(), 2), 2)
+            drive(gather_binomial_async(ctx, block(ctx.rank(), 2), 2))
         });
         check("scatter_binomial", p, clock(), |ctx| {
             let blocks = (ctx.rank() == 0).then(|| (0..ctx.size()).map(|r| block(r, 2)).collect());
-            scatter_binomial(ctx, blocks, 2)
+            drive(scatter_binomial_async(ctx, blocks, 2))
         });
         check("allgather", p, clock(), |ctx| {
-            allgather(ctx, block(ctx.rank(), 2), 2)
+            drive(allgather_binomial_async(ctx, block(ctx.rank(), 2), 2))
         });
         check("allgather_ring", p, clock(), |ctx| {
-            allgather_ring(ctx, block(ctx.rank(), 2), 2)
+            drive(allgather_ring_async(ctx, block(ctx.rank(), 2), 2))
         });
         check("alltoall", p, clock(), |ctx| {
             let blocks: Vec<i64> = (0..ctx.size() as i64).collect();
-            alltoall(ctx, blocks, 1)
+            drive(alltoall_async(ctx, blocks, 1))
         });
         check("reduce_scatter", p, clock(), |ctx| {
             let blocks: Vec<Vec<i64>> = (0..ctx.size()).map(|r| block(r, 2)).collect();
-            reduce_scatter(ctx, blocks, 2, &Combine::new(&add))
+            drive(reduce_scatter_binomial_async(
+                ctx,
+                blocks,
+                2,
+                &Combine::new(&add),
+            ))
         });
         check("reduce_scatter_ring", p, clock(), |ctx| {
-            reduce_scatter_ring(
+            drive(reduce_scatter_ring_async(
                 ctx,
                 block(ctx.rank(), M),
                 1,
                 &Combine::new(&add).assume_commutative(),
-            )
+            ))
         });
         check("barrier_ladder", p, clock(), |ctx| {
             ctx.charge((ctx.rank() + 1) as f64 * 3.0, "skew");
-            barrier(ctx);
+            drive(barrier_dissemination_async(ctx));
             ctx.charge(1.0, "tail");
-            barrier(ctx);
+            drive(barrier_dissemination_async(ctx));
         });
     }
 }
@@ -369,10 +427,20 @@ fn the_oracle_holds_under_jitter() {
     for p in [3usize, 5, 8] {
         let jittery = ClockParams::new(100.0, 2.0).with_jitter(7, 0.5);
         check("allreduce under jitter", p, jittery, |ctx| {
-            allreduce(ctx, block(ctx.rank(), M), M as u64, &Combine::new(&add))
+            drive(allreduce_async(
+                ctx,
+                block(ctx.rank(), M),
+                M as u64,
+                &Combine::new(&add),
+            ))
         });
         check("scan under jitter", p, jittery, |ctx| {
-            scan_butterfly(ctx, block(ctx.rank(), M), M as u64, &Combine::new(&add))
+            drive(scan_butterfly_async(
+                ctx,
+                block(ctx.rank(), M),
+                M as u64,
+                &Combine::new(&add),
+            ))
         });
     }
 }

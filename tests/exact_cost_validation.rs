@@ -3,11 +3,12 @@
 //! Table 1, extended to the non-phase-shaped collectives.
 
 use collopt::collectives::{
-    allgather, allgather_ring, allreduce_commutative, alltoall, bcast_scatter_allgather,
-    gather_binomial, scatter_binomial, Combine,
+    allgather_binomial_async, allgather_ring_async, allreduce_commutative_async, alltoall_async,
+    bcast_scatter_allgather_async, gather_binomial_async, scatter_binomial_async, Combine,
 };
 use collopt::cost::exact;
 use collopt::cost::MachineParams;
+use collopt::machine::drive;
 use collopt::prelude::{ClockParams, Machine};
 
 fn setup(p: usize) -> (Machine, MachineParams, ClockParams) {
@@ -24,8 +25,9 @@ fn gather_cost_is_exact_for_powers_of_two() {
     for p in [2usize, 4, 8, 16] {
         for mw in [1usize, 16, 256] {
             let (machine, params, _) = setup(p);
-            let run = machine
-                .run(move |ctx| gather_binomial(ctx, vec![1u8; mw], mw as u64).map(|v| v.len()));
+            let run = machine.run(move |ctx| {
+                drive(gather_binomial_async(ctx, vec![1u8; mw], mw as u64)).map(|v| v.len())
+            });
             let predicted = exact::gather_cost(&params, mw as f64);
             assert_eq!(run.makespan, predicted, "gather p={p} m={mw}");
         }
@@ -39,7 +41,7 @@ fn scatter_cost_is_exact_for_powers_of_two() {
             let (machine, params, _) = setup(p);
             let run = machine.run(move |ctx| {
                 let blocks = (ctx.rank() == 0).then(|| vec![vec![1u8; mw]; ctx.size()]);
-                scatter_binomial(ctx, blocks, mw as u64).len()
+                drive(scatter_binomial_async(ctx, blocks, mw as u64)).len()
             });
             let predicted = exact::scatter_cost(&params, mw as f64);
             assert_eq!(run.makespan, predicted, "scatter p={p} m={mw}");
@@ -52,7 +54,8 @@ fn allgather_cost_is_exact_for_powers_of_two() {
     for p in [2usize, 4, 8] {
         let mw = 8usize;
         let (machine, params, _) = setup(p);
-        let run = machine.run(move |ctx| allgather(ctx, vec![1u8; mw], mw as u64).len());
+        let run = machine
+            .run(move |ctx| drive(allgather_binomial_async(ctx, vec![1u8; mw], mw as u64)).len());
         let predicted = exact::allgather_cost(&params, mw as f64);
         assert_eq!(run.makespan, predicted, "allgather p={p}");
     }
@@ -63,7 +66,8 @@ fn ring_allgather_cost_is_exact() {
     for p in [3usize, 5, 8, 13] {
         let mw = 12usize;
         let (machine, params, _) = setup(p);
-        let run = machine.run(move |ctx| allgather_ring(ctx, vec![1u8; mw], mw as u64).len());
+        let run = machine
+            .run(move |ctx| drive(allgather_ring_async(ctx, vec![1u8; mw], mw as u64)).len());
         let predicted = exact::allgather_ring_cost(&params, mw as f64);
         assert_eq!(run.makespan, predicted, "ring p={p}");
     }
@@ -76,7 +80,7 @@ fn alltoall_cost_is_exact() {
         let (machine, params, _) = setup(p);
         let run = machine.run(move |ctx| {
             let blocks: Vec<Vec<u8>> = vec![vec![1u8; mw]; ctx.size()];
-            alltoall(ctx, blocks, mw as u64).len()
+            drive(alltoall_async(ctx, blocks, mw as u64)).len()
         });
         let predicted = exact::alltoall_cost(&params, mw as f64);
         assert_eq!(run.makespan, predicted, "alltoall p={p}");
@@ -90,7 +94,7 @@ fn vdg_bcast_cost_is_near_exact() {
         let (machine, params, _) = setup(p);
         let run = machine.run(move |ctx| {
             let v = (ctx.rank() == 0).then(|| vec![1u8; mw]);
-            bcast_scatter_allgather(ctx, v, 1).len()
+            drive(bcast_scatter_allgather_async(ctx, v, 1)).len()
         });
         let predicted = exact::bcast_scatter_allgather_cost(&params, mw as f64);
         let err = (run.makespan - predicted).abs() / predicted;
@@ -111,7 +115,12 @@ fn commutative_allreduce_cost_is_exact() {
             let add = |a: &Vec<u64>, b: &Vec<u64>| {
                 a.iter().zip(b).map(|(x, y)| x + y).collect::<Vec<u64>>()
             };
-            allreduce_commutative(ctx, vec![1u64; mw], mw as u64, &Combine::new(&add))
+            drive(allreduce_commutative_async(
+                ctx,
+                vec![1u64; mw],
+                mw as u64,
+                &Combine::new(&add),
+            ))
         });
         let predicted = exact::allreduce_commutative_cost(&params, mw as f64, 1.0);
         assert_eq!(run.makespan, predicted, "allreduce_comm p={p}");

@@ -14,15 +14,18 @@
 //! top.
 
 use collopt::collectives::{
-    allgather, allgather_doubling, allgather_ring, allreduce, allreduce_auto, allreduce_balanced,
-    allreduce_balanced_halving, allreduce_commutative, allreduce_rabenseifner, allreduce_ring,
-    alltoall, barrier, bcast_auto, bcast_binomial, bcast_linear, bcast_pipelined,
-    bcast_scatter_allgather, comcast_bcast_repeat, comcast_cost_optimal, exscan, gather_binomial,
-    reduce_auto, reduce_balanced, reduce_binomial, reduce_scatter, reduce_scatter_halving,
-    reduce_scatter_ring, scan_balanced, scan_butterfly, scan_sklansky, scatter_binomial,
-    BalancedOp, Combine, PairedOp, RepeatOp,
+    allgather_binomial_async, allgather_doubling_async, allgather_ring_async, allreduce_async,
+    allreduce_auto_async, allreduce_balanced_async, allreduce_balanced_halving_async,
+    allreduce_commutative_async, allreduce_rabenseifner_async, allreduce_ring_async,
+    alltoall_async, barrier_dissemination_async, bcast_auto_async, bcast_binomial_async,
+    bcast_linear_async, bcast_pipelined_async, bcast_scatter_allgather_async,
+    comcast_bcast_repeat_async, comcast_cost_optimal_async, exscan_async, gather_binomial_async,
+    reduce_auto_async, reduce_balanced_async, reduce_binomial_async, reduce_scatter_binomial_async,
+    reduce_scatter_halving_async, reduce_scatter_ring_async, scan_balanced_async,
+    scan_butterfly_async, scan_sklansky_async, scatter_binomial_async, BalancedOp, Combine,
+    PairedOp, RepeatOp,
 };
-use collopt::machine::{chrome_trace_json, ClockParams, Ctx, FaultPlan, Machine};
+use collopt::machine::{chrome_trace_json, drive, ClockParams, Ctx, FaultPlan, Machine};
 
 /// Run `f` twice — plain, and under an identity fault plan — and require
 /// the two runs to be indistinguishable byte for byte.
@@ -78,23 +81,23 @@ fn bcast_variants_are_unaffected_by_the_identity_plan() {
     for p in 2..=9 {
         check_identity("bcast_binomial", p, |ctx| {
             let v = (ctx.rank() == 0).then(|| block(0, M));
-            bcast_binomial(ctx, 0, v, M as u64)
+            drive(bcast_binomial_async(ctx, 0, v, M as u64))
         });
         check_identity("bcast_linear", p, |ctx| {
             let v = (ctx.rank() == 0).then(|| block(0, M));
-            bcast_linear(ctx, 0, v, M as u64)
+            drive(bcast_linear_async(ctx, 0, v, M as u64))
         });
         check_identity("bcast_pipelined", p, |ctx| {
             let v = (ctx.rank() == 0).then(|| block(0, M));
-            bcast_pipelined(ctx, 0, v, 1, 3)
+            drive(bcast_pipelined_async(ctx, 0, v, 1, 3))
         });
         check_identity("bcast_scatter_allgather", p, |ctx| {
             let v = (ctx.rank() == 0).then(|| block(0, M));
-            bcast_scatter_allgather(ctx, v, 1)
+            drive(bcast_scatter_allgather_async(ctx, v, 1))
         });
         check_identity("bcast_auto", p, |ctx| {
             let v = (ctx.rank() == 0).then(|| block(0, M));
-            bcast_auto(ctx, v, 1)
+            drive(bcast_auto_async(ctx, v, 1))
         });
     }
 }
@@ -104,48 +107,74 @@ fn reduce_and_allreduce_variants_are_unaffected_by_the_identity_plan() {
     let add = iadd();
     for p in 2..=9 {
         check_identity("reduce_binomial", p, |ctx| {
-            reduce_binomial(ctx, 0, block(ctx.rank(), M), M as u64, &Combine::new(&add))
+            drive(reduce_binomial_async(
+                ctx,
+                0,
+                block(ctx.rank(), M),
+                M as u64,
+                &Combine::new(&add),
+            ))
         });
         check_identity("reduce_auto", p, |ctx| {
-            reduce_auto(ctx, block(ctx.rank(), M), 1, &Combine::new(&add))
+            drive(reduce_auto_async(
+                ctx,
+                block(ctx.rank(), M),
+                1,
+                &Combine::new(&add),
+            ))
         });
         check_identity("allreduce_butterfly", p, |ctx| {
-            allreduce(ctx, block(ctx.rank(), M), M as u64, &Combine::new(&add))
+            drive(allreduce_async(
+                ctx,
+                block(ctx.rank(), M),
+                M as u64,
+                &Combine::new(&add),
+            ))
         });
         check_identity("allreduce_commutative", p, |ctx| {
-            allreduce_commutative(
+            drive(allreduce_commutative_async(
                 ctx,
                 block(ctx.rank(), M),
                 M as u64,
                 &Combine::new(&add).assume_commutative(),
-            )
+            ))
         });
         check_identity("allreduce_ring", p, |ctx| {
-            allreduce_ring(
+            drive(allreduce_ring_async(
                 ctx,
                 block(ctx.rank(), M),
                 1,
                 &Combine::new(&add).assume_commutative(),
-            )
+            ))
         });
         check_identity("allreduce_auto", p, |ctx| {
-            allreduce_auto(
+            drive(allreduce_auto_async(
                 ctx,
                 block(ctx.rank(), M),
                 1,
                 &Combine::new(&add).assume_commutative(),
-            )
+            ))
         });
     }
     for p in [2usize, 4, 8] {
         check_identity("allreduce_rabenseifner", p, |ctx| {
-            allreduce_rabenseifner(ctx, block(ctx.rank(), M), 1, &Combine::new(&add))
+            drive(allreduce_rabenseifner_async(
+                ctx,
+                block(ctx.rank(), M),
+                1,
+                &Combine::new(&add),
+            ))
         });
         check_identity("reduce_scatter_halving", p, |ctx| {
-            reduce_scatter_halving(ctx, block(ctx.rank(), M), 1, &Combine::new(&add))
+            drive(reduce_scatter_halving_async(
+                ctx,
+                block(ctx.rank(), M),
+                1,
+                &Combine::new(&add),
+            ))
         });
         check_identity("allgather_doubling", p, |ctx| {
-            allgather_doubling(ctx, block(ctx.rank(), 2), 1)
+            drive(allgather_doubling_async(ctx, block(ctx.rank(), 2), 1))
         });
     }
 }
@@ -155,13 +184,28 @@ fn scan_variants_are_unaffected_by_the_identity_plan() {
     let add = iadd();
     for p in 2..=9 {
         check_identity("scan_butterfly", p, |ctx| {
-            scan_butterfly(ctx, block(ctx.rank(), M), M as u64, &Combine::new(&add))
+            drive(scan_butterfly_async(
+                ctx,
+                block(ctx.rank(), M),
+                M as u64,
+                &Combine::new(&add),
+            ))
         });
         check_identity("scan_sklansky", p, |ctx| {
-            scan_sklansky(ctx, block(ctx.rank(), M), M as u64, &Combine::new(&add))
+            drive(scan_sklansky_async(
+                ctx,
+                block(ctx.rank(), M),
+                M as u64,
+                &Combine::new(&add),
+            ))
         });
         check_identity("exscan", p, |ctx| {
-            exscan(ctx, block(ctx.rank(), M), M as u64, &Combine::new(&add))
+            drive(exscan_async(
+                ctx,
+                block(ctx.rank(), M),
+                M as u64,
+                &Combine::new(&add),
+            ))
         });
     }
 }
@@ -179,7 +223,7 @@ fn balanced_tree_collectives_are_unaffected_by_the_identity_plan() {
                 ops_solo: 1.0,
                 words_factor: 1,
             };
-            reduce_balanced(ctx, ctx.rank() as i64 + 1, 1, &op)
+            drive(reduce_balanced_async(ctx, ctx.rank() as i64 + 1, 1, &op))
         });
         check_identity("allreduce_balanced", p, |ctx| {
             let op = BalancedOp {
@@ -189,7 +233,7 @@ fn balanced_tree_collectives_are_unaffected_by_the_identity_plan() {
                 ops_solo: 1.0,
                 words_factor: 1,
             };
-            allreduce_balanced(ctx, ctx.rank() as i64 + 1, 1, &op)
+            drive(allreduce_balanced_async(ctx, ctx.rank() as i64 + 1, 1, &op))
         });
         check_identity("scan_balanced", p, |ctx| {
             let paired = |a: &i64, b: &i64| (a + b, a * b);
@@ -201,7 +245,7 @@ fn balanced_tree_collectives_are_unaffected_by_the_identity_plan() {
                 ops_solo: 1.0,
                 words_factor: 1,
             };
-            scan_balanced(ctx, ctx.rank() as i64 + 1, 1, &op)
+            drive(scan_balanced_async(ctx, ctx.rank() as i64 + 1, 1, &op))
         });
     }
     for p in [2usize, 4, 8] {
@@ -217,7 +261,12 @@ fn balanced_tree_collectives_are_unaffected_by_the_identity_plan() {
                 ops_solo: 1.0,
                 words_factor: 1,
             };
-            allreduce_balanced_halving(ctx, block(ctx.rank(), M), 1, &op)
+            drive(allreduce_balanced_halving_async(
+                ctx,
+                block(ctx.rank(), M),
+                1,
+                &op,
+            ))
         });
     }
 }
@@ -239,7 +288,9 @@ fn comcast_gather_and_alltoall_are_unaffected_by_the_identity_plan() {
                 ops_o: 2.0,
             };
             let seed = (ctx.rank() == 0).then_some(1i64);
-            comcast_bcast_repeat(ctx, 0, seed, 1, &inject, &project, &op)
+            drive(comcast_bcast_repeat_async(
+                ctx, 0, seed, 1, &inject, &project, &op,
+            ))
         });
         check_identity("comcast_cost_optimal", p, |ctx| {
             let op = RepeatOp {
@@ -249,42 +300,49 @@ fn comcast_gather_and_alltoall_are_unaffected_by_the_identity_plan() {
                 ops_o: 2.0,
             };
             let seed = (ctx.rank() == 0).then_some(1i64);
-            comcast_cost_optimal(ctx, 0, seed, 1, &inject, &project, &op, 2)
+            drive(comcast_cost_optimal_async(
+                ctx, 0, seed, 1, &inject, &project, &op, 2,
+            ))
         });
         check_identity("gather_binomial", p, |ctx| {
-            gather_binomial(ctx, block(ctx.rank(), 2), 2)
+            drive(gather_binomial_async(ctx, block(ctx.rank(), 2), 2))
         });
         check_identity("scatter_binomial", p, |ctx| {
             let blocks = (ctx.rank() == 0).then(|| (0..ctx.size()).map(|r| block(r, 2)).collect());
-            scatter_binomial(ctx, blocks, 2)
+            drive(scatter_binomial_async(ctx, blocks, 2))
         });
         check_identity("allgather", p, |ctx| {
-            allgather(ctx, block(ctx.rank(), 2), 2)
+            drive(allgather_binomial_async(ctx, block(ctx.rank(), 2), 2))
         });
         check_identity("allgather_ring", p, |ctx| {
-            allgather_ring(ctx, block(ctx.rank(), 2), 2)
+            drive(allgather_ring_async(ctx, block(ctx.rank(), 2), 2))
         });
         check_identity("alltoall", p, |ctx| {
             let blocks: Vec<i64> = (0..ctx.size() as i64).collect();
-            alltoall(ctx, blocks, 1)
+            drive(alltoall_async(ctx, blocks, 1))
         });
         check_identity("reduce_scatter", p, |ctx| {
             let blocks: Vec<Vec<i64>> = (0..ctx.size()).map(|r| block(r, 2)).collect();
-            reduce_scatter(ctx, blocks, 2, &Combine::new(&add))
+            drive(reduce_scatter_binomial_async(
+                ctx,
+                blocks,
+                2,
+                &Combine::new(&add),
+            ))
         });
         check_identity("reduce_scatter_ring", p, |ctx| {
-            reduce_scatter_ring(
+            drive(reduce_scatter_ring_async(
                 ctx,
                 block(ctx.rank(), M),
                 1,
                 &Combine::new(&add).assume_commutative(),
-            )
+            ))
         });
         check_identity("barrier_ladder", p, |ctx| {
             ctx.charge((ctx.rank() + 1) as f64 * 3.0, "skew");
-            barrier(ctx);
+            drive(barrier_dissemination_async(ctx));
             ctx.charge(1.0, "tail");
-            barrier(ctx);
+            drive(barrier_dissemination_async(ctx));
         });
     }
 }

@@ -122,7 +122,7 @@ fn apply_level(
 /// Asserts every defined quadruple the figure prints.
 #[test]
 fn figure5_balanced_scan_full_trace() {
-    use collopt_collectives::balanced::{scan_balanced_traced, PairedOp};
+    use collopt_collectives::balanced::{scan_balanced_traced_async, PairedOp};
 
     let inputs = std::sync::Arc::new(vec![2i64, 5, 9, 1, 2, 6]);
     let (combine, solo) = fused::op_ss(&ops::add());
@@ -140,7 +140,13 @@ fn figure5_balanced_scan_full_trace() {
             ops_solo: 0.0,
             words_factor: 3,
         };
-        scan_balanced_traced(ctx, quadruple(&x), 1, &op, Some(|q: &Value| q.to_string()))
+        drive(scan_balanced_traced_async(
+            ctx,
+            quadruple(&x),
+            1,
+            &op,
+            Some(|q: &Value| q.to_string()),
+        ))
     });
 
     // Final first components: [2, 9, 25, 42, 61, 86] — scan(scan(input)).
