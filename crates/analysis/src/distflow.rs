@@ -13,20 +13,20 @@
 //!   value — but the non-root inputs are stale operands, which is the
 //!   classic silently-wrong-answer bug in SPMD pipelines.
 //! * `COL011` — **divisibility hazard**: the cost model picks a
-//!   segmenting (reduce-scatter-based) lowering for a reduction stage at
-//!   this machine point, but `m mod p ≠ 0`, so the segments are ragged
+//!   segmenting (reduce-scatter-based) lowering for an `allreduce` stage
+//!   at this machine point, but `m mod p ≠ 0`, so the segments are ragged
 //!   and the critical path serializes on the longest one. Fires only
 //!   when the segmenting lowering actually *wins* the cost comparison —
 //!   a blanket `m mod p` check would flag machines where the butterfly
-//!   runs anyway.
+//!   runs anyway. `reduce` is exempt: the executor lowers it to the
+//!   binomial tree whatever the cost model prefers, while an `allreduce`
+//!   takes the selected lowering under `ExecConfig::adaptive_reduction`.
 //!
 //! The pass is part of [`crate::lint::lint_program`]; `COL012` (a
 //! suggested rewrite narrows the final distribution to rank 0) lives in
 //! the fusion pass, which knows the matched rewrite's `rank0_only` flag.
 
-use collopt_collectives::variants::{
-    choose_allreduce, choose_reduce, AllreduceChoice, ReduceChoice,
-};
+use collopt_collectives::variants::{choose_allreduce, AllreduceChoice};
 use collopt_core::dist::{consumes_all_ranks, transfer, DistState};
 use collopt_core::parser::Span;
 use collopt_core::term::{Program, Stage};
@@ -94,10 +94,6 @@ pub fn distflow_pass(
                     _ => None,
                 }
             }
-            Stage::Reduce(op) => match choose_reduce(p, m, op.ops_per_word(), &clock) {
-                ReduceChoice::ScatterGather => Some("reduce-scatter + gather"),
-                ReduceChoice::Binomial => None,
-            },
             _ => None,
         };
         if let Some(lowering) = segmenting {
@@ -170,6 +166,27 @@ mod tests {
         let mut diags = Vec::new();
         distflow_pass(&prog, None, &cfg, &mut diags);
         assert!(diags.iter().any(|d| d.code == "COL011"), "{diags:?}");
+    }
+
+    #[test]
+    fn col011_names_only_lowerings_that_can_run() {
+        // At p = 8, m = 1 000 001 the cost model prefers reduce-scatter +
+        // gather for `reduce` — a lowering the executor never runs — and
+        // Rabenseifner for `allreduce`, which the adaptive path does run.
+        let cfg = LintConfig {
+            params: collopt_cost::MachineParams::new(8, 200.0, 2.0),
+            block: 1_000_001.0,
+            ..LintConfig::default()
+        };
+        for (prog, fires) in [
+            (Program::new().reduce(lib::add()), false),
+            (Program::new().allreduce(lib::add()), true),
+        ] {
+            let mut diags = Vec::new();
+            distflow_pass(&prog, None, &cfg, &mut diags);
+            let col011 = diags.iter().any(|d| d.code == "COL011");
+            assert_eq!(col011, fires, "{prog}: {diags:?}");
+        }
     }
 
     #[test]

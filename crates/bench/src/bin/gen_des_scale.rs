@@ -1,7 +1,6 @@
 //! Discrete-event engine scale ladder: one allreduce over the whole
 //! machine at `p = 10³, 10⁴, 10⁵, 10⁶` (up to `argv[1]`, default 100000;
-//! 10⁶ takes ~4 s and ~2 GB), with wall time and messages/second. The
-//! thread engine refuses these sizes with `CapacityExceeded`.
+//! 10⁶ takes ~4 s and ~2 GB), with wall time and messages/second.
 //!
 //! This is the last timing bin outside `benchmark/`, kept only because
 //! `BENCHMARK.json` has no `p ≥ 10⁴` cell yet (ROADMAP 5b′): `sim_scale`

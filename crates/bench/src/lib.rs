@@ -25,7 +25,7 @@ use collopt_core::rules::{try_match, window_len, Rule};
 use collopt_core::term::Program;
 use collopt_core::value::Value;
 use collopt_cost::table1::{Pat, Slot};
-use collopt_machine::{drive, ClockParams, Machine};
+use collopt_machine::{ClockParams, Machine};
 
 /// The paper's Parsytec-like machine constants used for all figure
 /// regenerations (latency-dominated network; see DESIGN.md §2).
@@ -142,43 +142,41 @@ fn project(s: &PairBlock) -> Vec<i64> {
 pub fn run_comcast(which: ComcastImpl, p: usize, m: usize, clock: ClockParams) -> (Vec<i64>, f64) {
     let machine = Machine::new(p, clock);
     let words = m as u64;
-    let run = machine.run(move |ctx| {
-        let seed: Option<Vec<i64>> = (ctx.rank() == 0).then(|| vec![1i64; m]);
-        let out: Vec<i64> = match which {
-            ComcastImpl::BcastScan => {
-                let b = drive(bcast_binomial_async(ctx, 0, seed, words));
-                let add = |a: &Vec<i64>, b: &Vec<i64>| -> Vec<i64> {
-                    a.iter().zip(b).map(|(x, y)| x + y).collect()
-                };
-                drive(scan_butterfly_async(ctx, b, words, &Combine::new(&add)))
-            }
-            ComcastImpl::CostOptimal => {
-                let op = RepeatOp {
-                    e: &pair_e,
-                    o: &pair_o,
-                    ops_e: 1.0,
-                    ops_o: 2.0,
-                };
-                let inj = |b: &Vec<i64>| inject(b);
-                drive(comcast_cost_optimal_async(
-                    ctx, 0, seed, words, &inj, &project, &op, 2,
-                ))
-            }
-            ComcastImpl::BcastRepeat => {
-                let op = RepeatOp {
-                    e: &pair_e,
-                    o: &pair_o,
-                    ops_e: 1.0,
-                    ops_o: 2.0,
-                };
-                let inj = |b: &Vec<i64>| inject(b);
-                drive(comcast_bcast_repeat_async(
-                    ctx, 0, seed, words, &inj, &project, &op,
-                ))
-            }
-        };
-        // Fold to a checksum so the bench can assert correctness cheaply.
-        out.first().copied().unwrap_or(0) * 1_000_000 + out.last().copied().unwrap_or(0)
+    let run = machine.run_des(move |ctx| {
+        Box::pin(async move {
+            let seed: Option<Vec<i64>> = (ctx.rank() == 0).then(|| vec![1i64; m]);
+            let out: Vec<i64> = match which {
+                ComcastImpl::BcastScan => {
+                    let b = bcast_binomial_async(ctx, 0, seed, words).await;
+                    let add = |a: &Vec<i64>, b: &Vec<i64>| -> Vec<i64> {
+                        a.iter().zip(b).map(|(x, y)| x + y).collect()
+                    };
+                    scan_butterfly_async(ctx, b, words, &Combine::new(&add)).await
+                }
+                ComcastImpl::CostOptimal => {
+                    let op = RepeatOp {
+                        e: &pair_e,
+                        o: &pair_o,
+                        ops_e: 1.0,
+                        ops_o: 2.0,
+                    };
+                    let inj = |b: &Vec<i64>| inject(b);
+                    comcast_cost_optimal_async(ctx, 0, seed, words, &inj, &project, &op, 2).await
+                }
+                ComcastImpl::BcastRepeat => {
+                    let op = RepeatOp {
+                        e: &pair_e,
+                        o: &pair_o,
+                        ops_e: 1.0,
+                        ops_o: 2.0,
+                    };
+                    let inj = |b: &Vec<i64>| inject(b);
+                    comcast_bcast_repeat_async(ctx, 0, seed, words, &inj, &project, &op).await
+                }
+            };
+            // Fold to a checksum so the bench can assert correctness cheaply.
+            out.first().copied().unwrap_or(0) * 1_000_000 + out.last().copied().unwrap_or(0)
+        })
     });
     (run.results, run.makespan)
 }

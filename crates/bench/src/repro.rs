@@ -13,7 +13,6 @@
 
 use std::collections::BTreeSet;
 use std::path::Path;
-use std::sync::Arc;
 
 use collopt_collectives::{
     allreduce_auto_async, allreduce_model_cost, choose_allreduce, AllreduceChoice, Combine,
@@ -29,7 +28,7 @@ use collopt_cost::sweep::{allreduce_crossover_m, recommend, render_crossovers};
 use collopt_cost::table1::{render_table1, Laws};
 use collopt_cost::{MachineParams, Rule};
 use collopt_machine::topology::{butterfly_partner, BalancedStep, BalancedTree};
-use collopt_machine::{chrome_trace_json, drive, ClockParams, Machine, Trace};
+use collopt_machine::{chrome_trace_json, ClockParams, Machine, Trace};
 
 use crate::sweep_driver::par_map;
 use crate::{
@@ -534,23 +533,19 @@ fn allreduce() -> Files {
     ];
     let clock = ClockParams::parsytec_like();
     let measure = |p: usize, m: usize| -> f64 {
-        let blocks: Arc<Vec<Block>> = Arc::new(
-            (0..p)
-                .map(|r| (0..m).map(|i| (r * 13 + i % 7) as i64).collect())
-                .collect(),
-        );
+        let blocks: Vec<Block> = (0..p)
+            .map(|r| (0..m).map(|i| (r * 13 + i % 7) as i64).collect())
+            .collect();
         Machine::new(p, clock)
-            .run(move |ctx| {
-                let f = |a: &Block, b: &Block| -> Block {
-                    a.iter().zip(b).map(|(x, y)| x + y).collect()
-                };
-                let op = Combine::new(&f).assume_commutative();
-                drive(allreduce_auto_async(
-                    ctx,
-                    blocks[ctx.rank()].clone(),
-                    1,
-                    &op,
-                ))
+            .run_des(|ctx| {
+                let mine = blocks[ctx.rank()].clone();
+                Box::pin(async move {
+                    let f = |a: &Block, b: &Block| -> Block {
+                        a.iter().zip(b).map(|(x, y)| x + y).collect()
+                    };
+                    let op = Combine::new(&f).assume_commutative();
+                    allreduce_auto_async(ctx, mine, 1, &op).await
+                })
             })
             .makespan
     };

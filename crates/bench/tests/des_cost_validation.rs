@@ -2,10 +2,10 @@
 //! engine.
 //!
 //! The closed forms in `collopt_cost::collectives` are verified against
-//! the simulated machine at thread-feasible sizes by the collectives
-//! crate. [`ExecEngine::Des`](collopt_machine::ExecEngine) removes the
-//! thread ceiling, so here the same formulas are checked at machine
-//! sizes the paper's asymptotic claims actually speak to — `p` up to
+//! the simulated machine at small sizes by the collectives crate. A rank
+//! of the event engine costs memory, not an OS thread, so here the same
+//! formulas are checked at machine sizes the paper's asymptotic claims
+//! actually speak to — `p` up to
 //! 10⁵ — across the reduction family: the butterfly, Rabenseifner's
 //! reduce-scatter + allgather, the ring, and the binomial
 //! reduce + broadcast fallback, plus the predicted butterfly/Rabenseifner
@@ -104,7 +104,7 @@ fn ring_matches_closed_form_at_p_512() {
 }
 
 /// The order-safe fallback (binomial reduce, then binomial broadcast) at
-/// `p = 100 000` — a machine size no thread engine can host. The
+/// `p = 100 000` — far more ranks than a host has threads. The
 /// binomial tree on a non-power-of-two `p` has a slightly shorter
 /// critical path than the `⌈log₂ p⌉`-phase upper bound the calculus
 /// charges, so the tolerance is a few percent rather than bits.

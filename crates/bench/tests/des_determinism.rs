@@ -10,11 +10,10 @@ use collopt_bench::sweep_driver::par_map_with;
 use collopt_bench::{rule_lhs, rule_rhs, varied_input};
 use collopt_core::exec::{execute_faulted_traced, ExecConfig};
 use collopt_core::rules::Rule;
-use collopt_machine::{chrome_trace_json, ClockParams, ExecEngine, FaultPlan};
+use collopt_machine::{chrome_trace_json, ClockParams, FaultPlan};
 
 fn des_config() -> ExecConfig {
     ExecConfig {
-        engine: Some(ExecEngine::Des),
         profile: true,
         ..ExecConfig::default()
     }

@@ -79,17 +79,19 @@ pub async fn reduce_scatter_binomial_async<T: Clone + Send + 'static>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use collopt_machine::{drive, ClockParams, Machine};
+    use collopt_machine::{ClockParams, Machine};
 
     #[test]
     fn alltoall_transposes_the_block_matrix() {
         for p in 1..=12usize {
             let m = Machine::new(p, ClockParams::free());
-            let run = m.run(|ctx| {
-                // Block for destination d: (my_rank, d).
-                let blocks: Vec<(usize, usize)> =
-                    (0..ctx.size()).map(|d| (ctx.rank(), d)).collect();
-                drive(alltoall_async(ctx, blocks, 2))
+            let run = m.run_des(|ctx| {
+                Box::pin(async move {
+                    // Block for destination d: (my_rank, d).
+                    let blocks: Vec<(usize, usize)> =
+                        (0..ctx.size()).map(|d| (ctx.rank(), d)).collect();
+                    alltoall_async(ctx, blocks, 2).await
+                })
             });
             for (rank, received) in run.results.iter().enumerate() {
                 let expected: Vec<(usize, usize)> = (0..p).map(|src| (src, rank)).collect();
@@ -102,11 +104,13 @@ mod tests {
     fn alltoall_twice_restores_the_transpose() {
         let p = 7;
         let m = Machine::new(p, ClockParams::free());
-        let run = m.run(|ctx| {
-            let blocks: Vec<usize> = (0..ctx.size()).map(|d| ctx.rank() * 100 + d).collect();
-            let once = drive(alltoall_async(ctx, blocks.clone(), 1));
-            let twice = drive(alltoall_async(ctx, once, 1));
-            (blocks, twice)
+        let run = m.run_des(|ctx| {
+            Box::pin(async move {
+                let blocks: Vec<usize> = (0..ctx.size()).map(|d| ctx.rank() * 100 + d).collect();
+                let once = alltoall_async(ctx, blocks.clone(), 1).await;
+                let twice = alltoall_async(ctx, once, 1).await;
+                (blocks, twice)
+            })
         });
         for (blocks, twice) in run.results {
             // alltoall is the transpose of the (rank, dest) matrix;
@@ -122,18 +126,15 @@ mod tests {
     fn reduce_scatter_gives_each_rank_its_column_sum() {
         for p in 1..=10usize {
             let m = Machine::new(p, ClockParams::free());
-            let run = m.run(|ctx| {
-                let add = |a: &i64, b: &i64| a + b;
-                // Contribution of rank r to destination d: r * 10 + d.
-                let blocks: Vec<i64> = (0..ctx.size())
-                    .map(|d| (ctx.rank() * 10 + d) as i64)
-                    .collect();
-                drive(reduce_scatter_binomial_async(
-                    ctx,
-                    blocks,
-                    1,
-                    &Combine::new(&add),
-                ))
+            let run = m.run_des(|ctx| {
+                Box::pin(async move {
+                    let add = |a: &i64, b: &i64| a + b;
+                    // Contribution of rank r to destination d: r * 10 + d.
+                    let blocks: Vec<i64> = (0..ctx.size())
+                        .map(|d| (ctx.rank() * 10 + d) as i64)
+                        .collect();
+                    reduce_scatter_binomial_async(ctx, blocks, 1, &Combine::new(&add)).await
+                })
             });
             for (rank, &got) in run.results.iter().enumerate() {
                 let expected: i64 = (0..p).map(|r| (r * 10 + rank) as i64).sum();
@@ -146,15 +147,12 @@ mod tests {
     fn reduce_scatter_preserves_rank_order() {
         let p = 6;
         let m = Machine::new(p, ClockParams::free());
-        let run = m.run(|ctx| {
-            let cat = |a: &String, b: &String| format!("{a}{b}");
-            let blocks: Vec<String> = (0..ctx.size()).map(|_| ctx.rank().to_string()).collect();
-            drive(reduce_scatter_binomial_async(
-                ctx,
-                blocks,
-                1,
-                &Combine::new(&cat),
-            ))
+        let run = m.run_des(|ctx| {
+            Box::pin(async move {
+                let cat = |a: &String, b: &String| format!("{a}{b}");
+                let blocks: Vec<String> = (0..ctx.size()).map(|_| ctx.rank().to_string()).collect();
+                reduce_scatter_binomial_async(ctx, blocks, 1, &Combine::new(&cat)).await
+            })
         });
         for got in run.results {
             assert_eq!(got, "012345");
@@ -166,9 +164,11 @@ mod tests {
         let params = ClockParams::new(50.0, 1.0);
         let mk = |p: usize| {
             let m = Machine::new(p, params);
-            m.run(|ctx| {
-                let blocks: Vec<u64> = vec![0; ctx.size()];
-                drive(alltoall_async(ctx, blocks, 8))
+            m.run_des(|ctx| {
+                Box::pin(async move {
+                    let blocks: Vec<u64> = vec![0; ctx.size()];
+                    alltoall_async(ctx, blocks, 8).await
+                })
             })
             .makespan
         };

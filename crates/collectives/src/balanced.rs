@@ -218,7 +218,7 @@ pub async fn scan_balanced_traced_async<Q: Clone + Send + 'static>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use collopt_machine::{drive, ClockParams, Machine};
+    use collopt_machine::{ClockParams, Machine};
     use std::sync::Arc;
 
     /// The paper's `op_sr` with ⊕ = + (rule SR-Reduction):
@@ -259,9 +259,12 @@ mod tests {
         // Figure 4: input [2,5,9,1,2,6] with + yields (86, 200) at root.
         let inputs = Arc::new(vec![2i64, 5, 9, 1, 2, 6]);
         let m = Machine::new(6, ClockParams::free());
-        let run = m.run(move |ctx| {
-            let x = inputs[ctx.rank()];
-            drive(reduce_balanced_async(ctx, (x, x), 1, &sr_balanced_op()))
+        let run = m.run_des(move |ctx| {
+            let inputs = Arc::clone(&inputs);
+            Box::pin(async move {
+                let x = inputs[ctx.rank()];
+                reduce_balanced_async(ctx, (x, x), 1, &sr_balanced_op()).await
+            })
         });
         assert_eq!(run.results[0], Some((86, 200)));
         assert!(run.results[1..].iter().all(Option::is_none));
@@ -274,9 +277,12 @@ mod tests {
             let expected = sum_of_prefix_sums(&inputs);
             let shared = Arc::new(inputs);
             let m = Machine::new(p, ClockParams::free());
-            let run = m.run(move |ctx| {
-                let x = shared[ctx.rank()];
-                drive(reduce_balanced_async(ctx, (x, x), 1, &sr_balanced_op()))
+            let run = m.run_des(move |ctx| {
+                let shared = Arc::clone(&shared);
+                Box::pin(async move {
+                    let x = shared[ctx.rank()];
+                    reduce_balanced_async(ctx, (x, x), 1, &sr_balanced_op()).await
+                })
             });
             assert_eq!(run.results[0].unwrap().0, expected, "p={p}");
         }
@@ -291,9 +297,12 @@ mod tests {
             let depth = collopt_machine::topology::ceil_log2(p);
             let shared = Arc::new(inputs);
             let m = Machine::new(p, ClockParams::free());
-            let run = m.run(move |ctx| {
-                let x = shared[ctx.rank()];
-                drive(reduce_balanced_async(ctx, (x, x), 1, &sr_balanced_op()))
+            let run = m.run_des(move |ctx| {
+                let shared = Arc::clone(&shared);
+                Box::pin(async move {
+                    let x = shared[ctx.rank()];
+                    reduce_balanced_async(ctx, (x, x), 1, &sr_balanced_op()).await
+                })
             });
             assert_eq!(run.results[0].unwrap().1, (1i64 << depth) * sum, "p={p}");
         }
@@ -305,9 +314,11 @@ mod tests {
         let params = ClockParams::new(100.0, 2.0);
         for (p, mw) in [(8usize, 10u64), (64, 32)] {
             let m = Machine::new(p, params);
-            let run = m.run(move |ctx| {
-                let x = ctx.rank() as i64;
-                drive(reduce_balanced_async(ctx, (x, x), mw, &sr_balanced_op()))
+            let run = m.run_des(move |ctx| {
+                Box::pin(async move {
+                    let x = ctx.rank() as i64;
+                    reduce_balanced_async(ctx, (x, x), mw, &sr_balanced_op()).await
+                })
             });
             let logp = collopt_machine::topology::ceil_log2(p) as f64;
             let expected = logp * (params.ts + mw as f64 * (2.0 * params.tw + 4.0));
@@ -324,9 +335,12 @@ mod tests {
             let expected = sum_of_prefix_sums(&inputs);
             let shared = Arc::new(inputs);
             let m = Machine::new(p, ClockParams::free());
-            let run = m.run(move |ctx| {
-                let x = shared[ctx.rank()];
-                drive(allreduce_balanced_async(ctx, (x, x), 1, &sr_balanced_op()))
+            let run = m.run_des(move |ctx| {
+                let shared = Arc::clone(&shared);
+                Box::pin(async move {
+                    let x = shared[ctx.rank()];
+                    allreduce_balanced_async(ctx, (x, x), 1, &sr_balanced_op()).await
+                })
             });
             for (rank, r) in run.results.iter().enumerate() {
                 assert_eq!(r.0, expected, "p={p} rank={rank}");
@@ -351,17 +365,20 @@ mod tests {
             let inputs: Vec<i64> = (0..p as i64).map(|i| 3 * i - 4).collect();
             let shared = Arc::new(inputs.clone());
             let m = Machine::new(p, ClockParams::free());
-            let run = m.run(move |ctx| {
-                let x = shared[ctx.rank()];
-                let op = PairedOp {
-                    combine: &scan_pair,
-                    solo: &scan_solo,
-                    ops_lower: 1.0,
-                    ops_upper: 2.0,
-                    ops_solo: 0.0,
-                    words_factor: 1,
-                };
-                drive(scan_balanced_async(ctx, (x, x), 1, &op)).0
+            let run = m.run_des(move |ctx| {
+                let shared = Arc::clone(&shared);
+                Box::pin(async move {
+                    let x = shared[ctx.rank()];
+                    let op = PairedOp {
+                        combine: &scan_pair,
+                        solo: &scan_solo,
+                        ops_lower: 1.0,
+                        ops_upper: 2.0,
+                        ops_solo: 0.0,
+                        words_factor: 1,
+                    };
+                    scan_balanced_async(ctx, (x, x), 1, &op).await.0
+                })
             });
             let expected = crate::reference::ref_scan(|a, b| a + b, &inputs);
             assert_eq!(run.results, expected, "p={p}");
@@ -371,23 +388,26 @@ mod tests {
     #[test]
     fn scan_balanced_traced_records_phases() {
         let m = Machine::new(4, ClockParams::free()).with_tracing();
-        let run = m.run(|ctx| {
-            let x = (ctx.rank() + 1) as i64;
-            let op = PairedOp {
-                combine: &scan_pair,
-                solo: &scan_solo,
-                ops_lower: 1.0,
-                ops_upper: 2.0,
-                ops_solo: 0.0,
-                words_factor: 1,
-            };
-            drive(scan_balanced_traced_async(
-                ctx,
-                (x, x),
-                1,
-                &op,
-                Some(|q: &(i64, i64)| format!("{q:?}")),
-            ))
+        let run = m.run_des(|ctx| {
+            Box::pin(async move {
+                let x = (ctx.rank() + 1) as i64;
+                let op = PairedOp {
+                    combine: &scan_pair,
+                    solo: &scan_solo,
+                    ops_lower: 1.0,
+                    ops_upper: 2.0,
+                    ops_solo: 0.0,
+                    words_factor: 1,
+                };
+                scan_balanced_traced_async(
+                    ctx,
+                    (x, x),
+                    1,
+                    &op,
+                    Some(|q: &(i64, i64)| format!("{q:?}")),
+                )
+                .await
+            })
         });
         // 4 ranks × 3 marks each (phase0..phase2).
         assert_eq!(run.trace.marks().len(), 12);
@@ -398,25 +418,24 @@ mod tests {
     #[test]
     fn single_rank_balanced_ops_are_identity_like() {
         let m = Machine::new(1, ClockParams::free());
-        let run = m.run(|ctx| {
-            drive(reduce_balanced_async(
-                ctx,
-                (5i64, 5i64),
-                1,
-                &sr_balanced_op(),
-            ))
+        let run = m.run_des(|ctx| {
+            Box::pin(
+                async move { reduce_balanced_async(ctx, (5i64, 5i64), 1, &sr_balanced_op()).await },
+            )
         });
         assert_eq!(run.results[0], Some((5, 5)));
-        let run = m.run(|ctx| {
-            let op = PairedOp {
-                combine: &scan_pair,
-                solo: &scan_solo,
-                ops_lower: 1.0,
-                ops_upper: 2.0,
-                ops_solo: 0.0,
-                words_factor: 1,
-            };
-            drive(scan_balanced_async(ctx, (7i64, 7i64), 1, &op))
+        let run = m.run_des(|ctx| {
+            Box::pin(async move {
+                let op = PairedOp {
+                    combine: &scan_pair,
+                    solo: &scan_solo,
+                    ops_lower: 1.0,
+                    ops_upper: 2.0,
+                    ops_solo: 0.0,
+                    words_factor: 1,
+                };
+                scan_balanced_async(ctx, (7i64, 7i64), 1, &op).await
+            })
         });
         assert_eq!(run.results[0], (7, 7));
     }

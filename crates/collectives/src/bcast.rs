@@ -69,13 +69,15 @@ pub async fn bcast_linear_async<T: Clone + Send + 'static>(
 mod tests {
     use super::*;
     use collopt_machine::topology::ceil_log2;
-    use collopt_machine::{drive, ClockParams, Machine};
+    use collopt_machine::{ClockParams, Machine};
 
     fn run_bcast(p: usize, root: usize, params: ClockParams) -> (Vec<Vec<u64>>, f64) {
         let m = Machine::new(p, params);
-        let run = m.run(|ctx| {
-            let value = (ctx.rank() == root).then(|| vec![42u64, 7, root as u64]);
-            drive(bcast_binomial_async(ctx, root, value, 3))
+        let run = m.run_des(|ctx| {
+            Box::pin(async move {
+                let value = (ctx.rank() == root).then(|| vec![42u64, 7, root as u64]);
+                bcast_binomial_async(ctx, root, value, 3).await
+            })
         });
         (run.results, run.makespan)
     }
@@ -102,9 +104,11 @@ mod tests {
         for (p, m) in [(2usize, 1u64), (4, 8), (8, 32), (64, 1000)] {
             let params = ClockParams::new(100.0, 2.0);
             let machine = Machine::new(p, params);
-            let run = machine.run(|ctx| {
-                let value = (ctx.rank() == 0).then(|| vec![1u8; m as usize]);
-                drive(bcast_binomial_async(ctx, 0, value, m))
+            let run = machine.run_des(|ctx| {
+                Box::pin(async move {
+                    let value = (ctx.rank() == 0).then(|| vec![1u8; m as usize]);
+                    bcast_binomial_async(ctx, 0, value, m).await
+                })
             });
             let expected = ceil_log2(p) as f64 * (params.ts + m as f64 * params.tw);
             assert_eq!(run.makespan, expected, "p={p} m={m}");
@@ -116,14 +120,18 @@ mod tests {
         let params = ClockParams::new(100.0, 1.0);
         let p = 8;
         let m = Machine::new(p, params);
-        let run_lin = m.run(|ctx| {
-            let value = (ctx.rank() == 0).then_some(11u32);
-            drive(bcast_linear_async(ctx, 0, value, 4))
+        let run_lin = m.run_des(|ctx| {
+            Box::pin(async move {
+                let value = (ctx.rank() == 0).then_some(11u32);
+                bcast_linear_async(ctx, 0, value, 4).await
+            })
         });
         assert!(run_lin.results.iter().all(|&v| v == 11));
-        let run_tree = m.run(|ctx| {
-            let value = (ctx.rank() == 0).then_some(11u32);
-            drive(bcast_binomial_async(ctx, 0, value, 4))
+        let run_tree = m.run_des(|ctx| {
+            Box::pin(async move {
+                let value = (ctx.rank() == 0).then_some(11u32);
+                bcast_binomial_async(ctx, 0, value, 4).await
+            })
         });
         assert!(
             run_lin.makespan > run_tree.makespan,
@@ -138,9 +146,11 @@ mod tests {
     #[test]
     fn bcast_charges_no_compute() {
         let m = Machine::new(8, ClockParams::new(10.0, 1.0));
-        let run = m.run(|ctx| {
-            let value = (ctx.rank() == 0).then_some(1.5f64);
-            drive(bcast_binomial_async(ctx, 0, value, 1))
+        let run = m.run_des(|ctx| {
+            Box::pin(async move {
+                let value = (ctx.rank() == 0).then_some(1.5f64);
+                bcast_binomial_async(ctx, 0, value, 1).await
+            })
         });
         assert!(run.compute_ops.iter().all(|&c| c == 0.0));
     }
@@ -148,7 +158,9 @@ mod tests {
     #[test]
     fn single_rank_bcast_is_identity() {
         let m = Machine::new(1, ClockParams::parsytec_like());
-        let run = m.run(|ctx| drive(bcast_binomial_async(ctx, 0, Some(99u8), 1)));
+        let run = m.run_des(|ctx| {
+            Box::pin(async move { bcast_binomial_async(ctx, 0, Some(99u8), 1).await })
+        });
         assert_eq!(run.results, vec![99]);
         assert_eq!(run.makespan, 0.0);
     }
@@ -157,6 +169,6 @@ mod tests {
     #[should_panic(expected = "root rank")]
     fn missing_root_value_panics() {
         let m = Machine::new(2, ClockParams::free());
-        m.run(|ctx| drive(bcast_binomial_async::<u8>(ctx, 0, None, 1)));
+        m.run_des(|ctx| Box::pin(async move { bcast_binomial_async::<u8>(ctx, 0, None, 1).await }));
     }
 }

@@ -188,7 +188,7 @@ where
 mod tests {
     use super::*;
     use crate::reference::ref_comcast;
-    use collopt_machine::{drive, ClockParams, Machine};
+    use collopt_machine::{ClockParams, Machine};
 
     /// BS-Comcast's repeat operator with ⊕ = + (Figure 6):
     /// `e(t,u) = (t, u+u)`, `o(t,u) = (t+u, u+u)`.
@@ -214,32 +214,15 @@ mod tests {
     }
 
     /// Broadcast + repeat with the BS operator, seed `b` held by `root`.
-    fn bs_repeat(ctx: &mut Ctx, root: usize, b: i64, words: u64) -> i64 {
+    async fn bs_repeat(ctx: &mut Ctx, root: usize, b: i64, words: u64) -> i64 {
         let value = (ctx.rank() == root).then_some(b);
-        drive(comcast_bcast_repeat_async(
-            ctx,
-            root,
-            value,
-            words,
-            &pair,
-            &pi1,
-            &bs_op(),
-        ))
+        comcast_bcast_repeat_async(ctx, root, value, words, &pair, &pi1, &bs_op()).await
     }
 
     /// The cost-optimal variant with the BS operator, seed `b` at rank 0.
-    fn bs_cost_optimal(ctx: &mut Ctx, b: i64, words: u64) -> i64 {
+    async fn bs_cost_optimal(ctx: &mut Ctx, b: i64, words: u64) -> i64 {
         let value = (ctx.rank() == 0).then_some(b);
-        drive(comcast_cost_optimal_async(
-            ctx,
-            0,
-            value,
-            words,
-            &pair,
-            &pi1,
-            &bs_op(),
-            2,
-        ))
+        comcast_cost_optimal_async(ctx, 0, value, words, &pair, &pi1, &bs_op(), 2).await
     }
 
     #[test]
@@ -261,7 +244,7 @@ mod tests {
     fn figure6_exact_result_on_six_processors() {
         // Figure 6: b = 2, six processors, result [2,4,6,8,10,12].
         let m = Machine::new(6, ClockParams::free());
-        let run = m.run(|ctx| bs_repeat(ctx, 0, 2i64, 1));
+        let run = m.run_des(|ctx| Box::pin(bs_repeat(ctx, 0, 2i64, 1)));
         assert_eq!(run.results, vec![2, 4, 6, 8, 10, 12]);
     }
 
@@ -269,19 +252,22 @@ mod tests {
     fn figure6_intermediate_states_match_paper() {
         // Figure 6's table for processor 3: (2,2) → (4,4) → (8,8) → (8,16).
         let m = Machine::new(6, ClockParams::free()).with_tracing();
-        let run = m.run(|ctx| {
-            let value = (ctx.rank() == 0).then_some(2i64);
-            let fmt = |s: &(i64, i64)| format!("{},{}", s.0, s.1);
-            drive(comcast_bcast_repeat_traced_async(
-                ctx,
-                0,
-                value,
-                1,
-                &pair,
-                &pi1,
-                &bs_op(),
-                Some(fmt),
-            ))
+        let run = m.run_des(|ctx| {
+            Box::pin(async move {
+                let value = (ctx.rank() == 0).then_some(2i64);
+                let fmt = |s: &(i64, i64)| format!("{},{}", s.0, s.1);
+                comcast_bcast_repeat_traced_async(
+                    ctx,
+                    0,
+                    value,
+                    1,
+                    &pair,
+                    &pi1,
+                    &bs_op(),
+                    Some(fmt),
+                )
+                .await
+            })
         });
         assert_eq!(run.results, vec![2, 4, 6, 8, 10, 12]);
         let marks = run.trace.marks();
@@ -309,9 +295,9 @@ mod tests {
                 ref_comcast(|x| x + seed, &xs)
             };
             let m = Machine::new(p, ClockParams::free());
-            let run_fast = m.run(|ctx| bs_repeat(ctx, 0, seed, 1));
+            let run_fast = m.run_des(|ctx| Box::pin(bs_repeat(ctx, 0, seed, 1)));
             assert_eq!(run_fast.results, expect, "bcast_repeat p={p}");
-            let run_opt = m.run(|ctx| bs_cost_optimal(ctx, seed, 1));
+            let run_opt = m.run_des(|ctx| Box::pin(bs_cost_optimal(ctx, seed, 1)));
             assert_eq!(run_opt.results, expect, "cost_optimal p={p}");
         }
     }
@@ -324,8 +310,8 @@ mod tests {
         let mw = 64u64;
         for p in [8usize, 16, 64] {
             let m = Machine::new(p, params);
-            let fast = m.run(|ctx| bs_repeat(ctx, 0, 1i64, mw));
-            let opt = m.run(|ctx| bs_cost_optimal(ctx, 1i64, mw));
+            let fast = m.run_des(|ctx| Box::pin(bs_repeat(ctx, 0, 1i64, mw)));
+            let opt = m.run_des(|ctx| Box::pin(bs_cost_optimal(ctx, 1i64, mw)));
             assert!(
                 opt.makespan > fast.makespan,
                 "p={p}: cost-optimal {} should exceed bcast;repeat {}",
@@ -341,7 +327,7 @@ mod tests {
         let params = ClockParams::new(100.0, 2.0);
         for (p, mw) in [(8usize, 10u64), (64, 32)] {
             let m = Machine::new(p, params);
-            let run = m.run(move |ctx| bs_repeat(ctx, 0, 1i64, mw));
+            let run = m.run_des(move |ctx| Box::pin(bs_repeat(ctx, 0, 1i64, mw)));
             let logp = collopt_machine::topology::ceil_log2(p) as f64;
             let expected = logp * (params.ts + mw as f64 * (params.tw + 2.0));
             assert_eq!(run.makespan, expected, "p={p} m={mw}");
@@ -351,7 +337,7 @@ mod tests {
     #[test]
     fn nonzero_root_rotates_the_pattern() {
         let m = Machine::new(5, ClockParams::free());
-        let run = m.run(|ctx| bs_repeat(ctx, 2, 10i64, 1));
+        let run = m.run_des(|ctx| Box::pin(bs_repeat(ctx, 2, 10i64, 1)));
         // Virtual index of rank r is (r - 2) mod 5.
         assert_eq!(run.results, vec![40, 50, 10, 20, 30]);
     }

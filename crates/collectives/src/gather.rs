@@ -119,13 +119,15 @@ pub async fn barrier_dissemination_async(ctx: &mut Ctx) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use collopt_machine::{drive, ClockParams, Machine};
+    use collopt_machine::{ClockParams, Machine};
 
     #[test]
     fn gather_assembles_in_rank_order() {
         for p in 1..=20usize {
             let m = Machine::new(p, ClockParams::free());
-            let run = m.run(|ctx| drive(gather_binomial_async(ctx, ctx.rank() * 10, 1)));
+            let run = m.run_des(|ctx| {
+                Box::pin(async move { gather_binomial_async(ctx, ctx.rank() * 10, 1).await })
+            });
             let expected: Vec<usize> = (0..p).map(|r| r * 10).collect();
             assert_eq!(run.results[0], Some(expected), "p={p}");
             assert!(run.results[1..].iter().all(Option::is_none));
@@ -136,10 +138,12 @@ mod tests {
     fn scatter_delivers_each_block_to_its_rank() {
         for p in 1..=20usize {
             let m = Machine::new(p, ClockParams::free());
-            let run = m.run(move |ctx| {
-                let blocks =
-                    (ctx.rank() == 0).then(|| (0..ctx.size()).map(|r| r * 7 + 1).collect());
-                drive(scatter_binomial_async(ctx, blocks, 1))
+            let run = m.run_des(move |ctx| {
+                Box::pin(async move {
+                    let blocks =
+                        (ctx.rank() == 0).then(|| (0..ctx.size()).map(|r| r * 7 + 1).collect());
+                    scatter_binomial_async(ctx, blocks, 1).await
+                })
             });
             let expected: Vec<usize> = (0..p).map(|r| r * 7 + 1).collect();
             assert_eq!(run.results, expected, "p={p}");
@@ -152,10 +156,13 @@ mod tests {
             let original: Vec<String> = (0..p).map(|r| format!("block{r}")).collect();
             let orig2 = std::sync::Arc::new(original.clone());
             let m = Machine::new(p, ClockParams::free());
-            let run = m.run(move |ctx| {
-                let blocks = (ctx.rank() == 0).then(|| orig2.as_ref().clone());
-                let mine = drive(scatter_binomial_async(ctx, blocks, 4));
-                drive(gather_binomial_async(ctx, mine, 4))
+            let run = m.run_des(move |ctx| {
+                let orig2 = std::sync::Arc::clone(&orig2);
+                Box::pin(async move {
+                    let blocks = (ctx.rank() == 0).then(|| orig2.as_ref().clone());
+                    let mine = scatter_binomial_async(ctx, blocks, 4).await;
+                    gather_binomial_async(ctx, mine, 4).await
+                })
             });
             assert_eq!(run.results[0], Some(original), "p={p}");
         }
@@ -165,7 +172,9 @@ mod tests {
     fn allgather_gives_everyone_everything() {
         for p in [1usize, 2, 5, 8, 11] {
             let m = Machine::new(p, ClockParams::free());
-            let run = m.run(|ctx| drive(allgather_binomial_async(ctx, ctx.rank() as i64, 1)));
+            let run = m.run_des(|ctx| {
+                Box::pin(async move { allgather_binomial_async(ctx, ctx.rank() as i64, 1).await })
+            });
             let expected: Vec<i64> = (0..p as i64).collect();
             for (rank, r) in run.results.iter().enumerate() {
                 assert_eq!(r, &expected, "p={p} rank={rank}");
@@ -178,9 +187,11 @@ mod tests {
         for p in [1usize, 2, 3, 6, 8, 13] {
             let params = ClockParams::new(50.0, 1.0);
             let m = Machine::new(p, params);
-            let run = m.run(|ctx| {
-                drive(barrier_dissemination_async(ctx));
-                ctx.time()
+            let run = m.run_des(|ctx| {
+                Box::pin(async move {
+                    barrier_dissemination_async(ctx).await;
+                    ctx.time()
+                })
             });
             if p == 1 {
                 assert_eq!(run.makespan, 0.0);
@@ -198,12 +209,14 @@ mod tests {
     fn barrier_actually_synchronizes() {
         // A rank that races ahead must wait for the slowest rank's round.
         let m = Machine::new(4, ClockParams::new(10.0, 0.0));
-        let run = m.run(|ctx| {
-            if ctx.rank() == 2 {
-                ctx.charge(500.0, "slow");
-            }
-            drive(barrier_dissemination_async(ctx));
-            ctx.time()
+        let run = m.run_des(|ctx| {
+            Box::pin(async move {
+                if ctx.rank() == 2 {
+                    ctx.charge(500.0, "slow");
+                }
+                barrier_dissemination_async(ctx).await;
+                ctx.time()
+            })
         });
         for (rank, &t) in run.finish_times.iter().enumerate() {
             assert!(
@@ -216,7 +229,9 @@ mod tests {
     #[test]
     fn gather_charges_no_compute() {
         let m = Machine::new(8, ClockParams::new(10.0, 1.0));
-        let run = m.run(|ctx| drive(gather_binomial_async(ctx, ctx.rank(), 2)));
+        let run = m.run_des(|ctx| {
+            Box::pin(async move { gather_binomial_async(ctx, ctx.rank(), 2).await })
+        });
         assert!(run.compute_ops.iter().all(|&c| c == 0.0));
         assert!(run.makespan > 0.0);
     }

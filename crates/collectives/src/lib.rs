@@ -29,14 +29,10 @@
 //! simulated clock exactly what the paper's model charges: `ts + m·tw` per
 //! message phase and one unit per base-operation per word.
 //!
-//! Each collective is one `async fn x_async(ctx, ..)`, written once. A
-//! rank body on the event engine ([`Machine::run_des`]) awaits it; a
-//! blocking rank body on the thread engine ([`Machine::run`]) runs it to
-//! completion with [`drive`]`(x_async(ctx, ..))`.
+//! Each collective is one `async fn x_async(ctx, ..)`, written once; a
+//! rank body run by [`Machine::run_des`] awaits it.
 //!
 //! [`Machine::run_des`]: collopt_machine::Machine::run_des
-//! [`Machine::run`]: collopt_machine::Machine::run
-//! [`drive`]: collopt_machine::drive
 //!
 //! ## Semantics
 //!

@@ -114,16 +114,18 @@ pub async fn bcast_pipelined_async<T: Clone + Send + 'static>(
 mod tests {
     use super::*;
     use crate::bcast::bcast_binomial_async;
-    use collopt_machine::{drive, ClockParams, Machine};
+    use collopt_machine::{ClockParams, Machine};
 
     #[test]
     fn pipelined_bcast_delivers_the_block_everywhere() {
         for p in 1..=12usize {
             for segments in [1u64, 2, 3, 7] {
                 let m = Machine::new(p, ClockParams::free());
-                let run = m.run(move |ctx| {
-                    let value = (ctx.rank() == 0).then(|| (0..23i64).collect::<Vec<i64>>());
-                    drive(bcast_pipelined_async(ctx, 0, value, 1, segments))
+                let run = m.run_des(move |ctx| {
+                    Box::pin(async move {
+                        let value = (ctx.rank() == 0).then(|| (0..23i64).collect::<Vec<i64>>());
+                        bcast_pipelined_async(ctx, 0, value, 1, segments).await
+                    })
                 });
                 let expected: Vec<i64> = (0..23).collect();
                 for (rank, r) in run.results.iter().enumerate() {
@@ -137,9 +139,11 @@ mod tests {
     fn pipelined_bcast_with_nonzero_root() {
         let p = 6;
         let m = Machine::new(p, ClockParams::free());
-        let run = m.run(|ctx| {
-            let value = (ctx.rank() == 2).then(|| vec![9u8, 8, 7]);
-            drive(bcast_pipelined_async(ctx, 2, value, 1, 2))
+        let run = m.run_des(|ctx| {
+            Box::pin(async move {
+                let value = (ctx.rank() == 2).then(|| vec![9u8, 8, 7]);
+                bcast_pipelined_async(ctx, 2, value, 1, 2).await
+            })
         });
         assert!(run.results.iter().all(|r| r == &vec![9, 8, 7]));
     }
@@ -147,9 +151,11 @@ mod tests {
     #[test]
     fn more_segments_than_elements_is_fine() {
         let m = Machine::new(3, ClockParams::free());
-        let run = m.run(|ctx| {
-            let value = (ctx.rank() == 0).then(|| vec![1i64, 2]);
-            drive(bcast_pipelined_async(ctx, 0, value, 1, 64))
+        let run = m.run_des(|ctx| {
+            Box::pin(async move {
+                let value = (ctx.rank() == 0).then(|| vec![1i64, 2]);
+                bcast_pipelined_async(ctx, 0, value, 1, 64).await
+            })
         });
         assert!(run.results.iter().all(|r| r == &vec![1, 2]));
     }
@@ -163,13 +169,19 @@ mod tests {
         assert!(segments > 1);
 
         let m = Machine::new(p, clock);
-        let tree = m.run(move |ctx| {
-            let value = (ctx.rank() == 0).then(|| vec![1u8; mw]);
-            drive(bcast_binomial_async(ctx, 0, value, mw as u64)).len()
+        let tree = m.run_des(move |ctx| {
+            Box::pin(async move {
+                let value = (ctx.rank() == 0).then(|| vec![1u8; mw]);
+                bcast_binomial_async(ctx, 0, value, mw as u64).await.len()
+            })
         });
-        let chain = m.run(move |ctx| {
-            let value = (ctx.rank() == 0).then(|| vec![1u8; mw]);
-            drive(bcast_pipelined_async(ctx, 0, value, 1, segments)).len()
+        let chain = m.run_des(move |ctx| {
+            Box::pin(async move {
+                let value = (ctx.rank() == 0).then(|| vec![1u8; mw]);
+                bcast_pipelined_async(ctx, 0, value, 1, segments)
+                    .await
+                    .len()
+            })
         });
         assert!(
             chain.makespan < tree.makespan,
@@ -185,13 +197,17 @@ mod tests {
         let (p, mw) = (16usize, 4usize);
         let clock = ClockParams::parsytec_like();
         let m = Machine::new(p, clock);
-        let tree = m.run(move |ctx| {
-            let value = (ctx.rank() == 0).then(|| vec![1u8; mw]);
-            drive(bcast_binomial_async(ctx, 0, value, mw as u64)).len()
+        let tree = m.run_des(move |ctx| {
+            Box::pin(async move {
+                let value = (ctx.rank() == 0).then(|| vec![1u8; mw]);
+                bcast_binomial_async(ctx, 0, value, mw as u64).await.len()
+            })
         });
-        let chain = m.run(move |ctx| {
-            let value = (ctx.rank() == 0).then(|| vec![1u8; mw]);
-            drive(bcast_pipelined_async(ctx, 0, value, 1, 1)).len()
+        let chain = m.run_des(move |ctx| {
+            Box::pin(async move {
+                let value = (ctx.rank() == 0).then(|| vec![1u8; mw]);
+                bcast_pipelined_async(ctx, 0, value, 1, 1).await.len()
+            })
         });
         assert!(tree.makespan < chain.makespan);
     }
@@ -206,9 +222,13 @@ mod tests {
         ] {
             let (ts, tw) = (100.0, 2.0);
             let m = Machine::new(p, ClockParams::new(ts, tw));
-            let run = m.run(move |ctx| {
-                let value = (ctx.rank() == 0).then(|| vec![1u8; mw as usize]);
-                drive(bcast_pipelined_async(ctx, 0, value, 1, segments)).len()
+            let run = m.run_des(move |ctx| {
+                Box::pin(async move {
+                    let value = (ctx.rank() == 0).then(|| vec![1u8; mw as usize]);
+                    bcast_pipelined_async(ctx, 0, value, 1, segments)
+                        .await
+                        .len()
+                })
             });
             let predicted = chain_cost(p, mw, segments, ts, tw);
             assert_eq!(

@@ -154,21 +154,18 @@ mod tests {
     use super::*;
     use crate::reference::{ref_allreduce, ref_reduce_value};
     use collopt_machine::topology::ceil_log2;
-    use collopt_machine::{drive, ClockParams, Machine};
+    use collopt_machine::{ClockParams, Machine};
 
     #[test]
     fn reduce_sums_to_root_zero() {
         for p in [1, 2, 3, 5, 6, 8, 11, 16, 27] {
             let m = Machine::new(p, ClockParams::free());
-            let run = m.run(|ctx| {
-                let add = |a: &u64, b: &u64| a + b;
-                drive(reduce_binomial_async(
-                    ctx,
-                    0,
-                    ctx.rank() as u64 + 1,
-                    1,
-                    &Combine::new(&add),
-                ))
+            let run = m.run_des(|ctx| {
+                Box::pin(async move {
+                    let add = |a: &u64, b: &u64| a + b;
+                    reduce_binomial_async(ctx, 0, ctx.rank() as u64 + 1, 1, &Combine::new(&add))
+                        .await
+                })
             });
             let expected: u64 = (1..=p as u64).sum();
             assert_eq!(run.results[0], Some(expected), "p={p}");
@@ -182,10 +179,12 @@ mod tests {
         // result must be "abcdef..." in rank order.
         for p in [2, 3, 6, 7, 12] {
             let m = Machine::new(p, ClockParams::free());
-            let run = m.run(|ctx| {
-                let cat = |a: &String, b: &String| format!("{a}{b}");
-                let mine = char::from(b'a' + ctx.rank() as u8).to_string();
-                drive(reduce_binomial_async(ctx, 0, mine, 1, &Combine::new(&cat)))
+            let run = m.run_des(|ctx| {
+                Box::pin(async move {
+                    let cat = |a: &String, b: &String| format!("{a}{b}");
+                    let mine = char::from(b'a' + ctx.rank() as u8).to_string();
+                    reduce_binomial_async(ctx, 0, mine, 1, &Combine::new(&cat)).await
+                })
             });
             let expected: String = (0..p).map(|i| char::from(b'a' + i as u8)).collect();
             assert_eq!(run.results[0], Some(expected), "p={p}");
@@ -195,15 +194,11 @@ mod tests {
     #[test]
     fn reduce_to_nonzero_root_rotates_order() {
         let m = Machine::new(4, ClockParams::free());
-        let run = m.run(|ctx| {
-            let cat = |a: &String, b: &String| format!("{a}{b}");
-            drive(reduce_binomial_async(
-                ctx,
-                2,
-                ctx.rank().to_string(),
-                1,
-                &Combine::new(&cat),
-            ))
+        let run = m.run_des(|ctx| {
+            Box::pin(async move {
+                let cat = |a: &String, b: &String| format!("{a}{b}");
+                reduce_binomial_async(ctx, 2, ctx.rank().to_string(), 1, &Combine::new(&cat)).await
+            })
         });
         // Virtual order starting at root 2: ranks 2,3,0,1.
         assert_eq!(run.results[2], Some("2301".to_string()));
@@ -218,16 +213,12 @@ mod tests {
         for p in 2..=9usize {
             for root in 0..p {
                 let m = Machine::new(p, ClockParams::free());
-                let run = m.run(move |ctx| {
-                    let cat = |a: &String, b: &String| format!("{a}{b}");
-                    let mine = char::from(b'a' + ctx.rank() as u8).to_string();
-                    drive(reduce_binomial_async(
-                        ctx,
-                        root,
-                        mine,
-                        1,
-                        &Combine::new(&cat),
-                    ))
+                let run = m.run_des(move |ctx| {
+                    Box::pin(async move {
+                        let cat = |a: &String, b: &String| format!("{a}{b}");
+                        let mine = char::from(b'a' + ctx.rank() as u8).to_string();
+                        reduce_binomial_async(ctx, root, mine, 1, &Combine::new(&cat)).await
+                    })
                 });
                 let expected: String = (0..p)
                     .map(|v| char::from(b'a' + ((root + v) % p) as u8))
@@ -249,18 +240,14 @@ mod tests {
         for (p, mw) in [(2usize, 4u64), (8, 16), (64, 1000)] {
             let params = ClockParams::new(100.0, 2.0);
             let m = Machine::new(p, params);
-            let run = m.run(|ctx| {
-                let add = |a: &Vec<u64>, b: &Vec<u64>| {
-                    a.iter().zip(b).map(|(x, y)| x + y).collect::<Vec<u64>>()
-                };
-                let block = vec![ctx.rank() as u64; mw as usize];
-                drive(reduce_binomial_async(
-                    ctx,
-                    0,
-                    block,
-                    mw,
-                    &Combine::new(&add),
-                ))
+            let run = m.run_des(|ctx| {
+                Box::pin(async move {
+                    let add = |a: &Vec<u64>, b: &Vec<u64>| {
+                        a.iter().zip(b).map(|(x, y)| x + y).collect::<Vec<u64>>()
+                    };
+                    let block = vec![ctx.rank() as u64; mw as usize];
+                    reduce_binomial_async(ctx, 0, block, mw, &Combine::new(&add)).await
+                })
             });
             let expected = ceil_log2(p) as f64 * (params.ts + mw as f64 * (params.tw + 1.0));
             assert_eq!(run.makespan, expected, "p={p} m={mw}");
@@ -271,14 +258,12 @@ mod tests {
     fn butterfly_allreduce_agrees_with_reference() {
         for p in [1usize, 2, 4, 8, 16, 32] {
             let m = Machine::new(p, ClockParams::free());
-            let run = m.run(|ctx| {
-                let mul = |a: &u128, b: &u128| a * b;
-                drive(allreduce_butterfly_async(
-                    ctx,
-                    ctx.rank() as u128 + 2,
-                    1,
-                    &Combine::new(&mul),
-                ))
+            let run = m.run_des(|ctx| {
+                Box::pin(async move {
+                    let mul = |a: &u128, b: &u128| a * b;
+                    allreduce_butterfly_async(ctx, ctx.rank() as u128 + 2, 1, &Combine::new(&mul))
+                        .await
+                })
             });
             let input: Vec<u128> = (0..p as u128).map(|r| r + 2).collect();
             let expected = ref_allreduce(|a, b| a * b, &input);
@@ -290,14 +275,12 @@ mod tests {
     fn butterfly_allreduce_preserves_rank_order() {
         for p in [2usize, 4, 8, 16] {
             let m = Machine::new(p, ClockParams::free());
-            let run = m.run(|ctx| {
-                let cat = |a: &String, b: &String| format!("{a}{b}");
-                drive(allreduce_butterfly_async(
-                    ctx,
-                    ctx.rank().to_string(),
-                    1,
-                    &Combine::new(&cat),
-                ))
+            let run = m.run_des(|ctx| {
+                Box::pin(async move {
+                    let cat = |a: &String, b: &String| format!("{a}{b}");
+                    allreduce_butterfly_async(ctx, ctx.rank().to_string(), 1, &Combine::new(&cat))
+                        .await
+                })
             });
             let expected: String = (0..p).map(|i| i.to_string()).collect();
             assert!(run.results.iter().all(|r| r == &expected), "p={p}");
@@ -308,14 +291,11 @@ mod tests {
     fn generic_allreduce_handles_any_size() {
         for p in 1..20 {
             let m = Machine::new(p, ClockParams::free());
-            let run = m.run(|ctx| {
-                let cat = |a: &String, b: &String| format!("{a}{b}");
-                drive(allreduce_async(
-                    ctx,
-                    ctx.rank().to_string(),
-                    1,
-                    &Combine::new(&cat),
-                ))
+            let run = m.run_des(|ctx| {
+                Box::pin(async move {
+                    let cat = |a: &String, b: &String| format!("{a}{b}");
+                    allreduce_async(ctx, ctx.rank().to_string(), 1, &Combine::new(&cat)).await
+                })
             });
             let expected: String = (0..p).map(|i| i.to_string()).collect();
             assert!(run.results.iter().all(|r| r == &expected), "p={p}");
@@ -326,14 +306,12 @@ mod tests {
     fn commutative_allreduce_is_correct_for_any_size() {
         for p in 1..=20usize {
             let m = Machine::new(p, ClockParams::free());
-            let run = m.run(|ctx| {
-                let add = |a: &i64, b: &i64| a + b;
-                drive(allreduce_commutative_async(
-                    ctx,
-                    ctx.rank() as i64 + 1,
-                    1,
-                    &Combine::new(&add),
-                ))
+            let run = m.run_des(|ctx| {
+                Box::pin(async move {
+                    let add = |a: &i64, b: &i64| a + b;
+                    allreduce_commutative_async(ctx, ctx.rank() as i64 + 1, 1, &Combine::new(&add))
+                        .await
+                })
             });
             let expected: i64 = (1..=p as i64).sum();
             assert!(
@@ -352,14 +330,13 @@ mod tests {
         let params = ClockParams::parsytec_like();
         let m = Machine::new(p, params);
         let add = |a: &i64, b: &i64| a + b;
-        let generic = m.run(move |ctx| drive(allreduce_async(ctx, 1i64, 8, &Combine::new(&add))));
-        let comm = m.run(move |ctx| {
-            drive(allreduce_commutative_async(
-                ctx,
-                1i64,
-                8,
-                &Combine::new(&add),
-            ))
+        let generic = m.run_des(move |ctx| {
+            Box::pin(async move { allreduce_async(ctx, 1i64, 8, &Combine::new(&add)).await })
+        });
+        let comm = m.run_des(move |ctx| {
+            Box::pin(
+                async move { allreduce_commutative_async(ctx, 1i64, 8, &Combine::new(&add)).await },
+            )
         });
         assert_eq!(generic.results, comm.results);
         assert!(
@@ -376,16 +353,14 @@ mod tests {
         let p = 16;
         let mw = 10u64;
         let m = Machine::new(p, params);
-        let run = m.run(|ctx| {
-            let add = |a: &Vec<u64>, b: &Vec<u64>| {
-                a.iter().zip(b).map(|(x, y)| x + y).collect::<Vec<u64>>()
-            };
-            drive(allreduce_butterfly_async(
-                ctx,
-                vec![1u64; mw as usize],
-                mw,
-                &Combine::new(&add),
-            ))
+        let run = m.run_des(|ctx| {
+            Box::pin(async move {
+                let add = |a: &Vec<u64>, b: &Vec<u64>| {
+                    a.iter().zip(b).map(|(x, y)| x + y).collect::<Vec<u64>>()
+                };
+                allreduce_butterfly_async(ctx, vec![1u64; mw as usize], mw, &Combine::new(&add))
+                    .await
+            })
         });
         let expected = 4.0 * (50.0 + 10.0 * 1.0 + 10.0);
         assert_eq!(run.makespan, expected);
@@ -400,18 +375,13 @@ mod tests {
             let p = rng.range_usize(1, 24);
             let inputs: Vec<i64> = (0..p).map(|_| rng.range_i64(-100, 100)).collect();
             let expected = ref_reduce_value(|a, b| a + b, &inputs);
-            let shared = std::sync::Arc::new(inputs);
             let m = Machine::new(p, ClockParams::free());
-            let inputs2 = shared.clone();
-            let run = m.run(move |ctx| {
-                let add = |a: &i64, b: &i64| a + b;
-                drive(reduce_binomial_async(
-                    ctx,
-                    0,
-                    inputs2[ctx.rank()],
-                    1,
-                    &Combine::new(&add),
-                ))
+            let run = m.run_des(|ctx| {
+                let mine = inputs[ctx.rank()];
+                Box::pin(async move {
+                    let add = |a: &i64, b: &i64| a + b;
+                    reduce_binomial_async(ctx, 0, mine, 1, &Combine::new(&add)).await
+                })
             });
             assert_eq!(run.results[0], Some(expected));
         }
@@ -421,9 +391,11 @@ mod tests {
     #[should_panic(expected = "power-of-two")]
     fn butterfly_rejects_non_power_of_two() {
         let m = Machine::new(6, ClockParams::free());
-        m.run(|ctx| {
-            let add = |a: &i64, b: &i64| a + b;
-            drive(allreduce_butterfly_async(ctx, 1i64, 1, &Combine::new(&add)))
+        m.run_des(|ctx| {
+            Box::pin(async move {
+                let add = |a: &i64, b: &i64| a + b;
+                allreduce_butterfly_async(ctx, 1i64, 1, &Combine::new(&add)).await
+            })
         });
     }
 }

@@ -318,7 +318,7 @@ mod tests {
     use super::*;
     use crate::reference::ref_allreduce;
     use collopt_machine::topology::ceil_log2;
-    use collopt_machine::{drive, ClockParams, Machine};
+    use collopt_machine::{ClockParams, Machine};
     use std::sync::Arc;
 
     fn add_blocks(a: &Vec<i64>, b: &Vec<i64>) -> Vec<i64> {
@@ -346,14 +346,12 @@ mod tests {
         for p in [1usize, 2, 4, 8, 16] {
             for n in [p, 3 * p, 37, 5] {
                 let m = Machine::new(p, ClockParams::free());
-                let run = m.run(move |ctx| {
-                    let block = block_of(ctx.rank(), n);
-                    drive(reduce_scatter_halving_async(
-                        ctx,
-                        block,
-                        1,
-                        &Combine::new(&add_blocks),
-                    ))
+                let run = m.run_des(move |ctx| {
+                    Box::pin(async move {
+                        let block = block_of(ctx.rank(), n);
+                        reduce_scatter_halving_async(ctx, block, 1, &Combine::new(&add_blocks))
+                            .await
+                    })
                 });
                 let expected = summed(p, n).split_into(p);
                 for (rank, got) in run.results.iter().enumerate() {
@@ -370,15 +368,12 @@ mod tests {
         for p in [2usize, 4, 8, 16] {
             let n = 11usize;
             let m = Machine::new(p, ClockParams::free());
-            let run = m.run(move |ctx| {
-                let letter = char::from(b'a' + ctx.rank() as u8).to_string();
-                let block: Vec<String> = vec![letter; n];
-                drive(reduce_scatter_halving_async(
-                    ctx,
-                    block,
-                    1,
-                    &Combine::new(&cat_blocks),
-                ))
+            let run = m.run_des(move |ctx| {
+                Box::pin(async move {
+                    let letter = char::from(b'a' + ctx.rank() as u8).to_string();
+                    let block: Vec<String> = vec![letter; n];
+                    reduce_scatter_halving_async(ctx, block, 1, &Combine::new(&cat_blocks)).await
+                })
             });
             let word: String = (0..p).map(|r| char::from(b'a' + r as u8)).collect();
             for (rank, got) in run.results.iter().enumerate() {
@@ -391,7 +386,9 @@ mod tests {
     fn doubling_reassembles_the_block_in_rank_order() {
         for p in [1usize, 2, 4, 8, 16] {
             let m = Machine::new(p, ClockParams::free());
-            let run = m.run(|ctx| drive(allgather_doubling_async(ctx, vec![ctx.rank(); 3], 1)));
+            let run = m.run_des(|ctx| {
+                Box::pin(async move { allgather_doubling_async(ctx, vec![ctx.rank(); 3], 1).await })
+            });
             let expected: Vec<usize> = (0..p).flat_map(|r| vec![r; 3]).collect();
             for (rank, got) in run.results.iter().enumerate() {
                 assert_eq!(got, &expected, "p={p} rank={rank}");
@@ -404,10 +401,12 @@ mod tests {
         for p in [1usize, 2, 3, 5, 6, 7, 9, 12] {
             for n in [2 * p, 23] {
                 let m = Machine::new(p, ClockParams::free());
-                let run = m.run(move |ctx| {
-                    let block = block_of(ctx.rank(), n);
-                    let op = Combine::new(&add_blocks).assume_commutative();
-                    drive(reduce_scatter_ring_async(ctx, block, 1, &op))
+                let run = m.run_des(move |ctx| {
+                    Box::pin(async move {
+                        let block = block_of(ctx.rank(), n);
+                        let op = Combine::new(&add_blocks).assume_commutative();
+                        reduce_scatter_ring_async(ctx, block, 1, &op).await
+                    })
                 });
                 let expected = summed(p, n).split_into(p);
                 for (rank, got) in run.results.iter().enumerate() {
@@ -421,14 +420,11 @@ mod tests {
     #[should_panic(expected = "commutative")]
     fn ring_reduce_scatter_rejects_undeclared_operators() {
         let m = Machine::new(4, ClockParams::free());
-        m.run(|ctx| {
-            let block = block_of(ctx.rank(), 8);
-            drive(reduce_scatter_ring_async(
-                ctx,
-                block,
-                1,
-                &Combine::new(&add_blocks),
-            ))
+        m.run_des(|ctx| {
+            Box::pin(async move {
+                let block = block_of(ctx.rank(), 8);
+                reduce_scatter_ring_async(ctx, block, 1, &Combine::new(&add_blocks)).await
+            })
         });
     }
 
@@ -437,10 +433,12 @@ mod tests {
         for p in 1..=12usize {
             let n = 17usize;
             let machine = Machine::new(p, ClockParams::free());
-            let run = machine.run(move |ctx| {
-                let block = block_of(ctx.rank(), n);
-                let op = Combine::new(&add_blocks).assume_commutative();
-                drive(allreduce_rabenseifner_async(ctx, block, 1, &op))
+            let run = machine.run_des(move |ctx| {
+                Box::pin(async move {
+                    let block = block_of(ctx.rank(), n);
+                    let op = Combine::new(&add_blocks).assume_commutative();
+                    allreduce_rabenseifner_async(ctx, block, 1, &op).await
+                })
             });
             let inputs: Vec<Vec<i64>> = (0..p).map(|r| block_of(r, n)).collect();
             let expected = ref_allreduce(add_blocks, &inputs);
@@ -453,14 +451,17 @@ mod tests {
         for p in [2usize, 4, 8, 16] {
             let n = 9usize;
             let machine = Machine::new(p, ClockParams::free());
-            let run = machine.run(move |ctx| {
-                let letter = char::from(b'a' + ctx.rank() as u8).to_string();
-                drive(allreduce_rabenseifner_async(
-                    ctx,
-                    vec![letter; n],
-                    1,
-                    &Combine::new(&cat_blocks),
-                ))
+            let run = machine.run_des(move |ctx| {
+                Box::pin(async move {
+                    let letter = char::from(b'a' + ctx.rank() as u8).to_string();
+                    allreduce_rabenseifner_async(
+                        ctx,
+                        vec![letter; n],
+                        1,
+                        &Combine::new(&cat_blocks),
+                    )
+                    .await
+                })
             });
             let word: String = (0..p).map(|r| char::from(b'a' + r as u8)).collect();
             for (rank, got) in run.results.iter().enumerate() {
@@ -475,14 +476,17 @@ mod tests {
         // must still produce the rank-order result.
         for p in [3usize, 5, 6, 7, 9] {
             let machine = Machine::new(p, ClockParams::free());
-            let run = machine.run(|ctx| {
-                let letter = char::from(b'a' + ctx.rank() as u8).to_string();
-                drive(allreduce_rabenseifner_async(
-                    ctx,
-                    vec![letter; 4],
-                    1,
-                    &Combine::new(&cat_blocks),
-                ))
+            let run = machine.run_des(|ctx| {
+                Box::pin(async move {
+                    let letter = char::from(b'a' + ctx.rank() as u8).to_string();
+                    allreduce_rabenseifner_async(
+                        ctx,
+                        vec![letter; 4],
+                        1,
+                        &Combine::new(&cat_blocks),
+                    )
+                    .await
+                })
             });
             let word: String = (0..p).map(|r| char::from(b'a' + r as u8)).collect();
             for (rank, got) in run.results.iter().enumerate() {
@@ -496,10 +500,12 @@ mod tests {
         for p in 1..=11usize {
             let n = 3 * p.max(1);
             let machine = Machine::new(p, ClockParams::free());
-            let run = machine.run(move |ctx| {
-                let block = block_of(ctx.rank(), n);
-                let op = Combine::new(&add_blocks).assume_commutative();
-                drive(allreduce_ring_async(ctx, block, 1, &op))
+            let run = machine.run_des(move |ctx| {
+                Box::pin(async move {
+                    let block = block_of(ctx.rank(), n);
+                    let op = Combine::new(&add_blocks).assume_commutative();
+                    allreduce_ring_async(ctx, block, 1, &op).await
+                })
             });
             let expected = summed(p, n);
             for (rank, got) in run.results.iter().enumerate() {
@@ -514,14 +520,11 @@ mod tests {
         let (ts, tw) = (100.0, 2.0);
         for (p, mw) in [(2usize, 64usize), (8, 64), (16, 1600)] {
             let machine = Machine::new(p, ClockParams::new(ts, tw));
-            let run = machine.run(move |ctx| {
-                let block = block_of(ctx.rank(), mw);
-                drive(reduce_scatter_halving_async(
-                    ctx,
-                    block,
-                    1,
-                    &Combine::new(&add_blocks),
-                ))
+            let run = machine.run_des(move |ctx| {
+                Box::pin(async move {
+                    let block = block_of(ctx.rank(), mw);
+                    reduce_scatter_halving_async(ctx, block, 1, &Combine::new(&add_blocks)).await
+                })
             });
             let frac = 1.0 - 1.0 / p as f64;
             let expected = ceil_log2(p) as f64 * ts + mw as f64 * frac * (tw + 1.0);
@@ -535,9 +538,11 @@ mod tests {
         let (ts, tw) = (100.0, 2.0);
         for (p, mw) in [(4usize, 64usize), (16, 1600)] {
             let machine = Machine::new(p, ClockParams::new(ts, tw));
-            let run = machine.run(move |ctx| {
-                let seg = vec![ctx.rank() as i64; mw / ctx.size()];
-                drive(allgather_doubling_async(ctx, seg, 1))
+            let run = machine.run_des(move |ctx| {
+                Box::pin(async move {
+                    let seg = vec![ctx.rank() as i64; mw / ctx.size()];
+                    allgather_doubling_async(ctx, seg, 1).await
+                })
             });
             let frac = 1.0 - 1.0 / p as f64;
             let expected = ceil_log2(p) as f64 * ts + mw as f64 * frac * tw;
@@ -551,14 +556,11 @@ mod tests {
         let (ts, tw) = (100.0, 2.0);
         for (p, mw) in [(4usize, 64usize), (8, 640), (16, 1600)] {
             let machine = Machine::new(p, ClockParams::new(ts, tw));
-            let run = machine.run(move |ctx| {
-                let block = block_of(ctx.rank(), mw);
-                drive(allreduce_rabenseifner_async(
-                    ctx,
-                    block,
-                    1,
-                    &Combine::new(&add_blocks),
-                ))
+            let run = machine.run_des(move |ctx| {
+                Box::pin(async move {
+                    let block = block_of(ctx.rank(), mw);
+                    allreduce_rabenseifner_async(ctx, block, 1, &Combine::new(&add_blocks)).await
+                })
             });
             let frac = 1.0 - 1.0 / p as f64;
             let expected = 2.0 * ceil_log2(p) as f64 * ts + mw as f64 * frac * (2.0 * tw + 1.0);
@@ -574,10 +576,12 @@ mod tests {
         let (ts, tw) = (100.0, 2.0);
         for (p, mw) in [(4usize, 64usize), (5, 100), (8, 640)] {
             let machine = Machine::new(p, ClockParams::new(ts, tw));
-            let run = machine.run(move |ctx| {
-                let block = block_of(ctx.rank(), mw);
-                let op = Combine::new(&add_blocks).assume_commutative();
-                drive(allreduce_ring_async(ctx, block, 1, &op))
+            let run = machine.run_des(move |ctx| {
+                Box::pin(async move {
+                    let block = block_of(ctx.rank(), mw);
+                    let op = Combine::new(&add_blocks).assume_commutative();
+                    allreduce_ring_async(ctx, block, 1, &op).await
+                })
             });
             let seg = mw as f64 / p as f64;
             let steps = (p - 1) as f64;
@@ -591,23 +595,23 @@ mod tests {
         let (p, mw) = (16usize, 32_000usize);
         let clock = ClockParams::parsytec_like();
         let machine = Machine::new(p, clock);
-        let butterfly = machine.run(move |ctx| {
-            let block = block_of(ctx.rank(), mw);
-            drive(crate::reduce::allreduce_butterfly_async(
-                ctx,
-                block,
-                mw as u64,
-                &Combine::new(&add_blocks),
-            ))
+        let butterfly = machine.run_des(move |ctx| {
+            Box::pin(async move {
+                let block = block_of(ctx.rank(), mw);
+                crate::reduce::allreduce_butterfly_async(
+                    ctx,
+                    block,
+                    mw as u64,
+                    &Combine::new(&add_blocks),
+                )
+                .await
+            })
         });
-        let raben = machine.run(move |ctx| {
-            let block = block_of(ctx.rank(), mw);
-            drive(allreduce_rabenseifner_async(
-                ctx,
-                block,
-                1,
-                &Combine::new(&add_blocks),
-            ))
+        let raben = machine.run_des(move |ctx| {
+            Box::pin(async move {
+                let block = block_of(ctx.rank(), mw);
+                allreduce_rabenseifner_async(ctx, block, 1, &Combine::new(&add_blocks)).await
+            })
         });
         assert_eq!(butterfly.results, raben.results);
         assert!(
@@ -623,23 +627,23 @@ mod tests {
         let (p, mw) = (16usize, 4usize);
         let clock = ClockParams::parsytec_like();
         let machine = Machine::new(p, clock);
-        let butterfly = machine.run(move |ctx| {
-            let block = block_of(ctx.rank(), mw);
-            drive(crate::reduce::allreduce_butterfly_async(
-                ctx,
-                block,
-                mw as u64,
-                &Combine::new(&add_blocks),
-            ))
+        let butterfly = machine.run_des(move |ctx| {
+            Box::pin(async move {
+                let block = block_of(ctx.rank(), mw);
+                crate::reduce::allreduce_butterfly_async(
+                    ctx,
+                    block,
+                    mw as u64,
+                    &Combine::new(&add_blocks),
+                )
+                .await
+            })
         });
-        let raben = machine.run(move |ctx| {
-            let block = block_of(ctx.rank(), mw);
-            drive(allreduce_rabenseifner_async(
-                ctx,
-                block,
-                1,
-                &Combine::new(&add_blocks),
-            ))
+        let raben = machine.run_des(move |ctx| {
+            Box::pin(async move {
+                let block = block_of(ctx.rank(), mw);
+                allreduce_rabenseifner_async(ctx, block, 1, &Combine::new(&add_blocks)).await
+            })
         });
         assert!(butterfly.makespan < raben.makespan);
     }
@@ -677,21 +681,22 @@ mod tests {
                     })
                     .collect()
             };
-            let butterfly = machine.run(move |ctx| {
-                drive(crate::balanced::allreduce_balanced_async(
-                    ctx,
-                    block(ctx.rank()),
-                    n as u64,
-                    &balanced_op(),
-                ))
+            let butterfly = machine.run_des(move |ctx| {
+                Box::pin(async move {
+                    crate::balanced::allreduce_balanced_async(
+                        ctx,
+                        block(ctx.rank()),
+                        n as u64,
+                        &balanced_op(),
+                    )
+                    .await
+                })
             });
-            let halving = machine.run(move |ctx| {
-                drive(allreduce_balanced_halving_async(
-                    ctx,
-                    block(ctx.rank()),
-                    1,
-                    &balanced_op(),
-                ))
+            let halving = machine.run_des(move |ctx| {
+                Box::pin(async move {
+                    allreduce_balanced_halving_async(ctx, block(ctx.rank()), 1, &balanced_op())
+                        .await
+                })
             });
             assert_eq!(butterfly.results, halving.results, "p={p}");
         }
@@ -715,16 +720,18 @@ mod tests {
         let (ts, tw) = (100.0, 2.0);
         let (p, mw) = (8usize, 64usize);
         let machine = Machine::new(p, ClockParams::new(ts, tw));
-        let run = machine.run(move |ctx| {
-            let block: Vec<(i64, i64)> = vec![(1, 1); mw];
-            let op = BalancedOp {
-                combine: &combine,
-                solo: &solo,
-                ops_combine: 4.0,
-                ops_solo: 1.0,
-                words_factor: 2,
-            };
-            drive(allreduce_balanced_halving_async(ctx, block, 1, &op))
+        let run = machine.run_des(move |ctx| {
+            Box::pin(async move {
+                let block: Vec<(i64, i64)> = vec![(1, 1); mw];
+                let op = BalancedOp {
+                    combine: &combine,
+                    solo: &solo,
+                    ops_combine: 4.0,
+                    ops_solo: 1.0,
+                    words_factor: 2,
+                };
+                allreduce_balanced_halving_async(ctx, block, 1, &op).await
+            })
         });
         let frac = 1.0 - 1.0 / p as f64;
         let expected = 2.0 * ceil_log2(p) as f64 * ts + mw as f64 * frac * (2.0 * 2.0 * tw + 4.0);
@@ -737,14 +744,11 @@ mod tests {
         for p in [4usize, 8] {
             let n = 3usize; // fewer elements than ranks
             let machine = Machine::new(p, ClockParams::free());
-            let run = machine.run(move |ctx| {
-                let block = block_of(ctx.rank(), n);
-                drive(allreduce_rabenseifner_async(
-                    ctx,
-                    block,
-                    1,
-                    &Combine::new(&add_blocks),
-                ))
+            let run = machine.run_des(move |ctx| {
+                Box::pin(async move {
+                    let block = block_of(ctx.rank(), n);
+                    allreduce_rabenseifner_async(ctx, block, 1, &Combine::new(&add_blocks)).await
+                })
             });
             let expected = summed(p, n);
             for got in &run.results {
@@ -764,14 +768,12 @@ mod tests {
                 .collect();
             let shared = Arc::new(inputs.clone());
             let machine = Machine::new(p, ClockParams::free());
-            let run = machine.run(move |ctx| {
-                let op = Combine::new(&add_blocks).assume_commutative();
-                drive(allreduce_rabenseifner_async(
-                    ctx,
-                    shared[ctx.rank()].clone(),
-                    1,
-                    &op,
-                ))
+            let run = machine.run_des(move |ctx| {
+                let shared = Arc::clone(&shared);
+                Box::pin(async move {
+                    let op = Combine::new(&add_blocks).assume_commutative();
+                    allreduce_rabenseifner_async(ctx, shared[ctx.rank()].clone(), 1, &op).await
+                })
             });
             let expected = ref_allreduce(add_blocks, &inputs);
             assert_eq!(run.results, expected, "p={p} n={n}");

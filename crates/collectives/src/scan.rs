@@ -76,16 +76,19 @@ mod tests {
     use super::*;
     use crate::reference::{ref_exscan, ref_scan};
     use collopt_machine::topology::ceil_log2;
-    use collopt_machine::{drive, ClockParams, Machine};
+    use collopt_machine::{ClockParams, Machine};
     use std::sync::Arc;
 
     fn run_scan_i64(inputs: Vec<i64>, op: fn(&i64, &i64) -> i64) -> Vec<i64> {
         let p = inputs.len();
         let shared = Arc::new(inputs);
         let m = Machine::new(p, ClockParams::free());
-        let run = m.run(move |ctx| {
-            let c = Combine::new(&op);
-            drive(scan_butterfly_async(ctx, shared[ctx.rank()], 1, &c))
+        let run = m.run_des(move |ctx| {
+            let shared = Arc::clone(&shared);
+            Box::pin(async move {
+                let c = Combine::new(&op);
+                scan_butterfly_async(ctx, shared[ctx.rank()], 1, &c).await
+            })
         });
         run.results
     }
@@ -110,14 +113,11 @@ mod tests {
     fn scan_preserves_order_for_nonabelian_op() {
         for p in [2usize, 3, 5, 6, 8, 12, 17] {
             let m = Machine::new(p, ClockParams::free());
-            let run = m.run(|ctx| {
-                let cat = |a: &String, b: &String| format!("{a}{b}");
-                drive(scan_butterfly_async(
-                    ctx,
-                    ctx.rank().to_string(),
-                    1,
-                    &Combine::new(&cat),
-                ))
+            let run = m.run_des(|ctx| {
+                Box::pin(async move {
+                    let cat = |a: &String, b: &String| format!("{a}{b}");
+                    scan_butterfly_async(ctx, ctx.rank().to_string(), 1, &Combine::new(&cat)).await
+                })
             });
             for (rank, r) in run.results.iter().enumerate() {
                 let expected: String = (0..=rank).map(|i| i.to_string()).collect();
@@ -138,16 +138,14 @@ mod tests {
         for (p, mw) in [(2usize, 4u64), (8, 16), (64, 500)] {
             let params = ClockParams::new(100.0, 2.0);
             let m = Machine::new(p, params);
-            let run = m.run(|ctx| {
-                let add = |a: &Vec<u64>, b: &Vec<u64>| {
-                    a.iter().zip(b).map(|(x, y)| x + y).collect::<Vec<u64>>()
-                };
-                drive(scan_butterfly_async(
-                    ctx,
-                    vec![1u64; mw as usize],
-                    mw,
-                    &Combine::new(&add),
-                ))
+            let run = m.run_des(|ctx| {
+                Box::pin(async move {
+                    let add = |a: &Vec<u64>, b: &Vec<u64>| {
+                        a.iter().zip(b).map(|(x, y)| x + y).collect::<Vec<u64>>()
+                    };
+                    scan_butterfly_async(ctx, vec![1u64; mw as usize], mw, &Combine::new(&add))
+                        .await
+                })
             });
             let expected = ceil_log2(p) as f64 * (params.ts + mw as f64 * (params.tw + 2.0));
             assert_eq!(run.makespan, expected, "p={p} m={mw}");
@@ -158,12 +156,14 @@ mod tests {
     fn scan_on_blocks_is_elementwise_prefix() {
         let p = 6;
         let m = Machine::new(p, ClockParams::free());
-        let run = m.run(|ctx| {
-            let add = |a: &Vec<i64>, b: &Vec<i64>| {
-                a.iter().zip(b).map(|(x, y)| x + y).collect::<Vec<i64>>()
-            };
-            let block = vec![ctx.rank() as i64, 10 * ctx.rank() as i64];
-            drive(scan_butterfly_async(ctx, block, 2, &Combine::new(&add)))
+        let run = m.run_des(|ctx| {
+            Box::pin(async move {
+                let add = |a: &Vec<i64>, b: &Vec<i64>| {
+                    a.iter().zip(b).map(|(x, y)| x + y).collect::<Vec<i64>>()
+                };
+                let block = vec![ctx.rank() as i64, 10 * ctx.rank() as i64];
+                scan_butterfly_async(ctx, block, 2, &Combine::new(&add)).await
+            })
         });
         for rank in 0..p {
             let s: i64 = (0..=rank as i64).sum();
@@ -177,14 +177,12 @@ mod tests {
             let inputs: Vec<i64> = (0..p as i64).map(|i| 2 * i + 1).collect();
             let shared = Arc::new(inputs.clone());
             let m = Machine::new(p, ClockParams::free());
-            let run = m.run(move |ctx| {
-                let add = |a: &i64, b: &i64| a + b;
-                drive(exscan_async(
-                    ctx,
-                    shared[ctx.rank()],
-                    1,
-                    &Combine::new(&add),
-                ))
+            let run = m.run_des(move |ctx| {
+                let shared = Arc::clone(&shared);
+                Box::pin(async move {
+                    let add = |a: &i64, b: &i64| a + b;
+                    exscan_async(ctx, shared[ctx.rank()], 1, &Combine::new(&add)).await
+                })
             });
             assert_eq!(run.results, ref_exscan(|a, b| a + b, &inputs), "p={p}");
         }

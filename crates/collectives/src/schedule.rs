@@ -1202,8 +1202,8 @@ pub fn planted_variants() -> Vec<PlantedVariant> {
 
 /// Runnable twins of the planted-bug schedules — real lowerings with the
 /// same defects, used to demonstrate that what the static verifier
-/// rejects also fails dynamically (the DES engine detects the deadlock
-/// and panics; the thread engine would hang).
+/// rejects also fails dynamically (the event engine detects the deadlock
+/// and panics).
 pub mod planted {
     use super::*;
     use crate::op::Splittable;

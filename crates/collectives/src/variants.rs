@@ -441,14 +441,16 @@ mod tests {
     use crate::reduce::allreduce_butterfly_async;
     use crate::reference::ref_scan;
     use crate::scan::scan_butterfly_async;
-    use collopt_machine::{drive, Machine};
+    use collopt_machine::Machine;
     use std::sync::Arc;
 
     #[test]
     fn ring_allgather_is_correct_for_all_sizes() {
         for p in 1..=13usize {
             let m = Machine::new(p, ClockParams::free());
-            let run = m.run(|ctx| drive(allgather_ring_async(ctx, ctx.rank() * 3, 1)));
+            let run = m.run_des(|ctx| {
+                Box::pin(async move { allgather_ring_async(ctx, ctx.rank() * 3, 1).await })
+            });
             let expected: Vec<usize> = (0..p).map(|r| r * 3).collect();
             for (rank, r) in run.results.iter().enumerate() {
                 assert_eq!(r, &expected, "p={p} rank={rank}");
@@ -460,9 +462,11 @@ mod tests {
     fn scatter_allgather_bcast_is_correct() {
         for p in 1..=12usize {
             let m = Machine::new(p, ClockParams::free());
-            let run = m.run(move |ctx| {
-                let value = (ctx.rank() == 0).then(|| (0..25i64).collect::<Vec<i64>>());
-                drive(bcast_scatter_allgather_async(ctx, value, 1))
+            let run = m.run_des(move |ctx| {
+                Box::pin(async move {
+                    let value = (ctx.rank() == 0).then(|| (0..25i64).collect::<Vec<i64>>());
+                    bcast_scatter_allgather_async(ctx, value, 1).await
+                })
             });
             let expected: Vec<i64> = (0..25).collect();
             for (rank, r) in run.results.iter().enumerate() {
@@ -476,13 +480,17 @@ mod tests {
         let (p, mw) = (16usize, 32_000usize);
         let clock = ClockParams::parsytec_like();
         let machine = Machine::new(p, clock);
-        let tree = machine.run(move |ctx| {
-            let v = (ctx.rank() == 0).then(|| vec![1u8; mw]);
-            drive(bcast_binomial_async(ctx, 0, v, mw as u64)).len()
+        let tree = machine.run_des(move |ctx| {
+            Box::pin(async move {
+                let v = (ctx.rank() == 0).then(|| vec![1u8; mw]);
+                bcast_binomial_async(ctx, 0, v, mw as u64).await.len()
+            })
         });
-        let vdg = machine.run(move |ctx| {
-            let v = (ctx.rank() == 0).then(|| vec![1u8; mw]);
-            drive(bcast_scatter_allgather_async(ctx, v, 1)).len()
+        let vdg = machine.run_des(move |ctx| {
+            Box::pin(async move {
+                let v = (ctx.rank() == 0).then(|| vec![1u8; mw]);
+                bcast_scatter_allgather_async(ctx, v, 1).await.len()
+            })
         });
         assert!(
             vdg.makespan < tree.makespan,
@@ -497,13 +505,17 @@ mod tests {
         let (p, mw) = (16usize, 4usize);
         let clock = ClockParams::parsytec_like();
         let machine = Machine::new(p, clock);
-        let tree = machine.run(move |ctx| {
-            let v = (ctx.rank() == 0).then(|| vec![1u8; mw]);
-            drive(bcast_binomial_async(ctx, 0, v, mw as u64)).len()
+        let tree = machine.run_des(move |ctx| {
+            Box::pin(async move {
+                let v = (ctx.rank() == 0).then(|| vec![1u8; mw]);
+                bcast_binomial_async(ctx, 0, v, mw as u64).await.len()
+            })
         });
-        let vdg = machine.run(move |ctx| {
-            let v = (ctx.rank() == 0).then(|| vec![1u8; mw]);
-            drive(bcast_scatter_allgather_async(ctx, v, 1)).len()
+        let vdg = machine.run_des(move |ctx| {
+            Box::pin(async move {
+                let v = (ctx.rank() == 0).then(|| vec![1u8; mw]);
+                bcast_scatter_allgather_async(ctx, v, 1).await.len()
+            })
         });
         assert!(tree.makespan < vdg.makespan);
     }
@@ -514,14 +526,12 @@ mod tests {
             let inputs: Vec<i64> = (0..p as i64).map(|i| 2 * i - 3).collect();
             let shared = Arc::new(inputs.clone());
             let m = Machine::new(p, ClockParams::free());
-            let run = m.run(move |ctx| {
-                let add = |a: &i64, b: &i64| a + b;
-                drive(scan_sklansky_async(
-                    ctx,
-                    shared[ctx.rank()],
-                    1,
-                    &Combine::new(&add),
-                ))
+            let run = m.run_des(move |ctx| {
+                let shared = Arc::clone(&shared);
+                Box::pin(async move {
+                    let add = |a: &i64, b: &i64| a + b;
+                    scan_sklansky_async(ctx, shared[ctx.rank()], 1, &Combine::new(&add)).await
+                })
             });
             assert_eq!(run.results, ref_scan(|a, b| a + b, &inputs), "p={p}");
         }
@@ -531,14 +541,11 @@ mod tests {
     fn sklansky_preserves_order_for_nonabelian_op() {
         for p in [2usize, 5, 8, 11] {
             let m = Machine::new(p, ClockParams::free());
-            let run = m.run(|ctx| {
-                let cat = |a: &String, b: &String| format!("{a}{b}");
-                drive(scan_sklansky_async(
-                    ctx,
-                    ctx.rank().to_string(),
-                    1,
-                    &Combine::new(&cat),
-                ))
+            let run = m.run_des(|ctx| {
+                Box::pin(async move {
+                    let cat = |a: &String, b: &String| format!("{a}{b}");
+                    scan_sklansky_async(ctx, ctx.rank().to_string(), 1, &Combine::new(&cat)).await
+                })
             });
             for (rank, r) in run.results.iter().enumerate() {
                 let expected: String = (0..=rank).map(|i| i.to_string()).collect();
@@ -552,13 +559,17 @@ mod tests {
         let p = 16usize;
         let clock = ClockParams::free();
         let machine = Machine::new(p, clock);
-        let butterfly = machine.run(|ctx| {
-            let add = |a: &i64, b: &i64| a + b;
-            drive(scan_butterfly_async(ctx, 1i64, 1, &Combine::new(&add)))
+        let butterfly = machine.run_des(|ctx| {
+            Box::pin(async move {
+                let add = |a: &i64, b: &i64| a + b;
+                scan_butterfly_async(ctx, 1i64, 1, &Combine::new(&add)).await
+            })
         });
-        let sklansky = machine.run(|ctx| {
-            let add = |a: &i64, b: &i64| a + b;
-            drive(scan_sklansky_async(ctx, 1i64, 1, &Combine::new(&add)))
+        let sklansky = machine.run_des(|ctx| {
+            Box::pin(async move {
+                let add = |a: &i64, b: &i64| a + b;
+                scan_sklansky_async(ctx, 1i64, 1, &Combine::new(&add)).await
+            })
         });
         assert_eq!(butterfly.results, sklansky.results);
         let bf: f64 = butterfly.compute_ops.iter().sum();
@@ -572,9 +583,11 @@ mod tests {
         let clock = ClockParams::parsytec_like();
         for (p, mw) in [(16usize, 32_000usize), (16, 8000), (8, 4000)] {
             let machine = Machine::new(p, clock);
-            let run = machine.run(move |ctx| {
-                let v = (ctx.rank() == 0).then(|| vec![1u8; mw]);
-                drive(bcast_scatter_allgather_async(ctx, v, 1)).len()
+            let run = machine.run_des(move |ctx| {
+                Box::pin(async move {
+                    let v = (ctx.rank() == 0).then(|| vec![1u8; mw]);
+                    bcast_scatter_allgather_async(ctx, v, 1).await.len()
+                })
             });
             let logp = ceil_log2(p) as f64;
             let predicted = logp * clock.ts
@@ -604,22 +617,28 @@ mod tests {
         let clock = ClockParams::parsytec_like();
         for (p, mw) in [(8usize, 8usize), (8, 2000), (16, 32_000)] {
             let machine = Machine::new(p, clock);
-            let auto = machine.run(move |ctx| {
-                let v = (ctx.rank() == 0).then(|| (0..mw as i64).collect::<Vec<i64>>());
-                drive(bcast_auto_async(ctx, v, 1))
+            let auto = machine.run_des(move |ctx| {
+                Box::pin(async move {
+                    let v = (ctx.rank() == 0).then(|| (0..mw as i64).collect::<Vec<i64>>());
+                    bcast_auto_async(ctx, v, 1).await
+                })
             });
             let expected: Vec<i64> = (0..mw as i64).collect();
             assert!(auto.results.iter().all(|r| r == &expected), "p={p} m={mw}");
 
             // Compare against both fixed strategies (+ the tiny length
             // pre-broadcast the auto version pays).
-            let tree = machine.run(move |ctx| {
-                let v = (ctx.rank() == 0).then(|| vec![0i64; mw]);
-                drive(bcast_binomial_async(ctx, 0, v, mw as u64)).len()
+            let tree = machine.run_des(move |ctx| {
+                Box::pin(async move {
+                    let v = (ctx.rank() == 0).then(|| vec![0i64; mw]);
+                    bcast_binomial_async(ctx, 0, v, mw as u64).await.len()
+                })
             });
-            let vdg = machine.run(move |ctx| {
-                let v = (ctx.rank() == 0).then(|| vec![0i64; mw]);
-                drive(bcast_scatter_allgather_async(ctx, v, 1)).len()
+            let vdg = machine.run_des(move |ctx| {
+                Box::pin(async move {
+                    let v = (ctx.rank() == 0).then(|| vec![0i64; mw]);
+                    bcast_scatter_allgather_async(ctx, v, 1).await.len()
+                })
             });
             let preamble = collopt_machine::topology::ceil_log2(p) as f64 * (clock.ts + clock.tw);
             assert!(
@@ -675,10 +694,13 @@ mod tests {
         for p in 1..=12usize {
             for mw in [3usize, 40] {
                 let machine = Machine::new(p, ClockParams::parsytec_like());
-                let run = machine.run(move |ctx| {
-                    let block: Vec<i64> = (0..mw as i64).map(|e| ctx.rank() as i64 + e).collect();
-                    let op = Combine::new(&add_blocks).assume_commutative();
-                    drive(allreduce_auto_async(ctx, block, 1, &op))
+                let run = machine.run_des(move |ctx| {
+                    Box::pin(async move {
+                        let block: Vec<i64> =
+                            (0..mw as i64).map(|e| ctx.rank() as i64 + e).collect();
+                        let op = Combine::new(&add_blocks).assume_commutative();
+                        allreduce_auto_async(ctx, block, 1, &op).await
+                    })
                 });
                 let expected: Vec<i64> = (0..mw as i64)
                     .map(|e| (0..p as i64).map(|r| r + e).sum())
@@ -702,11 +724,13 @@ mod tests {
                     let choice = choose_allreduce(p, mw, 1.0, true, &params);
                     let predicted = allreduce_model_cost(choice, p, mw, 1.0, &params);
                     let machine = Machine::new(p, params);
-                    let run = machine.run(move |ctx| {
-                        let block: Vec<i64> =
-                            (0..mw as i64).map(|e| ctx.rank() as i64 + e).collect();
-                        let op = Combine::new(&add_blocks).assume_commutative();
-                        drive(allreduce_auto_async(ctx, block, 1, &op))
+                    let run = machine.run_des(move |ctx| {
+                        Box::pin(async move {
+                            let block: Vec<i64> =
+                                (0..mw as i64).map(|e| ctx.rank() as i64 + e).collect();
+                            let op = Combine::new(&add_blocks).assume_commutative();
+                            allreduce_auto_async(ctx, block, 1, &op).await
+                        })
                     });
                     let err = (run.makespan - predicted).abs() / predicted;
                     assert!(
@@ -725,23 +749,18 @@ mod tests {
         let params = ClockParams::parsytec_like();
         for mw in [8usize, 1024, 16_384] {
             let machine = Machine::new(8, params);
-            let auto = machine.run(move |ctx| {
-                let block: Vec<i64> = (0..mw as i64).collect();
-                drive(allreduce_auto_async(
-                    ctx,
-                    block,
-                    1,
-                    &Combine::new(&add_blocks),
-                ))
+            let auto = machine.run_des(move |ctx| {
+                Box::pin(async move {
+                    let block: Vec<i64> = (0..mw as i64).collect();
+                    allreduce_auto_async(ctx, block, 1, &Combine::new(&add_blocks)).await
+                })
             });
-            let fixed = machine.run(move |ctx| {
-                let block: Vec<i64> = (0..mw as i64).collect();
-                drive(allreduce_butterfly_async(
-                    ctx,
-                    block,
-                    mw as u64,
-                    &Combine::new(&add_blocks),
-                ))
+            let fixed = machine.run_des(move |ctx| {
+                Box::pin(async move {
+                    let block: Vec<i64> = (0..mw as i64).collect();
+                    allreduce_butterfly_async(ctx, block, mw as u64, &Combine::new(&add_blocks))
+                        .await
+                })
             });
             assert_eq!(auto.results, fixed.results);
             assert!(
@@ -772,17 +791,14 @@ mod tests {
         for p in [4usize, 6, 8] {
             for mw in [4usize, 4096] {
                 let machine = Machine::new(p, params);
-                let run = machine.run(move |ctx| {
-                    let letter = char::from(b'a' + ctx.rank() as u8).to_string();
-                    let cat = |a: &Vec<String>, b: &Vec<String>| -> Vec<String> {
-                        a.iter().zip(b).map(|(x, y)| format!("{x}{y}")).collect()
-                    };
-                    drive(reduce_auto_async(
-                        ctx,
-                        vec![letter; mw],
-                        1,
-                        &Combine::new(&cat),
-                    ))
+                let run = machine.run_des(move |ctx| {
+                    Box::pin(async move {
+                        let letter = char::from(b'a' + ctx.rank() as u8).to_string();
+                        let cat = |a: &Vec<String>, b: &Vec<String>| -> Vec<String> {
+                            a.iter().zip(b).map(|(x, y)| format!("{x}{y}")).collect()
+                        };
+                        reduce_auto_async(ctx, vec![letter; mw], 1, &Combine::new(&cat)).await
+                    })
                 });
                 let word: String = (0..p).map(|r| char::from(b'a' + r as u8)).collect();
                 assert!(
@@ -805,10 +821,12 @@ mod tests {
                     let choice = choose_reduce(p, mw, 1.0, &params);
                     let predicted = reduce_model_cost(choice, p, mw, 1.0, &params);
                     let machine = Machine::new(p, params);
-                    let run = machine.run(move |ctx| {
-                        let block: Vec<i64> =
-                            (0..mw as i64).map(|e| ctx.rank() as i64 + e).collect();
-                        drive(reduce_auto_async(ctx, block, 1, &Combine::new(&add_blocks)))
+                    let run = machine.run_des(move |ctx| {
+                        Box::pin(async move {
+                            let block: Vec<i64> =
+                                (0..mw as i64).map(|e| ctx.rank() as i64 + e).collect();
+                            reduce_auto_async(ctx, block, 1, &Combine::new(&add_blocks)).await
+                        })
                     });
                     let err = (run.makespan - predicted).abs() / predicted;
                     assert!(

@@ -14,7 +14,7 @@ use collopt_collectives::{
     allreduce_auto_async, allreduce_butterfly_async, allreduce_rabenseifner_async,
     allreduce_ring_async,
 };
-use collopt_machine::{drive, ClockParams, Machine, Rng};
+use collopt_machine::{ClockParams, Machine, Rng};
 use std::sync::Arc;
 
 type Block = Vec<i64>;
@@ -71,15 +71,13 @@ fn reduction_family_agrees_with_the_sequential_fold() {
 
         let raben = {
             let shared = Arc::clone(&shared);
-            machine.run(move |ctx| {
-                let f = move |a: &Block, b: &Block| apply(kind, a, b);
-                let op = Combine::new(&f).assume_commutative();
-                drive(allreduce_rabenseifner_async(
-                    ctx,
-                    shared[ctx.rank()].clone(),
-                    1,
-                    &op,
-                ))
+            machine.run_des(move |ctx| {
+                let shared = Arc::clone(&shared);
+                Box::pin(async move {
+                    let f = move |a: &Block, b: &Block| apply(kind, a, b);
+                    let op = Combine::new(&f).assume_commutative();
+                    allreduce_rabenseifner_async(ctx, shared[ctx.rank()].clone(), 1, &op).await
+                })
             })
         };
         assert!(
@@ -89,15 +87,13 @@ fn reduction_family_agrees_with_the_sequential_fold() {
 
         let ring = {
             let shared = Arc::clone(&shared);
-            machine.run(move |ctx| {
-                let f = move |a: &Block, b: &Block| apply(kind, a, b);
-                let op = Combine::new(&f).assume_commutative();
-                drive(allreduce_ring_async(
-                    ctx,
-                    shared[ctx.rank()].clone(),
-                    1,
-                    &op,
-                ))
+            machine.run_des(move |ctx| {
+                let shared = Arc::clone(&shared);
+                Box::pin(async move {
+                    let f = move |a: &Block, b: &Block| apply(kind, a, b);
+                    let op = Combine::new(&f).assume_commutative();
+                    allreduce_ring_async(ctx, shared[ctx.rank()].clone(), 1, &op).await
+                })
             })
         };
         assert!(
@@ -107,15 +103,13 @@ fn reduction_family_agrees_with_the_sequential_fold() {
 
         let auto = {
             let shared = Arc::clone(&shared);
-            machine.run(move |ctx| {
-                let f = move |a: &Block, b: &Block| apply(kind, a, b);
-                let op = Combine::new(&f).assume_commutative();
-                drive(allreduce_auto_async(
-                    ctx,
-                    shared[ctx.rank()].clone(),
-                    1,
-                    &op,
-                ))
+            machine.run_des(move |ctx| {
+                let shared = Arc::clone(&shared);
+                Box::pin(async move {
+                    let f = move |a: &Block, b: &Block| apply(kind, a, b);
+                    let op = Combine::new(&f).assume_commutative();
+                    allreduce_auto_async(ctx, shared[ctx.rank()].clone(), 1, &op).await
+                })
             })
         };
         assert!(
@@ -126,15 +120,14 @@ fn reduction_family_agrees_with_the_sequential_fold() {
         if p.is_power_of_two() {
             let butterfly = {
                 let shared = Arc::clone(&shared);
-                machine.run(move |ctx| {
-                    let f = move |a: &Block, b: &Block| apply(kind, a, b);
-                    let op = Combine::new(&f);
-                    drive(allreduce_butterfly_async(
-                        ctx,
-                        shared[ctx.rank()].clone(),
-                        n as u64,
-                        &op,
-                    ))
+                machine.run_des(move |ctx| {
+                    let shared = Arc::clone(&shared);
+                    Box::pin(async move {
+                        let f = move |a: &Block, b: &Block| apply(kind, a, b);
+                        let op = Combine::new(&f);
+                        allreduce_butterfly_async(ctx, shared[ctx.rank()].clone(), n as u64, &op)
+                            .await
+                    })
                 })
             };
             assert_eq!(
@@ -177,30 +170,38 @@ fn rabenseifner_matches_butterfly_for_nonabelian_ops_on_powers_of_two() {
 
         let raben = {
             let shared = Arc::clone(&shared);
-            machine.run(move |ctx| {
-                let cat = |a: &Vec<String>, b: &Vec<String>| -> Vec<String> {
-                    a.iter().zip(b).map(|(x, y)| format!("{x}{y}")).collect()
-                };
-                drive(allreduce_rabenseifner_async(
-                    ctx,
-                    shared[ctx.rank()].clone(),
-                    1,
-                    &Combine::new(&cat),
-                ))
+            machine.run_des(move |ctx| {
+                let shared = Arc::clone(&shared);
+                Box::pin(async move {
+                    let cat = |a: &Vec<String>, b: &Vec<String>| -> Vec<String> {
+                        a.iter().zip(b).map(|(x, y)| format!("{x}{y}")).collect()
+                    };
+                    allreduce_rabenseifner_async(
+                        ctx,
+                        shared[ctx.rank()].clone(),
+                        1,
+                        &Combine::new(&cat),
+                    )
+                    .await
+                })
             })
         };
         let butterfly = {
             let shared = Arc::clone(&shared);
-            machine.run(move |ctx| {
-                let cat = |a: &Vec<String>, b: &Vec<String>| -> Vec<String> {
-                    a.iter().zip(b).map(|(x, y)| format!("{x}{y}")).collect()
-                };
-                drive(allreduce_butterfly_async(
-                    ctx,
-                    shared[ctx.rank()].clone(),
-                    n as u64,
-                    &Combine::new(&cat),
-                ))
+            machine.run_des(move |ctx| {
+                let shared = Arc::clone(&shared);
+                Box::pin(async move {
+                    let cat = |a: &Vec<String>, b: &Vec<String>| -> Vec<String> {
+                        a.iter().zip(b).map(|(x, y)| format!("{x}{y}")).collect()
+                    };
+                    allreduce_butterfly_async(
+                        ctx,
+                        shared[ctx.rank()].clone(),
+                        n as u64,
+                        &Combine::new(&cat),
+                    )
+                    .await
+                })
             })
         };
         assert!(

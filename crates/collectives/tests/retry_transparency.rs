@@ -9,11 +9,14 @@
 //! that transparency for a representative of each communication pattern
 //! (tree, butterfly, ring) under both probabilistic and surgical drops.
 
+use std::future::Future;
+use std::pin::Pin;
+
 use collopt_collectives::{
     allgather_ring_async, allreduce_async, bcast_binomial_async, reduce_binomial_async,
     scan_butterfly_async, Combine,
 };
-use collopt_machine::{drive, ClockParams, Ctx, FaultPlan, Machine};
+use collopt_machine::{ClockParams, Ctx, FaultPlan, Machine};
 
 /// Run `f` clean and under `plan`; results must match bit for bit.
 /// Returns the number of retries the faulted run performed so callers
@@ -22,11 +25,11 @@ use collopt_machine::{drive, ClockParams, Ctx, FaultPlan, Machine};
 fn check_transparent<T, F>(label: &str, p: usize, plan: &FaultPlan, f: F) -> u64
 where
     T: Send + PartialEq + std::fmt::Debug,
-    F: Fn(&mut Ctx) -> T + Sync,
+    F: for<'a> Fn(&'a mut Ctx) -> Pin<Box<dyn Future<Output = T> + 'a>>,
 {
     let clock = ClockParams::new(100.0, 2.0);
-    let clean = Machine::new(p, clock).run(&f);
-    let faulted = Machine::new(p, clock).with_faults(plan.clone()).run(&f);
+    let clean = Machine::new(p, clock).run_des(&f);
+    let faulted = Machine::new(p, clock).with_faults(plan.clone()).run_des(&f);
     let tag = format!("{label} p={p} plan={}", plan.describe());
     assert_eq!(clean.results, faulted.results, "{tag}: results drifted");
     assert!(
@@ -52,36 +55,36 @@ fn collectives_survive_probabilistic_drops_bit_identically() {
         let plan = FaultPlan::new(seed).with_drops(0.35, 2).with_retry(5, 80.0);
         for p in [2usize, 5, 8] {
             retries += check_transparent("bcast_binomial", p, &plan, |ctx| {
-                let v = (ctx.rank() == 0).then(|| block(0, M));
-                drive(bcast_binomial_async(ctx, 0, v, M as u64))
+                Box::pin(async move {
+                    let v = (ctx.rank() == 0).then(|| block(0, M));
+                    bcast_binomial_async(ctx, 0, v, M as u64).await
+                })
             });
             retries += check_transparent("reduce_binomial", p, &plan, |ctx| {
-                drive(reduce_binomial_async(
-                    ctx,
-                    0,
-                    block(ctx.rank(), M),
-                    M as u64,
-                    &Combine::new(&add),
-                ))
+                Box::pin(async move {
+                    reduce_binomial_async(
+                        ctx,
+                        0,
+                        block(ctx.rank(), M),
+                        M as u64,
+                        &Combine::new(&add),
+                    )
+                    .await
+                })
             });
             retries += check_transparent("allreduce_butterfly", p, &plan, |ctx| {
-                drive(allreduce_async(
-                    ctx,
-                    block(ctx.rank(), M),
-                    M as u64,
-                    &Combine::new(&add),
-                ))
+                Box::pin(async move {
+                    allreduce_async(ctx, block(ctx.rank(), M), M as u64, &Combine::new(&add)).await
+                })
             });
             retries += check_transparent("scan_butterfly", p, &plan, |ctx| {
-                drive(scan_butterfly_async(
-                    ctx,
-                    block(ctx.rank(), M),
-                    M as u64,
-                    &Combine::new(&add),
-                ))
+                Box::pin(async move {
+                    scan_butterfly_async(ctx, block(ctx.rank(), M), M as u64, &Combine::new(&add))
+                        .await
+                })
             });
             retries += check_transparent("allgather_ring", p, &plan, |ctx| {
-                drive(allgather_ring_async(ctx, block(ctx.rank(), 2), 2))
+                Box::pin(async move { allgather_ring_async(ctx, block(ctx.rank(), 2), 2).await })
             });
         }
     }
@@ -100,20 +103,19 @@ fn collectives_survive_surgical_drops_bit_identically() {
         .with_drop_exact(1, 2, 1, 1);
     for p in [3usize, 4, 6] {
         let r = check_transparent("bcast under surgical drops", p, &plan, |ctx| {
-            let v = (ctx.rank() == 0).then(|| block(0, M));
-            drive(bcast_binomial_async(ctx, 0, v, M as u64))
+            Box::pin(async move {
+                let v = (ctx.rank() == 0).then(|| block(0, M));
+                bcast_binomial_async(ctx, 0, v, M as u64).await
+            })
         });
         assert!(r >= 2, "p={p}: the first tree hop is always dropped twice");
         check_transparent("allreduce under surgical drops", p, &plan, |ctx| {
-            drive(allreduce_async(
-                ctx,
-                block(ctx.rank(), M),
-                M as u64,
-                &Combine::new(&add),
-            ))
+            Box::pin(async move {
+                allreduce_async(ctx, block(ctx.rank(), M), M as u64, &Combine::new(&add)).await
+            })
         });
         check_transparent("allgather_ring under surgical drops", p, &plan, |ctx| {
-            drive(allgather_ring_async(ctx, block(ctx.rank(), 2), 2))
+            Box::pin(async move { allgather_ring_async(ctx, block(ctx.rank(), 2), 2).await })
         });
     }
 }

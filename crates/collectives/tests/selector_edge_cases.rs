@@ -9,7 +9,7 @@ use collopt_collectives::{
     allreduce_auto_async, choose_allreduce, choose_reduce, reduce_auto_async,
     reference::ref_allreduce, AllreduceChoice, Combine, ReduceChoice,
 };
-use collopt_machine::{drive, ClockParams, Machine};
+use collopt_machine::{ClockParams, Machine};
 use std::sync::Arc;
 
 fn blocks(p: usize, m: usize) -> Vec<Vec<i64>> {
@@ -43,18 +43,16 @@ fn check_allreduce_auto(p: usize, m: usize, commutative: bool, clock: ClockParam
         ref_allreduce(vfirst, &input)
     };
     let shared = Arc::new(input);
-    let run = Machine::new(p, clock).run(move |ctx| {
-        let combine = if commutative {
-            Combine::new(&vadd).assume_commutative()
-        } else {
-            Combine::new(&vfirst)
-        };
-        drive(allreduce_auto_async(
-            ctx,
-            shared[ctx.rank()].clone(),
-            1,
-            &combine,
-        ))
+    let run = Machine::new(p, clock).run_des(move |ctx| {
+        let shared = Arc::clone(&shared);
+        Box::pin(async move {
+            let combine = if commutative {
+                Combine::new(&vadd).assume_commutative()
+            } else {
+                Combine::new(&vfirst)
+            };
+            allreduce_auto_async(ctx, shared[ctx.rank()].clone(), 1, &combine).await
+        })
     });
     assert_eq!(
         run.results, expected,
@@ -70,17 +68,16 @@ fn check_reduce_auto(p: usize, m: usize, clock: ClockParams) {
         .skip(1)
         .fold(input[0].clone(), |acc, b| vadd(&acc, b));
     let shared = Arc::new(input);
-    let run = Machine::new(p, clock).run(move |ctx| {
-        let value = shared[ctx.rank()].clone();
-        // Non-roots keep their block, matching the paper's reduce
-        // semantics (eq. 5).
-        drive(reduce_auto_async(
-            ctx,
-            value.clone(),
-            1,
-            &Combine::new(&vadd),
-        ))
-        .unwrap_or(value)
+    let run = Machine::new(p, clock).run_des(move |ctx| {
+        let shared = Arc::clone(&shared);
+        Box::pin(async move {
+            let value = shared[ctx.rank()].clone();
+            // Non-roots keep their block, matching the paper's reduce
+            // semantics (eq. 5).
+            reduce_auto_async(ctx, value.clone(), 1, &Combine::new(&vadd))
+                .await
+                .unwrap_or(value)
+        })
     });
     assert_eq!(run.results, expected, "reduce_auto p={p} m={m}");
 }

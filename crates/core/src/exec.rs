@@ -1,8 +1,9 @@
 //! Executing program terms on the simulated machine.
 //!
 //! [`execute`] lowers each [`Stage`] onto the algorithms of
-//! `collopt-collectives`, running the program SPMD-style with one thread
-//! per processor. The returned [`ExecOutcome`] carries both the computed
+//! `collopt-collectives`, running the program SPMD-style on the simulated
+//! machine's discrete-event scheduler, one resumable future per
+//! processor. The returned [`ExecOutcome`] carries both the computed
 //! distributed list (which must agree with
 //! [`crate::semantics::eval_program`] — the integration tests check this
 //! for every rule) and the deterministic simulated makespan under the
@@ -20,8 +21,8 @@ use collopt_collectives::{
     scatter_binomial_async, BalancedOp, Combine, PairedOp, RepeatOp,
 };
 use collopt_machine::{
-    critical_path, drive, ClockParams, CriticalPath, Ctx, ExecEngine, FaultPlan, Machine,
-    MachineError, ProfileError, ProfileReport,
+    critical_path, ClockParams, CriticalPath, Ctx, ExecEngine, FaultPlan, Machine, MachineError,
+    ProfileError, ProfileReport,
 };
 
 use crate::adjust::iter_balanced;
@@ -55,13 +56,11 @@ pub struct ExecConfig {
     /// [`collopt_machine::ProfileReport`]. Only meaningful together with
     /// tracing (see [`execute_traced_with`]); silently inert otherwise.
     pub profile: bool,
-    /// The execution engine. `None` and `Some(Des)` both run on the
-    /// single-threaded discrete-event scheduler ([`ExecEngine::Des`]);
-    /// `Some(Threads)` runs on one scoped thread per rank, which is how the
-    /// identity suites hold the event engine to its reference. The two are
-    /// observationally identical — outputs, makespan bits, retry counts
-    /// and traces match — but only `Des` hosts rank counts past
-    /// [`ExecEngine::THREAD_MAX_P`].
+    /// Every value — `None` and `Some(ExecEngine::Des)` — runs on the one
+    /// engine, the discrete-event scheduler. Kept only because the
+    /// standalone `benchmark/` crate sets it; ROADMAP item 5's follow-up
+    /// `benchmark` issue ("drop the engine vestiges") deletes this field
+    /// with [`ExecEngine`].
     pub engine: Option<ExecEngine>,
 }
 
@@ -94,7 +93,7 @@ pub fn execute(prog: &Program, inputs: &[Value], clock: ClockParams) -> ExecOutc
 /// drops and rank crashes are replayed deterministically. Returns `Err`
 /// with the originating [`MachineError`] when the plan makes the run fail
 /// (a crash, or a message exhausting its retry budget) — cleanly, with
-/// every rank thread joined. An empty plan is observationally inert: the
+/// no rank left hanging. An empty plan is observationally inert: the
 /// outcome is bit-identical to [`execute`].
 pub fn execute_faulted(
     prog: &Program,
@@ -246,26 +245,15 @@ fn try_run_program(
         machine = machine.with_faults(plan.clone());
     }
     let inputs: Arc<Vec<Value>> = Arc::new(inputs.to_vec());
-    // One engine-agnostic rank body. On the thread engine its awaits
-    // resolve immediately (the Ctx methods block the rank thread), so
-    // `drive` completes it in a single poll; on the DES engine the same
-    // future genuinely suspends and the event scheduler interleaves ranks.
-    let run = match config.engine.unwrap_or(ExecEngine::Des) {
-        ExecEngine::Des => {
-            // `try_run_des` requires the rank future to borrow nothing but
-            // its `Ctx`, so the program is copied once per run (a `BinOp`
-            // clone allocates its name and law list) and each rank holds a
-            // handle on that copy and on the inputs.
-            let prog = Arc::new(prog.clone());
-            machine.try_run_des(move |ctx| {
-                let (prog, inputs) = (Arc::clone(&prog), Arc::clone(&inputs));
-                Box::pin(async move { rank_main(&prog, &inputs, config, ctx).await })
-            })?
-        }
-        ExecEngine::Threads => {
-            machine.try_run(|ctx| drive(rank_main(prog, &inputs, config, ctx)))?
-        }
-    };
+    // `try_run_des` requires the rank future to borrow nothing but its
+    // `Ctx`, so the program is copied once per run (a `BinOp` clone
+    // allocates its name and law list) and each rank holds a handle on
+    // that copy and on the inputs.
+    let prog = Arc::new(prog.clone());
+    let run = machine.try_run_des(move |ctx| {
+        let (prog, inputs) = (Arc::clone(&prog), Arc::clone(&inputs));
+        Box::pin(async move { rank_main(&prog, &inputs, config, ctx).await })
+    })?;
     let total_retries = run.total_retries();
     let total_retry_time = run.total_retry_time();
     Ok((

@@ -9,9 +9,7 @@
 use collopt_cost::MachineParams;
 use collopt_machine::{ClockParams, FaultPlan, Json};
 
-use crate::exec::{
-    execute_faulted, execute_profiled, execute_traced_with, execute_with, ExecConfig,
-};
+use crate::exec::{execute, execute_faulted, execute_profiled, execute_traced_with, ExecConfig};
 use crate::rewrite::{program_cost, stage_cost, OptimizeResult, RewriteStep, Rewriter, Witness};
 use crate::rules::enabling::Normalization;
 use crate::term::Program;
@@ -270,25 +268,13 @@ pub fn measured_stage_table(prog: &Program, inputs: &[Value], params: &MachinePa
 /// critical path — the exact chain of messages and computation steps the
 /// makespan is attributable to.
 pub fn profile_section(prog: &Program, inputs: &[Value], clock: ClockParams) -> String {
-    profile_section_with(prog, inputs, clock, ExecConfig::default())
-}
-
-/// [`profile_section`] with explicit [`ExecConfig`] options — in
-/// particular [`ExecConfig::engine`], which lets the `collopt` CLI pin
-/// the run to a named engine (profiling is always enabled here).
-pub fn profile_section_with(
-    prog: &Program,
-    inputs: &[Value],
-    clock: ClockParams,
-    config: ExecConfig,
-) -> String {
     let run = execute_traced_with(
         prog,
         inputs,
         clock,
         ExecConfig {
             profile: true,
-            ..config
+            ..ExecConfig::default()
         },
     );
     let mut out = String::from("```text\n");
@@ -321,23 +307,9 @@ pub fn degradation_section(
     clock: ClockParams,
     plan: &FaultPlan,
 ) -> String {
-    degradation_section_with(prog, inputs, clock, ExecConfig::default(), plan)
-}
-
-/// [`degradation_section`] with explicit [`ExecConfig`] options; both
-/// the clean baseline and the faulted run execute under the same config
-/// (same engine, same adaptive lowerings), so the comparison isolates
-/// the fault plan.
-pub fn degradation_section_with(
-    prog: &Program,
-    inputs: &[Value],
-    clock: ClockParams,
-    config: ExecConfig,
-    plan: &FaultPlan,
-) -> String {
-    let clean = execute_with(prog, inputs, clock, config);
+    let clean = execute(prog, inputs, clock);
     let mut out = format!("fault plan : {}\n", plan.describe());
-    match execute_faulted(prog, inputs, clock, config, plan) {
+    match execute_faulted(prog, inputs, clock, ExecConfig::default(), plan) {
         Ok(faulted) => {
             let overhead = if clean.makespan > 0.0 {
                 100.0 * (faulted.makespan - clean.makespan) / clean.makespan

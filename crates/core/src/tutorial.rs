@@ -78,9 +78,9 @@
 //!
 //! ## 5. Execute on the simulated machine
 //!
-//! The same program runs on a thread-per-rank machine with a
-//! deterministic `ts`/`tw` clock; the fused version moves fewer messages
-//! and finishes earlier:
+//! The same program runs on the simulated machine with a deterministic
+//! `ts`/`tw` clock; the fused version moves fewer messages and finishes
+//! earlier:
 //!
 //! ```
 //! use collopt_core::{execute, op::lib as ops, rewrite::Rewriter, Program, Value};

@@ -1,7 +1,7 @@
 //! Seeded random case generation over the full pipeline grammar.
 //!
 //! A [`CaseSpec`] is a *complete, self-contained* description of one fuzz
-//! case: machine size, block size, execution engine, value domain, the
+//! case: machine size, block size, value domain, the
 //! pipeline (over builtin operators and/or random 4×4 lookup-table
 //! operators with their *declared* — possibly lying — algebraic laws), an
 //! optional [`FaultPlan`], and an optional pre-applied fusion rule. The
@@ -22,7 +22,7 @@ use collopt_core::rules::{self, Rule};
 use collopt_core::term::{Program, Stage};
 use collopt_core::value::Value;
 use collopt_cost::table1::{Laws, Pat, Slot};
-use collopt_machine::{ExecEngine, FaultPlan, Rng};
+use collopt_machine::{FaultPlan, Rng};
 
 /// Size of the lookup-table operator domain `{0..N-1}`.
 pub const N: i64 = 4;
@@ -376,15 +376,13 @@ pub struct CaseSpec {
     pub p: usize,
     /// Words per rank block (`m == 1` means scalar values).
     pub m: usize,
-    /// Engine oracle 1 executes on (oracle 2 always runs both).
-    pub engine: ExecEngine,
     /// Value domain.
     pub domain: CaseDomain,
     /// The pipeline.
     pub stages: Vec<StageSpec>,
     /// Table operators referenced by the pipeline.
     pub tables: Vec<TableSpec>,
-    /// Fault plan for the engine oracle (`None` = clean run).
+    /// Fault plan for the event-order oracle (`None` = clean run).
     pub plan: Option<FaultPlan>,
     /// A rule pre-applied at a stage index, so the case *starts* from a
     /// fused form (exercises Comcast/balanced/IterLocal stages).
@@ -426,11 +424,10 @@ impl CaseSpec {
             Some((rule, at)) => format!("{}@{at}", rule.name()),
         };
         format!(
-            "v1|seed={}|p={}|m={}|engine={}|domain={}|prog={}|tables={}|plan={}|fuse={}",
+            "v1|seed={}|p={}|m={}|domain={}|prog={}|tables={}|plan={}|fuse={}",
             self.seed,
             self.p,
             self.m,
-            self.engine.name(),
             self.domain.label(),
             prog,
             tables,
@@ -449,7 +446,6 @@ impl CaseSpec {
         let mut seed = None;
         let mut p = None;
         let mut m = None;
-        let mut engine = None;
         let mut domain = None;
         let mut stages: Option<Vec<StageSpec>> = None;
         let mut tables: Option<Vec<TableSpec>> = None;
@@ -463,7 +459,6 @@ impl CaseSpec {
                 "seed" => seed = Some(value.parse().map_err(|_| "bad seed")?),
                 "p" => p = Some(value.parse().map_err(|_| "bad p")?),
                 "m" => m = Some(value.parse().map_err(|_| "bad m")?),
-                "engine" => engine = Some(value.parse::<ExecEngine>().map_err(|e| e.to_string())?),
                 "domain" => domain = Some(CaseDomain::parse(value)?),
                 "prog" => {
                     stages = Some(
@@ -513,7 +508,6 @@ impl CaseSpec {
             seed: seed.ok_or("missing seed")?,
             p: p.ok_or("missing p")?,
             m: m.ok_or("missing m")?,
-            engine: engine.ok_or("missing engine")?,
             domain: domain.ok_or("missing domain")?,
             stages: stages.ok_or("missing prog")?,
             tables: tables.ok_or("missing tables")?,
@@ -820,14 +814,12 @@ pub fn generate_case(seed: u64, cfg: &GenConfig) -> CaseSpec {
     let mut rng = Rng::new(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0xF022_2026);
     let p = rng.range_usize(2, cfg.pmax + 1);
     let m = rng.range_usize(1, cfg.mmax + 1);
-    let engine = [ExecEngine::Threads, ExecEngine::Des][rng.range_usize(0, 2)];
     let plan = random_case_plan(&mut rng, seed, p);
 
     let mut case = CaseSpec {
         seed,
         p,
         m,
-        engine,
         domain: CaseDomain::Table,
         stages: Vec::new(),
         tables: Vec::new(),
@@ -1196,15 +1188,14 @@ mod tests {
 
     #[test]
     fn unknown_engines_are_parse_errors_not_panics() {
-        let case = generate_case(0, &GenConfig::default());
-        let spec = case.render();
-        let engine = format!("engine={}", case.engine.name());
-        // `pooled` and `legacy` went with the engines they named: ordinary
-        // unknown values now, no aliases.
-        for bad in ["pooled", "legacy", "warp", ""] {
-            let mutated = spec.replace(&engine, &format!("engine={bad}"));
+        // A spec names no engine: an `engine=` field is an unknown key,
+        // whatever its value.
+        let spec = generate_case(0, &GenConfig::default()).render();
+        for engine in ["des", "threads", "warp", ""] {
+            let mutated = spec.replacen("|domain=", &format!("|engine={engine}|domain="), 1);
             assert_ne!(mutated, spec);
-            assert!(CaseSpec::parse(&mutated).is_err(), "engine={bad} parsed");
+            let err = CaseSpec::parse(&mutated).expect_err(&mutated);
+            assert_eq!(err, "unknown field \"engine\"", "engine={engine}");
         }
     }
 

@@ -1,8 +1,8 @@
 //! Campaign coverage accounting.
 //!
 //! A [`CoverageLedger`] records which Table-1 rules fired, which stage
-//! kinds executed, which fault kinds were injected, and which engines and
-//! domains ran during a campaign. The campaign driver fails the run when
+//! kinds executed, which fault kinds were injected, and which domains ran
+//! during a campaign. The campaign driver fails the run when
 //! any of the 11 rules never fired — a fuzzer that silently stops
 //! exercising a rewrite is worse than no fuzzer, because it keeps
 //! reporting green.
@@ -41,8 +41,6 @@ pub struct CoverageLedger {
     pub stages: BTreeMap<String, u64>,
     /// Fault kinds injected: `none`, `delay`, `lossy`, `crash`.
     pub faults: BTreeMap<&'static str, u64>,
-    /// Engines exercised by oracle 1 (oracle 2 always runs all three).
-    pub engines: BTreeMap<&'static str, u64>,
     /// Value domains exercised.
     pub domains: BTreeMap<&'static str, u64>,
 }
@@ -86,9 +84,6 @@ impl CoverageLedger {
         for (k, v) in &other.faults {
             *self.faults.entry(k).or_insert(0) += v;
         }
-        for (k, v) in &other.engines {
-            *self.engines.entry(k).or_insert(0) += v;
-        }
         for (k, v) in &other.domains {
             *self.domains.entry(k).or_insert(0) += v;
         }
@@ -130,7 +125,6 @@ impl CoverageLedger {
                 "  \"rules\": {},\n",
                 "  \"stages\": {},\n",
                 "  \"faults\": {},\n",
-                "  \"engines\": {},\n",
                 "  \"domains\": {}\n",
                 "}}"
             ),
@@ -146,7 +140,6 @@ impl CoverageLedger {
             map_json(&self.rules),
             map_json(&self.stages),
             map_json(&self.faults),
-            map_json(&self.engines),
             map_json(&self.domains),
         )
     }
@@ -174,7 +167,6 @@ impl CoverageLedger {
             format!("\n{label}: {}", parts.join(" "))
         };
         out.push_str(&line("faults", &self.faults));
-        out.push_str(&line("engines", &self.engines));
         out.push_str(&line("domains", &self.domains));
         out.push_str(&format!("\nstage kinds: {}", self.stages.len()));
         out

@@ -5,10 +5,12 @@
 //!    execution outputs bit-identical on every rank (rank 0 only for the
 //!    paper's Local rules, and only on pipelines where that comparison
 //!    is sound).
-//! 2. **Engines** — the Threads and Des execution engines must
-//!    produce identical outputs, makespan bits, message/retry counters
-//!    and Chrome trace exports for the same program, inputs and fault
-//!    plan (identical [`MachineError`]s for unrecoverable plans).
+//! 2. **EventOrder** — running the same program, inputs and fault plan
+//!    with a seeded permutation of the event scheduler's same-time
+//!    tie-break ([`FaultPlan::order`]) must produce identical outputs,
+//!    makespan, compute and retry-time bits, message/retry counters and
+//!    Chrome trace exports (identical [`MachineError`]s for unrecoverable
+//!    plans) to the canonical order.
 //! 3. **Defense** — the operator auditor, the audited rewriter, the
 //!    certificate validator and the linter must be *unanimous* about
 //!    planted law lies: a lie caught by one must be caught by all, and an
@@ -22,8 +24,8 @@
 //! 5. **StaticCheck** — the static schedule verifier must accept every
 //!    shipped lowering at the case's `(p, m)` point and reject every
 //!    planted-bug lowering with its expected lint code. Together with
-//!    oracle 2 (which runs the shipped lowerings cleanly on all three
-//!    engines) and the planted-deadlock drill tests (which pin the
+//!    oracles 1 and 2 (which run the shipped lowerings cleanly, in two
+//!    event orders) and the planted-deadlock drill tests (which pin the
 //!    dynamic DES deadlock), this closes the loop: static accept ⟺
 //!    clean dynamic run, static reject ⟺ dynamic deadlock.
 
@@ -34,7 +36,7 @@ use collopt_analysis::audit::{audit_operator, AuditConfig, Domain};
 use collopt_analysis::certify::{validate_result, CertificateIssue};
 use collopt_analysis::lint::{lint_program, LintConfig};
 use collopt_core::exec::{
-    execute_faulted, execute_faulted_traced, execute_traced_with, execute_with, ExecConfig,
+    execute, execute_faulted, execute_faulted_traced, execute_traced_with, ExecConfig,
     TracedExecOutcome,
 };
 use collopt_core::op::value_close_with;
@@ -43,7 +45,7 @@ use collopt_core::semantics::eval_program;
 use collopt_core::term::Program;
 use collopt_core::value::Value;
 use collopt_cost::MachineParams;
-use collopt_machine::{chrome_trace_json, ClockParams, ExecEngine, MachineError};
+use collopt_machine::{chrome_trace_json, ClockParams, FaultPlan, MachineError, Rng};
 
 use crate::gen::{CaseDomain, CaseSpec, N};
 use crate::ledger::CoverageLedger;
@@ -58,8 +60,8 @@ const OUT_RTOL: f64 = 1e-9;
 pub enum OracleKind {
     /// Optimized vs. unoptimized divergence.
     Rewrite,
-    /// Cross-engine divergence.
-    Engines,
+    /// Canonical vs. permuted same-time event order divergence.
+    EventOrder,
     /// Defense-layer (auditor/rewriter/certifier/linter) disagreement.
     Defense,
     /// Equality-saturation extraction vs. the brute-force optimality
@@ -76,7 +78,7 @@ impl OracleKind {
     pub fn label(&self) -> &'static str {
         match self {
             OracleKind::Rewrite => "rewrite",
-            OracleKind::Engines => "engines",
+            OracleKind::EventOrder => "order",
             OracleKind::Defense => "defense",
             OracleKind::Saturation => "saturation",
             OracleKind::StaticCheck => "static",
@@ -121,7 +123,6 @@ pub fn run_case(case: &CaseSpec, ledger: &mut CoverageLedger) -> Vec<FuzzFailure
     let mut failures = Vec::new();
     ledger.cases += 1;
     *ledger.domains.entry(case.domain.label()).or_insert(0) += 1;
-    *ledger.engines.entry(case.engine.name()).or_insert(0) += 1;
     *ledger.faults.entry(fault_kind(case)).or_insert(0) += 1;
     for stage in case.program().stages() {
         ledger.record_stage(stage_kind(&stage.describe()));
@@ -138,7 +139,7 @@ pub fn run_case(case: &CaseSpec, ledger: &mut CoverageLedger) -> Vec<FuzzFailure
     }
 
     check_rewrite(case, ledger, &mut failures);
-    check_engines(case, &mut failures);
+    check_event_order(case, &mut failures);
     if case.domain == CaseDomain::Table {
         let before = failures.len();
         check_defenses(case, &mut failures);
@@ -264,14 +265,10 @@ fn push(failures: &mut Vec<FuzzFailure>, case: &CaseSpec, oracle: OracleKind, wh
 fn check_rewrite(case: &CaseSpec, ledger: &mut CoverageLedger, failures: &mut Vec<FuzzFailure>) {
     // The *base* (unfused) pipeline: fused stages carry tuple-typed
     // internal operators that scalar verification samples cannot probe;
-    // pre-fused forms are exercised by the engine oracle instead.
+    // pre-fused forms are exercised by the event-order oracle instead.
     let prog = case.base_program();
     let inputs = case.inputs();
     let samples = verification_samples(case);
-    let config = ExecConfig {
-        engine: Some(case.engine),
-        ..ExecConfig::default()
-    };
 
     // Pass (a): full-rank-preserving rules only — every rank comparable.
     let full = Rewriter::exhaustive()
@@ -281,7 +278,7 @@ fn check_rewrite(case: &CaseSpec, ledger: &mut CoverageLedger, failures: &mut Ve
     for step in &full.steps {
         ledger.record_rule(step.rule);
     }
-    compare_programs(case, &prog, &full.program, &inputs, config, None, failures);
+    compare_programs(case, &prog, &full.program, &inputs, None, failures);
 
     // Pass (b): with the Local (rank0-only) rules. Sound to compare only
     // when non-root ranks cannot feed back into rank 0 afterwards.
@@ -292,15 +289,7 @@ fn check_rewrite(case: &CaseSpec, ledger: &mut CoverageLedger, failures: &mut Ve
     }
     if applied_rank0 {
         if case.rank0_comparison_safe() {
-            compare_programs(
-                case,
-                &prog,
-                &local.program,
-                &inputs,
-                config,
-                Some(0),
-                failures,
-            );
+            compare_programs(case, &prog, &local.program, &inputs, Some(0), failures);
         }
     } else if local.program.to_string() != full.program.to_string() {
         push(
@@ -317,13 +306,11 @@ fn check_rewrite(case: &CaseSpec, ledger: &mut CoverageLedger, failures: &mut Ve
 
 /// Compare reference semantics and machine outputs of two programs;
 /// `only_rank` restricts the comparison (rank0-only rewrites).
-#[allow(clippy::too_many_arguments)]
 fn compare_programs(
     case: &CaseSpec,
     original: &Program,
     optimized: &Program,
     inputs: &[Value],
-    config: ExecConfig,
     only_rank: Option<usize>,
     failures: &mut Vec<FuzzFailure>,
 ) {
@@ -350,8 +337,8 @@ fn compare_programs(
     }
 
     let clock = oracle_clock();
-    let run_a = execute_with(original, inputs, clock, config);
-    let run_b = execute_with(optimized, inputs, clock, config);
+    let run_a = execute(original, inputs, clock);
+    let run_b = execute(optimized, inputs, clock);
     for &r in &ranks {
         if !values_eq(case.domain, &run_a.outputs[r], &run_b.outputs[r]) {
             push(
@@ -369,46 +356,50 @@ fn compare_programs(
 }
 
 // ---------------------------------------------------------------------
-// Oracle 2: Threads == Des
+// Oracle 2: canonical event order == permuted event order
 // ---------------------------------------------------------------------
 
-fn check_engines(case: &CaseSpec, failures: &mut Vec<FuzzFailure>) {
+/// The tie-break oracle 2 compares against the canonical order: drawn from
+/// the case seed, with bit 0 set so that every pair of ranks `(2k, 2k+1)`
+/// due at the same time swaps whatever the draw.
+fn permuted_order(case: &CaseSpec) -> u64 {
+    Rng::new(case.seed).next_u64() | 1
+}
+
+fn check_event_order(case: &CaseSpec, failures: &mut Vec<FuzzFailure>) {
     let prog = case.program();
     let inputs = case.inputs();
     let clock = oracle_clock();
-    let config = |engine| ExecConfig {
-        engine: Some(engine),
+    let config = ExecConfig {
         profile: true,
         ..ExecConfig::default()
     };
+    let order = permuted_order(case);
+    let permuted = case.plan.clone().unwrap_or_default().with_order(order);
     let mut diverge = |what: String| {
         push(
             failures,
             case,
-            OracleKind::Engines,
-            format!("threads vs des: {what}"),
+            OracleKind::EventOrder,
+            format!("canonical vs order={order}: {what}"),
         );
     };
 
-    let recoverable = case
-        .plan
-        .as_ref()
-        .is_none_or(collopt_machine::FaultPlan::is_recoverable);
+    let recoverable = case.plan.as_ref().is_none_or(FaultPlan::is_recoverable);
     if recoverable {
         // Completed traced runs: compare every observable bit-for-bit.
-        let run = |engine| -> Result<TracedExecOutcome, MachineError> {
-            match &case.plan {
-                None => Ok(execute_traced_with(&prog, &inputs, clock, config(engine))),
-                Some(plan) => execute_faulted_traced(&prog, &inputs, clock, config(engine), plan),
-            }
+        let canonical = match &case.plan {
+            None => Ok(execute_traced_with(&prog, &inputs, clock, config)),
+            Some(plan) => execute_faulted_traced(&prog, &inputs, clock, config, plan),
         };
-        let (threads, des) = match (run(ExecEngine::Threads), run(ExecEngine::Des)) {
-            (Ok(threads), Ok(des)) => (threads, des),
-            (Err(e), _) => return diverge(format!("threads failed a recoverable plan: {e}")),
-            (_, Err(e)) => return diverge(format!("des failed a recoverable plan: {e}")),
+        let (a, b): (TracedExecOutcome, TracedExecOutcome) = match (
+            canonical,
+            execute_faulted_traced(&prog, &inputs, clock, config, &permuted),
+        ) {
+            (Ok(a), Ok(b)) => (a, b),
+            (Err(e), _) => return diverge(format!("canonical failed a recoverable plan: {e}")),
+            (_, Err(e)) => return diverge(format!("permuted failed a recoverable plan: {e}")),
         };
-        let a = &threads.outcome;
-        let b = &des.outcome;
         let what = if a.outputs != b.outputs {
             "outputs"
         } else if a.makespan.to_bits() != b.makespan.to_bits() {
@@ -421,8 +412,8 @@ fn check_engines(case: &CaseSpec, failures: &mut Vec<FuzzFailure>) {
             "retry counts"
         } else if a.total_retry_time.to_bits() != b.total_retry_time.to_bits() {
             "retry-time bits"
-        } else if chrome_trace_json(&[("fuzz", &threads.trace)])
-            != chrome_trace_json(&[("fuzz", &des.trace)])
+        } else if chrome_trace_json(&[("fuzz", &a.trace)])
+            != chrome_trace_json(&[("fuzz", &b.trace)])
         {
             "Chrome trace exports"
         } else {
@@ -430,10 +421,12 @@ fn check_engines(case: &CaseSpec, failures: &mut Vec<FuzzFailure>) {
         };
         diverge(format!("{what} differ"));
     } else {
-        // Unrecoverable plan: engines must agree on the error too.
+        // Unrecoverable plan: both orders must share one fate, errors too.
         let plan = case.plan.as_ref().expect("unrecoverable implies a plan");
-        let run = |engine| execute_faulted(&prog, &inputs, clock, config(engine), plan);
-        match (run(ExecEngine::Threads), run(ExecEngine::Des)) {
+        let run = |plan| -> Result<_, MachineError> {
+            execute_faulted(&prog, &inputs, clock, config, plan)
+        };
+        match (run(plan), run(&permuted)) {
             (Ok(a), Ok(b)) => {
                 if a.outputs != b.outputs {
                     diverge("outputs differ".to_string());

@@ -2,14 +2,14 @@
 //!
 //! [`shrink`] repeatedly proposes structurally smaller variants of a
 //! failing [`CaseSpec`] — drop the fuse annotation, delete a stage, strip
-//! the fault plan element by element, lower `p` and `m`, fall back to the
-//! Des engine, zero table cells, drop orphaned tables — and keeps any
+//! the fault plan element by element, lower `p` and `m`, zero table cells,
+//! drop orphaned tables — and keeps any
 //! variant on which the caller's predicate still fails. Restarting from
 //! the first candidate class after every acceptance makes the result a
 //! local minimum: no single remaining simplification preserves the
 //! failure.
 
-use collopt_machine::{ExecEngine, FaultPlan};
+use collopt_machine::FaultPlan;
 
 use crate::gen::CaseSpec;
 
@@ -90,14 +90,7 @@ fn candidates(case: &CaseSpec) -> Vec<CaseSpec> {
         }
     }
 
-    // 5. Canonical engine.
-    if case.engine != ExecEngine::Des {
-        let mut c = case.clone();
-        c.engine = ExecEngine::Des;
-        out.push(c);
-    }
-
-    // 6. Zero table cells one at a time (a table of zeros is the
+    // 5. Zero table cells one at a time (a table of zeros is the
     //    all-absorbing op — maximally boring).
     for (t, table) in case.tables.iter().enumerate() {
         for i in 0..16 {
@@ -217,7 +210,6 @@ mod tests {
         assert_eq!(out.m, 1);
         assert!(out.plan.is_none());
         assert!(out.fuse.is_none());
-        assert_eq!(out.engine, ExecEngine::Des);
         assert!(out.stages.len() <= case.stages.len());
         assert!(out.validate().is_ok());
     }

@@ -1,21 +1,14 @@
-//! The clock-aware barrier, split into a pure synchronization algebra and
-//! a thin thread-blocking adapter.
+//! The clock-aware barrier as a pure synchronization algebra.
 //!
 //! [`BarrierAlgebra`] is the whole barrier protocol — arrival counting,
 //! generation tracking, the monotonic running maximum of entry times, and
 //! first-error-wins aborts — as plain non-blocking state transitions. It
 //! never parks a thread, never spins, and never touches a lock, which is
 //! what lets the discrete-event engine ([`crate::des`]) drive thousands of
-//! virtual ranks through barriers on a single thread: the scheduler calls
-//! [`arrive`](BarrierAlgebra::arrive)/[`check`](BarrierAlgebra::check)
-//! directly and turns `Parked` into an event-queue suspension.
-//!
-//! [`ClockBarrier`] wraps the algebra in a `Mutex` + `Condvar` for the
-//! thread-per-rank engine. Its observable behaviour (release times, abort
-//! errors, generation handling) is byte-identical to the pre-split
-//! implementation: `wait` is exactly `arrive` + condvar-loop-on-`check`.
-
-use std::sync::{Condvar, Mutex};
+//! virtual ranks through barriers on a single thread: its `DesBarrier`
+//! future calls [`arrive`](BarrierAlgebra::arrive) /
+//! [`check`](BarrierAlgebra::check) directly and turns `Parked` into an
+//! event-queue suspension.
 
 use crate::error::MachineError;
 
@@ -112,49 +105,6 @@ impl BarrierAlgebra {
     }
 }
 
-/// Clock-aware barrier for the thread-per-rank engine: the algebra under
-/// a mutex, with a condvar to park not-yet-released ranks.
-pub(crate) struct ClockBarrier {
-    state: Mutex<BarrierAlgebra>,
-    cv: Condvar,
-}
-
-impl ClockBarrier {
-    pub(crate) fn new(p: usize) -> Self {
-        ClockBarrier {
-            state: Mutex::new(BarrierAlgebra::new(p)),
-            cv: Condvar::new(),
-        }
-    }
-
-    /// Enter the barrier at local time `t`; returns the global maximum
-    /// entry time, or the abort error if any rank died.
-    pub(crate) fn wait(&self, t: f64) -> Result<f64, MachineError> {
-        let mut s = self.state.lock().expect("barrier lock poisoned");
-        match s.arrive(t)? {
-            Arrival::Released(out) => {
-                drop(s);
-                self.cv.notify_all();
-                Ok(out)
-            }
-            Arrival::Parked { generation } => loop {
-                s = self.cv.wait(s).expect("barrier lock poisoned");
-                if let Some(result) = s.check(generation) {
-                    return result;
-                }
-            },
-        }
-    }
-
-    /// Abort the barrier: the first error wins; every waiter wakes with it.
-    pub(crate) fn abort(&self, err: MachineError) {
-        let mut s = self.state.lock().expect("barrier lock poisoned");
-        s.abort(err);
-        drop(s);
-        self.cv.notify_all();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -217,17 +167,26 @@ mod tests {
 
     #[test]
     fn blocking_wrapper_matches_algebra_release_times() {
-        let barrier = std::sync::Arc::new(ClockBarrier::new(4));
+        use std::future::Future;
+        use std::pin::Pin;
+        use std::rc::Rc;
+        use std::task::{Context, Poll, Waker};
+
+        use crate::des::{DesBarrier, DesShared};
+
+        let shared = Rc::new(DesShared::new(4));
+        let mut cx = Context::from_waker(Waker::noop());
         let times = [3.0f64, 42.0, 17.0, 8.0];
-        let mut handles = Vec::new();
-        for &t in &times[1..] {
-            let b = barrier.clone();
-            handles.push(std::thread::spawn(move || b.wait(t).unwrap()));
+        let mut parked: Vec<DesBarrier> = (1..4)
+            .map(|r| DesBarrier::new(Rc::clone(&shared), r, times[r]))
+            .collect();
+        for waiter in &mut parked {
+            assert!(Pin::new(waiter).poll(&mut cx).is_pending());
         }
-        let own = barrier.wait(times[0]).unwrap();
-        assert_eq!(own, 42.0);
-        for h in handles {
-            assert_eq!(h.join().unwrap(), 42.0);
+        let mut last = DesBarrier::new(Rc::clone(&shared), 0, times[0]);
+        assert_eq!(Pin::new(&mut last).poll(&mut cx), Poll::Ready(Ok(42.0)));
+        for waiter in &mut parked {
+            assert_eq!(Pin::new(waiter).poll(&mut cx), Poll::Ready(Ok(42.0)));
         }
     }
 }

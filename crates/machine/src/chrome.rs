@@ -396,19 +396,21 @@ pub fn chrome_trace_json(processes: &[(&str, &Trace)]) -> String {
 mod tests {
     use super::*;
     use crate::clock::ClockParams;
-    use crate::machine::{drive, Machine};
+    use crate::machine::Machine;
 
     fn sample_trace() -> Trace {
         let m = Machine::new(2, ClockParams::new(10.0, 1.0)).with_tracing();
-        let run = m.run(|ctx| {
-            ctx.charge(4.0, "warm-up");
-            if ctx.rank() == 0 {
-                ctx.send(1, 7u64, 3);
-            } else {
-                drive(ctx.recv_async::<u64>(0));
-            }
-            ctx.end_stage(0, "stage-label");
-            drive(ctx.barrier_async());
+        let run = m.run_des(|ctx| {
+            Box::pin(async move {
+                ctx.charge(4.0, "warm-up");
+                if ctx.rank() == 0 {
+                    ctx.send(1, 7u64, 3);
+                } else {
+                    ctx.recv_async::<u64>(0).await;
+                }
+                ctx.end_stage(0, "stage-label");
+                ctx.barrier_async().await;
+            })
         });
         run.trace
     }

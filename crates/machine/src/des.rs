@@ -1,15 +1,13 @@
-//! The discrete-event execution engine ([`ExecEngine::Des`]).
+//! The discrete-event execution engine.
 //!
-//! The thread engine gives every rank an OS thread and lets the kernel
-//! interleave them; blocking operations park real threads. That caps `p`
-//! at the host's thread budget (~4k) and pays a context switch per
-//! message. This engine instead runs *all* ranks on one thread: each rank
-//! is a resumable future over its [`Ctx`], and a binary-heap event queue
-//! decides which rank steps next, ordered by the simulated timestamp at
-//! which it became runnable. `p` is bounded by memory — a rank costs two
-//! boxed futures (the caller's body and this module's wrapper around it),
-//! one inbox buffer and three words of waiter links — so 10^5..10^6-rank
-//! machines fit where the thread engine stops at thousands.
+//! Every rank of a [`Machine`](crate::Machine) runs on one thread: each
+//! rank is a resumable future over its [`Ctx`], and a binary-heap event
+//! queue decides which rank steps next, ordered by the simulated
+//! timestamp at which it became runnable. `p` is bounded by memory — a
+//! rank costs two boxed futures (the caller's body and this module's
+//! wrapper around it), one inbox buffer and three words of waiter links —
+//! so 10^5..10^6-rank machines fit, and a message costs a queue slot, not
+//! a context switch.
 //!
 //! ## Event model
 //!
@@ -27,17 +25,18 @@
 //!
 //! ## Identity guarantees
 //!
-//! The scheduler reuses the `Ctx` cost/fault/trace pipeline *verbatim* —
-//! only the blocking primitive underneath (`Mailboxes`/`ClockBarrier`
-//! vs. this module's queues and [`BarrierAlgebra`]) differs, and those
-//! mirror the channel semantics operation for operation (drain before
-//! disconnect, first-error-wins barrier abort, abort-then-death unwind
-//! order). Every observable — outputs, makespan bits, retry counters,
-//! Chrome traces — is therefore bit-identical to the thread engine, which
-//! `bench/tests/engine_identity.rs` enforces over a 528-point differential
-//! grid.
-//!
-//! [`ExecEngine::Des`]: crate::machine::ExecEngine::Des
+//! The step order is an implementation detail, not part of the model: the
+//! clock travels with the data, every receive names its source and per-pair
+//! FIFO is arrival order restricted to the pair, and a rank's death
+//! surfaces only after what it sent has drained. So which of several
+//! ranks due at the same simulated time steps first must not change any
+//! observable — outputs, makespan bits, compute and retry counters,
+//! Chrome traces, or the error an unrecoverable plan surfaces. A
+//! [`FaultPlan`]'s [`order`](FaultPlan::order) permutes exactly that
+//! choice: the heap key's rank becomes `rank ^ order`. `order = 0` (the
+//! default) is the canonical order, and
+//! `bench/tests/engine_identity.rs` and fuzz oracle 2 hold every other
+//! order to it.
 
 use std::cell::RefCell;
 use std::cmp::Reverse;
@@ -75,7 +74,7 @@ enum Waiting {
 /// and a message costs a slot in it, not a table entry and a buffer
 /// per `(from, to)` pair (nearly every pair of a butterfly or a binomial
 /// tree talks once). The footprint stays proportional to what is actually
-/// parked — O(p log p) over the machine, not the thread mesh's dense O(p²).
+/// parked — O(p log p) over the machine, not a dense per-pair O(p²).
 #[derive(Default)]
 struct DesInbox {
     queue: VecDeque<(usize, Packet)>,
@@ -108,8 +107,8 @@ struct DesState {
     /// scheduler heap after every poll.
     wakes: Vec<(f64, usize)>,
     barrier: BarrierAlgebra,
-    /// A rank is dead once it finished, faulted or panicked — the DES
-    /// equivalent of the thread mesh's mailbox-drop disconnect cascade.
+    /// A rank is dead once it finished, faulted or panicked; receivers
+    /// waiting on it then observe a disconnect.
     dead: Vec<bool>,
     /// Directed receivers, as one intrusive doubly-linked list per source:
     /// `wait_head[src]` is the latest rank to block on `src`, `wait_next` /
@@ -178,9 +177,9 @@ impl DesShared {
         }
     }
 
-    /// Deliver a packet from `from` to `to`. Like the thread channel,
-    /// delivery to a dead rank succeeds silently — death only surfaces
-    /// on the *receive* side (drain first, then disconnect).
+    /// Deliver a packet from `from` to `to`. Delivery to a dead rank
+    /// succeeds silently — death only surfaces on the *receive* side
+    /// (drain first, then disconnect).
     pub(crate) fn push(&self, from: usize, to: usize, packet: Packet) -> Result<(), MachineError> {
         if to >= self.p {
             return Err(MachineError::InvalidRank {
@@ -203,8 +202,7 @@ impl DesShared {
     }
 
     /// A rank left the machine (completed, faulted or panicked): wake
-    /// everyone blocked on it so they can observe the disconnect — the
-    /// counterpart of the thread mesh's `Drop for Mailboxes` cascade.
+    /// everyone blocked on it so they can observe the disconnect.
     pub(crate) fn mark_dead(&self, rank: usize) {
         let mut guard = self.state.borrow_mut();
         let s = &mut *guard;
@@ -237,17 +235,18 @@ impl DesShared {
         }
     }
 
-    /// Move the wake-ups accumulated during the last step into the heap.
-    fn drain_wakes_into(&self, heap: &mut BinaryHeap<Reverse<(u64, usize)>>) {
+    /// Move the wake-ups accumulated during the last step into the heap,
+    /// keyed by `(time bits, rank ^ order)`.
+    fn drain_wakes_into(&self, heap: &mut BinaryHeap<Reverse<(u64, usize)>>, order: usize) {
         let mut s = self.state.borrow_mut();
         for (t, r) in s.wakes.drain(..) {
-            heap.push(Reverse((t.to_bits(), r)));
+            heap.push(Reverse((t.to_bits(), r ^ order)));
         }
     }
 }
 
-/// Future form of `Mailboxes::pop`: resolve from the queue, report a dead
-/// source, or suspend until either happens.
+/// A directed receive: resolve from the queue, report a dead source, or
+/// suspend until either happens.
 pub(crate) struct DesPop {
     shared: Rc<DesShared>,
     me: usize,
@@ -292,9 +291,9 @@ impl Future for DesPop {
     }
 }
 
-/// Future form of `ClockBarrier::wait`, driving the shared
-/// [`BarrierAlgebra`] directly: arrive once, then park on the generation
-/// token until the last rank releases it (or a death aborts it).
+/// A barrier wait, driving the shared [`BarrierAlgebra`] directly: arrive
+/// once, then park on the generation token until the last rank releases
+/// it (or a death aborts it).
 pub(crate) struct DesBarrier {
     shared: Rc<DesShared>,
     me: usize,
@@ -356,10 +355,9 @@ impl Future for DesBarrier {
 type RankFut<'a, T> = Pin<Box<dyn Future<Output = (T, SimClock, Trace)> + 'a>>;
 
 /// Drive all `p` rank futures to completion on the calling thread and
-/// return their outcomes, mirroring the thread engine's `rank_body`
-/// semantics exactly: `catch_unwind` per step, barrier abort before the
-/// death cascade on an unwind, completed ranks going dead without an
-/// abort (their `Mailboxes` drop would do the same).
+/// return their outcomes: `catch_unwind` per step, barrier abort before
+/// the death cascade on an unwind, completed ranks going dead without an
+/// abort. Same-time events run in order of `rank ^ plan.order`.
 pub(crate) fn run_ranks_des<T, F>(
     p: usize,
     params: ClockParams,
@@ -371,10 +369,11 @@ where
     T: Send,
     F: for<'a> Fn(&'a mut Ctx) -> Pin<Box<dyn Future<Output = T> + 'a>>,
 {
+    let order = plan.map_or(0, |plan| plan.order as usize);
     let shared = Rc::new(DesShared::new(p));
     let mut futures: Vec<Option<RankFut<'_, T>>> = Vec::with_capacity(p);
     for rank in 0..p {
-        let mut ctx = Ctx::new_des(rank, p, Rc::clone(&shared), params, tracing, plan);
+        let mut ctx = Ctx::new(rank, p, Rc::clone(&shared), params, tracing, plan);
         let fut: RankFut<'_, T> = Box::pin(async move {
             let out = f(&mut ctx).await;
             let (clock, trace) = ctx.into_parts();
@@ -383,21 +382,20 @@ where
         futures.push(Some(fut));
     }
 
-    // Every rank starts runnable at t = 0; the rank index tie-breaks equal
+    // Every rank starts runnable at t = 0; `rank ^ order` tie-breaks equal
     // timestamps, so the step order is fully deterministic.
-    let mut heap: BinaryHeap<Reverse<(u64, usize)>> = (0..p).map(|r| Reverse((0u64, r))).collect();
+    let mut heap: BinaryHeap<Reverse<(u64, usize)>> =
+        (0..p).map(|r| Reverse((0u64, r ^ order))).collect();
     let mut outcomes: Vec<Option<RankOutcome<T>>> = (0..p).map(|_| None).collect();
     let mut remaining = p;
     let mut cx = Context::from_waker(Waker::noop());
 
     while remaining > 0 {
-        let Some(Reverse((_, rank))) = heap.pop() else {
+        let Some(Reverse((_, key))) = heap.pop() else {
             let blocked: Vec<usize> = (0..p).filter(|&r| outcomes[r].is_none()).collect();
-            panic!(
-                "DES deadlock: ranks {blocked:?} are blocked with no pending events \
-                 (the thread engine would hang here)"
-            );
+            panic!("DES deadlock: ranks {blocked:?} are blocked with no pending events");
         };
+        let rank = key ^ order;
         if outcomes[rank].is_some() {
             continue; // stale wake-up for a finished rank
         }
@@ -415,8 +413,8 @@ where
             }
             Err(payload) => {
                 futures[rank] = None;
-                // Unblock peers in the thread engine's order: barrier
-                // abort first, then the disconnect cascade.
+                // Unblock peers: barrier abort first, then the
+                // disconnect cascade.
                 let outcome = match payload.downcast::<FaultAbort>() {
                     Ok(fa) => {
                         shared.abort_barrier(fa.error.clone());
@@ -432,7 +430,7 @@ where
                 remaining -= 1;
             }
         }
-        shared.drain_wakes_into(&mut heap);
+        shared.drain_wakes_into(&mut heap, order);
     }
 
     outcomes
@@ -443,6 +441,7 @@ where
 
 #[cfg(test)]
 mod tests {
+    use std::cell::RefCell;
     use std::future::Future;
     use std::pin::Pin;
     use std::rc::Rc;
@@ -453,7 +452,7 @@ mod tests {
     use crate::clock::ClockParams;
     use crate::error::MachineError;
     use crate::fault::FaultPlan;
-    use crate::machine::{drive, ExecEngine, Machine};
+    use crate::machine::Machine;
 
     fn packet(v: u64) -> Packet {
         Packet {
@@ -598,7 +597,9 @@ mod tests {
     /// A ring pass exercising directed send/recv and the event queue.
     #[test]
     fn ring_pass_accumulates_on_des() {
-        let m = Machine::new(4, ClockParams::free());
+        // Reversed tie-break: rank 3 steps first and parks on rank 2.
+        let m = Machine::new(4, ClockParams::free())
+            .with_faults(FaultPlan::new(0).with_order(u64::MAX));
         let run = m.run_des(|ctx| {
             Box::pin(async move {
                 if ctx.rank() == 0 {
@@ -616,43 +617,92 @@ mod tests {
     }
 
     #[test]
-    fn exchange_and_barrier_match_the_thread_engine_bit_for_bit() {
-        let m = Machine::new(8, ClockParams::new(50.0, 2.0)).with_tracing();
-        let threaded = m.run(|ctx| {
-            let mut v = ctx.rank() as u64;
-            for round in 0..3 {
-                let partner = ctx.rank() ^ (1 << round);
-                let got = drive(ctx.exchange_async(partner, v, 8));
-                v += got;
-                ctx.charge(8.0, "combine");
-            }
-            drive(ctx.barrier_async());
-            (v, ctx.time())
-        });
-        let des = m.run_des(|ctx| {
-            Box::pin(async move {
-                let mut v = ctx.rank() as u64;
-                for round in 0..3 {
-                    let partner = ctx.rank() ^ (1 << round);
-                    let got = ctx.exchange_async(partner, v, 8).await;
-                    v += got;
-                    ctx.charge(8.0, "combine");
-                }
-                ctx.barrier_async().await;
-                (v, ctx.time())
-            })
-        });
-        assert_eq!(threaded.results, des.results);
-        assert_eq!(threaded.makespan.to_bits(), des.makespan.to_bits());
-        assert_eq!(threaded.finish_times, des.finish_times);
-        assert_eq!(threaded.messages, des.messages);
-        assert_eq!(threaded.trace.events(), des.trace.events());
+    fn order_permutes_which_same_time_rank_steps_first() {
+        for (order, first_steps) in [
+            (0, [0, 1, 2, 3]),
+            (0b11, [3, 2, 1, 0]),
+            (0b01, [1, 0, 3, 2]),
+        ] {
+            let log = Rc::new(RefCell::new(Vec::new()));
+            let m = Machine::new(4, ClockParams::free())
+                .with_faults(FaultPlan::new(0).with_order(order));
+            let stepped = Rc::clone(&log);
+            m.run_des(move |ctx| {
+                let log = Rc::clone(&stepped);
+                Box::pin(async move { log.borrow_mut().push(ctx.rank()) })
+            });
+            assert_eq!(*log.borrow(), first_steps, "order={order:#b}");
+        }
+    }
+
+    #[test]
+    fn exchange_and_barrier_are_bit_identical_in_every_event_order() {
+        let run = |order: u64| {
+            Machine::new(8, ClockParams::new(50.0, 2.0))
+                .with_tracing()
+                .with_faults(FaultPlan::new(0).with_order(order))
+                .run_des(|ctx| {
+                    Box::pin(async move {
+                        let mut v = ctx.rank() as u64;
+                        for round in 0..3 {
+                            let partner = ctx.rank() ^ (1 << round);
+                            let got = ctx.exchange_async(partner, v, 8).await;
+                            v += got;
+                            ctx.charge(8.0, "combine");
+                        }
+                        ctx.barrier_async().await;
+                        (v, ctx.time())
+                    })
+                })
+        };
+        let canonical = run(0);
+        for order in [1, 0b110, u64::MAX] {
+            let permuted = run(order);
+            assert_eq!(canonical.results, permuted.results);
+            assert_eq!(canonical.makespan.to_bits(), permuted.makespan.to_bits());
+            assert_eq!(canonical.finish_times, permuted.finish_times);
+            assert_eq!(canonical.messages, permuted.messages);
+            assert_eq!(canonical.trace.events(), permuted.trace.events());
+        }
+    }
+
+    #[test]
+    fn simultaneous_timeouts_report_the_lowest_rank_in_every_order() {
+        // Both directions of one exchange exhaust their retries at t = 0:
+        // two originating faults due at the same time.
+        for order in [0, 1] {
+            let plan = FaultPlan::new(0)
+                .with_drop_exact(0, 1, 0, 2)
+                .with_drop_exact(1, 0, 0, 2)
+                .with_retry(2, 1.0)
+                .with_order(order);
+            let err = Machine::new(2, ClockParams::free())
+                .with_faults(plan)
+                .try_run_des(|ctx| {
+                    Box::pin(async move {
+                        let partner = 1 - ctx.rank();
+                        ctx.exchange_async(partner, (), 1).await
+                    })
+                })
+                .expect_err("no attempt gets through");
+            assert_eq!(
+                err,
+                MachineError::Timeout {
+                    from: 0,
+                    to: 1,
+                    attempts: 2
+                },
+                "order={order}"
+            );
+        }
     }
 
     #[test]
     fn injected_crash_surfaces_like_the_thread_engines() {
-        let m =
-            Machine::new(3, ClockParams::free()).with_faults(FaultPlan::new(0).with_crash(1, 0));
+        // The barrier abort and the death cascade, with the victim stepped
+        // last among the ranks due at t = 0.
+        let plan = FaultPlan::new(0).with_crash(1, 0).with_order(0b10);
+        let m = Machine::new(3, ClockParams::free()).with_faults(plan);
         let err = m
             .try_run_des(|ctx| {
                 Box::pin(async move {
@@ -677,46 +727,8 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "must .await its *_async")]
-    fn sync_entry_points_refuse_to_suspend() {
-        let m = Machine::new(2, ClockParams::free());
-        let _ = m.run_des(|ctx| {
-            Box::pin(async move {
-                if ctx.rank() == 0 {
-                    // A driven recv on a DES context must fail loudly, not hang.
-                    let _: u64 = drive(ctx.recv_async(1));
-                }
-                ctx.barrier_async().await;
-            })
-        });
-    }
-
-    #[test]
-    fn thread_engine_refuses_what_des_accepts() {
-        let p = ExecEngine::THREAD_MAX_P + 1;
-        let m = Machine::new(p, ClockParams::free());
-        // A clean error before any thread is spawned, not a spawn failure.
-        let refused = m
-            .try_run(|ctx| ctx.rank())
-            .expect_err("over-capacity run must be refused");
-        assert_eq!(
-            refused,
-            MachineError::CapacityExceeded {
-                requested: p,
-                limit: ExecEngine::THREAD_MAX_P,
-                engine: "threads",
-            }
-        );
-        let run = m
-            .try_run_des(|ctx| Box::pin(async move { ctx.rank() }))
-            .expect("the event engine has no rank ceiling");
-        assert_eq!(run.results.len(), p);
-    }
-
-    #[test]
     fn des_scales_past_the_thread_engine_capacity() {
         let p = 10_000;
-        assert!(p > ExecEngine::THREAD_MAX_P);
         let m = Machine::new(p, ClockParams::free());
         // Binomial-tree broadcast of one word: O(p) events, log-depth.
         let run = m.run_des(|ctx| {

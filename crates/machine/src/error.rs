@@ -17,8 +17,8 @@ use std::fmt;
 ///   [`Timeout`](MachineError::Timeout) and
 ///   [`RankFailed`](MachineError::RankFailed). These arise when a
 ///   [`FaultPlan`](crate::fault::FaultPlan) injects message loss or a rank
-///   crash (or when a peer thread genuinely dies); they propagate cleanly
-///   out of [`Machine::try_run`](crate::Machine::try_run) so a caller can
+///   crash; they propagate cleanly out of
+///   [`Machine::try_run_des`](crate::Machine::try_run_des) so a caller can
 ///   observe the failure, report the reproducing `(seed, plan)` pair and
 ///   move on — no hang, no panic.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -43,7 +43,7 @@ pub enum MachineError {
         /// The type the receiver expected.
         expected: &'static str,
     },
-    /// A channel was disconnected: the named peer's thread exited (crash,
+    /// A channel was disconnected: the named peer left the machine (crash,
     /// panic, or normal return) while this rank was still waiting on it.
     Disconnected {
         /// The peer rank whose mailbox was disconnected.
@@ -73,25 +73,12 @@ pub enum MachineError {
     },
     /// The machine was constructed with zero processors.
     EmptyMachine,
-    /// The run asked for more ranks than the engine can host. The
-    /// thread-per-rank engine caps `p` at
-    /// [`ExecEngine::THREAD_MAX_P`](crate::ExecEngine::THREAD_MAX_P)
-    /// (spawning past the OS thread budget would abort mid-run); the
-    /// discrete-event engine (`des`) has no such cap.
-    CapacityExceeded {
-        /// The rank count the run asked for.
-        requested: usize,
-        /// The engine's rank ceiling.
-        limit: usize,
-        /// Name of the engine that refused (`threads`).
-        engine: &'static str,
-    },
 }
 
 impl MachineError {
     /// Is this a recoverable runtime fault (vs a programming error)?
     /// Recoverable faults are the ones
-    /// [`Machine::try_run`](crate::Machine::try_run) returns as `Err`;
+    /// [`Machine::try_run_des`](crate::Machine::try_run_des) returns as `Err`;
     /// programming errors still panic.
     pub fn is_recoverable(&self) -> bool {
         matches!(
@@ -127,15 +114,6 @@ impl fmt::Display for MachineError {
                 write!(f, "rank {rank} failed (crashed mid-run)")
             }
             MachineError::EmptyMachine => write!(f, "a machine needs at least one processor"),
-            MachineError::CapacityExceeded {
-                requested,
-                limit,
-                engine,
-            } => write!(
-                f,
-                "p={requested} exceeds the {engine} engine's capacity of {limit} ranks \
-                 (use the des engine for larger machines)"
-            ),
         }
     }
 }
@@ -174,14 +152,6 @@ mod tests {
                 vec!["5", "6", "7"],
             ),
             (MachineError::RankFailed { rank: 8 }, vec!["8"]),
-            (
-                MachineError::CapacityExceeded {
-                    requested: 100_000,
-                    limit: 4096,
-                    engine: "threads",
-                },
-                vec!["100000", "4096", "threads"],
-            ),
         ];
         for (err, needles) in cases {
             let msg = err.to_string();
@@ -215,12 +185,6 @@ mod tests {
         }
         .is_recoverable());
         assert!(!MachineError::EmptyMachine.is_recoverable());
-        assert!(!MachineError::CapacityExceeded {
-            requested: 10_000,
-            limit: 4096,
-            engine: "threads"
-        }
-        .is_recoverable());
     }
 
     #[test]

@@ -30,12 +30,17 @@
 //!   channels disconnect, and every peer that depends on it surfaces
 //!   [`MachineError::RankFailed`](crate::MachineError::RankFailed) —
 //!   cleanly, with no hang and no panic escaping
-//!   [`Machine::try_run`](crate::Machine::try_run).
+//!   [`Machine::try_run_des`](crate::Machine::try_run_des).
 //!
 //! Determinism is the load-bearing property: the same `(seed, plan)` pair
 //! replays the same faults, attempt-for-attempt, so any chaos-test failure
 //! is reproducible from the one-line spec string of
 //! [`FaultPlan::describe`] / [`FaultPlan::parse`].
+//!
+//! A plan also carries the event scheduler's tie-break
+//! ([`FaultPlan::order`]). It injects no fault: it permutes the order in
+//! which events due at the same simulated time run, which no observable
+//! may depend on — the property the permuted-order tests check.
 
 use std::fmt::Write as _;
 
@@ -153,6 +158,10 @@ pub struct FaultPlan {
     pub crash: Option<CrashSpec>,
     /// Retry protocol parameters.
     pub retry: RetryParams,
+    /// Tie-break of the event scheduler: events due at the same simulated
+    /// time run in order of `rank ^ order`, so `0` (the default) is rank
+    /// order and the low `⌈log₂ p⌉` bits pick the permutation.
+    pub order: u64,
 }
 
 impl FaultPlan {
@@ -209,6 +218,13 @@ impl FaultPlan {
         self
     }
 
+    /// Run same-time events in order of `rank ^ order` instead of rank
+    /// order.
+    pub fn with_order(mut self, order: u64) -> Self {
+        self.order = order;
+        self
+    }
+
     /// Override the retry protocol parameters.
     pub fn with_retry(mut self, max_attempts: u32, timeout: f64) -> Self {
         assert!(max_attempts >= 1, "at least one attempt");
@@ -220,9 +236,11 @@ impl FaultPlan {
         self
     }
 
-    /// Does this plan inject anything at all?
+    /// Does this plan change nothing at all — no fault and the canonical
+    /// tie-break order?
     pub fn is_empty(&self) -> bool {
-        self.compute.is_empty()
+        self.order == 0
+            && self.compute.is_empty()
             && self.links.is_empty()
             && self.drop.is_none()
             && self.drop_exact.is_empty()
@@ -302,6 +320,9 @@ impl FaultPlan {
                 self.retry.max_attempts, self.retry.timeout
             );
         }
+        if self.order != 0 {
+            let _ = write!(out, ",order={}", self.order);
+        }
         out
     }
 
@@ -310,7 +331,7 @@ impl FaultPlan {
     ///
     /// ```text
     /// seed=42,straggler=3x2.5,link=0-1x2+50,drop=0.05/3,
-    /// dropat=0>1@3x2,crash=2@7,attempts=5,timeout=300
+    /// dropat=0>1@3x2,crash=2@7,attempts=5,timeout=300,order=5
     /// ```
     ///
     /// `straggler`, `link` and `dropat` may repeat. Unknown keys or
@@ -384,6 +405,7 @@ impl FaultPlan {
                     plan.retry.max_attempts = value.parse().map_err(|_| bad("attempts"))?
                 }
                 "timeout" => plan.retry.timeout = value.parse().map_err(|_| bad("timeout"))?,
+                "order" => plan.order = value.parse().map_err(|_| bad("order"))?,
                 other => return Err(format!("unknown fault spec key {other:?}")),
             }
         }
@@ -410,7 +432,7 @@ fn drop_unit(seed: u64, from: usize, to: usize, nth: u64, attempt: u32) -> f64 {
 /// Per-rank replay state for one [`FaultPlan`]: the machine creates one
 /// per rank and consults it on every context operation. All state is a
 /// pure function of the plan and this rank's own operation sequence, so
-/// replay is deterministic regardless of thread scheduling.
+/// replay is deterministic regardless of the scheduler's step order.
 #[derive(Debug)]
 pub struct FaultInjector {
     plan: std::sync::Arc<FaultPlan>,
@@ -612,7 +634,9 @@ mod tests {
                 .with_drops(0.1, 2)
                 .with_drop_exact(4, 5, 0, 6)
                 .with_crash(0, 100)
-                .with_retry(6, 250.0),
+                .with_retry(6, 250.0)
+                .with_order(0b101),
+            FaultPlan::new(4).with_order(u64::MAX),
         ];
         for plan in plans {
             let spec = plan.describe();
@@ -633,6 +657,7 @@ mod tests {
             "drop=0.5",
             "crash=1",
             "dropat=0@1",
+            "order=-1",
         ] {
             assert!(FaultPlan::parse(bad).is_err(), "{bad:?} should not parse");
         }

@@ -17,18 +17,12 @@
 //! `ts`/`tw` cost model. This is what lets us regenerate the paper's
 //! Table 1 and Figures 7–8 without the authors' 64-processor Parsytec.
 //!
-//! A program runs on one of two engines ([`ExecEngine`]), bit-identical in
-//! every observable. Which one is decided by the shape of the rank body,
-//! not by a setting:
-//!
-//! * [`Machine::run_des`] takes an async rank body and runs it on the
-//!   single-threaded **discrete-event engine** — what `collopt_core::exec`
-//!   uses by default, and the only engine past
-//!   [`ExecEngine::THREAD_MAX_P`] ranks;
-//! * [`Machine::run`] takes a blocking rank body and runs it on one fresh
-//!   scoped OS thread per rank — the **reference** the event engine is
-//!   held to, exercising the real concurrency of the algorithms. The body
-//!   runs each waiting operation to completion with [`drive`].
+//! A program runs on the single-threaded **discrete-event engine**:
+//! [`Machine::run_des`] takes an async rank body — each rank a resumable
+//! future awaiting its `*_async` operations — and steps the ranks off one
+//! event queue, so `p` is bounded by memory. Nothing observable depends on
+//! the order in which same-time events run; a [`FaultPlan`]'s `order`
+//! entry permutes that order so tests can check it.
 //!
 //! The [`topology`] module contains the rank arithmetic shared by all
 //! collective algorithms: binomial trees, butterfly (hypercube) partners,
@@ -39,28 +33,30 @@
 //! ## Quick example
 //!
 //! ```
-//! use collopt_machine::{drive, Machine, ClockParams};
+//! use collopt_machine::{Machine, ClockParams};
 //!
 //! // Four processors; each sends its rank to rank 0.
 //! let machine = Machine::new(4, ClockParams::new(10.0, 1.0));
-//! let run = machine.run(|ctx| {
-//!     if ctx.rank() == 0 {
-//!         let mut sum = 0usize;
-//!         for src in 1..ctx.size() {
-//!             sum += drive(ctx.recv_async::<usize>(src));
+//! let run = machine.run_des(|ctx| {
+//!     Box::pin(async move {
+//!         if ctx.rank() == 0 {
+//!             let mut sum = 0usize;
+//!             for src in 1..ctx.size() {
+//!                 sum += ctx.recv_async::<usize>(src).await;
+//!             }
+//!             sum
+//!         } else {
+//!             ctx.send(0, ctx.rank(), 1);
+//!             0
 //!         }
-//!         sum
-//!     } else {
-//!         ctx.send(0, ctx.rank(), 1);
-//!         0
-//!     }
+//!     })
 //! });
 //! assert_eq!(run.results[0], 6);
 //! assert!(run.makespan > 0.0);
 //! ```
 
 pub(crate) mod barrier;
-pub mod channel;
+pub(crate) mod channel;
 pub mod chrome;
 pub mod clock;
 pub(crate) mod des;
@@ -76,7 +72,7 @@ pub use chrome::{chrome_trace, chrome_trace_json, Json};
 pub use clock::ClockParams;
 pub use error::MachineError;
 pub use fault::{FaultInjector, FaultPlan, RetryParams};
-pub use machine::{drive, Ctx, ExecEngine, Machine, RunResult};
+pub use machine::{Ctx, ExecEngine, Machine, RunResult};
 pub use profile::{
     critical_path, CriticalPath, ProfileError, ProfileReport, RankProfile, StageProfile,
 };

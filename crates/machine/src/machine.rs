@@ -1,10 +1,11 @@
-//! The SPMD runtime: one thread per virtual processor, plus the
-//! deterministic simulated clock.
+//! The SPMD runtime: every virtual processor is a resumable future over
+//! its [`Ctx`], stepped by a deterministic discrete-event scheduler, with
+//! a simulated clock per rank.
 //!
 //! A [`Machine`] is configured with a processor count `p` and
-//! [`ClockParams`]. [`Machine::run`] executes one SPMD program: the given
-//! closure runs once per rank, each instance receiving a [`Ctx`] with the
-//! rank's identity, its mailboxes, its simulated clock and its trace.
+//! [`ClockParams`]. [`Machine::run_des`] executes one SPMD program: the
+//! given closure builds one async body per rank, each receiving a [`Ctx`]
+//! with the rank's identity, its simulated clock and its trace.
 //!
 //! ## Cost semantics
 //!
@@ -21,7 +22,8 @@
 //!
 //! Because message timestamps travel with the data, the simulated makespan
 //! of a run is a pure function of the communication structure — identical
-//! across reruns regardless of OS scheduling.
+//! across reruns and across every order in which the scheduler breaks
+//! ties between same-time events ([`FaultPlan::order`]).
 //!
 //! ## Fault injection
 //!
@@ -42,7 +44,7 @@
 //!   observe the disconnect and abort with
 //!   [`MachineError::RankFailed`].
 //!
-//! Faulted runs go through [`Machine::try_run`], which returns
+//! Faulted runs go through [`Machine::try_run_des`], which returns
 //! `Err(MachineError)` on any injected failure instead of hanging or
 //! panicking. A plan that injects nothing is observationally inert: the
 //! run is bit-identical to a plain one.
@@ -51,21 +53,18 @@ use std::future::Future;
 use std::pin::Pin;
 use std::rc::Rc;
 use std::sync::Arc;
-use std::task::{Context as TaskContext, Poll, Waker};
 
-use crate::barrier::ClockBarrier;
-use crate::channel::{build_mesh, Mailboxes, Packet};
+use crate::channel::Packet;
 use crate::clock::{ClockParams, SimClock};
-use crate::des::DesShared;
+use crate::des::{DesBarrier, DesPop, DesShared};
 use crate::error::MachineError;
 use crate::fault::{FaultInjector, FaultPlan};
 use crate::trace::{EventKind, Trace};
 
-/// The panic payload a rank throws to unwind out of the SPMD closure when
-/// a fault fires. Crate-private: [`Machine::try_run`] and the DES
-/// scheduler catch it at the rank boundary and turn it into an `Err`, so
-/// it is never visible to callers (and the panic hook stays silent about
-/// it).
+/// The panic payload a rank throws to unwind out of its body when a fault
+/// fires. Crate-private: the DES scheduler catches it at the rank
+/// boundary and [`Machine::try_run_des`] turns it into an `Err`, so it is
+/// never visible to callers (and the panic hook stays silent about it).
 pub(crate) struct FaultAbort {
     pub(crate) error: MachineError,
     /// True on the rank where the fault originated (crash victim, timed-out
@@ -90,36 +89,20 @@ pub(crate) fn install_quiet_fault_hook() {
     });
 }
 
-/// Communication backend behind a [`Ctx`]: real mailboxes plus a blocking
-/// barrier for the thread-per-rank engine, or a handle into the shared
-/// single-threaded event state for the discrete-event engine. All cost,
-/// fault and trace accounting lives *above* this enum — the operation
-/// sequences are shared verbatim — so the engines are bit-identical by
-/// construction.
-pub(crate) enum Comm {
-    Thread {
-        mailboxes: Mailboxes,
-        barrier: Arc<ClockBarrier>,
-    },
-    Des {
-        rank: usize,
-        size: usize,
-        shared: Rc<DesShared>,
-    },
-}
-
 /// Per-rank execution context handed to the SPMD closure.
 pub struct Ctx {
-    comm: Comm,
+    rank: usize,
+    size: usize,
+    shared: Rc<DesShared>,
     clock: SimClock,
     trace: Trace,
     injector: Option<FaultInjector>,
 }
 
 impl Ctx {
-    /// Build a context for one DES-scheduled rank (no mailboxes, no
-    /// blocking barrier — all communication goes through `shared`).
-    pub(crate) fn new_des(
+    /// Build the context of one rank; all communication goes through
+    /// `shared`.
+    pub(crate) fn new(
         rank: usize,
         p: usize,
         shared: Rc<DesShared>,
@@ -128,11 +111,9 @@ impl Ctx {
         plan: Option<&Arc<FaultPlan>>,
     ) -> Ctx {
         Ctx {
-            comm: Comm::Des {
-                rank,
-                size: p,
-                shared,
-            },
+            rank,
+            size: p,
+            shared,
             clock: SimClock::new_for_rank(params, rank),
             trace: if tracing {
                 Trace::enabled()
@@ -146,38 +127,19 @@ impl Ctx {
     /// This rank's id, `0..size`.
     #[inline]
     pub fn rank(&self) -> usize {
-        match &self.comm {
-            Comm::Thread { mailboxes, .. } => mailboxes.rank(),
-            Comm::Des { rank, .. } => *rank,
-        }
+        self.rank
     }
 
     /// Number of processors in the machine.
     #[inline]
     pub fn size(&self) -> usize {
-        match &self.comm {
-            Comm::Thread { mailboxes, .. } => mailboxes.size(),
-            Comm::Des { size, .. } => *size,
-        }
+        self.size
     }
 
-    /// Enqueue a packet for rank `to` on whichever backend is active.
-    fn push_packet(&self, to: usize, packet: Packet) -> Result<(), MachineError> {
-        match &self.comm {
-            Comm::Thread { mailboxes, .. } => mailboxes.push(to, packet),
-            Comm::Des { rank, shared, .. } => shared.push(*rank, to, packet),
-        }
-    }
-
-    /// Dequeue the next packet from rank `from`: blocks the thread on the
-    /// thread backends, suspends the rank future on the DES backend.
+    /// Dequeue the next packet from rank `from`, suspending the rank until
+    /// one is queued or `from` is gone.
     async fn pop_packet(&self, from: usize) -> Result<Packet, MachineError> {
-        match &self.comm {
-            Comm::Thread { mailboxes, .. } => mailboxes.pop(from),
-            Comm::Des { rank, shared, .. } => {
-                crate::des::DesPop::new(Rc::clone(shared), *rank, from, self.clock.now()).await
-            }
-        }
+        DesPop::new(Rc::clone(&self.shared), self.rank, from, self.clock.now()).await
     }
 
     /// Current simulated time on this rank.
@@ -347,7 +309,8 @@ impl Ctx {
         let cost = self.link_cost(self.rank(), to, words);
         self.simulate_drops(to, words, cost);
         let send_time = self.clock.now();
-        if let Err(e) = self.push_packet(
+        if let Err(e) = self.shared.push(
+            self.rank,
             to,
             Packet {
                 payload: Box::new(value),
@@ -366,10 +329,8 @@ impl Ctx {
         }
     }
 
-    /// Receive the next value from rank `from`, waiting until it arrives:
-    /// suspends the rank future on the DES engine, resolves on its first
-    /// poll (the mailbox blocks the thread internally) on the thread
-    /// engine. Completes at
+    /// Receive the next value from rank `from`, suspending the rank until
+    /// it arrives. Completes at
     /// `max(own clock, sender's send-start) + ts + words·tw`.
     ///
     /// # Panics
@@ -429,7 +390,8 @@ impl Ctx {
         let out_cost = self.link_cost(self.rank(), partner, words);
         self.simulate_drops(partner, words, out_cost);
         let my_time = self.clock.now();
-        if let Err(e) = self.push_packet(
+        if let Err(e) = self.shared.push(
+            self.rank,
             partner,
             Packet {
                 payload: Box::new(value),
@@ -480,13 +442,7 @@ impl Ctx {
     pub async fn barrier_async(&mut self) {
         self.fault_tick();
         let entry = self.clock.now();
-        let waited = match &self.comm {
-            Comm::Thread { barrier, .. } => barrier.wait(entry),
-            Comm::Des { rank, shared, .. } => {
-                crate::des::DesBarrier::new(Rc::clone(shared), *rank, entry).await
-            }
-        };
-        let t = match waited {
+        let t = match DesBarrier::new(Rc::clone(&self.shared), self.rank, entry).await {
             Ok(t) => t,
             Err(e) => {
                 if self.injector.is_some() {
@@ -507,25 +463,6 @@ impl Ctx {
 
     pub(crate) fn into_parts(self) -> (SimClock, Trace) {
         (self.clock, self.trace)
-    }
-}
-
-/// Run a `Ctx` future to completion on the calling thread with a no-op
-/// waker: how a blocking rank body ([`Machine::run`]) calls a `*_async`
-/// operation or collective. On the thread engine every `Ctx` operation
-/// resolves on its first poll (blocking happens inside the
-/// mailboxes/barrier), so a single poll suffices. `Poll::Pending` means
-/// the future was driven on a DES-backed context — only the DES scheduler
-/// may suspend a rank — so that is a hard error.
-pub fn drive<F: Future>(fut: F) -> F::Output {
-    let mut fut = std::pin::pin!(fut);
-    let mut cx = TaskContext::from_waker(Waker::noop());
-    match fut.as_mut().poll(&mut cx) {
-        Poll::Ready(out) => out,
-        Poll::Pending => panic!(
-            "drive() suspended: a rank on the DES engine must .await its *_async \
-             operations (Machine::run_des / try_run_des), not drive them"
-        ),
     }
 }
 
@@ -565,78 +502,32 @@ impl<T> RunResult<T> {
     }
 }
 
-/// What one rank's thread (or DES future) produced.
+/// What one rank's future produced.
 pub(crate) enum RankOutcome<T> {
     /// Clean completion.
     Done(T, SimClock, Trace),
     /// An injected fault unwound the rank.
     Faulted(MachineError, bool),
-    /// A genuine panic (programming error) — payload re-raised by the
-    /// main thread after every rank has been joined.
+    /// A genuine panic (programming error) — payload re-raised once every
+    /// rank has an outcome.
     Panicked(Box<dyn std::any::Any + Send>),
 }
 
-/// The two ways a program runs on the machine.
+/// The execution engine, as `collopt_core::exec::ExecConfig::engine`
+/// names it.
 ///
-/// Both execute the identical `Ctx` operation sequences against the same
-/// clock, fault and trace accounting, and the simulated clock travels with
-/// the data, so every observable output — results, makespans, traces,
-/// retry counters — is bit-identical between them. The choice is
-/// structural, not configurable: a blocking rank body
-/// ([`Machine::run`]/[`Machine::try_run`]) can only run on threads, an
-/// async one ([`Machine::run_des`]/[`Machine::try_run_des`]) always runs
-/// on the event engine. `core::exec` runs on `Des` unless a caller asks
-/// for `Threads`, which the identity suites do to hold `Des` to its
-/// reference.
+/// There is one: every program runs on the discrete-event scheduler, and
+/// every value of this type (and `ExecConfig::engine: None`) selects it.
+/// The type is kept only because the standalone `benchmark/` crate spells
+/// `ExecConfig { engine: Some(ExecEngine::Des), .. }`; ROADMAP item 5's
+/// follow-up `benchmark` issue ("drop the engine vestiges") deletes it and
+/// `ExecConfig::engine` together.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecEngine {
-    /// One fresh scoped OS thread per rank, joined before the run returns:
-    /// the reference engine, and the only one that can host a blocking
-    /// rank body.
-    Threads,
     /// Single-threaded discrete-event scheduler: each rank is a resumable
     /// future driven off a binary-heap event queue, so `p` is bounded by
-    /// memory rather than OS threads.
+    /// memory.
     Des,
-}
-
-impl ExecEngine {
-    /// Largest `p` the thread engine accepts before reporting
-    /// [`MachineError::CapacityExceeded`] instead of exhausting the host's
-    /// thread budget mid-spawn.
-    pub const THREAD_MAX_P: usize = 4096;
-
-    /// The engine's rank-count ceiling; `None` means memory-bound (DES).
-    pub fn max_p(self) -> Option<usize> {
-        match self {
-            ExecEngine::Threads => Some(Self::THREAD_MAX_P),
-            ExecEngine::Des => None,
-        }
-    }
-
-    /// Stable lowercase name, as accepted by `collopt --engine` and the
-    /// service's `"engine"` option.
-    pub fn name(self) -> &'static str {
-        match self {
-            ExecEngine::Threads => "threads",
-            ExecEngine::Des => "des",
-        }
-    }
-}
-
-impl std::str::FromStr for ExecEngine {
-    type Err = String;
-
-    /// Parse an engine by its [`name`](ExecEngine::name).
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "threads" => Ok(ExecEngine::Threads),
-            "des" => Ok(ExecEngine::Des),
-            other => Err(format!(
-                "unknown engine '{other}' (expected threads or des)"
-            )),
-        }
-    }
 }
 
 /// A virtual machine of `p` fully connected processors.
@@ -667,8 +558,9 @@ impl Machine {
     }
 
     /// Attach a fault plan: subsequent runs replay its faults
-    /// deterministically. Prefer [`try_run`](Self::try_run) afterwards —
-    /// [`run`](Self::run) panics if the plan makes the run fail.
+    /// deterministically. Prefer [`try_run_des`](Self::try_run_des)
+    /// afterwards — [`run_des`](Self::run_des) panics if the plan makes the
+    /// run fail.
     pub fn with_faults(mut self, plan: FaultPlan) -> Self {
         self.faults = Some(Arc::new(plan));
         self
@@ -689,87 +581,18 @@ impl Machine {
         self.faults.as_deref()
     }
 
-    /// Run one SPMD program: `f` executes once per rank, concurrently.
-    ///
-    /// The closure is shared between threads, so captured state must be
-    /// `Sync`; per-rank inputs are typically captured in an `Arc<Vec<_>>`
-    /// and indexed by `ctx.rank()`.
-    ///
-    /// # Panics
-    /// Panics if an attached fault plan makes the run fail; use
-    /// [`try_run`](Self::try_run) to observe injected failures as errors.
-    pub fn run<T, F>(&self, f: F) -> RunResult<T>
-    where
-        T: Send,
-        F: Fn(&mut Ctx) -> T + Sync,
-    {
-        self.try_run(f)
-            .unwrap_or_else(|e| panic!("machine run failed: {e}"))
-    }
-
-    /// Run one SPMD program, surfacing injected faults as errors.
-    ///
-    /// A blocking rank body needs a thread to block, so this always runs on
-    /// `p` fresh scoped threads ([`ExecEngine::Threads`]); machines larger
-    /// than [`ExecEngine::THREAD_MAX_P`] are refused with
-    /// [`MachineError::CapacityExceeded`] before any thread is spawned (a
-    /// clean error instead of a panic mid-spawn when the host's thread
-    /// budget runs out).
+    /// Run one SPMD program, surfacing injected faults as errors: `f` is
+    /// called once per rank to build that rank's body as a future
+    /// borrowing its [`Ctx`] (and nothing else — per-rank inputs are
+    /// typically an `Arc<Vec<_>>` cloned into each body and indexed by
+    /// `ctx.rank()`). All ranks advance cooperatively on the calling
+    /// thread, so `p` is bounded by memory.
     ///
     /// Returns `Err` when a fault plan crashes a rank
     /// ([`MachineError::RankFailed`]) or exhausts a message's retry budget
     /// ([`MachineError::Timeout`]); the error describes the *originating*
-    /// fault even when other ranks failed in sympathy. Every rank thread
-    /// is joined before returning — no hang, no leaked thread. Genuine
+    /// fault even when other ranks failed in sympathy — no hang. Genuine
     /// panics (programming errors) still propagate as panics.
-    pub fn try_run<T, F>(&self, f: F) -> Result<RunResult<T>, MachineError>
-    where
-        T: Send,
-        F: Fn(&mut Ctx) -> T + Sync,
-    {
-        let p = self.p;
-        if p > ExecEngine::THREAD_MAX_P {
-            return Err(MachineError::CapacityExceeded {
-                requested: p,
-                limit: ExecEngine::THREAD_MAX_P,
-                engine: ExecEngine::Threads.name(),
-            });
-        }
-        if self.faults.is_some() {
-            install_quiet_fault_hook();
-        }
-        // Immutable run configuration (fault plan, params) is shared by
-        // reference into the scope — no per-rank deep clones.
-        let barrier = Arc::new(ClockBarrier::new(p));
-        let (params, tracing, plan, f) = (self.params, self.tracing, self.faults.as_ref(), &f);
-        let mut outcomes = Vec::with_capacity(p);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = build_mesh(p)
-                .into_iter()
-                .map(|mailboxes| {
-                    let barrier = &barrier;
-                    scope.spawn(move || rank_body(mailboxes, barrier, params, tracing, plan, p, f))
-                })
-                .collect();
-            for h in handles {
-                outcomes.push(match h.join() {
-                    Ok(outcome) => outcome,
-                    Err(payload) => RankOutcome::Panicked(payload),
-                });
-            }
-        });
-        collect_outcomes(p, outcomes)
-    }
-
-    /// Run one SPMD program on the discrete-event engine: `f` is called
-    /// once per rank to build that rank's body as a future borrowing its
-    /// [`Ctx`]. All ranks advance cooperatively on the calling thread, so
-    /// `p` is bounded by memory, not threads — the observable results
-    /// (outputs, makespan bits, retries, traces) are bit-identical to the
-    /// thread engine.
-    ///
-    /// Injected faults surface as `Err` exactly as in
-    /// [`try_run`](Self::try_run); genuine panics propagate.
     pub fn try_run_des<T, F>(&self, f: F) -> Result<RunResult<T>, MachineError>
     where
         T: Send,
@@ -783,8 +606,10 @@ impl Machine {
         collect_outcomes(self.p, outcomes)
     }
 
-    /// Panicking wrapper around [`try_run_des`](Self::try_run_des), the
-    /// DES counterpart of [`run`](Self::run).
+    /// Run one SPMD program; see [`try_run_des`](Self::try_run_des).
+    ///
+    /// # Panics
+    /// Panics if an attached fault plan makes the run fail.
     pub fn run_des<T, F>(&self, f: F) -> RunResult<T>
     where
         T: Send,
@@ -795,64 +620,10 @@ impl Machine {
     }
 }
 
-/// The body of one rank thread. Builds the rank's context, runs the user
-/// closure under `catch_unwind`, and turns an unwind into a
-/// [`RankOutcome`] after unblocking peers (barrier abort first, then the
-/// mailbox-drop disconnect cascade).
-fn rank_body<T, F>(
-    mailboxes: Mailboxes,
-    barrier: &Arc<ClockBarrier>,
-    params: ClockParams,
-    tracing: bool,
-    plan: Option<&Arc<FaultPlan>>,
-    p: usize,
-    f: &F,
-) -> RankOutcome<T>
-where
-    T: Send,
-    F: Fn(&mut Ctx) -> T + Sync,
-{
-    let rank = mailboxes.rank();
-    let mut ctx = Ctx {
-        comm: Comm::Thread {
-            mailboxes,
-            barrier: barrier.clone(),
-        },
-        clock: SimClock::new_for_rank(params, rank),
-        trace: if tracing {
-            Trace::enabled()
-        } else {
-            Trace::disabled()
-        },
-        injector: plan.map(|pl| FaultInjector::new(pl.clone(), rank, p)),
-    };
-    let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&mut ctx)));
-    match caught {
-        Ok(out) => {
-            let (clock, trace) = ctx.into_parts();
-            RankOutcome::Done(out, clock, trace)
-        }
-        Err(payload) => {
-            // Unblock peers: abort the barrier first, then drop the
-            // mailboxes (disconnect cascade).
-            let (error, outcome) = match payload.downcast::<FaultAbort>() {
-                Ok(fa) => (fa.error.clone(), RankOutcome::Faulted(fa.error, fa.origin)),
-                Err(other) => (
-                    MachineError::Disconnected { rank },
-                    RankOutcome::Panicked(other),
-                ),
-            };
-            barrier.abort(error);
-            drop(ctx);
-            outcome
-        }
-    }
-}
-
-/// Triage per-rank outcomes and assemble the [`RunResult`], identically
-/// for every engine. A genuine panic outranks everything (programming
-/// errors must not be masked by injected faults); then the originating
-/// fault (lowest rank); then any derived fault.
+/// Triage per-rank outcomes and assemble the [`RunResult`]. A genuine
+/// panic outranks everything (programming errors must not be masked by
+/// injected faults); then the originating fault (lowest rank); then any
+/// derived fault.
 fn collect_outcomes<T>(
     p: usize,
     mut outcomes: Vec<RankOutcome<T>>,
@@ -924,29 +695,21 @@ mod tests {
     use super::*;
 
     #[test]
-    fn engine_names_round_trip() {
-        for engine in [ExecEngine::Threads, ExecEngine::Des] {
-            assert_eq!(engine.name().parse::<ExecEngine>(), Ok(engine));
-        }
-        for removed in ["pooled", "legacy"] {
-            assert!(removed.parse::<ExecEngine>().is_err());
-        }
-    }
-
-    #[test]
     fn ring_pass_accumulates() {
         let m = Machine::new(4, ClockParams::free());
-        let run = m.run(|ctx| {
-            // Each rank adds its id and passes a token around the ring.
-            if ctx.rank() == 0 {
-                ctx.send(1, 0usize, 1);
-                drive(ctx.recv_async::<usize>(3))
-            } else {
-                let v = drive(ctx.recv_async::<usize>(ctx.rank() - 1));
-                let next = (ctx.rank() + 1) % ctx.size();
-                ctx.send(next, v + ctx.rank(), 1);
-                0
-            }
+        let run = m.run_des(|ctx| {
+            Box::pin(async move {
+                // Each rank adds its id and passes a token around the ring.
+                if ctx.rank() == 0 {
+                    ctx.send(1, 0usize, 1);
+                    ctx.recv_async::<usize>(3).await
+                } else {
+                    let v = ctx.recv_async::<usize>(ctx.rank() - 1).await;
+                    let next = (ctx.rank() + 1) % ctx.size();
+                    ctx.send(next, v + ctx.rank(), 1);
+                    0
+                }
+            })
         });
         assert_eq!(run.results[0], 1 + 2 + 3);
     }
@@ -954,13 +717,17 @@ mod tests {
     #[test]
     fn exchange_is_symmetric_and_synchronizing() {
         let m = Machine::new(2, ClockParams::new(10.0, 1.0));
-        let run = m.run(|ctx| {
-            // Rank 1 computes first, then both exchange.
-            if ctx.rank() == 1 {
-                ctx.charge(100.0, "work");
-            }
-            let got = drive(ctx.exchange_async(1 - ctx.rank(), ctx.rank() as u64, 5));
-            (got, ctx.time())
+        let run = m.run_des(|ctx| {
+            Box::pin(async move {
+                // Rank 1 computes first, then both exchange.
+                if ctx.rank() == 1 {
+                    ctx.charge(100.0, "work");
+                }
+                let got = ctx
+                    .exchange_async(1 - ctx.rank(), ctx.rank() as u64, 5)
+                    .await;
+                (got, ctx.time())
+            })
         });
         assert_eq!(run.results[0].0, 1);
         assert_eq!(run.results[1].0, 0);
@@ -973,15 +740,17 @@ mod tests {
     #[test]
     fn sends_from_one_rank_serialize_on_its_clock() {
         let m = Machine::new(3, ClockParams::new(10.0, 1.0));
-        let run = m.run(|ctx| {
-            if ctx.rank() == 0 {
-                ctx.send(1, (), 4);
-                ctx.send(2, (), 4);
-                ctx.time()
-            } else {
-                drive(ctx.recv_async::<()>(0));
-                ctx.time()
-            }
+        let run = m.run_des(|ctx| {
+            Box::pin(async move {
+                if ctx.rank() == 0 {
+                    ctx.send(1, (), 4);
+                    ctx.send(2, (), 4);
+                    ctx.time()
+                } else {
+                    ctx.recv_async::<()>(0).await;
+                    ctx.time()
+                }
+            })
         });
         // Sender: two eager sends of 14 each -> 28.
         assert_eq!(run.results[0], 28.0);
@@ -994,10 +763,12 @@ mod tests {
     #[test]
     fn barrier_aligns_clocks_to_max() {
         let m = Machine::new(4, ClockParams::free());
-        let run = m.run(|ctx| {
-            ctx.charge((ctx.rank() * 10) as f64, "skew");
-            drive(ctx.barrier_async());
-            ctx.time()
+        let run = m.run_des(|ctx| {
+            Box::pin(async move {
+                ctx.charge((ctx.rank() * 10) as f64, "skew");
+                ctx.barrier_async().await;
+                ctx.time()
+            })
         });
         for t in run.results {
             assert_eq!(t, 30.0);
@@ -1007,14 +778,16 @@ mod tests {
     #[test]
     fn repeated_barriers_stay_consistent() {
         let m = Machine::new(3, ClockParams::free());
-        let run = m.run(|ctx| {
-            let mut times = Vec::new();
-            for round in 0..5 {
-                ctx.charge(((ctx.rank() + round) % 3) as f64, "w");
-                drive(ctx.barrier_async());
-                times.push(ctx.time());
-            }
-            times
+        let run = m.run_des(|ctx| {
+            Box::pin(async move {
+                let mut times = Vec::new();
+                for round in 0..5 {
+                    ctx.charge(((ctx.rank() + round) % 3) as f64, "w");
+                    ctx.barrier_async().await;
+                    times.push(ctx.time());
+                }
+                times
+            })
         });
         for round in 0..5 {
             let t0 = run.results[0][round];
@@ -1034,19 +807,19 @@ mod tests {
     #[test]
     fn makespan_is_deterministic_across_reruns() {
         let m = Machine::new(8, ClockParams::new(50.0, 2.0));
-        let prog = |ctx: &mut Ctx| {
-            // A butterfly allreduce-like exchange pattern.
+        // A butterfly allreduce-like exchange pattern.
+        async fn prog(ctx: &mut Ctx) -> u64 {
             let mut v = ctx.rank() as u64;
             for round in 0..3 {
                 let partner = ctx.rank() ^ (1 << round);
-                let got = drive(ctx.exchange_async(partner, v, 8));
+                let got = ctx.exchange_async(partner, v, 8).await;
                 v += got;
                 ctx.charge(8.0, "combine");
             }
             v
-        };
-        let a = m.run(prog);
-        let b = m.run(prog);
+        }
+        let a = m.run_des(|ctx| Box::pin(prog(ctx)));
+        let b = m.run_des(|ctx| Box::pin(prog(ctx)));
         assert_eq!(a.makespan, b.makespan);
         assert_eq!(a.results, b.results);
         assert_eq!(a.results, vec![28; 8]);
@@ -1057,13 +830,15 @@ mod tests {
     #[test]
     fn tracing_collects_events_from_all_ranks() {
         let m = Machine::new(2, ClockParams::free()).with_tracing();
-        let run = m.run(|ctx| {
-            if ctx.rank() == 0 {
-                ctx.send(1, 1u8, 1);
-            } else {
-                drive(ctx.recv_async::<u8>(0));
-            }
-            ctx.mark(format!("done-{}", ctx.rank()));
+        let run = m.run_des(|ctx| {
+            Box::pin(async move {
+                if ctx.rank() == 0 {
+                    ctx.send(1, 1u8, 1);
+                } else {
+                    ctx.recv_async::<u8>(0).await;
+                }
+                ctx.mark(format!("done-{}", ctx.rank()));
+            })
         });
         let marks = run.trace.marks();
         assert!(marks.contains(&"done-0"));
@@ -1080,17 +855,19 @@ mod tests {
     #[test]
     fn mixed_payload_types_in_one_program() {
         let m = Machine::new(2, ClockParams::free());
-        let run = m.run(|ctx| {
-            if ctx.rank() == 0 {
-                ctx.send(1, vec![1.5f64, 2.5], 2);
-                ctx.send(1, String::from("tag"), 1);
-                0.0
-            } else {
-                let v: Vec<f64> = drive(ctx.recv_async(0));
-                let s: String = drive(ctx.recv_async(0));
-                assert_eq!(s, "tag");
-                v.iter().sum()
-            }
+        let run = m.run_des(|ctx| {
+            Box::pin(async move {
+                if ctx.rank() == 0 {
+                    ctx.send(1, vec![1.5f64, 2.5], 2);
+                    ctx.send(1, String::from("tag"), 1);
+                    0.0
+                } else {
+                    let v: Vec<f64> = ctx.recv_async(0).await;
+                    let s: String = ctx.recv_async(0).await;
+                    assert_eq!(s, "tag");
+                    v.iter().sum()
+                }
+            })
         });
         assert_eq!(run.results[1], 4.0);
     }
@@ -1099,22 +876,26 @@ mod tests {
     #[should_panic(expected = "not of the expected type")]
     fn type_mismatch_panics_with_context() {
         let m = Machine::new(2, ClockParams::free());
-        m.run(|ctx| {
-            if ctx.rank() == 0 {
-                ctx.send(1, 1u32, 1);
-            } else {
-                let _: u64 = drive(ctx.recv_async(0));
-            }
+        m.run_des(|ctx| {
+            Box::pin(async move {
+                if ctx.rank() == 0 {
+                    ctx.send(1, 1u32, 1);
+                } else {
+                    let _: u64 = ctx.recv_async(0).await;
+                }
+            })
         });
     }
 
     #[test]
     fn single_rank_machine_runs() {
         let m = Machine::new(1, ClockParams::free());
-        let run = m.run(|ctx| {
-            drive(ctx.barrier_async());
-            ctx.charge(3.0, "solo");
-            ctx.rank()
+        let run = m.run_des(|ctx| {
+            Box::pin(async move {
+                ctx.barrier_async().await;
+                ctx.charge(3.0, "solo");
+                ctx.rank()
+            })
         });
         assert_eq!(run.results, vec![0]);
         assert_eq!(run.makespan, 3.0);
@@ -1123,9 +904,11 @@ mod tests {
     #[test]
     fn run_result_stats_match_activity() {
         let m = Machine::new(2, ClockParams::new(1.0, 1.0));
-        let run = m.run(|ctx| {
-            ctx.charge(7.0, "w");
-            drive(ctx.exchange_async(1 - ctx.rank(), (), 3));
+        let run = m.run_des(|ctx| {
+            Box::pin(async move {
+                ctx.charge(7.0, "w");
+                ctx.exchange_async(1 - ctx.rank(), (), 3).await;
+            })
         });
         assert_eq!(run.compute_ops, vec![7.0, 7.0]);
         assert_eq!(run.messages, vec![1, 1]);
@@ -1138,22 +921,22 @@ mod tests {
     // ---- fault injection -------------------------------------------------
 
     /// A small pipeline every fault test reuses: ring shift then butterfly.
-    fn chatty(ctx: &mut Ctx) -> u64 {
+    async fn chatty(ctx: &mut Ctx) -> u64 {
         let mut v = ctx.rank() as u64 + 1;
         ctx.charge(4.0, "warmup");
         let next = (ctx.rank() + 1) % ctx.size();
         let prev = (ctx.rank() + ctx.size() - 1) % ctx.size();
         ctx.send(next, v, 2);
-        v += drive(ctx.recv_async::<u64>(prev));
+        v += ctx.recv_async::<u64>(prev).await;
         if ctx.size().is_power_of_two() {
             for round in 0..ctx.size().trailing_zeros() {
                 let partner = ctx.rank() ^ (1 << round);
-                let got = drive(ctx.exchange_async(partner, v, 2));
+                let got = ctx.exchange_async(partner, v, 2).await;
                 v = v.wrapping_add(got);
                 ctx.charge(2.0, "combine");
             }
         }
-        drive(ctx.barrier_async());
+        ctx.barrier_async().await;
         v
     }
 
@@ -1161,8 +944,10 @@ mod tests {
     fn empty_fault_plan_is_observationally_inert() {
         let plain = Machine::new(4, ClockParams::new(10.0, 1.0)).with_tracing();
         let faulted = plain.clone().with_faults(FaultPlan::new(1234));
-        let a = plain.run(chatty);
-        let b = faulted.try_run(chatty).expect("empty plan cannot fail");
+        let a = plain.run_des(|ctx| Box::pin(chatty(ctx)));
+        let b = faulted
+            .try_run_des(|ctx| Box::pin(chatty(ctx)))
+            .expect("empty plan cannot fail");
         assert_eq!(a.results, b.results);
         assert_eq!(a.makespan.to_bits(), b.makespan.to_bits());
         assert_eq!(a.finish_times, b.finish_times);
@@ -1176,10 +961,10 @@ mod tests {
     #[test]
     fn straggler_slows_only_its_rank_and_keeps_results() {
         let m = Machine::new(4, ClockParams::new(10.0, 1.0));
-        let clean = m.run(chatty);
+        let clean = m.run_des(|ctx| Box::pin(chatty(ctx)));
         let slow = m
             .with_faults(FaultPlan::new(0).with_straggler(2, 5.0))
-            .try_run(chatty)
+            .try_run_des(|ctx| Box::pin(chatty(ctx)))
             .expect("delay-only plan cannot fail");
         assert_eq!(clean.results, slow.results, "results must be bit-identical");
         assert!(slow.makespan > clean.makespan);
@@ -1189,20 +974,20 @@ mod tests {
 
     #[test]
     fn slow_link_inflates_only_the_named_pair() {
-        let prog = |ctx: &mut Ctx| {
+        async fn prog(ctx: &mut Ctx) -> f64 {
             if ctx.rank() == 0 {
                 ctx.send(1, (), 5);
                 ctx.send(2, (), 5);
             } else {
-                drive(ctx.recv_async::<()>(0));
+                ctx.recv_async::<()>(0).await;
             }
             ctx.time()
-        };
+        }
         let m = Machine::new(3, ClockParams::new(10.0, 1.0));
-        let clean = m.run(prog);
+        let clean = m.run_des(|ctx| Box::pin(prog(ctx)));
         let faulted = m
             .with_faults(FaultPlan::new(0).with_slow_link(0, 1, 2.0, 3.0))
-            .try_run(prog)
+            .try_run_des(|ctx| Box::pin(prog(ctx)))
             .expect("delay-only plan cannot fail");
         // 0 -> 1 costs 2*15 + 3 = 33 instead of 15 on both endpoints.
         assert_eq!(faulted.results[1], 33.0);
@@ -1214,13 +999,16 @@ mod tests {
     #[test]
     fn dropped_send_retries_and_stays_bit_identical() {
         let m = Machine::new(4, ClockParams::new(10.0, 1.0)).with_tracing();
-        let clean = m.run(chatty);
+        let clean = m.run_des(|ctx| Box::pin(chatty(ctx)));
         // Drop the first message from 0 to 1 twice; retry costs
         // 2 * (cost + timeout) = 2 * (12 + 7) = 38 extra on rank 0.
         let plan = FaultPlan::new(0)
             .with_drop_exact(0, 1, 0, 2)
             .with_retry(4, 7.0);
-        let lossy = m.with_faults(plan).try_run(chatty).expect("recoverable");
+        let lossy = m
+            .with_faults(plan)
+            .try_run_des(|ctx| Box::pin(chatty(ctx)))
+            .expect("recoverable");
         assert_eq!(clean.results, lossy.results, "payloads must be untouched");
         assert_eq!(lossy.retries[0], 2);
         assert_eq!(lossy.retry_time[0], 2.0 * (12.0 + 7.0));
@@ -1242,7 +1030,7 @@ mod tests {
             .with_retry(3, 5.0);
         let err = m
             .with_faults(plan)
-            .try_run(chatty)
+            .try_run_des(|ctx| Box::pin(chatty(ctx)))
             .expect_err("the message can never get through");
         assert_eq!(
             err,
@@ -1261,7 +1049,7 @@ mod tests {
             let err = m
                 .clone()
                 .with_faults(FaultPlan::new(0).with_crash(2, after_ops))
-                .try_run(chatty)
+                .try_run_des(|ctx| Box::pin(chatty(ctx)))
                 .expect_err("a crashed rank must fail the run");
             assert_eq!(
                 err,
@@ -1278,9 +1066,11 @@ mod tests {
         // ranks are waiting in must abort.
         let err = m
             .with_faults(FaultPlan::new(0).with_crash(1, 0))
-            .try_run(|ctx| {
-                drive(ctx.barrier_async());
-                ctx.rank()
+            .try_run_des(|ctx| {
+                Box::pin(async move {
+                    ctx.barrier_async().await;
+                    ctx.rank()
+                })
             })
             .expect_err("barrier can never complete");
         assert_eq!(err, MachineError::RankFailed { rank: 1 });
@@ -1293,8 +1083,11 @@ mod tests {
             .with_straggler(3, 2.0)
             .with_slow_link(0, 4, 1.5, 10.0)
             .with_drops(0.2, 2);
-        let a = m.clone().with_faults(plan.clone()).try_run(chatty);
-        let b = m.with_faults(plan).try_run(chatty);
+        let a = m
+            .clone()
+            .with_faults(plan.clone())
+            .try_run_des(|ctx| Box::pin(chatty(ctx)));
+        let b = m.with_faults(plan).try_run_des(|ctx| Box::pin(chatty(ctx)));
         match (a, b) {
             (Ok(x), Ok(y)) => {
                 assert_eq!(x.results, y.results);
@@ -1312,8 +1105,10 @@ mod tests {
     fn run_panics_on_injected_failure() {
         let m =
             Machine::new(2, ClockParams::free()).with_faults(FaultPlan::new(0).with_crash(0, 0));
-        let _ = m.run(|ctx| {
-            drive(ctx.barrier_async());
+        let _ = m.run_des(|ctx| {
+            Box::pin(async move {
+                ctx.barrier_async().await;
+            })
         });
     }
 }

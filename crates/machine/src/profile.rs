@@ -476,7 +476,7 @@ impl ProfileReport {
 mod tests {
     use super::*;
     use crate::clock::ClockParams;
-    use crate::machine::{drive, Machine};
+    use crate::machine::Machine;
 
     #[test]
     fn empty_trace_has_empty_path() {
@@ -489,9 +489,11 @@ mod tests {
     #[test]
     fn straight_line_chain_is_the_whole_rank() {
         let m = Machine::new(1, ClockParams::free()).with_tracing();
-        let run = m.run(|ctx| {
-            ctx.charge(3.0, "a");
-            ctx.charge(4.0, "b");
+        let run = m.run_des(|ctx| {
+            Box::pin(async move {
+                ctx.charge(3.0, "a");
+                ctx.charge(4.0, "b");
+            })
         });
         let cp = critical_path(&run.trace).unwrap();
         assert_eq!(cp.steps.len(), 2);
@@ -505,13 +507,15 @@ mod tests {
         // Rank 1 computes, then sends to rank 0, which was idle: the
         // critical path must be [compute@1, recv@0].
         let m = Machine::new(2, ClockParams::new(10.0, 1.0)).with_tracing();
-        let run = m.run(|ctx| {
-            if ctx.rank() == 1 {
-                ctx.charge(100.0, "work");
-                ctx.send(0, (), 5);
-            } else {
-                drive(ctx.recv_async::<()>(1));
-            }
+        let run = m.run_des(|ctx| {
+            Box::pin(async move {
+                if ctx.rank() == 1 {
+                    ctx.charge(100.0, "work");
+                    ctx.send(0, (), 5);
+                } else {
+                    ctx.recv_async::<()>(1).await;
+                }
+            })
         });
         assert_eq!(run.makespan, 115.0);
         let cp = critical_path(&run.trace).unwrap();
@@ -528,10 +532,12 @@ mod tests {
     #[test]
     fn path_attributes_barrier_waits_to_the_last_arrival() {
         let m = Machine::new(3, ClockParams::free()).with_tracing();
-        let run = m.run(|ctx| {
-            ctx.charge((ctx.rank() * 10) as f64, "skew");
-            drive(ctx.barrier_async());
-            ctx.charge(5.0, "after");
+        let run = m.run_des(|ctx| {
+            Box::pin(async move {
+                ctx.charge((ctx.rank() * 10) as f64, "skew");
+                ctx.barrier_async().await;
+                ctx.charge(5.0, "after");
+            })
         });
         assert_eq!(run.makespan, 25.0);
         let cp = critical_path(&run.trace).unwrap();
@@ -550,11 +556,13 @@ mod tests {
     #[test]
     fn path_survives_repeated_barriers_with_no_work_between() {
         let m = Machine::new(2, ClockParams::free()).with_tracing();
-        let run = m.run(|ctx| {
-            ctx.charge((1 + ctx.rank()) as f64, "skew");
-            drive(ctx.barrier_async());
-            drive(ctx.barrier_async());
-            drive(ctx.barrier_async());
+        let run = m.run_des(|ctx| {
+            Box::pin(async move {
+                ctx.charge((1 + ctx.rank()) as f64, "skew");
+                ctx.barrier_async().await;
+                ctx.barrier_async().await;
+                ctx.barrier_async().await;
+            })
         });
         let cp = critical_path(&run.trace).unwrap();
         assert_eq!(cp.length(), run.makespan);
@@ -563,14 +571,16 @@ mod tests {
     #[test]
     fn path_length_matches_makespan_under_jitter() {
         let m = Machine::new(4, ClockParams::new(50.0, 2.0).with_jitter(7, 0.5)).with_tracing();
-        let run = m.run(|ctx| {
-            let mut v = ctx.rank() as u64;
-            for round in 0..2 {
-                let partner = ctx.rank() ^ (1 << round);
-                v += drive(ctx.exchange_async(partner, v, 8));
-                ctx.charge(8.0, "combine");
-            }
-            v
+        let run = m.run_des(|ctx| {
+            Box::pin(async move {
+                let mut v = ctx.rank() as u64;
+                for round in 0..2 {
+                    let partner = ctx.rank() ^ (1 << round);
+                    v += ctx.exchange_async(partner, v, 8).await;
+                    ctx.charge(8.0, "combine");
+                }
+                v
+            })
         });
         let cp = critical_path(&run.trace).unwrap();
         assert_eq!(cp.length(), run.makespan);
@@ -579,11 +589,13 @@ mod tests {
     #[test]
     fn profile_rank_rows_sum_to_makespan() {
         let m = Machine::new(2, ClockParams::new(10.0, 1.0)).with_tracing();
-        let run = m.run(|ctx| {
-            if ctx.rank() == 1 {
-                ctx.charge(100.0, "work");
-            }
-            drive(ctx.exchange_async(1 - ctx.rank(), (), 5));
+        let run = m.run_des(|ctx| {
+            Box::pin(async move {
+                if ctx.rank() == 1 {
+                    ctx.charge(100.0, "work");
+                }
+                ctx.exchange_async(1 - ctx.rank(), (), 5).await;
+            })
         });
         let report = ProfileReport::from_trace(&run.trace, 2, run.makespan);
         for r in &report.ranks {
@@ -608,11 +620,13 @@ mod tests {
     #[test]
     fn stage_markers_partition_the_run() {
         let m = Machine::new(2, ClockParams::new(10.0, 1.0)).with_tracing();
-        let run = m.run(|ctx| {
-            ctx.charge(4.0, "s0");
-            ctx.end_stage(0, "compute");
-            drive(ctx.exchange_async(1 - ctx.rank(), (), 2));
-            ctx.end_stage(1, "exchange");
+        let run = m.run_des(|ctx| {
+            Box::pin(async move {
+                ctx.charge(4.0, "s0");
+                ctx.end_stage(0, "compute");
+                ctx.exchange_async(1 - ctx.rank(), (), 2).await;
+                ctx.end_stage(1, "exchange");
+            })
         });
         let report = ProfileReport::from_trace(&run.trace, 2, run.makespan);
         assert_eq!(report.stages.len(), 2);

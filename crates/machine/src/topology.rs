@@ -99,7 +99,7 @@ pub fn binomial_bcast_schedule(size: usize, root: usize) -> Vec<TreeStep> {
 /// For a given `rank`, the incoming edge (round, source) and outgoing edges
 /// (round, destination) of the binomial broadcast rooted at `root`.
 ///
-/// This is the per-rank view a thread needs to participate without scanning
+/// This is the per-rank view a rank needs to participate without scanning
 /// the global schedule.
 pub fn binomial_bcast_rank_plan(size: usize, root: usize, rank: usize) -> BinomialPlan {
     assert!(rank < size && root < size);

@@ -9,27 +9,29 @@
 //!   per-`(pid, tid)` monotone timestamps;
 //! * a **parse/render round-trip** through the in-repo JSON layer.
 
-use collopt_machine::{chrome_trace, chrome_trace_json, drive, ClockParams, Json, Machine};
+use collopt_machine::{chrome_trace, chrome_trace_json, ClockParams, Json, Machine};
 
 /// The fixed run behind the golden file: 4 ranks, a compute+butterfly
 /// exchange round with stage markers, a barrier, and a mark.
 fn golden_trace() -> collopt_machine::Trace {
     let m = Machine::new(4, ClockParams::new(10.0, 1.0)).with_tracing();
-    let run = m.run(|ctx| {
-        ctx.charge(3.0, "setup");
-        ctx.end_stage(0, "setup");
-        let mut v = ctx.rank() as u64 + 1;
-        for round in 0..2 {
-            let partner = ctx.rank() ^ (1 << round);
-            v += drive(ctx.exchange_async(partner, v, 2));
-            ctx.charge(1.0, "combine");
-        }
-        ctx.end_stage(1, "butterfly");
-        if ctx.rank() == 0 {
-            ctx.mark(format!("sum={v}"));
-        }
-        drive(ctx.barrier_async());
-        v
+    let run = m.run_des(|ctx| {
+        Box::pin(async move {
+            ctx.charge(3.0, "setup");
+            ctx.end_stage(0, "setup");
+            let mut v = ctx.rank() as u64 + 1;
+            for round in 0..2 {
+                let partner = ctx.rank() ^ (1 << round);
+                v += ctx.exchange_async(partner, v, 2).await;
+                ctx.charge(1.0, "combine");
+            }
+            ctx.end_stage(1, "butterfly");
+            if ctx.rank() == 0 {
+                ctx.mark(format!("sum={v}"));
+            }
+            ctx.barrier_async().await;
+            v
+        })
     });
     assert_eq!(run.results, vec![10; 4], "golden workload must be stable");
     run.trace

@@ -7,7 +7,7 @@ use collopt_machine::topology::{
     binomial_bcast_rank_plan, binomial_bcast_schedule, butterfly_partner, butterfly_rounds,
     ceil_log2, BalancedNode, BalancedTree,
 };
-use collopt_machine::{drive, ClockParams, Machine, Rng};
+use collopt_machine::{ClockParams, Machine, Rng};
 
 #[test]
 fn ceil_log2_is_the_least_sufficient_exponent() {
@@ -141,20 +141,23 @@ fn simulated_makespan_is_schedule_independent() {
             })
             .collect();
         let machine = Machine::new(p, ClockParams::new(13.0, 0.5));
+        let pattern = std::sync::Arc::new(pattern);
         let run_once = || {
-            let pattern = pattern.clone();
-            machine.run(move |ctx| {
-                let mut acc = ctx.rank() as u64;
-                for round in pattern.iter() {
-                    let partner = round[ctx.rank()];
-                    if round[partner] == ctx.rank() && partner != ctx.rank() {
-                        // Symmetric pair: exchange.
-                        acc += drive(ctx.exchange_async(partner, acc, 3));
-                    } else {
-                        ctx.charge(5.0, "solo");
+            machine.run_des(|ctx| {
+                let pattern = std::sync::Arc::clone(&pattern);
+                Box::pin(async move {
+                    let mut acc = ctx.rank() as u64;
+                    for round in pattern.iter() {
+                        let partner = round[ctx.rank()];
+                        if round[partner] == ctx.rank() && partner != ctx.rank() {
+                            // Symmetric pair: exchange.
+                            acc += ctx.exchange_async(partner, acc, 3).await;
+                        } else {
+                            ctx.charge(5.0, "solo");
+                        }
                     }
-                }
-                acc
+                    acc
+                })
             })
         };
         let a = run_once();
@@ -169,23 +172,25 @@ fn simulated_makespan_is_schedule_independent() {
 fn fifo_order_holds_under_bursts() {
     for count in [1usize, 2, 7, 23, 49] {
         let machine = Machine::new(2, ClockParams::free());
-        let run = machine.run(move |ctx| {
-            if ctx.rank() == 0 {
-                for i in 0..count {
-                    ctx.send(1, i as u64, 1);
-                }
-                0
-            } else {
-                let mut last = None;
-                for _ in 0..count {
-                    let v: u64 = drive(ctx.recv_async(0));
-                    if let Some(prev) = last {
-                        assert!(v > prev, "FIFO violated: {v} after {prev}");
+        let run = machine.run_des(move |ctx| {
+            Box::pin(async move {
+                if ctx.rank() == 0 {
+                    for i in 0..count {
+                        ctx.send(1, i as u64, 1);
                     }
-                    last = Some(v);
+                    0
+                } else {
+                    let mut last = None;
+                    for _ in 0..count {
+                        let v: u64 = ctx.recv_async(0).await;
+                        if let Some(prev) = last {
+                            assert!(v > prev, "FIFO violated: {v} after {prev}");
+                        }
+                        last = Some(v);
+                    }
+                    last.unwrap()
                 }
-                last.unwrap()
-            }
+            })
         });
         assert_eq!(run.results[1], count as u64 - 1);
     }
@@ -195,13 +200,15 @@ fn fifo_order_holds_under_bursts() {
 fn clock_monotonicity_per_rank() {
     for p in 2usize..8 {
         let machine = Machine::new(p, ClockParams::new(7.0, 1.0)).with_tracing();
-        let run = machine.run(|ctx| {
-            let partner = ctx.rank() ^ 1;
-            if partner < ctx.size() {
-                drive(ctx.exchange_async(partner, ctx.rank(), 2));
-            }
-            ctx.charge(3.0, "tail");
-            drive(ctx.barrier_async());
+        let run = machine.run_des(|ctx| {
+            Box::pin(async move {
+                let partner = ctx.rank() ^ 1;
+                if partner < ctx.size() {
+                    ctx.exchange_async(partner, ctx.rank(), 2).await;
+                }
+                ctx.charge(3.0, "tail");
+                ctx.barrier_async().await;
+            })
         });
         // Events of each rank are non-decreasing in time.
         for rank in 0..p {

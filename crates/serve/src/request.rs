@@ -7,13 +7,14 @@
 //! ```json
 //! {"id": 7, "op": "optimize", "pipeline": "scan(mul) ; reduce(add)",
 //!  "p": 64, "ts": 200, "tw": 2, "m": 32,
-//!  "options": {"all_ranks": false, "lint": true,
-//!              "simulate": false, "engine": "des"}}
+//!  "options": {"all_ranks": false, "lint": true, "simulate": false}}
 //! ```
 //!
 //! `op` defaults to `"optimize"`; `"ping"`, `"stats"` and `"shutdown"`
 //! are control operations. Machine parameters default to the CLI's
-//! (`p=64, ts=200, tw=2, m=32`). The `id` is echoed verbatim in the
+//! (`p=64, ts=200, tw=2, m=32`); `simulate` runs both pipelines on the
+//! discrete-event engine, whose memory bounds `p`. Keys this protocol
+//! does not name are ignored. The `id` is echoed verbatim in the
 //! response and is the caller's correlation handle — it never enters
 //! the cache key.
 //!
@@ -24,7 +25,7 @@
 //! (the pipeline spec does not parse; the message carries the caret
 //! diagnostic).
 
-use collopt_machine::{ExecEngine, Json};
+use collopt_machine::Json;
 
 /// Default processor count, matching `collopt`'s `--p`.
 pub const DEFAULT_P: usize = 64;
@@ -55,9 +56,6 @@ pub struct OptimizeRequest {
     pub lint: bool,
     /// Run both pipelines on the simulated machine and attach makespans.
     pub simulate: bool,
-    /// Engine for `simulate` (DES by default: single-threaded and
-    /// memory-bound, so huge `p` is fine).
-    pub engine: ExecEngine,
 }
 
 /// The operation a request asks for.
@@ -249,25 +247,6 @@ pub fn parse_request(line: &str) -> Result<Request, RequestError> {
     let lint = get_bool(&options, "lint", true).map_err(|m| bad(&id, ErrorCode::BadRequest, m))?;
     let simulate =
         get_bool(&options, "simulate", false).map_err(|m| bad(&id, ErrorCode::BadRequest, m))?;
-    let engine = match options.get("engine") {
-        None | Some(Json::Null) => ExecEngine::Des,
-        Some(Json::Str(s)) => s
-            .parse()
-            .map_err(|e: String| bad(&id, ErrorCode::BadRequest, e))?,
-        Some(_) => return Err(bad(&id, ErrorCode::BadRequest, "'engine' must be a string")),
-    };
-    if simulate {
-        if let Some(cap) = engine.max_p().filter(|&cap| p as usize > cap) {
-            return Err(bad(
-                &id,
-                ErrorCode::BadRequest,
-                format!(
-                    "p={p} exceeds the {} engine's {cap}-rank ceiling; use engine 'des'",
-                    engine.name()
-                ),
-            ));
-        }
-    }
 
     Ok(Request {
         id,
@@ -280,7 +259,6 @@ pub fn parse_request(line: &str) -> Result<Request, RequestError> {
             all_ranks,
             lint,
             simulate,
-            engine,
         }),
     })
 }
@@ -302,7 +280,6 @@ mod tests {
         assert!(!opt.all_ranks);
         assert!(opt.lint);
         assert!(!opt.simulate);
-        assert_eq!(opt.engine, ExecEngine::Des);
         assert_eq!(req.id, Json::Null);
     }
 
@@ -319,23 +296,20 @@ mod tests {
         assert_eq!(e.code, ErrorCode::BadRequest);
         let e = parse_request(r#"{"pipeline":"map f","p":-1}"#).unwrap_err();
         assert_eq!(e.code, ErrorCode::BadRequest);
-        for engine in ["warp", "pooled"] {
-            let line = format!(r#"{{"pipeline":"map f","options":{{"engine":"{engine}"}}}}"#);
-            let e = parse_request(&line).unwrap_err();
-            assert_eq!(e.code, ErrorCode::BadRequest);
-        }
     }
 
     #[test]
-    fn thread_engine_refuses_oversized_machines_only_when_simulating() {
-        let line =
-            r#"{"pipeline":"map f","p":100000,"options":{"engine":"threads","simulate":true}}"#;
-        let e = parse_request(line).unwrap_err();
-        assert_eq!(e.code, ErrorCode::BadRequest);
-        assert!(e.message.contains("des"));
-        // Without simulation the engine is irrelevant, so huge p is fine.
-        let line = r#"{"pipeline":"map f","p":100000,"options":{"engine":"threads"}}"#;
-        assert!(parse_request(line).is_ok());
+    fn unknown_option_keys_are_ignored() {
+        for engine in ["threads", "warp"] {
+            let line = format!(
+                r#"{{"pipeline":"map f","p":100000,"options":{{"engine":"{engine}","simulate":true}}}}"#
+            );
+            let req = parse_request(&line).unwrap_or_else(|e| panic!("engine={engine}: {e:?}"));
+            let Op::Optimize(opt) = req.op else {
+                panic!("optimize is the default op")
+            };
+            assert!(opt.simulate);
+        }
     }
 
     #[test]

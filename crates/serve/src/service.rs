@@ -26,11 +26,12 @@
 //! raw source never appears in it — so every spec in an equivalence
 //! class shares one cache entry *and* one byte-exact body.
 
+use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use collopt_analysis::lint::{lint_plan, lint_program, lint_with_plan, LintConfig};
-use collopt_core::exec::{execute_with, ExecConfig};
+use collopt_core::exec::execute;
 use collopt_core::parser::parse_pipeline;
 use collopt_core::report::optimize_result_json;
 use collopt_core::rewrite::Rewriter;
@@ -85,8 +86,12 @@ pub fn cache_key(req: &OptimizeRequest) -> Result<String, String> {
 }
 
 fn key_for(canonical: &str, req: &OptimizeRequest) -> String {
-    format!(
-        "{canonical}|p={}|ts={:016x}|tw={:016x}|m={:016x}|ranks={}|lint={}|sim={}|engine={}",
+    // Sized for the longest suffix (an 8-digit `p`, `false` flags), so a
+    // key costs one allocation however long its pipeline.
+    let mut key = String::with_capacity(canonical.len() + 103);
+    write!(
+        key,
+        "{canonical}|p={}|ts={:016x}|tw={:016x}|m={:016x}|ranks={}|lint={}|sim={}",
         req.p,
         req.ts.to_bits(),
         req.tw.to_bits(),
@@ -94,8 +99,9 @@ fn key_for(canonical: &str, req: &OptimizeRequest) -> String {
         req.all_ranks,
         req.lint,
         req.simulate,
-        req.engine.name(),
     )
+    .expect("writing to a String cannot fail");
+    key
 }
 
 /// Deterministic synthetic input for simulation: `m` words per rank,
@@ -235,14 +241,9 @@ fn render_body(canonical: &Program, req: &OptimizeRequest) -> String {
     let simulation = if req.simulate {
         let inputs = synthetic_inputs(req.p, req.m);
         let clock = ClockParams::new(req.ts, req.tw);
-        let config = ExecConfig {
-            engine: Some(req.engine),
-            ..ExecConfig::default()
-        };
-        let original = execute_with(canonical, &inputs, clock, config);
-        let optimized = execute_with(&result.program, &inputs, clock, config);
+        let original = execute(canonical, &inputs, clock);
+        let optimized = execute(&result.program, &inputs, clock);
         Json::Obj(vec![
-            ("engine".into(), Json::Str(req.engine.name().into())),
             ("original_makespan".into(), Json::Num(original.makespan)),
             ("optimized_makespan".into(), Json::Num(optimized.makespan)),
         ])
@@ -271,7 +272,6 @@ mod tests {
             all_ranks: false,
             lint: true,
             simulate: false,
-            engine: collopt_machine::ExecEngine::Des,
         }
     }
 
@@ -320,7 +320,6 @@ mod tests {
         let reply = service.handle_line(line);
         let doc = Json::parse(&reply.text).unwrap();
         let sim = doc.get("result").and_then(|r| r.get("simulation")).unwrap();
-        assert_eq!(sim.get("engine").and_then(|e| e.as_str()), Some("des"));
         assert!(
             sim.get("original_makespan")
                 .and_then(|x| x.as_f64())

@@ -6,7 +6,6 @@
 //! pins the *canonical rendering* half over the `examples/pipelines/`
 //! corpus and hand-built equivalence pairs.
 
-use collopt_machine::ExecEngine;
 use collopt_serve::{cache_key, canonicalize, OptimizeRequest};
 
 fn req(pipeline: &str) -> OptimizeRequest {
@@ -19,7 +18,6 @@ fn req(pipeline: &str) -> OptimizeRequest {
         all_ranks: false,
         lint: true,
         simulate: false,
-        engine: ExecEngine::Des,
     }
 }
 

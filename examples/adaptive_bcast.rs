@@ -19,26 +19,34 @@ use collopt::collectives::{
     bcast_auto_async, bcast_binomial_async, bcast_pipelined_async, bcast_scatter_allgather_async,
     choose_bcast, optimal_segments,
 };
-use collopt::prelude::{drive, ClockParams, Machine};
+use collopt::prelude::{ClockParams, Machine};
 
 fn measure(p: usize, mw: usize, clock: ClockParams) -> (f64, f64, f64, f64, &'static str) {
     let machine = Machine::new(p, clock);
-    let tree = machine.run(move |ctx| {
-        let v = (ctx.rank() == 0).then(|| vec![1u8; mw]);
-        drive(bcast_binomial_async(ctx, 0, v, mw as u64)).len()
+    let tree = machine.run_des(move |ctx| {
+        Box::pin(async move {
+            let v = (ctx.rank() == 0).then(|| vec![1u8; mw]);
+            bcast_binomial_async(ctx, 0, v, mw as u64).await.len()
+        })
     });
     let segments = optimal_segments(p, mw as u64, clock.ts, clock.tw);
-    let chain = machine.run(move |ctx| {
-        let v = (ctx.rank() == 0).then(|| vec![1u8; mw]);
-        drive(bcast_pipelined_async(ctx, 0, v, 1, segments)).len()
+    let chain = machine.run_des(move |ctx| {
+        Box::pin(async move {
+            let v = (ctx.rank() == 0).then(|| vec![1u8; mw]);
+            bcast_pipelined_async(ctx, 0, v, 1, segments).await.len()
+        })
     });
-    let vdg = machine.run(move |ctx| {
-        let v = (ctx.rank() == 0).then(|| vec![1u8; mw]);
-        drive(bcast_scatter_allgather_async(ctx, v, 1)).len()
+    let vdg = machine.run_des(move |ctx| {
+        Box::pin(async move {
+            let v = (ctx.rank() == 0).then(|| vec![1u8; mw]);
+            bcast_scatter_allgather_async(ctx, v, 1).await.len()
+        })
     });
-    let auto = machine.run(move |ctx| {
-        let v = (ctx.rank() == 0).then(|| vec![1u8; mw]);
-        drive(bcast_auto_async(ctx, v, 1)).len()
+    let auto = machine.run_des(move |ctx| {
+        Box::pin(async move {
+            let v = (ctx.rank() == 0).then(|| vec![1u8; mw]);
+            bcast_auto_async(ctx, v, 1).await.len()
+        })
     });
     // Everyone must have received the full block.
     for r in [&tree, &chain, &vdg, &auto] {

@@ -17,25 +17,28 @@ use collopt::collectives::{
     choose_allreduce, Combine,
 };
 use collopt::core::exec::{execute, execute_with, ExecConfig};
-use collopt::prelude::{drive, ops, ClockParams, Machine, Program, Value};
+use collopt::prelude::{ops, ClockParams, Machine, Program, Value};
 
 type Block = Vec<i64>;
 
 fn measure(p: usize, mw: usize, clock: ClockParams) -> (f64, f64, f64, &'static str) {
     let machine = Machine::new(p, clock);
     let run_with = |which: usize| {
-        machine.run(move |ctx| {
-            let f =
-                |a: &Block, b: &Block| -> Block { a.iter().zip(b).map(|(x, y)| x + y).collect() };
-            let op = Combine::new(&f).assume_commutative();
-            let v: Block = vec![ctx.rank() as i64; mw];
-            let out = match which {
-                0 => drive(allreduce_butterfly_async(ctx, v, mw as u64, &op)),
-                1 => drive(allreduce_rabenseifner_async(ctx, v, 1, &op)),
-                _ => drive(allreduce_auto_async(ctx, v, 1, &op)),
-            };
-            // Every rank must hold the full reduced block.
-            assert!(out.len() == mw && out.iter().all(|&x| x == (p * (p - 1) / 2) as i64));
+        machine.run_des(move |ctx| {
+            Box::pin(async move {
+                let f = |a: &Block, b: &Block| -> Block {
+                    a.iter().zip(b).map(|(x, y)| x + y).collect()
+                };
+                let op = Combine::new(&f).assume_commutative();
+                let v: Block = vec![ctx.rank() as i64; mw];
+                let out = match which {
+                    0 => allreduce_butterfly_async(ctx, v, mw as u64, &op).await,
+                    1 => allreduce_rabenseifner_async(ctx, v, 1, &op).await,
+                    _ => allreduce_auto_async(ctx, v, 1, &op).await,
+                };
+                // Every rank must hold the full reduced block.
+                assert!(out.len() == mw && out.iter().all(|&x| x == (p * (p - 1) / 2) as i64));
+            })
         })
     };
     let choice = choose_allreduce(p, mw as u64, 1.0, true, &clock);

@@ -14,7 +14,7 @@
 //! Run with `cargo run --release --example kmeans`.
 
 use collopt::collectives::{allreduce_async, Combine};
-use collopt::prelude::{drive, ClockParams, Machine};
+use collopt::prelude::{ClockParams, Machine};
 
 const K: usize = 3;
 const DIM: usize = 2;
@@ -79,33 +79,31 @@ fn main() {
 
     // ---- distributed ----
     let machine = Machine::new(p, ClockParams::parsytec_like());
-    let run = machine.run(move |ctx| {
-        let points = synth_points(ctx.rank(), per_rank);
-        let mut centroids = init;
-        let addv = |a: &Vec<f64>, b: &Vec<f64>| -> Vec<f64> {
-            a.iter().zip(b).map(|(x, y)| x + y).collect()
-        };
-        let fmax = |a: &f64, b: &f64| a.max(*b);
-        let mut iterations = 0;
-        loop {
-            let (sums, counts) = step(&points, &centroids);
-            // One accumulator block: K*DIM sums then K counts.
-            let mut acc: Vec<f64> = sums.to_vec();
-            acc.extend_from_slice(&counts);
-            let total = drive(allreduce_async(
-                ctx,
-                acc,
-                (K * DIM + K) as u64,
-                &Combine::new(&addv),
-            ));
-            let moved = recompute(&mut centroids, &total[..K * DIM], &total[K * DIM..]);
-            let global_moved = drive(allreduce_async(ctx, moved, 1, &Combine::new(&fmax)));
-            iterations += 1;
-            if global_moved < 1e-12 || iterations > 50 {
-                break;
+    let run = machine.run_des(move |ctx| {
+        Box::pin(async move {
+            let points = synth_points(ctx.rank(), per_rank);
+            let mut centroids = init;
+            let addv = |a: &Vec<f64>, b: &Vec<f64>| -> Vec<f64> {
+                a.iter().zip(b).map(|(x, y)| x + y).collect()
+            };
+            let fmax = |a: &f64, b: &f64| a.max(*b);
+            let mut iterations = 0;
+            loop {
+                let (sums, counts) = step(&points, &centroids);
+                // One accumulator block: K*DIM sums then K counts.
+                let mut acc: Vec<f64> = sums.to_vec();
+                acc.extend_from_slice(&counts);
+                let total =
+                    allreduce_async(ctx, acc, (K * DIM + K) as u64, &Combine::new(&addv)).await;
+                let moved = recompute(&mut centroids, &total[..K * DIM], &total[K * DIM..]);
+                let global_moved = allreduce_async(ctx, moved, 1, &Combine::new(&fmax)).await;
+                iterations += 1;
+                if global_moved < 1e-12 || iterations > 50 {
+                    break;
+                }
             }
-        }
-        (centroids, iterations)
+            (centroids, iterations)
+        })
     });
 
     // ---- sequential reference on the concatenated data ----

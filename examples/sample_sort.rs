@@ -15,61 +15,64 @@
 //! Run with `cargo run --example sample_sort`.
 
 use collopt::collectives::{alltoall_async, bcast_binomial_async, gather_binomial_async, Combine};
-use collopt::prelude::{drive, ClockParams, Machine};
+use collopt::prelude::{ClockParams, Machine};
 
 fn main() {
     let p = 8usize;
     let n_per_rank = 64usize;
 
     let machine = Machine::new(p, ClockParams::parsytec_like());
-    let run = machine.run(move |ctx| {
-        let rank = ctx.rank();
-        let p = ctx.size();
-        // Deterministic pseudo-random block.
-        let mut block: Vec<i64> = (0..n_per_rank)
-            .map(|j| (((rank * 7919 + j * 104729) % 10_007) as i64) - 5000)
-            .collect();
-        // 1. local sort
-        block.sort_unstable();
+    let run = machine.run_des(move |ctx| {
+        Box::pin(async move {
+            let rank = ctx.rank();
+            let p = ctx.size();
+            // Deterministic pseudo-random block.
+            let mut block: Vec<i64> = (0..n_per_rank)
+                .map(|j| (((rank * 7919 + j * 104729) % 10_007) as i64) - 5000)
+                .collect();
+            // 1. local sort
+            block.sort_unstable();
 
-        // 2. regular sample: p-1 evenly spaced candidates per rank.
-        let sample: Vec<i64> = (1..p).map(|k| block[k * n_per_rank / p]).collect();
-        let gathered = drive(gather_binomial_async(ctx, sample, (p - 1) as u64));
+            // 2. regular sample: p-1 evenly spaced candidates per rank.
+            let sample: Vec<i64> = (1..p).map(|k| block[k * n_per_rank / p]).collect();
+            let gathered = gather_binomial_async(ctx, sample, (p - 1) as u64).await;
 
-        // 3. rank 0 sorts all candidates and picks global splitters.
-        let splitters: Vec<i64> = {
-            let chosen = gathered.map(|samples| {
-                let mut all: Vec<i64> = samples.into_iter().flatten().collect();
-                all.sort_unstable();
-                // Every p-1-th candidate: p-1 splitters.
-                (1..p).map(|k| all[k * (p - 1) - 1]).collect::<Vec<i64>>()
-            });
-            drive(bcast_binomial_async(ctx, 0, chosen, (p - 1) as u64))
-        };
+            // 3. rank 0 sorts all candidates and picks global splitters.
+            let splitters: Vec<i64> = {
+                let chosen = gathered.map(|samples| {
+                    let mut all: Vec<i64> = samples.into_iter().flatten().collect();
+                    all.sort_unstable();
+                    // Every p-1-th candidate: p-1 splitters.
+                    (1..p).map(|k| all[k * (p - 1) - 1]).collect::<Vec<i64>>()
+                });
+                bcast_binomial_async(ctx, 0, chosen, (p - 1) as u64).await
+            };
 
-        // 4. partition the local block into p pieces by splitter …
-        let mut pieces: Vec<Vec<i64>> = vec![Vec::new(); p];
-        for &x in &block {
-            let dest = splitters.partition_point(|&s| s < x);
-            pieces[dest].push(x);
-        }
-        // … and exchange: piece d goes to rank d.
-        let received = drive(alltoall_async(ctx, pieces, n_per_rank as u64));
+            // 4. partition the local block into p pieces by splitter …
+            let mut pieces: Vec<Vec<i64>> = vec![Vec::new(); p];
+            for &x in &block {
+                let dest = splitters.partition_point(|&s| s < x);
+                pieces[dest].push(x);
+            }
+            // … and exchange: piece d goes to rank d.
+            let received = alltoall_async(ctx, pieces, n_per_rank as u64).await;
 
-        // 5. local merge (concatenate + sort; pieces are sorted already).
-        let mut mine: Vec<i64> = received.into_iter().flatten().collect();
-        mine.sort_unstable();
+            // 5. local merge (concatenate + sort; pieces are sorted already).
+            let mut mine: Vec<i64> = received.into_iter().flatten().collect();
+            mine.sort_unstable();
 
-        // Global count check: nothing lost, nothing duplicated.
-        let add = |a: &i64, b: &i64| a + b;
-        let total = drive(collopt::collectives::allreduce_async(
-            ctx,
-            mine.len() as i64,
-            1,
-            &Combine::new(&add),
-        ));
-        assert_eq!(total as usize, p * n_per_rank);
-        mine
+            // Global count check: nothing lost, nothing duplicated.
+            let add = |a: &i64, b: &i64| a + b;
+            let total = collopt::collectives::allreduce_async(
+                ctx,
+                mine.len() as i64,
+                1,
+                &Combine::new(&add),
+            )
+            .await;
+            assert_eq!(total as usize, p * n_per_rank);
+            mine
+        })
     });
 
     // Verify: concatenation of per-rank outputs equals the sorted input.

@@ -27,10 +27,6 @@
 //! * `--faults SPEC` run both pipelines under a deterministic fault plan
 //!   and show how gracefully they degrade, e.g.
 //!   `--faults "seed=42,straggler=3x2.5,link=0-1x2+50,drop=0.05/3"`
-//! * `--engine E`    simulation engine for `--profile`/`--faults`:
-//!   `des` (the default) is the single-threaded discrete-event scheduler
-//!   whose `p` is bounded by memory only; `threads`, its reference, runs
-//!   one OS thread per rank (p ≤ 4096).
 //! * `--table1`      also print the analytic Table 1 and exit
 //! * `--json`        emit the byte-stable optimization JSON (the core of
 //!   the serve response schema) instead of the human summary
@@ -48,7 +44,7 @@
 //! `collopt_serve::request`) with a canonicalizing LRU optimization
 //! cache and batched dispatch. `submit` builds one request from the
 //! usual flags (`--p/--ts/--tw/--m`, `--all-ranks`, `--no-lint`,
-//! `--simulate`, `--engine`), sends it, and prints the response line;
+//! `--simulate`), sends it, and prints the response line;
 //! `--line '<json>'` submits a raw request verbatim.
 //!
 //! Lint mode — static soundness and performance diagnostics:
@@ -153,10 +149,9 @@ use collopt::analysis::{lint_source, LintConfig, Severity};
 use collopt::bench::chaos::{failures_json, sweep_parallel, ChaosKind};
 use collopt::bench::repro::{self, ARTIFACTS};
 use collopt::core::egraph::{saturate_program, SaturateConfig};
-use collopt::core::exec::ExecConfig;
 use collopt::core::parser::parse_pipeline;
 use collopt::core::report::{
-    degradation_section_with, optimization_report, optimize_result_json, profile_section_with,
+    degradation_section, optimization_report, optimize_result_json, profile_section,
 };
 use collopt::core::rewrite::{program_cost, Rewriter};
 use collopt::core::value::Value;
@@ -166,7 +161,7 @@ use collopt::fuzz::{
     report_failures, run_campaign, run_case, verdict_json, CampaignConfig, CaseSpec,
     CoverageLedger, GenConfig,
 };
-use collopt::machine::{ClockParams, ExecEngine, FaultPlan, Json};
+use collopt::machine::{ClockParams, FaultPlan, Json};
 use collopt::serve::{Server, ServerConfig, Service, DEFAULT_CACHE_CAPACITY};
 
 /// Default address for `collopt serve` / `collopt submit`.
@@ -174,8 +169,7 @@ const DEFAULT_ADDR: &str = "127.0.0.1:7071";
 
 /// What may follow `collopt` when no subcommand does.
 const USAGE: &str = "\"<pipeline>\" [--p N] [--ts X] [--tw X] [--m X] [--exhaustive] \
-     [--optimal] [--all-ranks] [--report] [--profile] [--faults SPEC] [--engine threads|des] \
-     [--json] [--table1]";
+     [--optimal] [--all-ranks] [--report] [--profile] [--faults SPEC] [--json] [--table1]";
 
 /// A subcommand: its name, what may follow the name (stated once, for
 /// errors and for `--help`), and its entry point.
@@ -228,7 +222,7 @@ const MODES: &[Mode] = &[
     Mode {
         name: "submit",
         usage: "\"<pipeline>\" [--addr HOST:PORT] [--id N] [--p N] [--ts X] [--tw X] \
-         [--m X] [--all-ranks] [--no-lint] [--simulate] [--engine E] \
+         [--m X] [--all-ranks] [--no-lint] [--simulate] \
          | --op ping|stats|shutdown | --line '<json>'",
         run: submit_main,
     },
@@ -401,7 +395,6 @@ fn submit_main(mut args: Args) -> ! {
     let mut all_ranks = false;
     let mut lint = true;
     let mut simulate = false;
-    let mut engine: Option<String> = None;
     while let Some(arg) = args.rest.next() {
         match arg.as_str() {
             "--addr" => addr = args.value(&arg),
@@ -411,7 +404,6 @@ fn submit_main(mut args: Args) -> ! {
             "--all-ranks" => all_ranks = true,
             "--no-lint" => lint = false,
             "--simulate" => simulate = true,
-            "--engine" => engine = Some(args.value(&arg)),
             flag if machine.take(flag, &mut args) => {}
             _ => args.pipeline(arg, &mut pipeline),
         }
@@ -427,14 +419,11 @@ fn submit_main(mut args: Args) -> ! {
         .render()
     } else if let Some(pipeline) = pipeline {
         let (params, m) = machine.checked(&args);
-        let mut options = vec![
+        let options = Json::Obj(vec![
             ("all_ranks".into(), Json::Bool(all_ranks)),
             ("lint".into(), Json::Bool(lint)),
             ("simulate".into(), Json::Bool(simulate)),
-        ];
-        if let Some(engine) = engine {
-            options.push(("engine".into(), Json::Str(engine)));
-        }
+        ]);
         Json::Obj(vec![
             ("id".into(), Json::Num(id)),
             ("pipeline".into(), Json::Str(pipeline)),
@@ -442,7 +431,7 @@ fn submit_main(mut args: Args) -> ! {
             ("ts".into(), Json::Num(params.ts)),
             ("tw".into(), Json::Num(params.tw)),
             ("m".into(), Json::Num(m)),
-            ("options".into(), Json::Obj(options)),
+            ("options".into(), options),
         ])
         .render()
     } else {
@@ -844,11 +833,6 @@ fn print_help() {
     eprintln!("usage: collopt {USAGE}");
     eprintln!("  pipeline: e.g. \"map f ; scan(mul) ; reduce(add) ; bcast\"");
     eprintln!("  operators: add mul max min and or fadd fmul maxplus");
-    eprintln!(
-        "  engines : des (default) is the single-threaded discrete-event \
-         scheduler\n            (p bounded by memory); threads runs p<={} rank threads",
-        ExecEngine::THREAD_MAX_P
-    );
     for mode in MODES {
         eprintln!("  collopt {} {}", mode.name, mode.usage);
     }
@@ -886,7 +870,6 @@ fn main() {
     let mut profile = false;
     let mut json = false;
     let mut faults: Option<FaultPlan> = None;
-    let mut engine = ExecEngine::Des;
     while let Some(arg) = args.rest.next() {
         match arg.as_str() {
             "--table1" => {
@@ -906,7 +889,6 @@ fn main() {
                     Err(e) => args.fail(format!("bad --faults spec: {e}")),
                 }
             }
-            "--engine" => engine = args.value(&arg),
             flag if machine.take(flag, &mut args) => {}
             _ => args.pipeline(arg, &mut pipeline),
         }
@@ -932,28 +914,6 @@ fn main() {
     }
     .allow_rank0_rules(!all_ranks);
 
-    // Simulation engine for --profile/--faults. The thread engine has a
-    // hard rank ceiling — refuse oversized machines up front with a
-    // pointer at the DES engine rather than failing mid-spawn.
-    let engine_desc = match engine.max_p() {
-        Some(cap) => format!("{} (p <= {cap})", engine.name()),
-        None => format!("{} (p memory-bound)", engine.name()),
-    };
-    let simulating = profile || faults.is_some();
-    if simulating {
-        if let Some(cap) = engine.max_p().filter(|&cap| p > cap) {
-            args.fail(format!(
-                "p={p} exceeds the {} engine's {cap}-rank thread ceiling; \
-                 rerun with --engine des (p bounded by memory only)",
-                engine.name()
-            ));
-        }
-    }
-    let exec_config = ExecConfig {
-        engine: Some(engine),
-        ..ExecConfig::default()
-    };
-
     // Deterministic synthetic input: `m` words per rank, small positive
     // ints (safe for every parser operator; floats coerce from ints).
     let profile_inputs = |p: usize, m: f64| -> Vec<Value> {
@@ -969,31 +929,20 @@ fn main() {
         if profile {
             let inputs = profile_inputs(p, m);
             let clock = ClockParams::new(ts, tw);
-            println!("\n## Where the time goes\n");
-            println!("Simulated on the `{engine_desc}` engine.\n\n### Original\n");
-            print!(
-                "{}",
-                profile_section_with(&prog, &inputs, clock, exec_config)
-            );
+            println!("\n## Where the time goes\n\n### Original\n");
+            print!("{}", profile_section(&prog, &inputs, clock));
             println!("\n### Optimized\n");
-            print!(
-                "{}",
-                profile_section_with(&result.program, &inputs, clock, exec_config)
-            );
+            print!("{}", profile_section(&result.program, &inputs, clock));
         }
         if let Some(plan) = &faults {
             let inputs = profile_inputs(p, m);
             let clock = ClockParams::new(ts, tw);
-            println!("\n## Degradation under faults\n");
-            println!("Simulated on the `{engine_desc}` engine.\n\n### Original\n\n```text");
-            print!(
-                "{}",
-                degradation_section_with(&prog, &inputs, clock, exec_config, plan)
-            );
+            println!("\n## Degradation under faults\n\n### Original\n\n```text");
+            print!("{}", degradation_section(&prog, &inputs, clock, plan));
             println!("```\n\n### Optimized\n\n```text");
             print!(
                 "{}",
-                degradation_section_with(&result.program, &inputs, clock, exec_config, plan)
+                degradation_section(&result.program, &inputs, clock, plan)
             );
             println!("```");
         }
@@ -1016,9 +965,6 @@ fn main() {
     }
 
     println!("machine  : p={p}, ts={ts}, tw={tw}, block m={m}");
-    if simulating {
-        println!("engine   : {engine_desc}");
-    }
     println!("original : {prog}");
     let before = program_cost(&prog, &params, m);
     let result = if optimal {
@@ -1053,28 +999,19 @@ fn main() {
         let inputs = profile_inputs(p, m);
         let clock = ClockParams::new(ts, tw);
         println!("\n-- original: where the time goes --");
-        print!(
-            "{}",
-            profile_section_with(&prog, &inputs, clock, exec_config)
-        );
+        print!("{}", profile_section(&prog, &inputs, clock));
         println!("\n-- optimized: where the time goes --");
-        print!(
-            "{}",
-            profile_section_with(&result.program, &inputs, clock, exec_config)
-        );
+        print!("{}", profile_section(&result.program, &inputs, clock));
     }
     if let Some(plan) = &faults {
         let inputs = profile_inputs(p, m);
         let clock = ClockParams::new(ts, tw);
         println!("\n-- original: degradation under faults --");
-        print!(
-            "{}",
-            degradation_section_with(&prog, &inputs, clock, exec_config, plan)
-        );
+        print!("{}", degradation_section(&prog, &inputs, clock, plan));
         println!("\n-- optimized: degradation under faults --");
         print!(
             "{}",
-            degradation_section_with(&result.program, &inputs, clock, exec_config, plan)
+            degradation_section(&result.program, &inputs, clock, plan)
         );
     }
 }

@@ -9,7 +9,7 @@
 //! This facade crate re-exports the whole workspace:
 //!
 //! * [`machine`] — the simulated SPMD message-passing machine
-//!   (thread-per-rank runtime + deterministic `ts`/`tw` cost clock);
+//!   (discrete-event runtime + deterministic `ts`/`tw` cost clock);
 //! * [`collectives`] — butterfly/binomial implementations of broadcast,
 //!   reduction, scan, gather/scatter, plus the paper's special collectives
 //!   (`reduce_balanced`, `scan_balanced`, comcast);
@@ -26,7 +26,7 @@
 //!   oracle (`collopt chaos`), and the parallel sweep driver;
 //! * [`fuzz`] — coverage-guided differential fuzzing of all of the above:
 //!   a seeded pipeline generator, four oracles (rewrite soundness,
-//!   cross-engine identity, defense-layer unanimity on planted law lies,
+//!   event-order identity, defense-layer unanimity on planted law lies,
 //!   saturation-vs-brute-force optimality agreement), a greedy shrinker
 //!   and the pinned-regression corpus;
 //! * [`serve`] — optimization as a service: a JSON-lines-over-TCP
@@ -76,5 +76,5 @@ pub mod prelude {
     pub use collopt_core::semantics::eval_program;
     pub use collopt_core::{execute, BinOp, ExecOutcome, Program, Rule, Stage, Value};
     pub use collopt_cost::{MachineParams, PhaseCost};
-    pub use collopt_machine::{drive, ClockParams, Ctx, Machine};
+    pub use collopt_machine::{ClockParams, Ctx, Machine};
 }

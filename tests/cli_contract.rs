@@ -58,6 +58,9 @@ fn bad_arguments_are_usage_errors_in_every_mode() {
     assert_usage_error(&["fuzz", "--pmax", "1"]);
     assert_usage_error(&["chaos", "--pmax", "1"]);
     assert_usage_error(&["lint", "scan(add)", "--deny", "notes"]);
+    // There is one engine: `--engine` is an unknown flag like any other.
+    assert_usage_error(&["scan(add)", "--profile", "--engine", "des"]);
+    assert_usage_error(&["submit", "scan(add)", "--engine", "des"]);
 }
 
 #[test]

@@ -16,6 +16,9 @@
 //!   events plus the tail after the rank's last action) within float
 //!   tolerance.
 
+use std::future::Future;
+use std::pin::Pin;
+
 use collopt::collectives::{
     allgather_binomial_async, allgather_doubling_async, allgather_ring_async, allreduce_async,
     allreduce_auto_async, allreduce_balanced_async, allreduce_balanced_halving_async,
@@ -29,7 +32,7 @@ use collopt::collectives::{
     PairedOp, RepeatOp,
 };
 use collopt::machine::{
-    critical_path, drive, ClockParams, Ctx, EventKind, Machine, ProfileReport, RunResult,
+    critical_path, ClockParams, Ctx, EventKind, Machine, ProfileReport, RunResult,
 };
 
 /// Run `f` on `p` traced ranks and check every invariant the trace layer
@@ -37,9 +40,9 @@ use collopt::machine::{
 fn check<T, F>(label: &str, p: usize, clock: ClockParams, f: F)
 where
     T: Send,
-    F: Fn(&mut Ctx) -> T + Sync,
+    F: for<'a> Fn(&'a mut Ctx) -> Pin<Box<dyn Future<Output = T> + 'a>>,
 {
-    let run = Machine::new(p, clock).with_tracing().run(f);
+    let run = Machine::new(p, clock).with_tracing().run_des(f);
     assert_oracle(label, p, &run);
 }
 
@@ -135,7 +138,7 @@ fn assert_oracle<T>(label: &str, p: usize, run: &RunResult<T>) {
     );
 }
 
-fn iadd() -> impl Fn(&Vec<i64>, &Vec<i64>) -> Vec<i64> {
+fn iadd() -> impl Fn(&Vec<i64>, &Vec<i64>) -> Vec<i64> + Copy {
     |a, b| a.iter().zip(b).map(|(x, y)| x + y).collect()
 }
 
@@ -153,24 +156,34 @@ const M: usize = 12;
 fn bcast_variants_satisfy_the_critical_path_oracle() {
     for p in 2..=9 {
         check("bcast_binomial", p, clock(), |ctx| {
-            let v = (ctx.rank() == 0).then(|| block(0, M));
-            drive(bcast_binomial_async(ctx, 0, v, M as u64))
+            Box::pin(async move {
+                let v = (ctx.rank() == 0).then(|| block(0, M));
+                bcast_binomial_async(ctx, 0, v, M as u64).await
+            })
         });
         check("bcast_linear", p, clock(), |ctx| {
-            let v = (ctx.rank() == 0).then(|| block(0, M));
-            drive(bcast_linear_async(ctx, 0, v, M as u64))
+            Box::pin(async move {
+                let v = (ctx.rank() == 0).then(|| block(0, M));
+                bcast_linear_async(ctx, 0, v, M as u64).await
+            })
         });
         check("bcast_pipelined", p, clock(), |ctx| {
-            let v = (ctx.rank() == 0).then(|| block(0, M));
-            drive(bcast_pipelined_async(ctx, 0, v, 1, 3))
+            Box::pin(async move {
+                let v = (ctx.rank() == 0).then(|| block(0, M));
+                bcast_pipelined_async(ctx, 0, v, 1, 3).await
+            })
         });
         check("bcast_scatter_allgather", p, clock(), |ctx| {
-            let v = (ctx.rank() == 0).then(|| block(0, M));
-            drive(bcast_scatter_allgather_async(ctx, v, 1))
+            Box::pin(async move {
+                let v = (ctx.rank() == 0).then(|| block(0, M));
+                bcast_scatter_allgather_async(ctx, v, 1).await
+            })
         });
         check("bcast_auto", p, clock(), |ctx| {
-            let v = (ctx.rank() == 0).then(|| block(0, M));
-            drive(bcast_auto_async(ctx, v, 1))
+            Box::pin(async move {
+                let v = (ctx.rank() == 0).then(|| block(0, M));
+                bcast_auto_async(ctx, v, 1).await
+            })
         });
     }
 }
@@ -180,75 +193,71 @@ fn reduce_and_allreduce_variants_satisfy_the_oracle() {
     let add = iadd();
     for p in 2..=9 {
         check("reduce_binomial", p, clock(), |ctx| {
-            drive(reduce_binomial_async(
-                ctx,
-                0,
-                block(ctx.rank(), M),
-                M as u64,
-                &Combine::new(&add),
-            ))
+            Box::pin(async move {
+                reduce_binomial_async(ctx, 0, block(ctx.rank(), M), M as u64, &Combine::new(&add))
+                    .await
+            })
         });
         check("reduce_auto", p, clock(), |ctx| {
-            drive(reduce_auto_async(
-                ctx,
-                block(ctx.rank(), M),
-                1,
-                &Combine::new(&add),
-            ))
+            Box::pin(async move {
+                reduce_auto_async(ctx, block(ctx.rank(), M), 1, &Combine::new(&add)).await
+            })
         });
         check("allreduce_butterfly", p, clock(), |ctx| {
-            drive(allreduce_async(
-                ctx,
-                block(ctx.rank(), M),
-                M as u64,
-                &Combine::new(&add),
-            ))
+            Box::pin(async move {
+                allreduce_async(ctx, block(ctx.rank(), M), M as u64, &Combine::new(&add)).await
+            })
         });
         check("allreduce_commutative", p, clock(), |ctx| {
-            drive(allreduce_commutative_async(
-                ctx,
-                block(ctx.rank(), M),
-                M as u64,
-                &Combine::new(&add).assume_commutative(),
-            ))
+            Box::pin(async move {
+                allreduce_commutative_async(
+                    ctx,
+                    block(ctx.rank(), M),
+                    M as u64,
+                    &Combine::new(&add).assume_commutative(),
+                )
+                .await
+            })
         });
         check("allreduce_ring", p, clock(), |ctx| {
-            drive(allreduce_ring_async(
-                ctx,
-                block(ctx.rank(), M),
-                1,
-                &Combine::new(&add).assume_commutative(),
-            ))
+            Box::pin(async move {
+                allreduce_ring_async(
+                    ctx,
+                    block(ctx.rank(), M),
+                    1,
+                    &Combine::new(&add).assume_commutative(),
+                )
+                .await
+            })
         });
         check("allreduce_auto", p, clock(), |ctx| {
-            drive(allreduce_auto_async(
-                ctx,
-                block(ctx.rank(), M),
-                1,
-                &Combine::new(&add).assume_commutative(),
-            ))
+            Box::pin(async move {
+                allreduce_auto_async(
+                    ctx,
+                    block(ctx.rank(), M),
+                    1,
+                    &Combine::new(&add).assume_commutative(),
+                )
+                .await
+            })
         });
     }
     // The recursive-halving family is defined for power-of-two machines.
     for p in [2usize, 4, 8] {
         check("allreduce_rabenseifner", p, clock(), |ctx| {
-            drive(allreduce_rabenseifner_async(
-                ctx,
-                block(ctx.rank(), M),
-                1,
-                &Combine::new(&add),
-            ))
+            Box::pin(async move {
+                allreduce_rabenseifner_async(ctx, block(ctx.rank(), M), 1, &Combine::new(&add))
+                    .await
+            })
         });
         check("reduce_scatter_halving", p, clock(), |ctx| {
-            drive(reduce_scatter_halving_async(
-                ctx,
-                block(ctx.rank(), M),
-                1,
-                &Combine::new(&add),
-            ))
+            Box::pin(async move {
+                reduce_scatter_halving_async(ctx, block(ctx.rank(), M), 1, &Combine::new(&add))
+                    .await
+            })
         });
         check("allgather_doubling", p, clock(), |ctx| {
-            drive(allgather_doubling_async(ctx, block(ctx.rank(), 2), 1))
+            Box::pin(async move { allgather_doubling_async(ctx, block(ctx.rank(), 2), 1).await })
         });
     }
 }
@@ -258,28 +267,19 @@ fn scan_variants_satisfy_the_oracle() {
     let add = iadd();
     for p in 2..=9 {
         check("scan_butterfly", p, clock(), |ctx| {
-            drive(scan_butterfly_async(
-                ctx,
-                block(ctx.rank(), M),
-                M as u64,
-                &Combine::new(&add),
-            ))
+            Box::pin(async move {
+                scan_butterfly_async(ctx, block(ctx.rank(), M), M as u64, &Combine::new(&add)).await
+            })
         });
         check("scan_sklansky", p, clock(), |ctx| {
-            drive(scan_sklansky_async(
-                ctx,
-                block(ctx.rank(), M),
-                M as u64,
-                &Combine::new(&add),
-            ))
+            Box::pin(async move {
+                scan_sklansky_async(ctx, block(ctx.rank(), M), M as u64, &Combine::new(&add)).await
+            })
         });
         check("exscan", p, clock(), |ctx| {
-            drive(exscan_async(
-                ctx,
-                block(ctx.rank(), M),
-                M as u64,
-                &Combine::new(&add),
-            ))
+            Box::pin(async move {
+                exscan_async(ctx, block(ctx.rank(), M), M as u64, &Combine::new(&add)).await
+            })
         });
     }
 }
@@ -290,36 +290,42 @@ fn balanced_tree_collectives_satisfy_the_oracle() {
         let combine = |a: &i64, b: &i64| a + b;
         let solo = |x: &i64| x * 2;
         check("reduce_balanced", p, clock(), |ctx| {
-            let op = BalancedOp {
-                combine: &combine,
-                solo: &solo,
-                ops_combine: 1.0,
-                ops_solo: 1.0,
-                words_factor: 1,
-            };
-            drive(reduce_balanced_async(ctx, ctx.rank() as i64 + 1, 1, &op))
+            Box::pin(async move {
+                let op = BalancedOp {
+                    combine: &combine,
+                    solo: &solo,
+                    ops_combine: 1.0,
+                    ops_solo: 1.0,
+                    words_factor: 1,
+                };
+                reduce_balanced_async(ctx, ctx.rank() as i64 + 1, 1, &op).await
+            })
         });
         check("allreduce_balanced", p, clock(), |ctx| {
-            let op = BalancedOp {
-                combine: &combine,
-                solo: &solo,
-                ops_combine: 1.0,
-                ops_solo: 1.0,
-                words_factor: 1,
-            };
-            drive(allreduce_balanced_async(ctx, ctx.rank() as i64 + 1, 1, &op))
+            Box::pin(async move {
+                let op = BalancedOp {
+                    combine: &combine,
+                    solo: &solo,
+                    ops_combine: 1.0,
+                    ops_solo: 1.0,
+                    words_factor: 1,
+                };
+                allreduce_balanced_async(ctx, ctx.rank() as i64 + 1, 1, &op).await
+            })
         });
         check("scan_balanced", p, clock(), |ctx| {
-            let paired = |a: &i64, b: &i64| (a + b, a * b);
-            let op = PairedOp {
-                combine: &paired,
-                solo: &solo,
-                ops_lower: 1.0,
-                ops_upper: 1.0,
-                ops_solo: 1.0,
-                words_factor: 1,
-            };
-            drive(scan_balanced_async(ctx, ctx.rank() as i64 + 1, 1, &op))
+            Box::pin(async move {
+                let paired = |a: &i64, b: &i64| (a + b, a * b);
+                let op = PairedOp {
+                    combine: &paired,
+                    solo: &solo,
+                    ops_lower: 1.0,
+                    ops_upper: 1.0,
+                    ops_solo: 1.0,
+                    words_factor: 1,
+                };
+                scan_balanced_async(ctx, ctx.rank() as i64 + 1, 1, &op).await
+            })
         });
     }
     for p in [2usize, 4, 8] {
@@ -328,19 +334,16 @@ fn balanced_tree_collectives_satisfy_the_oracle() {
         };
         let solo = |x: &Vec<i64>| x.iter().map(|v| v * 2).collect::<Vec<i64>>();
         check("allreduce_balanced_halving", p, clock(), |ctx| {
-            let op = BalancedOp {
-                combine: &combine,
-                solo: &solo,
-                ops_combine: 1.0,
-                ops_solo: 1.0,
-                words_factor: 1,
-            };
-            drive(allreduce_balanced_halving_async(
-                ctx,
-                block(ctx.rank(), M),
-                1,
-                &op,
-            ))
+            Box::pin(async move {
+                let op = BalancedOp {
+                    combine: &combine,
+                    solo: &solo,
+                    ops_combine: 1.0,
+                    ops_solo: 1.0,
+                    words_factor: 1,
+                };
+                allreduce_balanced_halving_async(ctx, block(ctx.rank(), M), 1, &op).await
+            })
         });
     }
 }
@@ -355,68 +358,75 @@ fn comcast_gather_and_alltoall_satisfy_the_oracle() {
     let project = |s: &Pair| s.0;
     for p in 2..=9 {
         check("comcast_bcast_repeat", p, clock(), |ctx| {
-            let op = RepeatOp {
-                e: &e,
-                o: &o,
-                ops_e: 1.0,
-                ops_o: 2.0,
-            };
-            let seed = (ctx.rank() == 0).then_some(1i64);
-            drive(comcast_bcast_repeat_async(
-                ctx, 0, seed, 1, &inject, &project, &op,
-            ))
+            Box::pin(async move {
+                let op = RepeatOp {
+                    e: &e,
+                    o: &o,
+                    ops_e: 1.0,
+                    ops_o: 2.0,
+                };
+                let seed = (ctx.rank() == 0).then_some(1i64);
+                comcast_bcast_repeat_async(ctx, 0, seed, 1, &inject, &project, &op).await
+            })
         });
         check("comcast_cost_optimal", p, clock(), |ctx| {
-            let op = RepeatOp {
-                e: &e,
-                o: &o,
-                ops_e: 1.0,
-                ops_o: 2.0,
-            };
-            let seed = (ctx.rank() == 0).then_some(1i64);
-            drive(comcast_cost_optimal_async(
-                ctx, 0, seed, 1, &inject, &project, &op, 2,
-            ))
+            Box::pin(async move {
+                let op = RepeatOp {
+                    e: &e,
+                    o: &o,
+                    ops_e: 1.0,
+                    ops_o: 2.0,
+                };
+                let seed = (ctx.rank() == 0).then_some(1i64);
+                comcast_cost_optimal_async(ctx, 0, seed, 1, &inject, &project, &op, 2).await
+            })
         });
         check("gather_binomial", p, clock(), |ctx| {
-            drive(gather_binomial_async(ctx, block(ctx.rank(), 2), 2))
+            Box::pin(async move { gather_binomial_async(ctx, block(ctx.rank(), 2), 2).await })
         });
         check("scatter_binomial", p, clock(), |ctx| {
-            let blocks = (ctx.rank() == 0).then(|| (0..ctx.size()).map(|r| block(r, 2)).collect());
-            drive(scatter_binomial_async(ctx, blocks, 2))
+            Box::pin(async move {
+                let blocks =
+                    (ctx.rank() == 0).then(|| (0..ctx.size()).map(|r| block(r, 2)).collect());
+                scatter_binomial_async(ctx, blocks, 2).await
+            })
         });
         check("allgather", p, clock(), |ctx| {
-            drive(allgather_binomial_async(ctx, block(ctx.rank(), 2), 2))
+            Box::pin(async move { allgather_binomial_async(ctx, block(ctx.rank(), 2), 2).await })
         });
         check("allgather_ring", p, clock(), |ctx| {
-            drive(allgather_ring_async(ctx, block(ctx.rank(), 2), 2))
+            Box::pin(async move { allgather_ring_async(ctx, block(ctx.rank(), 2), 2).await })
         });
         check("alltoall", p, clock(), |ctx| {
-            let blocks: Vec<i64> = (0..ctx.size() as i64).collect();
-            drive(alltoall_async(ctx, blocks, 1))
+            Box::pin(async move {
+                let blocks: Vec<i64> = (0..ctx.size() as i64).collect();
+                alltoall_async(ctx, blocks, 1).await
+            })
         });
         check("reduce_scatter", p, clock(), |ctx| {
-            let blocks: Vec<Vec<i64>> = (0..ctx.size()).map(|r| block(r, 2)).collect();
-            drive(reduce_scatter_binomial_async(
-                ctx,
-                blocks,
-                2,
-                &Combine::new(&add),
-            ))
+            Box::pin(async move {
+                let blocks: Vec<Vec<i64>> = (0..ctx.size()).map(|r| block(r, 2)).collect();
+                reduce_scatter_binomial_async(ctx, blocks, 2, &Combine::new(&add)).await
+            })
         });
         check("reduce_scatter_ring", p, clock(), |ctx| {
-            drive(reduce_scatter_ring_async(
-                ctx,
-                block(ctx.rank(), M),
-                1,
-                &Combine::new(&add).assume_commutative(),
-            ))
+            Box::pin(async move {
+                reduce_scatter_ring_async(
+                    ctx,
+                    block(ctx.rank(), M),
+                    1,
+                    &Combine::new(&add).assume_commutative(),
+                )
+                .await
+            })
         });
         check("barrier_ladder", p, clock(), |ctx| {
-            ctx.charge((ctx.rank() + 1) as f64 * 3.0, "skew");
-            drive(barrier_dissemination_async(ctx));
-            ctx.charge(1.0, "tail");
-            drive(barrier_dissemination_async(ctx));
+            Box::pin(async move {
+                ctx.charge((ctx.rank() + 1) as f64 * 3.0, "skew");
+                barrier_dissemination_async(ctx).await;
+                ctx.charge(1.0, "tail");
+                barrier_dissemination_async(ctx).await;
+            })
         });
     }
 }
@@ -427,20 +437,14 @@ fn the_oracle_holds_under_jitter() {
     for p in [3usize, 5, 8] {
         let jittery = ClockParams::new(100.0, 2.0).with_jitter(7, 0.5);
         check("allreduce under jitter", p, jittery, |ctx| {
-            drive(allreduce_async(
-                ctx,
-                block(ctx.rank(), M),
-                M as u64,
-                &Combine::new(&add),
-            ))
+            Box::pin(async move {
+                allreduce_async(ctx, block(ctx.rank(), M), M as u64, &Combine::new(&add)).await
+            })
         });
         check("scan under jitter", p, jittery, |ctx| {
-            drive(scan_butterfly_async(
-                ctx,
-                block(ctx.rank(), M),
-                M as u64,
-                &Combine::new(&add),
-            ))
+            Box::pin(async move {
+                scan_butterfly_async(ctx, block(ctx.rank(), M), M as u64, &Combine::new(&add)).await
+            })
         });
     }
 }

@@ -13,6 +13,9 @@
 //! would silently invalidate every differential chaos oracle built on
 //! top.
 
+use std::future::Future;
+use std::pin::Pin;
+
 use collopt::collectives::{
     allgather_binomial_async, allgather_doubling_async, allgather_ring_async, allreduce_async,
     allreduce_auto_async, allreduce_balanced_async, allreduce_balanced_halving_async,
@@ -25,21 +28,21 @@ use collopt::collectives::{
     scan_butterfly_async, scan_sklansky_async, scatter_binomial_async, BalancedOp, Combine,
     PairedOp, RepeatOp,
 };
-use collopt::machine::{chrome_trace_json, drive, ClockParams, Ctx, FaultPlan, Machine};
+use collopt::machine::{chrome_trace_json, ClockParams, Ctx, FaultPlan, Machine};
 
 /// Run `f` twice — plain, and under an identity fault plan — and require
 /// the two runs to be indistinguishable byte for byte.
 fn check_identity<T, F>(label: &str, p: usize, f: F)
 where
     T: Send + PartialEq + std::fmt::Debug,
-    F: Fn(&mut Ctx) -> T + Sync,
+    F: for<'a> Fn(&'a mut Ctx) -> Pin<Box<dyn Future<Output = T> + 'a>>,
 {
     let clock = ClockParams::new(100.0, 2.0);
-    let plain = Machine::new(p, clock).with_tracing().run(&f);
+    let plain = Machine::new(p, clock).with_tracing().run_des(&f);
     let under = Machine::new(p, clock)
         .with_tracing()
         .with_faults(FaultPlan::new(0xC0FFEE))
-        .run(&f);
+        .run_des(&f);
     let tag = format!("{label} p={p}");
 
     assert_eq!(plain.results, under.results, "{tag}: results drifted");
@@ -66,7 +69,7 @@ where
     );
 }
 
-fn iadd() -> impl Fn(&Vec<i64>, &Vec<i64>) -> Vec<i64> {
+fn iadd() -> impl Fn(&Vec<i64>, &Vec<i64>) -> Vec<i64> + Copy {
     |a, b| a.iter().zip(b).map(|(x, y)| x + y).collect()
 }
 
@@ -80,24 +83,34 @@ const M: usize = 12;
 fn bcast_variants_are_unaffected_by_the_identity_plan() {
     for p in 2..=9 {
         check_identity("bcast_binomial", p, |ctx| {
-            let v = (ctx.rank() == 0).then(|| block(0, M));
-            drive(bcast_binomial_async(ctx, 0, v, M as u64))
+            Box::pin(async move {
+                let v = (ctx.rank() == 0).then(|| block(0, M));
+                bcast_binomial_async(ctx, 0, v, M as u64).await
+            })
         });
         check_identity("bcast_linear", p, |ctx| {
-            let v = (ctx.rank() == 0).then(|| block(0, M));
-            drive(bcast_linear_async(ctx, 0, v, M as u64))
+            Box::pin(async move {
+                let v = (ctx.rank() == 0).then(|| block(0, M));
+                bcast_linear_async(ctx, 0, v, M as u64).await
+            })
         });
         check_identity("bcast_pipelined", p, |ctx| {
-            let v = (ctx.rank() == 0).then(|| block(0, M));
-            drive(bcast_pipelined_async(ctx, 0, v, 1, 3))
+            Box::pin(async move {
+                let v = (ctx.rank() == 0).then(|| block(0, M));
+                bcast_pipelined_async(ctx, 0, v, 1, 3).await
+            })
         });
         check_identity("bcast_scatter_allgather", p, |ctx| {
-            let v = (ctx.rank() == 0).then(|| block(0, M));
-            drive(bcast_scatter_allgather_async(ctx, v, 1))
+            Box::pin(async move {
+                let v = (ctx.rank() == 0).then(|| block(0, M));
+                bcast_scatter_allgather_async(ctx, v, 1).await
+            })
         });
         check_identity("bcast_auto", p, |ctx| {
-            let v = (ctx.rank() == 0).then(|| block(0, M));
-            drive(bcast_auto_async(ctx, v, 1))
+            Box::pin(async move {
+                let v = (ctx.rank() == 0).then(|| block(0, M));
+                bcast_auto_async(ctx, v, 1).await
+            })
         });
     }
 }
@@ -107,74 +120,70 @@ fn reduce_and_allreduce_variants_are_unaffected_by_the_identity_plan() {
     let add = iadd();
     for p in 2..=9 {
         check_identity("reduce_binomial", p, |ctx| {
-            drive(reduce_binomial_async(
-                ctx,
-                0,
-                block(ctx.rank(), M),
-                M as u64,
-                &Combine::new(&add),
-            ))
+            Box::pin(async move {
+                reduce_binomial_async(ctx, 0, block(ctx.rank(), M), M as u64, &Combine::new(&add))
+                    .await
+            })
         });
         check_identity("reduce_auto", p, |ctx| {
-            drive(reduce_auto_async(
-                ctx,
-                block(ctx.rank(), M),
-                1,
-                &Combine::new(&add),
-            ))
+            Box::pin(async move {
+                reduce_auto_async(ctx, block(ctx.rank(), M), 1, &Combine::new(&add)).await
+            })
         });
         check_identity("allreduce_butterfly", p, |ctx| {
-            drive(allreduce_async(
-                ctx,
-                block(ctx.rank(), M),
-                M as u64,
-                &Combine::new(&add),
-            ))
+            Box::pin(async move {
+                allreduce_async(ctx, block(ctx.rank(), M), M as u64, &Combine::new(&add)).await
+            })
         });
         check_identity("allreduce_commutative", p, |ctx| {
-            drive(allreduce_commutative_async(
-                ctx,
-                block(ctx.rank(), M),
-                M as u64,
-                &Combine::new(&add).assume_commutative(),
-            ))
+            Box::pin(async move {
+                allreduce_commutative_async(
+                    ctx,
+                    block(ctx.rank(), M),
+                    M as u64,
+                    &Combine::new(&add).assume_commutative(),
+                )
+                .await
+            })
         });
         check_identity("allreduce_ring", p, |ctx| {
-            drive(allreduce_ring_async(
-                ctx,
-                block(ctx.rank(), M),
-                1,
-                &Combine::new(&add).assume_commutative(),
-            ))
+            Box::pin(async move {
+                allreduce_ring_async(
+                    ctx,
+                    block(ctx.rank(), M),
+                    1,
+                    &Combine::new(&add).assume_commutative(),
+                )
+                .await
+            })
         });
         check_identity("allreduce_auto", p, |ctx| {
-            drive(allreduce_auto_async(
-                ctx,
-                block(ctx.rank(), M),
-                1,
-                &Combine::new(&add).assume_commutative(),
-            ))
+            Box::pin(async move {
+                allreduce_auto_async(
+                    ctx,
+                    block(ctx.rank(), M),
+                    1,
+                    &Combine::new(&add).assume_commutative(),
+                )
+                .await
+            })
         });
     }
     for p in [2usize, 4, 8] {
         check_identity("allreduce_rabenseifner", p, |ctx| {
-            drive(allreduce_rabenseifner_async(
-                ctx,
-                block(ctx.rank(), M),
-                1,
-                &Combine::new(&add),
-            ))
+            Box::pin(async move {
+                allreduce_rabenseifner_async(ctx, block(ctx.rank(), M), 1, &Combine::new(&add))
+                    .await
+            })
         });
         check_identity("reduce_scatter_halving", p, |ctx| {
-            drive(reduce_scatter_halving_async(
-                ctx,
-                block(ctx.rank(), M),
-                1,
-                &Combine::new(&add),
-            ))
+            Box::pin(async move {
+                reduce_scatter_halving_async(ctx, block(ctx.rank(), M), 1, &Combine::new(&add))
+                    .await
+            })
         });
         check_identity("allgather_doubling", p, |ctx| {
-            drive(allgather_doubling_async(ctx, block(ctx.rank(), 2), 1))
+            Box::pin(async move { allgather_doubling_async(ctx, block(ctx.rank(), 2), 1).await })
         });
     }
 }
@@ -184,28 +193,19 @@ fn scan_variants_are_unaffected_by_the_identity_plan() {
     let add = iadd();
     for p in 2..=9 {
         check_identity("scan_butterfly", p, |ctx| {
-            drive(scan_butterfly_async(
-                ctx,
-                block(ctx.rank(), M),
-                M as u64,
-                &Combine::new(&add),
-            ))
+            Box::pin(async move {
+                scan_butterfly_async(ctx, block(ctx.rank(), M), M as u64, &Combine::new(&add)).await
+            })
         });
         check_identity("scan_sklansky", p, |ctx| {
-            drive(scan_sklansky_async(
-                ctx,
-                block(ctx.rank(), M),
-                M as u64,
-                &Combine::new(&add),
-            ))
+            Box::pin(async move {
+                scan_sklansky_async(ctx, block(ctx.rank(), M), M as u64, &Combine::new(&add)).await
+            })
         });
         check_identity("exscan", p, |ctx| {
-            drive(exscan_async(
-                ctx,
-                block(ctx.rank(), M),
-                M as u64,
-                &Combine::new(&add),
-            ))
+            Box::pin(async move {
+                exscan_async(ctx, block(ctx.rank(), M), M as u64, &Combine::new(&add)).await
+            })
         });
     }
 }
@@ -216,36 +216,42 @@ fn balanced_tree_collectives_are_unaffected_by_the_identity_plan() {
         let combine = |a: &i64, b: &i64| a + b;
         let solo = |x: &i64| x * 2;
         check_identity("reduce_balanced", p, |ctx| {
-            let op = BalancedOp {
-                combine: &combine,
-                solo: &solo,
-                ops_combine: 1.0,
-                ops_solo: 1.0,
-                words_factor: 1,
-            };
-            drive(reduce_balanced_async(ctx, ctx.rank() as i64 + 1, 1, &op))
+            Box::pin(async move {
+                let op = BalancedOp {
+                    combine: &combine,
+                    solo: &solo,
+                    ops_combine: 1.0,
+                    ops_solo: 1.0,
+                    words_factor: 1,
+                };
+                reduce_balanced_async(ctx, ctx.rank() as i64 + 1, 1, &op).await
+            })
         });
         check_identity("allreduce_balanced", p, |ctx| {
-            let op = BalancedOp {
-                combine: &combine,
-                solo: &solo,
-                ops_combine: 1.0,
-                ops_solo: 1.0,
-                words_factor: 1,
-            };
-            drive(allreduce_balanced_async(ctx, ctx.rank() as i64 + 1, 1, &op))
+            Box::pin(async move {
+                let op = BalancedOp {
+                    combine: &combine,
+                    solo: &solo,
+                    ops_combine: 1.0,
+                    ops_solo: 1.0,
+                    words_factor: 1,
+                };
+                allreduce_balanced_async(ctx, ctx.rank() as i64 + 1, 1, &op).await
+            })
         });
         check_identity("scan_balanced", p, |ctx| {
-            let paired = |a: &i64, b: &i64| (a + b, a * b);
-            let op = PairedOp {
-                combine: &paired,
-                solo: &solo,
-                ops_lower: 1.0,
-                ops_upper: 1.0,
-                ops_solo: 1.0,
-                words_factor: 1,
-            };
-            drive(scan_balanced_async(ctx, ctx.rank() as i64 + 1, 1, &op))
+            Box::pin(async move {
+                let paired = |a: &i64, b: &i64| (a + b, a * b);
+                let op = PairedOp {
+                    combine: &paired,
+                    solo: &solo,
+                    ops_lower: 1.0,
+                    ops_upper: 1.0,
+                    ops_solo: 1.0,
+                    words_factor: 1,
+                };
+                scan_balanced_async(ctx, ctx.rank() as i64 + 1, 1, &op).await
+            })
         });
     }
     for p in [2usize, 4, 8] {
@@ -254,19 +260,16 @@ fn balanced_tree_collectives_are_unaffected_by_the_identity_plan() {
         };
         let solo = |x: &Vec<i64>| x.iter().map(|v| v * 2).collect::<Vec<i64>>();
         check_identity("allreduce_balanced_halving", p, |ctx| {
-            let op = BalancedOp {
-                combine: &combine,
-                solo: &solo,
-                ops_combine: 1.0,
-                ops_solo: 1.0,
-                words_factor: 1,
-            };
-            drive(allreduce_balanced_halving_async(
-                ctx,
-                block(ctx.rank(), M),
-                1,
-                &op,
-            ))
+            Box::pin(async move {
+                let op = BalancedOp {
+                    combine: &combine,
+                    solo: &solo,
+                    ops_combine: 1.0,
+                    ops_solo: 1.0,
+                    words_factor: 1,
+                };
+                allreduce_balanced_halving_async(ctx, block(ctx.rank(), M), 1, &op).await
+            })
         });
     }
 }
@@ -281,68 +284,75 @@ fn comcast_gather_and_alltoall_are_unaffected_by_the_identity_plan() {
     let project = |s: &Pair| s.0;
     for p in 2..=9 {
         check_identity("comcast_bcast_repeat", p, |ctx| {
-            let op = RepeatOp {
-                e: &e,
-                o: &o,
-                ops_e: 1.0,
-                ops_o: 2.0,
-            };
-            let seed = (ctx.rank() == 0).then_some(1i64);
-            drive(comcast_bcast_repeat_async(
-                ctx, 0, seed, 1, &inject, &project, &op,
-            ))
+            Box::pin(async move {
+                let op = RepeatOp {
+                    e: &e,
+                    o: &o,
+                    ops_e: 1.0,
+                    ops_o: 2.0,
+                };
+                let seed = (ctx.rank() == 0).then_some(1i64);
+                comcast_bcast_repeat_async(ctx, 0, seed, 1, &inject, &project, &op).await
+            })
         });
         check_identity("comcast_cost_optimal", p, |ctx| {
-            let op = RepeatOp {
-                e: &e,
-                o: &o,
-                ops_e: 1.0,
-                ops_o: 2.0,
-            };
-            let seed = (ctx.rank() == 0).then_some(1i64);
-            drive(comcast_cost_optimal_async(
-                ctx, 0, seed, 1, &inject, &project, &op, 2,
-            ))
+            Box::pin(async move {
+                let op = RepeatOp {
+                    e: &e,
+                    o: &o,
+                    ops_e: 1.0,
+                    ops_o: 2.0,
+                };
+                let seed = (ctx.rank() == 0).then_some(1i64);
+                comcast_cost_optimal_async(ctx, 0, seed, 1, &inject, &project, &op, 2).await
+            })
         });
         check_identity("gather_binomial", p, |ctx| {
-            drive(gather_binomial_async(ctx, block(ctx.rank(), 2), 2))
+            Box::pin(async move { gather_binomial_async(ctx, block(ctx.rank(), 2), 2).await })
         });
         check_identity("scatter_binomial", p, |ctx| {
-            let blocks = (ctx.rank() == 0).then(|| (0..ctx.size()).map(|r| block(r, 2)).collect());
-            drive(scatter_binomial_async(ctx, blocks, 2))
+            Box::pin(async move {
+                let blocks =
+                    (ctx.rank() == 0).then(|| (0..ctx.size()).map(|r| block(r, 2)).collect());
+                scatter_binomial_async(ctx, blocks, 2).await
+            })
         });
         check_identity("allgather", p, |ctx| {
-            drive(allgather_binomial_async(ctx, block(ctx.rank(), 2), 2))
+            Box::pin(async move { allgather_binomial_async(ctx, block(ctx.rank(), 2), 2).await })
         });
         check_identity("allgather_ring", p, |ctx| {
-            drive(allgather_ring_async(ctx, block(ctx.rank(), 2), 2))
+            Box::pin(async move { allgather_ring_async(ctx, block(ctx.rank(), 2), 2).await })
         });
         check_identity("alltoall", p, |ctx| {
-            let blocks: Vec<i64> = (0..ctx.size() as i64).collect();
-            drive(alltoall_async(ctx, blocks, 1))
+            Box::pin(async move {
+                let blocks: Vec<i64> = (0..ctx.size() as i64).collect();
+                alltoall_async(ctx, blocks, 1).await
+            })
         });
         check_identity("reduce_scatter", p, |ctx| {
-            let blocks: Vec<Vec<i64>> = (0..ctx.size()).map(|r| block(r, 2)).collect();
-            drive(reduce_scatter_binomial_async(
-                ctx,
-                blocks,
-                2,
-                &Combine::new(&add),
-            ))
+            Box::pin(async move {
+                let blocks: Vec<Vec<i64>> = (0..ctx.size()).map(|r| block(r, 2)).collect();
+                reduce_scatter_binomial_async(ctx, blocks, 2, &Combine::new(&add)).await
+            })
         });
         check_identity("reduce_scatter_ring", p, |ctx| {
-            drive(reduce_scatter_ring_async(
-                ctx,
-                block(ctx.rank(), M),
-                1,
-                &Combine::new(&add).assume_commutative(),
-            ))
+            Box::pin(async move {
+                reduce_scatter_ring_async(
+                    ctx,
+                    block(ctx.rank(), M),
+                    1,
+                    &Combine::new(&add).assume_commutative(),
+                )
+                .await
+            })
         });
         check_identity("barrier_ladder", p, |ctx| {
-            ctx.charge((ctx.rank() + 1) as f64 * 3.0, "skew");
-            drive(barrier_dissemination_async(ctx));
-            ctx.charge(1.0, "tail");
-            drive(barrier_dissemination_async(ctx));
+            Box::pin(async move {
+                ctx.charge((ctx.rank() + 1) as f64 * 3.0, "skew");
+                barrier_dissemination_async(ctx).await;
+                ctx.charge(1.0, "tail");
+                barrier_dissemination_async(ctx).await;
+            })
         });
     }
 }

@@ -124,29 +124,26 @@ fn apply_level(
 fn figure5_balanced_scan_full_trace() {
     use collopt_collectives::balanced::{scan_balanced_traced_async, PairedOp};
 
-    let inputs = std::sync::Arc::new(vec![2i64, 5, 9, 1, 2, 6]);
+    let inputs = [2i64, 5, 9, 1, 2, 6];
     let (combine, solo) = fused::op_ss(&ops::add());
     let machine = Machine::new(6, ClockParams::free()).with_tracing();
-    let inp = inputs.clone();
-    let run = machine.run(move |ctx| {
-        let x = Value::Int(inp[ctx.rank()]);
-        let cf = |a: &Value, b: &Value| combine(a, b);
-        let sf = |v: &Value| solo(v);
-        let op = PairedOp {
-            combine: &cf,
-            solo: &sf,
-            ops_lower: 5.0,
-            ops_upper: 8.0,
-            ops_solo: 0.0,
-            words_factor: 3,
-        };
-        drive(scan_balanced_traced_async(
-            ctx,
-            quadruple(&x),
-            1,
-            &op,
-            Some(|q: &Value| q.to_string()),
-        ))
+    let run = machine.run_des(|ctx| {
+        let x = Value::Int(inputs[ctx.rank()]);
+        let (combine, solo) = (combine.clone(), solo.clone());
+        Box::pin(async move {
+            let cf = |a: &Value, b: &Value| combine(a, b);
+            let sf = |v: &Value| solo(v);
+            let op = PairedOp {
+                combine: &cf,
+                solo: &sf,
+                ops_lower: 5.0,
+                ops_upper: 8.0,
+                ops_solo: 0.0,
+                words_factor: 3,
+            };
+            scan_balanced_traced_async(ctx, quadruple(&x), 1, &op, Some(|q: &Value| q.to_string()))
+                .await
+        })
     });
 
     // Final first components: [2, 9, 25, 42, 61, 86] — scan(scan(input)).
