@@ -8,8 +8,8 @@
 //! predicted (optionally simulated) costs.
 //!
 //! Saturation-based extraction is an expensive, *pure*, deterministic
-//! function — exactly the shape that caching and batching turn into a
-//! high-throughput service. The three performance layers:
+//! function — exactly the shape that caching turns into a
+//! high-throughput service. The three layers:
 //!
 //! * [`cache`] — a bounded LRU keyed by the *canonicalized* pipeline
 //!   plus machine parameters and options; hits return the cold path's
@@ -18,10 +18,9 @@
 //!   replayable normalization), cache-key derivation, and the cold
 //!   path (saturate → lint → simulate → render through the shared
 //!   [`collopt_machine::Json`] writer).
-//! * [`server`] — the TCP front: per-connection readers feed a FIFO
-//!   queue; a dispatcher drains batches into the bench crate's
-//!   deterministic worker pool and answers in order, with graceful
-//!   drain-then-stop shutdown.
+//! * [`server`] — the TCP front: one thread per connection reads a
+//!   bounded line, runs it under one of `workers` permits and answers in
+//!   order, with a graceful stop that lets every connection finish.
 //!
 //! Hits byte-identical to cold responses, replies invariant under worker
 //! count and transport: `tests/` here and `tests/serve_integration.rs`.
@@ -38,5 +37,5 @@ pub use request::{
     parse_request, ErrorCode, Op, OptimizeRequest, Request, RequestError, DEFAULT_M, DEFAULT_P,
     DEFAULT_TS, DEFAULT_TW,
 };
-pub use server::{submit, Server, ServerConfig};
+pub use server::{submit, Server, ServerConfig, MAX_LINE};
 pub use service::{cache_key, canonicalize, Reply, Service, DEFAULT_CACHE_CAPACITY};

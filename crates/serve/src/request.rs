@@ -20,10 +20,12 @@
 //!
 //! Responses are `{"id":…,"ok":true,"result":…}` or
 //! `{"id":…,"ok":false,"error":{"code":…,"message":…}}` with error
-//! codes `bad_json` (the line is not a JSON object), `bad_request`
-//! (a field is missing, mistyped, or out of range) and `parse_error`
-//! (the pipeline spec does not parse; the message carries the caret
-//! diagnostic).
+//! codes `bad_json` (the line is not UTF-8 or not a JSON object),
+//! `bad_request` (a field is missing, mistyped, or out of range),
+//! `parse_error` (the pipeline spec does not parse; the message carries
+//! the caret diagnostic) and `too_large` (the line is longer than
+//! [`MAX_LINE`](crate::server::MAX_LINE) bytes; the server then closes
+//! the connection).
 
 use collopt_machine::Json;
 
@@ -89,6 +91,8 @@ pub enum ErrorCode {
     BadRequest,
     /// The pipeline spec does not parse.
     ParseError,
+    /// The line is longer than [`MAX_LINE`](crate::server::MAX_LINE).
+    TooLarge,
 }
 
 impl ErrorCode {
@@ -98,6 +102,7 @@ impl ErrorCode {
             ErrorCode::BadJson => "bad_json",
             ErrorCode::BadRequest => "bad_request",
             ErrorCode::ParseError => "parse_error",
+            ErrorCode::TooLarge => "too_large",
         }
     }
 }

@@ -1,57 +1,44 @@
 //! The JSON-lines-over-TCP server and the matching one-shot client.
 //!
-//! ## Architecture
+//! Each accepted connection runs on a thread of its own: read one line
+//! of at most [`MAX_LINE`] bytes, run [`Service::handle_line`] under one
+//! of [`ServerConfig::workers`] permits, write the reply, flush, repeat.
+//! So a connection's replies come in request order, backpressure is
+//! TCP's own, and as `handle_line` is a pure function of the line, the
+//! worker count changes latency, never bytes. A longer line is answered
+//! `too_large` and closes the connection; a line that is not UTF-8 is
+//! answered `bad_json` and the connection keeps serving.
 //!
-//! ```text
-//! accept loop ──► reader thread per connection ──► job queue (mpsc)
-//!                                                      │
-//!                                  dispatcher thread ◄─┘
-//!                        drain queue into a batch, then
-//!                        par_map_with(batch, SWEEP_WORKERS) over
-//!                        Service::handle_line, reply in batch order
-//! ```
-//!
-//! A single dispatcher owns the receive side of the queue: it blocks
-//! for the first job, opportunistically drains up to
-//! [`ServerConfig::batch_limit`] more, and runs the whole batch
-//! through the bench crate's deterministic worker pool
-//! ([`par_map_with`]). Because [`Service::handle_line`] is a pure
-//! function of the line, batch composition and worker count can only
-//! change *latency*, never bytes. Replies are written in batch order
-//! by the dispatcher alone, so each connection sees its responses in
-//! the order it sent requests (the queue is FIFO per sender).
-//!
-//! Batches of size one — the common case under low concurrency — run
-//! inline on the dispatcher thread; only larger batches pay for worker
-//! threads.
-//!
-//! ## Graceful shutdown
-//!
-//! A `shutdown` op answers `{"bye":true}`, then: the stop flag is set,
-//! every registered connection's read half is closed (readers see EOF
-//! and hang up), and a self-connection wakes the blocking accept loop.
-//! The mpsc channel delivers already-queued jobs before reporting
-//! disconnection, so every request enqueued before the shutdown is
-//! processed and answered — nothing in flight is dropped.
+//! A `shutdown` op answers `{"bye":true}`, then the server stops
+//! registering connections, closes every open one's read half (its thread
+//! answers what it has already read, then sees EOF) and wakes the accept
+//! loop; [`Server::run`] returns once every connection thread has ended.
 
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::collections::HashMap;
+use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{Receiver, Sender};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread;
 
-use collopt_bench::sweep_driver::{default_workers, par_map_with};
+use collopt_bench::sweep_driver::default_workers;
+use collopt_machine::Json;
 
-use crate::service::{Reply, Service};
+use crate::request::{error_response, ErrorCode, RequestError};
+use crate::service::Service;
+
+/// The longest request line the server reads, newline excluded.
+pub const MAX_LINE: usize = 1 << 20;
 
 /// Tunables for [`Server`].
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Worker threads for batch dispatch; defaults to `SWEEP_WORKERS`
-    /// or the CPU count (see [`default_workers`]).
+    /// How many connections may run [`Service::handle_line`] at once;
+    /// defaults to `SWEEP_WORKERS` or the CPU count (see
+    /// [`default_workers`]).
     pub workers: usize,
-    /// Most jobs drained into one batch.
+    /// Read by nothing. Kept only because the standalone `benchmark/`
+    /// crate spells `ServerConfig { workers: 2, batch_limit: 64 }`;
+    /// ROADMAP item 4's follow-up `benchmark` issue deletes it.
     pub batch_limit: usize,
 }
 
@@ -64,17 +51,37 @@ impl Default for ServerConfig {
     }
 }
 
-/// One queued request: the line and where to write the response.
-struct Job {
-    line: String,
-    out: Arc<Mutex<BufWriter<TcpStream>>>,
-}
-
 /// A bound, not-yet-running server.
 pub struct Server {
     listener: TcpListener,
     service: Arc<Service>,
     config: ServerConfig,
+}
+
+/// What the connection threads share.
+struct Shared {
+    service: Arc<Service>,
+    /// Free permits to run `handle_line`; `freed` signals a returned one.
+    permits: Mutex<usize>,
+    freed: Condvar,
+    /// Every open connection by id; `None` once stopped.
+    open: Mutex<Option<HashMap<u64, Arc<TcpStream>>>>,
+    addr: SocketAddr,
+}
+
+/// Lock a server mutex. Every update under one leaves its data valid, so a
+/// poisoned guard is still good — and the drop guards must not panic.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Runs its closure when dropped, unwinding included.
+struct OnDrop<F: FnMut()>(F);
+
+impl<F: FnMut()> Drop for OnDrop<F> {
+    fn drop(&mut self) {
+        (self.0)()
+    }
 }
 
 impl Server {
@@ -97,107 +104,98 @@ impl Server {
         self.listener.local_addr()
     }
 
-    /// Serve until a `shutdown` request arrives; drains in-flight
-    /// requests before returning.
+    /// Serve until a `shutdown` request arrives; returns once every
+    /// connection has hung up.
     pub fn run(self) -> std::io::Result<()> {
-        let addr = self.listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let conns: Arc<Mutex<Vec<TcpStream>>> = Arc::new(Mutex::new(Vec::new()));
-        let (job_tx, job_rx) = mpsc::channel::<Job>();
-
-        let dispatcher = {
-            let service = Arc::clone(&self.service);
-            let stop = Arc::clone(&stop);
-            let conns = Arc::clone(&conns);
-            let config = self.config.clone();
-            thread::spawn(move || dispatch_loop(job_rx, service, config, stop, conns, addr))
-        };
-
-        for stream in self.listener.incoming() {
-            if stop.load(Ordering::SeqCst) {
-                break;
-            }
-            let Ok(stream) = stream else { continue };
-            if stop.load(Ordering::SeqCst) {
-                break; // the shutdown wake-up connection
-            }
-            let Ok(read_half) = stream.try_clone() else {
-                continue;
+        let shared = Arc::new(Shared {
+            service: self.service,
+            permits: Mutex::new(self.config.workers.max(1)),
+            freed: Condvar::new(),
+            open: Mutex::new(Some(HashMap::new())),
+            addr: self.listener.local_addr()?,
+        });
+        let mut threads: Vec<thread::JoinHandle<()>> = Vec::new();
+        for (id, stream) in (0u64..).zip(self.listener.incoming().flatten()) {
+            let stream = Arc::new(stream);
+            match lock(&shared.open).as_mut() {
+                Some(open) => open.insert(id, Arc::clone(&stream)),
+                None => break, // stopped: the wake-up connection, or a late one
             };
-            conns.lock().unwrap().push(read_half);
-            let out = Arc::new(Mutex::new(BufWriter::new(stream.try_clone()?)));
-            let tx = job_tx.clone();
-            thread::spawn(move || read_loop(stream, out, tx));
+            threads.retain(|thread| !thread.is_finished());
+            let shared = Arc::clone(&shared);
+            threads.push(thread::spawn(move || {
+                let _registered = OnDrop(|| {
+                    if let Some(open) = lock(&shared.open).as_mut() {
+                        open.remove(&id);
+                    }
+                });
+                let _ = answer(&shared, &stream);
+            }));
         }
-        drop(job_tx);
-        let _ = dispatcher.join();
+        for thread in threads {
+            let _ = thread.join();
+        }
         Ok(())
     }
 }
 
-/// Per-connection reader: one job per non-empty line, until EOF.
-fn read_loop(stream: TcpStream, out: Arc<Mutex<BufWriter<TcpStream>>>, tx: Sender<Job>) {
-    let mut reader = BufReader::new(stream);
-    let mut line = String::new();
+/// Answer one connection's lines in order until EOF, an over-long line
+/// or a `shutdown`.
+fn answer(shared: &Shared, stream: &TcpStream) -> std::io::Result<()> {
+    let mut out = BufWriter::new(stream);
+    let mut reader = BufReader::new(stream).take(0);
+    let mut line = Vec::new();
     loop {
         line.clear();
-        match reader.read_line(&mut line) {
-            Ok(0) | Err(_) => break,
-            Ok(_) => {
-                let trimmed = line.trim();
-                if trimmed.is_empty() {
-                    continue;
-                }
-                let job = Job {
-                    line: trimmed.to_string(),
-                    out: Arc::clone(&out),
-                };
-                if tx.send(job).is_err() {
-                    break;
-                }
+        reader.set_limit(MAX_LINE as u64 + 1);
+        if reader.read_until(b'\n', &mut line)? == 0 {
+            return Ok(());
+        }
+        let too_large = line.len() > MAX_LINE && line.last() != Some(&b'\n');
+        let refusal = |code, message: &str| {
+            let id = Json::Null;
+            let message = message.to_string();
+            (error_response(&RequestError { id, code, message }), false)
+        };
+        let (text, shutdown) = match std::str::from_utf8(&line).map(str::trim) {
+            _ if too_large => refusal(ErrorCode::TooLarge, "request line exceeds 1 MiB"),
+            Err(_) => refusal(ErrorCode::BadJson, "request line is not UTF-8"),
+            Ok("") => continue,
+            Ok(text) => {
+                let _permit = shared.permit();
+                let reply = shared.service.handle_line(text);
+                (reply.text, reply.shutdown)
             }
+        };
+        let written = writeln!(out, "{text}").and_then(|()| out.flush());
+        if shutdown {
+            shared.stop();
+        }
+        if written.is_err() || too_large || shutdown {
+            return written;
         }
     }
 }
 
-fn dispatch_loop(
-    rx: Receiver<Job>,
-    service: Arc<Service>,
-    config: ServerConfig,
-    stop: Arc<AtomicBool>,
-    conns: Arc<Mutex<Vec<TcpStream>>>,
-    addr: SocketAddr,
-) {
-    // Runs until every Sender is gone *and* the queue is drained — mpsc
-    // delivers all buffered jobs before reporting disconnection, which
-    // is exactly the no-dropped-in-flight-requests guarantee.
-    while let Ok(first) = rx.recv() {
-        let mut batch = vec![first];
-        while batch.len() < config.batch_limit.max(1) {
-            match rx.try_recv() {
-                Ok(job) => batch.push(job),
-                Err(_) => break,
-            }
+impl Shared {
+    /// Wait for a free permit; it is returned when the guard drops.
+    fn permit(&self) -> OnDrop<impl FnMut() + '_> {
+        let free = self.freed.wait_while(lock(&self.permits), |n| *n == 0);
+        *free.unwrap_or_else(PoisonError::into_inner) -= 1;
+        OnDrop(|| {
+            *lock(&self.permits) += 1;
+            self.freed.notify_one();
+        })
+    }
+
+    /// Stop registering connections, close every read half, then poke
+    /// the accept loop awake.
+    fn stop(&self) {
+        let open = lock(&self.open).take();
+        for conn in open.iter().flat_map(HashMap::values) {
+            let _ = conn.shutdown(Shutdown::Read);
         }
-        let lines: Vec<String> = batch.iter().map(|j| j.line.clone()).collect();
-        let replies: Vec<Reply> =
-            par_map_with(lines, config.workers, |line| service.handle_line(&line));
-        let mut shutdown = false;
-        for (job, reply) in batch.iter().zip(&replies) {
-            shutdown |= reply.shutdown;
-            let mut out = job.out.lock().unwrap();
-            // A hung-up client is its own problem; keep serving others.
-            let _ = writeln!(out, "{}", reply.text);
-            let _ = out.flush();
-        }
-        if shutdown && !stop.swap(true, Ordering::SeqCst) {
-            // Close every read half so readers hang up and release their
-            // queue senders, then poke the accept loop awake.
-            for conn in conns.lock().unwrap().iter() {
-                let _ = conn.shutdown(Shutdown::Read);
-            }
-            let _ = TcpStream::connect(addr);
-        }
+        let _ = TcpStream::connect(self.addr);
     }
 }
 

@@ -3,10 +3,10 @@
 //!
 //! [`Service::handle_line`] is a *pure function of the request line*
 //! (stats aside): the same line always produces the same response
-//! bytes, regardless of batch composition, worker count, or cache
-//! state. That invariant is what makes both caching and batched
-//! dispatch safe; `tests/replay_invariance.rs` and the integration
-//! tests hold it.
+//! bytes, regardless of which connection sent it, worker count, or
+//! cache state. That invariant is what makes both caching and
+//! concurrent connections safe; `tests/replay_invariance.rs` and the
+//! integration tests hold it.
 //!
 //! ## Cache key derivation
 //!
@@ -60,7 +60,8 @@ pub struct Reply {
 }
 
 /// The optimization service: cache + counters. Shared across the
-/// server's dispatch pool behind an [`Arc`]; all methods take `&self`.
+/// server's connection threads behind an [`Arc`]; all methods take
+/// `&self`.
 pub struct Service {
     cache: Cache,
     requests: AtomicU64,

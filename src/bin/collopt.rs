@@ -42,7 +42,8 @@
 //!
 //! `serve` speaks JSON lines over TCP (one request object per line; see
 //! `collopt_serve::request`) with a canonicalizing LRU optimization
-//! cache and batched dispatch. `submit` builds one request from the
+//! cache, one thread per connection and at most `--workers` requests
+//! handled at once. `submit` builds one request from the
 //! usual flags (`--p/--ts/--tw/--m`, `--all-ranks`, `--no-lint`,
 //! `--simulate`), sends it, and prints the response line;
 //! `--line '<json>'` submits a raw request verbatim.
@@ -216,7 +217,7 @@ const MODES: &[Mode] = &[
     },
     Mode {
         name: "serve",
-        usage: "[--addr HOST:PORT] [--cache N] [--workers N] [--batch N]",
+        usage: "[--addr HOST:PORT] [--cache N] [--workers N]",
         run: serve_main,
     },
     Mode {
@@ -360,7 +361,6 @@ fn serve_main(mut args: Args) -> ! {
             "--addr" => addr = args.value(&arg),
             "--cache" => cache = args.value(&arg),
             "--workers" => config.workers = args.value(&arg),
-            "--batch" => config.batch_limit = args.value(&arg),
             _ => args.unexpected(&arg),
         }
     }

@@ -30,8 +30,8 @@
 //!   saturation-vs-brute-force optimality agreement), a greedy shrinker
 //!   and the pinned-regression corpus;
 //! * [`serve`] — optimization as a service: a JSON-lines-over-TCP
-//!   server with a canonicalizing LRU optimization cache and batched
-//!   dispatch (`collopt serve` / `collopt submit`).
+//!   server with a canonicalizing LRU optimization cache and one thread
+//!   per connection (`collopt serve` / `collopt submit`).
 //!
 //! See `examples/quickstart.rs` for a guided tour, `DESIGN.md` for the
 //! system inventory, and `EXPERIMENTS.md` for the paper-vs-measured record

@@ -1,21 +1,26 @@
 //! End-to-end tests of `collopt serve` over loopback TCP: concurrent
 //! clients, cold-vs-hot byte identity, malformed-request error codes,
-//! and graceful shutdown that drains in-flight requests.
+//! the line bound, descriptors of closed connections, and graceful
+//! shutdown that drains in-flight requests.
 
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
 use collopt::machine::Json;
-use collopt::serve::{submit, Server, ServerConfig, Service};
+use collopt::serve::{submit, Server, ServerConfig, Service, MAX_LINE};
 
 /// Spawn a server on an ephemeral port; returns its address and the
 /// run-thread handle (joined after a shutdown op).
 fn spawn_server() -> (SocketAddr, JoinHandle<std::io::Result<()>>) {
+    spawn_server_with(ServerConfig::default())
+}
+
+fn spawn_server_with(config: ServerConfig) -> (SocketAddr, JoinHandle<std::io::Result<()>>) {
     let service = Arc::new(Service::new(64));
-    let server = Server::bind("127.0.0.1:0", service, ServerConfig::default()).expect("bind");
+    let server = Server::bind("127.0.0.1:0", service, config).expect("bind");
     let addr = server.local_addr().expect("addr");
     (addr, thread::spawn(move || server.run()))
 }
@@ -41,6 +46,11 @@ impl Client {
 
     fn send(&mut self, line: &str) {
         writeln!(self.writer, "{line}").expect("send");
+        self.writer.flush().expect("flush");
+    }
+
+    fn send_bytes(&mut self, bytes: &[u8]) {
+        self.writer.write_all(bytes).expect("send");
         self.writer.flush().expect("flush");
     }
 
@@ -82,32 +92,48 @@ fn cold_and_hot_responses_are_byte_identical_over_tcp() {
 
 #[test]
 fn concurrent_clients_each_get_ordered_correct_responses() {
-    let (addr, handle) = spawn_server();
-    let mut workers = Vec::new();
-    for c in 0..8u64 {
-        workers.push(thread::spawn(move || {
-            let mut client = Client::connect(addr);
-            for i in 0..12u64 {
-                let id = c * 100 + i;
-                let pipeline = if i % 2 == 0 {
-                    "scan(add) ; reduce(add)"
-                } else {
-                    "scan(mul) ; reduce(add)"
-                };
-                let line = format!("{{\"id\":{id},\"pipeline\":\"{pipeline}\"}}");
-                let response = client.round_trip(&line);
-                // Responses come back in request order: the id matches.
-                assert!(
-                    response.starts_with(&format!("{{\"id\":{id},\"ok\":true,")),
-                    "bad response for id {id}: {response}"
-                );
-            }
-        }));
+    // Under the default permit count, and with all 8 connections sharing
+    // one permit: no deadlock, and each connection's order holds.
+    let one_permit = ServerConfig {
+        workers: 1,
+        ..ServerConfig::default()
+    };
+    for config in [ServerConfig::default(), one_permit] {
+        let (addr, handle) = spawn_server_with(config);
+        let start = Arc::new(Barrier::new(8));
+        let mut workers = Vec::new();
+        for c in 0..8u64 {
+            let start = Arc::clone(&start);
+            workers.push(thread::spawn(move || {
+                let mut client = Client::connect(addr);
+                start.wait(); // every connection is open before any sends
+                for i in 0..12u64 {
+                    let id = c * 100 + i;
+                    // Even lines share one key across connections; odd
+                    // lines are misses of their own, which hold a permit
+                    // long enough for the other connections to wait.
+                    let line = if i % 2 == 0 {
+                        format!("{{\"id\":{id},\"pipeline\":\"scan(add) ; reduce(add)\"}}")
+                    } else {
+                        format!(
+                            "{{\"id\":{id},\"pipeline\":\"scan(mul) ; reduce(add)\",\"p\":{}}}",
+                            id + 2
+                        )
+                    };
+                    let response = client.round_trip(&line);
+                    // Responses come back in request order: the id matches.
+                    assert!(
+                        response.starts_with(&format!("{{\"id\":{id},\"ok\":true,")),
+                        "bad response for id {id}: {response}"
+                    );
+                }
+            }));
+        }
+        for w in workers {
+            w.join().expect("client");
+        }
+        shutdown(addr, handle);
     }
-    for w in workers {
-        w.join().expect("client");
-    }
-    shutdown(addr, handle);
 }
 
 #[test]
@@ -151,6 +177,81 @@ fn malformed_requests_get_typed_error_codes() {
     // The connection survives every error and still serves good requests.
     let response = client.round_trip(r#"{"id":7,"pipeline":"scan(add) ; reduce(add)"}"#);
     assert!(response.starts_with("{\"id\":7,\"ok\":true,"));
+    shutdown(addr, handle);
+}
+
+/// The `error.code` of a reply that must be a refusal with a null id.
+fn refusal_code(response: &str) -> String {
+    let doc = Json::parse(response).expect("error responses are valid JSON");
+    assert_eq!(doc.get("id"), Some(&Json::Null), "{response}");
+    assert_eq!(doc.get("ok"), Some(&Json::Bool(false)), "{response}");
+    let code = doc.get("error").and_then(|e| e.get("code"));
+    code.and_then(|c| c.as_str()).expect("code").to_string()
+}
+
+#[test]
+fn an_over_long_line_gets_too_large_and_closes_only_its_connection() {
+    let (addr, handle) = spawn_server();
+    let mut bystander = Client::connect(addr);
+    let mut client = Client::connect(addr);
+    // One byte over the bound and no newline: the server must answer
+    // without waiting for the rest of the line.
+    client.send_bytes(&vec![b'x'; MAX_LINE + 1]);
+    assert_eq!(refusal_code(&client.recv()), "too_large");
+    let mut rest = String::new();
+    let closed = client.reader.read_line(&mut rest);
+    assert!(
+        matches!(closed, Ok(0)) || closed.is_err(),
+        "the connection stays open after too_large: {rest:?}"
+    );
+    // Everyone else is still served.
+    let pong = bystander.round_trip(r#"{"id":1,"op":"ping"}"#);
+    assert_eq!(pong, r#"{"id":1,"ok":true,"result":{"pong":true}}"#);
+    assert!(submit(addr, r#"{"op":"ping"}"#)
+        .expect("fresh connection")
+        .contains("pong"));
+    shutdown(addr, handle);
+}
+
+#[test]
+fn a_non_utf8_line_gets_bad_json_and_the_connection_keeps_serving() {
+    let (addr, handle) = spawn_server();
+    let mut client = Client::connect(addr);
+    client.send_bytes(b"{\"id\":1,\"pipeline\":\"scan(\xff\xfe)\"}\n");
+    assert_eq!(refusal_code(&client.recv()), "bad_json");
+    let response = client.round_trip(r#"{"id":2,"pipeline":"scan(add) ; reduce(add)"}"#);
+    assert!(response.starts_with("{\"id\":2,\"ok\":true,"), "{response}");
+    assert!(submit(addr, r#"{"op":"ping"}"#)
+        .expect("fresh connection")
+        .contains("pong"));
+    shutdown(addr, handle);
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn connections_do_not_leak_descriptors() {
+    let open_fds = || std::fs::read_dir("/proc/self/fd").expect("fd dir").count();
+    let (addr, handle) = spawn_server();
+    submit(addr, r#"{"op":"ping"}"#).expect("warm-up ping");
+    let before = open_fds();
+    for id in 0..200 {
+        let pong = submit(addr, &format!("{{\"id\":{id},\"op\":\"ping\"}}")).expect("ping");
+        assert!(pong.contains("pong"), "{pong}");
+    }
+    // A connection thread lets go of its descriptors just after the
+    // client hangs up; other tests of this binary open connections too.
+    // So wait for the count to settle, and fail only if it never does.
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    let mut after = open_fds();
+    while after >= before + 10 && std::time::Instant::now() < deadline {
+        thread::sleep(Duration::from_millis(20));
+        after = open_fds();
+    }
+    assert!(
+        after < before + 10,
+        "200 closed connections left {} descriptors open ({before} -> {after})",
+        after - before
+    );
     shutdown(addr, handle);
 }
 
