@@ -644,7 +644,7 @@ mod tests {
                     .gather()
                     .map("rev", 1.0, |v| match v {
                         Value::List(l) => {
-                            let mut l = (**l).clone();
+                            let mut l = l.to_vec();
                             l.reverse();
                             Value::list(l)
                         }

@@ -11,12 +11,14 @@
 //! blocks: `pair` of a list is a list of pairs, matching the paper's
 //! convention that the base operator acts elementwise on blocks.
 //!
-//! List blocks are `Arc`-backed: cloning a [`Value`] — which every send,
-//! broadcast fan-out and input distribution does — bumps a reference
-//! count instead of deep-copying `m` elements. Blocks are immutable once
-//! built, so sharing is safe; the rare consumer that needs ownership
-//! (e.g. [`Splittable::concat`]) unwraps the `Arc`, copying only when the
-//! block is genuinely shared.
+//! List blocks are one `Arc<[Value]>` each: building a block (a combine's
+//! result, a `map`) is one allocation, and cloning a [`Value`] — which
+//! every send, broadcast fan-out and input distribution does — bumps a
+//! reference count instead of deep-copying `m` elements. Blocks are
+//! immutable once built, so sharing is safe. [`Splittable::split_into`]
+//! copies each segment out of its sub-slice; [`Splittable::concat`] moves
+//! the elements out of segments it alone owns and clones only those of
+//! segments still shared with another owner.
 
 use std::fmt;
 use std::sync::Arc;
@@ -37,7 +39,7 @@ pub enum Value {
     Tuple(Vec<Value>),
     /// A block of values (one processor's `m`-word block), shared on
     /// clone. Construct via [`Value::list`].
-    List(Arc<Vec<Value>>),
+    List(Arc<[Value]>),
 }
 
 impl Value {
@@ -53,7 +55,7 @@ impl Value {
 
     /// Build a list block from its elements.
     pub fn list(vs: Vec<Value>) -> Value {
-        Value::List(Arc::new(vs))
+        Value::List(vs.into())
     }
 
     /// Build a list block from integers.
@@ -136,7 +138,7 @@ impl Value {
     /// paper's elementwise base operators lift to `m`-word blocks.
     pub fn map_block(&self, f: &impl Fn(&Value) -> Value) -> Value {
         match self {
-            Value::List(vs) => Value::list(vs.iter().map(f).collect()),
+            Value::List(vs) => Value::List(vs.iter().map(f).collect()),
             v => f(v),
         }
     }
@@ -146,7 +148,7 @@ impl Value {
         match (self, other) {
             (Value::List(a), Value::List(b)) => {
                 assert_eq!(a.len(), b.len(), "blocks must have equal length");
-                Value::list(a.iter().zip(b.iter()).map(|(x, y)| f(x, y)).collect())
+                Value::List(a.iter().zip(b.iter()).map(|(x, y)| f(x, y)).collect())
             }
             (a, b) => f(a, b),
         }
@@ -193,7 +195,18 @@ impl Splittable for Value {
 
     fn split_into(&self, parts: usize) -> Vec<Value> {
         match self {
-            Value::List(vs) => vs.split_into(parts).into_iter().map(Value::list).collect(),
+            Value::List(vs) => {
+                assert!(parts > 0, "cannot split into zero parts");
+                let (base, extra) = (vs.len() / parts, vs.len() % parts);
+                let mut end = 0;
+                (0..parts)
+                    .map(|i| {
+                        let start = end;
+                        end += base + usize::from(i < extra);
+                        Value::List(vs[start..end].into())
+                    })
+                    .collect()
+            }
             other => {
                 assert_eq!(parts, 1, "cannot segment a scalar-like value {other}");
                 vec![other.clone()]
@@ -206,17 +219,25 @@ impl Splittable for Value {
             // A scalar round-trips through its single "segment".
             return parts.into_iter().next().expect("one part");
         }
-        Value::list(
-            parts
-                .into_iter()
-                .flat_map(|p| match p {
-                    // Unshared blocks are consumed in place; shared ones
-                    // are copied (the other owners keep reading theirs).
-                    Value::List(vs) => Arc::try_unwrap(vs).unwrap_or_else(|a| (*a).clone()),
-                    other => panic!("cannot concatenate non-list segment {other}"),
-                })
-                .collect(),
-        )
+        let mut out = Vec::with_capacity(parts.iter().map(Value::block_len).sum());
+        for part in parts {
+            let mut vs = match part {
+                Value::List(vs) => vs,
+                other => panic!("cannot concatenate non-list segment {other}"),
+            };
+            match Arc::get_mut(&mut vs) {
+                // An unshared segment gives up its elements (a scalar
+                // placeholder is left behind and dropped with it) ...
+                Some(owned) => out.extend(
+                    owned
+                        .iter_mut()
+                        .map(|v| std::mem::replace(v, Value::Bool(false))),
+                ),
+                // ... a shared one is copied: its other owners keep reading it.
+                None => out.extend_from_slice(&vs),
+            }
+        }
+        Value::list(out)
     }
 }
 
@@ -320,6 +341,33 @@ mod tests {
         );
         assert_eq!(Value::concat(segs), block);
         assert_eq!(block.unit_len(), 5);
+
+        // A block of tuples: the unshared segments give up their tuples,
+        // the shared one is copied and its other owner reads it unchanged.
+        let pairs = Value::list(
+            (0..7i64)
+                .map(|i| Value::pair(i.into(), (-i).into()))
+                .collect(),
+        );
+        let segs = pairs.split_into(3);
+        assert_eq!(
+            segs.iter().map(Value::block_len).collect::<Vec<_>>(),
+            [3, 2, 2]
+        );
+        let held = segs[1].clone();
+        assert_eq!(Value::concat(segs), pairs);
+        assert_eq!(
+            held,
+            Value::list(vec![
+                Value::pair(3.into(), (-3).into()),
+                Value::pair(4.into(), (-4).into()),
+            ])
+        );
+        // Splitting copies out of the block, which its owner keeps.
+        let all_held = pairs.split_into(7);
+        assert_eq!(Value::concat(all_held.clone()), pairs);
+        assert_eq!(all_held[6].as_list(), &[Value::pair(6.into(), (-6).into())]);
+        assert_eq!(pairs.block_len(), 7);
     }
 
     #[test]

@@ -5,17 +5,22 @@
 //! no tag matching and two messages from the same source can never overtake
 //! each other. Payloads are type-erased (`Box<dyn Any + Send>`) so that a
 //! single SPMD program can exchange values of several types — e.g. a
-//! broadcast of `Vec<f64>` followed by a scan over pairs. When a rank
-//! leaves the machine, packets it already sent still drain before its
-//! peers observe the disconnect. [`crate::des`] keeps these queues; the
-//! tests below hold it to this contract.
+//! broadcast of `Vec<f64>` followed by a scan over pairs. A payload box
+//! holds an `Option<T>` and is reused within a run: the receive that takes
+//! the value out hands the empty box back, and the next send of a `T`
+//! refills it, so a run allocates no more boxes for a `T` than it ever has
+//! `T` messages in flight at once. When a rank leaves the machine, packets it
+//! already sent still drain before its peers observe the disconnect.
+//! [`crate::des`] keeps these queues and the spare boxes; the tests below
+//! hold it to this contract.
 
 use std::any::Any;
 
 /// A message in flight: payload, declared size in words (for cost
 /// accounting), and the sender's simulated clock at the moment of sending.
 pub(crate) struct Packet {
-    /// The type-erased payload.
+    /// The type-erased payload: an `Option<T>` from
+    /// [`DesShared::box_payload`](crate::des::DesShared::box_payload).
     pub(crate) payload: Box<dyn Any + Send>,
     /// Size in machine words, as charged by the cost model.
     pub(crate) words: u64,

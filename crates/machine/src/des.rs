@@ -4,10 +4,12 @@
 //! rank is a resumable future over its [`Ctx`], and a binary-heap event
 //! queue decides which rank steps next, ordered by the simulated
 //! timestamp at which it became runnable. `p` is bounded by memory — a
-//! rank costs two boxed futures (the caller's body and this module's
-//! wrapper around it), one inbox buffer and three words of waiter links —
-//! so 10^5..10^6-rank machines fit, and a message costs a queue slot, not
-//! a context switch.
+//! rank costs one boxed future (the caller's body, polled directly), its
+//! [`Ctx`] in one shared `Vec`, one inbox buffer and three words of waiter
+//! links — so 10^5..10^6-rank machines fit, and a message costs a queue
+//! slot, not a context switch. Payload boxes are reused within a run: a
+//! receive hands its emptied box back to [`DesShared`], and the next send
+//! of that payload type refills it instead of allocating.
 //!
 //! ## Event model
 //!
@@ -38,6 +40,7 @@
 //! `bench/tests/engine_identity.rs` and fuzz oracle 2 hold every other
 //! order to it.
 
+use std::any::{Any, TypeId};
 use std::cell::RefCell;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
@@ -50,11 +53,10 @@ use std::task::{Context, Poll, Waker};
 
 use crate::barrier::{Arrival, BarrierAlgebra};
 use crate::channel::Packet;
-use crate::clock::{ClockParams, SimClock};
+use crate::clock::ClockParams;
 use crate::error::MachineError;
 use crate::fault::FaultPlan;
 use crate::machine::{Ctx, FaultAbort, RankOutcome};
-use crate::trace::Trace;
 
 /// Why a suspended rank is not runnable, plus its clock at suspension
 /// (the earliest simulated time it could resume at).
@@ -125,6 +127,10 @@ struct DesState {
     /// `waiting` when consumed, so entries left behind by wake-ups already
     /// delivered are harmless.
     barrier_waiters: Vec<usize>,
+    /// Emptied payload boxes, one list per payload type: each holds an
+    /// `Option<T>` set to `None` for the `T` it is keyed by. A run uses a
+    /// handful of types, so a linear scan finds the list.
+    spares: Vec<(TypeId, Vec<Box<dyn Any + Send>>)>,
 }
 
 impl DesState {
@@ -173,8 +179,45 @@ impl DesShared {
                 wait_next: vec![NIL; p],
                 wait_prev: vec![NIL; p],
                 barrier_waiters: Vec::new(),
+                spares: Vec::new(),
             }),
         }
+    }
+
+    /// Box `value` as a packet payload (an `Option<T>`), refilling a
+    /// spare box of that type when a receive has handed one back.
+    pub(crate) fn box_payload<T: Send + 'static>(&self, value: T) -> Box<dyn Any + Send> {
+        let key = TypeId::of::<T>();
+        let spare = self
+            .state
+            .borrow_mut()
+            .spares
+            .iter_mut()
+            .find(|(ty, _)| *ty == key)
+            .and_then(|(_, boxes)| boxes.pop());
+        match spare {
+            Some(mut payload) => {
+                *payload
+                    .downcast_mut::<Option<T>>()
+                    .expect("spare boxes are keyed by payload type") = Some(value);
+                payload
+            }
+            None => Box::new(Some(value)),
+        }
+    }
+
+    /// Take the value out of a payload boxed by [`box_payload`](Self::box_payload)
+    /// and keep the emptied box for the next send of its type; `None` if the
+    /// payload is not a `T` (the box is dropped).
+    pub(crate) fn unbox_payload<T: 'static>(&self, mut payload: Box<dyn Any + Send>) -> Option<T> {
+        let value = payload.downcast_mut::<Option<T>>()?.take();
+        let key = TypeId::of::<T>();
+        let mut s = self.state.borrow_mut();
+        match s.spares.iter_mut().find(|(ty, _)| *ty == key) {
+            Some((_, boxes)) => boxes.push(payload),
+            None => s.spares.push((key, vec![payload])),
+        }
+        value
     }
 
     /// Deliver a packet from `from` to `to`. Delivery to a dead rank
@@ -352,10 +395,11 @@ impl Future for DesBarrier {
     }
 }
 
-type RankFut<'a, T> = Pin<Box<dyn Future<Output = (T, SimClock, Trace)> + 'a>>;
+type RankFut<'a, T> = Pin<Box<dyn Future<Output = T> + 'a>>;
 
-/// Drive all `p` rank futures to completion on the calling thread and
-/// return their outcomes: `catch_unwind` per step, barrier abort before
+/// Drive all `p` rank bodies to completion on the calling thread and
+/// return their outcomes with the ranks' contexts (whose clocks and
+/// traces the caller reads): `catch_unwind` per step, barrier abort before
 /// the death cascade on an unwind, completed ranks going dead without an
 /// abort. Same-time events run in order of `rank ^ plan.order`.
 pub(crate) fn run_ranks_des<T, F>(
@@ -364,23 +408,21 @@ pub(crate) fn run_ranks_des<T, F>(
     tracing: bool,
     plan: Option<&Arc<FaultPlan>>,
     f: &F,
-) -> Vec<RankOutcome<T>>
+) -> (Vec<RankOutcome<T>>, Vec<Ctx>)
 where
     T: Send,
     F: for<'a> Fn(&'a mut Ctx) -> Pin<Box<dyn Future<Output = T> + 'a>>,
 {
     let order = plan.map_or(0, |plan| plan.order as usize);
     let shared = Rc::new(DesShared::new(p));
-    let mut futures: Vec<Option<RankFut<'_, T>>> = Vec::with_capacity(p);
-    for rank in 0..p {
-        let mut ctx = Ctx::new(rank, p, Rc::clone(&shared), params, tracing, plan);
-        let fut: RankFut<'_, T> = Box::pin(async move {
-            let out = f(&mut ctx).await;
-            let (clock, trace) = ctx.into_parts();
-            (out, clock, trace)
-        });
-        futures.push(Some(fut));
-    }
+    let mut ctxs: Vec<Ctx> = (0..p)
+        .map(|rank| Ctx::new(rank, p, Rc::clone(&shared), params, tracing, plan))
+        .collect();
+    // A rank's body is built by its first step, inside that step's
+    // `catch_unwind` (so a fault or panic in `f` is caught like one in the
+    // body), and then polled directly.
+    let mut idle: Vec<Option<&mut Ctx>> = ctxs.iter_mut().map(Some).collect();
+    let mut futures: Vec<Option<RankFut<'_, T>>> = (0..p).map(|_| None).collect();
 
     // Every rank starts runnable at t = 0; `rank ^ order` tie-breaks equal
     // timestamps, so the step order is fully deterministic.
@@ -399,15 +441,16 @@ where
         if outcomes[rank].is_some() {
             continue; // stale wake-up for a finished rank
         }
-        let Some(fut) = futures[rank].as_mut() else {
-            continue;
-        };
-        let polled = std::panic::catch_unwind(AssertUnwindSafe(|| fut.as_mut().poll(&mut cx)));
+        let polled = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            let fut = futures[rank]
+                .get_or_insert_with(|| f(idle[rank].take().expect("a rank's body is built once")));
+            fut.as_mut().poll(&mut cx)
+        }));
         match polled {
             Ok(Poll::Pending) => {}
-            Ok(Poll::Ready((out, clock, trace))) => {
+            Ok(Poll::Ready(out)) => {
                 futures[rank] = None;
-                outcomes[rank] = Some(RankOutcome::Done(out, clock, trace));
+                outcomes[rank] = Some(RankOutcome::Done(out));
                 remaining -= 1;
                 shared.mark_dead(rank);
             }
@@ -433,26 +476,30 @@ where
         shared.drain_wakes_into(&mut heap, order);
     }
 
-    outcomes
+    // Every body is gone; this ends their borrows of `ctxs`.
+    drop(futures);
+    let outcomes = outcomes
         .into_iter()
         .map(|o| o.expect("every rank produced an outcome"))
-        .collect()
+        .collect();
+    (outcomes, ctxs)
 }
 
 #[cfg(test)]
 mod tests {
+    use std::any::TypeId;
     use std::cell::RefCell;
     use std::future::Future;
     use std::pin::Pin;
     use std::rc::Rc;
     use std::task::{Context, Poll, Waker};
 
-    use super::{DesInbox, DesPop, DesShared, Waiting, NIL};
+    use super::{run_ranks_des, DesInbox, DesPop, DesShared, Waiting, NIL};
     use crate::channel::Packet;
     use crate::clock::ClockParams;
     use crate::error::MachineError;
     use crate::fault::FaultPlan;
-    use crate::machine::Machine;
+    use crate::machine::{Ctx, Machine, RankOutcome};
 
     fn packet(v: u64) -> Packet {
         Packet {
@@ -509,6 +556,39 @@ mod tests {
             panic!("rank 2's packet is still queued");
         };
         assert_eq!(value(got), 22);
+    }
+
+    /// A receive hands its emptied box back and the next send of that type
+    /// refills it: a thousand `u64`s ping-ponged in one run all travel in
+    /// one box, which is spare when the run ends.
+    #[test]
+    fn a_ping_pong_run_reuses_one_payload_box() {
+        async fn ping_pong(ctx: &mut Ctx) -> u64 {
+            let peer = 1 - ctx.rank();
+            let mut last = 0;
+            for i in 0..500u64 {
+                if ctx.rank() == 0 {
+                    ctx.send(peer, 2 * i, 1);
+                    last = ctx.recv_async(peer).await;
+                } else {
+                    last = ctx.recv_async::<u64>(peer).await + 1;
+                    ctx.send(peer, last, 1);
+                }
+            }
+            last
+        }
+        fn body(ctx: &mut Ctx) -> Pin<Box<dyn Future<Output = u64> + '_>> {
+            Box::pin(ping_pong(ctx))
+        }
+        let (outcomes, ctxs) = run_ranks_des(2, ClockParams::free(), false, None, &body);
+        assert!(outcomes.iter().all(|o| matches!(o, RankOutcome::Done(999))));
+        let s = ctxs[0].shared.state.borrow();
+        let spares: Vec<_> = s
+            .spares
+            .iter()
+            .map(|(ty, boxes)| (*ty, boxes.len()))
+            .collect();
+        assert_eq!(spares, [(TypeId::of::<u64>(), 1)]);
     }
 
     /// Every directed pop but the last steps over all that is still
@@ -695,6 +775,21 @@ mod tests {
                 "order={order}"
             );
         }
+    }
+
+    /// A rank's body is built inside its first step, so a fault raised while
+    /// building it surfaces as the run's error, like one inside the body.
+    #[test]
+    fn a_crash_while_building_a_body_surfaces_as_the_runs_error() {
+        let m =
+            Machine::new(3, ClockParams::free()).with_faults(FaultPlan::new(0).with_crash(1, 0));
+        let err = m
+            .try_run_des(|ctx| {
+                ctx.charge(1.0, "set-up");
+                Box::pin(async move { ctx.barrier_async().await })
+            })
+            .expect_err("rank 1 crashes before its body exists");
+        assert_eq!(err, MachineError::RankFailed { rank: 1 });
     }
 
     #[test]

@@ -93,7 +93,7 @@ pub(crate) fn install_quiet_fault_hook() {
 pub struct Ctx {
     rank: usize,
     size: usize,
-    shared: Rc<DesShared>,
+    pub(crate) shared: Rc<DesShared>,
     clock: SimClock,
     trace: Trace,
     injector: Option<FaultInjector>,
@@ -309,11 +309,12 @@ impl Ctx {
         let cost = self.link_cost(self.rank(), to, words);
         self.simulate_drops(to, words, cost);
         let send_time = self.clock.now();
+        let payload = self.shared.box_payload(value);
         if let Err(e) = self.shared.push(
             self.rank,
             to,
             Packet {
-                payload: Box::new(value),
+                payload,
                 words,
                 send_time,
             },
@@ -360,17 +361,7 @@ impl Ctx {
                 },
             );
         }
-        let to = self.rank();
-        *packet.payload.downcast::<T>().unwrap_or_else(|_| {
-            panic!(
-                "{}",
-                MachineError::TypeMismatch {
-                    from,
-                    to,
-                    expected: std::any::type_name::<T>()
-                }
-            )
-        })
+        self.unbox(from, packet)
     }
 
     /// Simultaneous bidirectional exchange with `partner`: sends `value`,
@@ -390,11 +381,12 @@ impl Ctx {
         let out_cost = self.link_cost(self.rank(), partner, words);
         self.simulate_drops(partner, words, out_cost);
         let my_time = self.clock.now();
+        let payload = self.shared.box_payload(value);
         if let Err(e) = self.shared.push(
             self.rank,
             partner,
             Packet {
-                payload: Box::new(value),
+                payload,
                 words,
                 send_time: my_time,
             },
@@ -423,18 +415,28 @@ impl Ctx {
                 },
             );
         }
-        let from = partner;
-        let to = self.rank();
-        *packet.payload.downcast::<T>().unwrap_or_else(|_| {
-            panic!(
-                "{}",
-                MachineError::TypeMismatch {
-                    from,
-                    to,
-                    expected: std::any::type_name::<T>()
-                }
-            )
-        })
+        self.unbox(partner, packet)
+    }
+
+    /// The value a packet from `from` carries; its emptied box goes back
+    /// to the run for the next send of a `T`.
+    ///
+    /// # Panics
+    /// Panics if the payload is not a `T` — a type mismatch is a bug in the
+    /// SPMD program, not a runtime condition.
+    fn unbox<T: Send + 'static>(&self, from: usize, packet: Packet) -> T {
+        self.shared
+            .unbox_payload(packet.payload)
+            .unwrap_or_else(|| {
+                panic!(
+                    "{}",
+                    MachineError::TypeMismatch {
+                        from,
+                        to: self.rank(),
+                        expected: std::any::type_name::<T>()
+                    }
+                )
+            })
     }
 
     /// Barrier across all ranks; clocks leave at the global maximum. If a
@@ -461,7 +463,7 @@ impl Ctx {
         }
     }
 
-    pub(crate) fn into_parts(self) -> (SimClock, Trace) {
+    fn into_parts(self) -> (SimClock, Trace) {
         (self.clock, self.trace)
     }
 }
@@ -504,8 +506,8 @@ impl<T> RunResult<T> {
 
 /// What one rank's future produced.
 pub(crate) enum RankOutcome<T> {
-    /// Clean completion.
-    Done(T, SimClock, Trace),
+    /// Clean completion (the clock and trace stay in the rank's [`Ctx`]).
+    Done(T),
     /// An injected fault unwound the rank.
     Faulted(MachineError, bool),
     /// A genuine panic (programming error) — payload re-raised once every
@@ -601,9 +603,9 @@ impl Machine {
         if self.faults.is_some() {
             install_quiet_fault_hook();
         }
-        let outcomes =
+        let (outcomes, ctxs) =
             crate::des::run_ranks_des(self.p, self.params, self.tracing, self.faults.as_ref(), &f);
-        collect_outcomes(self.p, outcomes)
+        collect_outcomes(self.p, outcomes, ctxs)
     }
 
     /// Run one SPMD program; see [`try_run_des`](Self::try_run_des).
@@ -627,6 +629,7 @@ impl Machine {
 fn collect_outcomes<T>(
     p: usize,
     mut outcomes: Vec<RankOutcome<T>>,
+    ctxs: Vec<Ctx>,
 ) -> Result<RunResult<T>, MachineError> {
     let mut origin_error = None;
     let mut derived_error = None;
@@ -664,10 +667,11 @@ fn collect_outcomes<T>(
     let mut retries = Vec::with_capacity(p);
     let mut retry_time = Vec::with_capacity(p);
     let mut traces = Vec::with_capacity(p);
-    for outcome in outcomes {
-        let RankOutcome::Done(out, clock, t) = outcome else {
+    for (outcome, ctx) in outcomes.into_iter().zip(ctxs) {
+        let RankOutcome::Done(out) = outcome else {
             unreachable!("non-Done outcomes were handled above");
         };
+        let (clock, t) = ctx.into_parts();
         results.push(out);
         finish_times.push(clock.now());
         compute_ops.push(clock.compute_ops());
@@ -885,6 +889,70 @@ mod tests {
                 }
             })
         });
+    }
+
+    /// Payload boxes are reused within a run, one spare list per type:
+    /// interleaved `u64`, `String` and `Vec<u8>` messages each come back
+    /// intact, and a receive of the wrong type still fails loudly.
+    #[test]
+    fn reused_payload_boxes_stay_type_safe() {
+        let m = Machine::new(2, ClockParams::free());
+        let run = m.run_des(|ctx| {
+            Box::pin(async move {
+                let (me, peer) = (ctx.rank(), 1 - ctx.rank());
+                let mut got = Vec::new();
+                for round in 0..4u64 {
+                    let tag = format!("{me}:{round}");
+                    if me == 0 {
+                        ctx.send(peer, round, 1);
+                        ctx.send(peer, tag.clone(), 1);
+                        ctx.send(peer, vec![round as u8; 3], 3);
+                    } else {
+                        let n: u64 = ctx.recv_async(peer).await;
+                        let s: String = ctx.recv_async(peer).await;
+                        let v: Vec<u8> = ctx.recv_async(peer).await;
+                        got.push(format!("{n} {s} {v:?}"));
+                    }
+                    let n = ctx.exchange_async(peer, 10 * round + me as u64, 1).await;
+                    let s = ctx.exchange_async(peer, tag, 1).await;
+                    let v = ctx.exchange_async(peer, vec![me as u8; 2], 2).await;
+                    got.push(format!("{n} {s} {v:?}"));
+                }
+                got
+            })
+        });
+        for round in 0..4 {
+            let (from_0, from_1) = (&run.results[1], &run.results[0]);
+            assert_eq!(
+                from_0[2 * round],
+                format!("{round} 0:{round} [{round}, {round}, {round}]")
+            );
+            let exchanged = |me| format!("{} {me}:{round} [{me}, {me}]", 10 * round + me);
+            assert_eq!(from_0[2 * round + 1], exchanged(0));
+            assert_eq!(from_1[round], exchanged(1));
+        }
+
+        // A `String` box is spare when the `u64` receive meets another one.
+        let wrong = std::panic::catch_unwind(|| {
+            m.run_des(|ctx| {
+                Box::pin(async move {
+                    if ctx.rank() == 0 {
+                        ctx.send(1, String::from("a"), 1);
+                        ctx.send(1, String::from("b"), 1);
+                    } else {
+                        let _: String = ctx.recv_async(0).await;
+                        let _: u64 = ctx.recv_async(0).await;
+                    }
+                })
+            })
+        })
+        .expect_err("a u64 receive of a String panics");
+        let expected = MachineError::TypeMismatch {
+            from: 0,
+            to: 1,
+            expected: "u64",
+        };
+        assert_eq!(wrong.downcast_ref::<String>(), Some(&expected.to_string()));
     }
 
     #[test]
