@@ -203,12 +203,8 @@ pub fn validate_step(
         });
     }
     for law in &cert.laws {
-        // Fused tuple-typed operators (declared width > 1 word per
-        // element, e.g. `op_sr2`) appear in second-generation windows the
-        // saturation search certifies; scalar sample pools cannot probe
-        // them, and their laws hold by construction whenever the source
-        // operators' certified laws do — only structural checks apply.
-        if law.ops().iter().any(|op| op.width() > 1.0) {
+        // Only structural checks apply to a fused tuple operator's laws.
+        if law.holds_by_construction() {
             continue;
         }
         if let Some(counterexample) = law.counterexample_with(samples, rtol) {

@@ -417,7 +417,7 @@ fn fusion_pass(
         let len = rules::window_len(step.rule);
         let stages = current.stages();
         let Some(rw) = rules::try_match(step.rule, &stages[at..]) else {
-            break; // replay diverged (saturation fell back): keep the sweep below
+            break; // a plan for some other program: keep the sweep below
         };
         let window_str: Vec<String> = stages[at..at + len].iter().map(|s| s.describe()).collect();
         let window_str = window_str.join(" ; ");
@@ -488,8 +488,9 @@ fn fusion_pass(
                 stages[at..at + len].iter().map(|s| s.describe()).collect();
             let window_str = window_str.join(" ; ");
             if saving > 0.0 {
-                // Unreachable unless saturation hit its node budget and
-                // fell back — keep the windowed report so nothing is lost.
+                // Reachable only when a node budget cut saturation short
+                // and the plan is the best derivation replay reached —
+                // keep the windowed report so nothing is lost.
                 diags.push(Diagnostic {
                     code: "COL001",
                     severity: Severity::Warning,
@@ -691,8 +692,8 @@ mod tests {
 
     #[test]
     fn exact_analysis_reports_the_optimal_plan_not_the_greedy_window() {
-        // The greedy window walk would fuse scan;scan first (SS-Scan at
-        // stage 0); the exact pass reports the globally optimal plan,
+        // A first-match window walk would fuse scan;scan first (SS-Scan
+        // at stage 0); the exact pass reports the globally optimal plan,
         // which keeps the first scan and fuses scan;reduce instead.
         let src = "scan(add) ; scan(add) ; reduce(add)";
         let mut c = cfg();

@@ -327,6 +327,15 @@ impl RequiredLaw {
         }
     }
 
+    /// Whether the law is exempt from sampling: it constrains an operator
+    /// wider than one word per element — a fused tuple operator such as
+    /// `op_sr2`, met in second-generation windows. Scalar sample pools
+    /// cannot probe it, and its laws hold by construction whenever the
+    /// source operators' certified laws do.
+    pub fn holds_by_construction(&self) -> bool {
+        self.ops().iter().any(|op| op.width() > 1.0)
+    }
+
     /// Check the law at one concrete assignment. Returns the first failing
     /// equation instance as `(equation, left, right)`, or `None` when the
     /// law holds there (within `rtol` on floats).

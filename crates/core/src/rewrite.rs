@@ -3,22 +3,26 @@
 //! The paper's design method (Sections 3–4) is: scan a program for
 //! compositions of collective operations, and fuse them when the algebraic
 //! side condition holds **and** the cost calculus predicts an improvement
-//! on the target machine. [`Rewriter`] implements both regimes:
+//! on the target machine. [`Rewriter`] states the objective; the search is
+//! always equality saturation ([`crate::egraph`]), which explores every
+//! rule order and extracts the objective's optimum:
 //!
-//! * [`Rewriter::exhaustive`] applies every applicable rule — the pure
-//!   semantics-preserving calculus;
-//! * [`Rewriter::cost_guided`] applies a rule only when the program-level
-//!   cost estimate ([`program_cost`]) strictly decreases for the given
-//!   machine parameters and block size — Section 4's performance-directed
+//! * [`Rewriter::exhaustive`] prices every stage at 0, so extraction picks
+//!   the fewest collectives, then the fewest stages — the pure
+//!   semantics-preserving calculus, fusing everything fusible;
+//! * [`Rewriter::cost_guided`] picks the reachable program with the least
+//!   program-level cost estimate ([`program_cost`]) for the given machine
+//!   parameters and block size — Section 4's performance-directed
 //!   programming.
 //!
-//! Longer windows are matched first (a `bcast; scan; scan` should become a
-//! single comcast, not a comcast followed by a stray scan). Every
-//! application strictly decreases the number of collective stages, so the
-//! engine terminates structurally.
+//! Among plans of equal value the one reached in the fewest rule steps
+//! wins, then the earliest position, then [`RULE_PRIORITY`]. Every
+//! application strictly decreases the number of collective stages, so
+//! the search terminates structurally.
 
 use collopt_cost::{collectives as ccost, MachineParams};
 
+use crate::egraph::{saturate_program, SaturateConfig};
 use crate::op::{Counterexample, RequiredLaw};
 use crate::rules::enabling::{self, Normalization};
 use crate::rules::{self, Rule};
@@ -140,10 +144,11 @@ impl Certificate {
         format!("{}: {} ({how})", self.rule, laws.join(", "))
     }
 
-    /// Re-check every law on `samples`; the first violated law is
-    /// returned with a shrunk counterexample.
+    /// Re-check every law on `samples` (bar those that hold by
+    /// construction); the first violated law is returned with a shrunk
+    /// counterexample.
     pub fn revalidate(&self, samples: &[Value]) -> Result<(), Counterexample> {
-        for law in &self.laws {
+        for law in self.laws.iter().filter(|l| !l.holds_by_construction()) {
             if let Some(cex) = law.counterexample(samples) {
                 return Err(cex);
             }
@@ -213,26 +218,35 @@ pub struct OptimizeResult {
     pub rejections: Vec<RuleRejection>,
 }
 
-/// Optimization regime.
+/// The extraction objective of the optimizer.
 #[derive(Debug, Clone, Copy)]
-enum Strategy {
+pub enum Strategy {
+    /// Every stage costs 0: extraction minimizes collectives, then stages,
+    /// and steps report `saving: None`.
     Exhaustive,
-    CostGuided { params: MachineParams, block: f64 },
+    /// Minimize [`program_cost`] on `params` at block size `block`.
+    CostGuided {
+        /// The machine the cost model targets.
+        params: MachineParams,
+        /// Block size (words per processor).
+        block: f64,
+    },
 }
 
-/// The rewrite engine.
+/// The rewrite engine: an objective plus the rank-0 switch and audit
+/// samples, all held in the one [`SaturateConfig`] every entry point runs.
 #[derive(Debug, Clone)]
 pub struct Rewriter {
-    strategy: Strategy,
-    allow_rank0_rules: bool,
-    verify_samples: Option<Vec<Value>>,
+    cfg: SaturateConfig,
 }
 
 /// Rules tried at each position, longest window first; within a length,
 /// the more specific (distributivity) variants precede the commutative
 /// ones, and Local rules precede Comcast ones (they eliminate strictly
-/// more communication). Public so analysis passes (the pipeline linter)
-/// report opportunities in the same order the engine would take them.
+/// more communication). Its one role is ordering: among plans of equal
+/// value and equal step count, the derivation replay and the brute-force
+/// search reach first — and so return — the one whose rules come first
+/// here, and the pipeline linter sweeps untouched windows in this order.
 pub const RULE_PRIORITY: [Rule; 11] = [
     Rule::Bsr2Local,
     Rule::BsrLocal,
@@ -248,22 +262,20 @@ pub const RULE_PRIORITY: [Rule; 11] = [
 ];
 
 impl Rewriter {
-    /// Apply every applicable rule until none matches.
+    /// Fuse everything fusible: the fewest collectives, then the fewest
+    /// stages, whatever they cost.
     pub fn exhaustive() -> Self {
         Rewriter {
-            strategy: Strategy::Exhaustive,
-            allow_rank0_rules: true,
-            verify_samples: None,
+            cfg: SaturateConfig::with_strategy(Strategy::Exhaustive),
         }
     }
 
-    /// Apply a rule only when the cost estimate for `params` at block size
-    /// `block` strictly improves — the paper's performance-directed mode.
+    /// The cheapest reachable program under the cost estimate for
+    /// `params` at block size `block` — the paper's performance-directed
+    /// mode.
     pub fn cost_guided(params: MachineParams, block: f64) -> Self {
         Rewriter {
-            strategy: Strategy::CostGuided { params, block },
-            allow_rank0_rules: true,
-            verify_samples: None,
+            cfg: SaturateConfig::new(params, block),
         }
     }
 
@@ -272,7 +284,7 @@ impl Rewriter {
     /// [`crate::rules`] module docs). Default `true`; set `false` when the
     /// broadcast's side effect on the other processors is needed later.
     pub fn allow_rank0_rules(mut self, yes: bool) -> Self {
-        self.allow_rank0_rules = yes;
+        self.cfg = self.cfg.allow_rank0_rules(yes);
         self
     }
 
@@ -281,97 +293,52 @@ impl Rewriter {
     /// on the given sample values. A rule whose law fails is refused, and
     /// the refusal is reported in [`OptimizeResult::rejections`] together
     /// with a shrunk counterexample; every applied step's certificate
-    /// carries a [`Witness::Checked`] witness. This is the mode the
+    /// carries a [`Witness::Checked`] witness. Laws over fused tuple
+    /// operators hold by construction and are not sampled
+    /// ([`RequiredLaw::holds_by_construction`]). This is the mode the
     /// soundness analyzer (`collopt-analysis`) builds on, at the cost of
     /// O(samples³) operator applications per candidate rule.
     pub fn audited(mut self, samples: Vec<Value>) -> Self {
-        assert!(
-            !samples.is_empty(),
-            "auditing needs at least one sample value"
-        );
-        self.verify_samples = Some(samples);
+        self.cfg = self.cfg.audited(samples);
         self
     }
 
-    #[allow(clippy::type_complexity)]
-    fn find_step(
-        &self,
-        prog: &Program,
-        rejections: &mut Vec<RuleRejection>,
-    ) -> Option<(usize, Rule, Vec<Stage>, Option<f64>, Certificate, bool)> {
-        for at in 0..prog.len() {
-            for rule in RULE_PRIORITY {
-                let Some(hit) = rules::match_rule(rule, &prog.stages()[at..]) else {
-                    continue;
-                };
-                let rank0_only = hit.rank0_only();
-                if !self.allow_rank0_rules && rank0_only {
-                    continue;
-                }
-                let samples = self.verify_samples.as_deref();
-                let Some(cert) = certify(rule, &hit, samples, at, rejections) else {
-                    continue;
-                };
-                let replacement = hit.rhs();
-                match self.strategy {
-                    Strategy::Exhaustive => {
-                        return Some((at, rule, replacement, None, cert, rank0_only))
-                    }
-                    Strategy::CostGuided { params, block } => {
-                        let candidate =
-                            prog.splice(at, rules::window_len(rule), replacement.clone());
-                        let saving = program_cost(prog, &params, block)
-                            - program_cost(&candidate, &params, block);
-                        if saving > 0.0 {
-                            return Some((at, rule, replacement, Some(saving), cert, rank0_only));
-                        }
-                    }
-                }
-            }
-        }
-        None
-    }
-
-    /// Globally optimal rewriting: the reachable program with the least
-    /// predicted cost for `(params, m)`, found by equality saturation
-    /// with cost-model extraction ([`crate::egraph`]). The optimization is
-    /// the outcome's `result`; its `stats` carry the e-graph's effort
-    /// counters — node/class/application counts, budget exhaustion.
+    /// The cheapest reachable program for `(params, m)`, whatever this
+    /// rewriter's own objective, with the e-graph's effort counters —
+    /// node/class/application counts, budget exhaustion — in the
+    /// outcome's `stats`.
     ///
-    /// Greedy first-match rewriting is not always optimal: on
-    /// `scan(⊕); scan(⊕); reduce(⊕)` it fuses the two scans first
-    /// (SS-Scan), blocking the cheaper plan that leaves the first scan
-    /// alone and fuses `scan; reduce` (SR-Reduction) — per-phase
-    /// `2ts + 3m·tw + 6m` versus the greedy `2ts + 4m·tw + 9m`.
-    ///
-    /// Ties are broken deterministically "RHS never worse": at equal cost
-    /// the extraction prefers fewer collectives, then fewer stages, then
-    /// the lexicographically least normalized rendering. The returned
-    /// steps replay the extracted program as a concrete certificate-
-    /// carrying derivation; in audited mode refused laws appear in
-    /// `rejections` with shrunk witnesses, deduped exactly like
-    /// [`Rewriter::optimize`]. The historical brute-force enumeration is
-    /// kept as [`Rewriter::optimize_brute_force`] — a test oracle this
-    /// search is checked against on every fuzz-generated pipeline.
+    /// First-match rewriting is not always optimal: on
+    /// `scan(⊕); scan(⊕); reduce(⊕)` fusing the two scans first (SS-Scan)
+    /// blocks the cheaper plan that leaves the first scan alone and fuses
+    /// `scan; reduce` (SR-Reduction) — per-phase `2ts + 3m·tw + 6m`
+    /// versus `2ts + 4m·tw + 9m`. Saturation holds every order at once.
+    /// The brute-force enumeration is kept as
+    /// [`Rewriter::optimize_brute_force`] — a test oracle this search is
+    /// checked against on every fuzz-generated pipeline.
     pub fn saturate(
         &self,
         prog: &Program,
         params: &MachineParams,
         m: f64,
     ) -> crate::egraph::SaturationOutcome {
-        let mut cfg = crate::egraph::SaturateConfig::new(*params, m)
-            .allow_rank0_rules(self.allow_rank0_rules);
-        if let Some(samples) = &self.verify_samples {
-            cfg = cfg.audited(samples.clone());
-        }
-        crate::egraph::saturate_program(prog, &cfg)
+        let cfg = SaturateConfig {
+            strategy: Strategy::CostGuided {
+                params: *params,
+                block: m,
+            },
+            ..self.cfg.clone()
+        };
+        saturate_program(prog, &cfg)
     }
 
     /// The pre-saturation exhaustive search: explore *every* order of rule
-    /// applications (the rewrite relation is finitely branching and
-    /// terminating, so the reachable set is finite) and return the
-    /// reachable program minimizing the same deterministic key as the
-    /// e-graph extraction — `(cost, collectives, stages, rendering)`.
+    /// applications breadth-first (the rewrite relation is finitely
+    /// branching and terminating, so the reachable set is finite) and
+    /// return the first reachable program minimizing the e-graph
+    /// extraction's key — `(cost, collectives, stages)`. Breadth-first
+    /// order visits each program by its fewest steps, then position, then
+    /// [`RULE_PRIORITY`], exactly as the derivation replay does.
     ///
     /// Exponential in the number of fusible windows; kept as the
     /// *optimality oracle* the saturation search is differentially tested
@@ -392,18 +359,19 @@ impl Rewriter {
         let mut seen = std::collections::HashSet::new();
         seen.insert(start.to_string());
         type State = (Program, Vec<RewriteStep>, Vec<Normalization>);
-        let mut stack: Vec<State> = vec![(start, Vec::new(), Vec::new())];
-        while let Some((current, steps, norms)) = stack.pop() {
+        let mut queue: std::collections::VecDeque<State> =
+            std::collections::VecDeque::from([(start, Vec::new(), Vec::new())]);
+        while let Some((current, steps, norms)) = queue.pop_front() {
             for at in 0..current.len() {
                 for rule in RULE_PRIORITY {
                     let Some(hit) = rules::match_rule(rule, &current.stages()[at..]) else {
                         continue;
                     };
                     let rank0_only = hit.rank0_only();
-                    if !self.allow_rank0_rules && rank0_only {
+                    if !self.cfg.allow_rank0_rules && rank0_only {
                         continue;
                     }
-                    let samples = self.verify_samples.as_deref();
+                    let samples = self.cfg.verify_samples.as_deref();
                     let Some(cert) = certify(rule, &hit, samples, at, &mut rejections) else {
                         continue;
                     };
@@ -432,7 +400,7 @@ impl Rewriter {
                         best_steps = next_steps.clone();
                         best_norms = next_norms.clone();
                     }
-                    stack.push((next, next_steps, next_norms));
+                    queue.push_back((next, next_steps, next_norms));
                 }
             }
         }
@@ -446,40 +414,9 @@ impl Rewriter {
         }
     }
 
-    /// Run the engine to fixpoint.
+    /// The optimum of this rewriter's objective: one saturation.
     pub fn optimize(&self, prog: &Program) -> OptimizeResult {
-        let (mut current, mut normalizations) = enabling::normalize(prog);
-        let mut steps = Vec::new();
-        let mut rejections = Vec::new();
-        // Each application removes at least one collective stage, so
-        // `collective_count` bounds the iteration; the explicit cap is a
-        // belt-and-braces guard.
-        let cap = prog.collective_count() + 1;
-        for _ in 0..cap {
-            let Some((at, rule, replacement, saving, cert, rank0_only)) =
-                self.find_step(&current, &mut rejections)
-            else {
-                break;
-            };
-            let next = current.splice(at, rules::window_len(rule), replacement);
-            steps.push(RewriteStep {
-                rule,
-                at,
-                saving,
-                description: format!("{current}  →[{rule}]→  {next}"),
-                certificate: cert,
-                rank0_only,
-            });
-            let (p, log) = enabling::normalize(&next);
-            normalizations.extend(log);
-            current = p;
-        }
-        OptimizeResult {
-            program: current,
-            steps,
-            normalizations,
-            rejections: dedupe_rejections(rejections),
-        }
+        saturate_program(prog, &self.cfg).result
     }
 }
 
@@ -487,7 +424,7 @@ impl Rewriter {
 /// it matched as `hit`: the laws the match binds, verified on `samples` when
 /// given. Returns `None` — refusing the application — when a law fails
 /// there, recording the refusal in `rejections` with a shrunk
-/// counterexample.
+/// counterexample. Laws that hold by construction are not sampled.
 pub(crate) fn certify(
     rule: Rule,
     hit: &rules::Match,
@@ -499,7 +436,7 @@ pub(crate) fn certify(
     let witness = match samples {
         None => Witness::Declared,
         Some(samples) => {
-            for law in &laws {
+            for law in laws.iter().filter(|l| !l.holds_by_construction()) {
                 if let Some(counterexample) = law.counterexample(samples) {
                     rejections.push(RuleRejection {
                         rule,
@@ -527,24 +464,19 @@ pub(crate) fn certify(
 /// The deterministic comparison key shared by the brute-force oracle and
 /// the e-graph extraction: cost (summed tail-first, exactly as the
 /// extraction fixpoint accumulates it, so float ties agree bit-for-bit),
-/// then collective count, then stage count, then the rendering. Costs are
-/// non-negative finite, so the bit pattern preserves their order.
-fn brute_key(prog: &Program, params: &MachineParams, m: f64) -> (u64, usize, usize, String) {
+/// then collective count, then stage count. Costs are non-negative finite,
+/// so the bit pattern preserves their order.
+fn brute_key(prog: &Program, params: &MachineParams, m: f64) -> (u64, usize, usize) {
     let cost = prog
         .stages()
         .iter()
         .rev()
         .fold(0.0, |acc: f64, s| acc + stage_cost(s, params, m));
-    (
-        cost.to_bits(),
-        prog.collective_count(),
-        prog.len(),
-        prog.to_string(),
-    )
+    (cost.to_bits(), prog.collective_count(), prog.len())
 }
 
-/// Deduplicate rejections by (rule, failed law): the fixpoint loop and the
-/// optimal search both revisit the same refused window many times.
+/// Deduplicate rejections by (rule, failed law): the searches revisit the
+/// same refused window many times.
 pub(crate) fn dedupe_rejections(raw: Vec<RuleRejection>) -> Vec<RuleRejection> {
     let mut seen = std::collections::HashSet::new();
     raw.into_iter()
@@ -710,50 +642,6 @@ mod tests {
     }
 
     #[test]
-    fn optimal_search_beats_greedy_on_scan_scan_reduce() {
-        // Greedy fuses scan;scan first (SS-Scan) and gets stuck with
-        // scan_balanced + reduce; the optimal plan keeps the first scan
-        // and fuses scan;reduce (SR-Reduction).
-        let params = MachineParams::new(64, 100.0, 2.0);
-        let m = 8.0;
-        let prog = Program::new()
-            .scan(lib::add())
-            .scan(lib::add())
-            .reduce(lib::add());
-        let greedy = Rewriter::exhaustive().optimize(&prog);
-        let optimal = Rewriter::exhaustive().saturate(&prog, &params, m).result;
-        let g = program_cost(&greedy.program, &params, m);
-        let o = program_cost(&optimal.program, &params, m);
-        assert!(o < g, "optimal {o} must beat greedy {g}");
-        assert_eq!(optimal.steps.len(), 1);
-        assert_eq!(optimal.steps[0].rule, Rule::SrReduction);
-        // Semantics at rank 0 still agree with the original.
-        let input: Vec<Value> = (0..6i64).map(Value::Int).collect();
-        assert_eq!(
-            crate::semantics::eval_program(&prog, &input)[0],
-            crate::semantics::eval_program(&optimal.program, &input)[0]
-        );
-    }
-
-    #[test]
-    fn optimal_search_agrees_with_greedy_when_unambiguous() {
-        let params = MachineParams::parsytec_like(64);
-        for prog in [
-            Program::new().scan(lib::mul()).reduce(lib::add()),
-            Program::new().bcast().scan(lib::add()),
-            Program::new().bcast().scan(lib::mul()).scan(lib::add()),
-        ] {
-            let greedy = Rewriter::exhaustive().optimize(&prog);
-            let optimal = Rewriter::exhaustive().saturate(&prog, &params, 4.0).result;
-            assert_eq!(
-                program_cost(&greedy.program, &params, 4.0),
-                program_cost(&optimal.program, &params, 4.0),
-                "{prog}"
-            );
-        }
-    }
-
-    #[test]
     fn optimal_search_never_worsens_the_program() {
         let params = MachineParams::low_latency(64);
         // At huge m nothing pays off: the optimum is the original.
@@ -791,6 +679,31 @@ mod tests {
         );
         assert!(res.rejections.is_empty());
         assert!(res.steps[0].certificate.describe().contains("checked on 4"));
+    }
+
+    #[test]
+    fn audited_saturation_does_not_sample_fused_tuple_operators() {
+        // BR-Local over the fused `op_sr2[mul,add]` is a second-generation
+        // window: its laws hold by construction, and sampling them with
+        // scalars would panic on the first tuple projection.
+        let params = MachineParams::new(8, 100.0, 2.0);
+        let prog = Program::new().bcast().scan(lib::mul()).reduce(lib::add());
+        let res = Rewriter::cost_guided(params, 4.0)
+            .audited(ints(&[-2, 0, 1, 3]))
+            .saturate(&prog, &params, 4.0)
+            .result;
+        assert!(res.rejections.is_empty());
+        assert_eq!(res.program.collective_count(), 0);
+        let samples = ints(&[-2, 0, 1, 3]);
+        for step in &res.steps {
+            assert_eq!(step.certificate.witness, Witness::Checked { samples: 4 });
+            step.certificate.revalidate(&samples).expect("laws hold");
+        }
+        let input = ints(&[2, 1, 3, 1, 2, 1, 1, 2]);
+        assert_eq!(
+            eval_program(&prog, &input)[0],
+            eval_program(&res.program, &input)[0]
+        );
     }
 
     #[test]

@@ -112,20 +112,23 @@
 //! assert_eq!(res.program.collective_count(), 1);
 //! ```
 //!
-//! ## 7. When greedy is not enough
+//! ## 7. Every rule order at once
 //!
-//! Overlapping fusible windows can make first-match rewriting suboptimal;
-//! `saturate` searches every application order:
+//! Overlapping fusible windows make the order of rule applications
+//! matter: on `scan; scan; reduce`, fusing the scans first (SS-Scan)
+//! destroys the cheaper `scan; reduce` window. `optimize` is equality
+//! saturation — it holds every order in one e-graph and extracts the
+//! cheapest reachable plan:
 //!
 //! ```
-//! use collopt_core::{op::lib as ops, program_cost, rewrite::Rewriter, Program};
+//! use collopt_core::{op::lib as ops, rewrite::Rewriter, Program, Rule};
 //! use collopt_cost::MachineParams;
 //!
 //! let prog = Program::new().scan(ops::add()).scan(ops::add()).reduce(ops::add());
 //! let params = MachineParams::new(64, 100.0, 2.0);
-//! let greedy = Rewriter::exhaustive().optimize(&prog).program;
-//! let optimal = Rewriter::exhaustive().saturate(&prog, &params, 8.0).result.program;
-//! assert!(program_cost(&optimal, &params, 8.0) < program_cost(&greedy, &params, 8.0));
+//! let res = Rewriter::cost_guided(params, 8.0).optimize(&prog);
+//! let rules: Vec<Rule> = res.steps.iter().map(|s| s.rule).collect();
+//! assert_eq!(rules, [Rule::SrReduction]);
 //! ```
 
 // This module is documentation only.

@@ -14,7 +14,7 @@
 //! 3. auditor / audited rewriter / certifier / linter unanimity on
 //!    planted lies and withheld laws, and
 //! 4. equality-saturation extraction vs. the brute-force optimality
-//!    oracle (bit-equal program and cost, never above greedy) on every
+//!    oracle (bit-equal program and cost) on every
 //!    pipeline of ≤ 6 stages, and
 //! 5. the static schedule verifier vs. the collective registry's ground
 //!    truth (shipped lowerings accepted, planted bugs rejected with

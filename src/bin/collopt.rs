@@ -1,7 +1,8 @@
 //! `collopt` — command-line pipeline optimizer.
 //!
-//! Parse a collective pipeline, optimize it for a machine, and report the
-//! rewrite log and cost estimates:
+//! Parse a collective pipeline, optimize it for a machine — equality
+//! saturation over every rule order, extracting the cheapest reachable
+//! plan (see `saturate`) — and report the rewrite log and cost estimates:
 //!
 //! ```text
 //! $ collopt "map f ; scan(mul) ; reduce(add) ; map g ; bcast" --p 64 --ts 200 --tw 2 --m 32
@@ -17,9 +18,8 @@
 //! * `--ts X`   message start-up time (default 200)
 //! * `--tw X`   per-word transfer time (default 2)
 //! * `--m X`    block size in words (default 32)
-//! * `--exhaustive`  ignore the cost model, fuse everything fusible
-//! * `--optimal`     equality saturation over all rule orders: provably
-//!   the cheapest reachable plan under the cost model (see `saturate`)
+//! * `--exhaustive`  ignore the cost model: the fewest collectives, then
+//!   the fewest stages
 //! * `--all-ranks`   only apply rules preserving every processor's value
 //! * `--report`      emit a full Markdown report instead of the summary
 //! * `--profile`     run both pipelines on the simulated machine and show
@@ -77,7 +77,7 @@
 //! lints (`COL007`/`COL011`/`COL012`). Flags and the exit contract match
 //! `lint`; `--planted` drills the verifier on known-bad lowerings.
 //!
-//! Saturate mode — equality-saturation search with the cost deltas:
+//! Saturate mode — the optimizer's search with its e-graph statistics:
 //!
 //! ```text
 //! $ collopt saturate "scan(add) ; scan(add) ; reduce(add)" --p 64 --ts 100 --tw 2 --m 8
@@ -85,8 +85,7 @@
 //!
 //! Builds the e-graph of every program reachable by the 11 rules plus
 //! the enabling normalizations, extracts the cost-optimal one, and
-//! prints it next to the greedy (priority-window) result with both cost
-//! deltas and the e-graph statistics.
+//! prints it with its derivation and the e-graph statistics.
 //!
 //! * `--p/--ts/--tw/--m` machine model (as above)
 //! * `--budget N`        e-graph node budget (default 10000)
@@ -170,7 +169,7 @@ const DEFAULT_ADDR: &str = "127.0.0.1:7071";
 
 /// What may follow `collopt` when no subcommand does.
 const USAGE: &str = "\"<pipeline>\" [--p N] [--ts X] [--tw X] [--m X] [--exhaustive] \
-     [--optimal] [--all-ranks] [--report] [--profile] [--faults SPEC] [--json] [--table1]";
+     [--all-ranks] [--report] [--profile] [--faults SPEC] [--json] [--table1]";
 
 /// A subcommand: its name, what may follow the name (stated once, for
 /// errors and for `--help`), and its entry point.
@@ -557,8 +556,8 @@ fn lint_main(mut args: Args) -> ! {
     std::process::exit(if gate { 1 } else { 0 });
 }
 
-/// `collopt saturate` — equality-saturation search, greedy comparison,
-/// and e-graph statistics for one pipeline.
+/// `collopt saturate` — the optimizer's search and its e-graph statistics
+/// for one pipeline, under an optional node budget.
 fn saturate_main(mut args: Args) -> ! {
     let mut pipeline: Option<String> = None;
     let mut machine = MachineFlags::new();
@@ -589,21 +588,12 @@ fn saturate_main(mut args: Args) -> ! {
         cfg = cfg.node_budget(b);
     }
     let outcome = saturate_program(&prog, &cfg);
-    let greedy = Rewriter::cost_guided(params, m)
-        .allow_rank0_rules(!all_ranks)
-        .optimize(&prog);
 
     let before = program_cost(&prog, &params, m);
-    let greedy_cost = program_cost(&greedy.program, &params, m);
     let optimal_cost = program_cost(&outcome.result.program, &params, m);
     let MachineParams { p, ts, tw } = params;
     println!("machine  : p={p}, ts={ts}, tw={tw}, block m={m}");
     println!("original : {prog}");
-    println!(
-        "greedy   : {}  (cost {before:.0} -> {greedy_cost:.0}, {} step(s))",
-        greedy.program,
-        greedy.steps.len()
-    );
     println!(
         "optimal  : {}  (cost {before:.0} -> {optimal_cost:.0}, {} step(s))",
         outcome.result.program,
@@ -634,15 +624,6 @@ fn saturate_main(mut args: Args) -> ! {
             ""
         }
     );
-    if optimal_cost < greedy_cost {
-        println!(
-            "delta    : saturation beats greedy by {:.0} time units ({:.1}%)",
-            greedy_cost - optimal_cost,
-            100.0 * (greedy_cost - optimal_cost) / greedy_cost
-        );
-    } else {
-        println!("delta    : saturation matches greedy (greedy was already optimal)");
-    }
     std::process::exit(0);
 }
 
@@ -866,7 +847,6 @@ fn main() {
     let mut exhaustive = false;
     let mut all_ranks = false;
     let mut report = false;
-    let mut optimal = false;
     let mut profile = false;
     let mut json = false;
     let mut faults: Option<FaultPlan> = None;
@@ -879,7 +859,6 @@ fn main() {
             "--exhaustive" => exhaustive = true,
             "--all-ranks" => all_ranks = true,
             "--report" => report = true,
-            "--optimal" => optimal = true,
             "--profile" => profile = true,
             "--json" => json = true,
             "--faults" => {
@@ -952,11 +931,7 @@ fn main() {
     if json {
         // The machine-readable path: the same byte-stable document the
         // serve front end returns (sans lint/simulation sections).
-        let result = if optimal {
-            rewriter.saturate(&prog, &params, m).result
-        } else {
-            rewriter.optimize(&prog)
-        };
+        let result = rewriter.optimize(&prog);
         println!(
             "{}",
             optimize_result_json(&prog, &result, &params, m).render()
@@ -967,11 +942,7 @@ fn main() {
     println!("machine  : p={p}, ts={ts}, tw={tw}, block m={m}");
     println!("original : {prog}");
     let before = program_cost(&prog, &params, m);
-    let result = if optimal {
-        rewriter.saturate(&prog, &params, m).result
-    } else {
-        rewriter.optimize(&prog)
-    };
+    let result = rewriter.optimize(&prog);
     for step in &result.steps {
         match step.saving {
             Some(s) => println!(

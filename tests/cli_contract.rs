@@ -61,6 +61,44 @@ fn bad_arguments_are_usage_errors_in_every_mode() {
     // There is one engine: `--engine` is an unknown flag like any other.
     assert_usage_error(&["scan(add)", "--profile", "--engine", "des"]);
     assert_usage_error(&["submit", "scan(add)", "--engine", "des"]);
+    // There is one optimizer: `--optimal` is an unknown flag too.
+    assert_usage_error(&["scan(add) ; reduce(add)", "--optimal"]);
+}
+
+#[test]
+fn saturate_prints_one_plan_even_under_a_budget() {
+    let chain = "scan(add) ; scan(add) ; scan(add) ; scan(add) ; scan(add) ; scan(add) ; \
+                 scan(add) ; reduce(add)";
+    let out = collopt(&["saturate", chain, "--m", "1", "--budget", "20"]);
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("(node budget exhausted)"), "{stdout}");
+    assert!(stdout.contains("optimal  : "), "{stdout}");
+    for gone in ["greedy", "delta"] {
+        assert!(!stdout.contains(gone), "`{gone}` in:\n{stdout}");
+    }
+}
+
+#[test]
+fn the_cli_and_serve_answer_one_request_alike() {
+    // The CLI's JSON is the serve result document without its lint and
+    // simulation sections: same plan, same derivation.
+    let out = collopt(&["bcast ; scan(add) ; scan(add)", "--m", "1024", "--json"]);
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    let cli = String::from_utf8(out.stdout).expect("utf-8");
+    let cli = cli.trim_end().strip_suffix('}').expect("a JSON object");
+    assert!(cli.contains("\"optimized\":{\"program\":\"bcast; map# op_comp_bs[add] ; scan(add)\""));
+    let service = collopt::serve::Service::new(8);
+    for lint in [false, true] {
+        let request = format!(
+            r#"{{"id":1,"pipeline":"bcast ; scan(add) ; scan(add)","p":64,"ts":200,"tw":2,"m":1024,"options":{{"lint":{lint},"simulate":false}}}}"#
+        );
+        let reply = service.handle_line(&request).text;
+        let result = reply
+            .strip_prefix(r#"{"id":1,"ok":true,"result":"#)
+            .expect("an ok reply");
+        assert!(result.starts_with(cli), "lint={lint}:\n{reply}\n{cli}");
+    }
 }
 
 #[test]
