@@ -18,13 +18,13 @@
 //!   certificate carry the law kinds the rule demands?) and semantically
 //!   (do the laws actually hold?).
 //! * [`lint`] — analyze whole pipelines for missed fusions, unsound
-//!   declarations, cost regressions, redundant collectives, distribution
-//!   mismatches and divisibility hazards, emitting structured
-//!   diagnostics (`COL001`..`COL012`) with byte spans, a human caret
-//!   renderer, and byte-stable JSON. Surfaced on the command line as
+//!   declarations, cost regressions, redundant collectives and
+//!   distribution mismatches, emitting structured diagnostics
+//!   (`COL001`..`COL012`) with byte spans, a human caret renderer, and
+//!   byte-stable JSON. Surfaced on the command line as
 //!   `collopt lint`.
 //! * [`distflow`] — the distribution-state abstract interpreter behind
-//!   `COL007`/`COL011`, over the lattice of [`collopt_core::dist`].
+//!   `COL007`, over the lattice of [`collopt_core::dist`].
 //! * [`schedule`] — the static communication-schedule verifier behind
 //!   `collopt check`: symbolic per-rank schedules from
 //!   `collopt_collectives::schedule` are abstractly executed to prove

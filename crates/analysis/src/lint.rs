@@ -14,7 +14,7 @@
 //! | `COL008` | error    | schedule deadlock: a lowering's communication schedule has a wait-for cycle or barrier inconsistency (`collopt check`) |
 //! | `COL009` | error    | unmatched message: an orphan receive or an unconsumed send in a schedule (`collopt check`) |
 //! | `COL010` | error/note | round count above the cost model's promise (error) or above the `⌈log₂ p⌉` lower bound (note; `collopt check`) |
-//! | `COL011` | warning  | divisibility hazard: an `allreduce`'s segmenting lowering wins the cost comparison but `p ∤ m` |
+//! | `COL011` | —        | retired (a divisibility hazard of segmenting lowerings, which no stage runs); the number is not reused |
 //! | `COL012` | warning  | a suggested rewrite narrows the final distribution to rank 0 |
 //!
 //! Diagnostics carry the stage index, the byte [`Span`] when the pipeline
@@ -293,7 +293,7 @@ pub fn lint_with_plan(
     fusion_pass(prog, spans, cfg, plan, &mut diags);
     operator_pass(prog, spans, cfg, &mut diags);
     redundancy_pass(prog, spans, &mut diags);
-    crate::distflow::distflow_pass(prog, spans, cfg, &mut diags);
+    crate::distflow::distflow_pass(prog, spans, &mut diags);
     diags.sort_by(|a, b| (a.stage, a.code, &a.message).cmp(&(b.stage, b.code, &b.message)));
     LintReport {
         diagnostics: diags,

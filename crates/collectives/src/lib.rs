@@ -20,9 +20,9 @@
 //! * the *bandwidth-optimal* reduction family ([`mod@reduce_scatter`]):
 //!   recursive-halving and ring reduce-scatter, Rabenseifner's
 //!   reduce-scatter + allgather allreduce, and the ring allreduce, plus
-//!   the cost-model-driven selectors [`allreduce_auto_async`] /
-//!   [`reduce_auto_async`] in [`variants`] that pick the cheapest
-//!   algorithm for the machine's `(p, m, ts, tw, c)` point.
+//!   the cost-model-driven selector [`allreduce_auto_async`] in
+//!   [`variants`] that picks the cheapest allreduce for the machine's
+//!   `(p, m, ts, tw, c)` point.
 //!
 //! All collectives are generic over the block type `T`, take the block size
 //! in machine words explicitly (for cost accounting), and charge the
@@ -83,8 +83,6 @@ pub use reduce_scatter::{
 };
 pub use scan::{exscan_async, scan_butterfly_async};
 pub use variants::{
-    allgather_ring_async, allreduce_auto_async, allreduce_model_cost, balanced_halving_wins,
-    bcast_auto_async, bcast_scatter_allgather_async, choose_allreduce, choose_bcast, choose_reduce,
-    reduce_auto_async, reduce_model_cost, scan_sklansky_async, AllreduceChoice, BcastChoice,
-    ReduceChoice,
+    allgather_ring_async, allreduce_auto_async, allreduce_model_cost,
+    bcast_scatter_allgather_async, choose_allreduce, scan_sklansky_async, AllreduceChoice,
 };

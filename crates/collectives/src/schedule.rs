@@ -1275,7 +1275,7 @@ pub mod planted {
 mod tests {
     use super::*;
     use crate::*;
-    use collopt_machine::{ClockParams, EventKind, Machine, Trace};
+    use collopt_machine::{ClockParams, EventKind, FaultPlan, Machine, Rng, RunResult, Trace};
     use std::future::Future;
     use std::pin::Pin;
 
@@ -1357,8 +1357,9 @@ mod tests {
         }
     }
 
-    /// One rank of a registry entry's lowering at block size `m`.
-    type Runner = for<'a> fn(&'a mut Ctx, u64) -> Pin<Box<dyn Future<Output = ()> + 'a>>;
+    /// One rank of a registry entry's lowering at block size `m`, its
+    /// result rendered by [`shown`] so that every lowering has one type.
+    type Runner = for<'a> fn(&'a mut Ctx, u64) -> Pin<Box<dyn Future<Output = String> + 'a>>;
 
     fn add(a: &i64, b: &i64) -> i64 {
         a + b
@@ -1382,106 +1383,129 @@ mod tests {
         x.clone()
     }
 
+    fn shown<T: std::fmt::Debug>(x: T) -> String {
+        format!("{x:?}")
+    }
+
     /// The `*_async` body behind each registry entry, instantiated the way
     /// its extractor models it: root 0, `m` words per block (or an
     /// `m`-unit block at one word per unit for the segmenting lowerings),
     /// the fused operators' word factors (2 for `op_sr`, 3 for `op_ss`) and
-    /// a commutative operator where the ring needs one. Payload values are
-    /// irrelevant: no lowering's communication depends on them.
+    /// a commutative operator where the ring needs one. No lowering's
+    /// communication depends on payload values, but each rank contributes
+    /// its own (`rank + 1`), so a message taken from the wrong source
+    /// changes the result.
     fn runner(name: &str) -> Option<Runner> {
         let run: Runner = match name {
             "bcast_binomial" => |ctx, m| {
                 Box::pin(async move {
                     let v = (ctx.rank() == 0).then_some(1i64);
-                    bcast_binomial_async(ctx, 0, v, m).await;
+                    shown(bcast_binomial_async(ctx, 0, v, m).await)
                 })
             },
             "bcast_linear" => |ctx, m| {
                 Box::pin(async move {
                     let v = (ctx.rank() == 0).then_some(1i64);
-                    bcast_linear_async(ctx, 0, v, m).await;
+                    shown(bcast_linear_async(ctx, 0, v, m).await)
                 })
             },
             "bcast_pipelined" => |ctx, m| {
                 Box::pin(async move {
                     let segments = pipelined_segments(ctx.size(), m);
                     let v = (ctx.rank() == 0).then(|| vec![1i64; m as usize]);
-                    bcast_pipelined_async(ctx, 0, v, 1, segments).await;
+                    shown(bcast_pipelined_async(ctx, 0, v, 1, segments).await)
                 })
             },
             "bcast_scatter_allgather" => |ctx, m| {
                 Box::pin(async move {
                     let v = (ctx.rank() == 0).then(|| vec![1i64; m as usize]);
-                    bcast_scatter_allgather_async(ctx, v, 1).await;
+                    shown(bcast_scatter_allgather_async(ctx, v, 1).await)
                 })
             },
             "gather_binomial" => |ctx, m| {
                 Box::pin(async move {
-                    gather_binomial_async(ctx, 1i64, m).await;
+                    let x = ctx.rank() as i64 + 1;
+                    shown(gather_binomial_async(ctx, x, m).await)
                 })
             },
             "scatter_binomial" => |ctx, m| {
                 Box::pin(async move {
                     let blocks = (ctx.rank() == 0).then(|| vec![1i64; ctx.size()]);
-                    scatter_binomial_async(ctx, blocks, m).await;
+                    shown(scatter_binomial_async(ctx, blocks, m).await)
                 })
             },
             "allgather_binomial" => |ctx, m| {
                 Box::pin(async move {
-                    allgather_binomial_async(ctx, 1i64, m).await;
+                    let x = ctx.rank() as i64 + 1;
+                    shown(allgather_binomial_async(ctx, x, m).await)
                 })
             },
             "allgather_ring" => |ctx, m| {
                 Box::pin(async move {
-                    allgather_ring_async(ctx, 1i64, m).await;
+                    let x = ctx.rank() as i64 + 1;
+                    shown(allgather_ring_async(ctx, x, m).await)
                 })
             },
-            "barrier_dissemination" => |ctx, _| Box::pin(barrier_dissemination_async(ctx)),
+            "barrier_dissemination" => |ctx, _| {
+                Box::pin(async move {
+                    barrier_dissemination_async(ctx).await;
+                    String::new()
+                })
+            },
             "reduce_binomial" => |ctx, m| {
                 Box::pin(async move {
-                    reduce_binomial_async(ctx, 0, 1i64, m, &Combine::new(&add)).await;
+                    let x = ctx.rank() as i64 + 1;
+                    shown(reduce_binomial_async(ctx, 0, x, m, &Combine::new(&add)).await)
                 })
             },
             "reduce_balanced" => |ctx, m| {
                 Box::pin(async move {
-                    reduce_balanced_async(ctx, (1i64, 1i64), m, &sr_op()).await;
+                    let x = ctx.rank() as i64 + 1;
+                    shown(reduce_balanced_async(ctx, (x, x), m, &sr_op()).await)
                 })
             },
             "allreduce_butterfly" => |ctx, m| {
                 Box::pin(async move {
-                    allreduce_butterfly_async(ctx, 1i64, m, &Combine::new(&add)).await;
+                    let x = ctx.rank() as i64 + 1;
+                    shown(allreduce_butterfly_async(ctx, x, m, &Combine::new(&add)).await)
                 })
             },
             "allreduce" => |ctx, m| {
                 Box::pin(async move {
-                    allreduce_async(ctx, 1i64, m, &Combine::new(&add)).await;
+                    let x = ctx.rank() as i64 + 1;
+                    shown(allreduce_async(ctx, x, m, &Combine::new(&add)).await)
                 })
             },
             "allreduce_commutative" => |ctx, m| {
                 Box::pin(async move {
+                    let x = ctx.rank() as i64 + 1;
                     let op = Combine::new(&add).assume_commutative();
-                    allreduce_commutative_async(ctx, 1i64, m, &op).await;
+                    shown(allreduce_commutative_async(ctx, x, m, &op).await)
                 })
             },
             "allreduce_rabenseifner" => |ctx, m| {
                 Box::pin(async move {
+                    let x = ctx.rank() as i64 + 1;
                     let op = Combine::new(&add_blocks).assume_commutative();
-                    allreduce_rabenseifner_async(ctx, vec![1i64; m as usize], 1, &op).await;
+                    shown(allreduce_rabenseifner_async(ctx, vec![x; m as usize], 1, &op).await)
                 })
             },
             "allreduce_ring" => |ctx, m| {
                 Box::pin(async move {
+                    let x = ctx.rank() as i64 + 1;
                     let op = Combine::new(&add_blocks).assume_commutative();
-                    allreduce_ring_async(ctx, vec![1i64; m as usize], 1, &op).await;
+                    shown(allreduce_ring_async(ctx, vec![x; m as usize], 1, &op).await)
                 })
             },
             "allreduce_balanced" => |ctx, m| {
                 Box::pin(async move {
-                    allreduce_balanced_async(ctx, (1i64, 1i64), m, &sr_op()).await;
+                    let x = ctx.rank() as i64 + 1;
+                    shown(allreduce_balanced_async(ctx, (x, x), m, &sr_op()).await)
                 })
             },
             "allreduce_balanced_halving" => |ctx, m| {
                 Box::pin(async move {
+                    let x = ctx.rank() as i64 + 1;
                     let op = BalancedOp {
                         combine: &add_pair_blocks,
                         solo: &keep,
@@ -1489,35 +1513,40 @@ mod tests {
                         ops_solo: 1.0,
                         words_factor: 2,
                     };
-                    let block = vec![(1i64, 1i64); m as usize];
-                    allreduce_balanced_halving_async(ctx, block, 1, &op).await;
+                    let block = vec![(x, x); m as usize];
+                    shown(allreduce_balanced_halving_async(ctx, block, 1, &op).await)
                 })
             },
             "reduce_scatter_halving" => |ctx, m| {
                 Box::pin(async move {
+                    let x = ctx.rank() as i64 + 1;
                     let op = Combine::new(&add_blocks);
-                    reduce_scatter_halving_async(ctx, vec![1i64; m as usize], 1, &op).await;
+                    shown(reduce_scatter_halving_async(ctx, vec![x; m as usize], 1, &op).await)
                 })
             },
             "reduce_scatter_ring" => |ctx, m| {
                 Box::pin(async move {
+                    let x = ctx.rank() as i64 + 1;
                     let op = Combine::new(&add_blocks).assume_commutative();
-                    reduce_scatter_ring_async(ctx, vec![1i64; m as usize], 1, &op).await;
+                    shown(reduce_scatter_ring_async(ctx, vec![x; m as usize], 1, &op).await)
                 })
             },
             "reduce_scatter_binomial" => |ctx, m| {
                 Box::pin(async move {
-                    let blocks = vec![1i64; ctx.size()];
-                    reduce_scatter_binomial_async(ctx, blocks, m, &Combine::new(&add)).await;
+                    let x = ctx.rank() as i64 + 1;
+                    let blocks = vec![x; ctx.size()];
+                    shown(reduce_scatter_binomial_async(ctx, blocks, m, &Combine::new(&add)).await)
                 })
             },
             "scan_butterfly" => |ctx, m| {
                 Box::pin(async move {
-                    scan_butterfly_async(ctx, 1i64, m, &Combine::new(&add)).await;
+                    let x = ctx.rank() as i64 + 1;
+                    shown(scan_butterfly_async(ctx, x, m, &Combine::new(&add)).await)
                 })
             },
             "scan_balanced" => |ctx, m| {
                 Box::pin(async move {
+                    let x = ctx.rank() as i64 + 1;
                     let op = PairedOp {
                         combine: &|a: &(i64, i64), b: &(i64, i64)| (*a, add_pair(a, b)),
                         solo: &keep,
@@ -1526,36 +1555,42 @@ mod tests {
                         ops_solo: 1.0,
                         words_factor: 3,
                     };
-                    scan_balanced_async(ctx, (1i64, 1i64), m, &op).await;
+                    shown(scan_balanced_async(ctx, (x, x), m, &op).await)
                 })
             },
             "scan_sklansky" => |ctx, m| {
                 Box::pin(async move {
-                    scan_sklansky_async(ctx, 1i64, m, &Combine::new(&add)).await;
+                    let x = ctx.rank() as i64 + 1;
+                    shown(scan_sklansky_async(ctx, x, m, &Combine::new(&add)).await)
                 })
             },
             "exscan" => |ctx, m| {
                 Box::pin(async move {
-                    exscan_async(ctx, 1i64, m, &Combine::new(&add)).await;
+                    let x = ctx.rank() as i64 + 1;
+                    shown(exscan_async(ctx, x, m, &Combine::new(&add)).await)
                 })
             },
             "comcast_bcast_repeat" => |ctx, m| {
                 Box::pin(async move {
                     let v = (ctx.rank() == 0).then_some(1i64);
                     let pair = |b: &i64| (*b, *b);
-                    comcast_bcast_repeat_async(ctx, 0, v, m, &pair, &|s| s.0, &bs_op()).await;
+                    shown(comcast_bcast_repeat_async(ctx, 0, v, m, &pair, &|s| s.0, &bs_op()).await)
                 })
             },
             "comcast_cost_optimal" => |ctx, m| {
                 Box::pin(async move {
                     let v = (ctx.rank() == 0).then_some(1i64);
                     let pair = |b: &i64| (*b, *b);
-                    comcast_cost_optimal_async(ctx, 0, v, m, &pair, &|s| s.0, &bs_op(), 2).await;
+                    shown(
+                        comcast_cost_optimal_async(ctx, 0, v, m, &pair, &|s| s.0, &bs_op(), 2)
+                            .await,
+                    )
                 })
             },
             "alltoall" => |ctx, m| {
                 Box::pin(async move {
-                    alltoall_async(ctx, vec![1i64; ctx.size()], m).await;
+                    let x = ctx.rank() as i64 + 1;
+                    shown(alltoall_async(ctx, vec![x; ctx.size()], m).await)
                 })
             },
             _ => return None,
@@ -1587,21 +1622,58 @@ mod tests {
     /// A registry entry's extracted schedule equals, op for op, the trace
     /// of its `*_async` body on the event engine at every applicable point
     /// of p = 1..=17 × m ∈ {1, 2, 5, 8, 13, 32} — divisible and ragged
-    /// blocks, m < p and m > p. An entry without a runner fails.
+    /// blocks, m < p and m > p. The body also runs under the two permuted
+    /// tie-breaks of same-time events that `engine_identity` uses (the
+    /// full reversal and a seeded mask with bit 0 set): each trace matches
+    /// the schedule too, and the run equals the canonical one bit for bit
+    /// — results, clocks, counters and trace. An entry without a runner
+    /// fails.
     fn assert_entry_matches_lowering(v: &Variant) {
         let run =
             runner(v.name).unwrap_or_else(|| panic!("registry entry {} has no runner", v.name));
+        let clock = ClockParams::new(100.0, 2.0);
         for p in 1..=17usize {
             for m in [1u64, 2, 5, 8, 13, 32] {
                 if !(v.applicable)(p, m) {
                     continue;
                 }
-                let machine = Machine::new(p, ClockParams::free()).with_tracing();
-                let trace = machine.run_des(|ctx| run(ctx, m)).trace;
+                let sched = (v.extract)(p, m);
+                let machine = Machine::new(p, clock).with_tracing();
+                let canonical = machine.run_des(|ctx| run(ctx, m));
                 let what = format!("{} p={p} m={m}", v.name);
-                assert_schedule_matches_trace(&(v.extract)(p, m), &trace, &what);
+                assert_schedule_matches_trace(&sched, &canonical.trace, &what);
+                let seeded = Rng::new(p as u64 * 64 + m).next_u64() | 1;
+                for order in [u64::MAX, seeded] {
+                    let plan = FaultPlan::default().with_order(order);
+                    let permuted = machine.clone().with_faults(plan).run_des(|ctx| run(ctx, m));
+                    let what = format!("{what} order={order:#x}");
+                    assert_schedule_matches_trace(&sched, &permuted.trace, &what);
+                    assert_runs_identical(&canonical, &permuted, &what);
+                }
             }
         }
+    }
+
+    fn assert_runs_identical(a: &RunResult<String>, b: &RunResult<String>, what: &str) {
+        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(a.results, b.results, "{what}: results");
+        assert_eq!(
+            a.makespan.to_bits(),
+            b.makespan.to_bits(),
+            "{what}: makespan"
+        );
+        assert_eq!(
+            bits(&a.finish_times),
+            bits(&b.finish_times),
+            "{what}: finish times"
+        );
+        assert_eq!(
+            bits(&a.compute_ops),
+            bits(&b.compute_ops),
+            "{what}: compute"
+        );
+        assert_eq!(a.messages, b.messages, "{what}: message counts");
+        assert_eq!(a.trace, b.trace, "{what}: trace");
     }
 
     /// [`assert_entry_matches_lowering`] for the named registry entries;

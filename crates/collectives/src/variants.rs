@@ -1,11 +1,9 @@
-//! Alternative collective algorithms and model-driven selection.
+//! Alternative collective algorithms and the allreduce cost model.
 //!
 //! The paper's reference \[17\] (van de Geijn, *On global combine
 //! operations*) is the classic source for large-message collective
 //! algorithms; this module implements the main ones next to the binomial
-//! and butterfly defaults, plus a selector that picks per call using the
-//! same `ts`/`tw` calculus the optimization rules use — performance-
-//! directed programming applied one level below the algebraic rules:
+//! and butterfly defaults:
 //!
 //! * [`allgather_ring_async`] — bandwidth-optimal ring allgather:
 //!   `(p−1)·(ts + m·tw)` total, each link carrying each block once;
@@ -21,32 +19,27 @@
 //!   (`⌈log₂ p⌉` rounds; half the ranks idle per round but the combining
 //!   work per rank is one application per round, vs two for the
 //!   butterfly);
-//! * [`bcast_auto_async`] — evaluates the analytic cost of binomial, chain
-//!   pipeline and scatter+allgather for the actual `(p, m, ts, tw)` and
-//!   runs the predicted winner;
-//! * [`allreduce_auto_async`] / [`reduce_auto_async`] — the same idea for the
-//!   reduction family of [`reduce_scatter`](mod@crate::reduce_scatter):
-//!   [`choose_allreduce`] compares the butterfly
+//! * [`allreduce_auto_async`] — runs the allreduce of the reduction family
+//!   of [`reduce_scatter`](mod@crate::reduce_scatter) that
+//!   [`choose_allreduce`] predicts cheapest: the butterfly
 //!   (`log p (ts + m(tw + c))`), Rabenseifner's halving+doubling pair
 //!   (`2 log p·ts + m(1−1/p)(2tw + c)`, power-of-two `p`), the ring
-//!   (commutative operators, any `p`) and the reduce+bcast fallback; the
+//!   (commutative operators, any `p`) or the reduce+bcast fallback; the
 //!   butterfly wins small blocks and large `ts`, Rabenseifner wins once
 //!   `m > log p·ts / (log p(tw+c) − (1−1/p)(2tw+c))` — e.g. `m ≳ 110`
-//!   words on the Parsytec-like machine at `p = 16`. All formulas live
-//!   in [`allreduce_model_cost`] / [`reduce_model_cost`] so callers can
-//!   report predicted-vs-measured makespans.
+//!   words on the Parsytec-like machine at `p = 16`. The formulas live
+//!   in [`allreduce_model_cost`], which `collopt repro allreduce` checks
+//!   against measured makespans. The program executor does not call the
+//!   selector: each program stage has one fixed lowering, the one its
+//!   cost calculus prices.
 
 use collopt_machine::topology::{butterfly_rounds, ceil_log2};
 use collopt_machine::{ClockParams, Ctx};
 
-use crate::bcast::bcast_binomial_async;
-use crate::gather::{gather_binomial_async, scatter_binomial_async};
+use crate::gather::scatter_binomial_async;
 use crate::op::{Combine, Splittable};
-use crate::pipelined::{bcast_pipelined_async, chain_cost, optimal_segments};
-use crate::reduce::{allreduce_async, allreduce_butterfly_async, reduce_binomial_async};
-use crate::reduce_scatter::{
-    allreduce_rabenseifner_async, allreduce_ring_async, reduce_scatter_halving_async,
-};
+use crate::reduce::{allreduce_async, allreduce_butterfly_async};
+use crate::reduce_scatter::{allreduce_rabenseifner_async, allreduce_ring_async};
 
 /// Ring allgather: rank `r` starts with its own block; in step `k` it
 /// sends the block it received in step `k−1` to `r+1` and receives a new
@@ -85,7 +78,7 @@ pub async fn allgather_ring_async<T: Clone + Send + 'static>(
 /// Van de Geijn broadcast: scatter the root's block into `p` pieces, then
 /// ring-allgather the pieces. The block is a `Vec<T>`; `words_per_elem`
 /// sizes the cost charges. Efficient for large blocks; for tiny ones the
-/// extra start-ups lose to the binomial tree (see [`bcast_auto_async`]).
+/// extra start-ups lose to the binomial tree.
 pub async fn bcast_scatter_allgather_async<T: Clone + Send + 'static>(
     ctx: &mut Ctx,
     value: Option<Vec<T>>,
@@ -135,74 +128,6 @@ pub async fn scan_sklansky_async<T: Clone + Send + 'static>(
         }
     }
     acc
-}
-
-/// Which broadcast algorithm [`bcast_auto_async`] predicts to win.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BcastChoice {
-    /// Binomial tree: `log p (ts + m tw)`.
-    Binomial,
-    /// Chain pipeline with the optimal segment count.
-    ChainPipeline,
-    /// Van de Geijn scatter + ring allgather.
-    ScatterAllgather,
-}
-
-/// Predict the cheapest broadcast algorithm for `(p, m)` under `params`.
-pub fn choose_bcast(p: usize, words: u64, params: &ClockParams) -> BcastChoice {
-    if p <= 2 {
-        return BcastChoice::Binomial;
-    }
-    let (ts, tw) = (params.ts, params.tw);
-    let m = words as f64;
-    let logp = ceil_log2(p) as f64;
-    let binomial = logp * (ts + m * tw);
-    let segments = optimal_segments(p, words, ts, tw);
-    let chain = chain_cost(p, words, segments, ts, tw);
-    // Scatter + ring allgather. The two phases overlap: ranks that
-    // receive their piece early enter the ring early, so the composed
-    // critical path is the ring's 2(p−1) store-and-forward steps of
-    // m/p-word messages plus the scatter's log p start-ups (validated
-    // against the machine to <0.1% in the variants tests).
-    let ring = 2.0 * (p as f64 - 1.0) * (ts + (m / p as f64) * tw);
-    let vdg = logp * ts + ring;
-    let best = binomial.min(chain).min(vdg);
-    if best == binomial {
-        BcastChoice::Binomial
-    } else if best == chain {
-        BcastChoice::ChainPipeline
-    } else {
-        BcastChoice::ScatterAllgather
-    }
-}
-
-/// Cost-model-driven broadcast: run whichever algorithm [`choose_bcast`]
-/// predicts to be fastest for this machine and block size.
-pub async fn bcast_auto_async<T: Clone + Send + 'static>(
-    ctx: &mut Ctx,
-    value: Option<Vec<T>>,
-    words_per_elem: u64,
-) -> Vec<T> {
-    let p = ctx.size();
-    // All ranks must agree on the choice without communicating: derive it
-    // from the machine parameters and the (SPMD-uniform) block size. The
-    // root's length is what matters; non-roots must be told. To keep the
-    // collective self-contained we use a tiny pre-broadcast of the length
-    // (1 word), which is negligible against any real block.
-    let len = bcast_binomial_async(ctx, 0, value.as_ref().map(|v| v.len() as u64), 1).await;
-    let params = ctx.params();
-    match choose_bcast(p, len.max(1) * words_per_elem, &params) {
-        BcastChoice::Binomial => {
-            bcast_binomial_async(ctx, 0, value, len.max(1) * words_per_elem).await
-        }
-        BcastChoice::ChainPipeline => {
-            let segments = optimal_segments(p, len * words_per_elem, params.ts, params.tw);
-            bcast_pipelined_async(ctx, 0, value, words_per_elem, segments).await
-        }
-        BcastChoice::ScatterAllgather => {
-            bcast_scatter_allgather_async(ctx, value, words_per_elem).await
-        }
-    }
 }
 
 /// Which allreduce algorithm [`allreduce_auto_async`] predicts to win.
@@ -305,10 +230,9 @@ pub fn choose_allreduce(
 
 /// Cost-model-driven allreduce: run whichever algorithm
 /// [`choose_allreduce`] predicts to be fastest for this machine, block
-/// size and operator. Unlike [`bcast_auto_async`] no length pre-broadcast is
-/// needed: allreduce combines blocks elementwise, so every rank already
-/// holds a block of the (SPMD-uniform) common length and all ranks reach
-/// the same choice independently.
+/// size and operator. Allreduce combines blocks elementwise, so every rank
+/// already holds a block of the (SPMD-uniform) common length and all ranks
+/// reach the same choice without communicating.
 pub async fn allreduce_auto_async<S: Splittable + Clone + Send + 'static>(
     ctx: &mut Ctx,
     value: S,
@@ -329,109 +253,6 @@ pub async fn allreduce_auto_async<S: Splittable + Clone + Send + 'static>(
         AllreduceChoice::Ring => allreduce_ring_async(ctx, value, words_per_unit, op).await,
         AllreduceChoice::ReduceBcast => allreduce_async(ctx, value, words, op).await,
     }
-}
-
-/// Which reduce-to-root algorithm [`reduce_auto_async`] predicts to win.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReduceChoice {
-    /// Binomial tree: `log p (ts + m(tw + c))`.
-    Binomial,
-    /// Recursive-halving reduce-scatter + binomial gather of the reduced
-    /// segments: `2 log p·ts + m(1−1/p)(2tw + c)`. Power-of-two `p`
-    /// only; order-safe for any associative operator.
-    ScatterGather,
-}
-
-/// Analytic makespan of one reduce algorithm; exact when `p | m`.
-pub fn reduce_model_cost(
-    choice: ReduceChoice,
-    p: usize,
-    words: u64,
-    ops_per_word: f64,
-    params: &ClockParams,
-) -> f64 {
-    if p <= 1 {
-        return 0.0;
-    }
-    let (ts, tw) = (params.ts, params.tw);
-    let m = words as f64;
-    let c = ops_per_word;
-    let logp = ceil_log2(p) as f64;
-    let frac = 1.0 - 1.0 / p as f64;
-    match choice {
-        ReduceChoice::Binomial => logp * (ts + m * (tw + c)),
-        ReduceChoice::ScatterGather if p.is_power_of_two() => {
-            // Halving reduce-scatter + gather: the gather's critical path
-            // is rank 0 receiving 2^j segments in round j, i.e.
-            // log p·ts + (p−1)(m/p)·tw = log p·ts + m(1−1/p)·tw.
-            (logp * ts + m * frac * (tw + c)) + (logp * ts + m * frac * tw)
-        }
-        ReduceChoice::ScatterGather => f64::INFINITY,
-    }
-}
-
-/// Predict the cheapest reduce-to-root algorithm for `(p, m)`.
-pub fn choose_reduce(
-    p: usize,
-    words: u64,
-    ops_per_word: f64,
-    params: &ClockParams,
-) -> ReduceChoice {
-    let binomial = reduce_model_cost(ReduceChoice::Binomial, p, words, ops_per_word, params);
-    let rsg = reduce_model_cost(ReduceChoice::ScatterGather, p, words, ops_per_word, params);
-    if rsg < binomial {
-        ReduceChoice::ScatterGather
-    } else {
-        ReduceChoice::Binomial
-    }
-}
-
-/// Cost-model-driven reduction to rank 0: `Some(result)` on rank 0,
-/// `None` elsewhere. For large blocks on a power-of-two machine the
-/// reduce-scatter + gather route halves the bandwidth term of the
-/// binomial tree while staying order-safe for non-commutative operators.
-pub async fn reduce_auto_async<S: Splittable + Clone + Send + 'static>(
-    ctx: &mut Ctx,
-    value: S,
-    words_per_unit: u64,
-    op: &Combine<'_, S>,
-) -> Option<S> {
-    let p = ctx.size();
-    let words = (value.unit_len() as u64 * words_per_unit).max(1);
-    match choose_reduce(p, words, op.ops_per_word, &ctx.params()) {
-        ReduceChoice::Binomial => reduce_binomial_async(ctx, 0, value, words, op).await,
-        ReduceChoice::ScatterGather => {
-            let seg = reduce_scatter_halving_async(ctx, value, words_per_unit, op).await;
-            let seg_words = (seg.unit_len() as u64 * words_per_unit).max(1);
-            gather_binomial_async(ctx, seg, seg_words)
-                .await
-                .map(S::concat)
-        }
-    }
-}
-
-/// Should the fused balanced allreduce (rule SR-Reduction's RHS) run as
-/// halving/doubling instead of the balanced butterfly? Compares
-/// `log p (ts + m(wf·tw + c))` against `2 log p·ts + m(1−1/p)(2·wf·tw + c)`;
-/// the halving pair needs a power of two.
-pub fn balanced_halving_wins(
-    p: usize,
-    words: u64,
-    words_factor: u64,
-    ops_combine: f64,
-    params: &ClockParams,
-) -> bool {
-    if p <= 1 || !p.is_power_of_two() {
-        return false;
-    }
-    let (ts, tw) = (params.ts, params.tw);
-    let m = words as f64;
-    let wf = words_factor as f64;
-    let logp = ceil_log2(p) as f64;
-    let frac = 1.0 - 1.0 / p as f64;
-    let butterfly = logp * (ts + m * (wf * tw + ops_combine));
-    let halving = 2.0 * logp * ts + m * frac * (2.0 * wf * tw + ops_combine);
-    halving < butterfly
 }
 
 #[cfg(test)]
@@ -601,56 +422,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn auto_bcast_picks_the_winner_per_regime() {
-        let params = ClockParams::parsytec_like();
-        // Tiny block: binomial.
-        assert_eq!(choose_bcast(16, 4, &params), BcastChoice::Binomial);
-        // Huge block: a bandwidth-friendly algorithm (chain or vdG, both
-        // move ~2m·tw or less; the model decides).
-        let big = choose_bcast(16, 64_000, &params);
-        assert_ne!(big, BcastChoice::Binomial);
-    }
-
-    #[test]
-    fn auto_bcast_is_correct_and_never_worse_than_the_alternatives() {
-        let clock = ClockParams::parsytec_like();
-        for (p, mw) in [(8usize, 8usize), (8, 2000), (16, 32_000)] {
-            let machine = Machine::new(p, clock);
-            let auto = machine.run_des(move |ctx| {
-                Box::pin(async move {
-                    let v = (ctx.rank() == 0).then(|| (0..mw as i64).collect::<Vec<i64>>());
-                    bcast_auto_async(ctx, v, 1).await
-                })
-            });
-            let expected: Vec<i64> = (0..mw as i64).collect();
-            assert!(auto.results.iter().all(|r| r == &expected), "p={p} m={mw}");
-
-            // Compare against both fixed strategies (+ the tiny length
-            // pre-broadcast the auto version pays).
-            let tree = machine.run_des(move |ctx| {
-                Box::pin(async move {
-                    let v = (ctx.rank() == 0).then(|| vec![0i64; mw]);
-                    bcast_binomial_async(ctx, 0, v, mw as u64).await.len()
-                })
-            });
-            let vdg = machine.run_des(move |ctx| {
-                Box::pin(async move {
-                    let v = (ctx.rank() == 0).then(|| vec![0i64; mw]);
-                    bcast_scatter_allgather_async(ctx, v, 1).await.len()
-                })
-            });
-            let preamble = collopt_machine::topology::ceil_log2(p) as f64 * (clock.ts + clock.tw);
-            assert!(
-                auto.makespan <= tree.makespan.min(vdg.makespan) + preamble + 1.0,
-                "p={p} m={mw}: auto {} vs tree {} vdg {}",
-                auto.makespan,
-                tree.makespan,
-                vdg.makespan
-            );
-        }
-    }
-
     #[allow(clippy::ptr_arg)]
     fn add_blocks(a: &Vec<i64>, b: &Vec<i64>) -> Vec<i64> {
         a.iter().zip(b).map(|(x, y)| x + y).collect()
@@ -770,81 +541,5 @@ mod tests {
                 fixed.makespan
             );
         }
-    }
-
-    #[test]
-    fn auto_reduce_routes_large_blocks_through_reduce_scatter() {
-        let params = ClockParams::parsytec_like();
-        assert_eq!(choose_reduce(16, 4, 1.0, &params), ReduceChoice::Binomial);
-        assert_eq!(
-            choose_reduce(16, 32_768, 1.0, &params),
-            ReduceChoice::ScatterGather
-        );
-        // Non-powers of two always take the binomial tree.
-        assert_eq!(
-            choose_reduce(12, 32_768, 1.0, &params),
-            ReduceChoice::Binomial
-        );
-
-        // Correctness on both routes, including a non-commutative
-        // operator on the scatter+gather route.
-        for p in [4usize, 6, 8] {
-            for mw in [4usize, 4096] {
-                let machine = Machine::new(p, params);
-                let run = machine.run_des(move |ctx| {
-                    Box::pin(async move {
-                        let letter = char::from(b'a' + ctx.rank() as u8).to_string();
-                        let cat = |a: &Vec<String>, b: &Vec<String>| -> Vec<String> {
-                            a.iter().zip(b).map(|(x, y)| format!("{x}{y}")).collect()
-                        };
-                        reduce_auto_async(ctx, vec![letter; mw], 1, &Combine::new(&cat)).await
-                    })
-                });
-                let word: String = (0..p).map(|r| char::from(b'a' + r as u8)).collect();
-                assert!(
-                    run.results[0]
-                        .as_ref()
-                        .is_some_and(|v| v.len() == mw && v.iter().all(|s| s == &word)),
-                    "p={p} m={mw}"
-                );
-                assert!(run.results[1..].iter().all(Option::is_none));
-            }
-        }
-    }
-
-    #[test]
-    fn auto_reduce_makespan_tracks_the_model_within_10_percent() {
-        for params in [ClockParams::parsytec_like(), ClockParams::new(4.0, 0.5)] {
-            for p in [4usize, 8, 16] {
-                for mult in [1u64, 64, 512] {
-                    let mw = p as u64 * mult;
-                    let choice = choose_reduce(p, mw, 1.0, &params);
-                    let predicted = reduce_model_cost(choice, p, mw, 1.0, &params);
-                    let machine = Machine::new(p, params);
-                    let run = machine.run_des(move |ctx| {
-                        Box::pin(async move {
-                            let block: Vec<i64> =
-                                (0..mw as i64).map(|e| ctx.rank() as i64 + e).collect();
-                            reduce_auto_async(ctx, block, 1, &Combine::new(&add_blocks)).await
-                        })
-                    });
-                    let err = (run.makespan - predicted).abs() / predicted;
-                    assert!(
-                        err <= 0.10,
-                        "p={p} m={mw} {choice:?}: measured {} vs predicted {predicted}",
-                        run.makespan
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn balanced_halving_chooser_flips_with_block_size() {
-        let params = ClockParams::parsytec_like();
-        // op_sr's parameters: 2 words on the wire and 4 ops per word.
-        assert!(!balanced_halving_wins(16, 4, 2, 4.0, &params));
-        assert!(balanced_halving_wins(16, 16_384, 2, 4.0, &params));
-        assert!(!balanced_halving_wins(12, 16_384, 2, 4.0, &params));
     }
 }

@@ -1,4 +1,4 @@
-//! Edge cases for the cost-model-driven algorithm selectors: machines
+//! Edge cases for the cost-model-driven allreduce selector: machines
 //! that are not a power of two, blocks smaller than the machine, and
 //! empty blocks. For each case the test pins *which* algorithm the
 //! selector must pick (so a cost-model regression is caught by name, not
@@ -6,8 +6,7 @@
 //! the sequential reference fold.
 
 use collopt_collectives::{
-    allreduce_auto_async, choose_allreduce, choose_reduce, reduce_auto_async,
-    reference::ref_allreduce, AllreduceChoice, Combine, ReduceChoice,
+    allreduce_auto_async, choose_allreduce, reference::ref_allreduce, AllreduceChoice, Combine,
 };
 use collopt_machine::{ClockParams, Machine};
 use std::sync::Arc;
@@ -60,28 +59,6 @@ fn check_allreduce_auto(p: usize, m: usize, commutative: bool, clock: ClockParam
     );
 }
 
-fn check_reduce_auto(p: usize, m: usize, clock: ClockParams) {
-    let input = blocks(p, m);
-    let mut expected = input.clone();
-    expected[0] = input
-        .iter()
-        .skip(1)
-        .fold(input[0].clone(), |acc, b| vadd(&acc, b));
-    let shared = Arc::new(input);
-    let run = Machine::new(p, clock).run_des(move |ctx| {
-        let shared = Arc::clone(&shared);
-        Box::pin(async move {
-            let value = shared[ctx.rank()].clone();
-            // Non-roots keep their block, matching the paper's reduce
-            // semantics (eq. 5).
-            reduce_auto_async(ctx, value.clone(), 1, &Combine::new(&vadd))
-                .await
-                .unwrap_or(value)
-        })
-    });
-    assert_eq!(run.results, expected, "reduce_auto p={p} m={m}");
-}
-
 #[test]
 fn non_power_of_two_machines_never_get_butterfly_or_halving() {
     for p in [3usize, 5, 6, 7, 9, 12] {
@@ -107,11 +84,6 @@ fn non_power_of_two_machines_never_get_butterfly_or_halving() {
                     assert_eq!(choice, AllreduceChoice::ReduceBcast, "p={p} words={words}");
                 }
             }
-            assert_eq!(
-                choose_reduce(p, words.max(1), 1.0, &ClockParams::parsytec_like()),
-                ReduceChoice::Binomial,
-                "scatter+gather needs a power of two (p={p})"
-            );
         }
     }
 }
@@ -125,16 +97,11 @@ fn selector_pins_at_the_extremes() {
         choose_allreduce(8, 1, 1.0, true, &clock),
         AllreduceChoice::Butterfly
     );
-    assert_eq!(choose_reduce(8, 1, 1.0, &clock), ReduceChoice::Binomial);
-    // Huge blocks on a power of two: bandwidth-optimal reduce-scatter
-    // routes win despite the doubled start-ups.
+    // Huge blocks on a power of two: the bandwidth-optimal reduce-scatter
+    // route wins despite the doubled start-ups.
     assert_eq!(
         choose_allreduce(8, 1_000_000, 1.0, true, &clock),
         AllreduceChoice::Rabenseifner
-    );
-    assert_eq!(
-        choose_reduce(8, 1_000_000, 1.0, &clock),
-        ReduceChoice::ScatterGather
     );
     // Huge blocks on a non-power-of-two, commutative: the ring's
     // 2m(1−1/p) words on the wire beat reduce+bcast's 2m·log p.
@@ -159,7 +126,6 @@ fn auto_allreduce_is_correct_at_awkward_shapes() {
             for commutative in [false, true] {
                 check_allreduce_auto(p, m, commutative, clock);
             }
-            check_reduce_auto(p, m, clock);
         }
     }
 }

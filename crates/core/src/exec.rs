@@ -14,11 +14,10 @@
 use std::sync::Arc;
 
 use collopt_collectives::{
-    allgather_binomial_async, allreduce_async, allreduce_auto_async, allreduce_balanced_async,
-    allreduce_balanced_halving_async, balanced_halving_wins, bcast_auto_async,
-    bcast_binomial_async, comcast_bcast_repeat_async, comcast_cost_optimal_async,
-    gather_binomial_async, reduce_balanced_async, reduce_binomial_async, scan_balanced_async,
-    scatter_binomial_async, BalancedOp, Combine, PairedOp, RepeatOp,
+    allgather_binomial_async, allreduce_async, allreduce_balanced_async, bcast_binomial_async,
+    comcast_bcast_repeat_async, comcast_cost_optimal_async, gather_binomial_async,
+    reduce_balanced_async, reduce_binomial_async, scan_balanced_async, scatter_binomial_async,
+    BalancedOp, Combine, PairedOp, RepeatOp,
 };
 use collopt_machine::{
     critical_path, ClockParams, CriticalPath, Ctx, ExecEngine, FaultPlan, Machine, MachineError,
@@ -29,25 +28,11 @@ use crate::adjust::iter_balanced;
 use crate::term::{ComcastVariant, Program, Stage};
 use crate::value::Value;
 
-/// Execution options.
+/// Execution options. Each stage has one lowering, the one
+/// [`crate::rewrite::program_cost`] prices, so no option changes what a
+/// run computes or costs.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ExecConfig {
-    /// Lower `bcast` stages through the cost-model-driven algorithm
-    /// selector ([`collopt_collectives::bcast_auto_async`]: binomial vs chain
-    /// pipeline vs van de Geijn scatter+allgather, chosen per machine and
-    /// block size) instead of always using the binomial tree. Applies to
-    /// list-valued blocks; scalar broadcasts stay binomial.
-    pub adaptive_bcast: bool,
-    /// Lower reduction stages through the cost-model-driven selectors:
-    /// `allreduce` stages go through
-    /// [`collopt_collectives::allreduce_auto_async`] (butterfly vs Rabenseifner
-    /// reduce-scatter + allgather vs ring vs reduce+bcast), and fused
-    /// balanced allreductions (rule SR-Reduction's RHS) switch to
-    /// segmenting halving/doubling when
-    /// [`collopt_collectives::balanced_halving_wins`] predicts a win.
-    /// Applies to list-valued blocks; scalar reductions keep the fixed
-    /// butterfly.
-    pub adaptive_reduction: bool,
     /// Inject an [`EventKind::Stage`](collopt_machine::EventKind::Stage)
     /// boundary into the trace after every program stage, labelled with
     /// [`Stage::describe`]. Stage boundaries are zero-cost annotations —
@@ -277,7 +262,7 @@ async fn rank_main(
 ) -> Value {
     let mut v = inputs[ctx.rank()].clone();
     for (i, stage) in prog.stages().iter().enumerate() {
-        exec_stage(stage, ctx, &mut v, config).await;
+        exec_stage(stage, ctx, &mut v).await;
         if config.profile {
             ctx.end_stage(i, stage.describe());
         }
@@ -285,7 +270,7 @@ async fn rank_main(
     v
 }
 
-async fn exec_stage(stage: &Stage, ctx: &mut Ctx, v: &mut Value, config: ExecConfig) {
+async fn exec_stage(stage: &Stage, ctx: &mut Ctx, v: &mut Value) {
     let m = v.block_len() as f64;
     match stage {
         Stage::Map { f, ops, label } => {
@@ -297,16 +282,9 @@ async fn exec_stage(stage: &Stage, ctx: &mut Ctx, v: &mut Value, config: ExecCon
             ctx.charge(ops * m, label);
         }
         Stage::Bcast => {
-            // The adaptive path applies to list blocks; the shape must be
-            // SPMD-uniform for all ranks to take the same branch.
-            if config.adaptive_bcast && matches!(v, Value::List(_)) {
-                let value = (ctx.rank() == 0).then(|| v.as_list().to_vec());
-                *v = Value::list(bcast_auto_async(ctx, value, 1).await);
-            } else {
-                let words = v.words();
-                let value = (ctx.rank() == 0).then(|| v.clone());
-                *v = bcast_binomial_async(ctx, 0, value, words).await;
-            }
+            let words = v.words();
+            let value = (ctx.rank() == 0).then(|| v.clone());
+            *v = bcast_binomial_async(ctx, 0, value, words).await;
         }
         Stage::Scan(op) => {
             let words = v.words().max(1);
@@ -336,15 +314,7 @@ async fn exec_stage(stage: &Stage, ctx: &mut Ctx, v: &mut Value, config: ExecCon
             if commutative {
                 combine = combine.assume_commutative();
             }
-            // Like `Stage::Bcast`: the adaptive path needs a segmentable
-            // list block, and the (SPMD-uniform) shape guarantees every
-            // rank takes the same branch and picks the same algorithm.
-            if config.adaptive_reduction && matches!(v, Value::List(_)) {
-                let words_per_unit = (v.words() / v.block_len().max(1) as u64).max(1);
-                *v = allreduce_auto_async(ctx, v.clone(), words_per_unit, &combine).await;
-            } else {
-                *v = allreduce_async(ctx, v.clone(), words, &combine).await;
-            }
+            *v = allreduce_async(ctx, v.clone(), words, &combine).await;
         }
         Stage::ReduceBalanced {
             combine,
@@ -366,24 +336,7 @@ async fn exec_stage(stage: &Stage, ctx: &mut Ctx, v: &mut Value, config: ExecCon
             };
             let words = v.block_len() as u64;
             if *all {
-                // The fused operator is position-dependent, so only the
-                // order-preserving halving/doubling pair may replace the
-                // balanced butterfly — and only when the model says the
-                // saved bandwidth beats the doubled start-ups.
-                let use_halving = config.adaptive_reduction
-                    && matches!(v, Value::List(_))
-                    && balanced_halving_wins(
-                        ctx.size(),
-                        words,
-                        *words_factor,
-                        *ops_combine,
-                        &ctx.params(),
-                    );
-                if use_halving {
-                    *v = allreduce_balanced_halving_async(ctx, v.clone(), 1, &op).await;
-                } else {
-                    *v = allreduce_balanced_async(ctx, v.clone(), words, &op).await;
-                }
+                *v = allreduce_balanced_async(ctx, v.clone(), words, &op).await;
             } else if let Some(r) = reduce_balanced_async(ctx, v.clone(), words, &op).await {
                 *v = r;
             }
@@ -668,141 +621,6 @@ mod tests {
         // ... and the normalizer knows it is the identity.
         let opt = crate::rewrite::Rewriter::exhaustive().optimize(&prog);
         assert!(opt.program.is_empty());
-    }
-
-    #[test]
-    fn adaptive_bcast_beats_the_fixed_tree_for_large_blocks() {
-        let p = 16usize;
-        let mw = 32_000usize;
-        let prog = Program::new().bcast();
-        let input: Vec<Value> = (0..p)
-            .map(|r| Value::list(vec![Value::Int(if r == 0 { 7 } else { 0 }); mw]))
-            .collect();
-        let clock = ClockParams::parsytec_like();
-        let fixed = execute(&prog, &input, clock);
-        let adaptive = execute_with(
-            &prog,
-            &input,
-            clock,
-            ExecConfig {
-                adaptive_bcast: true,
-                ..ExecConfig::default()
-            },
-        );
-        assert_eq!(fixed.outputs, adaptive.outputs);
-        assert!(
-            adaptive.makespan < fixed.makespan,
-            "adaptive {} must beat binomial {} at m={mw}",
-            adaptive.makespan,
-            fixed.makespan
-        );
-        // For tiny blocks the selector falls back to the binomial tree
-        // (plus the 1-word length pre-broadcast).
-        let small: Vec<Value> = (0..p)
-            .map(|_| Value::list(vec![Value::Int(1); 4]))
-            .collect();
-        let f = execute(&prog, &small, clock);
-        let a = execute_with(
-            &prog,
-            &small,
-            clock,
-            ExecConfig {
-                adaptive_bcast: true,
-                ..ExecConfig::default()
-            },
-        );
-        assert_eq!(f.outputs, a.outputs);
-        let preamble = 4.0 * (clock.ts + clock.tw);
-        assert!(a.makespan <= f.makespan + preamble + 1.0);
-    }
-
-    #[test]
-    fn adaptive_reduction_beats_the_fixed_butterfly_for_large_blocks() {
-        let p = 16usize;
-        let mw = 32_000usize;
-        let prog = Program::new().allreduce(lib::add());
-        let input: Vec<Value> = (0..p)
-            .map(|r| Value::list(vec![Value::Int(r as i64); mw]))
-            .collect();
-        let clock = ClockParams::parsytec_like();
-        let fixed = execute(&prog, &input, clock);
-        let adaptive = execute_with(
-            &prog,
-            &input,
-            clock,
-            ExecConfig {
-                adaptive_reduction: true,
-                ..ExecConfig::default()
-            },
-        );
-        assert_eq!(fixed.outputs, adaptive.outputs);
-        assert!(
-            adaptive.makespan < fixed.makespan,
-            "adaptive {} must beat butterfly {} at m={mw}",
-            adaptive.makespan,
-            fixed.makespan
-        );
-        // Below the crossover the selector keeps the butterfly, so the
-        // adaptive run costs exactly the same.
-        let small: Vec<Value> = (0..p)
-            .map(|r| Value::list(vec![Value::Int(r as i64); 4]))
-            .collect();
-        let f = execute(&prog, &small, clock);
-        let a = execute_with(
-            &prog,
-            &small,
-            clock,
-            ExecConfig {
-                adaptive_reduction: true,
-                ..ExecConfig::default()
-            },
-        );
-        assert_eq!(f.outputs, a.outputs);
-        assert_eq!(f.makespan, a.makespan);
-    }
-
-    #[test]
-    fn adaptive_reduction_speeds_up_the_fused_scan_allreduce() {
-        // SR-Reduction fuses scan ⊕ allreduce ⊕ into one balanced
-        // allreduction; with large blocks the adaptive executor runs its
-        // RHS as segmenting halving/doubling and must still match the
-        // evaluator (the fused op is order-sensitive).
-        let p = 8usize;
-        let mw = 2_000usize;
-        let prog = Program::new().scan(lib::add()).allreduce(lib::add());
-        let opt = Rewriter::exhaustive()
-            .allow_rank0_rules(false)
-            .optimize(&prog)
-            .program;
-        let input: Vec<Value> = (0..p)
-            .map(|r| {
-                Value::list(
-                    (0..mw)
-                        .map(|i| Value::Int((r * 7 + i % 5) as i64))
-                        .collect(),
-                )
-            })
-            .collect();
-        let clock = ClockParams::parsytec_like();
-        let expected = eval_program(&opt, &input);
-        let fixed = execute(&opt, &input, clock);
-        let adaptive = execute_with(
-            &opt,
-            &input,
-            clock,
-            ExecConfig {
-                adaptive_reduction: true,
-                ..ExecConfig::default()
-            },
-        );
-        assert_eq!(adaptive.outputs, expected);
-        assert_eq!(fixed.outputs, expected);
-        assert!(
-            adaptive.makespan < fixed.makespan,
-            "halving/doubling {} must beat the balanced butterfly {} at m={mw}",
-            adaptive.makespan,
-            fixed.makespan
-        );
     }
 
     #[test]

@@ -74,7 +74,7 @@
 //! (`COL009`), and round counts against the cost model's closed forms
 //! and the `⌈log₂ p⌉` lower bounds (`COL010`). With a pipeline it runs
 //! the full lint battery including the distribution-state dataflow
-//! lints (`COL007`/`COL011`/`COL012`). Flags and the exit contract match
+//! lints (`COL007`/`COL012`). Flags and the exit contract match
 //! `lint`; `--planted` drills the verifier on known-bad lowerings.
 //!
 //! Saturate mode — the optimizer's search with its e-graph statistics:
@@ -456,7 +456,7 @@ fn submit_main(mut args: Args) -> ! {
 /// forms and the `⌈log₂ p⌉` lower bounds — and `--planted` instead checks
 /// that every planted-bug lowering is rejected with its expected code (the
 /// CI drill). With a pipeline (or `--file`) both run the full lint
-/// analysis, the distribution-state dataflow lints (COL007/COL011/COL012)
+/// analysis, the distribution-state dataflow lints (COL007/COL012)
 /// included, under one exit contract.
 fn lint_main(mut args: Args) -> ! {
     let check = args.mode == "check";

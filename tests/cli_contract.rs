@@ -102,6 +102,25 @@ fn the_cli_and_serve_answer_one_request_alike() {
 }
 
 #[test]
+fn a_ragged_allreduce_is_priced_and_linted_as_the_butterfly_it_runs() {
+    // p = 16 does not divide m = 4097. The stage runs the butterfly, four
+    // rounds of the whole block: 4 · (200 + 4097 · (2 + 1)) = 49,964. No
+    // segmenting lowering runs, so there are no ragged segments to warn of.
+    let out = collopt(&["allreduce(add)", "--p", "16", "--m", "4097", "--json"]);
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    let json = String::from_utf8_lossy(&out.stdout);
+    let priced = r#""original":{"program":"allreduce(add)","cost":49964,"#;
+    assert!(json.contains(priced), "{json}");
+    let lint: Vec<&str> = "lint allreduce(add) --p 16 --m 4097 --deny warnings"
+        .split(' ')
+        .collect();
+    let out = collopt(&lint);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(0), "{stdout}");
+    assert!(stdout.contains("0 warning(s)"), "{stdout}");
+}
+
+#[test]
 fn the_edge_of_the_domain_is_accepted() {
     let mut args = vec!["scan(add) ; reduce(add)"];
     args.extend("--p 1 --ts 0 --tw 0 --m 0".split(' '));

@@ -23,13 +23,12 @@ use collopt::collectives::{
     allgather_binomial_async, allgather_doubling_async, allgather_ring_async, allreduce_async,
     allreduce_auto_async, allreduce_balanced_async, allreduce_balanced_halving_async,
     allreduce_commutative_async, allreduce_rabenseifner_async, allreduce_ring_async,
-    alltoall_async, barrier_dissemination_async, bcast_auto_async, bcast_binomial_async,
-    bcast_linear_async, bcast_pipelined_async, bcast_scatter_allgather_async,
-    comcast_bcast_repeat_async, comcast_cost_optimal_async, exscan_async, gather_binomial_async,
-    reduce_auto_async, reduce_balanced_async, reduce_binomial_async, reduce_scatter_binomial_async,
-    reduce_scatter_halving_async, reduce_scatter_ring_async, scan_balanced_async,
-    scan_butterfly_async, scan_sklansky_async, scatter_binomial_async, BalancedOp, Combine,
-    PairedOp, RepeatOp,
+    alltoall_async, barrier_dissemination_async, bcast_binomial_async, bcast_linear_async,
+    bcast_pipelined_async, bcast_scatter_allgather_async, comcast_bcast_repeat_async,
+    comcast_cost_optimal_async, exscan_async, gather_binomial_async, reduce_balanced_async,
+    reduce_binomial_async, reduce_scatter_binomial_async, reduce_scatter_halving_async,
+    reduce_scatter_ring_async, scan_balanced_async, scan_butterfly_async, scan_sklansky_async,
+    scatter_binomial_async, BalancedOp, Combine, PairedOp, RepeatOp,
 };
 use collopt::machine::{
     critical_path, ClockParams, Ctx, EventKind, Machine, ProfileReport, RunResult,
@@ -179,12 +178,6 @@ fn bcast_variants_satisfy_the_critical_path_oracle() {
                 bcast_scatter_allgather_async(ctx, v, 1).await
             })
         });
-        check("bcast_auto", p, clock(), |ctx| {
-            Box::pin(async move {
-                let v = (ctx.rank() == 0).then(|| block(0, M));
-                bcast_auto_async(ctx, v, 1).await
-            })
-        });
     }
 }
 
@@ -196,11 +189,6 @@ fn reduce_and_allreduce_variants_satisfy_the_oracle() {
             Box::pin(async move {
                 reduce_binomial_async(ctx, 0, block(ctx.rank(), M), M as u64, &Combine::new(&add))
                     .await
-            })
-        });
-        check("reduce_auto", p, clock(), |ctx| {
-            Box::pin(async move {
-                reduce_auto_async(ctx, block(ctx.rank(), M), 1, &Combine::new(&add)).await
             })
         });
         check("allreduce_butterfly", p, clock(), |ctx| {

@@ -20,13 +20,12 @@ use collopt::collectives::{
     allgather_binomial_async, allgather_doubling_async, allgather_ring_async, allreduce_async,
     allreduce_auto_async, allreduce_balanced_async, allreduce_balanced_halving_async,
     allreduce_commutative_async, allreduce_rabenseifner_async, allreduce_ring_async,
-    alltoall_async, barrier_dissemination_async, bcast_auto_async, bcast_binomial_async,
-    bcast_linear_async, bcast_pipelined_async, bcast_scatter_allgather_async,
-    comcast_bcast_repeat_async, comcast_cost_optimal_async, exscan_async, gather_binomial_async,
-    reduce_auto_async, reduce_balanced_async, reduce_binomial_async, reduce_scatter_binomial_async,
-    reduce_scatter_halving_async, reduce_scatter_ring_async, scan_balanced_async,
-    scan_butterfly_async, scan_sklansky_async, scatter_binomial_async, BalancedOp, Combine,
-    PairedOp, RepeatOp,
+    alltoall_async, barrier_dissemination_async, bcast_binomial_async, bcast_linear_async,
+    bcast_pipelined_async, bcast_scatter_allgather_async, comcast_bcast_repeat_async,
+    comcast_cost_optimal_async, exscan_async, gather_binomial_async, reduce_balanced_async,
+    reduce_binomial_async, reduce_scatter_binomial_async, reduce_scatter_halving_async,
+    reduce_scatter_ring_async, scan_balanced_async, scan_butterfly_async, scan_sklansky_async,
+    scatter_binomial_async, BalancedOp, Combine, PairedOp, RepeatOp,
 };
 use collopt::machine::{chrome_trace_json, ClockParams, Ctx, FaultPlan, Machine};
 
@@ -106,12 +105,6 @@ fn bcast_variants_are_unaffected_by_the_identity_plan() {
                 bcast_scatter_allgather_async(ctx, v, 1).await
             })
         });
-        check_identity("bcast_auto", p, |ctx| {
-            Box::pin(async move {
-                let v = (ctx.rank() == 0).then(|| block(0, M));
-                bcast_auto_async(ctx, v, 1).await
-            })
-        });
     }
 }
 
@@ -123,11 +116,6 @@ fn reduce_and_allreduce_variants_are_unaffected_by_the_identity_plan() {
             Box::pin(async move {
                 reduce_binomial_async(ctx, 0, block(ctx.rank(), M), M as u64, &Combine::new(&add))
                     .await
-            })
-        });
-        check_identity("reduce_auto", p, |ctx| {
-            Box::pin(async move {
-                reduce_auto_async(ctx, block(ctx.rank(), M), 1, &Combine::new(&add)).await
             })
         });
         check_identity("allreduce_butterfly", p, |ctx| {

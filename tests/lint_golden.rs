@@ -112,32 +112,17 @@ fn clean_corpus_has_no_errors_or_warnings() {
 
 #[test]
 fn lint_corpus_each_triggers_a_warning_or_error() {
-    // `ragged_segments` only lowers to a segmenting collective at its
-    // sidecar machine point (see its `.flags` file) — everything else
-    // lints dirty at the defaults.
-    let ragged = LintConfig {
-        params: MachineParams::new(16, 200.0, 2.0),
-        block: 4097.0,
-        ..LintConfig::default()
-    };
-    for (name, cfg) in [
-        ("lints/missed_fusion.pipeline", LintConfig::default()),
-        ("lints/redundant_bcast.pipeline", LintConfig::default()),
-        (
-            "lints/gather_scatter_roundtrip.pipeline",
-            LintConfig::default(),
-        ),
-        ("lints/float_fusion.pipeline", LintConfig::default()),
-        ("lints/lattice_fusion.pipeline", LintConfig::default()),
-        (
-            "lints/distribution_mismatch.pipeline",
-            LintConfig::default(),
-        ),
-        ("lints/rank0_narrowing.pipeline", LintConfig::default()),
-        ("lints/ragged_segments.pipeline", ragged),
+    for name in [
+        "lints/missed_fusion.pipeline",
+        "lints/redundant_bcast.pipeline",
+        "lints/gather_scatter_roundtrip.pipeline",
+        "lints/float_fusion.pipeline",
+        "lints/lattice_fusion.pipeline",
+        "lints/distribution_mismatch.pipeline",
+        "lints/rank0_narrowing.pipeline",
     ] {
         let src = corpus(name);
-        let report = lint_source(&src, &cfg).unwrap();
+        let report = lint_source(&src, &LintConfig::default()).unwrap();
         assert!(
             report.errors() + report.warnings() > 0,
             "{name} should lint dirty"
