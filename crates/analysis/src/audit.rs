@@ -154,8 +154,12 @@ pub fn samples_for_domain(domain: Domain, cfg: &AuditConfig) -> Vec<Value> {
     pool
 }
 
-static LAW_FACTS: Mutex<BTreeMap<(Domain, String), Option<Counterexample>>> =
-    Mutex::new(BTreeMap::new());
+/// Facts about library operators under the default config, keyed so that
+/// a lookup borrows: `(domain, law kind)`, then the name of the law's first
+/// operator, then that of its second (`""` for a one-operator law).
+type LawFacts = BTreeMap<(Domain, u8), BTreeMap<String, BTreeMap<String, Option<Counterexample>>>>;
+
+static LAW_FACTS: Mutex<LawFacts> = Mutex::new(BTreeMap::new());
 
 #[cfg(test)]
 thread_local!(static PROBES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) });
@@ -165,12 +169,10 @@ thread_local!(static PROBES: std::cell::Cell<usize> = const { std::cell::Cell::n
 /// default config depends on nothing a caller can vary (the name identifies
 /// the function, [`BinOp::is_library`]) and is probed once per process —
 /// one generation, filled lazily, never evicted, library names × peers, a
-/// few KB; every other operator or config is probed per call.
-pub(crate) fn audit_law(
-    law: &RequiredLaw,
-    domain: Domain,
-    cfg: &AuditConfig,
-) -> Option<Counterexample> {
+/// few KB; every other operator or config is probed per call. Looking up a
+/// known fact allocates nothing unless the fact is a counterexample (its
+/// clone is the answer).
+pub fn audit_law(law: &RequiredLaw, domain: Domain, cfg: &AuditConfig) -> Option<Counterexample> {
     let probe = || {
         #[cfg(test)]
         PROBES.with(|n| n.set(n.get() + 1));
@@ -180,13 +182,35 @@ pub(crate) fn audit_law(
         };
         law.counterexample_with(&samples_for_domain(domain, cfg), rtol)
     };
-    if !law.ops().iter().all(|op| op.is_library()) || *cfg != AuditConfig::default() {
+    let (kind, first, second) = match law {
+        RequiredLaw::Associative(op) => (0, op, None),
+        RequiredLaw::Commutative(op) => (1, op, None),
+        RequiredLaw::DistributesOver(ot, op) => (2, ot, Some(op)),
+    };
+    if !first.is_library()
+        || !second.is_none_or(BinOp::is_library)
+        || *cfg != AuditConfig::default()
+    {
         return probe();
     }
+    let second = second.map_or("", BinOp::name);
     // A probe that panics has inserted nothing, so a poisoned map is still valid.
     let mut facts = LAW_FACTS.lock().unwrap_or_else(PoisonError::into_inner);
-    let fact = facts.entry((domain, law.describe())).or_insert_with(probe);
-    fact.clone()
+    let known = facts
+        .get(&(domain, kind))
+        .and_then(|by_first| by_first.get(first.name()))
+        .and_then(|by_second| by_second.get(second));
+    if let Some(fact) = known {
+        return fact.clone();
+    }
+    let fact = probe();
+    facts
+        .entry((domain, kind))
+        .or_default()
+        .entry(first.name().to_string())
+        .or_default()
+        .insert(second.to_string(), fact.clone());
+    fact
 }
 
 /// A declared property refuted by a concrete (shrunk) witness — unsound:

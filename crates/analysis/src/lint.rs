@@ -323,8 +323,8 @@ fn law_gate(prog: &Program, cfg: &LintConfig) -> LawGate {
         .filter_map(stage_op)
         .map(|op| op.name().to_string())
         .collect();
-    Arc::new(move |rule, window: &[Stage]| {
-        let Some(laws) = rules::required_laws(rule, window) else {
+    Arc::new(move |rule, window: &[&Stage]| {
+        let Some(laws) = rules::required_laws(rule, window.iter().copied()) else {
             return true;
         };
         let mut domains = laws
@@ -472,10 +472,11 @@ fn fusion_pass(
             let Some(rw) = rules::try_match(rule, &stages[at..]) else {
                 continue;
             };
-            if !admits(rule, &stages[at..]) {
+            let len = rules::window_len(rule);
+            let window: Vec<&Stage> = stages[at..at + len].iter().collect();
+            if !admits(rule, &window) {
                 continue;
             }
-            let len = rules::window_len(rule);
             if covered.iter().any(|&(s, e)| at < e && at + len > s) {
                 at += len;
                 advanced = true;

@@ -10,15 +10,16 @@
 //!
 //! A program is a *cons list* of stages, so e-nodes have exactly two
 //! shapes: `nil` (the empty program) and `cons(stage, tail)` where `tail`
-//! is an e-class. Stages are interned by a structural key
-//! (`stage_key`) — the same identification the rest of the engine uses
-//! (`Program::to_string` keyed deduplication) extended with every numeric
-//! cost field, so two stages share an id only when they are
-//! indistinguishable to both the semantics display and the cost model.
-//! E-nodes are hash-consed on `(stage_id, find(tail))`; e-classes live in a
-//! union-find, and a congruence `rebuild` re-canonicalizes cons nodes whose
-//! tails merged (merging them upward), which is what makes the search
-//! complete with respect to the brute-force enumeration.
+//! is an e-class. Stages are interned under a hashed structural key
+//! (`StageKey`): the display fields (variant, label, operator name) plus
+//! every numeric cost field, with an `f64` compared as its `Display` would
+//! compare it. Two stages share an id exactly when they are
+//! indistinguishable to both the semantics display and the cost model; a
+//! lookup borrows the stage and allocates nothing. E-nodes are hash-consed
+//! on `(stage_id, find(tail))`; e-classes live in a union-find, and a
+//! congruence `rebuild` re-canonicalizes cons nodes whose tails merged
+//! (merging them upward), which is what makes the search complete with
+//! respect to the brute-force enumeration.
 //!
 //! ## Saturation
 //!
@@ -30,7 +31,8 @@
 //! normalizations (map fusion, bcast/map commutation, gather/scatter
 //! elimination) run as additional 2-window rewrites. Refuted laws exclude
 //! the match; in audited mode the refusal is recorded with a shrunk
-//! counterexample, deduped per `(rule, law)`.
+//! counterexample, deduped per `(rule, law)`. Attempts, refusals and rule
+//! events are keyed by `(tag, [u32; 3])` windows of node or stage ids.
 //!
 //! Termination: every rule strictly reduces a chain's collective count and
 //! the fused forms never re-match any rule, so the stage alphabet and the
@@ -48,31 +50,36 @@
 //! collectives, then shorter programs, at equal cost is precisely the
 //! "RHS never worse than LHS" tie-break: every rule's RHS has strictly
 //! fewer collectives and no normalization grows a program. The (capped)
-//! chains realizing the root's value, normalized and kept at the least
-//! length, are the tied candidates handed to replay.
+//! chains realizing the root's value, normalized on stage ids and kept at
+//! the least length, are the tied candidates handed to replay.
 //!
 //! ## Certificate replay and the equal-value tie-break
 //!
 //! The plan is replayed as a concrete [`RewriteStep`] path: a
-//! breadth-first search from the normalized input in which the only
-//! transitions are rule events the saturation actually recorded (each
-//! carrying the [`Certificate`] minted when it fired), and every
-//! intermediate program must still be representable in the e-graph
-//! (checked by walking the hash-cons). The first candidate the search
-//! reaches is the result: the fewest steps, then the earliest position,
-//! then [`RULE_PRIORITY`] — fully deterministic, independent of hash
-//! iteration order and worker count, and exactly the order
-//! [`Rewriter::optimize_brute_force`] explores in. Equality saturation
-//! only ever grows the set of forward-reachable programs, so a candidate
-//! is reachable whenever saturation ran to fixpoint. When a node budget
-//! cut a derivation short, the search returns the best-valued program it
-//! did reach — certified step by step, and never worse than the input.
-//! Certificates are revalidated downstream by `collopt-analysis::certify`.
+//! breadth-first search over stage-id chains from the normalized input in
+//! which the only transitions are rule events the saturation actually
+//! recorded (each carrying the [`Certificate`] minted when it fired),
+//! followed by normalization, and every intermediate chain must still be
+//! representable in the e-graph (checked by walking the hash-cons). The
+//! first candidate the search reaches is the result: the fewest steps,
+//! then the earliest position, then [`RULE_PRIORITY`] — fully
+//! deterministic, independent of hash iteration order and worker count,
+//! and exactly the order [`Rewriter::optimize_brute_force`] explores in.
+//! Programs, savings and step descriptions are built only along the path
+//! returned. Equality saturation only ever grows the set of
+//! forward-reachable programs, so a candidate is reachable whenever
+//! saturation ran to fixpoint. When a node budget cut a derivation short,
+//! the search returns the best-valued program it did reach — certified
+//! step by step, and never worse than the input. Certificates are
+//! revalidated downstream by `collopt-analysis::certify`.
 //!
 //! [`Rewriter::optimize_brute_force`]: crate::rewrite::Rewriter::optimize_brute_force
 
-use std::collections::hash_map::Entry;
+use std::collections::hash_map::{DefaultHasher, Entry};
 use std::collections::{HashMap, HashSet, VecDeque};
+use std::hash::{Hash, Hasher};
+use std::mem::Discriminant;
+use std::rc::Rc;
 use std::sync::Arc;
 
 use collopt_cost::MachineParams;
@@ -96,7 +103,7 @@ const CANDIDATE_CAP: usize = 64;
 /// Cap on concrete programs the certificate replay may visit.
 const REPLAY_STATE_CAP: usize = 100_000;
 
-/// Sentinel stage id for the `nil` e-node.
+/// Sentinel stage id for the `nil` e-node, and "no further id" in a chain.
 const NIL: usize = usize::MAX;
 
 /// Tags for the enabling normalizations in the applied-rewrite ledger
@@ -109,7 +116,7 @@ const TAG_GATHER_SCATTER: u32 = 102;
 /// `false` silently excludes the rule for that window. The linter installs
 /// one backed by its per-domain sampling so saturation respects the same
 /// lying-declaration gates as the windowed passes did.
-pub type LawGate = Arc<dyn Fn(Rule, &[Stage]) -> bool + Send + Sync>;
+pub type LawGate = Arc<dyn Fn(Rule, &[&Stage]) -> bool + Send + Sync>;
 
 /// Configuration for one saturation run: the extraction objective, the
 /// rank-0 switch and audit samples (what a
@@ -220,12 +227,12 @@ pub struct SaturationOutcome {
 /// `optimize` and `saturate`) is this call.
 pub fn saturate_program(prog: &Program, cfg: &SaturateConfig) -> SaturationOutcome {
     let (start, mut normalizations) = enabling::normalize(prog);
-    let mut eg = EGraph::new(cfg.clone());
-    let root = eg.insert_chain(&start);
+    let mut eg = EGraph::new(cfg);
+    let (root, start_ids) = eg.insert_chain(&start);
     eg.run();
     let root = eg.find(root);
     let candidates = eg.extract(root);
-    let (program, steps, norms) = eg.replay(start, &candidates);
+    let (program, steps, norms) = eg.replay(start, start_ids, &candidates);
     normalizations.extend(norms);
     let rejections = dedupe_rejections(std::mem::take(&mut eg.rejections));
     SaturationOutcome {
@@ -239,63 +246,124 @@ pub fn saturate_program(prog: &Program, cfg: &SaturateConfig) -> SaturationOutco
     }
 }
 
-/// Structural identity for stage interning: the display form plus every
-/// numeric cost field, so ids conflate exactly the stages the engine
-/// already treats as interchangeable (`Program::to_string` keyed
-/// deduplication) and never two stages the cost model can tell apart.
-fn stage_key(stage: &Stage) -> String {
-    let op_key = |op: &crate::op::BinOp| {
-        format!(
-            "{}|{}|{}|{}{}",
-            op.name(),
-            op.ops_per_word(),
-            op.width(),
-            u8::from(op.is_associative()),
-            u8::from(op.is_commutative()),
-        )
-    };
-    match stage {
-        Stage::Map { ops, label, .. } => format!("map|{label}|{ops}"),
-        Stage::MapIndexed { ops, label, .. } => format!("map#|{label}|{ops}"),
-        Stage::Bcast => "bcast".to_string(),
-        Stage::Scan(op) => format!("scan|{}", op_key(op)),
-        Stage::Reduce(op) => format!("reduce|{}", op_key(op)),
-        Stage::AllReduce(op) => format!("allreduce|{}", op_key(op)),
-        Stage::ReduceBalanced {
-            all,
-            ops_combine,
-            ops_solo,
-            words_factor,
-            label,
-            ..
-        } => format!("reduce_bal|{label}|{all}|{ops_combine}|{ops_solo}|{words_factor}"),
-        Stage::ScanBalanced {
-            ops_lower,
-            ops_upper,
-            ops_solo,
-            words_factor,
-            label,
-            ..
-        } => format!("scan_bal|{label}|{ops_lower}|{ops_upper}|{ops_solo}|{words_factor}"),
-        Stage::Comcast {
-            ops_e,
-            ops_o,
-            words_factor,
-            variant,
-            label,
-            ..
-        } => format!("comcast|{label}|{ops_e}|{ops_o}|{words_factor}|{variant:?}"),
-        Stage::Gather => "gather".to_string(),
-        Stage::Scatter => "scatter".to_string(),
-        Stage::AllGather => "allgather".to_string(),
-        Stage::IterLocal {
-            all,
-            ops_combine,
-            ops_solo,
-            label,
-            ..
-        } => format!("iter|{label}|{all}|{ops_combine}|{ops_solo}"),
+/// The structural identity stages are interned under: the display fields
+/// plus every numeric cost field, so ids conflate exactly the stages that
+/// print alike and cost alike, and never two stages the cost model can
+/// tell apart. Borrowed from the stage, so building one allocates nothing.
+#[derive(PartialEq, Eq, Hash)]
+struct StageKey<'a> {
+    variant: Discriminant<Stage>,
+    /// The label, or the operator's name.
+    name: &'a str,
+    /// The cost fields in declaration order: floats as [`num`] keys them,
+    /// then the word factor and the comcast variant.
+    costs: [u64; 4],
+    /// `all`, or the operator's associativity and commutativity.
+    flags: [bool; 2],
+}
+
+/// An `f64` as its `Display` distinguishes it: every value by its bits,
+/// except that all NaNs print (and so key) alike.
+fn num(x: f64) -> u64 {
+    if x.is_nan() {
+        f64::NAN.to_bits()
+    } else {
+        x.to_bits()
     }
+}
+
+impl<'a> StageKey<'a> {
+    fn of(stage: &'a Stage) -> Self {
+        let (name, costs, flags): (&str, _, _) = match stage {
+            Stage::Map { ops, label, .. } | Stage::MapIndexed { ops, label, .. } => {
+                (label, [num(*ops), 0, 0, 0], [false; 2])
+            }
+            Stage::Bcast | Stage::Gather | Stage::Scatter | Stage::AllGather => {
+                ("", [0; 4], [false; 2])
+            }
+            Stage::Scan(op) | Stage::Reduce(op) | Stage::AllReduce(op) => (
+                op.name(),
+                [num(op.ops_per_word()), num(op.width()), 0, 0],
+                [op.is_associative(), op.is_commutative()],
+            ),
+            Stage::ReduceBalanced {
+                all,
+                ops_combine,
+                ops_solo,
+                words_factor,
+                label,
+                ..
+            } => (
+                label,
+                [num(*ops_combine), num(*ops_solo), *words_factor, 0],
+                [*all, false],
+            ),
+            Stage::ScanBalanced {
+                ops_lower,
+                ops_upper,
+                ops_solo,
+                words_factor,
+                label,
+                ..
+            } => (
+                label,
+                [
+                    num(*ops_lower),
+                    num(*ops_upper),
+                    num(*ops_solo),
+                    *words_factor,
+                ],
+                [false; 2],
+            ),
+            Stage::Comcast {
+                ops_e,
+                ops_o,
+                words_factor,
+                variant,
+                label,
+                ..
+            } => (
+                label,
+                [num(*ops_e), num(*ops_o), *words_factor, *variant as u64],
+                [false; 2],
+            ),
+            Stage::IterLocal {
+                all,
+                ops_combine,
+                ops_solo,
+                label,
+                ..
+            } => (
+                label,
+                [num(*ops_combine), num(*ops_solo), 0, 0],
+                [*all, false],
+            ),
+        };
+        StageKey {
+            variant: std::mem::discriminant(stage),
+            name,
+            costs,
+            flags,
+        }
+    }
+
+    fn hash64(&self) -> u64 {
+        let mut h = DefaultHasher::new();
+        self.hash(&mut h);
+        h.finish()
+    }
+}
+
+/// A window of up to three node or stage ids under a rewrite tag — the
+/// key of the attempt, refusal and event tables. Unused slots are `u32::MAX`.
+type WindowKey = (u32, [u32; 3]);
+
+fn window_key(tag: u32, ids: &[usize]) -> WindowKey {
+    let mut key = [u32::MAX; 3];
+    for (slot, &id) in key.iter_mut().zip(ids) {
+        *slot = u32::try_from(id).expect("a graph of fewer than 2^32 nodes and stages");
+    }
+    (tag, key)
 }
 
 fn rule_tag(rule: Rule) -> u32 {
@@ -313,8 +381,9 @@ struct ENode {
 
 #[derive(Default)]
 struct EClass {
-    /// Member node ids (with duplicates after merges; deduped on read).
-    nodes: Vec<usize>,
+    /// Member node ids, sorted and distinct. Replaced, never edited, on a
+    /// merge, so a reader holding the old list keeps its snapshot.
+    nodes: Rc<[usize]>,
     /// Cons nodes whose tail is (or was) this class.
     parents: Vec<usize>,
 }
@@ -354,13 +423,27 @@ impl Extract {
     }
 }
 
-struct EGraph {
-    cfg: SaturateConfig,
+/// One program the replay reached: its stage-id chain and the event (at a
+/// position) that led to it from its parent state.
+struct ReplayState {
+    ids: Vec<usize>,
+    parent: usize,
+    event: usize,
+    at: usize,
+}
+
+struct EGraph<'c> {
+    cfg: &'c SaturateConfig,
     /// Interned stages and their per-id cost-model values.
     stages: Vec<Stage>,
     stage_costs: Vec<f64>,
     stage_coll: Vec<bool>,
-    stage_ids: HashMap<String, usize>,
+    /// `StageKey` hash → the first id with it; `stage_next` chains the
+    /// other ids that share the hash.
+    stage_index: HashMap<u64, usize>,
+    stage_next: Vec<usize>,
+    /// `(map, map)` stage-id pairs → the id of their fused map.
+    fused_maps: HashMap<(usize, usize), usize>,
     nodes: Vec<ENode>,
     /// Hash-cons: `(stage, canonical tail class) → node`.
     node_ids: HashMap<(usize, usize), usize>,
@@ -370,12 +453,12 @@ struct EGraph {
     node_class: Vec<usize>,
     worklist: VecDeque<usize>,
     /// Node paths already attempted, per rewrite tag.
-    attempted: HashSet<(u32, Vec<usize>)>,
-    /// Certification results per `(tag, stage-id window)` — also dedupes
-    /// audited rejections at the source.
-    cert_cache: HashMap<(u32, Vec<usize>), Option<Certificate>>,
+    attempted: HashSet<WindowKey>,
+    /// Stage-id windows whose certification failed, per rule tag — dedupes
+    /// audited rejections at the source (a certified window is an event).
+    refused: HashSet<WindowKey>,
     events: Vec<Event>,
-    event_ids: HashMap<(u32, Vec<usize>), usize>,
+    event_ids: HashMap<WindowKey, usize>,
     /// Original-chain depth per node, for rejection reporting.
     depth_hint: HashMap<usize, usize>,
     rejections: Vec<RuleRejection>,
@@ -384,14 +467,16 @@ struct EGraph {
     stats: SaturationStats,
 }
 
-impl EGraph {
-    fn new(cfg: SaturateConfig) -> Self {
+impl<'c> EGraph<'c> {
+    fn new(cfg: &'c SaturateConfig) -> Self {
         let mut eg = EGraph {
             cfg,
             stages: Vec::new(),
             stage_costs: Vec::new(),
             stage_coll: Vec::new(),
-            stage_ids: HashMap::new(),
+            stage_index: HashMap::new(),
+            stage_next: Vec::new(),
+            fused_maps: HashMap::new(),
             nodes: Vec::new(),
             node_ids: HashMap::new(),
             classes: Vec::new(),
@@ -399,7 +484,7 @@ impl EGraph {
             node_class: Vec::new(),
             worklist: VecDeque::new(),
             attempted: HashSet::new(),
-            cert_cache: HashMap::new(),
+            refused: HashSet::new(),
             events: Vec::new(),
             event_ids: HashMap::new(),
             depth_hint: HashMap::new(),
@@ -415,7 +500,7 @@ impl EGraph {
         });
         eg.node_ids.insert((NIL, 0), 0);
         eg.classes.push(EClass {
-            nodes: vec![0],
+            nodes: Rc::from([0]),
             parents: Vec::new(),
         });
         eg.uf.push(0);
@@ -434,24 +519,93 @@ impl EGraph {
         self.find(self.node_class[node])
     }
 
-    fn intern_stage(&mut self, stage: &Stage) -> usize {
-        let key = stage_key(stage);
-        if let Some(&id) = self.stage_ids.get(&key) {
-            return id;
+    /// The id of the interned stage structurally equal to `key`, if any.
+    fn lookup(&self, key: &StageKey, hash: u64) -> Option<usize> {
+        let mut id = *self.stage_index.get(&hash)?;
+        while id != NIL {
+            if StageKey::of(&self.stages[id]) == *key {
+                return Some(id);
+            }
+            id = self.stage_next[id];
         }
+        None
+    }
+
+    /// Intern a stage, cloning it only when it is new.
+    fn intern_stage(&mut self, stage: &Stage) -> usize {
+        let key = StageKey::of(stage);
+        let hash = key.hash64();
+        self.lookup(&key, hash)
+            .unwrap_or_else(|| self.push_stage(stage.clone(), hash))
+    }
+
+    fn push_stage(&mut self, stage: Stage, hash: u64) -> usize {
         let id = self.stages.len();
-        self.stages.push(stage.clone());
         self.stage_costs.push(match self.cfg.strategy {
             Strategy::Exhaustive => 0.0,
-            Strategy::CostGuided { params, block } => stage_cost(stage, &params, block),
+            Strategy::CostGuided { params, block } => stage_cost(&stage, &params, block),
         });
         self.stage_coll.push(stage.is_collective());
-        self.stage_ids.insert(key, id);
+        self.stages.push(stage);
+        self.stage_next
+            .push(self.stage_index.insert(hash, id).unwrap_or(NIL));
         id
     }
 
-    fn lookup_stage(&self, stage: &Stage) -> Option<usize> {
-        self.stage_ids.get(&stage_key(stage)).copied()
+    /// The interned `map f;g` of two interned maps, exactly as
+    /// `enabling::normalize` fuses them.
+    fn fuse_maps(&mut self, a: usize, b: usize) -> usize {
+        if let Some(&id) = self.fused_maps.get(&(a, b)) {
+            return id;
+        }
+        let (
+            Stage::Map {
+                f: f1,
+                ops: o1,
+                label: l1,
+            },
+            Stage::Map {
+                f: f2,
+                ops: o2,
+                label: l2,
+            },
+        ) = (&self.stages[a], &self.stages[b])
+        else {
+            unreachable!("only two maps fuse");
+        };
+        let (f1, f2) = (f1.clone(), f2.clone());
+        let fused = Stage::Map {
+            f: Arc::new(move |v| f2(&f1(v))),
+            ops: o1 + o2,
+            label: format!("{l1};{l2}"),
+        };
+        let id = self.intern_stage(&fused);
+        self.fused_maps.insert((a, b), id);
+        id
+    }
+
+    /// [`enabling::normalize`] on a stage-id chain: the same steps in the
+    /// same order under the same cap, interning what map fusion builds.
+    fn normalize_ids(&mut self, mut ids: Vec<usize>) -> Vec<usize> {
+        let cap = ids.len() * (ids.len() + 1);
+        'steps: for _ in 0..=cap {
+            for at in 0..ids.len().saturating_sub(1) {
+                match (&self.stages[ids[at]], &self.stages[ids[at + 1]]) {
+                    (Stage::Map { .. }, Stage::Map { .. }) => {
+                        let fused = self.fuse_maps(ids[at], ids[at + 1]);
+                        ids.splice(at..at + 2, [fused]);
+                    }
+                    (Stage::Gather, Stage::Scatter) => {
+                        ids.drain(at..at + 2);
+                    }
+                    (Stage::Bcast, Stage::Map { .. }) => ids.swap(at, at + 1),
+                    _ => continue,
+                }
+                continue 'steps;
+            }
+            break;
+        }
+        ids
     }
 
     /// Hash-consed node creation; new nodes enter the match worklist.
@@ -465,7 +619,7 @@ impl EGraph {
         self.node_ids.insert((stage, tail), node);
         let class = self.classes.len();
         self.classes.push(EClass {
-            nodes: vec![node],
+            nodes: Rc::from([node]),
             parents: Vec::new(),
         });
         self.uf.push(class);
@@ -475,16 +629,19 @@ impl EGraph {
         node
     }
 
-    /// Insert a program as a cons chain; returns its class.
-    fn insert_chain(&mut self, prog: &Program) -> usize {
+    /// Insert a program as a cons chain; returns its class and its stage
+    /// ids.
+    fn insert_chain(&mut self, prog: &Program) -> (usize, Vec<usize>) {
         let mut class = self.nil_class;
+        let mut ids = vec![NIL; prog.len()];
         for (depth, stage) in prog.stages().iter().enumerate().rev() {
             let sid = self.intern_stage(stage);
+            ids[depth] = sid;
             let node = self.add_node(sid, class);
             self.depth_hint.entry(node).or_insert(depth);
             class = self.class_of(node);
         }
-        class
+        (class, ids)
     }
 
     /// Merge two classes (keeping the smaller id canonical) and re-enqueue
@@ -509,7 +666,15 @@ impl EGraph {
             requeue.extend(self.classes[gp_class].parents.iter().copied());
         }
         self.worklist.extend(requeue);
-        self.classes[keep].nodes.extend(dropped_nodes);
+        let mut merged: Vec<usize> = self.classes[keep]
+            .nodes
+            .iter()
+            .chain(dropped_nodes.iter())
+            .copied()
+            .collect();
+        merged.sort_unstable();
+        merged.dedup();
+        self.classes[keep].nodes = Rc::from(merged);
         self.classes[keep].parents.extend(dropped_parents);
     }
 
@@ -577,14 +742,14 @@ impl EGraph {
         }
         let tail1 = self.find(self.nodes[n0].tail);
         let firsts = self.class_members(tail1);
-        for n1 in firsts {
+        for &n1 in firsts.iter() {
             if self.nodes[n1].stage == NIL {
                 continue;
             }
             self.try_windows(&[n0, n1]);
             let tail2 = self.find(self.nodes[n1].tail);
             let seconds = self.class_members(tail2);
-            for n2 in seconds {
+            for &n2 in seconds.iter() {
                 if self.nodes[n2].stage == NIL {
                     continue;
                 }
@@ -593,29 +758,31 @@ impl EGraph {
         }
     }
 
-    /// Deterministic, deduplicated member snapshot of a class.
-    fn class_members(&self, class: usize) -> Vec<usize> {
-        let mut members = self.classes[self.find(class)].nodes.clone();
-        members.sort_unstable();
-        members.dedup();
-        members
+    /// A class's members as of now, sorted and distinct (shared, not
+    /// copied: a later merge replaces the class's list, not this one).
+    fn class_members(&self, class: usize) -> Rc<[usize]> {
+        self.classes[self.find(class)].nodes.clone()
     }
 
     fn try_windows(&mut self, path: &[usize]) {
-        let ids: Vec<usize> = path.iter().map(|&n| self.nodes[n].stage).collect();
+        let mut ids = [NIL; 3];
+        for (id, &node) in ids.iter_mut().zip(path) {
+            *id = self.nodes[node].stage;
+        }
+        let ids = &ids[..path.len()];
         for rule in RULE_PRIORITY {
             if rules::window_len(rule) == path.len() {
-                self.try_rule(rule, path, &ids);
+                self.try_rule(rule, path, ids);
             }
         }
         if path.len() == 2 {
-            self.try_norm(path, &ids);
+            self.try_norm(path, ids);
         }
     }
 
     fn try_rule(&mut self, rule: Rule, path: &[usize], ids: &[usize]) {
         let tag = rule_tag(rule);
-        if !self.attempted.insert((tag, path.to_vec())) {
+        if !self.attempted.insert(window_key(tag, path)) {
             return;
         }
         let stages = &self.stages;
@@ -627,45 +794,47 @@ impl EGraph {
             return;
         }
         if let Some(gate) = &self.cfg.law_gate {
-            let window: Vec<Stage> = ids.iter().map(|&i| stages[i].clone()).collect();
-            if !gate(rule, &window) {
+            let mut window = [&stages[ids[0]]; 3];
+            for (slot, &i) in window.iter_mut().zip(ids) {
+                *slot = &stages[i];
+            }
+            if !gate(rule, &window[..ids.len()]) {
                 return;
             }
         }
         // Certified once per stage-id window, so audited rejections are
-        // recorded once per distinct window.
-        let cache_key = (tag, ids.to_vec());
-        let certificate = match self.cert_cache.get(&cache_key) {
-            Some(cached) => cached.clone(),
-            None => {
-                let at = self.depth_hint.get(&path[0]).copied().unwrap_or(0);
-                let samples = self.cfg.verify_samples.as_deref();
-                let fresh = certify(rule, &hit, samples, at, &mut self.rejections);
-                self.cert_cache.insert(cache_key, fresh.clone());
-                fresh
-            }
-        };
-        let Some(certificate) = certificate else {
+        // recorded once per distinct window; a certified window's event
+        // already holds its replacement.
+        let key = window_key(tag, ids);
+        if let Some(&event) = self.event_ids.get(&key) {
+            let replacement = self.events[event].replacement.clone();
+            self.apply(path, &replacement);
+            return;
+        }
+        if self.refused.contains(&key) {
+            return;
+        }
+        let at = self.depth_hint.get(&path[0]).copied().unwrap_or(0);
+        let samples = self.cfg.verify_samples.as_deref();
+        let Some(certificate) = certify(rule, &hit, samples, at, &mut self.rejections) else {
+            self.refused.insert(key);
             return;
         };
         let rhs = hit.rhs();
         let replacement: Vec<usize> = rhs.iter().map(|s| self.intern_stage(s)).collect();
-        self.apply(path, replacement.clone());
-        let event_key = (tag, ids.to_vec());
-        if let Entry::Vacant(slot) = self.event_ids.entry(event_key) {
-            slot.insert(self.events.len());
-            self.events.push(Event {
-                rule,
-                replacement,
-                certificate,
-                rank0_only,
-            });
-        }
+        self.apply(path, &replacement);
+        self.event_ids.insert(key, self.events.len());
+        self.events.push(Event {
+            rule,
+            replacement,
+            certificate,
+            rank0_only,
+        });
     }
 
     /// Splice a rewrite into the graph: build the replacement chain over
     /// the residual tail of the matched path and union it with the head.
-    fn apply(&mut self, path: &[usize], replacement: Vec<usize>) {
+    fn apply(&mut self, path: &[usize], replacement: &[usize]) {
         let last = *path.last().expect("non-empty window");
         let mut class = self.find(self.nodes[last].tail);
         for &sid in replacement.iter().rev() {
@@ -680,39 +849,23 @@ impl EGraph {
     /// `rules::enabling::step` exactly (left-moving suffices: windows are
     /// all-collective, so a map never sits inside one).
     fn try_norm(&mut self, path: &[usize], ids: &[usize]) {
-        let (tag, replacement): (u32, Vec<Stage>) =
-            match (&self.stages[ids[0]], &self.stages[ids[1]]) {
-                (
-                    Stage::Map {
-                        f: f1,
-                        ops: o1,
-                        label: l1,
-                    },
-                    Stage::Map {
-                        f: f2,
-                        ops: o2,
-                        label: l2,
-                    },
-                ) => {
-                    let (f1, f2) = (f1.clone(), f2.clone());
-                    let fused = Stage::Map {
-                        f: Arc::new(move |v| f2(&f1(v))),
-                        ops: o1 + o2,
-                        label: format!("{l1};{l2}"),
-                    };
-                    (TAG_MAP_FUSE, vec![fused])
-                }
-                (Stage::Gather, Stage::Scatter) => (TAG_GATHER_SCATTER, Vec::new()),
-                (Stage::Bcast, map @ Stage::Map { .. }) => {
-                    (TAG_BCAST_MAP, vec![map.clone(), Stage::Bcast])
-                }
-                _ => return,
-            };
-        if !self.attempted.insert((tag, path.to_vec())) {
+        let tag = match (&self.stages[ids[0]], &self.stages[ids[1]]) {
+            (Stage::Map { .. }, Stage::Map { .. }) => TAG_MAP_FUSE,
+            (Stage::Gather, Stage::Scatter) => TAG_GATHER_SCATTER,
+            (Stage::Bcast, Stage::Map { .. }) => TAG_BCAST_MAP,
+            _ => return,
+        };
+        if !self.attempted.insert(window_key(tag, path)) {
             return;
         }
-        let replacement: Vec<usize> = replacement.iter().map(|s| self.intern_stage(s)).collect();
-        self.apply(path, replacement);
+        match tag {
+            TAG_MAP_FUSE => {
+                let fused = self.fuse_maps(ids[0], ids[1]);
+                self.apply(path, &[fused]);
+            }
+            TAG_GATHER_SCATTER => self.apply(path, &[]),
+            _ => self.apply(path, &[ids[1], ids[0]]),
+        }
     }
 
     /// The value of `cons(stage, tail)` given the tail's.
@@ -754,20 +907,21 @@ impl EGraph {
         best
     }
 
-    /// Enumerate (capped) the chains realizing a class's best value.
+    /// Enumerate (capped) the stage-id chains realizing a class's best
+    /// value.
     fn best_chains(
         &self,
         class: usize,
         best: &[Option<Extract>],
-        memo: &mut HashMap<usize, Vec<Vec<usize>>>,
-    ) -> Vec<Vec<usize>> {
+        memo: &mut HashMap<usize, Rc<[Vec<usize>]>>,
+    ) -> Rc<[Vec<usize>]> {
         let class = self.find(class);
         if let Some(cached) = memo.get(&class) {
             return cached.clone();
         }
         let target = best[class].expect("reachable class");
         let mut chains: Vec<Vec<usize>> = Vec::new();
-        'members: for id in self.class_members(class) {
+        'members: for &id in self.class_members(class).iter() {
             let stage = self.nodes[id].stage;
             if stage == NIL {
                 if target.len == 0 {
@@ -782,49 +936,40 @@ impl EGraph {
             if self.cons(stage, tail) != target {
                 continue;
             }
-            for tail_chain in self.best_chains(tail_class, best, memo) {
+            for tail_chain in self.best_chains(tail_class, best, memo).iter() {
                 let mut chain = Vec::with_capacity(1 + tail_chain.len());
                 chain.push(stage);
-                chain.extend(tail_chain);
+                chain.extend_from_slice(tail_chain);
                 chains.push(chain);
                 if chains.len() >= CANDIDATE_CAP {
                     break 'members;
                 }
             }
         }
+        let chains: Rc<[Vec<usize>]> = Rc::from(chains);
         memo.insert(class, chains.clone());
         chains
     }
 
-    /// The renderings of the programs realizing `root`'s best value:
-    /// normalized, kept at the least normalized length. Replay picks
-    /// among them.
-    fn extract(&self, root: usize) -> Vec<String> {
+    /// The stage-id chains of the programs realizing `root`'s best value:
+    /// normalized, kept at the least normalized length. Replay picks among
+    /// them.
+    fn extract(&mut self, root: usize) -> Vec<Vec<usize>> {
         let best = self.extract_values();
         let mut memo = HashMap::new();
-        let mut candidates = Vec::new();
+        let mut candidates: Vec<Vec<usize>> = Vec::new();
         let mut shortest = usize::MAX;
-        for chain in self.best_chains(root, &best, &mut memo) {
-            let mut prog = Program::new();
-            for sid in chain {
-                prog = prog.push(self.stages[sid].clone());
-            }
-            prog = enabling::normalize(&prog).0;
-            if prog.len() < shortest {
-                shortest = prog.len();
+        for chain in self.best_chains(root, &best, &mut memo).iter() {
+            let chain = self.normalize_ids(chain.clone());
+            if chain.len() < shortest {
+                shortest = chain.len();
                 candidates.clear();
             }
-            if prog.len() == shortest {
-                candidates.push(prog.to_string());
+            if chain.len() == shortest {
+                candidates.push(chain);
             }
         }
         candidates
-    }
-
-    /// Stage-id rendering of a program, `None` if any stage was never
-    /// interned (then the program cannot be in the graph).
-    fn chain_ids(&self, prog: &Program) -> Option<Vec<usize>> {
-        prog.stages().iter().map(|s| self.lookup_stage(s)).collect()
     }
 
     /// Is this exact chain present in the graph? (Walk the hash-cons from
@@ -840,96 +985,96 @@ impl EGraph {
         true
     }
 
-    /// Provenance-guided BFS from `start`: transitions are the recorded
-    /// rule events only (re-normalizing between steps), pruned to programs
-    /// still representable in the graph. Returns the first of `candidates`
-    /// it reaches with its certificate-carrying derivation or, when none
-    /// is reached (a node budget cut the derivation short), the
-    /// best-valued program it did reach — the first such, and never worse
-    /// than `start`.
+    /// Provenance-guided BFS over stage-id chains from `start`:
+    /// transitions are the recorded rule events only (re-normalizing
+    /// between steps), pruned to chains still representable in the graph.
+    /// Returns the first of `candidates` it reaches with its
+    /// certificate-carrying derivation or, when none is reached (a node
+    /// budget cut the derivation short), the best-valued program it did
+    /// reach — the first such, and never worse than `start`.
     fn replay(
         &mut self,
         start: Program,
-        candidates: &[String],
+        start_ids: Vec<usize>,
+        candidates: &[Vec<usize>],
     ) -> (Program, Vec<RewriteStep>, Vec<Normalization>) {
-        let start_key = start.to_string();
-        if candidates.contains(&start_key) {
+        if candidates.contains(&start_ids) {
             return (start, Vec::new(), Vec::new());
         }
-        let start_ids = self.chain_ids(&start).expect("the start is interned");
-        let mut best = (start_key.clone(), self.value(&start_ids));
-        // key → (parent key, event, at, normalizations on this edge)
-        let mut edges: HashMap<String, (String, usize, usize, Vec<Normalization>)> = HashMap::new();
-        let mut programs: HashMap<String, Program> = HashMap::new();
-        programs.insert(start_key.clone(), start);
-        let mut queue = VecDeque::from([start_key.clone()]);
-        'search: while let Some(key) = queue.pop_front() {
+        let mut best = (0, self.value(&start_ids));
+        let mut seen: HashSet<Vec<usize>> = HashSet::from([start_ids.clone()]);
+        let mut states = vec![ReplayState {
+            ids: start_ids,
+            parent: NIL,
+            event: NIL,
+            at: 0,
+        }];
+        let mut queue = VecDeque::from([0]);
+        'search: while let Some(state) = queue.pop_front() {
             if self.stats.replay_states >= REPLAY_STATE_CAP {
                 break;
             }
             self.stats.replay_states += 1;
-            let current = programs[&key].clone();
-            let Some(ids) = self.chain_ids(&current) else {
-                continue;
-            };
-            for at in 0..current.len() {
+            let len = states[state].ids.len();
+            for at in 0..len {
                 for rule in RULE_PRIORITY {
                     let window_len = rules::window_len(rule);
-                    if at + window_len > current.len() {
+                    if at + window_len > len {
                         continue;
                     }
-                    let event_key = (rule_tag(rule), ids[at..at + window_len].to_vec());
-                    let Some(&event) = self.event_ids.get(&event_key) else {
+                    let ids = &states[state].ids;
+                    let key = window_key(rule_tag(rule), &ids[at..at + window_len]);
+                    let Some(&event) = self.event_ids.get(&key) else {
                         continue;
                     };
-                    let replacement: Vec<Stage> = self.events[event]
-                        .replacement
-                        .iter()
-                        .map(|&i| self.stages[i].clone())
-                        .collect();
-                    let (next, norms) =
-                        enabling::normalize(&current.splice(at, window_len, replacement));
-                    let next_key = next.to_string();
-                    if programs.contains_key(&next_key) {
+                    let mut next = Vec::with_capacity(len + 2);
+                    next.extend_from_slice(&ids[..at]);
+                    next.extend_from_slice(&self.events[event].replacement);
+                    next.extend_from_slice(&ids[at + window_len..]);
+                    let next = self.normalize_ids(next);
+                    if seen.contains(&next) {
                         continue;
                     }
-                    if candidates.contains(&next_key) {
-                        programs.insert(next_key.clone(), next);
-                        edges.insert(next_key.clone(), (key, event, at, norms));
-                        best.0 = next_key;
+                    let found = candidates.contains(&next);
+                    if !found && !self.representable(&next) {
+                        continue;
+                    }
+                    let value = self.value(&next);
+                    seen.insert(next.clone());
+                    states.push(ReplayState {
+                        ids: next,
+                        parent: state,
+                        event,
+                        at,
+                    });
+                    if found {
+                        best.0 = states.len() - 1;
                         break 'search;
                     }
-                    let Some(next_ids) = self.chain_ids(&next) else {
-                        continue;
-                    };
-                    if !self.representable(&next_ids) {
-                        continue;
-                    }
-                    let value = self.value(&next_ids);
                     if value.beats(&best.1) {
-                        best = (next_key.clone(), value);
+                        best = (states.len() - 1, value);
                     }
-                    programs.insert(next_key.clone(), next);
-                    edges.insert(next_key.clone(), (key.clone(), event, at, norms));
-                    queue.push_back(next_key);
+                    queue.push_back(states.len() - 1);
                 }
             }
         }
-        // Walk the parent chain back to the start and emit steps forward.
-        let mut path: Vec<(String, usize, usize, Vec<Normalization>)> = Vec::new();
+        // Walk the parent chain back to the start, then build the programs
+        // along it forward.
+        let mut path = Vec::new();
         let mut cursor = best.0;
-        while cursor != start_key {
-            let (parent, event, at, norms) = edges.remove(&cursor).expect("edge on found path");
-            path.push((cursor, event, at, norms));
-            cursor = parent;
+        while cursor != 0 {
+            path.push((states[cursor].event, states[cursor].at));
+            cursor = states[cursor].parent;
         }
-        path.reverse();
         let mut steps = Vec::new();
         let mut normalizations = Vec::new();
-        let mut current = programs.remove(&start_key).expect("the start");
-        for (child_key, event, at, norms) in path {
-            let child = programs.remove(&child_key).expect("program on found path");
+        let mut current = start;
+        for &(event, at) in path.iter().rev() {
             let event = &self.events[event];
+            let replacement = event.replacement.iter().map(|&i| self.stages[i].clone());
+            let window_len = rules::window_len(event.rule);
+            let (child, norms) =
+                enabling::normalize(&current.splice(at, window_len, replacement.collect()));
             let saving = match self.cfg.strategy {
                 Strategy::Exhaustive => None,
                 Strategy::CostGuided { params, block } => Some(
@@ -991,6 +1136,37 @@ mod tests {
             eval_program(&prog, &input)[0],
             eval_program(&out.result.program, &input)[0]
         );
+    }
+
+    #[test]
+    fn stages_intern_by_display_and_cost() {
+        let params = MachineParams::new(8, 10.0, 1.0);
+        let cfg = SaturateConfig::new(params, 4.0);
+        let mut eg = EGraph::new(&cfg);
+        // Same display, different cost: two ids, each priced as itself.
+        let cheap = Stage::map("f", 1.0, |v| v.clone());
+        let dear = Stage::map("f", 3.0, |v| v.clone());
+        let (a, b) = (eg.intern_stage(&cheap), eg.intern_stage(&dear));
+        assert_ne!(a, b);
+        assert_eq!(eg.intern_stage(&cheap), a);
+        assert_eq!(eg.value(&[a]).cost, stage_cost(&cheap, &params, 4.0));
+        assert_eq!(eg.value(&[b]).cost, stage_cost(&dear, &params, 4.0));
+        assert!(eg.value(&[a]).beats(&eg.value(&[b])));
+        // One library operator however often it is built, and a user's
+        // operator of the same name and declarations shares its id.
+        let add = eg.intern_stage(&Stage::Scan(lib::add()));
+        assert_eq!(eg.intern_stage(&Stage::Scan(lib::add())), add);
+        let user = crate::op::BinOp::new("add", |a, b| Value::Int(a.as_int() + b.as_int()));
+        assert_eq!(
+            eg.intern_stage(&Stage::Scan(user.clone().commutative())),
+            add
+        );
+        // Another declaration, cost or stage kind is another stage.
+        assert_ne!(eg.intern_stage(&Stage::Scan(user.clone())), add);
+        let dear_add = user.commutative().with_cost(2.0);
+        assert_ne!(eg.intern_stage(&Stage::Scan(dear_add)), add);
+        assert_ne!(eg.intern_stage(&Stage::Reduce(lib::add())), add);
+        assert_eq!(eg.stages.len(), 6);
     }
 
     #[test]

@@ -20,13 +20,32 @@ pub type ValueFn2 = Arc<dyn Fn(&Value, &Value) -> Value + Send + Sync>;
 
 /// A binary base operator with declared algebraic properties and a
 /// declared cost (base operations per block word per application).
+///
+/// An operator is one reference-counted block holding its declarations and
+/// its function, so a clone is a refcount increment and allocates nothing.
+/// [`lib`]'s operators are built once per process; building one of your
+/// own allocates that block once. A declaration builder changes the block
+/// in place while the operator is not shared, and copies the declarations
+/// into a new block over the same function when it is.
 #[derive(Clone)]
-pub struct BinOp {
-    name: String,
-    f: ValueFn2,
+pub struct BinOp(Arc<Op<ScalarFn>>);
+
+/// The function an operator applies to two scalars (or tuples).
+type ScalarFn = dyn Fn(&Value, &Value) -> Value + Send + Sync;
+
+/// The shared block behind a [`BinOp`]: the declarations, then the
+/// function (unsized, so both live in one allocation).
+struct Op<F: ?Sized> {
+    decl: Decl,
+    f: F,
+}
+
+#[derive(Clone)]
+struct Decl {
+    name: Box<str>,
     associative: bool,
     commutative: bool,
-    distributes_over: Vec<String>,
+    distributes_over: Box<[Box<str>]>,
     ops_per_word: f64,
     width: f64,
     /// `f` is one of [`lib`]'s functions, so `name` identifies it.
@@ -41,42 +60,64 @@ impl BinOp {
         name: impl Into<String>,
         f: impl Fn(&Value, &Value) -> Value + Send + Sync + 'static,
     ) -> Self {
-        BinOp {
-            name: name.into(),
-            f: Arc::new(f),
+        let decl = Decl {
+            name: name.into().into_boxed_str(),
             associative: true,
             commutative: false,
-            distributes_over: Vec::new(),
+            distributes_over: Box::default(),
             ops_per_word: 1.0,
             width: 1.0,
             library: false,
+        };
+        BinOp(Arc::new(Op { decl, f }))
+    }
+
+    /// The declarations, for a builder to change: in place when this
+    /// handle is the only one, else in a fresh block that calls through to
+    /// the shared function.
+    fn decl_mut(&mut self) -> &mut Decl {
+        if Arc::get_mut(&mut self.0).is_none() {
+            let shared = self.0.clone();
+            let decl = shared.decl.clone();
+            self.0 = Arc::new(Op {
+                decl,
+                f: move |a: &Value, b: &Value| (shared.f)(a, b),
+            });
         }
+        &mut Arc::get_mut(&mut self.0)
+            .expect("a fresh block is unshared")
+            .decl
     }
 
     /// Declare the operator commutative.
     pub fn commutative(mut self) -> Self {
-        self.commutative = true;
+        self.decl_mut().commutative = true;
         self
     }
 
     /// Declare that `self` distributes over the operator named `other`:
     /// `a ⊗ (b ⊕ c) = (a ⊗ b) ⊕ (a ⊗ c)`.
     pub fn distributes_over_op(mut self, other: &str) -> Self {
-        self.distributes_over.push(other.to_string());
+        let decl = self.decl_mut();
+        let known = std::mem::take(&mut decl.distributes_over);
+        let mut names = Vec::with_capacity(known.len() + 1);
+        names.extend(known.into_vec());
+        names.push(other.into());
+        decl.distributes_over = names.into_boxed_slice();
         self
     }
 
     /// Override the per-word cost (default 1).
     pub fn with_cost(mut self, ops_per_word: f64) -> Self {
         assert!(ops_per_word >= 0.0);
-        self.ops_per_word = ops_per_word;
+        self.decl_mut().ops_per_word = ops_per_word;
         self
     }
 
     /// Mark the operator as non-associative (only used by fused operators
     /// that must never be fed to a standard collective).
     pub fn non_associative(mut self) -> Self {
-        self.associative = false;
+        self.decl_mut().associative = false;
         self
     }
 
@@ -85,57 +126,62 @@ impl BinOp {
     /// estimator to size messages.
     pub fn with_width(mut self, width: f64) -> Self {
         assert!(width >= 1.0);
-        self.width = width;
+        self.decl_mut().width = width;
         self
     }
 
     /// Declared width in words per block element.
     pub fn width(&self) -> f64 {
-        self.width
+        self.0.decl.width
     }
 
     /// Operator name (identity for property lookups).
     pub fn name(&self) -> &str {
-        &self.name
+        &self.0.decl.name
     }
 
     /// Was the operator built by [`lib`]? Only then does its name identify
     /// its function — anyone can build `BinOp::new("add", ..)` over another
     /// body. The declaration builders keep the flag: they do not touch `f`.
     pub fn is_library(&self) -> bool {
-        self.library
+        self.0.decl.library
     }
 
     /// Is the operator declared associative?
     pub fn is_associative(&self) -> bool {
-        self.associative
+        self.0.decl.associative
     }
 
     /// Is the operator declared commutative?
     pub fn is_commutative(&self) -> bool {
-        self.commutative
+        self.0.decl.commutative
     }
 
     /// Does `self` distribute over `other` (by declaration)?
     pub fn distributes_over(&self, other: &BinOp) -> bool {
-        self.distributes_over.iter().any(|n| n == other.name())
+        self.0
+            .decl
+            .distributes_over
+            .iter()
+            .any(|n| **n == *other.name())
     }
 
     /// Declared cost in base operations per block word.
     pub fn ops_per_word(&self) -> f64 {
-        self.ops_per_word
+        self.0.decl.ops_per_word
     }
 
     /// Apply to scalars or tuples directly; lifts elementwise over
     /// [`Value::List`] blocks.
     pub fn apply(&self, a: &Value, b: &Value) -> Value {
-        let f = &self.f;
+        let f = &self.0.f;
         a.zip_block(b, &|x, y| f(x, y))
     }
 
     /// The raw scalar function (no block lifting).
     pub fn raw(&self) -> ValueFn2 {
-        self.f.clone()
+        let op = self.0.clone();
+        Arc::new(move |a: &Value, b: &Value| (op.f)(a, b))
     }
 
     /// Randomized associativity check over the given sample values:
@@ -166,12 +212,13 @@ impl BinOp {
 
 impl std::fmt::Debug for BinOp {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let decl = &self.0.decl;
         f.debug_struct("BinOp")
-            .field("name", &self.name)
-            .field("associative", &self.associative)
-            .field("commutative", &self.commutative)
-            .field("distributes_over", &self.distributes_over)
-            .field("ops_per_word", &self.ops_per_word)
+            .field("name", &decl.name)
+            .field("associative", &decl.associative)
+            .field("commutative", &decl.commutative)
+            .field("distributes_over", &decl.distributes_over)
+            .field("ops_per_word", &decl.ops_per_word)
             .finish()
     }
 }
@@ -501,6 +548,8 @@ impl RequiredLaw {
 /// The standard operator library. All declared properties are verified by
 /// the randomized checkers in this module's tests.
 pub mod lib {
+    use std::sync::OnceLock;
+
     use super::*;
 
     /// [`BinOp::new`] marked as this library's (see [`BinOp::is_library`]).
@@ -508,28 +557,39 @@ pub mod lib {
         name: impl Into<String>,
         f: impl Fn(&Value, &Value) -> Value + Send + Sync + 'static,
     ) -> BinOp {
-        BinOp {
-            library: true,
-            ..BinOp::new(name, f)
-        }
+        let mut op = BinOp::new(name, f);
+        op.decl_mut().library = true;
+        op
+    }
+
+    /// The operator `build` makes, built on the first call and cloned
+    /// (a refcount increment) on every later one.
+    fn once(cell: &'static OnceLock<BinOp>, build: fn() -> BinOp) -> BinOp {
+        cell.get_or_init(build).clone()
     }
 
     /// Integer addition — associative, commutative.
     pub fn add() -> BinOp {
-        library("add", |a, b| {
-            Value::Int(a.as_int().wrapping_add(b.as_int()))
+        static OP: OnceLock<BinOp> = OnceLock::new();
+        once(&OP, || {
+            library("add", |a, b| {
+                Value::Int(a.as_int().wrapping_add(b.as_int()))
+            })
+            .commutative()
         })
-        .commutative()
     }
 
     /// Integer multiplication — associative, commutative, distributes
     /// over [`add`] (and over itself trivially not).
     pub fn mul() -> BinOp {
-        library("mul", |a, b| {
-            Value::Int(a.as_int().wrapping_mul(b.as_int()))
+        static OP: OnceLock<BinOp> = OnceLock::new();
+        once(&OP, || {
+            library("mul", |a, b| {
+                Value::Int(a.as_int().wrapping_mul(b.as_int()))
+            })
+            .commutative()
+            .distributes_over_op("add")
         })
-        .commutative()
-        .distributes_over_op("add")
     }
 
     /// Integer maximum — associative, commutative, idempotent. In the
@@ -539,55 +599,76 @@ pub mod lib {
     /// by the distributivity rules. Found by the operator auditor
     /// (`collopt-analysis`): the declaration was originally missing.
     pub fn max() -> BinOp {
-        library("max", |a, b| Value::Int(a.as_int().max(b.as_int())))
-            .commutative()
-            .distributes_over_op("min")
+        static OP: OnceLock<BinOp> = OnceLock::new();
+        once(&OP, || {
+            library("max", |a, b| Value::Int(a.as_int().max(b.as_int())))
+                .commutative()
+                .distributes_over_op("min")
+        })
     }
 
     /// Integer minimum — the lattice dual of [`max`]; distributes over it
     /// (see there).
     pub fn min() -> BinOp {
-        library("min", |a, b| Value::Int(a.as_int().min(b.as_int())))
-            .commutative()
-            .distributes_over_op("max")
+        static OP: OnceLock<BinOp> = OnceLock::new();
+        once(&OP, || {
+            library("min", |a, b| Value::Int(a.as_int().min(b.as_int())))
+                .commutative()
+                .distributes_over_op("max")
+        })
     }
 
     /// Tropical addition: `add` distributing over `max` — the max-plus
     /// semiring used in dynamic-programming workloads
     /// (`a + max(b,c) = max(a+b, a+c)`).
     pub fn add_tropical() -> BinOp {
-        library("add", |a, b| {
-            Value::Int(a.as_int().wrapping_add(b.as_int()))
+        static OP: OnceLock<BinOp> = OnceLock::new();
+        once(&OP, || {
+            library("add", |a, b| {
+                Value::Int(a.as_int().wrapping_add(b.as_int()))
+            })
+            .commutative()
+            .distributes_over_op("max")
+            .distributes_over_op("min")
         })
-        .commutative()
-        .distributes_over_op("max")
-        .distributes_over_op("min")
     }
 
     /// Boolean AND — distributes over OR.
     pub fn and() -> BinOp {
-        library("and", |a, b| Value::Bool(a.as_bool() && b.as_bool()))
-            .commutative()
-            .distributes_over_op("or")
+        static OP: OnceLock<BinOp> = OnceLock::new();
+        once(&OP, || {
+            library("and", |a, b| Value::Bool(a.as_bool() && b.as_bool()))
+                .commutative()
+                .distributes_over_op("or")
+        })
     }
 
     /// Boolean OR — distributes over AND.
     pub fn or() -> BinOp {
-        library("or", |a, b| Value::Bool(a.as_bool() || b.as_bool()))
-            .commutative()
-            .distributes_over_op("and")
+        static OP: OnceLock<BinOp> = OnceLock::new();
+        once(&OP, || {
+            library("or", |a, b| Value::Bool(a.as_bool() || b.as_bool()))
+                .commutative()
+                .distributes_over_op("and")
+        })
     }
 
     /// Float addition (commutative; associativity up to rounding).
     pub fn fadd() -> BinOp {
-        library("fadd", |a, b| Value::Float(a.as_float() + b.as_float())).commutative()
+        static OP: OnceLock<BinOp> = OnceLock::new();
+        once(&OP, || {
+            library("fadd", |a, b| Value::Float(a.as_float() + b.as_float())).commutative()
+        })
     }
 
     /// Float multiplication — distributes over float addition.
     pub fn fmul() -> BinOp {
-        library("fmul", |a, b| Value::Float(a.as_float() * b.as_float()))
-            .commutative()
-            .distributes_over_op("fadd")
+        static OP: OnceLock<BinOp> = OnceLock::new();
+        once(&OP, || {
+            library("fmul", |a, b| Value::Float(a.as_float() * b.as_float()))
+                .commutative()
+                .distributes_over_op("fadd")
+        })
     }
 
     /// Modular addition (wrap at `modulus`) — commutative.
@@ -603,34 +684,40 @@ pub mod lib {
     /// go to the smaller index. Associative and commutative, the standard
     /// way to locate a global maximum's owner with one allreduce.
     pub fn maxloc() -> BinOp {
-        library("maxloc", |x, y| {
-            let (v1, i1) = (x.proj(0).as_int(), x.proj(1).as_int());
-            let (v2, i2) = (y.proj(0).as_int(), y.proj(1).as_int());
-            if v1 > v2 || (v1 == v2 && i1 <= i2) {
-                x.clone()
-            } else {
-                y.clone()
-            }
+        static OP: OnceLock<BinOp> = OnceLock::new();
+        once(&OP, || {
+            library("maxloc", |x, y| {
+                let (v1, i1) = (x.proj(0).as_int(), x.proj(1).as_int());
+                let (v2, i2) = (y.proj(0).as_int(), y.proj(1).as_int());
+                if v1 > v2 || (v1 == v2 && i1 <= i2) {
+                    x.clone()
+                } else {
+                    y.clone()
+                }
+            })
+            .commutative()
+            .with_cost(2.0)
+            .with_width(2.0)
         })
-        .commutative()
-        .with_cost(2.0)
-        .with_width(2.0)
     }
 
     /// MPI_MINLOC: the smaller value wins; ties go to the smaller index.
     pub fn minloc() -> BinOp {
-        library("minloc", |x, y| {
-            let (v1, i1) = (x.proj(0).as_int(), x.proj(1).as_int());
-            let (v2, i2) = (y.proj(0).as_int(), y.proj(1).as_int());
-            if v1 < v2 || (v1 == v2 && i1 <= i2) {
-                x.clone()
-            } else {
-                y.clone()
-            }
+        static OP: OnceLock<BinOp> = OnceLock::new();
+        once(&OP, || {
+            library("minloc", |x, y| {
+                let (v1, i1) = (x.proj(0).as_int(), x.proj(1).as_int());
+                let (v2, i2) = (y.proj(0).as_int(), y.proj(1).as_int());
+                if v1 < v2 || (v1 == v2 && i1 <= i2) {
+                    x.clone()
+                } else {
+                    y.clone()
+                }
+            })
+            .commutative()
+            .with_cost(2.0)
+            .with_width(2.0)
         })
-        .commutative()
-        .with_cost(2.0)
-        .with_width(2.0)
     }
 
     /// Greatest common divisor — associative, commutative, idempotent-ish
@@ -646,34 +733,40 @@ pub mod lib {
             }
             a
         }
-        library("gcd", |a, b| Value::Int(g(a.as_int(), b.as_int()))).commutative()
+        static OP: OnceLock<BinOp> = OnceLock::new();
+        once(&OP, || {
+            library("gcd", |a, b| Value::Int(g(a.as_int(), b.as_int()))).commutative()
+        })
     }
 
     /// String-free non-commutative associative operator: 2×2 integer
     /// matrix multiplication over tuples `(a,b,c,d)`. Used by tests that
     /// must detect operand-ordering bugs.
     pub fn mat2mul() -> BinOp {
-        library("mat2mul", |x, y| {
-            let (a, b, c, d) = (
-                x.proj(0).as_int(),
-                x.proj(1).as_int(),
-                x.proj(2).as_int(),
-                x.proj(3).as_int(),
-            );
-            let (e, f, g, h) = (
-                y.proj(0).as_int(),
-                y.proj(1).as_int(),
-                y.proj(2).as_int(),
-                y.proj(3).as_int(),
-            );
-            Value::Tuple(vec![
-                Value::Int(a * e + b * g),
-                Value::Int(a * f + b * h),
-                Value::Int(c * e + d * g),
-                Value::Int(c * f + d * h),
-            ])
+        static OP: OnceLock<BinOp> = OnceLock::new();
+        once(&OP, || {
+            library("mat2mul", |x, y| {
+                let (a, b, c, d) = (
+                    x.proj(0).as_int(),
+                    x.proj(1).as_int(),
+                    x.proj(2).as_int(),
+                    x.proj(3).as_int(),
+                );
+                let (e, f, g, h) = (
+                    y.proj(0).as_int(),
+                    y.proj(1).as_int(),
+                    y.proj(2).as_int(),
+                    y.proj(3).as_int(),
+                );
+                Value::Tuple(vec![
+                    Value::Int(a * e + b * g),
+                    Value::Int(a * f + b * h),
+                    Value::Int(c * e + d * g),
+                    Value::Int(c * f + d * h),
+                ])
+            })
+            .with_cost(8.0)
         })
-        .with_cost(8.0)
     }
 }
 

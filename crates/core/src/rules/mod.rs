@@ -236,7 +236,10 @@ fn inject(arity: usize) -> (&'static str, ValueFn) {
 /// the entry's commutativity (of each) or distributivity, bound to the
 /// concrete operators. This is the machine-checkable content of a rewrite
 /// certificate. `None` when the window does not match.
-pub fn required_laws(rule: Rule, window: &[Stage]) -> Option<Vec<RequiredLaw>> {
+pub fn required_laws<'a>(
+    rule: Rule,
+    window: impl IntoIterator<Item = &'a Stage>,
+) -> Option<Vec<RequiredLaw>> {
     match_rule(rule, window).map(|m| m.laws())
 }
 

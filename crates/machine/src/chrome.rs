@@ -75,13 +75,18 @@ impl Json {
         }
     }
 
+    /// Deepest nesting of arrays and objects [`Json::parse`] accepts. The
+    /// parser recurses once per level, so the bound is what keeps a line of
+    /// `[`s from overflowing the stack of whoever parses it.
+    pub const MAX_DEPTH: usize = 128;
+
     /// Parse a JSON document. Strict enough for round-trip testing:
-    /// rejects trailing garbage, unterminated strings, and malformed
-    /// numbers.
+    /// rejects trailing garbage, unterminated strings, malformed numbers,
+    /// and nesting deeper than [`Json::MAX_DEPTH`].
     pub fn parse(text: &str) -> Result<Json, String> {
         let bytes = text.as_bytes();
         let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(format!("trailing data at byte {pos}"));
@@ -153,8 +158,15 @@ fn expect(bytes: &[u8], pos: &mut usize, b: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// Parse one value whose enclosing arrays and objects number `depth`.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(bytes, pos);
+    if matches!(bytes.get(*pos), Some(b'[' | b'{')) && depth == Json::MAX_DEPTH {
+        return Err(format!(
+            "nesting deeper than {} levels at byte {pos}",
+            Json::MAX_DEPTH
+        ));
+    }
     match bytes.get(*pos) {
         None => Err("unexpected end of input".into()),
         Some(b'n') => parse_lit(bytes, pos, "null", Json::Null),
@@ -170,7 +182,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(bytes, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -195,7 +207,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                 let key = parse_string(bytes, pos)?;
                 skip_ws(bytes, pos);
                 expect(bytes, pos, b':')?;
-                let value = parse_value(bytes, pos)?;
+                let value = parse_value(bytes, pos, depth + 1)?;
                 fields.push((key, value));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
@@ -431,6 +443,16 @@ mod tests {
         assert!(Json::parse("\"unterminated").is_err());
         assert!(Json::parse("{} trailing").is_err());
         assert!(Json::parse("nul").is_err());
+    }
+
+    #[test]
+    fn parser_bounds_nesting_depth() {
+        let nested = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(Json::parse(&nested(Json::MAX_DEPTH)).is_ok());
+        let err = Json::parse(&nested(Json::MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("deeper than 128"), "{err}");
+        let objects = "{\"a\":".repeat(Json::MAX_DEPTH + 1);
+        assert!(Json::parse(&objects).unwrap_err().contains("deeper than"));
     }
 
     #[test]

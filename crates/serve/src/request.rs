@@ -20,7 +20,8 @@
 //!
 //! Responses are `{"id":…,"ok":true,"result":…}` or
 //! `{"id":…,"ok":false,"error":{"code":…,"message":…}}` with error
-//! codes `bad_json` (the line is not UTF-8 or not a JSON object),
+//! codes `bad_json` (the line is not UTF-8, not a JSON object, or nests
+//! deeper than [`Json::MAX_DEPTH`] arrays and objects),
 //! `bad_request` (a field is missing, mistyped, or out of range),
 //! `parse_error` (the pipeline spec does not parse; the message carries
 //! the caret diagnostic) and `too_large` (the line is longer than

@@ -1,10 +1,11 @@
 //! End-to-end tests of `collopt serve` over loopback TCP: concurrent
 //! clients, cold-vs-hot byte identity, malformed-request error codes,
-//! the line bound, descriptors of closed connections, and graceful
-//! shutdown that drains in-flight requests.
+//! the line and nesting bounds, descriptors of closed connections, and
+//! graceful shutdown that drains in-flight requests.
 
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::process::{Child, Command, Stdio};
 use std::sync::{Arc, Barrier};
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
@@ -225,6 +226,55 @@ fn a_non_utf8_line_gets_bad_json_and_the_connection_keeps_serving() {
         .expect("fresh connection")
         .contains("pong"));
     shutdown(addr, handle);
+}
+
+#[test]
+fn a_nesting_bomb_gets_bad_json_and_the_process_keeps_serving() {
+    // A stack overflow aborts the whole process, so the server runs as a
+    // child: the `collopt serve` binary on an ephemeral port, which it
+    // names on its first line of stderr.
+    struct Reaped(Child);
+    impl Drop for Reaped {
+        fn drop(&mut self) {
+            let _ = self.0.kill();
+            let _ = self.0.wait();
+        }
+    }
+    let mut child = Reaped(
+        Command::new(env!("CARGO_BIN_EXE_collopt"))
+            .args(["serve", "--addr", "127.0.0.1:0"])
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("spawn collopt serve"),
+    );
+    let mut stderr = BufReader::new(child.0.stderr.take().expect("stderr"));
+    let mut banner = String::new();
+    stderr.read_line(&mut banner).expect("banner");
+    let addr: SocketAddr = banner
+        .split("listening on ")
+        .nth(1)
+        .and_then(|rest| rest.split_whitespace().next())
+        .and_then(|a| a.parse().ok())
+        .unwrap_or_else(|| panic!("no address in {banner:?}"));
+
+    // 10 KB of `[`: 1 % of MAX_LINE, far deeper than the parser's bound.
+    let mut client = Client::connect(addr);
+    client.send(&"[".repeat(10_000));
+    let mut reply = String::new();
+    let read = client.reader.read_line(&mut reply);
+    let status = if matches!(read, Ok(0)) || read.is_err() {
+        child.0.wait().ok()
+    } else {
+        None
+    };
+    assert!(status.is_none(), "the server died: {status:?}");
+    assert_eq!(refusal_code(&reply), "bad_json", "{reply}");
+    assert!(reply.contains(&Json::MAX_DEPTH.to_string()), "{reply}");
+    assert!(submit(addr, r#"{"op":"ping"}"#)
+        .expect("fresh connection")
+        .contains("pong"));
+    submit(addr, r#"{"op":"shutdown"}"#).expect("shutdown");
+    assert!(child.0.wait().expect("exit").success());
 }
 
 #[cfg(target_os = "linux")]
