@@ -118,7 +118,7 @@ impl RankState {
 /// The abstract machine: its ranks, one arena of queued `(sender, stamp,
 /// next in the receiver's inbox)` messages, and the runnable ranks.
 struct Exec {
-    ranks: Vec<RankState>,
+    state: Vec<RankState>,
     msgs: Vec<(usize, u64, Option<usize>)>,
     runnable: Vec<usize>,
 }
@@ -127,9 +127,9 @@ impl Exec {
     /// `from` posts a message to `to`: a receiver blocked on `from` takes
     /// it at once and becomes runnable, any other queues it.
     fn post(&mut self, from: usize, to: usize) {
-        self.ranks[from].depth += 1;
-        let stamp = self.ranks[from].depth;
-        let r = &mut self.ranks[to];
+        self.state[from].depth += 1;
+        let stamp = self.state[from].depth;
+        let r = &mut self.state[to];
         if r.waits == Some(from) {
             r.waits = None;
             r.complete(stamp);
@@ -149,7 +149,7 @@ impl Exec {
     /// in its inbox, as `machine::des`'s `pop_from` does, so every directed
     /// pair stays FIFO — or, if there is none, blocks on `from`.
     fn recv(&mut self, rank: usize, from: usize) -> bool {
-        let r = &mut self.ranks[rank];
+        let r = &mut self.state[rank];
         let (mut prev, mut cur) = (None, r.head);
         while let Some(i) = cur.filter(|&i| self.msgs[i].0 != from) {
             (prev, cur) = (Some(i), self.msgs[i].2);
@@ -212,11 +212,11 @@ pub fn verify_schedule(
         SchedOp::Exchange { peer, .. } => peer,
         SchedOp::Barrier => 0,
     };
-    let malformed = if sched.ranks.len() != p {
-        Some(format!("{} rank programs for p = {p}", sched.ranks.len()))
+    let malformed = if sched.rank_count() != p {
+        Some(format!("{} rank programs for p = {p}", sched.rank_count()))
     } else {
         (0..p).find_map(|rank| {
-            let bad = sched.ranks[rank].iter().map(peer).find(|&to| to >= p)?;
+            let bad = sched.rank(rank).iter().map(peer).find(|&to| to >= p)?;
             Some(format!("rank {rank} names peer {bad}, outside 0..{p}"))
         })
     };
@@ -226,7 +226,7 @@ pub fn verify_schedule(
     }
 
     let mut ex = Exec {
-        ranks: vec![RankState::default(); p],
+        state: vec![RankState::default(); p],
         msgs: Vec::with_capacity(sched.message_count() as usize),
         runnable: (0..p).rev().collect(),
     };
@@ -235,17 +235,18 @@ pub fn verify_schedule(
     // parks at a barrier or blocks on a receive.
     let mut at_barrier = 0;
     while let Some(rank) = ex.runnable.pop() {
-        while let Some(&op) = sched.ranks[rank].get(ex.ranks[rank].pc) {
+        let program = sched.rank(rank);
+        while let Some(&op) = program.get(ex.state[rank].pc) {
             let from = match op {
                 SchedOp::Send { to, .. } => {
                     ex.post(rank, to);
-                    ex.ranks[rank].pc += 1;
+                    ex.state[rank].pc += 1;
                     continue;
                 }
                 SchedOp::Recv { from } => from,
                 SchedOp::Exchange { peer, .. } => {
                     ex.post(rank, peer);
-                    ex.ranks[rank].posted = true;
+                    ex.state[rank].posted = true;
                     peer
                 }
                 // The clock barrier completes only when *every* rank is
@@ -254,8 +255,8 @@ pub fn verify_schedule(
                     at_barrier += 1;
                     if at_barrier == p {
                         at_barrier = 0;
-                        let sync = ex.ranks.iter().map(|r| r.depth).max().unwrap_or(0);
-                        for (r, state) in ex.ranks.iter_mut().enumerate() {
+                        let sync = ex.state.iter().map(|r| r.depth).max().unwrap_or(0);
+                        for (r, state) in ex.state.iter_mut().enumerate() {
                             state.depth = sync;
                             state.pc += 1;
                             ex.runnable.push(r);
@@ -272,10 +273,10 @@ pub fn verify_schedule(
 
     // A stall leaves every unfinished rank parked at a barrier or blocked
     // on a receive.
-    let finished = |rank: usize| ex.ranks[rank].pc >= sched.ranks[rank].len();
+    let finished = |rank: usize| ex.state[rank].pc >= sched.rank(rank).len();
     let mut diagnostics = Vec::new();
     if !(0..p).all(finished) {
-        let parked = |rank: usize| !finished(rank) && ex.ranks[rank].waits.is_none();
+        let parked = |rank: usize| !finished(rank) && ex.state[rank].waits.is_none();
         let (waiting, absent): (Vec<usize>, Vec<usize>) = (0..p).partition(|&r| parked(r));
         if !waiting.is_empty() {
             let message = format!(
@@ -288,7 +289,7 @@ pub fn verify_schedule(
         // none, every blocked rank waits on another blocked rank and the
         // wait-for graph has a cycle.
         for rank in 0..p {
-            if let Some(from) = ex.ranks[rank].waits.filter(|&from| finished(from)) {
+            if let Some(from) = ex.state[rank].waits.filter(|&from| finished(from)) {
                 diagnostics.push(diag(
                     "COL009",
                     Severity::Error,
@@ -302,7 +303,7 @@ pub fn verify_schedule(
         if diagnostics.is_empty() {
             // Follow the edges from the lowest blocked rank until a rank
             // repeats — that loop is the deadlock cycle.
-            let blocked = |rank: usize| ex.ranks[rank].waits;
+            let blocked = |rank: usize| ex.state[rank].waits;
             let mut cur = (0..p)
                 .find(|&r| blocked(r).is_some())
                 .expect("a stall blocks some rank");
@@ -331,7 +332,7 @@ pub fn verify_schedule(
 
     // Drained: any message still in an inbox was sent and never received.
     let mut leftovers = Vec::new();
-    for (to, r) in ex.ranks.iter().enumerate() {
+    for (to, r) in ex.state.iter().enumerate() {
         let mut slot = r.head;
         while let Some(i) = slot {
             leftovers.push((ex.msgs[i].0, to));
@@ -353,7 +354,7 @@ pub fn verify_schedule(
         ));
     }
 
-    let rounds = ex.ranks.iter().map(|r| r.depth).max().unwrap_or(0);
+    let rounds = ex.state.iter().map(|r| r.depth).max().unwrap_or(0);
     if diagnostics.is_empty() {
         if rounds > expected_rounds {
             diagnostics.push(diag(
@@ -580,11 +581,8 @@ mod tests {
         );
     }
 
-    fn hand_built(ranks: Vec<Vec<SchedOp>>) -> Schedule {
-        Schedule {
-            p: ranks.len(),
-            ranks,
-        }
+    fn hand_built(programs: &[Vec<SchedOp>]) -> Schedule {
+        Schedule::from_rank_programs(programs.len(), programs)
     }
 
     fn verify(sched: &Schedule, expected_rounds: u64) -> ScheduleReport {
@@ -604,7 +602,7 @@ mod tests {
     #[test]
     fn a_woken_exchange_does_not_post_its_send_half_again() {
         // Rank 0 posts its half, blocks, and is woken by rank 1's reply.
-        let sched = hand_built(vec![
+        let sched = hand_built(&[
             vec![SchedOp::Exchange { peer: 1, words: 1 }],
             vec![SchedOp::Recv { from: 0 }, SchedOp::Send { to: 0, words: 1 }],
         ]);
@@ -620,7 +618,7 @@ mod tests {
         let send = |to| SchedOp::Send { to, words: 1 };
         let mut from_1 = vec![send(3); 4];
         from_1.extend([send(2), send(2)]);
-        let sched = hand_built(vec![
+        let sched = hand_built(&[
             vec![send(2), send(2)],
             from_1,
             [1, 0, 1, 0].map(|from| SchedOp::Recv { from }).to_vec(),
@@ -636,7 +634,7 @@ mod tests {
     fn a_send_from_another_source_does_not_resume_a_blocked_receive() {
         // Rank 0 waits on rank 1; rank 2's message reaches it first and
         // must stay queued until the run ends.
-        let sched = hand_built(vec![
+        let sched = hand_built(&[
             vec![SchedOp::Recv { from: 1 }],
             vec![SchedOp::Recv { from: 2 }, SchedOp::Send { to: 0, words: 1 }],
             vec![
@@ -656,7 +654,7 @@ mod tests {
 
     #[test]
     fn consecutive_barriers_each_release() {
-        let sched = hand_built(vec![
+        let sched = hand_built(&[
             vec![
                 SchedOp::Send { to: 1, words: 1 },
                 SchedOp::Barrier,
@@ -676,9 +674,9 @@ mod tests {
     #[test]
     fn one_rank_and_empty_schedules_verify_clean_in_zero_rounds() {
         for sched in [
-            hand_built(vec![vec![SchedOp::Barrier, SchedOp::Barrier]]),
-            Schedule::new(1),
-            Schedule::new(5),
+            hand_built(&[vec![SchedOp::Barrier, SchedOp::Barrier]]),
+            hand_built(&[vec![]]),
+            hand_built(&[vec![], vec![], vec![], vec![], vec![]]),
         ] {
             let r = verify(&sched, 0);
             assert!(r.diagnostics.is_empty(), "{r:?}");
@@ -688,9 +686,8 @@ mod tests {
 
     #[test]
     fn malformed_schedules_are_one_col009_not_a_panic() {
-        let mut short = Schedule::new(3);
-        short.ranks.pop();
-        let wild = hand_built(vec![
+        let short = Schedule::from_rank_programs(3, &[vec![], vec![]]);
+        let wild = hand_built(&[
             vec![SchedOp::Send { to: 1, words: 1 }],
             vec![SchedOp::Recv { from: 0 }, SchedOp::Recv { from: 7 }],
         ]);

@@ -9,16 +9,21 @@
 //! structures guarantee this for any processor count:
 //!
 //! * [`reduce_balanced_async`] walks the paper's virtual **balanced tree**
-//!   ([`BalancedTree`]): all leaves at depth `⌈log₂ p⌉`, the right subtree
-//!   of every binary node complete, and *unary* nodes (empty left subtree)
-//!   where a special one-argument variant of the operator applies —
-//!   `op_sr((), (t,u)) = (t, u⊕u)` in the paper. This is Figure 4.
+//!   ([`BalancedTree`](collopt_machine::topology::BalancedTree)): all
+//!   leaves at depth `⌈log₂ p⌉`, the right subtree of every binary node
+//!   complete, and *unary* nodes (empty left subtree) where a special
+//!   one-argument variant of the operator applies — `op_sr((), (t,u)) =
+//!   (t, u⊕u)` in the paper. This is Figure 4. Each rank reads its own
+//!   part of the tree from [`balanced_rank_plan`], the helper the
+//!   schedule mirror calls too.
 //! * [`scan_balanced_async`] runs a **butterfly** in which each exchange step
 //!   applies a *paired* operator producing new values for both partners,
 //!   and ranks without a partner (only possible when `p` is not a power of
 //!   two) apply a solo variant. This is Figure 5.
 
-use collopt_machine::topology::{butterfly_partner, butterfly_rounds, BalancedTree, RankAction};
+use collopt_machine::topology::{
+    balanced_rank_plan, butterfly_partner, butterfly_rounds, RankAction,
+};
 use collopt_machine::Ctx;
 
 use crate::bcast::bcast_binomial_async;
@@ -64,9 +69,8 @@ pub async fn reduce_balanced_async<Q: Clone + Send + 'static>(
     words: u64,
     op: &BalancedOp<'_, Q>,
 ) -> Option<Q> {
-    let tree = BalancedTree::new(ctx.size());
     let mut acc = value;
-    for (_, action) in tree.rank_schedule(ctx.rank()) {
+    for (_, action) in balanced_rank_plan(ctx.size(), ctx.rank()) {
         match action {
             RankAction::RecvCombine { from } => {
                 let got: Q = ctx.recv_async(from).await;

@@ -73,7 +73,7 @@ pub use gather::{
     scatter_binomial_async,
 };
 pub use op::{Combine, Splittable};
-pub use pipelined::{bcast_pipelined_async, chain_cost, optimal_segments};
+pub use pipelined::{bcast_pipelined_async, optimal_segments};
 pub use reduce::{
     allreduce_async, allreduce_butterfly_async, allreduce_commutative_async, reduce_binomial_async,
 };

@@ -45,22 +45,6 @@ pub fn optimal_segments(p: usize, words: u64, ts: f64, tw: f64) -> u64 {
     s.clamp(1, words)
 }
 
-/// Analytic chain-pipeline makespan under the half-duplex
-/// store-and-forward model (see module docs), used by tests and the
-/// ablation bench.
-pub fn chain_cost(p: usize, words: u64, segments: u64, ts: f64, tw: f64) -> f64 {
-    if p <= 1 {
-        return 0.0;
-    }
-    let seg_words = (words as f64 / segments as f64).ceil();
-    let u = ts + seg_words * tw;
-    if p == 2 {
-        segments as f64 * u
-    } else {
-        ((p - 1) as f64 + 2.0 * (segments as f64 - 1.0)) * u
-    }
-}
-
 /// Chain-pipelined broadcast of a block of elements. The block is split
 /// into `segments` nearly equal chunks; rank `r` receives each chunk from
 /// `r − 1` and immediately forwards it to `r + 1` (the root is rank 0 in
@@ -115,6 +99,21 @@ mod tests {
     use super::*;
     use crate::bcast::bcast_binomial_async;
     use collopt_machine::{ClockParams, Machine};
+
+    /// Analytic chain-pipeline makespan under the half-duplex
+    /// store-and-forward model (see module docs).
+    fn chain_cost(p: usize, words: u64, segments: u64, ts: f64, tw: f64) -> f64 {
+        if p <= 1 {
+            return 0.0;
+        }
+        let seg_words = (words as f64 / segments as f64).ceil();
+        let u = ts + seg_words * tw;
+        if p == 2 {
+            segments as f64 * u
+        } else {
+            ((p - 1) as f64 + 2.0 * (segments as f64 - 1.0)) * u
+        }
+    }
 
     #[test]
     fn pipelined_bcast_delivers_the_block_everywhere() {

@@ -8,6 +8,18 @@
 //! executing any payload code**, by walking the same topology helpers and
 //! control flow as the runtime implementation.
 //!
+//! A [`Schedule`] is one flat buffer: every rank's program, in rank order,
+//! in a single exactly sized `Vec<SchedOp>`, plus `p + 1` offsets into it.
+//! Each extractor is a *builder* that emits ops through one
+//! `push(rank, op)` call, in any interleaving of ranks. [`Schedule`] runs a
+//! builder twice: a counting pass that only sizes every rank's program,
+//! then a fill pass that writes each op into its rank's slot of the one
+//! buffer. Running a builder twice is legal because builders are pure —
+//! their pushes depend on `(p, m)` alone — so both passes push the same
+//! ops, and the fill pass checks that they pushed the same number.
+//! Extraction therefore allocates a constant number of times, whatever
+//! `p` is.
+//!
 //! The extracted [`Schedule`] is the input to the static verifier in
 //! `collopt-analysis`, which proves deadlock-freedom, message-match
 //! completeness and round optimality before a single simulated clock
@@ -23,8 +35,8 @@
 //! events; an entry with no body to run fails it.
 
 use collopt_machine::topology::{
-    binomial_bcast_rank_plan, butterfly_partner, butterfly_rounds, ceil_log2, floor_log2,
-    BalancedTree, RankAction,
+    balanced_rank_plan, binomial_bcast_rank_plan, butterfly_partner, butterfly_rounds, ceil_log2,
+    floor_log2, RankAction,
 };
 use collopt_machine::Ctx;
 
@@ -57,31 +69,91 @@ pub enum SchedOp {
     Barrier,
 }
 
-/// The complete communication schedule of one collective at one `(p, m)`:
-/// `ranks[r]` is rank `r`'s action sequence in program order.
+/// The complete communication schedule of one collective at one `(p, m)`.
+///
+/// All rank programs live in one exactly sized buffer, in rank order:
+/// [`Schedule::rank`]`(r)` is the slice `ops[offsets[r]..offsets[r + 1]]`,
+/// rank `r`'s action sequence in program order. An extracted schedule has
+/// [`rank_count`](Schedule::rank_count)` == p`; a hand-built one
+/// ([`Schedule::from_rank_programs`]) may not, which the verifier reports.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Schedule {
     /// Number of ranks.
     pub p: usize,
-    /// Per-rank op sequences.
-    pub ranks: Vec<Vec<SchedOp>>,
+    /// Every rank's ops, rank 0's first.
+    ops: Vec<SchedOp>,
+    /// `rank_count() + 1` ascending offsets into `ops`, from 0 to `ops.len()`.
+    offsets: Vec<usize>,
 }
 
 impl Schedule {
-    /// An empty schedule over `p` ranks.
-    pub fn new(p: usize) -> Self {
+    /// A schedule over `p` ranks from hand-written rank programs,
+    /// `programs[r]` being rank `r`'s. The number of programs need not be
+    /// `p`, so a malformed schedule can be built too.
+    pub fn from_rank_programs(p: usize, programs: &[Vec<SchedOp>]) -> Schedule {
+        let mut offsets = vec![0];
+        offsets.extend(programs.iter().scan(0, |end, program| {
+            *end += program.len();
+            Some(*end)
+        }));
         Schedule {
             p,
-            ranks: vec![Vec::new(); p],
+            ops: programs.concat(),
+            offsets,
         }
+    }
+
+    /// Run the pure `build` twice, as the module docs describe: a counting
+    /// pass sizes each rank's program, a fill pass writes it into the one
+    /// buffer.
+    fn build(p: usize, mut build: impl FnMut(&mut Builder)) -> Schedule {
+        let mut b = Builder {
+            p,
+            filling: false,
+            ops: Vec::new(),
+            at: vec![0; p + 1],
+        };
+        build(&mut b);
+        // Each count becomes its rank's first slot, kept one place up, so
+        // that the fill pass leaves `at[r + 1]` at the end of rank `r`.
+        let mut total = 0;
+        for slot in &mut b.at[1..] {
+            let count = *slot;
+            *slot = total;
+            total += count;
+        }
+        b.ops = vec![SchedOp::Barrier; total];
+        b.filling = true;
+        build(&mut b);
+        assert_eq!(
+            b.at[p], total,
+            "a schedule builder pushed different ops in its two passes"
+        );
+        Schedule {
+            p,
+            ops: b.ops,
+            offsets: b.at,
+        }
+    }
+
+    /// Number of rank programs (`p` for every extracted schedule).
+    pub fn rank_count(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    /// Rank `r`'s ops, in program order.
+    ///
+    /// # Panics
+    /// Panics if `r >= self.rank_count()`.
+    pub fn rank(&self, r: usize) -> &[SchedOp] {
+        &self.ops[self.offsets[r]..self.offsets[r + 1]]
     }
 
     /// Total number of point-to-point messages (each exchange counts as
     /// one message per direction, matching the machine's channel model).
     pub fn message_count(&self) -> u64 {
-        self.ranks
+        self.ops
             .iter()
-            .flatten()
             .map(|op| match op {
                 SchedOp::Send { .. } | SchedOp::Exchange { .. } => 1,
                 _ => 0,
@@ -92,14 +164,38 @@ impl Schedule {
     /// Total words put on the wire (exchanges count their outgoing side;
     /// the incoming side is the partner's own exchange).
     pub fn total_words(&self) -> u64 {
-        self.ranks
+        self.ops
             .iter()
-            .flatten()
             .map(|op| match op {
                 SchedOp::Send { words, .. } | SchedOp::Exchange { words, .. } => *words,
                 _ => 0,
             })
             .sum()
+    }
+}
+
+/// What an extractor writes through: in the counting pass a push only
+/// counts, in the fill pass it stores the op in its rank's next slot.
+struct Builder {
+    /// Number of ranks.
+    p: usize,
+    /// Whether this is the fill pass.
+    filling: bool,
+    /// The exactly sized buffer (empty while counting).
+    ops: Vec<SchedOp>,
+    /// `at[r + 1]` is rank `r`'s op count while counting, its next slot
+    /// while filling; `at[0]` stays 0.
+    at: Vec<usize>,
+}
+
+impl Builder {
+    /// Append `op` to rank `rank`'s program.
+    fn push(&mut self, rank: usize, op: SchedOp) {
+        let slot = &mut self.at[rank + 1];
+        if self.filling {
+            self.ops[*slot] = op;
+        }
+        *slot += 1;
     }
 }
 
@@ -172,12 +268,25 @@ pub struct PlantedVariant {
     pub expected_code: &'static str,
 }
 
-/// `m` units split into `n` nearly equal parts, matching
-/// [`crate::op::Splittable::split_into`]: part `i` gets one extra unit
-/// when `i < m mod n`.
-pub fn split_lens(m: u64, n: usize) -> Vec<u64> {
-    let n64 = n as u64;
-    (0..n64).map(|i| m / n64 + u64::from(i < m % n64)).collect()
+/// Part `i` of `m` units split into `n` nearly equal parts, matching
+/// [`crate::op::Splittable::split_into`]: it gets one extra unit when
+/// `i < m mod n`.
+fn split_len(m: u64, n: usize, i: usize) -> u64 {
+    let n = n as u64;
+    m / n + u64::from((i as u64) < m % n)
+}
+
+/// The summed [`split_len`]s of the `count` parts `first`, `first +
+/// stride`, `first + 2·stride`, … of `m` units split into `n` parts.
+fn split_sum(m: u64, n: usize, first: usize, stride: usize, count: usize) -> u64 {
+    // Parts below `m mod n` are the long ones.
+    let long_below = (m % n as u64) as usize;
+    let long = if first < long_below {
+        ((long_below - first - 1) / stride + 1).min(count)
+    } else {
+        0
+    };
+    count as u64 * (m / n as u64) + long as u64
 }
 
 // ---------------------------------------------------------------------------
@@ -186,56 +295,52 @@ pub fn split_lens(m: u64, n: usize) -> Vec<u64> {
 // ---------------------------------------------------------------------------
 
 /// [`crate::bcast::bcast_binomial_async`] rooted at `root`.
-fn bcast_binomial_into(s: &mut Schedule, root: usize, words: u64) {
-    for rank in 0..s.p {
-        let plan = binomial_bcast_rank_plan(s.p, root, rank);
+fn bcast_binomial_into(b: &mut Builder, root: usize, words: u64) {
+    for rank in 0..b.p {
+        let plan = binomial_bcast_rank_plan(b.p, root, rank);
         if let Some((_, src)) = plan.recv {
-            s.ranks[rank].push(SchedOp::Recv { from: src });
+            b.push(rank, SchedOp::Recv { from: src });
         }
         for (_, dst) in plan.sends {
-            s.ranks[rank].push(SchedOp::Send { to: dst, words });
+            b.push(rank, SchedOp::Send { to: dst, words });
         }
     }
 }
 
 fn x_bcast_binomial(p: usize, m: u64) -> Schedule {
-    let mut s = Schedule::new(p);
-    bcast_binomial_into(&mut s, 0, m);
-    s
+    Schedule::build(p, |b| bcast_binomial_into(b, 0, m))
 }
 
 /// [`crate::bcast::bcast_linear_async`]: the root sends to every rank in turn.
 fn x_bcast_linear(p: usize, m: u64) -> Schedule {
-    let mut s = Schedule::new(p);
-    for dst in 1..p {
-        s.ranks[0].push(SchedOp::Send { to: dst, words: m });
-        s.ranks[dst].push(SchedOp::Recv { from: 0 });
-    }
-    s
+    Schedule::build(p, |b| {
+        for dst in 1..p {
+            b.push(0, SchedOp::Send { to: dst, words: m });
+            b.push(dst, SchedOp::Recv { from: 0 });
+        }
+    })
 }
 
 /// [`crate::pipelined::bcast_pipelined_async`] with `segments` chunks of the
 /// `m`-word block, rooted at 0.
-fn bcast_pipelined_into(s: &mut Schedule, m: u64, segments: u64) {
-    let p = s.p;
+fn bcast_pipelined_into(b: &mut Builder, m: u64, segments: u64) {
+    let p = b.p;
     if p <= 1 {
         return;
     }
-    let chunks = split_lens(m, segments.max(1) as usize);
-    for (v, ops) in s.ranks.iter_mut().enumerate() {
+    let chunks = segments.max(1) as usize;
+    for v in 0..p {
         let next = (v + 1) % p;
         let prev = (v + p - 1) % p;
-        if v == 0 {
-            for &c in &chunks {
-                ops.push(SchedOp::Send { to: next, words: c });
+        for c in 0..chunks {
+            let words = split_len(m, chunks, c);
+            if v == 0 {
+                b.push(v, SchedOp::Send { to: next, words });
+                continue;
             }
-        } else {
-            let forward = v + 1 < p;
-            for &c in &chunks {
-                ops.push(SchedOp::Recv { from: prev });
-                if forward {
-                    ops.push(SchedOp::Send { to: next, words: c });
-                }
+            b.push(v, SchedOp::Recv { from: prev });
+            if v + 1 < p {
+                b.push(v, SchedOp::Send { to: next, words });
             }
         }
     }
@@ -248,54 +353,44 @@ pub fn pipelined_segments(p: usize, m: u64) -> u64 {
 }
 
 fn x_bcast_pipelined(p: usize, m: u64) -> Schedule {
-    let mut s = Schedule::new(p);
-    bcast_pipelined_into(&mut s, m, pipelined_segments(p, m));
-    s
+    Schedule::build(p, |b| bcast_pipelined_into(b, m, pipelined_segments(p, m)))
 }
 
-/// [`crate::gather::gather_binomial_async`]: message sizes double up the tree.
-/// `words` is the size of one block; returns each rank's final
-/// accumulated block count (rank 0 ends with `p`).
-fn gather_binomial_into(s: &mut Schedule, words: u64) -> Vec<u64> {
-    let p = s.p;
-    let mut len = vec![1u64; p];
-    let mut done = vec![false; p];
-    for round in 0..ceil_log2(p) {
-        let bit = 1usize << round;
-        // Senders post first (the runtime send is non-blocking), then
-        // receivers absorb the sender's pre-send length.
-        let snapshot = len.clone();
-        for rank in 0..p {
-            if done[rank] {
-                continue;
-            }
+/// [`crate::gather::gather_binomial_async`]: message sizes double up the
+/// tree. `words` is the size of one block; a rank sends, in the round of
+/// its lowest set bit, the blocks of its subtree `[rank, rank + bit) ∩
+/// [0, p)`, which it has received by then.
+fn gather_binomial_into(b: &mut Builder, words: u64) {
+    let p = b.p;
+    for rank in 0..p {
+        for round in 0..ceil_log2(p) {
+            let bit = 1usize << round;
             if rank & bit != 0 {
-                s.ranks[rank].push(SchedOp::Send {
-                    to: rank - bit,
-                    words: words * snapshot[rank],
-                });
-                done[rank] = true;
-            } else if rank + bit < p {
-                s.ranks[rank].push(SchedOp::Recv { from: rank + bit });
-                len[rank] += snapshot[rank + bit];
+                let blocks = bit.min(p - rank) as u64;
+                b.push(
+                    rank,
+                    SchedOp::Send {
+                        to: rank - bit,
+                        words: words * blocks,
+                    },
+                );
+                break;
+            }
+            if rank + bit < p {
+                b.push(rank, SchedOp::Recv { from: rank + bit });
             }
         }
     }
-    len
 }
 
 fn x_gather_binomial(p: usize, m: u64) -> Schedule {
-    let mut s = Schedule::new(p);
-    gather_binomial_into(&mut s, m);
-    s
+    Schedule::build(p, |b| gather_binomial_into(b, m))
 }
 
-/// [`crate::gather::scatter_binomial_async`] with a caller-supplied per-block
-/// length table (`block_lens[i]` blocks... in the uniform case every
-/// entry is 1 and `words` is the per-block size). Messages carry
-/// `words × (number of blocks forwarded)`.
-fn scatter_binomial_into(s: &mut Schedule, words: u64) {
-    let p = s.p;
+/// [`crate::gather::scatter_binomial_async`] with `words` per block.
+/// Messages carry `words × (number of blocks forwarded)`.
+fn scatter_binomial_into(b: &mut Builder, words: u64) {
+    let p = b.p;
     let rounds = ceil_log2(p);
     for rank in 0..p {
         // Blocks held on arrival: rank 0 starts with all p; rank r ≠ 0
@@ -304,19 +399,25 @@ fn scatter_binomial_into(s: &mut Schedule, words: u64) {
             (p, 0)
         } else {
             let j = rank.trailing_zeros();
-            s.ranks[rank].push(SchedOp::Recv {
-                from: rank - (1usize << j),
-            });
+            b.push(
+                rank,
+                SchedOp::Recv {
+                    from: rank - (1usize << j),
+                },
+            );
             ((rank + (1usize << j)).min(p) - rank, rounds - j)
         };
         for round in first_round..rounds {
             let bit = 1usize << (rounds - 1 - round);
             if bit < held {
                 let upper = held - bit;
-                s.ranks[rank].push(SchedOp::Send {
-                    to: rank + bit,
-                    words: words * upper as u64,
-                });
+                b.push(
+                    rank,
+                    SchedOp::Send {
+                        to: rank + bit,
+                        words: words * upper as u64,
+                    },
+                );
                 held = bit;
             }
         }
@@ -324,51 +425,42 @@ fn scatter_binomial_into(s: &mut Schedule, words: u64) {
 }
 
 fn x_scatter_binomial(p: usize, m: u64) -> Schedule {
-    let mut s = Schedule::new(p);
-    scatter_binomial_into(&mut s, m);
-    s
+    Schedule::build(p, |b| scatter_binomial_into(b, m))
 }
 
 /// [`crate::gather::allgather_binomial_async`]: binomial gather + binomial broadcast of
 /// the assembled `p`-block vector.
 fn x_allgather_binomial(p: usize, m: u64) -> Schedule {
-    let mut s = Schedule::new(p);
-    gather_binomial_into(&mut s, m);
-    bcast_binomial_into(&mut s, 0, m * p as u64);
-    s
+    Schedule::build(p, |b| {
+        gather_binomial_into(b, m);
+        bcast_binomial_into(b, 0, m * p as u64);
+    })
 }
 
 /// [`crate::variants::allgather_ring_async`] where rank `r` always forwards
-/// with its own declared block size `per_rank[r]`.
-fn allgather_ring_into(s: &mut Schedule, per_rank: &[u64]) {
-    let p = s.p;
+/// with its own declared block size `words(r)`.
+fn allgather_ring_into(b: &mut Builder, words: impl Fn(usize) -> u64) {
+    let p = b.p;
     if p <= 1 {
         return;
     }
-    for (rank, ops) in s.ranks.iter_mut().enumerate() {
+    for rank in 0..p {
         let next = (rank + 1) % p;
         let prev = (rank + p - 1) % p;
+        let words = words(rank);
         for _step in 0..p - 1 {
             if p == 2 {
-                ops.push(SchedOp::Exchange {
-                    peer: next,
-                    words: per_rank[rank],
-                });
+                b.push(rank, SchedOp::Exchange { peer: next, words });
             } else {
-                ops.push(SchedOp::Send {
-                    to: next,
-                    words: per_rank[rank],
-                });
-                ops.push(SchedOp::Recv { from: prev });
+                b.push(rank, SchedOp::Send { to: next, words });
+                b.push(rank, SchedOp::Recv { from: prev });
             }
         }
     }
 }
 
 fn x_allgather_ring(p: usize, m: u64) -> Schedule {
-    let mut s = Schedule::new(p);
-    allgather_ring_into(&mut s, &vec![m; p]);
-    s
+    Schedule::build(p, |b| allgather_ring_into(b, |_| m))
 }
 
 /// [`crate::variants::bcast_scatter_allgather_async`]: binomial scatter of the
@@ -376,339 +468,327 @@ fn x_allgather_ring(p: usize, m: u64) -> Schedule {
 /// the runtime does) followed by a ring allgather of the pieces, where
 /// rank `r` forwards with its own piece size `max(len_r, 1)`.
 fn x_bcast_scatter_allgather(p: usize, m: u64) -> Schedule {
-    let mut s = Schedule::new(p);
-    if p <= 1 {
-        return s;
-    }
-    scatter_binomial_into(&mut s, 1);
-    let lens = split_lens(m, p);
-    let per_rank: Vec<u64> = lens.iter().map(|&l| l.max(1)).collect();
-    allgather_ring_into(&mut s, &per_rank);
-    s
+    Schedule::build(p, |b| {
+        if p <= 1 {
+            return;
+        }
+        scatter_binomial_into(b, 1);
+        allgather_ring_into(b, |rank| split_len(m, p, rank).max(1));
+    })
 }
 
 /// [`crate::gather::barrier_dissemination_async`]: the dissemination barrier of empty
 /// messages (distinct from the clock barrier [`SchedOp::Barrier`]).
 fn x_barrier_dissemination(p: usize, _m: u64) -> Schedule {
-    let mut s = Schedule::new(p);
-    for rank in 0..p {
-        for round in 0..ceil_log2(p) {
-            let dist = 1usize << round;
-            let to = (rank + dist) % p;
-            let from = (rank + p - dist) % p;
-            if to == from {
-                if to != rank {
-                    s.ranks[rank].push(SchedOp::Exchange { peer: to, words: 0 });
+    Schedule::build(p, |b| {
+        for rank in 0..p {
+            for round in 0..ceil_log2(p) {
+                let dist = 1usize << round;
+                let to = (rank + dist) % p;
+                let from = (rank + p - dist) % p;
+                if to == from {
+                    if to != rank {
+                        b.push(rank, SchedOp::Exchange { peer: to, words: 0 });
+                    }
+                    continue;
                 }
-                continue;
+                b.push(rank, SchedOp::Send { to, words: 0 });
+                b.push(rank, SchedOp::Recv { from });
             }
-            s.ranks[rank].push(SchedOp::Send { to, words: 0 });
-            s.ranks[rank].push(SchedOp::Recv { from });
         }
-    }
-    s
+    })
 }
 
 /// [`crate::reduce::reduce_binomial_async`] rooted at `root`.
-fn reduce_binomial_into(s: &mut Schedule, root: usize, words: u64) {
-    let p = s.p;
+fn reduce_binomial_into(b: &mut Builder, root: usize, words: u64) {
+    let p = b.p;
     for rank in 0..p {
         let v = (rank + p - root) % p;
         for round in 0..ceil_log2(p) {
             let bit = 1usize << round;
             if v & bit != 0 {
-                s.ranks[rank].push(SchedOp::Send {
-                    to: ((v - bit) + root) % p,
-                    words,
-                });
+                b.push(
+                    rank,
+                    SchedOp::Send {
+                        to: ((v - bit) + root) % p,
+                        words,
+                    },
+                );
                 break;
             }
             if v + bit < p {
-                s.ranks[rank].push(SchedOp::Recv {
-                    from: ((v + bit) + root) % p,
-                });
+                b.push(
+                    rank,
+                    SchedOp::Recv {
+                        from: ((v + bit) + root) % p,
+                    },
+                );
             }
         }
     }
 }
 
 fn x_reduce_binomial(p: usize, m: u64) -> Schedule {
-    let mut s = Schedule::new(p);
-    reduce_binomial_into(&mut s, 0, m);
-    s
+    Schedule::build(p, |b| reduce_binomial_into(b, 0, m))
 }
 
 /// [`crate::reduce::allreduce_butterfly_async`] (power-of-two `p`): `words`
 /// per exchange, every round.
-fn butterfly_into(s: &mut Schedule, words: u64) {
-    let p = s.p;
+fn butterfly_into(b: &mut Builder, words: u64) {
+    let p = b.p;
     for rank in 0..p {
         for round in 0..butterfly_rounds(p) {
-            let partner = rank ^ (1usize << round);
-            s.ranks[rank].push(SchedOp::Exchange {
-                peer: partner,
-                words,
-            });
+            let peer = rank ^ (1usize << round);
+            b.push(rank, SchedOp::Exchange { peer, words });
         }
     }
 }
 
 fn x_allreduce_butterfly(p: usize, m: u64) -> Schedule {
-    let mut s = Schedule::new(p);
-    butterfly_into(&mut s, m);
-    s
+    Schedule::build(p, |b| butterfly_into(b, m))
 }
 
 /// [`crate::reduce::allreduce_async`]: butterfly for powers of two, otherwise
 /// binomial reduce to 0 + binomial broadcast.
 fn x_allreduce_generic(p: usize, m: u64) -> Schedule {
-    let mut s = Schedule::new(p);
-    if p.is_power_of_two() {
-        butterfly_into(&mut s, m);
-    } else {
-        reduce_binomial_into(&mut s, 0, m);
-        bcast_binomial_into(&mut s, 0, m);
-    }
-    s
+    Schedule::build(p, |b| {
+        if p.is_power_of_two() {
+            butterfly_into(b, m);
+        } else {
+            reduce_binomial_into(b, 0, m);
+            bcast_binomial_into(b, 0, m);
+        }
+    })
 }
 
 /// [`crate::reduce::allreduce_commutative_async`]: fold the excess ranks into
 /// the leading power-of-two block, butterfly there, ship results back.
 fn x_allreduce_commutative(p: usize, m: u64) -> Schedule {
-    let mut s = Schedule::new(p);
     if p.is_power_of_two() {
-        butterfly_into(&mut s, m);
-        return s;
+        return x_allreduce_butterfly(p, m);
     }
     let k = 1usize << floor_log2(p);
-    for rank in 0..p {
-        if rank >= k {
-            s.ranks[rank].push(SchedOp::Send {
-                to: rank - k,
-                words: m,
-            });
-            s.ranks[rank].push(SchedOp::Recv { from: rank - k });
-            continue;
+    Schedule::build(p, |b| {
+        for rank in 0..p {
+            if rank >= k {
+                b.push(
+                    rank,
+                    SchedOp::Send {
+                        to: rank - k,
+                        words: m,
+                    },
+                );
+                b.push(rank, SchedOp::Recv { from: rank - k });
+                continue;
+            }
+            if rank + k < p {
+                b.push(rank, SchedOp::Recv { from: rank + k });
+            }
+            for round in 0..butterfly_rounds(k) {
+                let peer = rank ^ (1usize << round);
+                b.push(rank, SchedOp::Exchange { peer, words: m });
+            }
+            if rank + k < p {
+                b.push(
+                    rank,
+                    SchedOp::Send {
+                        to: rank + k,
+                        words: m,
+                    },
+                );
+            }
         }
-        if rank + k < p {
-            s.ranks[rank].push(SchedOp::Recv { from: rank + k });
-        }
-        for round in 0..butterfly_rounds(k) {
-            s.ranks[rank].push(SchedOp::Exchange {
-                peer: rank ^ (1usize << round),
-                words: m,
-            });
-        }
-        if rank + k < p {
-            s.ranks[rank].push(SchedOp::Send {
-                to: rank + k,
-                words: m,
-            });
-        }
-    }
-    s
+    })
 }
 
-/// Recursive-halving core of [`crate::reduce_scatter`]: per round each
-/// rank ships the segments whose indices disagree with its own rank on
-/// the round bit. Returns each rank's surviving segment length.
-fn halving_core_into(s: &mut Schedule, m: u64, wire: u64) -> Vec<u64> {
-    let p = s.p;
-    let lens = split_lens(m, p);
+/// Recursive-halving core of [`crate::reduce_scatter`] (power-of-two `p`):
+/// per round each rank ships the segments that agree with its own rank on
+/// the bits below the round bit (the ones it still holds) and disagree on
+/// the round bit.
+fn halving_core_into(b: &mut Builder, m: u64, wire: u64) {
+    let p = b.p;
+    debug_assert!(p.is_power_of_two());
     for rank in 0..p {
-        let mut live: Vec<usize> = (0..p).collect();
         for round in 0..butterfly_rounds(p) {
             let bit = 1usize << round;
             let partner = rank ^ bit;
-            let out: u64 = live
-                .iter()
-                .filter(|&&seg| (seg ^ rank) & bit != 0)
-                .map(|&seg| lens[seg] * wire)
-                .sum();
-            s.ranks[rank].push(SchedOp::Exchange {
-                peer: partner,
-                words: out,
-            });
-            live.retain(|&seg| (seg ^ rank) & bit == 0);
+            let shipped = partner & (2 * bit - 1);
+            let words = split_sum(m, p, shipped, 2 * bit, p / (2 * bit)) * wire;
+            b.push(
+                rank,
+                SchedOp::Exchange {
+                    peer: partner,
+                    words,
+                },
+            );
         }
-        debug_assert_eq!(live, vec![rank]);
     }
-    lens
 }
 
-/// Recursive-doubling core of [`crate::reduce_scatter`]: accumulated
-/// block sizes double per round; each rank sends its own current size.
-fn doubling_core_into(s: &mut Schedule, start: &[u64], wire: u64) {
-    let p = s.p;
-    let mut len = start.to_vec();
-    for round in 0..butterfly_rounds(p) {
-        let snapshot = len.clone();
-        for rank in 0..p {
-            let partner = rank ^ (1usize << round);
-            s.ranks[rank].push(SchedOp::Exchange {
-                peer: partner,
-                words: snapshot[rank] * wire,
-            });
-            len[rank] = snapshot[rank] + snapshot[partner];
+/// Recursive-doubling core of [`crate::reduce_scatter`] after
+/// [`halving_core_into`]: accumulated block sizes double per round; each
+/// rank sends its own current size, the segments of the aligned `bit`-rank
+/// block it belongs to.
+fn doubling_core_into(b: &mut Builder, m: u64, wire: u64) {
+    let p = b.p;
+    debug_assert!(p.is_power_of_two());
+    for rank in 0..p {
+        for round in 0..butterfly_rounds(p) {
+            let bit = 1usize << round;
+            let words = split_sum(m, p, rank & !(bit - 1), 1, bit) * wire;
+            b.push(
+                rank,
+                SchedOp::Exchange {
+                    peer: rank ^ bit,
+                    words,
+                },
+            );
         }
     }
 }
 
 fn x_reduce_scatter_halving(p: usize, m: u64) -> Schedule {
-    let mut s = Schedule::new(p);
-    halving_core_into(&mut s, m, 1);
-    s
+    Schedule::build(p, |b| halving_core_into(b, m, 1))
 }
 
 /// Ring reduce-scatter of [`crate::reduce_scatter`]: `p − 1` steps, step
 /// `k` shipping segment `(rank − 1 − k) mod p`.
-fn ring_reduce_scatter_into(s: &mut Schedule, m: u64, wire: u64) -> Vec<u64> {
-    let p = s.p;
-    let lens = split_lens(m, p);
+fn ring_reduce_scatter_into(b: &mut Builder, m: u64, wire: u64) {
+    let p = b.p;
     if p <= 1 {
-        return lens;
+        return;
     }
     for rank in 0..p {
         let next = (rank + 1) % p;
         let prev = (rank + p - 1) % p;
         for step in 0..p - 1 {
             let send_idx = (rank + p - 1 - step) % p;
-            let words = lens[send_idx] * wire;
+            let words = split_len(m, p, send_idx) * wire;
             if p == 2 {
-                s.ranks[rank].push(SchedOp::Exchange { peer: next, words });
+                b.push(rank, SchedOp::Exchange { peer: next, words });
             } else {
-                s.ranks[rank].push(SchedOp::Send { to: next, words });
-                s.ranks[rank].push(SchedOp::Recv { from: prev });
+                b.push(rank, SchedOp::Send { to: next, words });
+                b.push(rank, SchedOp::Recv { from: prev });
             }
         }
     }
-    lens
 }
 
 fn x_reduce_scatter_ring(p: usize, m: u64) -> Schedule {
-    let mut s = Schedule::new(p);
-    ring_reduce_scatter_into(&mut s, m, 1);
-    s
+    Schedule::build(p, |b| ring_reduce_scatter_into(b, m, 1))
 }
 
 /// [`crate::reduce_scatter::allreduce_ring_async`]: ring reduce-scatter, then
 /// ring allgather of the reduced segments.
 fn x_allreduce_ring(p: usize, m: u64) -> Schedule {
-    let mut s = Schedule::new(p);
-    if p <= 1 {
-        return s;
-    }
-    let lens = ring_reduce_scatter_into(&mut s, m, 1);
-    allgather_ring_into(&mut s, &lens);
-    s
+    Schedule::build(p, |b| {
+        ring_reduce_scatter_into(b, m, 1);
+        allgather_ring_into(b, |rank| split_len(m, p, rank));
+    })
 }
 
 /// [`crate::reduce_scatter::allreduce_rabenseifner_async`]: halving+doubling
 /// for powers of two; the commutative ring otherwise (`p = 1` is a
 /// no-op; the registry models the commutative-operator instantiation).
 fn x_allreduce_rabenseifner(p: usize, m: u64) -> Schedule {
-    if p.is_power_of_two() {
-        let mut s = Schedule::new(p);
-        let lens = halving_core_into(&mut s, m, 1);
-        doubling_core_into(&mut s, &lens, 1);
-        s
-    } else {
-        x_allreduce_ring(p, m)
+    if !p.is_power_of_two() {
+        return x_allreduce_ring(p, m);
     }
+    Schedule::build(p, |b| {
+        halving_core_into(b, m, 1);
+        doubling_core_into(b, m, 1);
+    })
 }
 
 /// [`crate::reduce_scatter::allreduce_balanced_halving_async`]: the fused
 /// SR-Reduction operator on the halving/doubling pair — `op_sr` puts
 /// `words_factor = 2` words on the wire per block word.
 fn x_allreduce_balanced_halving(p: usize, m: u64) -> Schedule {
-    let mut s = Schedule::new(p);
-    let lens = halving_core_into(&mut s, m, 2);
-    doubling_core_into(&mut s, &lens, 2);
-    s
+    Schedule::build(p, |b| {
+        halving_core_into(b, m, 2);
+        doubling_core_into(b, m, 2);
+    })
 }
 
 /// [`crate::scan::scan_butterfly_async`]: exchange with the butterfly partner
 /// where one exists (any `p`).
-fn scan_butterfly_into(s: &mut Schedule, words: u64) {
-    let p = s.p;
+fn scan_butterfly_into(b: &mut Builder, words: u64) {
+    let p = b.p;
     for rank in 0..p {
         for round in 0..butterfly_rounds(p) {
-            if let Some(partner) = butterfly_partner(rank, round, p) {
-                s.ranks[rank].push(SchedOp::Exchange {
-                    peer: partner,
-                    words,
-                });
+            if let Some(peer) = butterfly_partner(rank, round, p) {
+                b.push(rank, SchedOp::Exchange { peer, words });
             }
         }
     }
 }
 
 fn x_scan_butterfly(p: usize, m: u64) -> Schedule {
-    let mut s = Schedule::new(p);
-    scan_butterfly_into(&mut s, m);
-    s
+    Schedule::build(p, |b| scan_butterfly_into(b, m))
 }
 
 /// [`crate::scan::exscan_async`]: inclusive scan + one shift round.
 fn x_exscan(p: usize, m: u64) -> Schedule {
-    let mut s = Schedule::new(p);
-    scan_butterfly_into(&mut s, m);
-    for rank in 0..p {
-        if rank + 1 < p {
-            s.ranks[rank].push(SchedOp::Send {
-                to: rank + 1,
-                words: m,
-            });
+    Schedule::build(p, |b| {
+        scan_butterfly_into(b, m);
+        for rank in 0..p {
+            if rank + 1 < p {
+                b.push(
+                    rank,
+                    SchedOp::Send {
+                        to: rank + 1,
+                        words: m,
+                    },
+                );
+            }
+            if rank > 0 {
+                b.push(rank, SchedOp::Recv { from: rank - 1 });
+            }
         }
-        if rank > 0 {
-            s.ranks[rank].push(SchedOp::Recv { from: rank - 1 });
-        }
-    }
-    s
+    })
 }
 
 /// [`crate::variants::scan_sklansky_async`]: fan-based scan; the block leader
 /// serializes up to `2^j` sends in round `j` (one-ported model).
 fn x_scan_sklansky(p: usize, m: u64) -> Schedule {
-    let mut s = Schedule::new(p);
-    for rank in 0..p {
-        for round in 0..butterfly_rounds(p) {
-            let bit = 1usize << round;
-            if rank & bit != 0 {
-                let src = (rank & !(bit * 2 - 1)) | (bit - 1);
-                s.ranks[rank].push(SchedOp::Recv { from: src });
-            } else if (rank | (bit - 1)) == rank {
-                for dst in (rank + 1)..=(rank + bit).min(p.saturating_sub(1)) {
-                    s.ranks[rank].push(SchedOp::Send { to: dst, words: m });
+    Schedule::build(p, |b| {
+        for rank in 0..p {
+            for round in 0..butterfly_rounds(p) {
+                let bit = 1usize << round;
+                if rank & bit != 0 {
+                    let src = (rank & !(bit * 2 - 1)) | (bit - 1);
+                    b.push(rank, SchedOp::Recv { from: src });
+                } else if (rank | (bit - 1)) == rank {
+                    for dst in (rank + 1)..=(rank + bit).min(p.saturating_sub(1)) {
+                        b.push(rank, SchedOp::Send { to: dst, words: m });
+                    }
                 }
             }
         }
-    }
-    s
+    })
 }
 
 /// [`crate::balanced::scan_balanced_async`] with `op_ss` (`words_factor = 3`).
 fn x_scan_balanced(p: usize, m: u64) -> Schedule {
-    let mut s = Schedule::new(p);
-    scan_butterfly_into(&mut s, m * 3);
-    s
+    Schedule::build(p, |b| scan_butterfly_into(b, m * 3))
 }
 
 /// [`crate::balanced::reduce_balanced_async`] with `op_sr`
-/// (`words_factor = 2`): the paper's balanced tree (Figure 4).
-fn reduce_balanced_into(s: &mut Schedule, words: u64) {
-    let tree = BalancedTree::new(s.p);
-    for rank in 0..s.p {
-        for (_, action) in tree.rank_schedule(rank) {
+/// (`words_factor = 2`): the paper's balanced tree (Figure 4), each rank's
+/// part of it read from the same [`balanced_rank_plan`] the lowering walks.
+fn reduce_balanced_into(b: &mut Builder, words: u64) {
+    for rank in 0..b.p {
+        for (_, action) in balanced_rank_plan(b.p, rank) {
             match action {
-                RankAction::RecvCombine { from } => {
-                    s.ranks[rank].push(SchedOp::Recv { from });
-                }
+                RankAction::RecvCombine { from } => b.push(rank, SchedOp::Recv { from }),
                 RankAction::SendTo { to } => {
-                    s.ranks[rank].push(SchedOp::Send {
-                        to,
-                        words: words * 2,
-                    });
+                    b.push(
+                        rank,
+                        SchedOp::Send {
+                            to,
+                            words: words * 2,
+                        },
+                    );
                     break;
                 }
                 RankAction::ApplyUnary => {}
@@ -718,86 +798,88 @@ fn reduce_balanced_into(s: &mut Schedule, words: u64) {
 }
 
 fn x_reduce_balanced(p: usize, m: u64) -> Schedule {
-    let mut s = Schedule::new(p);
-    reduce_balanced_into(&mut s, m);
-    s
+    Schedule::build(p, |b| reduce_balanced_into(b, m))
 }
 
 /// [`crate::balanced::allreduce_balanced_async`] with `op_sr`: butterfly of
 /// doubled words for powers of two, balanced reduce + broadcast
 /// otherwise.
 fn x_allreduce_balanced(p: usize, m: u64) -> Schedule {
-    let mut s = Schedule::new(p);
-    if p.is_power_of_two() {
-        butterfly_into(&mut s, m * 2);
-    } else {
-        reduce_balanced_into(&mut s, m);
-        bcast_binomial_into(&mut s, 0, m * 2);
-    }
-    s
+    Schedule::build(p, |b| {
+        if p.is_power_of_two() {
+            butterfly_into(b, m * 2);
+        } else {
+            reduce_balanced_into(b, m);
+            bcast_binomial_into(b, 0, m * 2);
+        }
+    })
 }
 
 /// [`crate::comcast::comcast_bcast_repeat_async`] rooted at 0: all
 /// communication is the broadcast; `repeat` is local.
 fn x_comcast_bcast_repeat(p: usize, m: u64) -> Schedule {
-    let mut s = Schedule::new(p);
-    bcast_binomial_into(&mut s, 0, m);
-    s
+    x_bcast_binomial(p, m)
 }
 
 /// [`crate::comcast::comcast_cost_optimal_async`] rooted at 0 with the pair
 /// tuple (`words_factor = 2`): successive doubling of the informed set.
 fn x_comcast_cost_optimal(p: usize, m: u64) -> Schedule {
-    let mut s = Schedule::new(p);
-    for v in 0..p {
-        let mut informed = v == 0;
-        for j in 0..ceil_log2(p) {
-            let bit = 1usize << j;
-            if informed {
-                if v + bit < p {
-                    s.ranks[v].push(SchedOp::Send {
-                        to: v + bit,
-                        words: m * 2,
-                    });
+    Schedule::build(p, |b| {
+        for v in 0..p {
+            let mut informed = v == 0;
+            for j in 0..ceil_log2(p) {
+                let bit = 1usize << j;
+                if informed {
+                    if v + bit < p {
+                        b.push(
+                            v,
+                            SchedOp::Send {
+                                to: v + bit,
+                                words: m * 2,
+                            },
+                        );
+                    }
+                } else if v >= bit && v < 2 * bit {
+                    b.push(v, SchedOp::Recv { from: v - bit });
+                    informed = true;
                 }
-            } else if v >= bit && v < 2 * bit {
-                s.ranks[v].push(SchedOp::Recv { from: v - bit });
-                informed = true;
             }
         }
-    }
-    s
+    })
 }
 
 /// [`crate::alltoall::alltoall_async`]: the linear-shift schedule, `p − 1`
 /// rounds of simultaneous pairwise traffic.
 fn x_alltoall(p: usize, m: u64) -> Schedule {
-    let mut s = Schedule::new(p);
-    for rank in 0..p {
-        for round in 1..p {
-            let dst = (rank + round) % p;
-            let src = (rank + p - round) % p;
-            if dst == src {
-                s.ranks[rank].push(SchedOp::Exchange {
-                    peer: dst,
-                    words: m,
-                });
-            } else {
-                s.ranks[rank].push(SchedOp::Send { to: dst, words: m });
-                s.ranks[rank].push(SchedOp::Recv { from: src });
+    Schedule::build(p, |b| {
+        for rank in 0..p {
+            for round in 1..p {
+                let dst = (rank + round) % p;
+                let src = (rank + p - round) % p;
+                if dst == src {
+                    b.push(
+                        rank,
+                        SchedOp::Exchange {
+                            peer: dst,
+                            words: m,
+                        },
+                    );
+                } else {
+                    b.push(rank, SchedOp::Send { to: dst, words: m });
+                    b.push(rank, SchedOp::Recv { from: src });
+                }
             }
         }
-    }
-    s
+    })
 }
 
 /// [`crate::alltoall::reduce_scatter_binomial_async`]: binomial reduction of the whole
 /// `p·m`-word block vector to rank 0, then a binomial scatter.
 fn x_reduce_scatter_binomial(p: usize, m: u64) -> Schedule {
-    let mut s = Schedule::new(p);
-    reduce_binomial_into(&mut s, 0, m * p as u64);
-    scatter_binomial_into(&mut s, m);
-    s
+    Schedule::build(p, |b| {
+        reduce_binomial_into(b, 0, m * p as u64);
+        scatter_binomial_into(b, m);
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -1120,47 +1202,49 @@ pub fn shipped_variants() -> Vec<Variant> {
 /// Planted bug 1: the ring reduce-scatter with send and receive swapped
 /// — every rank posts its receive first, so the ring never moves.
 fn x_planted_swapped_ring(p: usize, m: u64) -> Schedule {
-    let mut s = Schedule::new(p);
-    let lens = split_lens(m, p);
-    for rank in 0..p {
-        let next = (rank + 1) % p;
-        let prev = (rank + p - 1) % p;
-        for step in 0..p - 1 {
-            let send_idx = (rank + p - 1 - step) % p;
-            s.ranks[rank].push(SchedOp::Recv { from: prev });
-            s.ranks[rank].push(SchedOp::Send {
-                to: next,
-                words: lens[send_idx],
-            });
+    Schedule::build(p, |b| {
+        for rank in 0..p {
+            let next = (rank + 1) % p;
+            let prev = (rank + p - 1) % p;
+            for step in 0..p - 1 {
+                let send_idx = (rank + p - 1 - step) % p;
+                b.push(rank, SchedOp::Recv { from: prev });
+                b.push(
+                    rank,
+                    SchedOp::Send {
+                        to: next,
+                        words: split_len(m, p, send_idx),
+                    },
+                );
+            }
         }
-    }
-    s
+    })
 }
 
 /// Planted bug 2: every rank except 0 enters the clock barrier.
 fn x_planted_dropped_barrier(p: usize, _m: u64) -> Schedule {
-    let mut s = Schedule::new(p);
-    for rank in 1..p {
-        s.ranks[rank].push(SchedOp::Barrier);
-    }
-    s
+    Schedule::build(p, |b| {
+        for rank in 1..p {
+            b.push(rank, SchedOp::Barrier);
+        }
+    })
 }
 
 /// Planted bug 3: a binomial broadcast whose sends all land one rank too
 /// high (where a higher rank exists).
 fn x_planted_off_by_one_bcast(p: usize, m: u64) -> Schedule {
-    let mut s = Schedule::new(p);
-    for rank in 0..p {
-        let plan = binomial_bcast_rank_plan(p, 0, rank);
-        if let Some((_, src)) = plan.recv {
-            s.ranks[rank].push(SchedOp::Recv { from: src });
+    Schedule::build(p, |b| {
+        for rank in 0..p {
+            let plan = binomial_bcast_rank_plan(p, 0, rank);
+            if let Some((_, src)) = plan.recv {
+                b.push(rank, SchedOp::Recv { from: src });
+            }
+            for (_, dst) in plan.sends {
+                let dst = if dst + 1 < p { dst + 1 } else { dst };
+                b.push(rank, SchedOp::Send { to: dst, words: m });
+            }
         }
-        for (_, dst) in plan.sends {
-            let dst = if dst + 1 < p { dst + 1 } else { dst };
-            s.ranks[rank].push(SchedOp::Send { to: dst, words: m });
-        }
-    }
-    s
+    })
 }
 
 /// The planted-bug registry: each entry is statically rejectable with
@@ -1328,7 +1412,8 @@ mod tests {
             // that peer's n-th exchange back.
             let mut seen: std::collections::HashMap<usize, usize> =
                 std::collections::HashMap::new();
-            let expected: Vec<CommEv> = sched.ranks[rank]
+            let expected: Vec<CommEv> = sched
+                .rank(rank)
                 .iter()
                 .map(|op| match *op {
                     SchedOp::Send { to, words } => CommEv::Send(to, words),
@@ -1336,7 +1421,8 @@ mod tests {
                     SchedOp::Exchange { peer, words } => {
                         let nth = seen.entry(peer).or_insert(0);
                         // The trace records max(out_words, in_words).
-                        let theirs = sched.ranks[peer]
+                        let theirs = sched
+                            .rank(peer)
                             .iter()
                             .filter_map(|o| match *o {
                                 SchedOp::Exchange { peer: q, words: w } if q == rank => Some(w),

@@ -15,15 +15,10 @@
 //! result, a `map`) is one allocation, and cloning a [`Value`] — which
 //! every send, broadcast fan-out and input distribution does — bumps a
 //! reference count instead of deep-copying `m` elements. Blocks are
-//! immutable once built, so sharing is safe. [`Splittable::split_into`]
-//! copies each segment out of its sub-slice; [`Splittable::concat`] moves
-//! the elements out of segments it alone owns and clones only those of
-//! segments still shared with another owner.
+//! immutable once built, so sharing is safe.
 
 use std::fmt;
 use std::sync::Arc;
-
-use collopt_collectives::Splittable;
 
 /// A dynamic value: scalars, tuples (the auxiliary variables of
 /// Section 2.3) and lists (blocks of `m` words).
@@ -185,62 +180,6 @@ impl fmt::Display for Value {
     }
 }
 
-/// Lets the segmenting collectives (the `collopt_collectives::reduce_scatter` module)
-/// carve a [`Value::List`] block into per-rank segments and reassemble it.
-/// Scalar-like values are indivisible: they only "split" into one part.
-impl Splittable for Value {
-    fn unit_len(&self) -> usize {
-        self.block_len()
-    }
-
-    fn split_into(&self, parts: usize) -> Vec<Value> {
-        match self {
-            Value::List(vs) => {
-                assert!(parts > 0, "cannot split into zero parts");
-                let (base, extra) = (vs.len() / parts, vs.len() % parts);
-                let mut end = 0;
-                (0..parts)
-                    .map(|i| {
-                        let start = end;
-                        end += base + usize::from(i < extra);
-                        Value::List(vs[start..end].into())
-                    })
-                    .collect()
-            }
-            other => {
-                assert_eq!(parts, 1, "cannot segment a scalar-like value {other}");
-                vec![other.clone()]
-            }
-        }
-    }
-
-    fn concat(parts: Vec<Value>) -> Value {
-        if parts.len() == 1 && !matches!(parts[0], Value::List(_)) {
-            // A scalar round-trips through its single "segment".
-            return parts.into_iter().next().expect("one part");
-        }
-        let mut out = Vec::with_capacity(parts.iter().map(Value::block_len).sum());
-        for part in parts {
-            let mut vs = match part {
-                Value::List(vs) => vs,
-                other => panic!("cannot concatenate non-list segment {other}"),
-            };
-            match Arc::get_mut(&mut vs) {
-                // An unshared segment gives up its elements (a scalar
-                // placeholder is left behind and dropped with it) ...
-                Some(owned) => out.extend(
-                    owned
-                        .iter_mut()
-                        .map(|v| std::mem::replace(v, Value::Bool(false))),
-                ),
-                // ... a shared one is copied: its other owners keep reading it.
-                None => out.extend_from_slice(&vs),
-            }
-        }
-        Value::list(out)
-    }
-}
-
 impl From<i64> for Value {
     fn from(v: i64) -> Value {
         Value::Int(v)
@@ -325,62 +264,5 @@ mod tests {
     #[should_panic(expected = "expected Int")]
     fn wrong_accessor_panics() {
         Value::float(1.0).as_int();
-    }
-
-    #[test]
-    fn list_blocks_split_and_concat_round_trip() {
-        let block = Value::int_list([1, 2, 3, 4, 5]);
-        let segs = block.split_into(3);
-        assert_eq!(
-            segs,
-            vec![
-                Value::int_list([1, 2]),
-                Value::int_list([3, 4]),
-                Value::int_list([5]),
-            ]
-        );
-        assert_eq!(Value::concat(segs), block);
-        assert_eq!(block.unit_len(), 5);
-
-        // A block of tuples: the unshared segments give up their tuples,
-        // the shared one is copied and its other owner reads it unchanged.
-        let pairs = Value::list(
-            (0..7i64)
-                .map(|i| Value::pair(i.into(), (-i).into()))
-                .collect(),
-        );
-        let segs = pairs.split_into(3);
-        assert_eq!(
-            segs.iter().map(Value::block_len).collect::<Vec<_>>(),
-            [3, 2, 2]
-        );
-        let held = segs[1].clone();
-        assert_eq!(Value::concat(segs), pairs);
-        assert_eq!(
-            held,
-            Value::list(vec![
-                Value::pair(3.into(), (-3).into()),
-                Value::pair(4.into(), (-4).into()),
-            ])
-        );
-        // Splitting copies out of the block, which its owner keeps.
-        let all_held = pairs.split_into(7);
-        assert_eq!(Value::concat(all_held.clone()), pairs);
-        assert_eq!(all_held[6].as_list(), &[Value::pair(6.into(), (-6).into())]);
-        assert_eq!(pairs.block_len(), 7);
-    }
-
-    #[test]
-    fn scalars_only_split_into_one_part() {
-        let v = Value::Int(7);
-        assert_eq!(v.unit_len(), 1);
-        let segs = v.split_into(1);
-        assert_eq!(Value::concat(segs), v);
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot segment")]
-    fn scalars_refuse_real_splits() {
-        Value::Int(7).split_into(2);
     }
 }

@@ -100,29 +100,23 @@ pub fn binomial_bcast_schedule(size: usize, root: usize) -> Vec<TreeStep> {
 /// (round, destination) of the binomial broadcast rooted at `root`.
 ///
 /// This is the per-rank view a rank needs to participate without scanning
-/// the global schedule.
+/// the global schedule. It is computed in `O(1)` and allocates nothing.
 pub fn binomial_bcast_rank_plan(size: usize, root: usize, rank: usize) -> BinomialPlan {
     assert!(rank < size && root < size);
     let v = (rank + size - root) % size;
-    let recv_round = if v == 0 { None } else { Some(floor_log2(v)) };
-    let recv_from = recv_round.map(|j| {
-        let src_v = v - (1usize << j);
-        (src_v + root) % size
-    });
-    let mut sends = Vec::new();
-    let first_active = match recv_round {
-        None => 0,
-        Some(j) => j + 1,
-    };
-    for round in first_active..ceil_log2(size) {
-        let dst_v = v + (1usize << round);
-        if dst_v < size && v < (1usize << round) {
-            sends.push((round, (dst_v + root) % size));
-        }
-    }
+    let recv_round = (v != 0).then(|| floor_log2(v));
+    // The rank sends in every round after its receive whose destination
+    // `v + 2^round` still exists, which is a prefix of the remaining rounds.
+    let first = recv_round.map_or(0, |j| j + 1);
+    let end = ceil_log2(size - v).max(first);
     BinomialPlan {
-        recv: recv_round.map(|r| (r, recv_from.unwrap())),
-        sends,
+        recv: recv_round.map(|j| (j, (v - (1usize << j) + root) % size)),
+        sends: BinomialSends {
+            rounds: first..end,
+            v,
+            root,
+            size,
+        },
     }
 }
 
@@ -133,8 +127,33 @@ pub struct BinomialPlan {
     /// `(round, source)` of the single receive, `None` for the root.
     pub recv: Option<(u32, usize)>,
     /// `(round, destination)` pairs, in increasing round order.
-    pub sends: Vec<(u32, usize)>,
+    pub sends: BinomialSends,
 }
+
+/// The sends of a [`BinomialPlan`]: an iterator of `(round, destination)`
+/// pairs in increasing round order, computed on the fly.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct BinomialSends {
+    rounds: std::ops::Range<u32>,
+    v: usize,
+    root: usize,
+    size: usize,
+}
+
+impl Iterator for BinomialSends {
+    type Item = (u32, usize);
+
+    fn next(&mut self) -> Option<(u32, usize)> {
+        let round = self.rounds.next()?;
+        Some((round, (self.v + (1usize << round) + self.root) % self.size))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.rounds.size_hint()
+    }
+}
+
+impl ExactSizeIterator for BinomialSends {}
 
 /// A node of the paper's virtual balanced tree (Section 3.2).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -308,36 +327,52 @@ impl BalancedTree {
             }
         }
     }
+}
 
-    /// Per-rank schedule: the actions rank `rank` participates in, level by
-    /// level. Entries are `(level, action)` where the action is from this
-    /// rank's point of view.
-    pub fn rank_schedule(&self, rank: usize) -> Vec<(u32, RankAction)> {
-        let mut out = Vec::new();
-        for level in self.schedule() {
-            for step in level {
-                match step {
-                    BalancedStep::Combine {
-                        level,
-                        left_rep,
-                        right_rep,
-                    } => {
-                        if left_rep == rank {
-                            out.push((level, RankAction::RecvCombine { from: right_rep }));
-                        } else if right_rep == rank {
-                            out.push((level, RankAction::SendTo { to: left_rep }));
-                        }
-                    }
-                    BalancedStep::Unary { level, rep } => {
-                        if rep == rank {
-                            out.push((level, RankAction::ApplyUnary));
-                        }
-                    }
-                }
-            }
+/// Rank `rank`'s actions in the balanced-tree reduction over `n` leaves,
+/// bottom-up, as `(level, action)` pairs: the per-rank view of
+/// [`BalancedTree::schedule`], computed from `(n, rank)` in `O(log n)`
+/// without building the tree and without allocating.
+///
+/// With `q = n − 1`, the tree's left spine holds rank 0 at every level. The
+/// spine node at level `L` is binary exactly when bit `L − 1` of `q` is set,
+/// and its right child is then the complete subtree over the `2^(L−1)`
+/// ranks from `(q mod 2^(L−1)) + 1` on; otherwise it is unary. So rank 0
+/// receives from that first rank or applies the unary variant, level by
+/// level. Any other rank sits in one complete subtree and reduces there as
+/// in a binomial tree. That subtree has `2^h` ranks, `h` being the highest
+/// bit in which `q` and `n − 1 − rank` differ, and starts at
+/// `(q mod 2^h) + 1`.
+pub fn balanced_rank_plan(n: usize, rank: usize) -> impl Iterator<Item = (u32, RankAction)> {
+    assert!(rank < n, "rank {rank} out of range for {n} leaves");
+    let q = n - 1;
+    // `levels` is the last level the rank acts at. `send` is where it
+    // sends at that level, or `None` for rank 0, which never sends.
+    let (levels, send) = if rank == 0 {
+        (ceil_log2(n), None)
+    } else {
+        let height = floor_log2(q ^ (q - rank));
+        // The rank's offset in its complete subtree.
+        let x = rank - (q & ((1usize << height) - 1)) - 1;
+        if x == 0 {
+            (height + 1, Some(0))
+        } else {
+            let j = x.trailing_zeros();
+            (j + 1, Some(rank - (1usize << j)))
         }
-        out
-    }
+    };
+    (1..=levels).map(move |level| {
+        let bit = 1usize << (level - 1);
+        let action = match send {
+            Some(to) if level == levels => RankAction::SendTo { to },
+            Some(_) => RankAction::RecvCombine { from: rank + bit },
+            None if q & bit != 0 => RankAction::RecvCombine {
+                from: (q & (bit - 1)) + 1,
+            },
+            None => RankAction::ApplyUnary,
+        };
+        (level, action)
+    })
 }
 
 /// A per-rank action in the balanced-tree reduction.
@@ -455,7 +490,8 @@ mod tests {
                         .map(|s| (s.round, s.to))
                         .collect();
                     assert_eq!(
-                        plan.sends, expected_sends,
+                        plan.sends.collect::<Vec<_>>(),
+                        expected_sends,
                         "size={size} root={root} rank={rank}"
                     );
                 }
@@ -582,7 +618,7 @@ mod tests {
             assert_eq!(combines, n - 1);
             let mut per_rank = 0usize;
             for rank in 0..n {
-                for (_, a) in t.rank_schedule(rank) {
+                for (_, a) in balanced_rank_plan(n, rank) {
                     match a {
                         RankAction::RecvCombine { .. } | RankAction::SendTo { .. } => per_rank += 1,
                         RankAction::ApplyUnary => {}
@@ -593,8 +629,7 @@ mod tests {
             assert_eq!(per_rank, 2 * combines);
             let unary_ranks: usize = (0..n)
                 .map(|r| {
-                    t.rank_schedule(r)
-                        .iter()
+                    balanced_rank_plan(n, r)
                         .filter(|(_, a)| matches!(a, RankAction::ApplyUnary))
                         .count()
                 })
@@ -606,9 +641,8 @@ mod tests {
     #[test]
     fn once_a_rank_sends_it_never_acts_again() {
         for n in 1..60 {
-            let t = BalancedTree::new(n);
             for rank in 0..n {
-                let sched = t.rank_schedule(rank);
+                let sched: Vec<_> = balanced_rank_plan(n, rank).collect();
                 if let Some(pos) = sched
                     .iter()
                     .position(|(_, a)| matches!(a, RankAction::SendTo { .. }))
@@ -619,6 +653,47 @@ mod tests {
                         "rank {rank} acted after sending (n={n})"
                     );
                 }
+            }
+        }
+    }
+
+    /// The actions of `rank`, filtered from the whole tree's level
+    /// schedule: the reference [`balanced_rank_plan`] is held against.
+    fn rank_actions_from_tree(t: &BalancedTree, rank: usize) -> Vec<(u32, RankAction)> {
+        let mut out = Vec::new();
+        for step in t.schedule().into_iter().flatten() {
+            match step {
+                BalancedStep::Combine {
+                    level,
+                    left_rep,
+                    right_rep,
+                } => {
+                    if left_rep == rank {
+                        out.push((level, RankAction::RecvCombine { from: right_rep }));
+                    } else if right_rep == rank {
+                        out.push((level, RankAction::SendTo { to: left_rep }));
+                    }
+                }
+                BalancedStep::Unary { level, rep } => {
+                    if rep == rank {
+                        out.push((level, RankAction::ApplyUnary));
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn balanced_rank_plan_matches_the_whole_tree_schedule() {
+        for n in 1..=130 {
+            let t = BalancedTree::new(n);
+            for rank in 0..n {
+                assert_eq!(
+                    balanced_rank_plan(n, rank).collect::<Vec<_>>(),
+                    rank_actions_from_tree(&t, rank),
+                    "n={n} rank={rank}"
+                );
             }
         }
     }
