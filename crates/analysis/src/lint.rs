@@ -34,7 +34,7 @@ use collopt_core::rules;
 use collopt_core::rules::enabling::{self, Normalization};
 use collopt_core::term::{Program, Stage};
 use collopt_cost::MachineParams;
-use collopt_machine::Json;
+use collopt_machine::{write_json_display, write_json_num, write_json_str};
 
 use crate::audit::{audit_law, audit_operator, domain_of_builtin, AuditConfig, Domain};
 
@@ -180,59 +180,64 @@ impl LintReport {
     }
 
     /// Render the report as compact JSON (hand-rolled, byte-stable for a
-    /// fixed input and config).
+    /// fixed input and config): the text [`LintReport::write_json`] writes.
     pub fn render_json(&self) -> String {
-        self.to_json().render()
+        let mut out = String::new();
+        self.write_json(&mut out);
+        out
     }
 
-    /// The report as a JSON value, for embedding in a larger document.
-    pub fn to_json(&self) -> Json {
-        let span_json = |span: Option<Span>| match span {
-            Some(s) => Json::Obj(vec![
-                ("start".into(), Json::Num(s.start as f64)),
-                ("end".into(), Json::Num(s.end as f64)),
-            ]),
-            None => Json::Null,
-        };
-        let diags: Vec<Json> = self
-            .diagnostics
-            .iter()
-            .map(|d| {
-                Json::Obj(vec![
-                    ("code".into(), Json::Str(d.code.to_string())),
-                    ("severity".into(), Json::Str(d.severity.to_string())),
-                    ("stage".into(), Json::Num(d.stage as f64)),
-                    ("len".into(), Json::Num(d.len as f64)),
-                    ("span".into(), span_json(d.span)),
-                    ("message".into(), Json::Str(d.message.clone())),
-                    (
-                        "suggestion".into(),
-                        d.suggestion.clone().map_or(Json::Null, Json::Str),
-                    ),
-                ])
-            })
-            .collect();
-        Json::Obj(vec![
-            ("version".into(), Json::Num(1.0)),
-            (
-                "machine".into(),
-                Json::Obj(vec![
-                    ("p".into(), Json::Num(self.params.p as f64)),
-                    ("ts".into(), Json::Num(self.params.ts)),
-                    ("tw".into(), Json::Num(self.params.tw)),
-                    ("m".into(), Json::Num(self.block)),
-                ]),
-            ),
-            ("diagnostics".into(), Json::Arr(diags)),
-            (
-                "summary".into(),
-                Json::Obj(vec![
-                    ("errors".into(), Json::Num(self.errors() as f64)),
-                    ("warnings".into(), Json::Num(self.warnings() as f64)),
-                    ("notes".into(), Json::Num(self.notes() as f64)),
-                ]),
-            ),
-        ])
+    /// Append the report's JSON object to `out`, for embedding in a larger
+    /// document; allocates nothing beyond `out`'s growth.
+    pub fn write_json(&self, out: &mut String) {
+        out.push_str("{\"version\":1,\"machine\":{\"p\":");
+        write_json_num(out, self.params.p as f64);
+        out.push_str(",\"ts\":");
+        write_json_num(out, self.params.ts);
+        out.push_str(",\"tw\":");
+        write_json_num(out, self.params.tw);
+        out.push_str(",\"m\":");
+        write_json_num(out, self.block);
+        out.push_str("},\"diagnostics\":[");
+        for (i, d) in self.diagnostics.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            out.push_str("{\"code\":");
+            write_json_str(out, d.code);
+            out.push_str(",\"severity\":");
+            write_json_display(out, &d.severity);
+            out.push_str(",\"stage\":");
+            write_json_num(out, d.stage as f64);
+            out.push_str(",\"len\":");
+            write_json_num(out, d.len as f64);
+            out.push_str(",\"span\":");
+            match d.span {
+                Some(span) => {
+                    out.push_str("{\"start\":");
+                    write_json_num(out, span.start as f64);
+                    out.push_str(",\"end\":");
+                    write_json_num(out, span.end as f64);
+                    out.push('}');
+                }
+                None => out.push_str("null"),
+            }
+            out.push_str(",\"message\":");
+            write_json_str(out, &d.message);
+            out.push_str(",\"suggestion\":");
+            match &d.suggestion {
+                Some(suggestion) => write_json_str(out, suggestion),
+                None => out.push_str("null"),
+            }
+            out.push('}');
+        }
+        out.push_str("],\"summary\":{\"errors\":");
+        write_json_num(out, self.errors() as f64);
+        out.push_str(",\"warnings\":");
+        write_json_num(out, self.warnings() as f64);
+        out.push_str(",\"notes\":");
+        write_json_num(out, self.notes() as f64);
+        out.push_str("}}");
     }
 }
 
@@ -803,7 +808,7 @@ mod tests {
             .unwrap()
             .render_json();
         assert_eq!(a, b);
-        Json::parse(&a).expect("renderer emits valid JSON");
+        collopt_machine::Json::parse(&a).expect("renderer emits valid JSON");
     }
 
     #[test]

@@ -7,7 +7,9 @@
 //! artifact a performance engineer would attach to a code review.
 
 use collopt_cost::MachineParams;
-use collopt_machine::{ClockParams, FaultPlan, Json};
+use collopt_machine::{
+    write_json_display, write_json_num, write_json_str, ClockParams, FaultPlan, Json,
+};
 
 use crate::exec::{execute, execute_faulted, execute_profiled, execute_traced_with, ExecConfig};
 use crate::rewrite::{program_cost, stage_cost, OptimizeResult, RewriteStep, Rewriter, Witness};
@@ -89,85 +91,25 @@ pub fn optimization_report(
     (result, out)
 }
 
-/// One side of the before/after pair in [`optimize_result_json`].
-fn program_json(prog: &Program, params: &MachineParams, m: f64) -> Json {
-    Json::Obj(vec![
-        ("program".into(), Json::Str(prog.to_string())),
-        ("cost".into(), Json::Num(program_cost(prog, params, m))),
-        ("stages".into(), Json::Num(prog.len() as f64)),
-        (
-            "collectives".into(),
-            Json::Num(prog.collective_count() as f64),
-        ),
-    ])
-}
-
-fn step_json(step: &RewriteStep) -> Json {
-    let witness = match step.certificate.witness {
-        Witness::Declared => Json::Obj(vec![("kind".into(), Json::Str("declared".into()))]),
-        Witness::Checked { samples } => Json::Obj(vec![
-            ("kind".into(), Json::Str("checked".into())),
-            ("samples".into(), Json::Num(samples as f64)),
-        ]),
-    };
-    let laws: Vec<Json> = step
-        .certificate
-        .laws
-        .iter()
-        .map(|l| Json::Str(l.describe()))
-        .collect();
-    Json::Obj(vec![
-        ("rule".into(), Json::Str(step.rule.to_string())),
-        ("at".into(), Json::Num(step.at as f64)),
-        ("saving".into(), step.saving.map_or(Json::Null, Json::Num)),
-        ("description".into(), Json::Str(step.description.clone())),
-        ("rank0_only".into(), Json::Bool(step.rank0_only)),
-        (
-            "certificate".into(),
-            Json::Obj(vec![
-                ("laws".into(), Json::Arr(laws)),
-                ("witness".into(), witness),
-            ]),
-        ),
-    ])
-}
-
-fn normalization_json(n: &Normalization) -> Json {
-    match n {
-        Normalization::MapFuse { at, label } => Json::Obj(vec![
-            ("kind".into(), Json::Str("map-fuse".into())),
-            ("at".into(), Json::Num(*at as f64)),
-            ("label".into(), Json::Str(label.clone())),
-        ]),
-        Normalization::BcastMapCommute { at, label } => Json::Obj(vec![
-            ("kind".into(), Json::Str("bcast-map-commute".into())),
-            ("at".into(), Json::Num(*at as f64)),
-            ("label".into(), Json::Str(label.clone())),
-        ]),
-        Normalization::GatherScatterElim { at } => Json::Obj(vec![
-            ("kind".into(), Json::Str("gather-scatter-elim".into())),
-            ("at".into(), Json::Num(*at as f64)),
-        ]),
-    }
-}
-
-/// Serialize an optimization run through the shared hand-rolled
-/// [`Json`] document model — the one machine-readable rendering of an
-/// [`OptimizeResult`], used by `collopt --json`, the serve front end,
-/// and the golden-pinned schema test. Byte-stable: the same
-/// `(prog, result, params, m)` always renders the same string via
-/// [`Json::render`] (object order is fixed, numbers use Rust's
-/// shortest-roundtrip `f64` formatting).
+/// Write the members of the optimize-result document — everything between
+/// its braces — into `out`. This is the one machine-readable rendering of
+/// an [`OptimizeResult`]: `collopt --json` wraps it in braces, the serve
+/// front end appends its `lint` and `simulation` members before closing
+/// it, and the golden-pinned schema test holds its bytes. Byte-stable: the
+/// same `(prog, result, params, m)` always writes the same bytes (member
+/// order is fixed, numbers use Rust's shortest-roundtrip `f64`
+/// formatting). Nothing is allocated but one `String` per certificate law.
 ///
 /// `prog` is the program the rewriter was handed (for the serve path,
 /// the *canonicalized* pipeline, so responses are independent of the
 /// request's surface spelling).
-pub fn optimize_result_json(
+pub fn write_optimize_result(
+    out: &mut String,
     prog: &Program,
     result: &OptimizeResult,
     params: &MachineParams,
     m: f64,
-) -> Json {
+) {
     let before = program_cost(prog, params, m);
     let after = program_cost(&result.program, params, m);
     let percent = if before > 0.0 {
@@ -175,59 +117,133 @@ pub fn optimize_result_json(
     } else {
         0.0
     };
-    let rejections: Vec<Json> = result
-        .rejections
-        .iter()
-        .map(|r| {
-            Json::Obj(vec![
-                ("rule".into(), Json::Str(r.rule.to_string())),
-                ("at".into(), Json::Num(r.at as f64)),
-                ("law".into(), Json::Str(r.law.clone())),
-                (
-                    "counterexample".into(),
-                    Json::Str(r.counterexample.to_string()),
-                ),
-            ])
-        })
-        .collect();
-    Json::Obj(vec![
-        ("version".into(), Json::Num(1.0)),
-        (
-            "machine".into(),
-            Json::Obj(vec![
-                ("p".into(), Json::Num(params.p as f64)),
-                ("ts".into(), Json::Num(params.ts)),
-                ("tw".into(), Json::Num(params.tw)),
-                ("m".into(), Json::Num(m)),
-            ]),
-        ),
-        ("original".into(), program_json(prog, params, m)),
-        ("optimized".into(), program_json(&result.program, params, m)),
-        (
-            "cost".into(),
-            Json::Obj(vec![
-                ("before".into(), Json::Num(before)),
-                ("after".into(), Json::Num(after)),
-                ("saving".into(), Json::Num(before - after)),
-                ("percent".into(), Json::Num(percent)),
-            ]),
-        ),
-        (
-            "steps".into(),
-            Json::Arr(result.steps.iter().map(step_json).collect()),
-        ),
-        (
-            "normalizations".into(),
-            Json::Arr(
-                result
-                    .normalizations
-                    .iter()
-                    .map(normalization_json)
-                    .collect(),
-            ),
-        ),
-        ("rejections".into(), Json::Arr(rejections)),
-    ])
+    out.push_str("\"version\":1,\"machine\":{\"p\":");
+    write_json_num(out, params.p as f64);
+    out.push_str(",\"ts\":");
+    write_json_num(out, params.ts);
+    out.push_str(",\"tw\":");
+    write_json_num(out, params.tw);
+    out.push_str(",\"m\":");
+    write_json_num(out, m);
+    out.push_str("},\"original\":");
+    write_program(out, prog, before);
+    out.push_str(",\"optimized\":");
+    write_program(out, &result.program, after);
+    out.push_str(",\"cost\":{\"before\":");
+    write_json_num(out, before);
+    out.push_str(",\"after\":");
+    write_json_num(out, after);
+    out.push_str(",\"saving\":");
+    write_json_num(out, before - after);
+    out.push_str(",\"percent\":");
+    write_json_num(out, percent);
+    out.push_str("},\"steps\":[");
+    for (i, step) in result.steps.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        write_step(out, step);
+    }
+    out.push_str("],\"normalizations\":[");
+    for (i, n) in result.normalizations.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        write_normalization(out, n);
+    }
+    out.push_str("],\"rejections\":[");
+    for (i, r) in result.rejections.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push_str("{\"rule\":");
+        write_json_str(out, r.rule.name());
+        out.push_str(",\"at\":");
+        write_json_num(out, r.at as f64);
+        out.push_str(",\"law\":");
+        write_json_str(out, &r.law);
+        out.push_str(",\"counterexample\":");
+        write_json_display(out, &r.counterexample);
+        out.push('}');
+    }
+    out.push(']');
+}
+
+/// One side of the before/after pair in [`write_optimize_result`].
+fn write_program(out: &mut String, prog: &Program, cost: f64) {
+    out.push_str("{\"program\":");
+    write_json_display(out, prog);
+    out.push_str(",\"cost\":");
+    write_json_num(out, cost);
+    out.push_str(",\"stages\":");
+    write_json_num(out, prog.len() as f64);
+    out.push_str(",\"collectives\":");
+    write_json_num(out, prog.collective_count() as f64);
+    out.push('}');
+}
+
+fn write_step(out: &mut String, step: &RewriteStep) {
+    out.push_str("{\"rule\":");
+    write_json_str(out, step.rule.name());
+    out.push_str(",\"at\":");
+    write_json_num(out, step.at as f64);
+    out.push_str(",\"saving\":");
+    match step.saving {
+        Some(saving) => write_json_num(out, saving),
+        None => out.push_str("null"),
+    }
+    out.push_str(",\"description\":");
+    write_json_str(out, &step.description);
+    out.push_str(",\"rank0_only\":");
+    out.push_str(if step.rank0_only { "true" } else { "false" });
+    out.push_str(",\"certificate\":{\"laws\":[");
+    for (i, law) in step.certificate.laws.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        write_json_str(out, &law.describe());
+    }
+    out.push_str("],\"witness\":");
+    match step.certificate.witness {
+        Witness::Declared => out.push_str("{\"kind\":\"declared\"}"),
+        Witness::Checked { samples } => {
+            out.push_str("{\"kind\":\"checked\",\"samples\":");
+            write_json_num(out, samples as f64);
+            out.push('}');
+        }
+    }
+    out.push_str("}}");
+}
+
+fn write_normalization(out: &mut String, n: &Normalization) {
+    let (kind, at, label) = match n {
+        Normalization::MapFuse { at, label } => ("map-fuse", at, Some(label)),
+        Normalization::BcastMapCommute { at, label } => ("bcast-map-commute", at, Some(label)),
+        Normalization::GatherScatterElim { at } => ("gather-scatter-elim", at, None),
+    };
+    out.push_str("{\"kind\":");
+    write_json_str(out, kind);
+    out.push_str(",\"at\":");
+    write_json_num(out, *at as f64);
+    if let Some(label) = label {
+        out.push_str(",\"label\":");
+        write_json_str(out, label);
+    }
+    out.push('}');
+}
+
+/// The document [`write_optimize_result`] writes, parsed back into a
+/// [`Json`] value for callers that inspect or extend it as a tree.
+pub fn optimize_result_json(
+    prog: &Program,
+    result: &OptimizeResult,
+    params: &MachineParams,
+    m: f64,
+) -> Json {
+    let mut text = String::from("{");
+    write_optimize_result(&mut text, prog, result, params, m);
+    text.push('}');
+    Json::parse(&text).expect("the written document is valid JSON")
 }
 
 /// Render a per-stage table with *measured* simulated times next to the

@@ -182,35 +182,42 @@ impl Stage {
         }
     }
 
-    /// Short human-readable form, used by [`Program`]'s `Display`.
+    /// Short human-readable form, the stage's `Display`.
     pub fn describe(&self) -> String {
+        self.with_form(std::fmt::format)
+    }
+
+    /// Hand the stage's human-readable form to `f`: the one spelling both
+    /// [`Stage::describe`] (a `format!`) and `Display` (written in place,
+    /// no `String`) use.
+    fn with_form<R>(&self, f: impl FnOnce(std::fmt::Arguments<'_>) -> R) -> R {
         match self {
-            Stage::Map { label, .. } => format!("map {label}"),
-            Stage::MapIndexed { label, .. } => format!("map# {label}"),
-            Stage::Bcast => "bcast".to_string(),
-            Stage::Scan(op) => format!("scan({})", op.name()),
-            Stage::Reduce(op) => format!("reduce({})", op.name()),
-            Stage::AllReduce(op) => format!("allreduce({})", op.name()),
+            Stage::Map { label, .. } => f(format_args!("map {label}")),
+            Stage::MapIndexed { label, .. } => f(format_args!("map# {label}")),
+            Stage::Bcast => f(format_args!("bcast")),
+            Stage::Scan(op) => f(format_args!("scan({})", op.name())),
+            Stage::Reduce(op) => f(format_args!("reduce({})", op.name())),
+            Stage::AllReduce(op) => f(format_args!("allreduce({})", op.name())),
             Stage::ReduceBalanced { all, label, .. } => {
                 if *all {
-                    format!("allreduce_balanced({label})")
+                    f(format_args!("allreduce_balanced({label})"))
                 } else {
-                    format!("reduce_balanced({label})")
+                    f(format_args!("reduce_balanced({label})"))
                 }
             }
-            Stage::Gather => "gather".to_string(),
-            Stage::Scatter => "scatter".to_string(),
-            Stage::AllGather => "allgather".to_string(),
-            Stage::ScanBalanced { label, .. } => format!("scan_balanced({label})"),
+            Stage::Gather => f(format_args!("gather")),
+            Stage::Scatter => f(format_args!("scatter")),
+            Stage::AllGather => f(format_args!("allgather")),
+            Stage::ScanBalanced { label, .. } => f(format_args!("scan_balanced({label})")),
             Stage::Comcast { label, variant, .. } => match variant {
-                ComcastVariant::BcastRepeat => format!("bcast; map# {label}"),
-                ComcastVariant::CostOptimal => format!("comcast({label})"),
+                ComcastVariant::BcastRepeat => f(format_args!("bcast; map# {label}")),
+                ComcastVariant::CostOptimal => f(format_args!("comcast({label})")),
             },
             Stage::IterLocal { all, label, .. } => {
                 if *all {
-                    format!("iter({label}); bcast")
+                    f(format_args!("iter({label}); bcast"))
                 } else {
-                    format!("iter({label})")
+                    f(format_args!("iter({label})"))
                 }
             }
         }
@@ -225,9 +232,15 @@ impl Stage {
     }
 }
 
+impl std::fmt::Display for Stage {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.with_form(|form| f.write_fmt(form))
+    }
+}
+
 impl std::fmt::Debug for Stage {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(&self.describe())
+        std::fmt::Display::fmt(self, f)
     }
 }
 
@@ -354,8 +367,13 @@ impl std::fmt::Display for Program {
         if self.stages.is_empty() {
             return f.write_str("id");
         }
-        let parts: Vec<String> = self.stages.iter().map(Stage::describe).collect();
-        f.write_str(&parts.join(" ; "))
+        for (i, stage) in self.stages.iter().enumerate() {
+            if i > 0 {
+                f.write_str(" ; ")?;
+            }
+            std::fmt::Display::fmt(stage, f)?;
+        }
+        Ok(())
     }
 }
 

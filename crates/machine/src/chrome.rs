@@ -7,9 +7,17 @@
 //! Open the output at <https://ui.perfetto.dev> to scrub through a run.
 //!
 //! The workspace is intentionally dependency-free, so the JSON layer is
-//! hand-rolled: a tiny [`Json`] document model with a renderer and a
-//! strict parser, enough to guarantee (and test) that exports round-trip
-//! and that field names stay stable.
+//! hand-rolled, in two halves. [`Json`] is the parsed-document model —
+//! what [`Json::parse`] returns and what request handling and tests read —
+//! with a renderer for documents that are built as trees (this module's
+//! trace export, round-trip tests). Responses are *written*, not built:
+//! [`write_json_num`], [`write_json_str`] and [`write_json_display`]
+//! append a number, a string or a `Display` value to the caller's buffer
+//! with no intermediate `String`, and the serve path writes its documents
+//! member by member with them. [`Json::render`] uses the same functions,
+//! so a written document and a rendered tree agree byte for byte.
+
+use std::fmt::{self, Write as _};
 
 use crate::trace::{EventKind, Trace};
 
@@ -38,18 +46,13 @@ impl Json {
         out
     }
 
-    fn write(&self, out: &mut String) {
+    /// Append the compact rendering to `out`.
+    pub fn write(&self, out: &mut String) {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Num(n) => {
-                if n.is_finite() {
-                    out.push_str(&format!("{n}"));
-                } else {
-                    out.push_str("null"); // JSON has no Inf/NaN
-                }
-            }
-            Json::Str(s) => write_escaped(s, out),
+            Json::Num(n) => write_json_num(out, *n),
+            Json::Str(s) => write_json_str(out, s),
             Json::Arr(items) => {
                 out.push('[');
                 for (i, item) in items.iter().enumerate() {
@@ -66,7 +69,7 @@ impl Json {
                     if i > 0 {
                         out.push(',');
                     }
-                    write_escaped(k, out);
+                    write_json_str(out, k);
                     out.push(':');
                     v.write(out);
                 }
@@ -127,20 +130,69 @@ impl Json {
     }
 }
 
-fn write_escaped(s: &str, out: &mut String) {
+/// Append a number as [`Json::Num`] renders it: Rust's shortest
+/// round-trip `f64` formatting (the bytes of `format!("{n}")`), or `null`
+/// when `n` is not finite — JSON has no Inf/NaN.
+pub fn write_json_num(out: &mut String, n: f64) {
+    if n.is_finite() {
+        write!(out, "{n}").expect("writing to a String cannot fail");
+    } else {
+        out.push_str("null");
+    }
+}
+
+/// Append `s` as a quoted, escaped JSON string literal.
+pub fn write_json_str(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+    escape_into(out, s);
+    out.push('"');
+}
+
+/// Append a [`Display`](fmt::Display) value as a quoted, escaped JSON
+/// string literal, formatting it straight into `out`.
+pub fn write_json_display(out: &mut String, value: &impl fmt::Display) {
+    out.push('"');
+    write!(Escaped(out), "{value}").expect("writing to a String cannot fail");
+    out.push('"');
+}
+
+/// A [`fmt::Write`] sink that escapes what it is given into a JSON string
+/// body.
+struct Escaped<'a>(&'a mut String);
+
+impl fmt::Write for Escaped<'_> {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        escape_into(self.0, s);
+        Ok(())
+    }
+}
+
+/// Escape `s` into `out`, copying runs of bytes that need no escape whole.
+/// Only ASCII bytes are ever escaped, so every run boundary is a `char`
+/// boundary.
+fn escape_into(out: &mut String, s: &str) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    let mut run = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
+        }
+        out.push_str(&s[run..i]);
+        run = i + 1;
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\t' => out.push_str("\\t"),
+            b'\r' => out.push_str("\\r"),
+            _ => {
+                out.push_str("\\u00");
+                out.push(char::from(HEX[usize::from(b >> 4)]));
+                out.push(char::from(HEX[usize::from(b & 0xf)]));
+            }
         }
     }
-    out.push('"');
+    out.push_str(&s[run..]);
 }
 
 fn skip_ws(bytes: &[u8], pos: &mut usize) {
@@ -237,13 +289,22 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
     expect(bytes, pos, b'"')?;
     let mut out = String::new();
     loop {
+        // Copy the run up to the next quote or backslash whole: one UTF-8
+        // check per run keeps a string linear in its length.
+        let run = bytes[*pos..]
+            .iter()
+            .position(|&b| b == b'"' || b == b'\\')
+            .unwrap_or(bytes.len() - *pos);
+        out.push_str(std::str::from_utf8(&bytes[*pos..*pos + run]).map_err(|e| e.to_string())?);
+        *pos += run;
         match bytes.get(*pos) {
             None => return Err("unterminated string".into()),
             Some(b'"') => {
                 *pos += 1;
                 return Ok(out);
             }
-            Some(b'\\') => {
+            Some(_) => {
+                // The run stopped at a backslash.
                 *pos += 1;
                 match bytes.get(*pos) {
                     Some(b'"') => out.push('"'),
@@ -269,13 +330,6 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                     _ => return Err(format!("bad escape at byte {pos}")),
                 }
                 *pos += 1;
-            }
-            Some(_) => {
-                // Consume one UTF-8 scalar (input is a &str, so valid).
-                let rest = std::str::from_utf8(&bytes[*pos..]).map_err(|e| e.to_string())?;
-                let c = rest.chars().next().unwrap();
-                out.push(c);
-                *pos += c.len_utf8();
             }
         }
     }
@@ -468,6 +522,96 @@ mod tests {
             .map(|n| n.as_f64().unwrap())
             .collect();
         assert_eq!(nums, vec![-150.0, 0.0, 3.0]);
+    }
+
+    /// The per-`char` escaper `write_json_str` replaced, kept as its
+    /// reference.
+    fn escaped_per_char(s: &str) -> String {
+        let mut out = String::from('"');
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\t' => out.push_str("\\t"),
+                '\r' => out.push_str("\\r"),
+                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+        out
+    }
+
+    #[test]
+    fn written_strings_equal_the_per_char_escaper() {
+        let ascii: String = (0u8..0x80).map(char::from).collect();
+        let mut cases = vec![
+            String::new(),
+            ascii.clone(),
+            ascii.chars().rev().collect(),
+            "map f ; scan(mul)  →[SR2-Reduction]→  reduce(op_sr2[mul,add])".to_string(),
+            "\"quoted\" \\ back\tslash\n".to_string(),
+            "é→😀\u{1}x\u{7f}\u{1f}".to_string(),
+        ];
+        // Every code point below 0x80 alone and between multi-byte text.
+        cases.extend((0u8..0x80).map(|b| char::from(b).to_string()));
+        cases.extend((0u8..0x80).map(|b| format!("→{}é", char::from(b))));
+        for case in &cases {
+            let mut out = String::from("prefix");
+            write_json_str(&mut out, case);
+            assert_eq!(out, format!("prefix{}", escaped_per_char(case)), "{case:?}");
+            let mut shown = String::new();
+            write_json_display(&mut shown, case);
+            assert_eq!(shown, escaped_per_char(case), "{case:?}");
+            assert_eq!(Json::parse(&shown).unwrap(), Json::Str(case.clone()));
+        }
+    }
+
+    #[test]
+    fn written_numbers_equal_format() {
+        let finite = [
+            -0.0,
+            0.0,
+            f64::MIN_POSITIVE / 4.0,
+            -5e-324,
+            1e21,
+            1e-7,
+            9_007_199_254_740_992.0,
+            -9_007_199_254_740_993.0,
+            64.0,
+            -3.0,
+            0.1,
+            22.255192878338278,
+            f64::MAX,
+        ];
+        for n in finite {
+            let mut out = String::new();
+            write_json_num(&mut out, n);
+            assert_eq!(out, format!("{n}"));
+            assert_eq!(Json::Num(n).render(), out);
+        }
+        for n in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut out = String::new();
+            write_json_num(&mut out, n);
+            assert_eq!(out, "null");
+        }
+    }
+
+    #[test]
+    fn parser_reads_a_long_string_in_linear_time() {
+        // 256 KiB with a multi-byte char and an escape every 64 bytes: a
+        // parser that re-checks the rest of the line per char takes
+        // seconds here.
+        let chunk = format!("{}é\\n", "x".repeat(60));
+        let body = chunk.repeat(256 * 1024 / chunk.len());
+        let line = format!("{{\"pipeline\":\"{body}\"}}");
+        let start = std::time::Instant::now();
+        let doc = Json::parse(&line).expect("parses");
+        let elapsed = start.elapsed();
+        let text = doc.get("pipeline").and_then(Json::as_str).unwrap();
+        assert_eq!(text.len(), body.len() - body.matches("\\n").count());
+        assert!(elapsed.as_secs_f64() < 1.0, "took {elapsed:?}");
     }
 
     #[test]

@@ -68,7 +68,9 @@ pub mod rng;
 pub mod topology;
 pub mod trace;
 
-pub use chrome::{chrome_trace, chrome_trace_json, Json};
+pub use chrome::{
+    chrome_trace, chrome_trace_json, write_json_display, write_json_num, write_json_str, Json,
+};
 pub use clock::ClockParams;
 pub use error::MachineError;
 pub use fault::{FaultInjector, FaultPlan, RetryParams};

@@ -16,8 +16,8 @@
 //!   rendered bytes behind an `Arc`, zero-copy.
 //! * [`service`] — canonicalization ([`collopt_core::rules::enabling`]'s
 //!   replayable normalization), cache-key derivation, and the cold
-//!   path (saturate → lint → simulate → render through the shared
-//!   [`collopt_machine::Json`] writer).
+//!   path (saturate → lint → simulate, then write the body into one
+//!   buffer with [`collopt_machine::chrome`]'s JSON writers).
 //! * [`server`] — the TCP front: one thread per connection reads a
 //!   bounded line, runs it under one of `workers` permits and answers in
 //!   order, with a graceful stop that lets every connection finish.

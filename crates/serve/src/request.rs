@@ -28,7 +28,7 @@
 //! [`MAX_LINE`](crate::server::MAX_LINE) bytes; the server then closes
 //! the connection).
 
-use collopt_machine::Json;
+use collopt_machine::{write_json_str, Json};
 
 /// Default processor count, matching `collopt`'s `--p`.
 pub const DEFAULT_P: usize = 64;
@@ -121,25 +121,38 @@ pub struct RequestError {
 
 /// Render a success response line (no trailing newline). `body` must be
 /// a rendered JSON value; it is spliced in verbatim, which is what lets
-/// cache hits reuse the cold path's bytes without re-rendering.
+/// cache hits reuse the cold path's bytes without re-rendering. The line
+/// is written into one allocation.
 pub fn ok_response(id: &Json, body: &str) -> String {
-    format!("{{\"id\":{},\"ok\":true,\"result\":{body}}}", id.render())
+    let mut out = String::with_capacity(27 + id_capacity(id) + body.len());
+    out.push_str("{\"id\":");
+    id.write(&mut out);
+    out.push_str(",\"ok\":true,\"result\":");
+    out.push_str(body);
+    out.push('}');
+    out
 }
 
 /// Render an error response line (no trailing newline).
 pub fn error_response(err: &RequestError) -> String {
-    let doc = Json::Obj(vec![
-        ("id".into(), err.id.clone()),
-        ("ok".into(), Json::Bool(false)),
-        (
-            "error".into(),
-            Json::Obj(vec![
-                ("code".into(), Json::Str(err.code.as_str().into())),
-                ("message".into(), Json::Str(err.message.clone())),
-            ]),
-        ),
-    ]);
-    doc.render()
+    let mut out = String::with_capacity(64 + id_capacity(&err.id) + err.message.len());
+    out.push_str("{\"id\":");
+    err.id.write(&mut out);
+    out.push_str(",\"ok\":false,\"error\":{\"code\":");
+    write_json_str(&mut out, err.code.as_str());
+    out.push_str(",\"message\":");
+    write_json_str(&mut out, &err.message);
+    out.push_str("}}");
+    out
+}
+
+/// Room for an echoed id: a string's text, 24 bytes for anything else. An
+/// id that needs more costs a reallocation, never a wrong byte.
+fn id_capacity(id: &Json) -> usize {
+    match id {
+        Json::Str(s) => s.len() + 2,
+        _ => 24,
+    }
 }
 
 fn bad(id: &Json, code: ErrorCode, message: impl Into<String>) -> RequestError {
@@ -240,19 +253,23 @@ pub fn parse_request(line: &str) -> Result<Request, RequestError> {
         return Err(bad(&id, ErrorCode::BadRequest, "'m' must be in 0..=1e9"));
     }
 
-    let options = doc.get("options").cloned().unwrap_or(Json::Obj(vec![]));
-    if !matches!(options, Json::Obj(_)) {
-        return Err(bad(
-            &id,
-            ErrorCode::BadRequest,
-            "'options' must be an object",
-        ));
-    }
+    // Absent options read as an empty object: `get` on `null` finds no key.
+    let options = match doc.get("options") {
+        None => &Json::Null,
+        Some(options @ Json::Obj(_)) => options,
+        Some(_) => {
+            return Err(bad(
+                &id,
+                ErrorCode::BadRequest,
+                "'options' must be an object",
+            ))
+        }
+    };
     let all_ranks =
-        get_bool(&options, "all_ranks", false).map_err(|m| bad(&id, ErrorCode::BadRequest, m))?;
-    let lint = get_bool(&options, "lint", true).map_err(|m| bad(&id, ErrorCode::BadRequest, m))?;
+        get_bool(options, "all_ranks", false).map_err(|m| bad(&id, ErrorCode::BadRequest, m))?;
+    let lint = get_bool(options, "lint", true).map_err(|m| bad(&id, ErrorCode::BadRequest, m))?;
     let simulate =
-        get_bool(&options, "simulate", false).map_err(|m| bad(&id, ErrorCode::BadRequest, m))?;
+        get_bool(options, "simulate", false).map_err(|m| bad(&id, ErrorCode::BadRequest, m))?;
 
     Ok(Request {
         id,

@@ -30,16 +30,16 @@ use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use collopt_analysis::lint::{lint_plan, lint_program, lint_with_plan, LintConfig};
+use collopt_analysis::lint::{lint_plan, lint_program, lint_with_plan, LintConfig, LintReport};
 use collopt_core::exec::execute;
 use collopt_core::parser::parse_pipeline;
-use collopt_core::report::optimize_result_json;
-use collopt_core::rewrite::Rewriter;
+use collopt_core::report::write_optimize_result;
+use collopt_core::rewrite::{OptimizeResult, Rewriter};
 use collopt_core::rules::enabling;
 use collopt_core::term::Program;
 use collopt_core::value::Value;
 use collopt_cost::MachineParams;
-use collopt_machine::{ClockParams, Json};
+use collopt_machine::{write_json_num, ClockParams};
 
 use crate::cache::{Cache, CacheStats};
 use crate::request::{
@@ -183,35 +183,50 @@ impl Service {
     pub fn optimize_body(&self, req: &OptimizeRequest) -> Result<Arc<String>, String> {
         let (canonical, rendered) = canonicalize(&req.pipeline)?;
         let key = key_for(&rendered, req);
-        Ok(self
-            .cache
-            .get_or_insert_with(&key, || render_body(&canonical, req)))
+        Ok(self.cache.get_or_insert_with(&key, || {
+            write_body(&canonical, req, &solve(&canonical, req))
+        }))
     }
 
     fn stats_body(&self) -> String {
         let s = self.cache.stats();
-        Json::Obj(vec![
-            ("requests".into(), Json::Num(self.requests() as f64)),
-            (
-                "cache".into(),
-                Json::Obj(vec![
-                    ("hits".into(), Json::Num(s.hits as f64)),
-                    ("misses".into(), Json::Num(s.misses as f64)),
-                    ("evictions".into(), Json::Num(s.evictions as f64)),
-                    ("entries".into(), Json::Num(s.entries as f64)),
-                    ("capacity".into(), Json::Num(s.capacity as f64)),
-                    ("hit_rate".into(), Json::Num(s.hit_rate())),
-                ]),
-            ),
-        ])
-        .render()
+        let mut out = String::with_capacity(192);
+        out.push_str("{\"requests\":");
+        write_json_num(&mut out, self.requests() as f64);
+        out.push_str(",\"cache\":{\"hits\":");
+        write_json_num(&mut out, s.hits as f64);
+        out.push_str(",\"misses\":");
+        write_json_num(&mut out, s.misses as f64);
+        out.push_str(",\"evictions\":");
+        write_json_num(&mut out, s.evictions as f64);
+        out.push_str(",\"entries\":");
+        write_json_num(&mut out, s.entries as f64);
+        out.push_str(",\"capacity\":");
+        write_json_num(&mut out, s.capacity as f64);
+        out.push_str(",\"hit_rate\":");
+        write_json_num(&mut out, s.hit_rate());
+        out.push_str("}}");
+        out
     }
 }
 
-/// The cold path: saturate once, lint against that plan, simulate,
-/// render. Pure — called at most once per cache key (modulo benign
+/// What the cold path computes for an optimize request, before a byte
+/// of its body is written.
+#[derive(Debug, Clone)]
+pub struct Solution {
+    /// The served plan.
+    pub result: OptimizeResult,
+    /// The linter's report, when the request asks for it.
+    pub lint: Option<LintReport>,
+    /// The original and the optimized pipeline's simulated makespans,
+    /// when the request asks for them.
+    pub simulation: Option<(f64, f64)>,
+}
+
+/// The cold path's work: saturate once, lint against that plan,
+/// simulate. Pure — run at most once per cache key (modulo benign
 /// same-key races).
-fn render_body(canonical: &Program, req: &OptimizeRequest) -> String {
+pub fn solve(canonical: &Program, req: &OptimizeRequest) -> Solution {
     let params = MachineParams::new(req.p, req.ts, req.tw);
     let lint_cfg = LintConfig {
         params,
@@ -230,38 +245,100 @@ fn render_body(canonical: &Program, req: &OptimizeRequest) -> String {
         let rewriter = Rewriter::cost_guided(params, req.m).allow_rank0_rules(!req.all_ranks);
         rewriter.saturate(canonical, &params, req.m).result
     };
-
-    let mut doc = optimize_result_json(canonical, &result, &params, req.m);
     let lint = if shared_plan {
-        lint_with_plan(canonical, None, &lint_cfg, &result).to_json()
+        Some(lint_with_plan(canonical, None, &lint_cfg, &result))
     } else if req.lint {
-        lint_program(canonical, None, &lint_cfg).to_json()
+        Some(lint_program(canonical, None, &lint_cfg))
     } else {
-        Json::Null
+        None
     };
-    let simulation = if req.simulate {
+    let simulation = req.simulate.then(|| {
         let inputs = synthetic_inputs(req.p, req.m);
         let clock = ClockParams::new(req.ts, req.tw);
         let original = execute(canonical, &inputs, clock);
         let optimized = execute(&result.program, &inputs, clock);
-        Json::Obj(vec![
-            ("original_makespan".into(), Json::Num(original.makespan)),
-            ("optimized_makespan".into(), Json::Num(optimized.makespan)),
-        ])
-    } else {
-        Json::Null
-    };
-    let Json::Obj(ref mut fields) = doc else {
-        unreachable!("optimize_result_json returns an object")
-    };
-    fields.push(("lint".into(), lint));
-    fields.push(("simulation".into(), simulation));
-    doc.render()
+        (original.makespan, optimized.makespan)
+    });
+    Solution {
+        result,
+        lint,
+        simulation,
+    }
+}
+
+/// Write the `result` body of an optimize response: the optimize-result
+/// members, then `lint` and `simulation` (`null` when not asked for), in
+/// one buffer sized once.
+pub fn write_body(canonical: &Program, req: &OptimizeRequest, solution: &Solution) -> String {
+    let params = MachineParams::new(req.p, req.ts, req.tw);
+    let mut out = String::with_capacity(body_capacity(canonical, solution));
+    out.push('{');
+    write_optimize_result(&mut out, canonical, &solution.result, &params, req.m);
+    out.push_str(",\"lint\":");
+    match &solution.lint {
+        Some(report) => report.write_json(&mut out),
+        None => out.push_str("null"),
+    }
+    out.push_str(",\"simulation\":");
+    match solution.simulation {
+        Some((original, optimized)) => {
+            out.push_str("{\"original_makespan\":");
+            write_json_num(&mut out, original);
+            out.push_str(",\"optimized_makespan\":");
+            write_json_num(&mut out, optimized);
+            out.push('}');
+        }
+        None => out.push_str("null"),
+    }
+    out.push('}');
+    out
+}
+
+/// An upper estimate of a body's length: the strings it copies, counted
+/// (the two programs by a dry `Display` run that allocates nothing), plus
+/// room for the fixed members and their numbers. An eighth on top covers
+/// escapes; a body that still outgrows it costs a reallocation, never a
+/// wrong byte.
+fn body_capacity(canonical: &Program, solution: &Solution) -> usize {
+    let result = &solution.result;
+    let programs = display_len(canonical) + display_len(&result.program);
+    let steps: usize = result
+        .steps
+        .iter()
+        .map(|step| 144 + step.description.len() + 40 * step.certificate.laws.len())
+        .sum();
+    let normalizations = 64 * result.normalizations.len();
+    let rejections: usize = result.rejections.iter().map(|r| 320 + r.law.len()).sum();
+    let lint = solution.lint.as_ref().map_or(0, |report| {
+        let diagnostics: usize = report
+            .diagnostics
+            .iter()
+            .map(|d| 112 + d.message.len() + d.suggestion.as_ref().map_or(0, String::len))
+            .sum();
+        144 + diagnostics
+    });
+    let total = 384 + programs + steps + normalizations + rejections + lint;
+    total + total / 8
+}
+
+/// The length of `value`'s `Display` output.
+fn display_len(value: &impl std::fmt::Display) -> usize {
+    struct Len(usize);
+    impl std::fmt::Write for Len {
+        fn write_str(&mut self, s: &str) -> std::fmt::Result {
+            self.0 += s.len();
+            Ok(())
+        }
+    }
+    let mut len = Len(0);
+    write!(len, "{value}").expect("counting cannot fail");
+    len.0
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use collopt_machine::Json;
 
     fn opt_req(pipeline: &str) -> OptimizeRequest {
         OptimizeRequest {

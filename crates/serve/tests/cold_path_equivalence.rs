@@ -1,21 +1,205 @@
-//! The cold path's parts equal its whole, byte for byte.
+//! The cold path's bytes equal the recipe it replaced, byte for byte.
 //!
-//! `service::render_body` saturates once and lints against that plan,
-//! and embeds the lint report as a JSON value. The reference here is the
-//! recipe it replaced, from public parts only: an ungated
-//! `Rewriter::saturate` for the plan, a self-contained `lint_program`
-//! (its own gated saturation), and the report re-parsed from its rendered
-//! text. The benchmark's traced run holds the same equation on its
-//! traffic; this deck adds what that traffic never sends — `all_ranks`,
-//! where the linter must keep its own saturation.
+//! `service::write_body` writes a response body member by member into one
+//! buffer, after `service::solve` saturated once and linted against that
+//! plan. The reference here is the recipe both replaced, from public
+//! parts only: an ungated `Rewriter::saturate` for the plan, a
+//! self-contained `lint_program` (its own gated saturation), the makespans
+//! of an independent copy of the synthetic inputs, and the whole document
+//! built as a `Json` tree — by the tree builders `core::report` and
+//! `LintReport` had before their documents were written, kept below —
+//! then rendered and wrapped the way `ok_response` once `format!`ted it.
+//! The deck covers what the benchmark's traffic never sends: `all_ranks`
+//! (where the linter keeps its own saturation), `lint: false` and
+//! `simulate: true`.
 
-use collopt_analysis::{lint_program, LintConfig};
-use collopt_core::report::optimize_result_json;
-use collopt_core::rewrite::Rewriter;
+use collopt_analysis::{lint_program, LintConfig, LintReport};
+use collopt_core::exec::execute;
+use collopt_core::rewrite::{program_cost, OptimizeResult, RewriteStep, Rewriter, Witness};
+use collopt_core::rules::enabling::Normalization;
+use collopt_core::term::Program;
+use collopt_core::value::Value;
 use collopt_cost::MachineParams;
-use collopt_machine::Json;
-use collopt_serve::request::ok_response;
+use collopt_machine::{ClockParams, Json};
 use collopt_serve::{canonicalize, parse_request, Op, Request, Service};
+
+fn program_json(prog: &Program, params: &MachineParams, m: f64) -> Json {
+    Json::Obj(vec![
+        ("program".into(), Json::Str(prog.to_string())),
+        ("cost".into(), Json::Num(program_cost(prog, params, m))),
+        ("stages".into(), Json::Num(prog.len() as f64)),
+        (
+            "collectives".into(),
+            Json::Num(prog.collective_count() as f64),
+        ),
+    ])
+}
+
+fn step_json(step: &RewriteStep) -> Json {
+    let witness = match step.certificate.witness {
+        Witness::Declared => Json::Obj(vec![("kind".into(), Json::Str("declared".into()))]),
+        Witness::Checked { samples } => Json::Obj(vec![
+            ("kind".into(), Json::Str("checked".into())),
+            ("samples".into(), Json::Num(samples as f64)),
+        ]),
+    };
+    let laws = step
+        .certificate
+        .laws
+        .iter()
+        .map(|l| Json::Str(l.describe()))
+        .collect();
+    Json::Obj(vec![
+        ("rule".into(), Json::Str(step.rule.to_string())),
+        ("at".into(), Json::Num(step.at as f64)),
+        ("saving".into(), step.saving.map_or(Json::Null, Json::Num)),
+        ("description".into(), Json::Str(step.description.clone())),
+        ("rank0_only".into(), Json::Bool(step.rank0_only)),
+        (
+            "certificate".into(),
+            Json::Obj(vec![
+                ("laws".into(), Json::Arr(laws)),
+                ("witness".into(), witness),
+            ]),
+        ),
+    ])
+}
+
+fn normalization_json(n: &Normalization) -> Json {
+    match n {
+        Normalization::MapFuse { at, label } => Json::Obj(vec![
+            ("kind".into(), Json::Str("map-fuse".into())),
+            ("at".into(), Json::Num(*at as f64)),
+            ("label".into(), Json::Str(label.clone())),
+        ]),
+        Normalization::BcastMapCommute { at, label } => Json::Obj(vec![
+            ("kind".into(), Json::Str("bcast-map-commute".into())),
+            ("at".into(), Json::Num(*at as f64)),
+            ("label".into(), Json::Str(label.clone())),
+        ]),
+        Normalization::GatherScatterElim { at } => Json::Obj(vec![
+            ("kind".into(), Json::Str("gather-scatter-elim".into())),
+            ("at".into(), Json::Num(*at as f64)),
+        ]),
+    }
+}
+
+fn optimize_result_tree(
+    prog: &Program,
+    result: &OptimizeResult,
+    params: &MachineParams,
+    m: f64,
+) -> Vec<(String, Json)> {
+    let before = program_cost(prog, params, m);
+    let after = program_cost(&result.program, params, m);
+    let percent = if before > 0.0 {
+        100.0 * (before - after) / before
+    } else {
+        0.0
+    };
+    let rejections = result
+        .rejections
+        .iter()
+        .map(|r| {
+            Json::Obj(vec![
+                ("rule".into(), Json::Str(r.rule.to_string())),
+                ("at".into(), Json::Num(r.at as f64)),
+                ("law".into(), Json::Str(r.law.clone())),
+                (
+                    "counterexample".into(),
+                    Json::Str(r.counterexample.to_string()),
+                ),
+            ])
+        })
+        .collect();
+    vec![
+        ("version".into(), Json::Num(1.0)),
+        (
+            "machine".into(),
+            Json::Obj(vec![
+                ("p".into(), Json::Num(params.p as f64)),
+                ("ts".into(), Json::Num(params.ts)),
+                ("tw".into(), Json::Num(params.tw)),
+                ("m".into(), Json::Num(m)),
+            ]),
+        ),
+        ("original".into(), program_json(prog, params, m)),
+        ("optimized".into(), program_json(&result.program, params, m)),
+        (
+            "cost".into(),
+            Json::Obj(vec![
+                ("before".into(), Json::Num(before)),
+                ("after".into(), Json::Num(after)),
+                ("saving".into(), Json::Num(before - after)),
+                ("percent".into(), Json::Num(percent)),
+            ]),
+        ),
+        (
+            "steps".into(),
+            Json::Arr(result.steps.iter().map(step_json).collect()),
+        ),
+        (
+            "normalizations".into(),
+            Json::Arr(
+                result
+                    .normalizations
+                    .iter()
+                    .map(normalization_json)
+                    .collect(),
+            ),
+        ),
+        ("rejections".into(), Json::Arr(rejections)),
+    ]
+}
+
+fn lint_tree(report: &LintReport) -> Json {
+    let span_json = |span: Option<collopt_core::parser::Span>| match span {
+        Some(s) => Json::Obj(vec![
+            ("start".into(), Json::Num(s.start as f64)),
+            ("end".into(), Json::Num(s.end as f64)),
+        ]),
+        None => Json::Null,
+    };
+    let diags = report
+        .diagnostics
+        .iter()
+        .map(|d| {
+            Json::Obj(vec![
+                ("code".into(), Json::Str(d.code.to_string())),
+                ("severity".into(), Json::Str(d.severity.to_string())),
+                ("stage".into(), Json::Num(d.stage as f64)),
+                ("len".into(), Json::Num(d.len as f64)),
+                ("span".into(), span_json(d.span)),
+                ("message".into(), Json::Str(d.message.clone())),
+                (
+                    "suggestion".into(),
+                    d.suggestion.clone().map_or(Json::Null, Json::Str),
+                ),
+            ])
+        })
+        .collect();
+    Json::Obj(vec![
+        ("version".into(), Json::Num(1.0)),
+        (
+            "machine".into(),
+            Json::Obj(vec![
+                ("p".into(), Json::Num(report.params.p as f64)),
+                ("ts".into(), Json::Num(report.params.ts)),
+                ("tw".into(), Json::Num(report.params.tw)),
+                ("m".into(), Json::Num(report.block)),
+            ]),
+        ),
+        ("diagnostics".into(), Json::Arr(diags)),
+        (
+            "summary".into(),
+            Json::Obj(vec![
+                ("errors".into(), Json::Num(report.errors() as f64)),
+                ("warnings".into(), Json::Num(report.warnings() as f64)),
+                ("notes".into(), Json::Num(report.notes() as f64)),
+            ]),
+        ),
+    ])
+}
 
 fn reference(line: &str) -> String {
     let Ok(Request {
@@ -31,23 +215,56 @@ fn reference(line: &str) -> String {
         .allow_rank0_rules(!req.all_ranks)
         .saturate(&canonical, &params, req.m)
         .result;
-    let mut doc = optimize_result_json(&canonical, &result, &params, req.m);
+    let mut fields = optimize_result_tree(&canonical, &result, &params, req.m);
     let lint = if req.lint {
         let cfg = LintConfig {
             params,
             block: req.m,
             ..LintConfig::default()
         };
-        Json::parse(&lint_program(&canonical, None, &cfg).render_json()).expect("lint JSON parses")
+        lint_tree(&lint_program(&canonical, None, &cfg))
     } else {
         Json::Null
     };
-    let Json::Obj(ref mut fields) = doc else {
-        panic!("optimize_result_json returns an object")
+    let simulation = if req.simulate {
+        let words = req.m.clamp(1.0, 1e6) as usize;
+        let inputs: Vec<Value> = (0..req.p)
+            .map(|r| Value::int_list((0..words).map(|j| ((r * 7 + j) % 5 + 1) as i64)))
+            .collect();
+        let clock = ClockParams::new(req.ts, req.tw);
+        Json::Obj(vec![
+            (
+                "original_makespan".into(),
+                Json::Num(execute(&canonical, &inputs, clock).makespan),
+            ),
+            (
+                "optimized_makespan".into(),
+                Json::Num(execute(&result.program, &inputs, clock).makespan),
+            ),
+        ])
+    } else {
+        Json::Null
     };
     fields.push(("lint".into(), lint));
-    fields.push(("simulation".into(), Json::Null));
-    ok_response(&id, &doc.render())
+    fields.push(("simulation".into(), simulation));
+    format!(
+        "{{\"id\":{},\"ok\":true,\"result\":{}}}",
+        id.render(),
+        Json::Obj(fields).render()
+    )
+}
+
+/// Answer every line cold and hold each reply to the reference.
+fn check_deck(lines: &[String]) {
+    let service = Service::new(4);
+    for line in lines {
+        assert_eq!(service.handle_line(line).text, reference(line), "{line}");
+    }
+    assert_eq!(
+        service.cache_stats().misses as usize,
+        lines.len(),
+        "every line ran cold"
+    );
 }
 
 #[test]
@@ -82,20 +299,79 @@ fn handle_line_equals_the_reference_recipe() {
         r#""p":64,"ts":200,"tw":2,"m":32"#,
         r#""p":13,"ts":10,"tw":2.5,"m":200.5"#,
     ];
-    let service = Service::new(4);
-    let mut lines = 0;
+    let options = [
+        r#"{"all_ranks":false,"lint":true}"#,
+        r#"{"all_ranks":true,"lint":true}"#,
+        r#"{"all_ranks":false,"lint":false}"#,
+        r#"{"all_ranks":true,"lint":false}"#,
+        r#"{"simulate":true}"#,
+    ];
+    let mut lines = Vec::new();
     for pipeline in pipelines {
         for machine in machines {
-            for all_ranks in [false, true] {
-                for lint in [true, false] {
-                    let line = format!(
-                        r#"{{"id":"{lines}","pipeline":"{pipeline}",{machine},"options":{{"all_ranks":{all_ranks},"lint":{lint}}}}}"#
-                    );
-                    assert_eq!(service.handle_line(&line).text, reference(&line), "{line}");
-                    lines += 1;
+            for options in options {
+                // The synthetic inputs are ints, which a boolean operator
+                // refuses: simulating `and`/`or` is not a served request.
+                if options.contains("simulate") && pipeline.contains("(and)") {
+                    continue;
                 }
+                let id = lines.len();
+                lines.push(format!(
+                    r#"{{"id":"{id}","pipeline":"{pipeline}",{machine},"options":{options}}}"#
+                ));
             }
         }
     }
-    assert_eq!(service.cache_stats().misses, lines, "every line ran cold");
+    check_deck(&lines);
+}
+
+/// SplitMix64, for a deck that is the same on every run.
+struct Rng(u64);
+
+impl Rng {
+    fn below(&mut self, n: u64) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        (z ^ (z >> 31)) % n
+    }
+}
+
+#[test]
+fn handle_line_equals_the_reference_recipe_on_a_generated_deck() {
+    // The benchmark's request shape: depth 3–6 over five stage kinds and
+    // four operators, a distinct machine per request. Every fourth line
+    // asks for `all_ranks`, `lint: false` or a simulation (on a machine
+    // small enough to simulate quickly).
+    const OPERATORS: [&str; 4] = ["add", "mul", "max", "min"];
+    let mut rng = Rng(0x5EED);
+    let lines: Vec<String> = (0..320)
+        .map(|i| {
+            let stages: Vec<String> = (0..3 + i % 4)
+                .map(|at| {
+                    let op = OPERATORS[rng.below(4) as usize];
+                    match rng.below(5) {
+                        0 => format!("scan({op})"),
+                        1 => format!("reduce({op})"),
+                        2 => format!("allreduce({op})"),
+                        3 => "bcast".to_string(),
+                        _ => format!("map f{at}"),
+                    }
+                })
+                .collect();
+            let pipeline = stages.join(" ; ");
+            let (options, p, m) = match i % 4 {
+                0 => ("{}", 2 + rng.below(1023), 1 + rng.below(99_999)),
+                1 => (r#"{"all_ranks":true}"#, 2 + rng.below(1023), 1 + rng.below(99_999)),
+                2 => (r#"{"lint":false}"#, 2 + rng.below(1023), 1 + rng.below(99_999)),
+                _ => (r#"{"simulate":true}"#, 2 + rng.below(15), 1 + rng.below(32)),
+            };
+            let ts = 10 + rng.below(990);
+            format!(
+                r#"{{"id":{i},"pipeline":"{pipeline}","p":{p},"ts":{ts},"m":{m},"options":{options}}}"#
+            )
+        })
+        .collect();
+    check_deck(&lines);
 }

@@ -151,7 +151,7 @@ use collopt::bench::repro::{self, ARTIFACTS};
 use collopt::core::egraph::{saturate_program, SaturateConfig};
 use collopt::core::parser::parse_pipeline;
 use collopt::core::report::{
-    degradation_section, optimization_report, optimize_result_json, profile_section,
+    degradation_section, optimization_report, profile_section, write_optimize_result,
 };
 use collopt::core::rewrite::{program_cost, Rewriter};
 use collopt::core::value::Value;
@@ -932,10 +932,10 @@ fn main() {
         // The machine-readable path: the same byte-stable document the
         // serve front end returns (sans lint/simulation sections).
         let result = rewriter.optimize(&prog);
-        println!(
-            "{}",
-            optimize_result_json(&prog, &result, &params, m).render()
-        );
+        let mut doc = String::from("{");
+        write_optimize_result(&mut doc, &prog, &result, &params, m);
+        doc.push('}');
+        println!("{doc}");
         return;
     }
 

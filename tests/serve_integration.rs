@@ -228,18 +228,20 @@ fn a_non_utf8_line_gets_bad_json_and_the_connection_keeps_serving() {
     shutdown(addr, handle);
 }
 
-#[test]
-fn a_nesting_bomb_gets_bad_json_and_the_process_keeps_serving() {
-    // A stack overflow aborts the whole process, so the server runs as a
-    // child: the `collopt serve` binary on an ephemeral port, which it
-    // names on its first line of stderr.
-    struct Reaped(Child);
-    impl Drop for Reaped {
-        fn drop(&mut self) {
-            let _ = self.0.kill();
-            let _ = self.0.wait();
-        }
+/// A `collopt serve` child process, killed and reaped on drop.
+struct Reaped(Child);
+
+impl Drop for Reaped {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
     }
+}
+
+/// Run the `collopt serve` binary as a child on an ephemeral port, which
+/// it names on its first line of stderr. Requests that could take the
+/// whole process down (a stack overflow aborts it) are sent to a child.
+fn spawn_child_server() -> (Reaped, SocketAddr) {
     let mut child = Reaped(
         Command::new(env!("CARGO_BIN_EXE_collopt"))
             .args(["serve", "--addr", "127.0.0.1:0"])
@@ -256,6 +258,12 @@ fn a_nesting_bomb_gets_bad_json_and_the_process_keeps_serving() {
         .and_then(|rest| rest.split_whitespace().next())
         .and_then(|a| a.parse().ok())
         .unwrap_or_else(|| panic!("no address in {banner:?}"));
+    (child, addr)
+}
+
+#[test]
+fn a_nesting_bomb_gets_bad_json_and_the_process_keeps_serving() {
+    let (mut child, addr) = spawn_child_server();
 
     // 10 KB of `[`: 1 % of MAX_LINE, far deeper than the parser's bound.
     let mut client = Client::connect(addr);
@@ -273,6 +281,34 @@ fn a_nesting_bomb_gets_bad_json_and_the_process_keeps_serving() {
     assert!(submit(addr, r#"{"op":"ping"}"#)
         .expect("fresh connection")
         .contains("pong"));
+    submit(addr, r#"{"op":"shutdown"}"#).expect("shutdown");
+    assert!(child.0.wait().expect("exit").success());
+}
+
+#[test]
+fn a_megabyte_pipeline_string_is_refused_in_linear_time() {
+    // Scanning a JSON string must not re-check the rest of the line per
+    // character: at ~1 MB (just under MAX_LINE) that took the server
+    // seconds per request. The pipeline names no operator the parser
+    // knows, so the answer is a typed parse_error.
+    let (mut child, addr) = spawn_child_server();
+    let pipeline = format!("scan({})", "x".repeat(999_990));
+    let line = format!(r#"{{"id":1,"pipeline":"{pipeline}"}}"#);
+    assert!(line.len() < MAX_LINE);
+    let mut client = Client::connect(addr);
+    client
+        .reader
+        .get_ref()
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("timeout");
+    client.send(&line);
+    let reply = client.recv();
+    let doc = Json::parse(&reply).expect("the reply is valid JSON");
+    assert_eq!(doc.get("id"), Some(&Json::Num(1.0)));
+    let code = doc.get("error").and_then(|e| e.get("code"));
+    assert_eq!(code.and_then(Json::as_str), Some("parse_error"));
+    let pong = client.round_trip(r#"{"id":2,"op":"ping"}"#);
+    assert_eq!(pong, r#"{"id":2,"ok":true,"result":{"pong":true}}"#);
     submit(addr, r#"{"op":"shutdown"}"#).expect("shutdown");
     assert!(child.0.wait().expect("exit").success());
 }
