@@ -1,7 +1,7 @@
 //! Event-order identity: nothing observable may depend on the order in
-//! which the discrete-event scheduler runs events due at the same
-//! simulated time. Every run here is repeated under permuted tie-breaks
-//! ([`FaultPlan::order`]) and must match the canonical order — same
+//! which the discrete-event scheduler steps the runnable ranks. Every run
+//! here is repeated under permuted step orders ([`FaultPlan::order`]) and
+//! must match the canonical order — same
 //! outputs, bit-identical makespans, compute and retry totals, same
 //! message and retry counters, byte-identical Chrome trace exports — across
 //! every Table-1 rule, both sides of each rewrite, machine sizes 2..=9,
@@ -31,9 +31,9 @@ fn profiled() -> ExecConfig {
     }
 }
 
-/// The tie-breaks each point is repeated under: the full reversal, and one
-/// drawn from `seed` with bit 0 set, so that ranks `2k` and `2k + 1` due at
-/// the same time swap whatever the draw.
+/// The step orders each point is repeated under: the full reversal, and
+/// one drawn from `seed` with bit 0 set, so that ranks `2k` and `2k + 1`
+/// queued together swap whatever the draw.
 fn permuted_orders(seed: u64) -> [u64; 2] {
     [u64::MAX, Rng::new(seed).next_u64() | 1]
 }

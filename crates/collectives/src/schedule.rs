@@ -1709,7 +1709,7 @@ mod tests {
     /// of its `*_async` body on the event engine at every applicable point
     /// of p = 1..=17 × m ∈ {1, 2, 5, 8, 13, 32} — divisible and ragged
     /// blocks, m < p and m > p. The body also runs under the two permuted
-    /// tie-breaks of same-time events that `engine_identity` uses (the
+    /// step orders of the event engine that `engine_identity` uses (the
     /// full reversal and a seeded mask with bit 0 set): each trace matches
     /// the schedule too, and the run equals the canonical one bit for bit
     /// — results, clocks, counters and trace. An entry without a runner

@@ -10,7 +10,7 @@
 //! differential [`oracles`](oracle) then cross-examine the stack:
 //!
 //! 1. optimized vs. unoptimized execution (bit-equal outputs),
-//! 2. canonical vs. permuted same-time event order (bit-equal everything),
+//! 2. canonical vs. permuted step order (bit-equal everything),
 //! 3. auditor / audited rewriter / certifier / linter unanimity on
 //!    planted lies and withheld laws, and
 //! 4. equality-saturation extraction vs. the brute-force optimality

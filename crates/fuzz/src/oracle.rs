@@ -6,8 +6,8 @@
 //!    paper's Local rules, and only on pipelines where that comparison
 //!    is sound).
 //! 2. **EventOrder** — running the same program, inputs and fault plan
-//!    with a seeded permutation of the event scheduler's same-time
-//!    tie-break ([`FaultPlan::order`]) must produce identical outputs,
+//!    with a seeded permutation of the event scheduler's step order
+//!    ([`FaultPlan::order`]) must produce identical outputs,
 //!    makespan, compute and retry-time bits, message/retry counters and
 //!    Chrome trace exports (identical [`MachineError`]s for unrecoverable
 //!    plans) to the canonical order.
@@ -60,7 +60,7 @@ const OUT_RTOL: f64 = 1e-9;
 pub enum OracleKind {
     /// Optimized vs. unoptimized divergence.
     Rewrite,
-    /// Canonical vs. permuted same-time event order divergence.
+    /// Canonical vs. permuted step order divergence.
     EventOrder,
     /// Defense-layer (auditor/rewriter/certifier/linter) disagreement.
     Defense,
@@ -359,9 +359,9 @@ fn compare_programs(
 // Oracle 2: canonical event order == permuted event order
 // ---------------------------------------------------------------------
 
-/// The tie-break oracle 2 compares against the canonical order: drawn from
-/// the case seed, with bit 0 set so that every pair of ranks `(2k, 2k+1)`
-/// due at the same time swaps whatever the draw.
+/// The step order oracle 2 compares against the canonical order: drawn
+/// from the case seed, with bit 0 set so that every pair of ranks
+/// `(2k, 2k+1)` queued together swaps whatever the draw.
 fn permuted_order(case: &CaseSpec) -> u64 {
     Rng::new(case.seed).next_u64() | 1
 }

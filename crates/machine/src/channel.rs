@@ -60,7 +60,7 @@ mod tests {
 
     /// One poll of `to`'s receive from `from`, outside the scheduler.
     fn pop(shared: &Rc<DesShared>, to: usize, from: usize) -> Poll<Result<Packet, MachineError>> {
-        let mut pop = DesPop::new(Rc::clone(shared), to, from, 0.0);
+        let mut pop = DesPop::new(Rc::clone(shared), to, from);
         Pin::new(&mut pop).poll(&mut Context::from_waker(Waker::noop()))
     }
 

@@ -1,49 +1,47 @@
 //! The discrete-event execution engine.
 //!
 //! Every rank of a [`Machine`](crate::Machine) runs on one thread: each
-//! rank is a resumable future over its [`Ctx`], and a binary-heap event
-//! queue decides which rank steps next, ordered by the simulated
-//! timestamp at which it became runnable. `p` is bounded by memory — a
+//! rank is a resumable future over its [`Ctx`], and a FIFO run queue of
+//! runnable ranks decides which steps next. `p` is bounded by memory — a
 //! rank costs one boxed future (the caller's body, polled directly), its
-//! [`Ctx`] in one shared `Vec`, one inbox buffer and three words of waiter
-//! links — so 10^5..10^6-rank machines fit, and a message costs a queue
-//! slot, not a context switch. Payload boxes are reused within a run: a
-//! receive hands its emptied box back to [`DesShared`], and the next send
-//! of that payload type refills it instead of allocating.
+//! [`Ctx`] in one shared `Vec`, a queue slot, two inbox links and three
+//! words of waiter links — so 10^5..10^6-rank machines fit, and a message
+//! costs a slot in one packet slab shared by the whole run, not a context
+//! switch or a buffer per receiver. Payload boxes are reused within a run:
+//! a receive hands its emptied box back to [`DesShared`], and the next
+//! send of that payload type refills it instead of allocating.
 //!
 //! ## Event model
 //!
 //! A rank runs until it *blocks* (a receive with nothing queued from that
-//! source, or a barrier that has not released).
-//! Blocking registers a [`Waiting`] entry recording the operation and the
-//! rank's clock at suspension, then returns `Poll::Pending` to the
-//! scheduler. Unblocking events — a packet push, a barrier release, a
-//! peer's death — convert the entry into a `(timestamp, rank)` heap key:
-//! `max(waiter clock, packet send time)` for a delivery, the release time
-//! for a barrier, the waiter's own clock for death/abort wake-ups. Keys
-//! are `f64::to_bits` of the timestamp (monotonic for the non-negative
-//! times the clock produces) with the rank as tie-break, so the step
-//! order is a pure function of the simulated communication structure.
+//! source, or a barrier that has not released). Blocking records why in a
+//! [`Waiting`] entry and returns `Poll::Pending` to the scheduler.
+//! Unblocking events — a packet from the awaited source, a barrier release
+//! or abort, the awaited source's death — clear the entry and append the
+//! rank to the run queue, at most once (it is woken only out of a
+//! `Waiting` state). The queue starts with every rank, and the ranks one
+//! step woke join its back in rank order. No timestamp orders the queue:
+//! nothing a rank computes depends on when it was stepped (next section).
 //!
 //! ## Identity guarantees
 //!
 //! The step order is an implementation detail, not part of the model: the
-//! clock travels with the data, every receive names its source and per-pair
-//! FIFO is arrival order restricted to the pair, and a rank's death
-//! surfaces only after what it sent has drained. So which of several
-//! ranks due at the same simulated time steps first must not change any
-//! observable — outputs, makespan bits, compute and retry counters,
-//! Chrome traces, or the error an unrecoverable plan surfaces. A
-//! [`FaultPlan`]'s [`order`](FaultPlan::order) permutes exactly that
-//! choice: the heap key's rank becomes `rank ^ order`. `order = 0` (the
-//! default) is the canonical order, and
-//! `bench/tests/engine_identity.rs` and fuzz oracle 2 hold every other
+//! clock travels with the data (a receive completes at `max(own clock,
+//! sender's clock) + ts + m·tw` whoever steps first), every receive names
+//! its source, per-pair FIFO is arrival order restricted to the pair, and
+//! a rank's death surfaces only after what it sent has drained. So which
+//! runnable rank steps first must not change any observable — outputs,
+//! makespan bits, compute and retry counters, Chrome traces, or the error
+//! an unrecoverable plan surfaces. A [`FaultPlan`]'s
+//! [`order`](FaultPlan::order) permutes exactly that choice: ranks enter
+//! the run queue, at the start and within each step's wake-ups, in order
+//! of `rank ^ order`. `order = 0` (the default) is the canonical order,
+//! and `bench/tests/engine_identity.rs` and fuzz oracle 2 hold every other
 //! order to it.
 
 use std::any::{Any, TypeId};
 use std::cell::RefCell;
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 use std::future::Future;
 use std::panic::AssertUnwindSafe;
 use std::pin::Pin;
@@ -58,56 +56,114 @@ use crate::error::MachineError;
 use crate::fault::FaultPlan;
 use crate::machine::{Ctx, FaultAbort, RankOutcome};
 
-/// Why a suspended rank is not runnable, plus its clock at suspension
-/// (the earliest simulated time it could resume at).
-#[derive(Clone, Copy)]
+/// Why a suspended rank is not runnable.
+#[derive(Clone, Copy, PartialEq, Debug)]
 enum Waiting {
     /// Runnable (or running) — no wake-up needed.
     None,
     /// Blocked in a directed receive from `from`.
-    Recv { from: usize, at: f64 },
+    Recv { from: usize },
     /// Parked in a barrier generation that has not released.
-    Barrier { at: f64 },
+    Barrier,
 }
 
-/// One rank's incoming packets in arrival order, each tagged with its
-/// source — an MPI library's unexpected-message queue. Per-pair FIFO is
-/// arrival order restricted to the pair, so one queue serves every source
-/// and a message costs a slot in it, not a table entry and a buffer
-/// per `(from, to)` pair (nearly every pair of a butterfly or a binomial
-/// tree talks once). The footprint stays proportional to what is actually
-/// parked — O(p log p) over the machine, not a dense per-pair O(p²).
-#[derive(Default)]
-struct DesInbox {
-    queue: VecDeque<(usize, Packet)>,
-}
-
-impl DesInbox {
-    fn push(&mut self, src: usize, packet: Packet) {
-        self.queue.push_back((src, packet));
-    }
-
-    /// Remove the oldest packet from `src`. Costs O(entries skipped): the
-    /// shipped lowerings receive close to arrival order (over the whole
-    /// test suite a directed pop skips at most ⌈log₂ p⌉ + 1 entries, 15 at
-    /// p = 65 536), but a rank body that parks thousands of packets from
-    /// distinct sources and takes them out of arrival order pays for each
-    /// one it steps over.
-    fn pop_from(&mut self, src: usize) -> Option<Packet> {
-        let i = self.queue.iter().position(|&(s, _)| s == src)?;
-        self.queue.remove(i).map(|(_, packet)| packet)
-    }
-}
-
-/// "No rank" in the intrusive waiter lists.
+/// "No rank" in the intrusive waiter lists, "no slot" in the slab's.
 const NIL: usize = usize::MAX;
 
+/// A parked packet, its source, and the next slot of its receiver's queue
+/// (or of the free list, when the slot is empty).
+struct Slot {
+    src: usize,
+    next: usize,
+    packet: Option<Packet>,
+}
+
+/// Every packet parked in a run, in one buffer of slots. Each rank's
+/// incoming packets form a singly linked queue in arrival order, each
+/// tagged with its source — an MPI library's unexpected-message queue —
+/// and emptied slots go on a free list for the next push. Per-pair FIFO is
+/// arrival order restricted to the pair, so one queue serves every source:
+/// a message costs a slot, not a table entry and a buffer per `(from, to)`
+/// pair (nearly every pair of a butterfly or a binomial tree talks once),
+/// and a rank costs two links, not an inbox allocation of its own. The
+/// buffer grows to the most packets parked at once — O(p log p) over the
+/// machine, not a dense per-pair O(p²).
+struct PacketSlab {
+    slots: Vec<Slot>,
+    /// `(head, tail)` slot of each rank's queue, [`NIL`] when it is empty.
+    queues: Vec<(usize, usize)>,
+    free: usize,
+}
+
+impl PacketSlab {
+    fn new(p: usize) -> Self {
+        PacketSlab {
+            slots: Vec::new(),
+            queues: vec![(NIL, NIL); p],
+            free: NIL,
+        }
+    }
+
+    /// Park `packet` from `src` at the back of `to`'s queue.
+    fn push(&mut self, to: usize, src: usize, packet: Packet) {
+        let slot = Slot {
+            src,
+            next: NIL,
+            packet: Some(packet),
+        };
+        let i = match self.free {
+            NIL => {
+                self.slots.push(slot);
+                self.slots.len() - 1
+            }
+            i => {
+                self.free = std::mem::replace(&mut self.slots[i], slot).next;
+                i
+            }
+        };
+        let (head, tail) = &mut self.queues[to];
+        match *tail {
+            NIL => *head = i,
+            last => self.slots[last].next = i,
+        }
+        *tail = i;
+    }
+
+    /// Remove the oldest packet `me` holds from `src`. Costs O(entries
+    /// skipped): the shipped lowerings receive close to arrival order (over
+    /// the whole test suite a directed pop skips at most 15 entries, at
+    /// p = 65 536, and more than ⌈log₂ p⌉ + 1 only on a few machines of
+    /// p ≤ 16, up to 10), but a rank body that parks thousands of packets
+    /// from distinct sources and takes them out of arrival order pays for
+    /// each one it steps over.
+    fn pop_from(&mut self, me: usize, src: usize) -> Option<Packet> {
+        let (head, tail) = self.queues[me];
+        let (mut prev, mut i) = (NIL, head);
+        while i != NIL && self.slots[i].src != src {
+            (prev, i) = (i, self.slots[i].next);
+        }
+        if i == NIL {
+            return None;
+        }
+        let next = std::mem::replace(&mut self.slots[i].next, self.free);
+        self.free = i;
+        match prev {
+            NIL => self.queues[me].0 = next,
+            _ => self.slots[prev].next = next,
+        }
+        if tail == i {
+            self.queues[me].1 = prev;
+        }
+        self.slots[i].packet.take()
+    }
+}
+
 struct DesState {
-    inboxes: Vec<DesInbox>,
+    slab: PacketSlab,
     waiting: Vec<Waiting>,
-    /// Wake-ups produced while a rank was stepping, drained into the
-    /// scheduler heap after every poll.
-    wakes: Vec<(f64, usize)>,
+    /// Ranks woken while a rank was stepping, appended to the run queue
+    /// (in order of `rank ^ order`) after every poll.
+    wakes: Vec<usize>,
     barrier: BarrierAlgebra,
     /// A rank is dead once it finished, faulted or panicked; receivers
     /// waiting on it then observe a disconnect.
@@ -116,7 +172,7 @@ struct DesState {
     /// `wait_head[src]` is the latest rank to block on `src`, `wait_next` /
     /// `wait_prev` are indexed by the blocked rank (it waits on at most one
     /// source). A rank is linked under `src` exactly while `waiting[rank]`
-    /// is `Recv { from: src, .. }` — only [`DesState::set_waiting`] moves a
+    /// is `Recv { from: src }` — only [`DesState::set_waiting`] moves a
     /// rank into or out of that state — so a delivery unlinks in O(1) and a
     /// death wakes the affected ranks only, not all `p` (which would make
     /// teardown O(p²)).
@@ -138,7 +194,7 @@ impl DesState {
     /// directed-receive lists as needed. Re-registering is idempotent: a
     /// receive polled twice while pending ends up linked once.
     fn set_waiting(&mut self, rank: usize, to: Waiting) {
-        if let Waiting::Recv { from, .. } = self.waiting[rank] {
+        if let Waiting::Recv { from } = self.waiting[rank] {
             let (prev, next) = (self.wait_prev[rank], self.wait_next[rank]);
             match prev {
                 NIL => self.wait_head[from] = next,
@@ -148,7 +204,7 @@ impl DesState {
                 self.wait_prev[next] = prev;
             }
         }
-        if let Waiting::Recv { from, .. } = to {
+        if let Waiting::Recv { from } = to {
             let head = std::mem::replace(&mut self.wait_head[from], rank);
             (self.wait_prev[rank], self.wait_next[rank]) = (NIL, head);
             if head != NIL {
@@ -156,6 +212,22 @@ impl DesState {
             }
         }
         self.waiting[rank] = to;
+    }
+
+    /// Make the suspended `rank` runnable.
+    fn wake(&mut self, rank: usize) {
+        self.set_waiting(rank, Waiting::None);
+        self.wakes.push(rank);
+    }
+
+    /// Wake every rank still parked in the barrier (released or aborted).
+    fn wake_barrier_waiters(&mut self) {
+        for r in self.barrier_waiters.drain(..) {
+            if self.waiting[r] == Waiting::Barrier {
+                self.waiting[r] = Waiting::None;
+                self.wakes.push(r);
+            }
+        }
     }
 }
 
@@ -170,7 +242,7 @@ impl DesShared {
         DesShared {
             p,
             state: RefCell::new(DesState {
-                inboxes: (0..p).map(|_| DesInbox::default()).collect(),
+                slab: PacketSlab::new(p),
                 waiting: vec![Waiting::None; p],
                 wakes: Vec::new(),
                 barrier: BarrierAlgebra::new(p),
@@ -230,16 +302,10 @@ impl DesShared {
                 size: self.p,
             });
         }
-        let mut guard = self.state.borrow_mut();
-        let s = &mut *guard;
-        let wake = match s.waiting[to] {
-            Waiting::Recv { from: want, at } if want == from => Some(at.max(packet.send_time)),
-            _ => None,
-        };
-        s.inboxes[to].push(from, packet);
-        if let Some(t) = wake {
-            s.set_waiting(to, Waiting::None);
-            s.wakes.push((t, to));
+        let mut s = self.state.borrow_mut();
+        s.slab.push(to, from, packet);
+        if s.waiting[to] == (Waiting::Recv { from }) {
+            s.wake(to);
         }
         Ok(())
     }
@@ -247,8 +313,7 @@ impl DesShared {
     /// A rank left the machine (completed, faulted or panicked): wake
     /// everyone blocked on it so they can observe the disconnect.
     pub(crate) fn mark_dead(&self, rank: usize) {
-        let mut guard = self.state.borrow_mut();
-        let s = &mut *guard;
+        let mut s = self.state.borrow_mut();
         if s.dead[rank] {
             return;
         }
@@ -256,35 +321,17 @@ impl DesShared {
         // Directed receivers blocked on this rank; each wake unlinks the head.
         while s.wait_head[rank] != NIL {
             let r = s.wait_head[rank];
-            let Waiting::Recv { at, .. } = s.waiting[r] else {
-                unreachable!("a linked rank is blocked in a directed receive");
-            };
-            s.set_waiting(r, Waiting::None);
-            s.wakes.push((at, r));
+            assert!(s.waiting[r] == Waiting::Recv { from: rank });
+            s.wake(r);
         }
     }
 
     /// Abort the barrier (first error wins) and wake every parked rank so
     /// it observes the error instead of waiting forever.
     pub(crate) fn abort_barrier(&self, err: MachineError) {
-        let mut guard = self.state.borrow_mut();
-        let s = &mut *guard;
-        s.barrier.abort(err);
-        for r in std::mem::take(&mut s.barrier_waiters) {
-            if let Waiting::Barrier { at } = s.waiting[r] {
-                s.waiting[r] = Waiting::None;
-                s.wakes.push((at, r));
-            }
-        }
-    }
-
-    /// Move the wake-ups accumulated during the last step into the heap,
-    /// keyed by `(time bits, rank ^ order)`.
-    fn drain_wakes_into(&self, heap: &mut BinaryHeap<Reverse<(u64, usize)>>, order: usize) {
         let mut s = self.state.borrow_mut();
-        for (t, r) in s.wakes.drain(..) {
-            heap.push(Reverse((t.to_bits(), r ^ order)));
-        }
+        s.barrier.abort(err);
+        s.wake_barrier_waiters();
     }
 }
 
@@ -294,17 +341,11 @@ pub(crate) struct DesPop {
     shared: Rc<DesShared>,
     me: usize,
     from: usize,
-    at: f64,
 }
 
 impl DesPop {
-    pub(crate) fn new(shared: Rc<DesShared>, me: usize, from: usize, at: f64) -> Self {
-        DesPop {
-            shared,
-            me,
-            from,
-            at,
-        }
+    pub(crate) fn new(shared: Rc<DesShared>, me: usize, from: usize) -> Self {
+        DesPop { shared, me, from }
     }
 }
 
@@ -319,17 +360,15 @@ impl Future for DesPop {
                 size: this.shared.p,
             }));
         }
-        let mut guard = this.shared.state.borrow_mut();
-        let s = &mut *guard;
+        let mut s = this.shared.state.borrow_mut();
         // Queued packets drain before a disconnect is reported.
-        if let Some(packet) = s.inboxes[this.me].pop_from(this.from) {
+        if let Some(packet) = s.slab.pop_from(this.me, this.from) {
             return Poll::Ready(Ok(packet));
         }
         if s.dead[this.from] {
             return Poll::Ready(Err(MachineError::Disconnected { rank: this.from }));
         }
-        let (from, at) = (this.from, this.at);
-        s.set_waiting(this.me, Waiting::Recv { from, at });
+        s.set_waiting(this.me, Waiting::Recv { from: this.from });
         Poll::Pending
     }
 }
@@ -366,7 +405,7 @@ impl Future for DesBarrier {
             return match s.barrier.check(generation) {
                 Some(result) => Poll::Ready(result),
                 None => {
-                    s.set_waiting(this.me, Waiting::Barrier { at: this.entry });
+                    s.set_waiting(this.me, Waiting::Barrier);
                     s.barrier_waiters.push(this.me);
                     Poll::Pending
                 }
@@ -375,19 +414,14 @@ impl Future for DesBarrier {
         match s.barrier.arrive(this.entry) {
             Err(e) => Poll::Ready(Err(e)),
             Ok(Arrival::Released(t)) => {
-                // Last arrival: release every parked rank at the barrier's
-                // release time (≥ each waiter's own entry).
-                for r in std::mem::take(&mut s.barrier_waiters) {
-                    if let Waiting::Barrier { .. } = s.waiting[r] {
-                        s.waiting[r] = Waiting::None;
-                        s.wakes.push((t, r));
-                    }
-                }
+                // Last arrival: every parked rank leaves at the release
+                // time (≥ each waiter's own entry).
+                s.wake_barrier_waiters();
                 Poll::Ready(Ok(t))
             }
             Ok(Arrival::Parked { generation }) => {
                 this.parked = Some(generation);
-                s.set_waiting(this.me, Waiting::Barrier { at: this.entry });
+                s.set_waiting(this.me, Waiting::Barrier);
                 s.barrier_waiters.push(this.me);
                 Poll::Pending
             }
@@ -401,7 +435,7 @@ type RankFut<'a, T> = Pin<Box<dyn Future<Output = T> + 'a>>;
 /// return their outcomes with the ranks' contexts (whose clocks and
 /// traces the caller reads): `catch_unwind` per step, barrier abort before
 /// the death cascade on an unwind, completed ranks going dead without an
-/// abort. Same-time events run in order of `rank ^ plan.order`.
+/// abort. Ranks enter the run queue in order of `rank ^ plan.order`.
 pub(crate) fn run_ranks_des<T, F>(
     p: usize,
     params: ClockParams,
@@ -424,22 +458,23 @@ where
     let mut idle: Vec<Option<&mut Ctx>> = ctxs.iter_mut().map(Some).collect();
     let mut futures: Vec<Option<RankFut<'_, T>>> = (0..p).map(|_| None).collect();
 
-    // Every rank starts runnable at t = 0; `rank ^ order` tie-breaks equal
-    // timestamps, so the step order is fully deterministic.
-    let mut heap: BinaryHeap<Reverse<(u64, usize)>> =
-        (0..p).map(|r| Reverse((0u64, r ^ order))).collect();
+    // Every rank starts runnable. A rank is queued at most once, so the
+    // queue never outgrows its first allocation.
+    let mut queue: VecDeque<usize> = (0..p).collect();
+    if order != 0 {
+        queue.make_contiguous().sort_unstable_by_key(|&r| r ^ order);
+    }
     let mut outcomes: Vec<Option<RankOutcome<T>>> = (0..p).map(|_| None).collect();
     let mut remaining = p;
     let mut cx = Context::from_waker(Waker::noop());
 
     while remaining > 0 {
-        let Some(Reverse((_, key))) = heap.pop() else {
+        let Some(rank) = queue.pop_front() else {
             let blocked: Vec<usize> = (0..p).filter(|&r| outcomes[r].is_none()).collect();
             panic!("DES deadlock: ranks {blocked:?} are blocked with no pending events");
         };
-        let rank = key ^ order;
         if outcomes[rank].is_some() {
-            continue; // stale wake-up for a finished rank
+            continue; // woken within the step it finished in
         }
         let polled = std::panic::catch_unwind(AssertUnwindSafe(|| {
             let fut = futures[rank]
@@ -473,7 +508,10 @@ where
                 remaining -= 1;
             }
         }
-        shared.drain_wakes_into(&mut heap, order);
+        // The ranks this step woke join the back of the queue.
+        let mut s = shared.state.borrow_mut();
+        s.wakes.sort_unstable_by_key(|&r| r ^ order);
+        queue.extend(s.wakes.drain(..));
     }
 
     // Every body is gone; this ends their borrows of `ctxs`.
@@ -494,7 +532,7 @@ mod tests {
     use std::rc::Rc;
     use std::task::{Context, Poll, Waker};
 
-    use super::{run_ranks_des, DesInbox, DesPop, DesShared, Waiting, NIL};
+    use super::{run_ranks_des, DesPop, DesShared, PacketSlab, Waiting, NIL};
     use crate::channel::Packet;
     use crate::clock::ClockParams;
     use crate::error::MachineError;
@@ -522,45 +560,51 @@ mod tests {
     fn pop_from_is_fifo_per_pair_whichever_source_is_taken_first() {
         for first in [3usize, 5] {
             let second = 8 - first;
-            let mut inbox = DesInbox::default();
+            let mut slab = PacketSlab::new(2);
             for v in 0..3u64 {
-                inbox.push(3, packet(30 + v));
-                inbox.push(5, packet(50 + v));
+                slab.push(1, 3, packet(30 + v));
+                slab.push(1, 5, packet(50 + v));
             }
             for src in [first, second] {
                 for v in 0..3u64 {
-                    let got = inbox.pop_from(src).map(value);
+                    let got = slab.pop_from(1, src).map(value);
                     assert_eq!(got, Some(src as u64 * 10 + v));
                 }
-                assert!(inbox.pop_from(src).is_none());
+                assert!(slab.pop_from(1, src).is_none());
             }
-            assert!(inbox.queue.is_empty());
+            assert_eq!(slab.queues, [(NIL, NIL); 2]);
+            // Every slot is free again, and the next pushes reuse them.
+            for v in 0..6u64 {
+                slab.push(0, 3, packet(v));
+            }
+            assert_eq!(slab.slots.len(), 6);
+            assert_eq!(slab.pop_from(0, 3).map(value), Some(0));
         }
     }
 
     #[test]
     fn a_rank_blocked_on_one_source_sleeps_through_anothers_push() {
         let shared = Rc::new(DesShared::new(3));
-        let mut from_1 = DesPop::new(Rc::clone(&shared), 0, 1, 4.0);
+        let mut from_1 = DesPop::new(Rc::clone(&shared), 0, 1);
         assert!(poll_pop(&mut from_1).is_pending());
         shared.push(2, 0, packet(22)).unwrap();
         assert!(shared.state.borrow().wakes.is_empty());
         shared.push(1, 0, packet(11)).unwrap();
-        assert_eq!(shared.state.borrow().wakes, [(4.0, 0)]);
+        assert_eq!(shared.state.borrow().wakes, [0]);
         // Rank 1's packet arrived second and is received first.
         let Poll::Ready(Ok(got)) = poll_pop(&mut from_1) else {
             panic!("rank 1's packet is queued");
         };
         assert_eq!(value(got), 11);
-        let Poll::Ready(Ok(got)) = poll_pop(&mut DesPop::new(shared, 0, 2, 4.0)) else {
+        let Poll::Ready(Ok(got)) = poll_pop(&mut DesPop::new(shared, 0, 2)) else {
             panic!("rank 2's packet is still queued");
         };
         assert_eq!(value(got), 22);
     }
 
     /// A receive hands its emptied box back and the next send of that type
-    /// refills it: a thousand `u64`s ping-ponged in one run all travel in
-    /// one box, which is spare when the run ends.
+    /// refills it, and its emptied slot likewise: a thousand `u64`s
+    /// ping-ponged in one run all travel in one box and one slab slot.
     #[test]
     fn a_ping_pong_run_reuses_one_payload_box() {
         async fn ping_pong(ctx: &mut Ctx) -> u64 {
@@ -589,11 +633,13 @@ mod tests {
             .map(|(ty, boxes)| (*ty, boxes.len()))
             .collect();
         assert_eq!(spares, [(TypeId::of::<u64>(), 1)]);
+        assert_eq!(s.slab.slots.len(), 1);
+        assert_eq!(s.slab.free, 0);
     }
 
     /// Every directed pop but the last steps over all that is still
-    /// queued (`VecDeque::remove` away from the front) — held for
-    /// correctness, not speed.
+    /// queued (an unlink away from the head) — held for correctness, not
+    /// speed.
     #[test]
     fn a_star_received_in_descending_source_order_loses_nothing() {
         let p = 2001;
@@ -617,7 +663,7 @@ mod tests {
     #[test]
     fn a_pending_receive_polled_twice_is_linked_and_delivered_to_once() {
         let shared = Rc::new(DesShared::new(2));
-        let mut pop = DesPop::new(Rc::clone(&shared), 1, 0, 2.5);
+        let mut pop = DesPop::new(Rc::clone(&shared), 1, 0);
         assert!(poll_pop(&mut pop).is_pending());
         assert!(poll_pop(&mut pop).is_pending());
         {
@@ -629,7 +675,7 @@ mod tests {
         shared.push(0, 1, packet(8)).unwrap();
         shared.mark_dead(0);
         let s = shared.state.borrow();
-        assert_eq!(s.wakes, [(2.5, 1)]);
+        assert_eq!(s.wakes, [1], "woken once");
         assert_eq!(s.wait_head[0], NIL);
     }
 
@@ -637,20 +683,20 @@ mod tests {
     fn a_source_that_finishes_wakes_only_the_ranks_still_blocked_on_it() {
         let shared = Rc::new(DesShared::new(4));
         // Ranks 2 and 3 block on rank 0; rank 0 delivers to rank 2 only.
-        let mut pop_2 = DesPop::new(Rc::clone(&shared), 2, 0, 1.0);
-        let mut pop_3 = DesPop::new(Rc::clone(&shared), 3, 0, 3.0);
+        let mut pop_2 = DesPop::new(Rc::clone(&shared), 2, 0);
+        let mut pop_3 = DesPop::new(Rc::clone(&shared), 3, 0);
         assert!(poll_pop(&mut pop_2).is_pending());
         assert!(poll_pop(&mut pop_3).is_pending());
         shared.push(0, 2, packet(5)).unwrap();
         assert!(poll_pop(&mut pop_2).is_ready());
         // Rank 2 moves on to block on rank 1, then rank 0 finishes.
-        let mut pop_2 = DesPop::new(Rc::clone(&shared), 2, 1, 6.0);
+        let mut pop_2 = DesPop::new(Rc::clone(&shared), 2, 1);
         assert!(poll_pop(&mut pop_2).is_pending());
         shared.state.borrow_mut().wakes.clear();
         shared.mark_dead(0);
         let s = shared.state.borrow();
-        assert_eq!(s.wakes, [(3.0, 3)], "rank 3 alone, at its own clock");
-        assert!(matches!(s.waiting[2], Waiting::Recv { from: 1, .. }));
+        assert_eq!(s.wakes, [3], "rank 3 alone");
+        assert_eq!(s.waiting[2], Waiting::Recv { from: 1 });
         assert_eq!((s.wait_head[0], s.wait_head[1]), (NIL, 2));
     }
 
@@ -677,7 +723,7 @@ mod tests {
     /// A ring pass exercising directed send/recv and the event queue.
     #[test]
     fn ring_pass_accumulates_on_des() {
-        // Reversed tie-break: rank 3 steps first and parks on rank 2.
+        // Reversed order: rank 3 steps first and parks on rank 2.
         let m = Machine::new(4, ClockParams::free())
             .with_faults(FaultPlan::new(0).with_order(u64::MAX));
         let run = m.run_des(|ctx| {
@@ -712,6 +758,44 @@ mod tests {
                 Box::pin(async move { log.borrow_mut().push(ctx.rank()) })
             });
             assert_eq!(*log.borrow(), first_steps, "order={order:#b}");
+        }
+    }
+
+    /// Rank 0 wakes ranks 4, 3, 2, 1 in one step (it sends to them in that
+    /// order); they join the run queue, and receive, in order of
+    /// `rank ^ order`.
+    #[test]
+    fn one_steps_wake_ups_join_the_queue_in_rank_xor_order() {
+        for (order, received) in [
+            (0, [1, 2, 3, 4]),
+            (0b11, [3, 2, 1, 4]),
+            (0b01, [1, 3, 2, 4]),
+        ] {
+            let log = Rc::new(RefCell::new(Vec::new()));
+            let m = Machine::new(6, ClockParams::free())
+                .with_faults(FaultPlan::new(0).with_order(order));
+            let received_by = Rc::clone(&log);
+            m.run_des(move |ctx| {
+                let log = Rc::clone(&received_by);
+                Box::pin(async move {
+                    match ctx.rank() {
+                        // Ranks 1..=4 are blocked on rank 0 by the time rank
+                        // 5's message lets it go on.
+                        0 => {
+                            ctx.recv_async::<u64>(5).await;
+                            for to in (1..5).rev() {
+                                ctx.send(to, 0u64, 1);
+                            }
+                        }
+                        5 => ctx.send(0, 0u64, 1),
+                        r => {
+                            ctx.recv_async::<u64>(0).await;
+                            log.borrow_mut().push(r);
+                        }
+                    }
+                })
+            });
+            assert_eq!(*log.borrow(), received, "order={order:#b}");
         }
     }
 
@@ -795,7 +879,7 @@ mod tests {
     #[test]
     fn injected_crash_surfaces_like_the_thread_engines() {
         // The barrier abort and the death cascade, with the victim stepped
-        // last among the ranks due at t = 0.
+        // last among the ranks first queued.
         let plan = FaultPlan::new(0).with_crash(1, 0).with_order(0b10);
         let m = Machine::new(3, ClockParams::free()).with_faults(plan);
         let err = m

@@ -37,10 +37,10 @@
 //! is reproducible from the one-line spec string of
 //! [`FaultPlan::describe`] / [`FaultPlan::parse`].
 //!
-//! A plan also carries the event scheduler's tie-break
+//! A plan also carries the event scheduler's step order
 //! ([`FaultPlan::order`]). It injects no fault: it permutes the order in
-//! which events due at the same simulated time run, which no observable
-//! may depend on — the property the permuted-order tests check.
+//! which runnable ranks step, which no observable may depend on — the
+//! property the permuted-order tests check.
 
 use std::fmt::Write as _;
 
@@ -158,9 +158,10 @@ pub struct FaultPlan {
     pub crash: Option<CrashSpec>,
     /// Retry protocol parameters.
     pub retry: RetryParams,
-    /// Tie-break of the event scheduler: events due at the same simulated
-    /// time run in order of `rank ^ order`, so `0` (the default) is rank
-    /// order and the low `⌈log₂ p⌉` bits pick the permutation.
+    /// Step order of the event scheduler: ranks enter its run queue — all
+    /// of them at the start, then the ranks each step wakes — in order of
+    /// `rank ^ order`, so `0` (the default) is rank order and the low
+    /// `⌈log₂ p⌉` bits pick the permutation.
     pub order: u64,
 }
 
@@ -218,7 +219,7 @@ impl FaultPlan {
         self
     }
 
-    /// Run same-time events in order of `rank ^ order` instead of rank
+    /// Queue runnable ranks in order of `rank ^ order` instead of rank
     /// order.
     pub fn with_order(mut self, order: u64) -> Self {
         self.order = order;
@@ -237,7 +238,7 @@ impl FaultPlan {
     }
 
     /// Does this plan change nothing at all — no fault and the canonical
-    /// tie-break order?
+    /// step order?
     pub fn is_empty(&self) -> bool {
         self.order == 0
             && self.compute.is_empty()

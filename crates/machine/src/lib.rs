@@ -19,10 +19,11 @@
 //!
 //! A program runs on the single-threaded **discrete-event engine**:
 //! [`Machine::run_des`] takes an async rank body — each rank a resumable
-//! future awaiting its `*_async` operations — and steps the ranks off one
-//! event queue, so `p` is bounded by memory. Nothing observable depends on
-//! the order in which same-time events run; a [`FaultPlan`]'s `order`
-//! entry permutes that order so tests can check it.
+//! future awaiting its `*_async` operations — and steps the runnable ranks
+//! off one FIFO run queue, their parked packets in one slab, so `p` is
+//! bounded by memory. Nothing observable depends on the order in which
+//! runnable ranks step; a [`FaultPlan`]'s `order` entry permutes that
+//! order so tests can check it.
 //!
 //! The [`topology`] module contains the rank arithmetic shared by all
 //! collective algorithms: binomial trees, butterfly (hypercube) partners,

@@ -22,8 +22,8 @@
 //!
 //! Because message timestamps travel with the data, the simulated makespan
 //! of a run is a pure function of the communication structure — identical
-//! across reruns and across every order in which the scheduler breaks
-//! ties between same-time events ([`FaultPlan::order`]).
+//! across reruns and across every order in which the scheduler steps the
+//! runnable ranks ([`FaultPlan::order`]).
 //!
 //! ## Fault injection
 //!
@@ -139,7 +139,7 @@ impl Ctx {
     /// Dequeue the next packet from rank `from`, suspending the rank until
     /// one is queued or `from` is gone.
     async fn pop_packet(&self, from: usize) -> Result<Packet, MachineError> {
-        DesPop::new(Rc::clone(&self.shared), self.rank, from, self.clock.now()).await
+        DesPop::new(Rc::clone(&self.shared), self.rank, from).await
     }
 
     /// Current simulated time on this rank.
@@ -527,8 +527,8 @@ pub(crate) enum RankOutcome<T> {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecEngine {
     /// Single-threaded discrete-event scheduler: each rank is a resumable
-    /// future driven off a binary-heap event queue, so `p` is bounded by
-    /// memory.
+    /// future stepped off a FIFO run queue, its parked packets in one slab
+    /// per run, so `p` is bounded by memory.
     Des,
 }
 

@@ -30,13 +30,14 @@ use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use collopt_analysis::audit::{domain_of_builtin, Domain};
 use collopt_analysis::lint::{lint_plan, lint_program, lint_with_plan, LintConfig, LintReport};
 use collopt_core::exec::execute;
 use collopt_core::parser::parse_pipeline;
 use collopt_core::report::write_optimize_result;
 use collopt_core::rewrite::{OptimizeResult, Rewriter};
 use collopt_core::rules::enabling;
-use collopt_core::term::Program;
+use collopt_core::term::{Program, Stage};
 use collopt_core::value::Value;
 use collopt_cost::MachineParams;
 use collopt_machine::{write_json_num, ClockParams};
@@ -106,13 +107,53 @@ fn key_for(canonical: &str, req: &OptimizeRequest) -> String {
 }
 
 /// Deterministic synthetic input for simulation: `m` words per rank,
-/// small positive ints (safe for every parser operator; floats coerce
-/// from ints). Mirrors the `collopt --profile` input generator.
+/// small positive ints (floats coerce from ints; a pipeline whose
+/// operators cannot take them is refused by [`simulation_refusal`]).
+/// Mirrors the `collopt --profile` input generator.
 fn synthetic_inputs(p: usize, m: f64) -> Vec<Value> {
     let words = m.clamp(1.0, 1e6) as usize;
     (0..p)
         .map(|r| Value::int_list((0..words).map(|j| ((r * 7 + j) % 5 + 1) as i64)))
         .collect()
+}
+
+/// Why `req` cannot be simulated on the [`synthetic_inputs`], if it asks
+/// to be and its pipeline parses. The inputs are integers; an integer
+/// operator takes only integers, a float one integers or floats (and
+/// makes floats), a boolean one only booleans — so a boolean operator, or
+/// an integer one after a float one, would panic the simulation.
+/// Normalizing and rewriting combine the same values with the same
+/// operators, so checking the parsed pipeline covers the programs that
+/// are simulated.
+fn simulation_refusal(req: &OptimizeRequest) -> Option<String> {
+    if !req.simulate {
+        return None;
+    }
+    let program = parse_pipeline(&req.pipeline).ok()?;
+    let mut floats: Option<&str> = None;
+    for stage in program.stages() {
+        let (Stage::Scan(op) | Stage::Reduce(op) | Stage::AllReduce(op)) = stage else {
+            continue;
+        };
+        match domain_of_builtin(op.name()) {
+            Some(Domain::Bool) => {
+                return Some(format!(
+                    "simulate: `{}` combines booleans, and the simulated inputs are integers",
+                    op.name()
+                ))
+            }
+            Some(Domain::Float) => floats = floats.or(Some(op.name())),
+            _ => {
+                if let Some(float_op) = floats {
+                    return Some(format!(
+                        "simulate: `{}` combines integers, and `{float_op}` before it makes floats",
+                        op.name()
+                    ));
+                }
+            }
+        }
+    }
+    None
 }
 
 impl Service {
@@ -161,20 +202,32 @@ impl Service {
                 text: ok_response(&id, "{\"bye\":true}"),
                 shutdown: true,
             },
-            Op::Optimize(opt) => match self.optimize_body(&opt) {
-                Ok(body) => Reply {
-                    text: ok_response(&id, &body),
-                    shutdown: false,
-                },
-                Err(message) => Reply {
-                    text: error_response(&RequestError {
-                        id,
-                        code: ErrorCode::ParseError,
-                        message,
-                    }),
-                    shutdown: false,
-                },
-            },
+            Op::Optimize(opt) => {
+                if let Some(message) = simulation_refusal(&opt) {
+                    return Reply {
+                        text: error_response(&RequestError {
+                            id,
+                            code: ErrorCode::BadRequest,
+                            message,
+                        }),
+                        shutdown: false,
+                    };
+                }
+                match self.optimize_body(&opt) {
+                    Ok(body) => Reply {
+                        text: ok_response(&id, &body),
+                        shutdown: false,
+                    },
+                    Err(message) => Reply {
+                        text: error_response(&RequestError {
+                            id,
+                            code: ErrorCode::ParseError,
+                            message,
+                        }),
+                        shutdown: false,
+                    },
+                }
+            }
         }
     }
 
@@ -403,6 +456,48 @@ mod tests {
                 .and_then(|x| x.as_f64())
                 .unwrap()
                 > 0.0
+        );
+    }
+
+    /// What the integer inputs cannot run is refused before simulating;
+    /// what they can run, floats included, is simulated. Refusals are not
+    /// cached.
+    #[test]
+    fn simulate_refuses_what_its_integer_inputs_cannot_run() {
+        let service = Service::new(16);
+        let simulate = |pipeline: &str| {
+            let line = format!(
+                r#"{{"id":3,"pipeline":"{pipeline}","p":8,"m":4,"options":{{"simulate":true}}}}"#
+            );
+            Json::parse(&service.handle_line(&line).text).unwrap()
+        };
+        for (pipeline, culprit) in [
+            ("scan(and)", "`and`"),
+            ("scan(add) ; allreduce(or)", "`or`"),
+            ("scan(fadd) ; reduce(add)", "`fadd`"),
+        ] {
+            let doc = simulate(pipeline);
+            assert_eq!(doc.get("id"), Some(&Json::Num(3.0)), "{pipeline}");
+            let error = doc.get("error").unwrap();
+            assert_eq!(
+                error.get("code").and_then(Json::as_str),
+                Some("bad_request")
+            );
+            let message = error.get("message").and_then(Json::as_str).unwrap();
+            assert!(message.contains(culprit), "{pipeline}: {message}");
+        }
+        for pipeline in ["scan(add) ; reduce(fadd)", "scan(fmul) ; reduce(fadd)"] {
+            let doc = simulate(pipeline);
+            let sim = doc.get("result").and_then(|r| r.get("simulation"));
+            assert!(matches!(sim, Some(Json::Obj(_))), "{pipeline}");
+        }
+        assert_eq!(service.cache_stats().misses, 2);
+        // Without `simulate` a boolean pipeline is optimized as before.
+        let reply = service.handle_line(r#"{"id":4,"pipeline":"scan(and) ; reduce(or)"}"#);
+        assert!(
+            reply.text.starts_with(r#"{"id":4,"ok":true,"#),
+            "{}",
+            reply.text
         );
     }
 

@@ -4,51 +4,15 @@
 //! other allocation writing a body makes is one `String` per certificate
 //! law (`RequiredLaw::describe`).
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-
 use collopt_machine::Json;
 use collopt_serve::request::{error_response, ok_response};
 use collopt_serve::service::{solve, write_body};
 use collopt_serve::{canonicalize, parse_request, ErrorCode, Op, Request, RequestError};
 
-thread_local! {
-    static COUNTING: Cell<bool> = const { Cell::new(false) };
-    static ALLOCS: Cell<usize> = const { Cell::new(0) };
-}
+#[path = "../../../tests/support/counting_alloc.rs"]
+mod counting_alloc;
 
-/// Forwards to `System`, counting the allocations of a thread that asked.
-struct Counting;
-
-// SAFETY: every method forwards its arguments unchanged to `System`; the
-// bookkeeping touches only const-initialised thread-locals without
-// destructors, so it neither allocates nor unwinds.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if COUNTING.with(Cell::get) {
-            ALLOCS.with(|n| n.set(n.get() + 1));
-        }
-        // SAFETY: the caller's layout is passed through unchanged.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System` with `layout`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: Counting = Counting;
-
-/// Allocations `f` makes on this thread (a reallocation counts as one).
-fn allocations<T>(f: impl FnOnce() -> T) -> (T, usize) {
-    ALLOCS.with(|n| n.set(0));
-    COUNTING.with(|c| c.set(true));
-    let out = f();
-    COUNTING.with(|c| c.set(false));
-    (out, ALLOCS.with(Cell::get))
-}
+use counting_alloc::allocations;
 
 /// The request `tests/golden/serve_response.json` answers.
 const GOLDEN: &str = r#"{"id":1,"pipeline":"map f ; scan(mul) ; reduce(add) ; map g ; bcast","p":64,"ts":200,"tw":2,"m":32,"options":{"lint":true,"simulate":false}}"#;

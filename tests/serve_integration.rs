@@ -313,6 +313,28 @@ fn a_megabyte_pipeline_string_is_refused_in_linear_time() {
     assert!(child.0.wait().expect("exit").success());
 }
 
+#[test]
+fn simulating_a_boolean_pipeline_gets_bad_request_and_the_connection_keeps_serving() {
+    // The simulated inputs are integers, which `and` cannot combine: the
+    // request gets a typed reply before anything runs, and the connection
+    // thread lives on to answer the next line.
+    let (mut child, addr) = spawn_child_server();
+    let mut client = Client::connect(addr);
+    client.send(r#"{"id":1,"op":"optimize","pipeline":"scan(and)","options":{"simulate":true}}"#);
+    let reply = client.recv();
+    let doc = Json::parse(&reply).unwrap_or_else(|e| panic!("no JSON reply ({e}): {reply:?}"));
+    assert_eq!(doc.get("id"), Some(&Json::Num(1.0)));
+    let error = doc.get("error");
+    let code = error.and_then(|e| e.get("code")).and_then(Json::as_str);
+    assert_eq!(code, Some("bad_request"), "{reply}");
+    let message = error.and_then(|e| e.get("message")).and_then(Json::as_str);
+    assert!(message.is_some_and(|m| m.contains("`and`")), "{reply}");
+    let pong = client.round_trip(r#"{"id":2,"op":"ping"}"#);
+    assert_eq!(pong, r#"{"id":2,"ok":true,"result":{"pong":true}}"#);
+    submit(addr, r#"{"op":"shutdown"}"#).expect("shutdown");
+    assert!(child.0.wait().expect("exit").success());
+}
+
 #[cfg(target_os = "linux")]
 #[test]
 fn connections_do_not_leak_descriptors() {
