@@ -262,48 +262,71 @@ impl OpAudit {
     }
 }
 
+/// What auditing one law of an operator found: declared and held,
+/// declared and refuted by a witness, or held undeclared.
+pub(crate) enum Claim {
+    Verified,
+    Over(Counterexample),
+    Under,
+}
+
+/// Audit `op`'s associativity, commutativity and distributivity over each
+/// peer, in that order, and hand each claim to `visit`. Nothing is spelled
+/// here: a caller pays for the text of only the claims it keeps.
+pub(crate) fn audit_claims(
+    op: &BinOp,
+    domain: Domain,
+    peers: &[BinOp],
+    cfg: &AuditConfig,
+    mut visit: impl FnMut(&RequiredLaw, Claim),
+) {
+    let own = [
+        (RequiredLaw::Associative(op.clone()), op.is_associative()),
+        (RequiredLaw::Commutative(op.clone()), op.is_commutative()),
+    ];
+    let distributive = peers.iter().map(|peer| {
+        let law = RequiredLaw::DistributesOver(op.clone(), peer.clone());
+        (law, op.distributes_over(peer))
+    });
+    for (law, declared) in own.into_iter().chain(distributive) {
+        match (declared, audit_law(&law, domain, cfg)) {
+            (true, None) => visit(&law, Claim::Verified),
+            (true, Some(counterexample)) => visit(&law, Claim::Over(counterexample)),
+            (false, None) => visit(&law, Claim::Under),
+            (false, Some(_)) => {} // correctly undeclared
+        }
+    }
+}
+
+/// The declaration builder call that would add an undeclared `law`.
+pub(crate) fn declaration(law: &RequiredLaw) -> String {
+    match law {
+        RequiredLaw::Associative(_) => "(associativity is implied by BinOp::new)".into(),
+        RequiredLaw::Commutative(_) => ".commutative()".into(),
+        RequiredLaw::DistributesOver(_, peer) => {
+            format!(".distributes_over_op(\"{}\")", peer.name())
+        }
+    }
+}
+
 /// Audit one operator against its declarations. `peers` is the set of
 /// same-domain operators distributivity is probed against (for
 /// under-claim detection); pass `&[]` to check only the declared laws.
 pub fn audit_operator(op: &BinOp, domain: Domain, peers: &[BinOp], cfg: &AuditConfig) -> OpAudit {
-    let mut verified = Vec::new();
-    let mut over_claims = Vec::new();
-    let mut under_claims = Vec::new();
-
-    let mut check = |law: RequiredLaw, declared: bool, declaration: &str| {
-        match (declared, audit_law(&law, domain, cfg)) {
-            (true, None) => verified.push(law.describe()),
-            (true, Some(counterexample)) => over_claims.push(OverClaim {
-                op: op.name().to_string(),
-                law: law.describe(),
-                counterexample,
-            }),
-            (false, None) => under_claims.push(UnderClaim {
-                op: op.name().to_string(),
-                law: law.describe(),
-                declaration: declaration.to_string(),
-            }),
-            (false, Some(_)) => {} // correctly undeclared
-        }
-    };
-
-    check(
-        RequiredLaw::Associative(op.clone()),
-        op.is_associative(),
-        "(associativity is implied by BinOp::new)",
-    );
-    check(
-        RequiredLaw::Commutative(op.clone()),
-        op.is_commutative(),
-        ".commutative()",
-    );
-    for peer in peers {
-        check(
-            RequiredLaw::DistributesOver(op.clone(), peer.clone()),
-            op.distributes_over(peer),
-            &format!(".distributes_over_op(\"{}\")", peer.name()),
-        );
-    }
+    let (mut verified, mut over_claims, mut under_claims) = (Vec::new(), Vec::new(), Vec::new());
+    audit_claims(op, domain, peers, cfg, |law, claim| match claim {
+        Claim::Verified => verified.push(law.describe()),
+        Claim::Over(counterexample) => over_claims.push(OverClaim {
+            op: op.name().to_string(),
+            law: law.describe(),
+            counterexample,
+        }),
+        Claim::Under => under_claims.push(UnderClaim {
+            op: op.name().to_string(),
+            law: law.describe(),
+            declaration: declaration(law),
+        }),
+    });
     OpAudit {
         op: op.name().to_string(),
         domain,

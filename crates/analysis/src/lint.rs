@@ -36,7 +36,9 @@ use collopt_core::term::{Program, Stage};
 use collopt_cost::MachineParams;
 use collopt_machine::{write_json_display, write_json_num, write_json_str};
 
-use crate::audit::{audit_law, audit_operator, domain_of_builtin, AuditConfig, Domain};
+use crate::audit::{
+    audit_claims, audit_law, declaration, domain_of_builtin, AuditConfig, Claim, Domain,
+};
 
 /// Diagnostic severity, ordered most severe first.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -580,38 +582,40 @@ fn operator_pass(
                 suggestion: None,
             });
             }
-            let audit = audit_operator(op, domain, &peers, &cfg.audit);
-            for claim in &audit.over_claims {
-                diags.push(Diagnostic {
+            audit_claims(op, domain, &peers, &cfg.audit, |law, claim| match claim {
+                Claim::Verified => {}
+                Claim::Over(counterexample) => diags.push(Diagnostic {
                     code: "COL002",
                     severity: Severity::Error,
                     message: format!(
-                        "unsound declaration: `{}` declares {} but it fails — {}",
-                        claim.op, claim.law, claim.counterexample
+                        "unsound declaration: `{}` declares {} but it fails — {counterexample}",
+                        op.name(),
+                        law.describe()
                     ),
                     stage: i,
                     len: 1,
                     span,
                     suggestion: Some(format!(
                         "remove the false property declaration from `{}`",
-                        claim.op
+                        op.name()
                     )),
-                });
-            }
-            for claim in &audit.under_claims {
-                diags.push(Diagnostic {
-                code: "COL005",
-                severity: Severity::Note,
-                message: format!(
-                    "under-declared property: {} holds on the audit domain but `{}` does not declare it; declaring `{}` could enable more fusions",
-                    claim.law, claim.op, claim.declaration
-                ),
-                stage: i,
-                len: 1,
-                span,
-                suggestion: None,
+                }),
+                Claim::Under => diags.push(Diagnostic {
+                    code: "COL005",
+                    severity: Severity::Note,
+                    message: format!(
+                        "under-declared property: {} holds on the audit domain but `{}` does not \
+                         declare it; declaring `{}` could enable more fusions",
+                        law.describe(),
+                        op.name(),
+                        declaration(law)
+                    ),
+                    stage: i,
+                    len: 1,
+                    span,
+                    suggestion: None,
+                }),
             });
-            }
         }
     }
 }

@@ -31,8 +31,8 @@
 //! normalizations (map fusion, bcast/map commutation, gather/scatter
 //! elimination) run as additional 2-window rewrites. Refuted laws exclude
 //! the match; in audited mode the refusal is recorded with a shrunk
-//! counterexample, deduped per `(rule, law)`. Attempts, refusals and rule
-//! events are keyed by `(tag, [u32; 3])` windows of node or stage ids.
+//! counterexample, deduped per `(rule, law)`. Attempts are keyed by node
+//! path, refusals and rule events by `(rule, stage-id window)`.
 //!
 //! Termination: every rule strictly reduces a chain's collective count and
 //! the fused forms never re-match any rule, so the stage alphabet and the
@@ -77,7 +77,7 @@
 
 use std::collections::hash_map::{DefaultHasher, Entry};
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::mem::Discriminant;
 use std::rc::Rc;
 use std::sync::Arc;
@@ -105,12 +105,6 @@ const REPLAY_STATE_CAP: usize = 100_000;
 
 /// Sentinel stage id for the `nil` e-node, and "no further id" in a chain.
 const NIL: usize = usize::MAX;
-
-/// Tags for the enabling normalizations in the applied-rewrite ledger
-/// (rule tags occupy `0..RULE_PRIORITY.len()`).
-const TAG_MAP_FUSE: u32 = 100;
-const TAG_BCAST_MAP: u32 = 101;
-const TAG_GATHER_SCATTER: u32 = 102;
 
 /// A predicate consulted before certifying a structural match; returning
 /// `false` silently excludes the rule for that window. The linter installs
@@ -227,7 +221,7 @@ pub struct SaturationOutcome {
 /// `optimize` and `saturate`) is this call.
 pub fn saturate_program(prog: &Program, cfg: &SaturateConfig) -> SaturationOutcome {
     let (start, mut normalizations) = enabling::normalize(prog);
-    let mut eg = EGraph::new(cfg);
+    let mut eg = EGraph::new(cfg, start.len());
     let (root, start_ids) = eg.insert_chain(&start);
     eg.run();
     let root = eg.find(root);
@@ -354,16 +348,44 @@ impl<'a> StageKey<'a> {
     }
 }
 
-/// A window of up to three node or stage ids under a rewrite tag — the
-/// key of the attempt, refusal and event tables. Unused slots are `u32::MAX`.
-type WindowKey = (u32, [u32; 3]);
+/// The hasher of every id-keyed table: Fx-style, one multiply a word. The
+/// keys are ids this graph assigned (or a [`StageKey::hash64`] digest), so
+/// SipHash's resistance to chosen keys buys nothing here.
+#[derive(Default)]
+struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0 ^ n).wrapping_mul(0xF135_7AEA_2E62_A9C5);
+    }
+    /// Rotate the well-mixed high bits into the low bits a table indexes by.
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+}
+
+type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
+type IdSet<K> = HashSet<K, BuildHasherDefault<IdHasher>>;
+
+/// Up to three node or stage ids (unused slots `u32::MAX`) under a tag in
+/// one `u128`: the key of the attempt table (tagged by the path's length)
+/// and of the refusal and event tables (tagged by the rule).
+type WindowKey = u128;
 
 fn window_key(tag: u32, ids: &[usize]) -> WindowKey {
     let mut key = [u32::MAX; 3];
     for (slot, &id) in key.iter_mut().zip(ids) {
         *slot = u32::try_from(id).expect("a graph of fewer than 2^32 nodes and stages");
     }
-    (tag, key)
+    key.iter()
+        .fold(u128::from(tag), |acc, &slot| acc << 32 | u128::from(slot))
 }
 
 fn rule_tag(rule: Rule) -> u32 {
@@ -440,27 +462,27 @@ struct EGraph<'c> {
     stage_coll: Vec<bool>,
     /// `StageKey` hash → the first id with it; `stage_next` chains the
     /// other ids that share the hash.
-    stage_index: HashMap<u64, usize>,
+    stage_index: IdMap<u64, usize>,
     stage_next: Vec<usize>,
     /// `(map, map)` stage-id pairs → the id of their fused map.
-    fused_maps: HashMap<(usize, usize), usize>,
+    fused_maps: IdMap<(usize, usize), usize>,
     nodes: Vec<ENode>,
     /// Hash-cons: `(stage, canonical tail class) → node`.
-    node_ids: HashMap<(usize, usize), usize>,
+    node_ids: IdMap<(usize, usize), usize>,
     classes: Vec<EClass>,
     /// Union-find parents over class ids.
     uf: Vec<usize>,
     node_class: Vec<usize>,
     worklist: VecDeque<usize>,
-    /// Node paths already attempted, per rewrite tag.
-    attempted: HashSet<WindowKey>,
+    /// Node paths already attempted, one entry a path (see `try_windows`).
+    attempted: IdSet<WindowKey>,
     /// Stage-id windows whose certification failed, per rule tag — dedupes
     /// audited rejections at the source (a certified window is an event).
-    refused: HashSet<WindowKey>,
+    refused: IdSet<WindowKey>,
     events: Vec<Event>,
-    event_ids: HashMap<WindowKey, usize>,
+    event_ids: IdMap<WindowKey, usize>,
     /// Original-chain depth per node, for rejection reporting.
-    depth_hint: HashMap<usize, usize>,
+    depth_hint: IdMap<usize, usize>,
     rejections: Vec<RuleRejection>,
     nil_class: usize,
     dirty: bool,
@@ -468,26 +490,29 @@ struct EGraph<'c> {
 }
 
 impl<'c> EGraph<'c> {
-    fn new(cfg: &'c SaturateConfig) -> Self {
+    /// The nil node, in tables sized for an input chain of `len` stages
+    /// and two node paths a node: more costs more bytes than regrowth.
+    fn new(cfg: &'c SaturateConfig, len: usize) -> Self {
+        let (nodes, paths) = (len + 4, 2 * len + 4);
         let mut eg = EGraph {
             cfg,
-            stages: Vec::new(),
-            stage_costs: Vec::new(),
-            stage_coll: Vec::new(),
-            stage_index: HashMap::new(),
-            stage_next: Vec::new(),
-            fused_maps: HashMap::new(),
-            nodes: Vec::new(),
-            node_ids: HashMap::new(),
-            classes: Vec::new(),
-            uf: Vec::new(),
-            node_class: Vec::new(),
-            worklist: VecDeque::new(),
-            attempted: HashSet::new(),
-            refused: HashSet::new(),
+            stages: Vec::with_capacity(nodes),
+            stage_costs: Vec::with_capacity(nodes),
+            stage_coll: Vec::with_capacity(nodes),
+            stage_index: IdMap::with_capacity_and_hasher(nodes, Default::default()),
+            stage_next: Vec::with_capacity(nodes),
+            fused_maps: IdMap::default(),
+            nodes: Vec::with_capacity(nodes),
+            node_ids: IdMap::with_capacity_and_hasher(nodes, Default::default()),
+            classes: Vec::with_capacity(nodes),
+            uf: Vec::with_capacity(nodes),
+            node_class: Vec::with_capacity(nodes),
+            worklist: VecDeque::with_capacity(nodes),
+            attempted: IdSet::with_capacity_and_hasher(paths, Default::default()),
+            refused: IdSet::default(),
             events: Vec::new(),
-            event_ids: HashMap::new(),
-            depth_hint: HashMap::new(),
+            event_ids: IdMap::default(),
+            depth_hint: IdMap::with_capacity_and_hasher(len, Default::default()),
             rejections: Vec::new(),
             nil_class: 0,
             dirty: false,
@@ -683,8 +708,9 @@ impl<'c> EGraph<'c> {
     fn rebuild(&mut self) {
         while self.dirty {
             self.dirty = false;
-            let mut fresh: HashMap<(usize, usize), usize> =
-                HashMap::with_capacity(self.nodes.len());
+            // The old table's allocation, emptied: it already holds every key.
+            let mut fresh = std::mem::take(&mut self.node_ids);
+            fresh.clear();
             let mut pending: Vec<(usize, usize)> = Vec::new();
             for id in 0..self.nodes.len() {
                 let stage = self.nodes[id].stage;
@@ -764,7 +790,14 @@ impl<'c> EGraph<'c> {
         self.classes[self.find(class)].nodes.clone()
     }
 
+    /// Try every rule and normalization of the path's length, once per
+    /// path: one entry stands for all of them, since this call tries every
+    /// tag of that length with no early return in between and a path's
+    /// stages never change, so its tags are all new or all already tried.
     fn try_windows(&mut self, path: &[usize]) {
+        if !self.attempted.insert(window_key(path.len() as u32, path)) {
+            return;
+        }
         let mut ids = [NIL; 3];
         for (id, &node) in ids.iter_mut().zip(path) {
             *id = self.nodes[node].stage;
@@ -781,10 +814,6 @@ impl<'c> EGraph<'c> {
     }
 
     fn try_rule(&mut self, rule: Rule, path: &[usize], ids: &[usize]) {
-        let tag = rule_tag(rule);
-        if !self.attempted.insert(window_key(tag, path)) {
-            return;
-        }
         let stages = &self.stages;
         let Some(hit) = rules::match_rule(rule, ids.iter().map(|&i| &stages[i])) else {
             return;
@@ -805,7 +834,7 @@ impl<'c> EGraph<'c> {
         // Certified once per stage-id window, so audited rejections are
         // recorded once per distinct window; a certified window's event
         // already holds its replacement.
-        let key = window_key(tag, ids);
+        let key = window_key(rule_tag(rule), ids);
         if let Some(&event) = self.event_ids.get(&key) {
             let replacement = self.events[event].replacement.clone();
             self.apply(path, &replacement);
@@ -849,22 +878,14 @@ impl<'c> EGraph<'c> {
     /// `rules::enabling::step` exactly (left-moving suffices: windows are
     /// all-collective, so a map never sits inside one).
     fn try_norm(&mut self, path: &[usize], ids: &[usize]) {
-        let tag = match (&self.stages[ids[0]], &self.stages[ids[1]]) {
-            (Stage::Map { .. }, Stage::Map { .. }) => TAG_MAP_FUSE,
-            (Stage::Gather, Stage::Scatter) => TAG_GATHER_SCATTER,
-            (Stage::Bcast, Stage::Map { .. }) => TAG_BCAST_MAP,
-            _ => return,
-        };
-        if !self.attempted.insert(window_key(tag, path)) {
-            return;
-        }
-        match tag {
-            TAG_MAP_FUSE => {
+        match (&self.stages[ids[0]], &self.stages[ids[1]]) {
+            (Stage::Map { .. }, Stage::Map { .. }) => {
                 let fused = self.fuse_maps(ids[0], ids[1]);
                 self.apply(path, &[fused]);
             }
-            TAG_GATHER_SCATTER => self.apply(path, &[]),
-            _ => self.apply(path, &[ids[1], ids[0]]),
+            (Stage::Gather, Stage::Scatter) => self.apply(path, &[]),
+            (Stage::Bcast, Stage::Map { .. }) => self.apply(path, &[ids[1], ids[0]]),
+            _ => {}
         }
     }
 
@@ -913,7 +934,7 @@ impl<'c> EGraph<'c> {
         &self,
         class: usize,
         best: &[Option<Extract>],
-        memo: &mut HashMap<usize, Rc<[Vec<usize>]>>,
+        memo: &mut IdMap<usize, Rc<[Vec<usize>]>>,
     ) -> Rc<[Vec<usize>]> {
         let class = self.find(class);
         if let Some(cached) = memo.get(&class) {
@@ -956,7 +977,7 @@ impl<'c> EGraph<'c> {
     /// them.
     fn extract(&mut self, root: usize) -> Vec<Vec<usize>> {
         let best = self.extract_values();
-        let mut memo = HashMap::new();
+        let mut memo = IdMap::default();
         let mut candidates: Vec<Vec<usize>> = Vec::new();
         let mut shortest = usize::MAX;
         for chain in self.best_chains(root, &best, &mut memo).iter() {
@@ -1002,7 +1023,7 @@ impl<'c> EGraph<'c> {
             return (start, Vec::new(), Vec::new());
         }
         let mut best = (0, self.value(&start_ids));
-        let mut seen: HashSet<Vec<usize>> = HashSet::from([start_ids.clone()]);
+        let mut seen: IdSet<Vec<usize>> = [start_ids.clone()].into_iter().collect();
         let mut states = vec![ReplayState {
             ids: start_ids,
             parent: NIL,
@@ -1142,7 +1163,7 @@ mod tests {
     fn stages_intern_by_display_and_cost() {
         let params = MachineParams::new(8, 10.0, 1.0);
         let cfg = SaturateConfig::new(params, 4.0);
-        let mut eg = EGraph::new(&cfg);
+        let mut eg = EGraph::new(&cfg, 0);
         // Same display, different cost: two ids, each priced as itself.
         let cheap = Stage::map("f", 1.0, |v| v.clone());
         let dear = Stage::map("f", 3.0, |v| v.clone());

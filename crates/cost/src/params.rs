@@ -12,6 +12,10 @@ pub struct MachineParams {
     pub tw: f64,
 }
 
+/// The largest `ts`, `tw` and block size `m` the CLI and `serve` accept:
+/// with all three at most 1e9, every stage cost is finite at any `p`.
+pub const MAX_INPUT: f64 = 1e9;
+
 impl MachineParams {
     /// A new parameter set; `p ≥ 1`, `ts, tw ≥ 0`.
     pub fn new(p: usize, ts: f64, tw: f64) -> Self {
@@ -21,15 +25,15 @@ impl MachineParams {
     }
 
     /// [`MachineParams::new`] for values that arrive from outside the
-    /// program: the model's domain — `p ≥ 1`, `ts` and `tw` finite and
-    /// `≥ 0` — as an error to report instead of an assertion.
+    /// program: `p ≥ 1` and `ts`, `tw` in `0..=`[`MAX_INPUT`], as an error
+    /// to report instead of an assertion.
     pub fn try_new(p: usize, ts: f64, tw: f64) -> Result<Self, String> {
         if p < 1 {
             return Err("p must be at least 1".to_string());
         }
         for (name, x) in [("ts", ts), ("tw", tw)] {
-            if !(x.is_finite() && x >= 0.0) {
-                return Err(format!("{name} must be finite and non-negative, got {x}"));
+            if !(0.0..=MAX_INPUT).contains(&x) {
+                return Err(format!("{name} must be in 0..={MAX_INPUT:e}, got {x:e}"));
             }
         }
         Ok(MachineParams { p, ts, tw })
@@ -82,12 +86,15 @@ mod tests {
             Ok(MachineParams::new(8, 100.0, 2.0))
         );
         assert!(MachineParams::try_new(1, 0.0, 0.0).is_ok());
+        assert!(MachineParams::try_new(1, MAX_INPUT, MAX_INPUT).is_ok());
         for (p, ts, tw) in [
             (0, 1.0, 1.0),
             (8, -1.0, 1.0),
             (8, 1.0, -0.5),
             (8, f64::NAN, 1.0),
             (8, 1.0, f64::INFINITY),
+            (8, 1e308, 1.0),
+            (8, 1.0, MAX_INPUT * 2.0),
         ] {
             assert!(MachineParams::try_new(p, ts, tw).is_err(), "{p} {ts} {tw}");
         }

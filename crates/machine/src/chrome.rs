@@ -132,13 +132,18 @@ impl Json {
 
 /// Append a number as [`Json::Num`] renders it: Rust's shortest
 /// round-trip `f64` formatting (the bytes of `format!("{n}")`), or `null`
-/// when `n` is not finite — JSON has no Inf/NaN.
+/// when `n` is not finite — JSON has no Inf/NaN. An integral `n` with
+/// `|n| < 2⁵³`, bar `-0.0` (`-0`), has those bytes as an `i64` too.
 pub fn write_json_num(out: &mut String, n: f64) {
-    if n.is_finite() {
-        write!(out, "{n}").expect("writing to a String cannot fail");
+    let exact = n.fract() == 0.0 && n.abs() < 9_007_199_254_740_992.0;
+    let written = if exact && n.to_bits() != (-0.0f64).to_bits() {
+        write!(out, "{}", n as i64)
+    } else if n.is_finite() {
+        write!(out, "{n}")
     } else {
-        out.push_str("null");
-    }
+        return out.push_str("null");
+    };
+    written.expect("writing to a String cannot fail");
 }
 
 /// Append `s` as a quoted, escaped JSON string literal.
@@ -585,7 +590,19 @@ mod tests {
             22.255192878338278,
             f64::MAX,
         ];
-        for n in finite {
+        // Every small integer; ±2^k and ±10^k up to 2^64 with their ±1
+        // neighbours (past 2^53 the neighbour rounds onto the power, which
+        // is the point); seeded random bit patterns of every exponent.
+        let small = (-10_000..=10_000).map(f64::from);
+        let powers = (0..=64)
+            .map(|k| 2f64.powi(k))
+            .chain((0..=19).map(|k| 10f64.powi(k)))
+            .flat_map(|x| [x - 1.0, x, x + 1.0])
+            .flat_map(|x| [x, -x]);
+        let mut rng = crate::Rng::new(0x5EED);
+        let random = (0..10_000).map(|_| f64::from_bits(rng.next_u64()));
+        let all = finite.into_iter().chain(small).chain(powers).chain(random);
+        for n in all.filter(|n| n.is_finite()) {
             let mut out = String::new();
             write_json_num(&mut out, n);
             assert_eq!(out, format!("{n}"));

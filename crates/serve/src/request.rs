@@ -28,6 +28,7 @@
 //! [`MAX_LINE`](crate::server::MAX_LINE) bytes; the server then closes
 //! the connection).
 
+use collopt_cost::params::MAX_INPUT;
 use collopt_machine::{write_json_str, Json};
 
 /// Default processor count, matching `collopt`'s `--p`.
@@ -181,6 +182,17 @@ fn get_f64(obj: &Json, key: &str, default: f64) -> Result<f64, String> {
     }
 }
 
+/// `ts`, `tw` or `m`: a number in `0..=`[`MAX_INPUT`], where every stage
+/// cost is finite.
+fn get_input(obj: &Json, key: &str, default: f64) -> Result<f64, String> {
+    let x = get_f64(obj, key, default)?;
+    if (0.0..=MAX_INPUT).contains(&x) {
+        Ok(x)
+    } else {
+        Err(format!("'{key}' must be in 0..={MAX_INPUT:e}"))
+    }
+}
+
 /// Parse and validate one request line.
 pub fn parse_request(line: &str) -> Result<Request, RequestError> {
     let null = Json::Null;
@@ -239,19 +251,9 @@ pub fn parse_request(line: &str) -> Result<Request, RequestError> {
             "'p' must be an integer in 1..=16777216",
         ));
     }
-    let ts = get_f64(&doc, "ts", DEFAULT_TS).map_err(|m| bad(&id, ErrorCode::BadRequest, m))?;
-    let tw = get_f64(&doc, "tw", DEFAULT_TW).map_err(|m| bad(&id, ErrorCode::BadRequest, m))?;
-    if ts < 0.0 || tw < 0.0 {
-        return Err(bad(
-            &id,
-            ErrorCode::BadRequest,
-            "'ts' and 'tw' must be non-negative",
-        ));
-    }
-    let m = get_f64(&doc, "m", DEFAULT_M).map_err(|m| bad(&id, ErrorCode::BadRequest, m))?;
-    if !(0.0..=1e9).contains(&m) {
-        return Err(bad(&id, ErrorCode::BadRequest, "'m' must be in 0..=1e9"));
-    }
+    let ts = get_input(&doc, "ts", DEFAULT_TS).map_err(|m| bad(&id, ErrorCode::BadRequest, m))?;
+    let tw = get_input(&doc, "tw", DEFAULT_TW).map_err(|m| bad(&id, ErrorCode::BadRequest, m))?;
+    let m = get_input(&doc, "m", DEFAULT_M).map_err(|m| bad(&id, ErrorCode::BadRequest, m))?;
 
     // Absent options read as an empty object: `get` on `null` finds no key.
     let options = match doc.get("options") {
@@ -319,6 +321,26 @@ mod tests {
         assert_eq!(e.code, ErrorCode::BadRequest);
         let e = parse_request(r#"{"pipeline":"map f","p":-1}"#).unwrap_err();
         assert_eq!(e.code, ErrorCode::BadRequest);
+    }
+
+    #[test]
+    fn a_machine_too_large_to_price_is_a_bad_request() {
+        // At `tw = 1e308` every program costs `inf`, and a plan would be a
+        // choice between two infinite costs.
+        for machine in [
+            r#""tw":1e308,"m":1e9"#,
+            r#""ts":1e308"#,
+            r#""ts":-1"#,
+            r#""tw":1000000001"#,
+            r#""m":1e10"#,
+        ] {
+            let line = format!(r#"{{"id":2,"pipeline":"scan(add) ; reduce(add)",{machine}}}"#);
+            let e = parse_request(&line).unwrap_err();
+            assert_eq!(e.code, ErrorCode::BadRequest, "{line}");
+            assert!(e.message.ends_with("must be in 0..=1e9"), "{}", e.message);
+        }
+        let at_the_bound = r#"{"pipeline":"scan(add) ; reduce(add)","ts":1e9,"tw":1e9,"m":1e9}"#;
+        assert!(parse_request(at_the_bound).is_ok());
     }
 
     #[test]

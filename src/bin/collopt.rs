@@ -155,6 +155,7 @@ use collopt::core::report::{
 };
 use collopt::core::rewrite::{program_cost, Rewriter};
 use collopt::core::value::Value;
+use collopt::cost::params::MAX_INPUT;
 use collopt::cost::table1::render_table1;
 use collopt::cost::MachineParams;
 use collopt::fuzz::{
@@ -325,12 +326,12 @@ impl MachineFlags {
     }
 
     /// The machine and the block size, inside the cost model's domain:
-    /// `MachineParams::try_new`'s, and `m` finite and non-negative.
+    /// `MachineParams::try_new`'s, and `m` in `0..=MAX_INPUT`.
     fn checked(&self, args: &Args) -> (MachineParams, f64) {
         let params =
             MachineParams::try_new(self.p, self.ts, self.tw).unwrap_or_else(|e| args.fail(e));
-        if !(self.m.is_finite() && self.m >= 0.0) {
-            args.fail(format!("m must be finite and non-negative, got {}", self.m));
+        if !(0.0..=MAX_INPUT).contains(&self.m) {
+            args.fail(format!("m must be in 0..={MAX_INPUT:e}, got {:e}", self.m));
         }
         (params, self.m)
     }

@@ -66,6 +66,35 @@ fn bad_arguments_are_usage_errors_in_every_mode() {
 }
 
 #[test]
+fn a_machine_too_large_to_price_is_a_usage_error() {
+    // At `tw = 1e308` every program costs `inf`: the plan would be a choice
+    // between two infinite costs and the saving `NaN`.
+    for machine in [
+        ["--tw", "1e308"],
+        ["--ts", "1e308"],
+        ["--m", "1e10"],
+        ["--tw", "1000000001"],
+    ] {
+        assert_usage_error(&[&["scan(add) ; reduce(add)", "--m", "1e9"][..], &machine].concat());
+    }
+    let at_the_bound = collopt(&[
+        "scan(add) ; reduce(add)",
+        "--ts",
+        "1e9",
+        "--tw",
+        "1e9",
+        "--m",
+        "1e9",
+    ]);
+    assert_eq!(at_the_bound.status.code(), Some(0), "{at_the_bound:?}");
+    let stdout = String::from_utf8_lossy(&at_the_bound.stdout);
+    assert!(
+        !stdout.contains("NaN") && !stdout.contains("inf"),
+        "{stdout}"
+    );
+}
+
+#[test]
 fn saturate_prints_one_plan_even_under_a_budget() {
     let chain = "scan(add) ; scan(add) ; scan(add) ; scan(add) ; scan(add) ; scan(add) ; \
                  scan(add) ; reduce(add)";
