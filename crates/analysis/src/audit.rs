@@ -27,7 +27,7 @@
 //! witness in hand) are definite bugs.
 
 use std::collections::BTreeMap;
-use std::sync::{Mutex, PoisonError};
+use std::sync::{Mutex, OnceLock, PoisonError};
 
 use collopt_core::op::{lib, BinOp, Counterexample, RequiredLaw, FLOAT_RTOL};
 use collopt_core::value::Value;
@@ -154,9 +154,23 @@ pub fn samples_for_domain(domain: Domain, cfg: &AuditConfig) -> Vec<Value> {
     pool
 }
 
-/// Facts about library operators under the default config, keyed so that
-/// a lookup borrows: `(domain, law kind)`, then the name of the law's first
-/// operator, then that of its second (`""` for a one-operator law).
+/// The library operators whose name identifies one function: the index
+/// of the table of their law facts. (`add_mod{n}` is a family, and its
+/// facts live in [`LAW_FACTS`].)
+const LIBRARY: [&str; 12] = [
+    "add", "mul", "max", "min", "and", "or", "fadd", "fmul", "maxloc", "minloc", "gcd", "mat2mul",
+];
+
+/// Facts about library operators under the default config, in each first
+/// operator's own domain: one cell per law kind, first operator, and
+/// second operator or none, filled on first use and read without a lock.
+static KNOWN: [OnceLock<Option<Box<Counterexample>>>; 3 * LIBRARY.len() * (LIBRARY.len() + 1)] =
+    [const { OnceLock::new() }; 3 * LIBRARY.len() * (LIBRARY.len() + 1)];
+
+/// The other facts about library operators under the default config,
+/// keyed so that a lookup borrows: `(domain, law kind)`, then the name of
+/// the law's first operator, then that of its second (`""` for a
+/// one-operator law).
 type LawFacts = BTreeMap<(Domain, u8), BTreeMap<String, BTreeMap<String, Option<Counterexample>>>>;
 
 static LAW_FACTS: Mutex<LawFacts> = Mutex::new(BTreeMap::new());
@@ -164,14 +178,19 @@ static LAW_FACTS: Mutex<LawFacts> = Mutex::new(BTreeMap::new());
 #[cfg(test)]
 thread_local!(static PROBES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) });
 
+/// `op`'s index in [`LIBRARY`].
+fn library_index(op: &BinOp) -> Option<usize> {
+    LIBRARY.iter().position(|name| *name == op.name())
+}
+
 /// Search `domain`'s pool under `cfg` for a (shrunk) refutation of `law` —
 /// the one place a law is probed. A fact about library operators under the
 /// default config depends on nothing a caller can vary (the name identifies
 /// the function, [`BinOp::is_library`]) and is probed once per process —
 /// one generation, filled lazily, never evicted, library names × peers, a
 /// few KB; every other operator or config is probed per call. Looking up a
-/// known fact allocates nothing unless the fact is a counterexample (its
-/// clone is the answer).
+/// known fact takes no lock and allocates nothing unless the fact is a
+/// counterexample (its clone is the answer).
 pub fn audit_law(law: &RequiredLaw, domain: Domain, cfg: &AuditConfig) -> Option<Counterexample> {
     let probe = || {
         #[cfg(test)]
@@ -193,11 +212,20 @@ pub fn audit_law(law: &RequiredLaw, domain: Domain, cfg: &AuditConfig) -> Option
     {
         return probe();
     }
+    let fixed = library_index(first).filter(|_| domain_of_builtin(first.name()) == Some(domain));
+    let second_index = second.map_or(Some(0), |op| library_index(op).map(|i| i + 1));
+    if let (Some(first), Some(second)) = (fixed, second_index) {
+        let cell = (kind * LIBRARY.len() + first) * (LIBRARY.len() + 1) + second;
+        return KNOWN[cell]
+            .get_or_init(|| probe().map(Box::new))
+            .as_deref()
+            .cloned();
+    }
     let second = second.map_or("", BinOp::name);
     // A probe that panics has inserted nothing, so a poisoned map is still valid.
     let mut facts = LAW_FACTS.lock().unwrap_or_else(PoisonError::into_inner);
     let known = facts
-        .get(&(domain, kind))
+        .get(&(domain, kind as u8))
         .and_then(|by_first| by_first.get(first.name()))
         .and_then(|by_second| by_second.get(second));
     if let Some(fact) = known {
@@ -205,7 +233,7 @@ pub fn audit_law(law: &RequiredLaw, domain: Domain, cfg: &AuditConfig) -> Option
     }
     let fact = probe();
     facts
-        .entry((domain, kind))
+        .entry((domain, kind as u8))
         .or_default()
         .entry(first.name().to_string())
         .or_default()

@@ -24,14 +24,16 @@
 //! byte-stable hand-rolled JSON ([`LintReport::render_json`]), sorted by
 //! `(stage, code, message)` in both forms.
 
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use collopt_core::egraph::{saturate_program, LawGate, SaturateConfig};
+use collopt_core::egraph::{
+    saturate_program, LawGate, PlanStep, RuleEvent, SaturateConfig, SaturationOutcome, StageId,
+};
 use collopt_core::op::BinOp;
 use collopt_core::parser::{parse_pipeline_spanned, ParseError, Span};
-use collopt_core::rewrite::{program_cost, OptimizeResult, RULE_PRIORITY};
+use collopt_core::rewrite::RULE_PRIORITY;
 use collopt_core::rules;
-use collopt_core::rules::enabling::{self, Normalization};
 use collopt_core::term::{Program, Stage};
 use collopt_cost::MachineParams;
 use collopt_machine::{write_json_display, write_json_num, write_json_str};
@@ -282,22 +284,22 @@ pub fn lint_program(prog: &Program, spans: Option<&[Span]>, cfg: &LintConfig) ->
 /// The plan the linter measures `prog` against: equality saturation under
 /// `cfg`'s machine model, rank-0 rules allowed, behind the linter's law gate
 /// (a rule whose required laws fail on their operators' domain does not fire).
-pub fn lint_plan(prog: &Program, cfg: &LintConfig) -> OptimizeResult {
+pub fn lint_plan(prog: &Program, cfg: &LintConfig) -> SaturationOutcome {
     let sat = SaturateConfig::new(cfg.params, cfg.block).law_gate(law_gate(prog, cfg));
-    saturate_program(prog, &sat).result
+    saturate_program(prog, &sat)
 }
 
-/// [`lint_program`] for a caller that already holds [`lint_plan`]'s result
-/// for the same `prog` and `cfg` (the service serves that plan and lints
-/// against it, saturating once).
+/// [`lint_program`] for a caller that already holds [`lint_plan`]'s
+/// outcome for the same `prog` and `cfg` (the service serves that plan and
+/// lints against it, saturating once).
 pub fn lint_with_plan(
     prog: &Program,
     spans: Option<&[Span]>,
     cfg: &LintConfig,
-    plan: &OptimizeResult,
+    plan: &SaturationOutcome,
 ) -> LintReport {
     let mut diags = Vec::new();
-    fusion_pass(prog, spans, cfg, plan, &mut diags);
+    fusion_pass(prog, spans, plan, &mut diags);
     operator_pass(prog, spans, cfg, &mut diags);
     redundancy_pass(prog, spans, &mut diags);
     crate::distflow::distflow_pass(prog, spans, &mut diags);
@@ -323,21 +325,30 @@ pub fn lint_with_plan(
 /// construction when the sources' do, so they are trusted here and
 /// re-checked by the certificate validator.
 fn law_gate(prog: &Program, cfg: &LintConfig) -> LawGate {
-    let (fallback, audit) = (cfg.fallback_domain, cfg.audit.clone());
-    let source_ops: std::collections::BTreeSet<String> = prog
-        .stages()
-        .iter()
-        .filter_map(stage_op)
-        .map(|op| op.name().to_string())
-        .collect();
+    let audit = cfg.audit.clone();
+    // The fallback domain covers the operators `prog` declares; their names
+    // are needed only with one.
+    let fallback = cfg.fallback_domain.map(|domain| {
+        let names = prog.stages().iter().filter_map(stage_op);
+        (
+            domain,
+            names
+                .map(|op| op.name().to_string())
+                .collect::<BTreeSet<_>>(),
+        )
+    });
     Arc::new(move |rule, window: &[&Stage]| {
         let Some(laws) = rules::required_laws(rule, window.iter().copied()) else {
             return true;
         };
+        let declared = |name: &str| {
+            let (domain, names) = fallback.as_ref()?;
+            names.contains(name).then_some(*domain)
+        };
         let mut domains = laws
             .iter()
             .flat_map(|law| law.op_names())
-            .map(|name| domain_of_builtin(name).or(fallback.filter(|_| source_ops.contains(name))));
+            .map(|name| domain_of_builtin(name).or_else(|| declared(name)));
         // No domain, an unknown one or a second one: cannot sample.
         let Some(Some(domain)) = domains.next() else {
             return true;
@@ -345,28 +356,6 @@ fn law_gate(prog: &Program, cfg: &LintConfig) -> LawGate {
         domains.any(|d| d != Some(domain))
             || laws.iter().all(|l| audit_law(l, domain, &audit).is_none())
     })
-}
-
-/// Replay an [`enabling::normalize`] log onto the per-stage origin map
-/// (`origins[i]` = half-open range of *original* stage indices the
-/// current stage `i` descends from), so findings on the normalized
-/// program anchor — and caret — on the source text.
-fn apply_norm_log(origins: &mut Vec<(usize, usize)>, log: &[Normalization]) {
-    for n in log {
-        match n {
-            Normalization::MapFuse { at, .. } => {
-                let (a, b) = (origins[*at], origins[*at + 1]);
-                origins[*at] = (a.0.min(b.0), a.1.max(b.1));
-                origins.remove(*at + 1);
-            }
-            Normalization::GatherScatterElim { at } => {
-                origins.drain(*at..*at + 2);
-            }
-            Normalization::BcastMapCommute { at, .. } => {
-                origins.swap(*at, *at + 1);
-            }
-        }
-    }
 }
 
 /// COL012: the matched rewrite is a Local rule — its fused form keeps
@@ -396,123 +385,85 @@ fn dist_narrowing_diag(
     }
 }
 
-/// COL001 / COL003, exact: `plan` ([`lint_plan`]) is the cost-optimal
-/// program under this machine model, and every step of it becomes one
-/// COL001 anchored on the original stages it rewrites. Windows the plan
-/// leaves alone are then swept in the engine's priority order: a matching
-/// rule there can only regress cost (else extraction would have used it),
-/// yielding COL003.
+/// COL001 / COL003, exact, read off `plan`'s derivation ([`lint_plan`]):
+/// the plan is the cost-optimal program under this machine model, and
+/// every step of it becomes one COL001 anchored on the original stages it
+/// rewrites. Windows the plan leaves alone are then swept in the engine's
+/// priority order, looking up the rule events saturation recorded for the
+/// input's windows: an event there can only regress cost (else extraction
+/// would have used it), yielding COL003.
 fn fusion_pass(
     prog: &Program,
     spans: Option<&[Span]>,
-    cfg: &LintConfig,
-    plan: &OptimizeResult,
+    plan: &SaturationOutcome,
     diags: &mut Vec<Diagnostic>,
 ) {
-    if prog.is_empty() {
-        return;
-    }
-
-    // Replay the plan over the original program, tracking which original
-    // stages each current stage descends from.
-    let mut covered: Vec<(usize, usize)> = Vec::new();
-    let mut origins: Vec<(usize, usize)> = (0..prog.len()).map(|i| (i, i + 1)).collect();
-    let (mut current, log) = enabling::normalize(prog);
-    apply_norm_log(&mut origins, &log);
-    for step in &plan.steps {
-        let at = step.at;
-        let len = rules::window_len(step.rule);
-        let stages = current.stages();
-        let Some(rw) = rules::try_match(step.rule, &stages[at..]) else {
-            break; // a plan for some other program: keep the sweep below
-        };
-        let window_str: Vec<String> = stages[at..at + len].iter().map(|s| s.describe()).collect();
-        let window_str = window_str.join(" ; ");
-        let candidate = current.splice(at, len, rw.stages.clone());
-        let saving = program_cost(&current, &cfg.params, cfg.block)
-            - program_cost(&candidate, &cfg.params, cfg.block);
-        let (o_start, o_end) = origins[at..at + len]
-            .iter()
-            .fold((usize::MAX, 0), |(s, e), &(os, oe)| (s.min(os), e.max(oe)));
-        origins.splice(
-            at..at + len,
-            std::iter::repeat_n((o_start, o_end), rw.stages.len()),
-        );
-        let (normed, log) = enabling::normalize(&candidate);
-        apply_norm_log(&mut origins, &log);
-        current = normed;
-        let o_len = (o_end - o_start).max(1);
-        diags.push(Diagnostic {
+    let derivation = &plan.derivation;
+    // Replacing `ids[at..at + len]`: the window's text and the saving, each
+    // side summed in program order.
+    let fuse = |ids: &[StageId], at: usize, len: usize, replacement: &[StageId]| {
+        let saving = derivation.cost(ids.iter().copied())
+            - derivation.cost(spliced(ids, at, len, replacement));
+        let window = format!("{}", derivation.display(&ids[at..at + len]));
+        (window, saving)
+    };
+    // COL001, and COL012 when the rule keeps only rank 0's value.
+    let missed = |window: &str, event: &RuleEvent, saving: f64, stage, len, suggestion| {
+        let rule = event.rule;
+        let narrowing = event
+            .rank0_only
+            .then(|| dist_narrowing_diag(rule, window, stage, len, spans));
+        let fusion = Diagnostic {
             code: "COL001",
             severity: Severity::Warning,
             message: format!(
-                "missed fusion: `{window_str}` matches {}, fusing saves {saving:.1} time units",
-                step.rule
+                "missed fusion: `{window}` matches {rule}, fusing saves {saving:.1} time units"
             ),
-            stage: o_start,
-            len: o_len,
-            span: window_span(spans, o_start, o_len),
-            suggestion: Some(current.to_string()),
-        });
-        if rw.rank0_only {
-            diags.push(dist_narrowing_diag(
-                step.rule,
-                &window_str,
-                o_start,
-                o_len,
-                spans,
-            ));
-        }
-        covered.push((o_start, o_end));
+            stage,
+            len,
+            span: window_span(spans, stage, len),
+            suggestion: Some(suggestion),
+        };
+        std::iter::once(fusion).chain(narrowing)
+    };
+
+    // Each step anchors on the original stages its window descends from.
+    for (k, step) in derivation.steps.iter().enumerate() {
+        let event = &derivation.events[step.event];
+        let (at, len) = (step.at, rules::window_len(event.rule));
+        let (window, saving) = fuse(derivation.chain(k), at, len, &event.replacement);
+        let (o_start, o_end) = step.origin;
+        let o_len = (o_end - o_start).max(1);
+        let child = format!("{}", derivation.display(derivation.chain(k + 1)));
+        diags.extend(missed(&window, event, saving, o_start, o_len, child));
     }
 
     // Sweep the windows the plan did not touch, in the engine's matching
-    // order. With the plan empty, a match here is *proof* of a regression:
+    // order. With the plan empty, an event here is *proof* of a regression:
     // saturation explored every ordering and still kept the original.
-    let stages = prog.stages();
-    let admits = law_gate(prog, cfg);
-    let exhaustive = plan.steps.is_empty();
+    let input = &derivation.input;
+    let exhaustive = plan.result.steps.is_empty();
     let mut at = 0;
     while at < prog.len() {
-        let mut advanced = false;
-        for rule in RULE_PRIORITY {
-            let Some(rw) = rules::try_match(rule, &stages[at..]) else {
-                continue;
-            };
+        let hit = RULE_PRIORITY.into_iter().find_map(|rule| {
             let len = rules::window_len(rule);
-            let window: Vec<&Stage> = stages[at..at + len].iter().collect();
-            if !admits(rule, &window) {
-                continue;
-            }
-            if covered.iter().any(|&(s, e)| at < e && at + len > s) {
-                at += len;
-                advanced = true;
-                break;
-            }
-            let candidate = prog.splice(at, len, rw.stages.clone());
-            let saving = program_cost(prog, &cfg.params, cfg.block)
-                - program_cost(&candidate, &cfg.params, cfg.block);
-            let window_str: Vec<String> =
-                stages[at..at + len].iter().map(|s| s.describe()).collect();
-            let window_str = window_str.join(" ; ");
+            let event = derivation.event_for(rule, input.get(at..at + len)?)?;
+            Some((rule, len, event))
+        });
+        let Some((rule, len, event)) = hit else {
+            at += 1;
+            continue;
+        };
+        let covered = |step: &PlanStep| at < step.origin.1 && at + len > step.origin.0;
+        if !derivation.steps.iter().any(covered) {
+            let (window, saving) = fuse(input, at, len, &event.replacement);
             if saving > 0.0 {
                 // Reachable only when a node budget cut saturation short
-                // and the plan is the best derivation replay reached —
-                // keep the windowed report so nothing is lost.
-                diags.push(Diagnostic {
-                    code: "COL001",
-                    severity: Severity::Warning,
-                    message: format!(
-                        "missed fusion: `{window_str}` matches {rule}, fusing saves {saving:.1} time units"
-                    ),
-                    stage: at,
-                    len,
-                    span: window_span(spans, at, len),
-                    suggestion: Some(candidate.to_string()),
-                });
-                if rw.rank0_only {
-                    diags.push(dist_narrowing_diag(rule, &window_str, at, len, spans));
-                }
+                // and the plan is the best the built graph derives — keep
+                // the windowed report so nothing is lost.
+                let fused: Vec<StageId> = spliced(input, at, len, &event.replacement).collect();
+                let suggestion = format!("{}", derivation.display(&fused));
+                diags.extend(missed(&window, event, saving, at, len, suggestion));
             } else {
                 let verdict = if exhaustive {
                     "exhaustive search confirms no rule ordering improves this pipeline"
@@ -523,7 +474,7 @@ fn fusion_pass(
                     code: "COL003",
                     severity: Severity::Warning,
                     message: format!(
-                        "cost regression: `{window_str}` matches {rule} but fusing costs {:.1} extra time units on this machine — {verdict}",
+                        "cost regression: `{window}` matches {rule} but fusing costs {:.1} extra time units on this machine — {verdict}",
                         -saving
                     ),
                     stage: at,
@@ -532,14 +483,23 @@ fn fusion_pass(
                     suggestion: None,
                 });
             }
-            at += len;
-            advanced = true;
-            break;
         }
-        if !advanced {
-            at += 1;
-        }
+        at += len;
     }
+}
+
+/// `ids` with `ids[at..at + len]` replaced.
+fn spliced<'a>(
+    ids: &'a [StageId],
+    at: usize,
+    len: usize,
+    replacement: &'a [StageId],
+) -> impl Iterator<Item = StageId> + 'a {
+    ids[..at]
+        .iter()
+        .chain(replacement)
+        .chain(&ids[at + len..])
+        .copied()
 }
 
 /// COL002 / COL005 / COL006: audit every distinct operator used by the

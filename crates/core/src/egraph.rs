@@ -1,109 +1,82 @@
 //! Equality saturation over stage sequences — the exact rewrite search.
 //!
-//! The optimal search used to brute-force every order of rule
-//! applications: exponential in the number of fusible windows.
-//! [`Rewriter::saturate`](crate::rewrite::Rewriter::saturate) replaces it
-//! with this module's small, dependency-free e-graph specialized to the
-//! shape of our terms.
+//! [`Rewriter::saturate`](crate::rewrite::Rewriter::saturate) explores
+//! every order of rule applications in this small e-graph specialized to
+//! the shape of our terms, instead of enumerating the orders.
 //!
 //! ## Representation
 //!
-//! A program is a *cons list* of stages, so e-nodes have exactly two
-//! shapes: `nil` (the empty program) and `cons(stage, tail)` where `tail`
-//! is an e-class. Stages are interned under a hashed structural key
-//! (`StageKey`): the display fields (variant, label, operator name) plus
-//! every numeric cost field, with an `f64` compared as its `Display` would
-//! compare it. Two stages share an id exactly when they are
-//! indistinguishable to both the semantics display and the cost model; a
-//! lookup borrows the stage and allocates nothing. E-nodes are hash-consed
-//! on `(stage_id, find(tail))`; e-classes live in a union-find, and a
-//! congruence `rebuild` re-canonicalizes cons nodes whose tails merged
-//! (merging them upward), which is what makes the search complete with
-//! respect to the brute-force enumeration.
+//! A program is a *cons list* of stages: nodes are `nil` and
+//! `cons(stage, tail)`, hash-consed, and every node heads its own class —
+//! the chains through it, plus every class its justified unions include.
+//! Stages are interned under a hashed structural key (`StageKey`): the
+//! display fields plus every numeric cost field, an `f64` compared as its
+//! `Display` would compare it, so two stages share an id exactly when the
+//! semantics display and the cost model cannot tell them apart.
 //!
-//! ## Saturation
+//! ## Saturation: justified unions
 //!
-//! Matching walks concrete node paths `n0 → n1 [→ n2]` (a window of 2–3
-//! stages), tries every Table-1 rule of that window length via
-//! `rules::match_rule`, and — when the rule's laws certify
-//! (`rewrite::certify`) — builds the replacement chain over the path's
-//! residual tail and unions it with the head's class. The enabling
-//! normalizations (map fusion, bcast/map commutation, gather/scatter
-//! elimination) run as additional 2-window rewrites. Refuted laws exclude
-//! the match; in audited mode the refusal is recorded with a shrunk
-//! counterexample, deduped per `(rule, law)`. Attempts are keyed by node
-//! path, refusals and rule events by `(rule, stage-id window)`.
+//! Matching walks node paths `n0 → n1 [→ n2]`, each node a member of the
+//! previous one's tail class, and tries every Table-1 rule of the path's
+//! length. When the rule's laws certify (`rewrite::certify`), the
+//! replacement chain is built over the path's residual tail and united
+//! into the head's class; the enabling normalizations are 2-windows united
+//! the same way. A union records why it holds: its path and the rule event
+//! (carrying the [`Certificate`] minted when it fired) or the
+//! normalization. In audited mode a refusal is recorded with a shrunk
+//! counterexample. Attempts are keyed by node path, refusals and rule
+//! events by `(rule, stage-id window)`.
 //!
-//! Termination: every rule strictly reduces a chain's collective count and
-//! the fused forms never re-match any rule, so the stage alphabet and the
-//! chain population are finite. An explicit [`SaturateConfig::node_budget`]
-//! bounds the graph anyway; exhausting it stops *expansion* but extraction
-//! and replay stay sound over whatever was built.
+//! A union is one-way: Table 1's rules are directional, and a symmetric
+//! merge would let the root's class hold chains no forward derivation from
+//! the input reaches; one-way, a class holds exactly the chains its own
+//! chain derives. Every rule lowers the collective count and every
+//! normalization shortens a chain or moves a map left of a bcast, so the
+//! unions are acyclic and saturation terminates; a node budget bounds it
+//! anyway, and extraction stays sound over what was built.
 //!
-//! ## Extraction — "RHS never worse"
+//! ## Extraction: the derivation read off the unions
 //!
-//! Each class gets the lexicographically least `(cost, collectives,
-//! length)` over its members (a Bellman-style fixpoint; the optimum
-//! sub-graph is acyclic because length strictly decreases along tails).
-//! The cost is the [`Strategy`]'s: the cost model's estimate, or 0 for
-//! every stage under [`Strategy::Exhaustive`]. Preferring fewer
-//! collectives, then shorter programs, at equal cost is precisely the
-//! "RHS never worse than LHS" tie-break: every rule's RHS has strictly
-//! fewer collectives and no normalization grows a program. The (capped)
-//! chains realizing the root's value, normalized on stage ids and kept at
-//! the least length, are the tied candidates handed to replay.
-//!
-//! ## Certificate replay and the equal-value tie-break
-//!
-//! The plan is replayed as a concrete [`RewriteStep`] path: a
-//! breadth-first search over stage-id chains from the normalized input in
-//! which the only transitions are rule events the saturation actually
-//! recorded (each carrying the [`Certificate`] minted when it fired),
-//! followed by normalization, and every intermediate chain must still be
-//! representable in the e-graph (checked by walking the hash-cons). The
-//! first candidate the search reaches is the result: the fewest steps,
-//! then the earliest position, then [`RULE_PRIORITY`] — fully
-//! deterministic, independent of hash iteration order and worker count,
-//! and exactly the order [`Rewriter::optimize_brute_force`] explores in.
-//! Programs, savings and step descriptions are built only along the path
-//! returned. Equality saturation only ever grows the set of
-//! forward-reachable programs, so a candidate is reachable whenever
-//! saturation ran to fixpoint. When a node budget cut a derivation short,
-//! the search returns the best-valued program it did reach — certified
-//! step by step, and never worse than the input. Certificates are
-//! revalidated downstream by `collopt-analysis::certify`.
+//! Each class's best way to a goal is memoized — the best normalized chain
+//! whose head may follow the previous stage, or a chain headed by a given
+//! node. Best is the least `(cost, collectives, length)` under the
+//! [`Strategy`] ("RHS never worse than LHS" at equal cost), then the fewest
+//! rule events, then the least sequence of `(position, RULE_PRIORITY
+//! index)`: the order a breadth-first search over rule applications reaches
+//! plans in, as [`Rewriter::optimize_brute_force`] explores. A class keeps
+//! its head stage over its tail's best, or takes a union: the *setup* that
+//! makes the union's path the chain's head, the union's own event, then the
+//! included class's best — consecutive in that order, so sequences compose
+//! class by class and the recurrence is exact. The plan is read off the
+//! root's choices, each event applied with its recorded replacement and
+//! followed by [`enabling::normalize_in_place`]; the [`Derivation`] keeps
+//! the record the linter reads COL001, COL003 and COL012 off.
 //!
 //! [`Rewriter::optimize_brute_force`]: crate::rewrite::Rewriter::optimize_brute_force
 
-use std::collections::hash_map::{DefaultHasher, Entry};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::hash_map::DefaultHasher;
+use std::collections::{HashMap, HashSet};
+use std::fmt::Write as _;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::mem::Discriminant;
-use std::rc::Rc;
 use std::sync::Arc;
 
 use collopt_cost::MachineParams;
 
 use crate::rewrite::{
-    certify, dedupe_rejections, program_cost, stage_cost, Certificate, OptimizeResult, RewriteStep,
+    certify, dedupe_rejections, stage_cost, Certificate, OptimizeResult, RewriteStep,
     RuleRejection, Strategy, RULE_PRIORITY,
 };
 use crate::rules::enabling::{self, Normalization};
 use crate::rules::{self, Rule};
-use crate::term::{Program, Stage};
+use crate::term::{write_chain, Program, Stage};
 use crate::value::Value;
 
 /// Default cap on e-graph nodes; generous — a 12-collective chain
 /// saturates in well under a thousand nodes.
 pub const DEFAULT_NODE_BUDGET: usize = 10_000;
 
-/// Cap on equal-value chains enumerated per class as replay candidates.
-const CANDIDATE_CAP: usize = 64;
-
-/// Cap on concrete programs the certificate replay may visit.
-const REPLAY_STATE_CAP: usize = 100_000;
-
-/// Sentinel stage id for the `nil` e-node, and "no further id" in a chain.
+/// Sentinel: the nil node's stage id, and the end of an intrusive list.
 const NIL: usize = usize::MAX;
 
 /// A predicate consulted before certifying a structural match; returning
@@ -120,7 +93,9 @@ pub type LawGate = Arc<dyn Fn(Rule, &[&Stage]) -> bool + Send + Sync>;
 pub struct SaturateConfig {
     /// What extraction minimizes.
     pub strategy: Strategy,
-    /// Hard cap on e-graph nodes; see [`DEFAULT_NODE_BUDGET`].
+    /// Cap on e-graph nodes; see [`DEFAULT_NODE_BUDGET`]. The input's own
+    /// windows are always tried, so the graph may pass the cap by what
+    /// they build.
     pub node_budget: usize,
     /// Allow the Local rules that only preserve rank 0's value.
     pub allow_rank0_rules: bool,
@@ -194,25 +169,31 @@ impl std::fmt::Debug for SaturateConfig {
 pub struct SaturationStats {
     /// E-nodes built (including `nil`).
     pub nodes: usize,
-    /// Canonical e-classes after the final rebuild.
+    /// Classes no union includes: each stands for its own chains and
+    /// everything its unions include.
     pub classes: usize,
     /// Distinct rule events recorded (per stage-id window).
     pub rule_applications: usize,
-    /// Class merges performed.
+    /// Justified unions recorded.
     pub unions: usize,
     /// `true` when the node budget stopped expansion early.
     pub budget_exhausted: bool,
-    /// Concrete programs the certificate replay visited.
+    /// Justification edges (unions) extraction walked to choose the plan.
     pub replay_states: usize,
+    /// The extracted plan's cost under the [`Strategy`], its stages' costs
+    /// summed tail-first as extraction sums them: the returned program's.
+    pub extracted_cost: f64,
 }
 
-/// A finished saturation: the optimization result plus effort counters.
+/// A finished saturation: the result, its counters and its record.
 #[derive(Debug, Clone)]
 pub struct SaturationOutcome {
-    /// Extracted program, replayed steps, normalizations and rejections.
+    /// Extracted program, its steps, normalizations and rejections.
     pub result: OptimizeResult,
     /// Effort counters.
     pub stats: SaturationStats,
+    /// What saturation recorded about the plan.
+    pub derivation: Derivation,
 }
 
 /// Saturate `prog` under `cfg` and extract the optimum of its
@@ -220,23 +201,100 @@ pub struct SaturationOutcome {
 /// optimizer entry point ([`Rewriter`](crate::rewrite::Rewriter)'s
 /// `optimize` and `saturate`) is this call.
 pub fn saturate_program(prog: &Program, cfg: &SaturateConfig) -> SaturationOutcome {
-    let (start, mut normalizations) = enabling::normalize(prog);
+    let (start, normalizations) = enabling::normalize(prog);
     let mut eg = EGraph::new(cfg, start.len());
-    let (root, start_ids) = eg.insert_chain(&start);
+    let input: Vec<usize> = prog.stages().iter().map(|s| eg.intern_stage(s)).collect();
+    let (mut start_ids, mut origins) = (
+        input.clone(),
+        (0..input.len()).map(|i| (i, i + 1)).collect(),
+    );
+    eg.mirror(&normalizations, &mut start_ids, &mut origins);
+    // The normalized input as a cons chain: nodes `1..=len`, tail first.
+    let root = start_ids
+        .iter()
+        .rev()
+        .fold(0, |node, &id| eg.add_node(id, node));
     eg.run();
-    let root = eg.find(root);
-    let candidates = eg.extract(root);
-    let (program, steps, norms) = eg.replay(start, start_ids, &candidates);
-    normalizations.extend(norms);
-    let rejections = dedupe_rejections(std::mem::take(&mut eg.rejections));
-    SaturationOutcome {
-        result: OptimizeResult {
-            program,
-            steps,
-            normalizations,
-            rejections,
-        },
-        stats: eg.stats,
+    let (extracted, fires) = eg.extract(root);
+    let (outcome, reached) =
+        eg.read_off((start, start_ids, origins), input, normalizations, &fires);
+    debug_assert!(
+        reached == extracted,
+        "the plan read off reaches {reached:?}, extraction chose {extracted:?}"
+    );
+    outcome
+}
+
+/// A stage id: an index into the interned stages of a [`Derivation`].
+pub type StageId = usize;
+
+/// A rule firing, recorded once per stage-id window.
+#[derive(Debug, Clone)]
+pub struct RuleEvent {
+    /// The rule that fired.
+    pub rule: Rule,
+    /// The stages replacing the window.
+    pub replacement: Vec<StageId>,
+    /// The precondition certificate of the firing.
+    pub certificate: Certificate,
+    /// The rule only preserves rank 0's value.
+    pub rank0_only: bool,
+}
+
+/// One step of the returned plan, as recorded.
+#[derive(Debug, Clone)]
+pub struct PlanStep {
+    /// The rule event applied (an index of [`Derivation::events`]).
+    pub event: usize,
+    /// Position of the window in the chain before the step.
+    pub at: usize,
+    /// The input stages the window descends from, a half-open range.
+    pub origin: (usize, usize),
+}
+
+/// The record a saturation keeps about its plan, which the linter reads
+/// its findings off rather than deriving the plan again.
+#[derive(Debug, Clone)]
+pub struct Derivation {
+    /// The interned stages, by [`StageId`].
+    pub stages: Vec<Stage>,
+    stage_costs: Vec<f64>,
+    /// The rule events, by index.
+    pub events: Vec<RuleEvent>,
+    event_ids: IdMap<WindowKey, usize>,
+    /// The un-normalized input's stage ids.
+    pub input: Vec<StageId>,
+    /// The plan's steps, in order.
+    pub steps: Vec<PlanStep>,
+    /// Chain `k` (0: the normalized input; `k`: after step `k`) is
+    /// `chains[bounds[k]..bounds[k + 1]]`.
+    chains: Vec<StageId>,
+    bounds: Vec<usize>,
+}
+
+impl Derivation {
+    /// The chain after `k` steps (`0`: the normalized input).
+    pub fn chain(&self, k: usize) -> &[StageId] {
+        &self.chains[self.bounds[k]..self.bounds[k + 1]]
+    }
+
+    /// The stages' costs summed in `program_cost`'s order, so the total is
+    /// the program's to the bit (0 a stage under [`Strategy::Exhaustive`]).
+    pub fn cost(&self, ids: impl IntoIterator<Item = StageId>) -> f64 {
+        ids.into_iter().map(|id| self.stage_costs[id]).sum()
+    }
+
+    /// The event recorded for `rule` on this window of stages: `None` when
+    /// the rule does not match there, its law gate or rank-0 switch
+    /// excludes it, or certification refused it.
+    pub fn event_for(&self, rule: Rule, window: &[StageId]) -> Option<&RuleEvent> {
+        let event = self.event_ids.get(&window_key(rule_tag(rule), window))?;
+        Some(&self.events[*event])
+    }
+
+    /// A chain of stage ids spelled as its [`Program`] would be.
+    pub fn display<'a>(&'a self, ids: &'a [StageId]) -> impl std::fmt::Display + 'a {
+        Spelled(&self.stages, ids)
     }
 }
 
@@ -395,30 +453,31 @@ fn rule_tag(rule: Rule) -> u32 {
         .expect("rule in priority order") as u32
 }
 
-/// `cons(stage, tail-class)`; `stage == NIL` marks the nil node.
-struct ENode {
+/// `cons(stage, tail)`; `stage == NIL` marks the nil node (id 0). A node
+/// heads its own class.
+struct Node {
     stage: usize,
     tail: usize,
+    /// This class's justified unions, newest first: a `NIL`-terminated
+    /// list through `EGraph::unions`.
+    unions: usize,
+    /// Some union includes this class.
+    included: bool,
 }
 
-#[derive(Default)]
-struct EClass {
-    /// Member node ids, sorted and distinct. Replaced, never edited, on a
-    /// merge, so a reader holding the old list keeps its snapshot.
-    nodes: Rc<[usize]>,
-    /// Cons nodes whose tail is (or was) this class.
-    parents: Vec<usize>,
+/// `into`'s chains derive from the chains through the path's `len` nodes,
+/// whose head is the class holding this union: the rule event `event`
+/// fired on the path's window, or (`event == NIL`) a normalization
+/// rewrote it.
+struct Union {
+    into: usize,
+    path: [usize; 3],
+    len: usize,
+    event: usize,
+    next: usize,
 }
 
-/// A recorded rule firing: enough provenance to replay it concretely.
-struct Event {
-    rule: Rule,
-    replacement: Vec<usize>,
-    certificate: Certificate,
-    rank0_only: bool,
-}
-
-/// Per-class extraction value; ordered lexicographically.
+/// Per-chain extraction value; ordered lexicographically.
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct Extract {
     cost: f64,
@@ -445,15 +504,6 @@ impl Extract {
     }
 }
 
-/// One program the replay reached: its stage-id chain and the event (at a
-/// position) that led to it from its parent state.
-struct ReplayState {
-    ids: Vec<usize>,
-    parent: usize,
-    event: usize,
-    at: usize,
-}
-
 struct EGraph<'c> {
     cfg: &'c SaturateConfig,
     /// Interned stages and their per-id cost-model values.
@@ -466,26 +516,23 @@ struct EGraph<'c> {
     stage_next: Vec<usize>,
     /// `(map, map)` stage-id pairs → the id of their fused map.
     fused_maps: IdMap<(usize, usize), usize>,
-    nodes: Vec<ENode>,
-    /// Hash-cons: `(stage, canonical tail class) → node`.
+    nodes: Vec<Node>,
+    /// Hash-cons: `(stage, tail) → node`.
     node_ids: IdMap<(usize, usize), usize>,
-    classes: Vec<EClass>,
-    /// Union-find parents over class ids.
-    uf: Vec<usize>,
-    node_class: Vec<usize>,
-    worklist: VecDeque<usize>,
+    unions: Vec<Union>,
     /// Node paths already attempted, one entry a path (see `try_windows`).
     attempted: IdSet<WindowKey>,
     /// Stage-id windows whose certification failed, per rule tag — dedupes
     /// audited rejections at the source (a certified window is an event).
     refused: IdSet<WindowKey>,
-    events: Vec<Event>,
+    events: Vec<RuleEvent>,
     event_ids: IdMap<WindowKey, usize>,
-    /// Original-chain depth per node, for rejection reporting.
-    depth_hint: IdMap<usize, usize>,
+    /// The input's length: its nodes are `1..=input`, node `k` at depth
+    /// `input - k` (for rejection reporting).
+    input: usize,
     rejections: Vec<RuleRejection>,
-    nil_class: usize,
-    dirty: bool,
+    /// Path members while matching (a reused buffer).
+    members: Vec<usize>,
     stats: SaturationStats,
 }
 
@@ -504,44 +551,18 @@ impl<'c> EGraph<'c> {
             fused_maps: IdMap::default(),
             nodes: Vec::with_capacity(nodes),
             node_ids: IdMap::with_capacity_and_hasher(nodes, Default::default()),
-            classes: Vec::with_capacity(nodes),
-            uf: Vec::with_capacity(nodes),
-            node_class: Vec::with_capacity(nodes),
-            worklist: VecDeque::with_capacity(nodes),
+            unions: Vec::new(),
             attempted: IdSet::with_capacity_and_hasher(paths, Default::default()),
             refused: IdSet::default(),
             events: Vec::new(),
             event_ids: IdMap::default(),
-            depth_hint: IdMap::with_capacity_and_hasher(len, Default::default()),
+            input: len,
             rejections: Vec::new(),
-            nil_class: 0,
-            dirty: false,
+            members: Vec::new(),
             stats: SaturationStats::default(),
         };
-        // The nil node/class.
-        eg.nodes.push(ENode {
-            stage: NIL,
-            tail: 0,
-        });
-        eg.node_ids.insert((NIL, 0), 0);
-        eg.classes.push(EClass {
-            nodes: Rc::from([0]),
-            parents: Vec::new(),
-        });
-        eg.uf.push(0);
-        eg.node_class.push(0);
+        eg.add_node(NIL, 0);
         eg
-    }
-
-    fn find(&self, mut class: usize) -> usize {
-        while self.uf[class] != class {
-            class = self.uf[class];
-        }
-        class
-    }
-
-    fn class_of(&self, node: usize) -> usize {
-        self.find(self.node_class[node])
     }
 
     /// The id of the interned stage structurally equal to `key`, if any.
@@ -609,185 +630,128 @@ impl<'c> EGraph<'c> {
         id
     }
 
-    /// [`enabling::normalize`] on a stage-id chain: the same steps in the
-    /// same order under the same cap, interning what map fusion builds.
-    fn normalize_ids(&mut self, mut ids: Vec<usize>) -> Vec<usize> {
-        let cap = ids.len() * (ids.len() + 1);
-        'steps: for _ in 0..=cap {
-            for at in 0..ids.len().saturating_sub(1) {
-                match (&self.stages[ids[at]], &self.stages[ids[at + 1]]) {
-                    (Stage::Map { .. }, Stage::Map { .. }) => {
-                        let fused = self.fuse_maps(ids[at], ids[at + 1]);
-                        ids.splice(at..at + 2, [fused]);
-                    }
-                    (Stage::Gather, Stage::Scatter) => {
-                        ids.drain(at..at + 2);
-                    }
-                    (Stage::Bcast, Stage::Map { .. }) => ids.swap(at, at + 1),
-                    _ => continue,
-                }
-                continue 'steps;
-            }
-            break;
+    /// Hash-consed node creation.
+    fn add_node(&mut self, stage: usize, tail: usize) -> usize {
+        let next = self.nodes.len();
+        let node = *self.node_ids.entry((stage, tail)).or_insert(next);
+        if node == next {
+            self.nodes.push(Node {
+                stage,
+                tail,
+                unions: NIL,
+                included: false,
+            });
         }
-        ids
-    }
-
-    /// Hash-consed node creation; new nodes enter the match worklist.
-    fn add_node(&mut self, stage: usize, tail_class: usize) -> usize {
-        let tail = self.find(tail_class);
-        if let Some(&node) = self.node_ids.get(&(stage, tail)) {
-            return node;
-        }
-        let node = self.nodes.len();
-        self.nodes.push(ENode { stage, tail });
-        self.node_ids.insert((stage, tail), node);
-        let class = self.classes.len();
-        self.classes.push(EClass {
-            nodes: Rc::from([node]),
-            parents: Vec::new(),
-        });
-        self.uf.push(class);
-        self.node_class.push(class);
-        self.classes[tail].parents.push(node);
-        self.worklist.push_back(node);
         node
     }
 
-    /// Insert a program as a cons chain; returns its class and its stage
-    /// ids.
-    fn insert_chain(&mut self, prog: &Program) -> (usize, Vec<usize>) {
-        let mut class = self.nil_class;
-        let mut ids = vec![NIL; prog.len()];
-        for (depth, stage) in prog.stages().iter().enumerate().rev() {
-            let sid = self.intern_stage(stage);
-            ids[depth] = sid;
-            let node = self.add_node(sid, class);
-            self.depth_hint.entry(node).or_insert(depth);
-            class = self.class_of(node);
-        }
-        (class, ids)
-    }
-
-    /// Merge two classes (keeping the smaller id canonical) and re-enqueue
-    /// every node whose match windows could now see new chains: parents of
-    /// both classes, and their parents (three-stage windows reach two
-    /// levels up).
-    fn union(&mut self, a: usize, b: usize) {
-        let (a, b) = (self.find(a), self.find(b));
-        if a == b {
-            return;
-        }
-        let (keep, drop) = if a < b { (a, b) } else { (b, a) };
-        self.uf[drop] = keep;
-        self.stats.unions += 1;
-        self.dirty = true;
-        let dropped_nodes = std::mem::take(&mut self.classes[drop].nodes);
-        let dropped_parents = std::mem::take(&mut self.classes[drop].parents);
-        let mut requeue: Vec<usize> = Vec::new();
-        for &p in self.classes[keep].parents.iter().chain(&dropped_parents) {
-            requeue.push(p);
-            let gp_class = self.class_of(p);
-            requeue.extend(self.classes[gp_class].parents.iter().copied());
-        }
-        self.worklist.extend(requeue);
-        let mut merged: Vec<usize> = self.classes[keep]
-            .nodes
-            .iter()
-            .chain(dropped_nodes.iter())
-            .copied()
-            .collect();
-        merged.sort_unstable();
-        merged.dedup();
-        self.classes[keep].nodes = Rc::from(merged);
-        self.classes[keep].parents.extend(dropped_parents);
-    }
-
-    /// Congruence closure: re-canonicalize the hash-cons and merge cons
-    /// nodes that became equal because their tails merged, to fixpoint.
-    fn rebuild(&mut self) {
-        while self.dirty {
-            self.dirty = false;
-            // The old table's allocation, emptied: it already holds every key.
-            let mut fresh = std::mem::take(&mut self.node_ids);
-            fresh.clear();
-            let mut pending: Vec<(usize, usize)> = Vec::new();
-            for id in 0..self.nodes.len() {
-                let stage = self.nodes[id].stage;
-                let key = if stage == NIL {
-                    (NIL, 0)
-                } else {
-                    (stage, self.find(self.nodes[id].tail))
-                };
-                match fresh.entry(key) {
-                    Entry::Occupied(entry) => {
-                        let other = *entry.get();
-                        if self.class_of(other) != self.class_of(id) {
-                            pending.push((other, id));
-                        }
-                    }
-                    Entry::Vacant(slot) => {
-                        slot.insert(id);
-                    }
+    /// Apply logged normalizations to a chain's stage ids and to the input
+    /// stages each descends from (`origins[i]`, a half-open range).
+    fn mirror(
+        &mut self,
+        log: &[Normalization],
+        ids: &mut Vec<usize>,
+        origins: &mut Vec<(usize, usize)>,
+    ) {
+        for n in log {
+            match *n {
+                Normalization::MapFuse { at, .. } => {
+                    ids[at] = self.fuse_maps(ids[at], ids[at + 1]);
+                    ids.remove(at + 1);
+                    let ((a, b), (c, d)) = (origins[at], origins.remove(at + 1));
+                    origins[at] = (a.min(c), b.max(d));
+                }
+                Normalization::GatherScatterElim { at } => {
+                    ids.drain(at..at + 2);
+                    origins.drain(at..at + 2);
+                }
+                Normalization::BcastMapCommute { at, .. } => {
+                    ids.swap(at, at + 1);
+                    origins.swap(at, at + 1);
                 }
             }
-            self.node_ids = fresh;
-            for (a, b) in pending {
-                let (ca, cb) = (self.class_of(a), self.class_of(b));
-                self.union(ca, cb);
-            }
         }
     }
 
-    /// Saturate: process the worklist to fixpoint or node budget.
+    /// Append `class` and every class it includes, transitively.
+    fn members_of(&self, class: usize, out: &mut Vec<usize>) {
+        out.push(class);
+        let mut u = self.nodes[class].unions;
+        while u != NIL {
+            self.members_of(self.unions[u].into, out);
+            u = self.unions[u].next;
+        }
+    }
+
+    /// Record that `into`'s chains derive from the chains through `path`.
+    fn unite(&mut self, path: &[usize], into: usize, event: usize) {
+        let head = path[0];
+        debug_assert_ne!(head, into, "a union strictly lowers the chain");
+        let mut nodes = [NIL; 3];
+        nodes[..path.len()].copy_from_slice(path);
+        self.unions.push(Union {
+            into,
+            path: nodes,
+            len: path.len(),
+            event,
+            next: self.nodes[head].unions,
+        });
+        self.nodes[head].unions = self.unions.len() - 1;
+        self.nodes[into].included = true;
+    }
+
+    /// Saturate: match every node's windows, in rounds, until a round adds
+    /// no union (no class gained a member, so no path is new) or the node
+    /// budget stops it. The input's nodes are matched first, whatever the
+    /// budget, so every window of the input has its verdict recorded.
     fn run(&mut self) {
-        loop {
-            self.rebuild();
-            let Some(node) = self.worklist.pop_front() else {
-                break;
-            };
-            if self.nodes.len() >= self.cfg.node_budget {
-                self.stats.budget_exhausted = true;
-                self.worklist.clear();
+        (1..=self.input).for_each(|node| self.match_node(node));
+        'rounds: loop {
+            let unions = self.unions.len();
+            let mut node = 0;
+            while node < self.nodes.len() {
+                if self.nodes.len() >= self.cfg.node_budget {
+                    self.stats.budget_exhausted = true;
+                    break 'rounds;
+                }
+                self.match_node(node);
+                node += 1;
+            }
+            if self.unions.len() == unions {
                 break;
             }
-            self.match_node(node);
         }
-        self.rebuild();
         self.stats.nodes = self.nodes.len();
-        self.stats.classes = (0..self.classes.len())
-            .filter(|&c| self.find(c) == c)
-            .count();
+        self.stats.classes = self.nodes.iter().filter(|n| !n.included).count();
+        self.stats.unions = self.unions.len();
         self.stats.rule_applications = self.events.len();
     }
 
-    /// Try every window (length 2 and 3) headed at `n0`.
+    /// Try every window (length 2 and 3) headed at `n0`, over the members
+    /// its tail classes have now (the next round sees later unions).
     fn match_node(&mut self, n0: usize) {
         if self.nodes[n0].stage == NIL {
             return;
         }
-        let tail1 = self.find(self.nodes[n0].tail);
-        let firsts = self.class_members(tail1);
-        for &n1 in firsts.iter() {
+        let mut members = std::mem::take(&mut self.members);
+        members.clear();
+        self.members_of(self.nodes[n0].tail, &mut members);
+        for i in 0..members.len() {
+            let n1 = members[i];
             if self.nodes[n1].stage == NIL {
                 continue;
             }
             self.try_windows(&[n0, n1]);
-            let tail2 = self.find(self.nodes[n1].tail);
-            let seconds = self.class_members(tail2);
-            for &n2 in seconds.iter() {
-                if self.nodes[n2].stage == NIL {
-                    continue;
+            let seconds = members.len();
+            self.members_of(self.nodes[n1].tail, &mut members);
+            for &n2 in &members[seconds..] {
+                if self.nodes[n2].stage != NIL {
+                    self.try_windows(&[n0, n1, n2]);
                 }
-                self.try_windows(&[n0, n1, n2]);
             }
+            members.truncate(seconds);
         }
-    }
-
-    /// A class's members as of now, sorted and distinct (shared, not
-    /// copied: a later merge replaces the class's list, not this one).
-    fn class_members(&self, class: usize) -> Rc<[usize]> {
-        self.classes[self.find(class)].nodes.clone()
+        self.members = members;
     }
 
     /// Try every rule and normalization of the path's length, once per
@@ -836,24 +800,25 @@ impl<'c> EGraph<'c> {
         // already holds its replacement.
         let key = window_key(rule_tag(rule), ids);
         if let Some(&event) = self.event_ids.get(&key) {
-            let replacement = self.events[event].replacement.clone();
-            self.apply(path, &replacement);
+            let replacement = std::mem::take(&mut self.events[event].replacement);
+            self.apply(path, &replacement, event);
+            self.events[event].replacement = replacement;
             return;
         }
         if self.refused.contains(&key) {
             return;
         }
-        let at = self.depth_hint.get(&path[0]).copied().unwrap_or(0);
+        let at = self.input.saturating_sub(path[0]);
         let samples = self.cfg.verify_samples.as_deref();
         let Some(certificate) = certify(rule, &hit, samples, at, &mut self.rejections) else {
             self.refused.insert(key);
             return;
         };
-        let rhs = hit.rhs();
-        let replacement: Vec<usize> = rhs.iter().map(|s| self.intern_stage(s)).collect();
-        self.apply(path, &replacement);
-        self.event_ids.insert(key, self.events.len());
-        self.events.push(Event {
+        let replacement: Vec<usize> = hit.rhs().iter().map(|s| self.intern_stage(s)).collect();
+        let event = self.events.len();
+        self.event_ids.insert(key, event);
+        self.apply(path, &replacement, event);
+        self.events.push(RuleEvent {
             rule,
             replacement,
             certificate,
@@ -862,16 +827,14 @@ impl<'c> EGraph<'c> {
     }
 
     /// Splice a rewrite into the graph: build the replacement chain over
-    /// the residual tail of the matched path and union it with the head.
-    fn apply(&mut self, path: &[usize], replacement: &[usize]) {
+    /// the residual tail of the matched path and unite it into the head.
+    fn apply(&mut self, path: &[usize], replacement: &[usize], event: usize) {
         let last = *path.last().expect("non-empty window");
-        let mut class = self.find(self.nodes[last].tail);
+        let mut node = self.nodes[last].tail;
         for &sid in replacement.iter().rev() {
-            let node = self.add_node(sid, class);
-            class = self.class_of(node);
+            node = self.add_node(sid, node);
         }
-        let head_class = self.class_of(path[0]);
-        self.union(head_class, class);
+        self.unite(path, node, event);
     }
 
     /// The enabling normalizations as 2-window rewrites, mirroring
@@ -881,10 +844,10 @@ impl<'c> EGraph<'c> {
         match (&self.stages[ids[0]], &self.stages[ids[1]]) {
             (Stage::Map { .. }, Stage::Map { .. }) => {
                 let fused = self.fuse_maps(ids[0], ids[1]);
-                self.apply(path, &[fused]);
+                self.apply(path, &[fused], NIL);
             }
-            (Stage::Gather, Stage::Scatter) => self.apply(path, &[]),
-            (Stage::Bcast, Stage::Map { .. }) => self.apply(path, &[ids[1], ids[0]]),
+            (Stage::Gather, Stage::Scatter) => self.apply(path, &[], NIL),
+            (Stage::Bcast, Stage::Map { .. }) => self.apply(path, &[ids[1], ids[0]], NIL),
             _ => {}
         }
     }
@@ -898,230 +861,306 @@ impl<'c> EGraph<'c> {
         }
     }
 
-    /// Per-class least `(cost, collectives, len)` — a Bellman-style
-    /// fixpoint over node values (the optimal sub-graph is acyclic: `len`
-    /// strictly decreases along tails, so this converges).
-    fn extract_values(&self) -> Vec<Option<Extract>> {
-        let mut best: Vec<Option<Extract>> = vec![None; self.classes.len()];
-        best[self.find(self.nil_class)] = Some(EMPTY);
-        loop {
-            let mut changed = false;
-            for id in 0..self.nodes.len() {
-                let stage = self.nodes[id].stage;
-                if stage == NIL {
-                    continue;
-                }
-                let Some(tail) = best[self.find(self.nodes[id].tail)] else {
-                    continue;
-                };
-                let value = self.cons(stage, tail);
-                let class = self.class_of(id);
-                if best[class].is_none_or(|b| value.beats(&b)) {
-                    best[class] = Some(value);
-                    changed = true;
-                }
-            }
-            if !changed {
-                break;
-            }
-        }
-        best
-    }
-
-    /// Enumerate (capped) the stage-id chains realizing a class's best
-    /// value.
-    fn best_chains(
-        &self,
-        class: usize,
-        best: &[Option<Extract>],
-        memo: &mut IdMap<usize, Rc<[Vec<usize>]>>,
-    ) -> Rc<[Vec<usize>]> {
-        let class = self.find(class);
-        if let Some(cached) = memo.get(&class) {
-            return cached.clone();
-        }
-        let target = best[class].expect("reachable class");
-        let mut chains: Vec<Vec<usize>> = Vec::new();
-        'members: for &id in self.class_members(class).iter() {
-            let stage = self.nodes[id].stage;
-            if stage == NIL {
-                if target.len == 0 {
-                    chains.push(Vec::new());
-                }
-                continue;
-            }
-            let tail_class = self.find(self.nodes[id].tail);
-            let Some(tail) = best[tail_class] else {
-                continue;
-            };
-            if self.cons(stage, tail) != target {
-                continue;
-            }
-            for tail_chain in self.best_chains(tail_class, best, memo).iter() {
-                let mut chain = Vec::with_capacity(1 + tail_chain.len());
-                chain.push(stage);
-                chain.extend_from_slice(tail_chain);
-                chains.push(chain);
-                if chains.len() >= CANDIDATE_CAP {
-                    break 'members;
-                }
-            }
-        }
-        let chains: Rc<[Vec<usize>]> = Rc::from(chains);
-        memo.insert(class, chains.clone());
-        chains
-    }
-
-    /// The stage-id chains of the programs realizing `root`'s best value:
-    /// normalized, kept at the least normalized length. Replay picks among
-    /// them.
-    fn extract(&mut self, root: usize) -> Vec<Vec<usize>> {
-        let best = self.extract_values();
-        let mut memo = IdMap::default();
-        let mut candidates: Vec<Vec<usize>> = Vec::new();
-        let mut shortest = usize::MAX;
-        for chain in self.best_chains(root, &best, &mut memo).iter() {
-            let chain = self.normalize_ids(chain.clone());
-            if chain.len() < shortest {
-                shortest = chain.len();
-                candidates.clear();
-            }
-            if chain.len() == shortest {
-                candidates.push(chain);
-            }
-        }
-        candidates
-    }
-
-    /// Is this exact chain present in the graph? (Walk the hash-cons from
-    /// nil; only valid after `rebuild`.)
-    fn representable(&self, ids: &[usize]) -> bool {
-        let mut class = self.find(self.nil_class);
-        for &sid in ids.iter().rev() {
-            let Some(&node) = self.node_ids.get(&(sid, class)) else {
-                return false;
-            };
-            class = self.class_of(node);
-        }
-        true
-    }
-
-    /// Provenance-guided BFS over stage-id chains from `start`:
-    /// transitions are the recorded rule events only (re-normalizing
-    /// between steps), pruned to chains still representable in the graph.
-    /// Returns the first of `candidates` it reaches with its
-    /// certificate-carrying derivation or, when none is reached (a node
-    /// budget cut the derivation short), the best-valued program it did
-    /// reach — the first such, and never worse than `start`.
-    fn replay(
-        &mut self,
-        start: Program,
-        start_ids: Vec<usize>,
-        candidates: &[Vec<usize>],
-    ) -> (Program, Vec<RewriteStep>, Vec<Normalization>) {
-        if candidates.contains(&start_ids) {
-            return (start, Vec::new(), Vec::new());
-        }
-        let mut best = (0, self.value(&start_ids));
-        let mut seen: IdSet<Vec<usize>> = [start_ids.clone()].into_iter().collect();
-        let mut states = vec![ReplayState {
-            ids: start_ids,
-            parent: NIL,
-            event: NIL,
-            at: 0,
-        }];
-        let mut queue = VecDeque::from([0]);
-        'search: while let Some(state) = queue.pop_front() {
-            if self.stats.replay_states >= REPLAY_STATE_CAP {
-                break;
-            }
-            self.stats.replay_states += 1;
-            let len = states[state].ids.len();
-            for at in 0..len {
-                for rule in RULE_PRIORITY {
-                    let window_len = rules::window_len(rule);
-                    if at + window_len > len {
-                        continue;
-                    }
-                    let ids = &states[state].ids;
-                    let key = window_key(rule_tag(rule), &ids[at..at + window_len]);
-                    let Some(&event) = self.event_ids.get(&key) else {
-                        continue;
-                    };
-                    let mut next = Vec::with_capacity(len + 2);
-                    next.extend_from_slice(&ids[..at]);
-                    next.extend_from_slice(&self.events[event].replacement);
-                    next.extend_from_slice(&ids[at + window_len..]);
-                    let next = self.normalize_ids(next);
-                    if seen.contains(&next) {
-                        continue;
-                    }
-                    let found = candidates.contains(&next);
-                    if !found && !self.representable(&next) {
-                        continue;
-                    }
-                    let value = self.value(&next);
-                    seen.insert(next.clone());
-                    states.push(ReplayState {
-                        ids: next,
-                        parent: state,
-                        event,
-                        at,
-                    });
-                    if found {
-                        best.0 = states.len() - 1;
-                        break 'search;
-                    }
-                    if value.beats(&best.1) {
-                        best = (states.len() - 1, value);
-                    }
-                    queue.push_back(states.len() - 1);
-                }
-            }
-        }
-        // Walk the parent chain back to the start, then build the programs
-        // along it forward.
-        let mut path = Vec::new();
-        let mut cursor = best.0;
-        while cursor != 0 {
-            path.push((states[cursor].event, states[cursor].at));
-            cursor = states[cursor].parent;
-        }
-        let mut steps = Vec::new();
-        let mut normalizations = Vec::new();
-        let mut current = start;
-        for &(event, at) in path.iter().rev() {
-            let event = &self.events[event];
-            let replacement = event.replacement.iter().map(|&i| self.stages[i].clone());
-            let window_len = rules::window_len(event.rule);
-            let (child, norms) =
-                enabling::normalize(&current.splice(at, window_len, replacement.collect()));
-            let saving = match self.cfg.strategy {
-                Strategy::Exhaustive => None,
-                Strategy::CostGuided { params, block } => Some(
-                    program_cost(&current, &params, block) - program_cost(&child, &params, block),
-                ),
-            };
-            steps.push(RewriteStep {
-                rule: event.rule,
-                at,
-                saving,
-                description: format!("{current}  →[{}]→  {child}", event.rule),
-                certificate: event.certificate.clone(),
-                rank0_only: event.rank0_only,
-            });
-            normalizations.extend(norms);
-            current = child;
-        }
-        (current, steps, normalizations)
-    }
-
     /// The extraction value of a chain, accumulated tail-first exactly as
-    /// `extract_values` does.
+    /// extraction does.
     fn value(&self, ids: &[usize]) -> Extract {
         ids.iter()
             .rev()
             .fold(EMPTY, |tail, &stage| self.cons(stage, tail))
+    }
+
+    /// The root's best value and the rule events of its derivation, in
+    /// order.
+    fn extract(&mut self, root: usize) -> (Extract, Vec<Fire>) {
+        let mut ex = Extraction {
+            eg: self,
+            memo: IdMap::default(),
+            walked: 0,
+            seqs: (Vec::new(), Vec::new()),
+        };
+        let goal = Goal::Heads(ANY);
+        let best = ex.solve(root, goal).expect("the input is normalized");
+        let mut fires = Vec::new();
+        ex.emit(root, goal, best.choice, 0, &mut fires);
+        self.stats.replay_states = ex.walked;
+        self.stats.extracted_cost = best.value.cost;
+        (best.value, fires)
+    }
+
+    /// Apply the plan's events to the normalized input, each followed by
+    /// normalization, building its steps and the derivation record; also
+    /// returns the value the plan reaches.
+    fn read_off(
+        mut self,
+        (start, mut ids, mut origins): (Program, Vec<usize>, Vec<(usize, usize)>),
+        input: Vec<usize>,
+        mut normalizations: Vec<Normalization>,
+        fires: &[Fire],
+    ) -> (SaturationOutcome, Extract) {
+        let mut stages = start.into_stages();
+        let mut chains = ids.clone();
+        let mut bounds = vec![0, ids.len()];
+        let mut steps = Vec::with_capacity(fires.len());
+        let mut plan = Vec::with_capacity(fires.len());
+        for &(at, _, index) in fires {
+            let event = &self.events[index];
+            let window = at..at + rules::window_len(event.rule);
+            let before = self.chain_cost(&ids);
+            let mut description = format!("{}  →[{}]→  ", Spelled(&self.stages, &ids), event.rule);
+            let replacement = event.replacement.iter();
+            stages.splice(
+                window.clone(),
+                replacement.clone().map(|&i| self.stages[i].clone()),
+            );
+            ids.splice(window.clone(), replacement.copied());
+            let origin = origins[window.clone()]
+                .iter()
+                .fold((usize::MAX, 0), |(s, e), &(a, b)| (s.min(a), e.max(b)));
+            origins.splice(window, std::iter::repeat_n(origin, event.replacement.len()));
+            let from = normalizations.len();
+            enabling::normalize_in_place(&mut stages, &mut normalizations);
+            self.mirror(&normalizations[from..], &mut ids, &mut origins);
+            let _ = write!(description, "{}", Spelled(&self.stages, &ids));
+            let event = &self.events[index];
+            steps.push(RewriteStep {
+                rule: event.rule,
+                at,
+                saving: match self.cfg.strategy {
+                    Strategy::Exhaustive => None,
+                    Strategy::CostGuided { .. } => Some(before - self.chain_cost(&ids)),
+                },
+                description,
+                certificate: event.certificate.clone(),
+                rank0_only: event.rank0_only,
+            });
+            plan.push(PlanStep {
+                event: index,
+                at,
+                origin,
+            });
+            chains.extend_from_slice(&ids);
+            bounds.push(chains.len());
+        }
+        let reached = self.value(&ids);
+        let outcome = SaturationOutcome {
+            result: OptimizeResult {
+                program: Program::from_stages(stages),
+                steps,
+                normalizations,
+                rejections: dedupe_rejections(self.rejections),
+            },
+            stats: self.stats,
+            derivation: Derivation {
+                stages: self.stages,
+                stage_costs: self.stage_costs,
+                events: self.events,
+                event_ids: self.event_ids,
+                input,
+                chains,
+                bounds,
+                steps: plan,
+            },
+        };
+        (outcome, reached)
+    }
+
+    /// A chain's cost, summed in `program_cost`'s order.
+    fn chain_cost(&self, ids: &[usize]) -> f64 {
+        ids.iter().map(|&id| self.stage_costs[id]).sum()
+    }
+}
+
+/// Stage ids spelled as their [`Program`] would be.
+struct Spelled<'a>(&'a [Stage], &'a [StageId]);
+
+impl std::fmt::Display for Spelled<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write_chain(f, self.1.iter().map(|&id| &self.0[id]))
+    }
+}
+
+/// Head-kind bits: what may follow a stage in a normalized chain depends
+/// only on whether the next stage is a map, a scatter, or anything else.
+const MAP: u8 = 1;
+const SCATTER: u8 = 2;
+const OTHER: u8 = 4;
+const ANY: u8 = MAP | SCATTER | OTHER;
+
+/// A stage's head kind, and the head kinds that may follow it in a
+/// normalized chain: no map after a map or a bcast, no scatter after a
+/// gather.
+fn kinds(stage: &Stage) -> (u8, u8) {
+    match stage {
+        Stage::Map { .. } => (MAP, SCATTER | OTHER),
+        Stage::Bcast => (OTHER, SCATTER | OTHER),
+        Stage::Scatter => (SCATTER, ANY),
+        Stage::Gather => (OTHER, MAP | OTHER),
+        _ => (OTHER, ANY),
+    }
+}
+
+/// What a class's chain is turned into: the best normalized chain whose
+/// head kind is among the bits, or a chain headed by the given node (a
+/// union's setup).
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+enum Goal {
+    Heads(u8),
+    Node(usize),
+}
+
+/// How a class meets a goal: it already does (the goal's node, or the
+/// empty chain), it keeps its head stage over its tail's best, or it takes
+/// a union.
+#[derive(Clone, Copy)]
+enum Choice {
+    Here,
+    Keep,
+    Take(usize),
+}
+
+/// A class's best way to a goal: the chain's value (`EMPTY` for a node
+/// goal), the rule events deriving it, and the first choice.
+#[derive(Clone, Copy)]
+struct Best {
+    value: Extract,
+    events: u32,
+    choice: Choice,
+}
+
+/// A goal met as it stands.
+const HERE: Best = Best {
+    value: EMPTY,
+    events: 0,
+    choice: Choice::Here,
+};
+
+/// A rule event of a derivation: `(position, RULE_PRIORITY index, event)`,
+/// so sequences compare by position, then priority.
+type Fire = (usize, u32, usize);
+
+/// The extraction recurrence over a saturated graph, memoized per class
+/// and goal. The unions are acyclic, so the recursion terminates.
+struct Extraction<'g, 'c> {
+    eg: &'g EGraph<'c>,
+    memo: IdMap<(usize, Goal), Option<Best>>,
+    /// Unions walked (`SaturationStats::replay_states`).
+    walked: usize,
+    /// Reused buffers for comparing two derivations' event sequences.
+    seqs: (Vec<Fire>, Vec<Fire>),
+}
+
+impl Extraction<'_, '_> {
+    /// `class`'s best way to `goal`; `None` when nothing it derives meets it.
+    fn solve(&mut self, class: usize, goal: Goal) -> Option<Best> {
+        if let Some(&known) = self.memo.get(&(class, goal)) {
+            return known;
+        }
+        let found = self.choose(class, goal);
+        self.memo.insert((class, goal), found);
+        found
+    }
+
+    /// [`Self::solve`] unmemoized: keep the head (or be the goal already),
+    /// or take the best of the class's unions.
+    fn choose(&mut self, class: usize, goal: Goal) -> Option<Best> {
+        let (eg, node) = (self.eg, &self.eg.nodes[class]);
+        let mut found = match goal {
+            Goal::Node(head) if head == class => return Some(HERE),
+            Goal::Heads(_) if class == 0 => return Some(HERE),
+            Goal::Node(_) => None,
+            Goal::Heads(allowed) => {
+                let (head, follow) = kinds(&eg.stages[node.stage]);
+                let tail = (allowed & head != 0)
+                    .then(|| self.solve(node.tail, Goal::Heads(follow)))
+                    .flatten();
+                tail.map(|tail| Best {
+                    value: eg.cons(node.stage, tail.value),
+                    events: tail.events,
+                    choice: Choice::Keep,
+                })
+            }
+        };
+        let mut u = node.unions;
+        while u != NIL {
+            self.walked += 1;
+            let union = &eg.unions[u];
+            if let Some(rest) = self.solve(union.into, goal) {
+                let lead = self.setup(u) + u32::from(union.event != NIL);
+                let candidate = Best {
+                    value: rest.value,
+                    events: lead + rest.events,
+                    choice: Choice::Take(u),
+                };
+                if found.is_none_or(|current| self.improves(class, goal, &candidate, &current)) {
+                    found = Some(candidate);
+                }
+            }
+            u = union.next;
+        }
+        found
+    }
+
+    /// The fewest events before union `u` can fire: those making its path
+    /// the chain's first nodes, each a goal of the one before's tail.
+    fn setup(&mut self, u: usize) -> u32 {
+        let (eg, union) = (self.eg, &self.eg.unions[u]);
+        let path = &union.path[..union.len];
+        let reach = |(prev, &next): (&usize, &usize)| {
+            let head = self.solve(eg.nodes[*prev].tail, Goal::Node(next));
+            head.expect("a path's node").events
+        };
+        path.iter().zip(&path[1..]).map(reach).sum()
+    }
+
+    /// Does `candidate` beat `current` as `class`'s way to `goal`: a better
+    /// value, then fewer events, then the lexicographically least sequence
+    /// of events?
+    fn improves(&mut self, class: usize, goal: Goal, candidate: &Best, current: &Best) -> bool {
+        if candidate.value.beats(&current.value) || current.value.beats(&candidate.value) {
+            return candidate.value.beats(&current.value);
+        }
+        if candidate.events != current.events {
+            return candidate.events < current.events;
+        }
+        let (mut a, mut b) = std::mem::take(&mut self.seqs);
+        a.clear();
+        b.clear();
+        self.emit(class, goal, candidate.choice, 0, &mut a);
+        self.emit(class, goal, current.choice, 0, &mut b);
+        let less = a < b;
+        self.seqs = (a, b);
+        less
+    }
+
+    /// Write the rule events of `class`'s way to `goal` through `choice`,
+    /// in order, with the class's head at position `at`.
+    fn emit(&self, class: usize, goal: Goal, choice: Choice, at: usize, out: &mut Vec<Fire>) {
+        let (next, goal, at) = match choice {
+            Choice::Here => return,
+            Choice::Keep => {
+                let node = &self.eg.nodes[class];
+                let follow = kinds(&self.eg.stages[node.stage]).1;
+                (node.tail, Goal::Heads(follow), at + 1)
+            }
+            Choice::Take(u) => {
+                let (eg, union) = (self.eg, &self.eg.unions[u]);
+                let path = &union.path[..union.len];
+                for (i, (prev, &next)) in path.iter().zip(&path[1..]).enumerate() {
+                    self.emit_chosen(eg.nodes[*prev].tail, Goal::Node(next), at + 1 + i, out);
+                }
+                if let Some(event) = eg.events.get(union.event) {
+                    out.push((at, rule_tag(event.rule), union.event));
+                }
+                (union.into, goal, at)
+            }
+        };
+        self.emit_chosen(next, goal, at, out);
+    }
+
+    /// [`Self::emit`] through the choice `solve` made.
+    fn emit_chosen(&self, class: usize, goal: Goal, at: usize, out: &mut Vec<Fire>) {
+        let best = self.memo[&(class, goal)].expect("solved");
+        self.emit(class, goal, best.choice, at, out);
     }
 }
 
@@ -1129,6 +1168,7 @@ impl<'c> EGraph<'c> {
 mod tests {
     use super::*;
     use crate::op::lib;
+    use crate::rewrite::program_cost;
     use crate::semantics::eval_program;
 
     fn ints(vs: &[i64]) -> Vec<Value> {
@@ -1264,6 +1304,56 @@ mod tests {
         let out = saturate_program(&prog, &cfg);
         assert!(out.result.steps.is_empty());
         assert_eq!(out.result.program.to_string(), prog.to_string());
+    }
+
+    #[test]
+    fn equal_plans_are_read_off_in_position_order() {
+        // Fusing either pair of three scans costs the same: the plan fuses
+        // the earlier window, as a breadth-first search would reach first,
+        // and the record holds the chain before and after the step.
+        let params = MachineParams::new(64, 200.0, 2.0);
+        let prog = Program::new()
+            .scan(lib::add())
+            .scan(lib::add())
+            .scan(lib::add());
+        let out = saturate_program(&prog, &SaturateConfig::new(params, 32.0));
+        let steps: Vec<_> = out.result.steps.iter().map(|s| (s.rule, s.at)).collect();
+        assert_eq!(steps, [(Rule::SsScan, 0)]);
+        let d = &out.derivation;
+        assert_eq!(d.chain(0), d.input);
+        assert_eq!(
+            format!("{}", d.display(d.chain(1))),
+            out.result.program.to_string()
+        );
+        assert_eq!(d.steps[0].at, 0);
+        let event = &d.events[d.steps[0].event];
+        assert_eq!(event.rule, Rule::SsScan);
+        assert!(d.event_for(Rule::SsScan, &d.input[1..]).is_some());
+        assert_eq!(
+            out.stats.extracted_cost,
+            eval_cost(&out.result.program, &params, 32.0)
+        );
+    }
+
+    #[test]
+    fn the_inputs_windows_are_tried_under_any_budget() {
+        let params = MachineParams::new(64, 200.0, 2.0);
+        let prog = Program::new().scan(lib::add()).scan(lib::add());
+        let cfg = SaturateConfig::new(params, 32.0).node_budget(2);
+        let out = saturate_program(&prog, &cfg);
+        assert_eq!(out.result.steps.len(), 1);
+        assert!(out
+            .derivation
+            .event_for(Rule::SsScan, &out.derivation.input)
+            .is_some());
+    }
+
+    /// A program's cost summed tail-first, as extraction sums it.
+    fn eval_cost(prog: &Program, params: &MachineParams, m: f64) -> f64 {
+        prog.stages()
+            .iter()
+            .rev()
+            .fold(0.0, |acc, s| acc + stage_cost(s, params, m))
     }
 
     #[test]

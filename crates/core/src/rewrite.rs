@@ -244,9 +244,9 @@ pub struct Rewriter {
 /// the more specific (distributivity) variants precede the commutative
 /// ones, and Local rules precede Comcast ones (they eliminate strictly
 /// more communication). Its one role is ordering: among plans of equal
-/// value and equal step count, the derivation replay and the brute-force
-/// search reach first — and so return — the one whose rules come first
-/// here, and the pipeline linter sweeps untouched windows in this order.
+/// value and equal step count, saturation's read-off derivation and the
+/// brute-force search both return the one whose rules come first here,
+/// and the pipeline linter sweeps untouched windows in this order.
 pub const RULE_PRIORITY: [Rule; 11] = [
     Rule::Bsr2Local,
     Rule::BsrLocal,
@@ -338,7 +338,7 @@ impl Rewriter {
     /// return the first reachable program minimizing the e-graph
     /// extraction's key — `(cost, collectives, stages)`. Breadth-first
     /// order visits each program by its fewest steps, then position, then
-    /// [`RULE_PRIORITY`], exactly as the derivation replay does.
+    /// [`RULE_PRIORITY`], exactly as saturation reads its plan off.
     ///
     /// Exponential in the number of fusible windows; kept as the
     /// *optimality oracle* the saturation search is differentially tested

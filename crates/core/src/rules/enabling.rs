@@ -49,9 +49,8 @@ pub enum Normalization {
     },
 }
 
-/// Apply one normalization step if any applies (leftmost first).
-fn step(prog: &Program) -> Option<(Program, Normalization)> {
-    let stages = prog.stages();
+/// Apply one normalization step in place if any applies (leftmost first).
+fn step(stages: &mut Vec<Stage>) -> Option<Normalization> {
     for at in 0..stages.len().saturating_sub(1) {
         match (&stages[at], &stages[at + 1]) {
             (
@@ -68,38 +67,22 @@ fn step(prog: &Program) -> Option<(Program, Normalization)> {
             ) => {
                 let label = format!("{l1};{l2}");
                 let (f1, f2) = (f1.clone(), f2.clone());
-                let fused = Stage::Map {
+                stages[at] = Stage::Map {
                     f: Arc::new(move |v| f2(&f1(v))),
                     ops: o1 + o2,
                     label: label.clone(),
                 };
-                return Some((
-                    prog.splice(at, 2, vec![fused]),
-                    Normalization::MapFuse { at, label },
-                ));
+                stages.remove(at + 1);
+                return Some(Normalization::MapFuse { at, label });
             }
             (Stage::Gather, Stage::Scatter) => {
-                return Some((
-                    prog.splice(at, 2, Vec::new()),
-                    Normalization::GatherScatterElim { at },
-                ));
+                stages.drain(at..at + 2);
+                return Some(Normalization::GatherScatterElim { at });
             }
-            (Stage::Bcast, Stage::Map { f, ops, label }) => {
-                let commuted = vec![
-                    Stage::Map {
-                        f: f.clone(),
-                        ops: *ops,
-                        label: label.clone(),
-                    },
-                    Stage::Bcast,
-                ];
-                return Some((
-                    prog.splice(at, 2, commuted),
-                    Normalization::BcastMapCommute {
-                        at,
-                        label: label.clone(),
-                    },
-                ));
+            (Stage::Bcast, Stage::Map { label, .. }) => {
+                let label = label.clone();
+                stages.swap(at, at + 1);
+                return Some(Normalization::BcastMapCommute { at, label });
             }
             _ => {}
         }
@@ -110,21 +93,25 @@ fn step(prog: &Program) -> Option<(Program, Normalization)> {
 /// Normalize to fixpoint. Terminates: map fusion shrinks the program and
 /// commutation strictly decreases the number of (bcast, map) inversions.
 pub fn normalize(prog: &Program) -> (Program, Vec<Normalization>) {
-    let mut current = prog.clone();
+    let mut stages = prog.stages().to_vec();
     let mut log = Vec::new();
+    normalize_in_place(&mut stages, &mut log);
+    (Program::from_stages(stages), log)
+}
+
+/// [`normalize`] on a stage sequence in place, appending each step to
+/// `log` — the one normalizer, which the optimizer's plan read-off also
+/// runs after each rule step.
+pub fn normalize_in_place(stages: &mut Vec<Stage>, log: &mut Vec<Normalization>) {
     // Generous structural bound: each stage can fuse or commute at most
     // once per pass, and passes strictly reduce a bounded measure.
-    let cap = prog.len() * (prog.len() + 1);
+    let cap = stages.len() * (stages.len() + 1);
     for _ in 0..=cap {
-        match step(&current) {
-            Some((next, n)) => {
-                log.push(n);
-                current = next;
-            }
+        match step(stages) {
+            Some(n) => log.push(n),
             None => break,
         }
     }
-    (current, log)
 }
 
 #[cfg(test)]

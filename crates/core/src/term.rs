@@ -354,6 +354,16 @@ impl Program {
         Program { stages }
     }
 
+    /// The program of these stages, in order.
+    pub(crate) fn from_stages(stages: Vec<Stage>) -> Program {
+        Program { stages }
+    }
+
+    /// The stages, in order.
+    pub(crate) fn into_stages(self) -> Vec<Stage> {
+        self.stages
+    }
+
     /// Sequential composition: `self ; next` (the paper's program
     /// composition that creates new optimization opportunities, Figure 1).
     pub fn then(mut self, next: Program) -> Program {
@@ -364,17 +374,30 @@ impl Program {
 
 impl std::fmt::Display for Program {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        if self.stages.is_empty() {
-            return f.write_str("id");
-        }
-        for (i, stage) in self.stages.iter().enumerate() {
-            if i > 0 {
-                f.write_str(" ; ")?;
-            }
-            std::fmt::Display::fmt(stage, f)?;
-        }
-        Ok(())
+        write_chain(f, &self.stages)
     }
+}
+
+/// A stage sequence spelled as a [`Program`] spells it: the stages joined
+/// by ` ; `, or `id` when there are none.
+pub(crate) fn write_chain<'a, S>(
+    f: &mut std::fmt::Formatter<'_>,
+    stages: impl IntoIterator<Item = &'a S>,
+) -> std::fmt::Result
+where
+    S: std::fmt::Display + 'a,
+{
+    let mut stages = stages.into_iter().peekable();
+    if stages.peek().is_none() {
+        return f.write_str("id");
+    }
+    for (i, stage) in stages.enumerate() {
+        if i > 0 {
+            f.write_str(" ; ")?;
+        }
+        std::fmt::Display::fmt(stage, f)?;
+    }
+    Ok(())
 }
 
 impl std::fmt::Debug for Program {

@@ -36,7 +36,10 @@ pub mod shrink;
 pub use corpus::{load_corpus, parse_case_file, pin, CorpusCase};
 pub use gen::{case_mode, generate_case, CaseDomain, CaseMode, CaseSpec, GenConfig, TableSpec};
 pub use ledger::CoverageLedger;
-pub use oracle::{run_case, FuzzFailure, OracleKind};
+pub use oracle::{
+    check_extracted_cost, check_periodic, check_split, long_chain, long_chain_machine, run_case,
+    tail_first_cost, FuzzFailure, OracleKind, Periodic,
+};
 pub use shrink::shrink;
 
 use std::path::Path;

@@ -20,7 +20,9 @@
 //!    exponential search (≤ 6 stages), the equality-saturation extraction
 //!    behind `Rewriter::saturate` must bit-match the brute-force optimum's
 //!    program and cost and (on honest tables) carry certificates that
-//!    revalidate.
+//!    revalidate. At any length, where no brute force reaches, the
+//!    optimizer is checked against itself and against closed forms
+//!    ([`check_split`], [`check_extracted_cost`], [`check_periodic`]).
 //! 5. **StaticCheck** — the static schedule verifier must accept every
 //!    shipped lowering at the case's `(p, m)` point and reject every
 //!    planted-bug lowering with its expected lint code. Together with
@@ -35,16 +37,20 @@ use std::fmt;
 use collopt_analysis::audit::{audit_operator, AuditConfig, Domain};
 use collopt_analysis::certify::{validate_result, CertificateIssue};
 use collopt_analysis::lint::{lint_program, LintConfig};
+use collopt_core::egraph::{saturate_program, SaturateConfig};
 use collopt_core::exec::{
     execute, execute_faulted, execute_faulted_traced, execute_traced_with, ExecConfig,
     TracedExecOutcome,
 };
+use collopt_core::op::lib;
 use collopt_core::op::value_close_with;
-use collopt_core::rewrite::{program_cost, Rewriter};
+use collopt_core::rewrite::{program_cost, stage_cost, Rewriter, RULE_PRIORITY};
+use collopt_core::rules;
+use collopt_core::rules::enabling::normalize;
 use collopt_core::semantics::eval_program;
 use collopt_core::term::Program;
 use collopt_core::value::Value;
-use collopt_cost::MachineParams;
+use collopt_cost::{collectives as coll, MachineParams};
 use collopt_machine::{chrome_trace_json, ClockParams, FaultPlan, MachineError, Rng};
 
 use crate::gen::{CaseDomain, CaseSpec, N};
@@ -698,6 +704,158 @@ fn check_saturation(case: &CaseSpec, ledger: &mut CoverageLedger, failures: &mut
                 format!("extracted plan's certificate failed revalidation: {issue:?}"),
             );
         }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Oracle 4 at any length: saturation against itself and closed forms
+// ---------------------------------------------------------------------
+
+/// The machine of the long-chain checks — `p = 64`, `ts = 200`, `tw = 2`,
+/// block `m = 32` — where Table 1 says SS-Scan (`ts > m(tw + 4)`) and
+/// SS2-Scan (`ts > 2m`) both improve.
+pub fn long_chain_machine() -> (MachineParams, f64) {
+    (MachineParams::new(64, 200.0, 2.0), 32.0)
+}
+
+/// A program's cost under the cost model summed tail-first, as extraction
+/// accumulates a chain's value, so equal plans compare bit for bit.
+pub fn tail_first_cost(prog: &Program, params: &MachineParams, m: f64) -> f64 {
+    prog.stages()
+        .iter()
+        .rev()
+        .fold(0.0, |acc, stage| acc + stage_cost(stage, params, m))
+}
+
+/// A seeded chain of 7–64 library stages, weighted toward the scans and
+/// broadcasts Table 1 fuses, and a seeded split point inside it.
+pub fn long_chain(seed: u64) -> (Program, usize) {
+    let mut rng = Rng::new(seed ^ 0x4C4F_4E47_4348_4149);
+    let len = rng.range_usize(7, 65);
+    let mut prog = Program::new();
+    for _ in 0..len {
+        prog = match rng.below(11) {
+            0..=2 => prog.scan(lib::add()),
+            3 | 4 => prog.scan(lib::mul()),
+            5 | 6 => prog.bcast(),
+            7 => prog.reduce(lib::add()),
+            8 => prog.allreduce(lib::add()),
+            9 => prog.map("f", 1.0, |v| v.clone()),
+            _ => prog.scan(lib::max()),
+        };
+    }
+    let split = rng.range_usize(1, len);
+    (prog, split)
+}
+
+/// (a) Split subadditivity: optimizing `A ; B` (split at `at`) costs no
+/// more than `normalize(opt(A) ; opt(B))`, a plan for the whole that the
+/// optimizer also reaches. `A` is optimized with the rank-0 rules off,
+/// since only a chain's tail may use them.
+pub fn check_split(
+    prog: &Program,
+    at: usize,
+    params: &MachineParams,
+    m: f64,
+) -> Result<(), String> {
+    let (head, tail) = prog.stages().split_at(at);
+    let part = |stages: &[_], rank0: bool| {
+        let part = stages.iter().cloned().fold(Program::new(), Program::push);
+        let cfg = SaturateConfig::new(*params, m).allow_rank0_rules(rank0);
+        saturate_program(&part, &cfg).result.program
+    };
+    let (joined, _) = normalize(&part(head, false).then(part(tail, true)));
+    let whole = saturate_program(prog, &SaturateConfig::new(*params, m)).result;
+    let (whole_cost, joined_cost) = (
+        tail_first_cost(&whole.program, params, m),
+        tail_first_cost(&joined, params, m),
+    );
+    if whole_cost <= joined_cost {
+        Ok(())
+    } else {
+        Err(format!(
+            "`{prog}` split at {at}: the optimizer's plan costs {whole_cost} ({} steps), \
+             its optimized halves joined cost {joined_cost}",
+            whole.steps.len()
+        ))
+    }
+}
+
+/// (b) Self-consistency: the returned plan's cost, summed as extraction
+/// sums it, is the value extraction chose.
+pub fn check_extracted_cost(prog: &Program, params: &MachineParams, m: f64) -> Result<(), String> {
+    let outcome = saturate_program(prog, &SaturateConfig::new(*params, m));
+    let cost = tail_first_cost(&outcome.result.program, params, m);
+    if cost.to_bits() == outcome.stats.extracted_cost.to_bits() {
+        Ok(())
+    } else {
+        Err(format!(
+            "`{prog}`: the plan costs {cost}, extraction chose {}",
+            outcome.stats.extracted_cost
+        ))
+    }
+}
+
+/// The periodic chains with a closed-form optimum.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Periodic {
+    /// `n × scan(add)`: SS-Scan fuses ⌊n/2⌋ disjoint pairs.
+    Scans,
+    /// `scan(mul) ; scan(add) ; scan(mul) ; …` (`n` stages): SS2-Scan
+    /// fuses each `scan(mul) ; scan(add)` pair; `add` does not distribute
+    /// over `mul`, so nothing else fuses.
+    Alternating,
+}
+
+impl Periodic {
+    /// The family's chain of `n` stages.
+    pub fn chain(self, n: usize) -> Program {
+        (0..n).fold(Program::new(), |prog, i| match (self, i % 2) {
+            (Periodic::Alternating, 0) => prog.scan(lib::mul()),
+            _ => prog.scan(lib::add()),
+        })
+    }
+
+    /// The optimal cost and step count of the `n`-stage chain, in closed
+    /// form from the rule's Table-1 phase costs: ⌊n/2⌋ fused pairs when the
+    /// fused side costs no more (at equal cost fewer collectives win), and
+    /// a lone `scan` for odd `n`.
+    pub fn optimum(self, n: usize, params: &MachineParams, m: f64) -> (f64, usize) {
+        let (add, mul) = (lib::add().ops_per_word(), lib::mul().ops_per_word());
+        let lone = coll::scan(if self == Periodic::Scans { add } else { mul }, 1.0);
+        // The one Table-1 rule that fuses the family's pair (SS-Scan, SS2-Scan).
+        let pair = self.chain(2);
+        let rule = RULE_PRIORITY
+            .into_iter()
+            .find(|&rule| rules::try_match(rule, pair.stages()).is_some())
+            .expect("the family's pair fuses");
+        let (unfused, fused) = rule.spec().sides(add, mul);
+        let (unfused, fused) = (unfused.eval(params, m), fused.eval(params, m));
+        let pairs = if fused <= unfused { n / 2 } else { 0 };
+        let lone = lone.eval(params, m);
+        let cost = pairs as f64 * fused + (n - 2 * pairs) as f64 * lone;
+        (cost, pairs)
+    }
+}
+
+/// (c) The optimizer's plan for `family`'s `n`-stage chain has the closed
+/// form's cost (to rounding: the sums run in another order) and steps.
+pub fn check_periodic(
+    family: Periodic,
+    n: usize,
+    params: &MachineParams,
+    m: f64,
+) -> Result<(), String> {
+    let (expected, pairs) = family.optimum(n, params, m);
+    let plan = saturate_program(&family.chain(n), &SaturateConfig::new(*params, m)).result;
+    let cost = program_cost(&plan.program, params, m);
+    if (cost - expected).abs() <= 1e-12 * expected.abs() && plan.steps.len() == pairs {
+        Ok(())
+    } else {
+        Err(format!(
+            "{family:?} × {n}: the plan costs {cost} in {} steps, the optimum {expected} in {pairs}",
+            plan.steps.len()
+        ))
     }
 }
 

@@ -291,19 +291,17 @@ pub fn solve(canonical: &Program, req: &OptimizeRequest) -> Solution {
     // name (`analysis/tests/table_audit.rs`). With `all_ranks` the served
     // plan lacks the rank-0 rules whose COL001/COL012 findings the linter
     // still owes, so the linter saturates on its own.
-    let shared_plan = req.lint && !req.all_ranks;
-    let result = if shared_plan {
-        lint_plan(canonical, &lint_cfg)
+    let (result, lint) = if req.lint && !req.all_ranks {
+        let outcome = lint_plan(canonical, &lint_cfg);
+        let lint = lint_with_plan(canonical, None, &lint_cfg, &outcome);
+        (outcome.result, Some(lint))
     } else {
         let rewriter = Rewriter::cost_guided(params, req.m).allow_rank0_rules(!req.all_ranks);
-        rewriter.saturate(canonical, &params, req.m).result
-    };
-    let lint = if shared_plan {
-        Some(lint_with_plan(canonical, None, &lint_cfg, &result))
-    } else if req.lint {
-        Some(lint_program(canonical, None, &lint_cfg))
-    } else {
-        None
+        let result = rewriter.saturate(canonical, &params, req.m).result;
+        (
+            result,
+            req.lint.then(|| lint_program(canonical, None, &lint_cfg)),
+        )
     };
     let simulation = req.simulate.then(|| {
         let inputs = synthetic_inputs(req.p, req.m);

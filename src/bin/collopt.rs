@@ -625,6 +625,10 @@ fn saturate_main(mut args: Args) -> ! {
             ""
         }
     );
+    println!(
+        "extract  : {} justification edges walked, extracted cost {:.0}",
+        stats.replay_states, stats.extracted_cost
+    );
     std::process::exit(0);
 }
 

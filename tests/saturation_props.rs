@@ -5,8 +5,7 @@
 //! deterministic across runs and worker counts, always hands back a
 //! certificate-carrying plan that revalidates, terminates under an
 //! explicit node budget on chains too deep for the brute-force oracle,
-//! and still improves the program when that budget cuts the optimum's
-//! derivation short.
+//! and still improves the program when that budget cuts saturation short.
 
 use collopt::analysis::audit::AuditConfig;
 use collopt::analysis::certify::validate_result;
@@ -18,7 +17,7 @@ use collopt::core::rewrite::{program_cost, Rewriter};
 use collopt::core::term::Program;
 use collopt::core::value::Value;
 use collopt::cost::MachineParams;
-use collopt::fuzz::{generate_case, GenConfig};
+use collopt::fuzz::{generate_case, tail_first_cost, GenConfig};
 use collopt_bench::sweep_driver::par_map_with;
 
 fn oracle_params(p: usize) -> MachineParams {
@@ -112,12 +111,12 @@ fn extracted_steps_certificates_revalidate() {
     assert!(steps_seen > 0, "no plan ever applied a rule");
 }
 
-/// A node budget that cuts the optimum's derivation short: the plan is
-/// then the cheapest program the recorded rule events did reach, every
-/// step of it certified, strictly cheaper than the input here, and the
-/// same on every run.
+/// A node budget that cuts saturation short: the plan is then the
+/// extracted optimum of the graph that was built — its cost is the value
+/// extraction chose, every step of it certified, strictly cheaper than the
+/// input here, and the same on every run.
 #[test]
-fn budget_cut_replay_returns_the_cheapest_reached_plan() {
+fn budget_cut_plan_is_the_graphs_extracted_optimum_and_certified() {
     let params = MachineParams::new(64, 200.0, 2.0);
     let m = 1.0;
     let mut prog = Program::new();
@@ -130,6 +129,10 @@ fn budget_cut_replay_returns_the_cheapest_reached_plan() {
     let cfg = SaturateConfig::new(params, m).node_budget(30);
     let outcome = saturate_program(&prog, &cfg);
     assert!(outcome.stats.budget_exhausted);
+    assert_eq!(
+        tail_first_cost(&outcome.result.program, &params, m).to_bits(),
+        outcome.stats.extracted_cost.to_bits()
+    );
     let after = program_cost(&outcome.result.program, &params, m);
     assert!(
         after < before,

@@ -8,7 +8,7 @@ use std::net::{SocketAddr, TcpStream};
 use std::process::{Child, Command, Stdio};
 use std::sync::{Arc, Barrier};
 use std::thread::{self, JoinHandle};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use collopt::machine::Json;
 use collopt::serve::{submit, Server, ServerConfig, Service, MAX_LINE};
@@ -307,6 +307,45 @@ fn a_megabyte_pipeline_string_is_refused_in_linear_time() {
     assert_eq!(doc.get("id"), Some(&Json::Num(1.0)));
     let code = doc.get("error").and_then(|e| e.get("code"));
     assert_eq!(code.and_then(Json::as_str), Some("parse_error"));
+    let pong = client.round_trip(r#"{"id":2,"op":"ping"}"#);
+    assert_eq!(pong, r#"{"id":2,"ok":true,"result":{"pong":true}}"#);
+    submit(addr, r#"{"op":"shutdown"}"#).expect("shutdown");
+    assert!(child.0.wait().expect("exit").success());
+}
+
+#[test]
+fn a_long_chain_is_answered_within_a_second_and_the_connection_keeps_serving() {
+    // 64 × scan(add), where every adjacent pair fuses profitably: the plan
+    // is read off saturation's record, so the request cannot hold its
+    // connection thread (or a permit) for the seconds a search over every
+    // tiling of the chain took.
+    let (mut child, addr) = spawn_child_server();
+    let pipeline = vec!["scan(add)"; 64].join(" ; ");
+    let mut client = Client::connect(addr);
+    client
+        .reader
+        .get_ref()
+        .set_read_timeout(Some(Duration::from_secs(1)))
+        .expect("timeout");
+    let started = Instant::now();
+    client.send(&format!(
+        r#"{{"id":1,"pipeline":"{pipeline}","p":64,"ts":200,"tw":2,"m":32}}"#
+    ));
+    let mut reply = String::new();
+    let read = client.reader.read_line(&mut reply);
+    let elapsed = started.elapsed();
+    assert!(
+        matches!(read, Ok(n) if n > 0),
+        "no reply within 1 s ({elapsed:?}): {read:?}"
+    );
+    assert!(elapsed < Duration::from_secs(1), "{elapsed:?}");
+    let doc = Json::parse(&reply).unwrap_or_else(|e| panic!("no JSON reply ({e}): {reply:?}"));
+    let steps = doc.get("result").and_then(|r| r.get("steps"));
+    assert_eq!(
+        steps.and_then(Json::as_array).map(<[Json]>::len),
+        Some(32),
+        "{reply}"
+    );
     let pong = client.round_trip(r#"{"id":2,"op":"ping"}"#);
     assert_eq!(pong, r#"{"id":2,"ok":true,"result":{"pong":true}}"#);
     submit(addr, r#"{"op":"shutdown"}"#).expect("shutdown");
