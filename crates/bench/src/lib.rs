@@ -2,17 +2,16 @@
 //! The paper's evaluation and the code its parts share.
 //!
 //! [`repro`] reproduces every committed artifact under `results/` (behind
-//! `collopt repro`), [`chaos`] is the fault-injection oracle (behind
-//! `collopt chaos`), and [`sweep_driver`] fans independent simulation
-//! points out across host cores. What they have in common lives here: the
-//! per-rule LHS/RHS program builders, the three comcast implementations
-//! measured in Figures 7–8, and workload generators.
+//! `collopt repro`), and [`sweep_driver`] fans independent simulation
+//! points out across host cores. What they have in common with the fuzz
+//! oracles lives here: the per-rule LHS/RHS program builders, the three
+//! comcast implementations measured in Figures 7–8, and workload
+//! generators.
 //!
 //! The Figures 7–8 workloads run the collectives *directly* on native
 //! `Vec<i64>` blocks (no dynamic `Value` layer); the simulated makespans
 //! come from the runs' deterministic clocks.
 
-pub mod chaos;
 pub mod repro;
 pub mod sweep_driver;
 

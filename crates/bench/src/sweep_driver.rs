@@ -1,6 +1,6 @@
 //! Run-level parallel sweep driver.
 //!
-//! Chaos sweeps, fuzz campaigns, server batches and the heavy property
+//! Fuzz campaigns, the fault-contract battery and the heavy property
 //! suites all share one shape: a list of *independent* simulation points (seeds,
 //! rules, parameter combinations), each of which runs a handful of
 //! simulated-machine executions and yields a result that does not depend

@@ -5,11 +5,11 @@
 //! across repeated runs in one process, and regardless of how many sweep
 //! workers drive independent simulations concurrently.
 
-use collopt_bench::chaos::{random_plan, ChaosKind};
 use collopt_bench::sweep_driver::par_map_with;
 use collopt_bench::{rule_lhs, rule_rhs, varied_input};
 use collopt_core::exec::{execute_faulted_traced, ExecConfig};
 use collopt_core::rules::Rule;
+use collopt_fuzz::{random_plan, ChaosKind};
 use collopt_machine::{chrome_trace_json, ClockParams, FaultPlan};
 
 fn des_config() -> ExecConfig {

@@ -1709,11 +1709,11 @@ mod tests {
     /// of its `*_async` body on the event engine at every applicable point
     /// of p = 1..=17 × m ∈ {1, 2, 5, 8, 13, 32} — divisible and ragged
     /// blocks, m < p and m > p. The body also runs under the two permuted
-    /// step orders of the event engine that `engine_identity` uses (the
-    /// full reversal and a seeded mask with bit 0 set): each trace matches
-    /// the schedule too, and the run equals the canonical one bit for bit
-    /// — results, clocks, counters and trace. An entry without a runner
-    /// fails.
+    /// step orders of the event engine that fuzz oracle 2's rule battery
+    /// uses (the full reversal and a seeded mask with bit 0 set): each
+    /// trace matches the schedule too, and the run equals the canonical
+    /// one bit for bit — results, clocks, counters and trace. An entry
+    /// without a runner fails.
     fn assert_entry_matches_lowering(v: &Variant) {
         let run =
             runner(v.name).unwrap_or_else(|| panic!("registry entry {} has no runner", v.name));

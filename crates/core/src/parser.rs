@@ -28,6 +28,13 @@
 use crate::op::{lib, BinOp};
 use crate::term::Program;
 
+/// The most stages a pipeline may have. The optimizer and the linter
+/// recurse once per stage, so an unbounded pipeline could overflow the
+/// stack of whatever thread parses it (a `collopt serve` connection
+/// thread, say) and abort the whole process; a stage past the bound is a
+/// [`ParseError`] spanning it.
+pub const MAX_STAGES: usize = 256;
+
 /// A half-open byte range `[start, end)` into the source text.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Span {
@@ -306,6 +313,13 @@ impl<'a> Parser<'a> {
                 return Ok(prog); // tolerate a trailing semicolon
             }
             prog = self.spanned_stage(prog)?;
+            if prog.len() > MAX_STAGES {
+                let span = self.spans[MAX_STAGES];
+                return Err(self.error_span(
+                    span,
+                    format!("too many stages: a pipeline has at most {MAX_STAGES}"),
+                ));
+            }
         }
     }
 }
@@ -448,6 +462,16 @@ mod tests {
         assert!(rendered.contains("  | scan(mul) ; reduce(bogus)"));
         assert!(rendered.contains("  |                    ^^^^^"));
         assert!(rendered.contains("line 1, column 20"));
+    }
+
+    #[test]
+    fn a_stage_past_the_bound_is_an_error_spanning_it() {
+        let at_bound = vec!["bcast"; MAX_STAGES].join(" ; ");
+        assert_eq!(parse_pipeline(&at_bound).unwrap().len(), MAX_STAGES);
+        let src = format!("{at_bound} ; scan(add) ; bcast");
+        let err = parse_pipeline(&src).unwrap_err();
+        assert_eq!(err.span.slice(&src), "scan(add)");
+        assert!(err.message.contains(&MAX_STAGES.to_string()), "{err}");
     }
 
     #[test]

@@ -16,7 +16,8 @@
 //! every Table-1 rule with an honest case — the coverage ledger's
 //! all-rules-fired gate cannot flake.
 
-use collopt_bench::chaos::{random_plan, ChaosKind};
+use std::ops::RangeInclusive;
+
 use collopt_core::op::{lib as ops, BinOp};
 use collopt_core::rules::{self, Rule};
 use collopt_core::term::{Program, Stage};
@@ -518,15 +519,16 @@ impl CaseSpec {
         Ok(case)
     }
 
-    /// Structural validity: table references in range, scatter only right
-    /// after a gather/allgather, plan ranks inside the machine, and a
-    /// `fuse` annotation that actually matches.
+    /// Structural validity: `p` and `m` inside [`P_RANGE`] and
+    /// [`M_RANGE`], table references in range, scatter only right after a
+    /// gather/allgather, plan ranks inside the machine, and a `fuse`
+    /// annotation that actually matches.
     pub fn validate(&self) -> Result<(), String> {
-        if self.p < 2 {
-            return Err("p must be at least 2".to_string());
+        if !P_RANGE.contains(&self.p) {
+            return Err(format!("p must be in {P_RANGE:?}, got {}", self.p));
         }
-        if self.m < 1 {
-            return Err("m must be at least 1".to_string());
+        if !M_RANGE.contains(&self.m) {
+            return Err(format!("m must be in {M_RANGE:?}, got {}", self.m));
         }
         if self.stages.is_empty() {
             return Err("empty pipeline".to_string());
@@ -754,6 +756,13 @@ fn scale_block(v: &Value, k: f64) -> Value {
     }
 }
 
+/// The machine sizes a case may have: [`CaseSpec::validate`] refuses any
+/// other, and [`GenConfig::pmax`] must lie in it.
+pub const P_RANGE: RangeInclusive<usize> = 2..=64;
+
+/// The block sizes a case may have, likewise for [`GenConfig::mmax`].
+pub const M_RANGE: RangeInclusive<usize> = 1..=64;
+
 /// Knobs for [`generate_case`].
 #[derive(Debug, Clone)]
 pub struct GenConfig {
@@ -843,6 +852,75 @@ pub fn generate_case(seed: u64, cfg: &GenConfig) -> CaseSpec {
     }
     debug_assert!(case.validate().is_ok(), "{:?}", case.validate());
     case
+}
+
+/// Which family of faults a generated plan draws from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ChaosKind {
+    /// Stragglers and slow links only — time stretches, nothing is lost.
+    Delay,
+    /// Message drops recovered by the ack/retry protocol, on top of
+    /// delays.
+    Lossy,
+    /// One rank killed at a pseudo-random event ordinal.
+    Crash,
+}
+
+impl ChaosKind {
+    /// All three families, in sweep order.
+    pub const ALL: [ChaosKind; 3] = [ChaosKind::Delay, ChaosKind::Lossy, ChaosKind::Crash];
+
+    /// Short label for reports and file names.
+    pub fn label(&self) -> &'static str {
+        match self {
+            ChaosKind::Delay => "delay",
+            ChaosKind::Lossy => "lossy",
+            ChaosKind::Crash => "crash",
+        }
+    }
+}
+
+/// Generate the deterministic fault plan for `(seed, p, kind)`.
+///
+/// The plan's own RNG seed is folded from the sweep seed so that drop
+/// schedules differ between sweep points even when the structural
+/// parameters coincide.
+pub fn random_plan(seed: u64, p: usize, kind: ChaosKind) -> FaultPlan {
+    let mut rng = Rng::new(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ kind.label().len() as u64);
+    let mut plan = FaultPlan::new(seed);
+
+    // Every family gets some timing skew: 1–2 stragglers, 0–2 slow links.
+    for _ in 0..rng.range_usize(1, 3) {
+        let rank = rng.range_usize(0, p);
+        let factor = 1.0 + (rng.below(6) + 1) as f64 * 0.5;
+        plan = plan.with_straggler(rank, factor);
+    }
+    for _ in 0..rng.range_usize(0, 3) {
+        let a = rng.range_usize(0, p);
+        let b = (a + rng.range_usize(1, p)) % p;
+        let factor = 1.0 + rng.below(4) as f64 * 0.5;
+        let add = rng.below(5) as f64 * 50.0;
+        plan = plan.with_slow_link(a, b, factor, add);
+    }
+
+    match kind {
+        ChaosKind::Delay => plan,
+        ChaosKind::Lossy => {
+            // Keep the consecutive-drop cap strictly below max_attempts so
+            // every message is eventually delivered — these plans must be
+            // *recoverable* by construction.
+            let prob = 0.05 + rng.unit_f64() * 0.25;
+            let burst = 1 + rng.below(2) as u32;
+            plan = plan.with_drops(prob, burst).with_retry(burst + 3, 150.0);
+            if rng.chance(0.5) {
+                let from = rng.range_usize(0, p);
+                let to = (from + rng.range_usize(1, p)) % p;
+                plan = plan.with_drop_exact(from, to, rng.below(3), 1 + rng.below(2) as u32);
+            }
+            plan
+        }
+        ChaosKind::Crash => plan.with_crash(rng.range_usize(0, p), rng.below(40)),
+    }
 }
 
 fn random_case_plan(rng: &mut Rng, seed: u64, p: usize) -> Option<FaultPlan> {
@@ -1162,6 +1240,46 @@ mod tests {
     use super::*;
 
     #[test]
+    fn random_plans_are_deterministic_and_in_range() {
+        for seed in 0..32 {
+            for kind in ChaosKind::ALL {
+                let p = 2 + (seed as usize % 8);
+                let a = random_plan(seed, p, kind);
+                let b = random_plan(seed, p, kind);
+                assert_eq!(a.describe(), b.describe(), "seed {seed} {kind:?}");
+                for s in &a.compute {
+                    assert!(s.rank < p && s.factor >= 1.0);
+                }
+                for l in &a.links {
+                    assert!(l.a < p && l.b < p && l.a != l.b, "{}", a.describe());
+                }
+                match kind {
+                    ChaosKind::Delay => assert!(!a.is_lossy() && a.crash.is_none()),
+                    ChaosKind::Lossy => {
+                        assert!(a.is_lossy() && a.crash.is_none());
+                        // Recoverable by construction: bursts stay below
+                        // the retry budget.
+                        let dp = a.drop.as_ref().unwrap();
+                        assert!(dp.max_consecutive < a.retry.max_attempts);
+                    }
+                    ChaosKind::Crash => assert!(a.crash.as_ref().unwrap().rank < p),
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn plans_round_trip_through_their_spec() {
+        for seed in [0, 7, 41, 999] {
+            for kind in ChaosKind::ALL {
+                let plan = random_plan(seed, 6, kind);
+                let parsed = FaultPlan::parse(&plan.describe()).expect("spec parses");
+                assert_eq!(parsed.describe(), plan.describe());
+            }
+        }
+    }
+
+    #[test]
     fn structured_tables_have_expected_algebra() {
         assert!(structured(0).is_associative() && structured(0).is_commutative());
         assert!(structured(4).is_associative() && !structured(4).is_commutative());
@@ -1184,6 +1302,31 @@ mod tests {
             assert_eq!(back.render(), spec, "seed {seed}");
             assert_eq!(back, case, "seed {seed}");
         }
+    }
+
+    #[test]
+    fn a_spec_outside_the_generator_bounds_is_refused() {
+        // `--replay` runs whatever parses: a spec may ask for no machine or
+        // block the generator could not have drawn.
+        let case = generate_case(0, &GenConfig::default());
+        let spec = case.render();
+        let with = |field: &str, value: usize| {
+            let old = format!("|{field}={}|", if field == "p" { case.p } else { case.m });
+            let mutated = spec.replacen(&old, &format!("|{field}={value}|"), 1);
+            assert_ne!(mutated, spec);
+            CaseSpec::parse(&mutated)
+        };
+        assert_eq!(with("p", 64).map(|c| c.p), Ok(64));
+        assert_eq!(with("m", 64).map(|c| c.m), Ok(64));
+        assert_eq!(
+            with("p", 65),
+            Err("p must be in 2..=64, got 65".to_string())
+        );
+        assert_eq!(
+            with("m", 65),
+            Err("m must be in 1..=64, got 65".to_string())
+        );
+        assert_eq!(with("p", 1), Err("p must be in 2..=64, got 1".to_string()));
     }
 
     #[test]

@@ -10,7 +10,9 @@
 //! differential [`oracles`](oracle) then cross-examine the stack:
 //!
 //! 1. optimized vs. unoptimized execution (bit-equal outputs),
-//! 2. canonical vs. permuted step order (bit-equal everything),
+//! 2. canonical vs. permuted step order (bit-equal everything), and a
+//!    faulted run vs. a clean one (bit-equal results, makespan inside the
+//!    fault plan's envelope, `RankFailed` naming a crash victim),
 //! 3. auditor / audited rewriter / certifier / linter unanimity on
 //!    planted lies and withheld laws, and
 //! 4. equality-saturation extraction vs. the brute-force optimality
@@ -34,11 +36,14 @@ pub mod oracle;
 pub mod shrink;
 
 pub use corpus::{load_corpus, parse_case_file, pin, CorpusCase};
-pub use gen::{case_mode, generate_case, CaseDomain, CaseMode, CaseSpec, GenConfig, TableSpec};
+pub use gen::{
+    case_mode, generate_case, random_plan, CaseDomain, CaseMode, CaseSpec, ChaosKind, GenConfig,
+    TableSpec,
+};
 pub use ledger::CoverageLedger;
 pub use oracle::{
-    check_extracted_cost, check_periodic, check_split, long_chain, long_chain_machine, run_case,
-    tail_first_cost, FuzzFailure, OracleKind, Periodic,
+    check_extracted_cost, check_faulted_run, check_periodic, check_split, long_chain,
+    long_chain_machine, run_case, tail_first_cost, FuzzFailure, OracleKind, Periodic,
 };
 pub use shrink::shrink;
 

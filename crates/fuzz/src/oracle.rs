@@ -10,7 +10,12 @@
 //!    ([`FaultPlan::order`]) must produce identical outputs,
 //!    makespan, compute and retry-time bits, message/retry counters and
 //!    Chrome trace exports (identical [`MachineError`]s for unrecoverable
-//!    plans) to the canonical order.
+//!    plans) to the canonical order; and the faulted run must keep the
+//!    fault layer's contract against a clean run — the same results, a
+//!    makespan inside the delay envelope plus the exact retry time, and
+//!    `RankFailed` naming a crash plan's victim ([`check_faulted_run`],
+//!    which `crates/fuzz/tests/fault_contract.rs` also drives over every
+//!    rule's two sides).
 //! 3. **Defense** — the operator auditor, the audited rewriter, the
 //!    certificate validator and the linter must be *unanimous* about
 //!    planted law lies: a lie caught by one must be caught by all, and an
@@ -39,7 +44,7 @@ use collopt_analysis::certify::{validate_result, CertificateIssue};
 use collopt_analysis::lint::{lint_program, LintConfig};
 use collopt_core::egraph::{saturate_program, SaturateConfig};
 use collopt_core::exec::{
-    execute, execute_faulted, execute_faulted_traced, execute_traced_with, ExecConfig,
+    execute, execute_faulted_traced, execute_traced_with, ExecConfig, ExecOutcome,
     TracedExecOutcome,
 };
 use collopt_core::op::lib;
@@ -51,7 +56,9 @@ use collopt_core::semantics::eval_program;
 use collopt_core::term::Program;
 use collopt_core::value::Value;
 use collopt_cost::{collectives as coll, MachineParams};
-use collopt_machine::{chrome_trace_json, ClockParams, FaultPlan, MachineError, Rng};
+use collopt_machine::{
+    chrome_trace_json, ClockParams, FaultInjector, FaultPlan, MachineError, Rng,
+};
 
 use crate::gen::{CaseDomain, CaseSpec, N};
 use crate::ledger::CoverageLedger;
@@ -362,7 +369,8 @@ fn compare_programs(
 }
 
 // ---------------------------------------------------------------------
-// Oracle 2: canonical event order == permuted event order
+// Oracle 2: canonical event order == permuted event order, and the
+// faulted run keeps the fault layer's contract
 // ---------------------------------------------------------------------
 
 /// The step order oracle 2 compares against the canonical order: drawn
@@ -373,85 +381,171 @@ fn permuted_order(case: &CaseSpec) -> u64 {
 }
 
 fn check_event_order(case: &CaseSpec, failures: &mut Vec<FuzzFailure>) {
-    let prog = case.program();
-    let inputs = case.inputs();
+    let orders = [permuted_order(case)];
+    for what in check_faulted_run(&case.program(), &case.inputs(), case.plan.as_ref(), &orders) {
+        push(failures, case, OracleKind::EventOrder, what);
+    }
+}
+
+/// Oracle 2 at one point: run `prog` on `inputs` under `plan` (`None` is
+/// a clean run) in the canonical step order and in each of `orders`, and
+/// return every violation of its two contracts.
+///
+/// * **Event order.** Each permuted run matches the canonical run: the
+///   same outputs, makespan, compute and retry-time bits, message and
+///   retry counts and Chrome trace export, or the same [`MachineError`].
+/// * **Fault layer.** Under a plan, a run that completes matches a clean
+///   run's results, message count and compute total bit for bit, and its
+///   makespan lies in `clean ≤ faulty ≤ Fmax·clean + Amax·M + retry_time`
+///   ([`worst_inflation`]'s `Fmax` and `Amax`, `M` messages). A plan that
+///   drops nothing retries nothing, and no retry charges time. A run that
+///   fails names the planned crash victim as [`MachineError::RankFailed`],
+///   and a recoverable plan never fails.
+pub fn check_faulted_run(
+    prog: &Program,
+    inputs: &[Value],
+    plan: Option<&FaultPlan>,
+    orders: &[u64],
+) -> Vec<String> {
     let clock = oracle_clock();
     let config = ExecConfig {
         profile: true,
         ..ExecConfig::default()
     };
-    let order = permuted_order(case);
-    let permuted = case.plan.clone().unwrap_or_default().with_order(order);
-    let mut diverge = |what: String| {
-        push(
-            failures,
-            case,
-            OracleKind::EventOrder,
-            format!("canonical vs order={order}: {what}"),
-        );
+    let run = |plan: &FaultPlan| execute_faulted_traced(prog, inputs, clock, config, plan);
+    let canonical = match plan {
+        None => Ok(execute_traced_with(prog, inputs, clock, config)),
+        Some(plan) => run(plan),
     };
-
-    let recoverable = case.plan.as_ref().is_none_or(FaultPlan::is_recoverable);
-    if recoverable {
-        // Completed traced runs: compare every observable bit-for-bit.
-        let canonical = match &case.plan {
-            None => Ok(execute_traced_with(&prog, &inputs, clock, config)),
-            Some(plan) => execute_faulted_traced(&prog, &inputs, clock, config, plan),
-        };
-        let (a, b): (TracedExecOutcome, TracedExecOutcome) = match (
-            canonical,
-            execute_faulted_traced(&prog, &inputs, clock, config, &permuted),
-        ) {
-            (Ok(a), Ok(b)) => (a, b),
-            (Err(e), _) => return diverge(format!("canonical failed a recoverable plan: {e}")),
-            (_, Err(e)) => return diverge(format!("permuted failed a recoverable plan: {e}")),
-        };
-        let what = if a.outputs != b.outputs {
-            "outputs"
-        } else if a.makespan.to_bits() != b.makespan.to_bits() {
-            "makespan bits"
-        } else if a.total_compute.to_bits() != b.total_compute.to_bits() {
-            "compute-time bits"
-        } else if a.total_messages != b.total_messages {
-            "message counts"
-        } else if a.total_retries != b.total_retries {
-            "retry counts"
-        } else if a.total_retry_time.to_bits() != b.total_retry_time.to_bits() {
-            "retry-time bits"
-        } else if chrome_trace_json(&[("fuzz", &a.trace)])
-            != chrome_trace_json(&[("fuzz", &b.trace)])
-        {
-            "Chrome trace exports"
-        } else {
-            return;
-        };
-        diverge(format!("{what} differ"));
-    } else {
-        // Unrecoverable plan: both orders must share one fate, errors too.
-        let plan = case.plan.as_ref().expect("unrecoverable implies a plan");
-        let run = |plan| -> Result<_, MachineError> {
-            execute_faulted(&prog, &inputs, clock, config, plan)
-        };
-        match (run(plan), run(&permuted)) {
-            (Ok(a), Ok(b)) => {
-                if a.outputs != b.outputs {
-                    diverge("outputs differ".to_string());
-                } else if a.makespan.to_bits() != b.makespan.to_bits() {
-                    diverge("makespan bits differ".to_string());
-                }
-            }
-            (Err(a), Err(b)) => {
-                if a != b {
-                    diverge(format!("errors differ ({a} vs {b})"));
-                }
-            }
-            (a, b) => diverge(format!(
-                "disagree on success ({} vs {})",
-                if a.is_ok() { "ok" } else { "err" },
-                if b.is_ok() { "ok" } else { "err" }
-            )),
+    let mut violations = Vec::new();
+    for &order in orders {
+        let permuted = run(&plan.cloned().unwrap_or_default().with_order(order));
+        if let Some(what) = order_divergence(&canonical, &permuted) {
+            violations.push(format!("canonical vs order={order}: {what}"));
         }
     }
+    if let Some(plan) = plan {
+        let faulty = canonical.as_ref().map(|run| &run.outcome);
+        violations.extend(fault_violation(prog, inputs, plan, faulty));
+    }
+    violations
+}
+
+/// The first observable in which two runs of one point differ, if any.
+fn order_divergence(
+    a: &Result<TracedExecOutcome, MachineError>,
+    b: &Result<TracedExecOutcome, MachineError>,
+) -> Option<String> {
+    let (a, b) = match (a, b) {
+        (Ok(a), Ok(b)) => (a, b),
+        (Err(a), Err(b)) => return (a != b).then(|| format!("errors differ ({a} vs {b})")),
+        (Ok(_), Err(e)) => return Some(format!("only the permuted run failed: {e}")),
+        (Err(e), Ok(_)) => return Some(format!("only the canonical run failed: {e}")),
+    };
+    let what = if a.outputs != b.outputs {
+        "outputs"
+    } else if a.makespan.to_bits() != b.makespan.to_bits() {
+        "makespan bits"
+    } else if a.total_compute.to_bits() != b.total_compute.to_bits() {
+        "compute-time bits"
+    } else if a.total_messages != b.total_messages {
+        "message counts"
+    } else if a.total_retries != b.total_retries {
+        "retry counts"
+    } else if a.total_retry_time.to_bits() != b.total_retry_time.to_bits() {
+        "retry-time bits"
+    } else if chrome_trace_json(&[("fuzz", &a.trace)]) != chrome_trace_json(&[("fuzz", &b.trace)]) {
+        "Chrome trace exports"
+    } else {
+        return None;
+    };
+    Some(format!("{what} differ"))
+}
+
+/// The fault layer's contract on one faulted run (see
+/// [`check_faulted_run`]), checked against a clean run of the same point.
+fn fault_violation(
+    prog: &Program,
+    inputs: &[Value],
+    plan: &FaultPlan,
+    faulty: Result<&ExecOutcome, &MachineError>,
+) -> Option<String> {
+    let faulty = match (faulty, &plan.crash) {
+        (Ok(faulty), _) => faulty,
+        (Err(e), Some(crash)) => {
+            let rank = crash.rank;
+            return (*e != MachineError::RankFailed { rank })
+                .then(|| format!("expected RankFailed for rank {rank}, got: {e}"));
+        }
+        (Err(e), None) => {
+            return plan
+                .is_recoverable()
+                .then(|| format!("recoverable plan failed the run: {e}"));
+        }
+    };
+    let clean = execute(prog, inputs, oracle_clock());
+    // Makespan slack: the envelope sums what the machine sums in another
+    // order.
+    let eps = |bound: f64| bound.abs() * 1e-9 + 1e-6;
+    let (fmax, amax) = worst_inflation(plan, inputs.len());
+    let bound =
+        fmax * clean.makespan + amax * clean.total_messages as f64 + faulty.total_retry_time;
+    if faulty.outputs != clean.outputs {
+        Some("results differ from the fault-free run".to_string())
+    } else if faulty.total_messages != clean.total_messages {
+        Some(format!(
+            "message count changed: {} -> {}",
+            clean.total_messages, faulty.total_messages
+        ))
+    } else if faulty.total_compute.to_bits() != clean.total_compute.to_bits() {
+        Some(format!(
+            "compute total changed: {} -> {}",
+            clean.total_compute, faulty.total_compute
+        ))
+    } else if !plan.is_lossy() && faulty.total_retries != 0 {
+        Some(format!(
+            "non-lossy plan produced {} retries",
+            faulty.total_retries
+        ))
+    } else if faulty.total_retries == 0 && faulty.total_retry_time != 0.0 {
+        Some("retry time without retries".to_string())
+    } else if faulty.makespan < clean.makespan - eps(clean.makespan) {
+        Some(format!(
+            "faulty makespan {} below clean {}",
+            faulty.makespan, clean.makespan
+        ))
+    } else if faulty.makespan > bound + eps(bound) {
+        Some(format!(
+            "faulty makespan {} exceeds envelope {bound} (clean {}, Fmax {fmax}, retry time {})",
+            faulty.makespan, clean.makespan, faulty.total_retry_time
+        ))
+    } else {
+        None
+    }
+}
+
+/// Worst-case multiplicative factor and additive delay any single event
+/// can suffer under `plan` on a `p`-rank machine. Probes the injector's
+/// compounded per-rank compute factor and per-link linear map directly,
+/// since several plan entries on one rank or link compound.
+pub fn worst_inflation(plan: &FaultPlan, p: usize) -> (f64, f64) {
+    let arc = std::sync::Arc::new(plan.clone());
+    let mut fmax = 1.0f64;
+    let mut amax = 0.0f64;
+    for rank in 0..p {
+        let inj = FaultInjector::new(arc.clone(), rank, p);
+        fmax = fmax.max(inj.compute_factor());
+        for to in 0..p {
+            if to == rank {
+                continue;
+            }
+            let add = inj.inflate_link(rank, to, 0.0);
+            let factor = inj.inflate_link(rank, to, 1.0) - add;
+            fmax = fmax.max(factor);
+            amax = amax.max(add);
+        }
+    }
+    (fmax, amax)
 }
 
 // ---------------------------------------------------------------------

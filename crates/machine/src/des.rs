@@ -36,7 +36,7 @@
 //! [`order`](FaultPlan::order) permutes exactly that choice: ranks enter
 //! the run queue, at the start and within each step's wake-ups, in order
 //! of `rank ^ order`. `order = 0` (the default) is the canonical order,
-//! and `bench/tests/engine_identity.rs` and fuzz oracle 2 hold every other
+//! and fuzz oracle 2 (`collopt_fuzz::check_faulted_run`) holds every other
 //! order to it.
 
 use std::any::{Any, TypeId};

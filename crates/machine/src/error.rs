@@ -125,7 +125,7 @@ mod tests {
     use super::*;
 
     /// Every variant that involves ranks must name *all* offending ranks in
-    /// its message — chaos-test failure reports lean on this to be
+    /// its message — fault-contract failure reports lean on this to be
     /// actionable without a debugger.
     #[test]
     fn every_variant_names_the_offending_ranks() {

@@ -33,8 +33,8 @@
 //!   [`Machine::try_run_des`](crate::Machine::try_run_des).
 //!
 //! Determinism is the load-bearing property: the same `(seed, plan)` pair
-//! replays the same faults, attempt-for-attempt, so any chaos-test failure
-//! is reproducible from the one-line spec string of
+//! replays the same faults, attempt-for-attempt, so any fault-contract
+//! failure is reproducible from the one-line spec string of
 //! [`FaultPlan::describe`] / [`FaultPlan::parse`].
 //!
 //! A plan also carries the event scheduler's step order
@@ -140,8 +140,8 @@ impl Default for RetryParams {
 ///
 /// Construct with [`FaultPlan::new`] and the `with_*` builders, or parse a
 /// one-line spec string with [`FaultPlan::parse`] (the inverse of
-/// [`FaultPlan::describe`] — chaos-test failures print these so any case
-/// reproduces from its log line).
+/// [`FaultPlan::describe`] — fault-contract failures print these so any
+/// case reproduces from its log line).
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct FaultPlan {
     /// Seed for every pseudo-random decision the plan makes.
@@ -292,8 +292,8 @@ impl FaultPlan {
     }
 
     /// Render as a one-line spec string, parseable by
-    /// [`parse`](Self::parse). This is the reproduction handle chaos-test
-    /// failures print.
+    /// [`parse`](Self::parse). This is the reproduction handle
+    /// fault-contract failures print.
     pub fn describe(&self) -> String {
         let mut out = format!("seed={}", self.seed);
         for s in &self.compute {

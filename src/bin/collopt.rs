@@ -100,7 +100,8 @@
 //!
 //! * `--iters N`        cases to generate and check (default 500)
 //! * `--seed N`         base seed (default 786704 = 0xC0110)
-//! * `--pmax N, --m N`  generator shape limits (defaults 9, 4; each ≤ 64)
+//! * `--pmax N, --m N`  generator shape limits (defaults 9, 4; each ≤ 64,
+//!   the bound every replayed spec's `p` and `m` meet too)
 //! * `--pin DIR`        pin every shrunk failing case into DIR as a `.case`
 //!   file (`tests/corpus` is the directory `tests/corpus_replay.rs` replays)
 //! * `--out FILE`       write the verdict JSON — a pure function of the
@@ -109,24 +110,10 @@
 //! * `--replay "SPEC"`  re-run one pinned case from its spec string
 //!
 //! A campaign fails on any oracle violation *and* when one of the 11
-//! Table-1 rules never fired. `SWEEP_WORKERS` sets the worker threads of
-//! `fuzz` and `chaos` (default: all cores); it never changes a result.
-//!
-//! Chaos mode — the fault-injection sweep, scaled past `tests/chaos_dst.rs`:
-//!
-//! ```text
-//! $ collopt chaos --seeds 256 --pmax 16
-//! ```
-//!
-//! Sweeps the three fault families (delay, lossy, crash) over both sides
-//! of every Table-1 rule and checks the differential oracle of
-//! `collopt_bench::chaos`. Every violation prints its reproducing
-//! `(seed, plan)` — paste the plan into `collopt --faults "<plan>"`.
-//!
-//! * `--seeds N`   seeds per family (default 96)
-//! * `--pmax N`    largest machine size drawn per seed (default 9)
-//! * `--m N`       words per block (default 4)
-//! * `--out FILE`  on violations, write the failing records as JSON
+//! Table-1 rules never fired. Oracle 2 also holds each case's fault plan
+//! to the fault layer's contract against a clean run. `SWEEP_WORKERS`
+//! sets the campaign's worker threads (default: all cores); it never
+//! changes a result.
 //!
 //! Repro mode — the paper's tables and figures (run from the repo root):
 //!
@@ -146,7 +133,6 @@ use std::str::FromStr;
 use std::sync::Arc;
 
 use collopt::analysis::{lint_source, LintConfig, Severity};
-use collopt::bench::chaos::{failures_json, sweep_parallel, ChaosKind};
 use collopt::bench::repro::{self, ARTIFACTS};
 use collopt::core::egraph::{saturate_program, SaturateConfig};
 use collopt::core::parser::parse_pipeline;
@@ -158,6 +144,7 @@ use collopt::core::value::Value;
 use collopt::cost::params::MAX_INPUT;
 use collopt::cost::table1::render_table1;
 use collopt::cost::MachineParams;
+use collopt::fuzz::gen::{M_RANGE, P_RANGE};
 use collopt::fuzz::{
     report_failures, run_campaign, run_case, verdict_json, CampaignConfig, CaseSpec,
     CoverageLedger, GenConfig,
@@ -204,11 +191,6 @@ const MODES: &[Mode] = &[
         usage: "[--iters N] [--seed N] [--pmax N] [--m N] [--pin DIR] [--out FILE] \
          | --replay \"<spec>\"",
         run: fuzz_main,
-    },
-    Mode {
-        name: "chaos",
-        usage: "[--seeds N] [--pmax N] [--m N] [--out FILE]",
-        run: chaos_main,
     },
     Mode {
         name: "repro",
@@ -651,9 +633,9 @@ fn fuzz_main(mut args: Args) -> ! {
         }
     }
     let GenConfig { pmax, mmax } = cfg.gen;
-    if !(2..=64).contains(&pmax) || !(1..=64).contains(&mmax) {
+    if !P_RANGE.contains(&pmax) || !M_RANGE.contains(&mmax) {
         args.fail(format!(
-            "--pmax must be in 2..=64 and --m in 1..=64, got {pmax} and {mmax}"
+            "--pmax must be in {P_RANGE:?} and --m in {M_RANGE:?}, got {pmax} and {mmax}"
         ));
     }
 
@@ -712,57 +694,6 @@ fn fuzz_main(mut args: Args) -> ! {
         result.ledger.over_claim_cases
     );
     std::process::exit(0);
-}
-
-/// `collopt chaos` — sweep the three fault families over both sides of
-/// every Table-1 rule against the oracle of `collopt_bench::chaos`.
-fn chaos_main(mut args: Args) -> ! {
-    let mut seeds = 96u64;
-    let mut pmax = 9usize;
-    let mut m = 4usize;
-    let mut out: Option<String> = None;
-    while let Some(arg) = args.rest.next() {
-        match arg.as_str() {
-            "--seeds" => seeds = args.value(&arg),
-            "--pmax" => pmax = args.value(&arg),
-            "--m" => m = args.value(&arg),
-            "--out" => out = Some(args.value(&arg)),
-            _ => args.unexpected(&arg),
-        }
-    }
-    if pmax < 2 {
-        args.fail(format!("--pmax must be at least 2, got {pmax}"));
-    }
-
-    println!("# chaos sweep: {seeds} seeds/family, p in 2..={pmax}, m={m}");
-    let mut all = Vec::new();
-    for kind in ChaosKind::ALL {
-        let failures = sweep_parallel(kind, 0..seeds, pmax, m);
-        // 11 rules x 2 sides per seed.
-        println!(
-            "  {:5}: {} runs, {} violations",
-            kind.label(),
-            seeds * 22,
-            failures.len()
-        );
-        all.extend(failures.into_iter().map(|f| (kind, f)));
-    }
-    if all.is_empty() {
-        println!("# all invariants held");
-        std::process::exit(0);
-    }
-
-    eprintln!(
-        "# {} violations — each line reproduces with `collopt --faults`:",
-        all.len()
-    );
-    for (kind, f) in &all {
-        eprintln!("  [{}] {f}", kind.label());
-    }
-    if let Some(out) = &out {
-        write_file(Path::new(out), &failures_json(&all));
-    }
-    std::process::exit(1);
 }
 
 fn artifact_names() -> String {

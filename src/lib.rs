@@ -22,13 +22,14 @@
 //!   auditing with counterexample shrinking, rewrite-certificate
 //!   validation, and the `collopt lint` pipeline linter;
 //! * [`mod@bench`] — the paper's evaluation: every table and figure as a
-//!   function behind one table (`collopt repro`), the fault-injection
-//!   oracle (`collopt chaos`), and the parallel sweep driver;
+//!   function behind one table (`collopt repro`), the rule LHS/RHS
+//!   programs, and the parallel sweep driver;
 //! * [`fuzz`] — coverage-guided differential fuzzing of all of the above:
-//!   a seeded pipeline generator, four oracles (rewrite soundness,
-//!   event-order identity, defense-layer unanimity on planted law lies,
-//!   saturation-vs-brute-force optimality agreement), a greedy shrinker
-//!   and the pinned-regression corpus;
+//!   a seeded pipeline generator, five oracles (rewrite soundness,
+//!   event-order identity and the fault layer's contract, defense-layer
+//!   unanimity on planted law lies, saturation-vs-brute-force optimality
+//!   agreement, static schedule verification), a greedy shrinker and the
+//!   pinned-regression corpus;
 //! * [`serve`] — optimization as a service: a JSON-lines-over-TCP
 //!   server with a canonicalizing LRU optimization cache and one thread
 //!   per connection (`collopt serve` / `collopt submit`).

@@ -29,13 +29,12 @@ fn bad_arguments_are_usage_errors_in_every_mode() {
     // `repro` takes exactly one argument), so the same bad tails apply
     // everywhere; none of them lets `serve` bind, `submit` connect or a
     // campaign start.
-    let modes: [(&[&str], &str); 9] = [
+    let modes: [(&[&str], &str); 8] = [
         (&["scan(add) ; reduce(add)"], "--faults"),
         (&["lint", "scan(add)"], "--file"),
         (&["check"], "--p"),
         (&["saturate", "scan(add)"], "--budget"),
         (&["fuzz"], "--iters"),
-        (&["chaos"], "--seeds"),
         (&["repro", "table1"], "--all"),
         (&["serve"], "--addr"),
         (&["submit", "scan(add)"], "--addr"),
@@ -56,7 +55,14 @@ fn bad_arguments_are_usage_errors_in_every_mode() {
     assert_usage_error(&["repro", "no-such-artifact"]);
     assert_usage_error(&["repro"]);
     assert_usage_error(&["fuzz", "--pmax", "1"]);
-    assert_usage_error(&["chaos", "--pmax", "1"]);
+    // A replayed spec meets the generator's bounds: no p = 65 machine.
+    assert_usage_error(&[
+        "fuzz",
+        "--replay",
+        "v1|seed=101|p=65|m=1|domain=int|prog=scan(mul) ; reduce(add)|tables=-|plan=none|fuse=none",
+    ]);
+    // The fault-contract sweep is fuzz oracle 2; `chaos` is no mode.
+    assert_usage_error(&["chaos", "--seeds", "96"]);
     assert_usage_error(&["lint", "scan(add)", "--deny", "notes"]);
     // There is one engine: `--engine` is an unknown flag like any other.
     assert_usage_error(&["scan(add)", "--profile", "--engine", "des"]);

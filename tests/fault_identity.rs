@@ -10,7 +10,7 @@
 //! **byte-identical** to a plain run — same results, bitwise-equal
 //! makespan, event-for-event equal traces, and character-identical
 //! Chrome trace exports. Any drift here (even a `x * 1.0` rounding step)
-//! would silently invalidate every differential chaos oracle built on
+//! would silently invalidate every differential fault oracle built on
 //! top.
 
 use std::future::Future;

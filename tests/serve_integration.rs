@@ -10,6 +10,7 @@ use std::sync::{Arc, Barrier};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
+use collopt::core::parser::MAX_STAGES;
 use collopt::machine::Json;
 use collopt::serve::{submit, Server, ServerConfig, Service, MAX_LINE};
 
@@ -348,6 +349,47 @@ fn a_long_chain_is_answered_within_a_second_and_the_connection_keeps_serving() {
     );
     let pong = client.round_trip(r#"{"id":2,"op":"ping"}"#);
     assert_eq!(pong, r#"{"id":2,"ok":true,"result":{"pong":true}}"#);
+    submit(addr, r#"{"op":"shutdown"}"#).expect("shutdown");
+    assert!(child.0.wait().expect("exit").success());
+}
+
+#[test]
+fn a_pipeline_past_the_stage_bound_gets_parse_error_and_the_connection_keeps_serving() {
+    // The optimizer recurses once per stage: 8,000 × scan(add), a 96 KB
+    // line well under MAX_LINE, overflowed a connection thread's stack and
+    // aborted the server. A pipeline at the bound is answered within a
+    // second, one stage more is a typed parse_error.
+    let (mut child, addr) = spawn_child_server();
+    let mut client = Client::connect(addr);
+    for (id, stages) in [(1, MAX_STAGES), (2, MAX_STAGES + 1), (3, 8_000)] {
+        let pipeline = vec!["scan(add)"; stages].join(" ; ");
+        let started = Instant::now();
+        client.send(&format!(r#"{{"id":{id},"pipeline":"{pipeline}"}}"#));
+        let mut reply = String::new();
+        let read = client.reader.read_line(&mut reply);
+        let elapsed = started.elapsed();
+        if matches!(read, Ok(0)) || read.is_err() {
+            thread::sleep(Duration::from_millis(200));
+            let status = child.0.try_wait().ok().flatten();
+            panic!("{stages} stages: connection closed ({read:?}), server exit {status:?}");
+        }
+        let doc = Json::parse(&reply).unwrap_or_else(|e| panic!("no JSON reply ({e}): {reply:?}"));
+        let code = doc
+            .get("error")
+            .and_then(|e| e.get("code"))
+            .and_then(Json::as_str);
+        if stages == MAX_STAGES {
+            assert_eq!(code, None, "{reply}");
+            assert!(
+                elapsed < Duration::from_secs(1),
+                "{stages} stages: {elapsed:?}"
+            );
+        } else {
+            assert_eq!(code, Some("parse_error"), "{stages} stages: {reply}");
+        }
+    }
+    let pong = client.round_trip(r#"{"id":4,"op":"ping"}"#);
+    assert_eq!(pong, r#"{"id":4,"ok":true,"result":{"pong":true}}"#);
     submit(addr, r#"{"op":"shutdown"}"#).expect("shutdown");
     assert!(child.0.wait().expect("exit").success());
 }
