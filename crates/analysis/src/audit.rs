@@ -26,6 +26,7 @@
 //! *candidates* for declaration, while over-claims (a concrete refuting
 //! witness in hand) are definite bugs.
 
+use std::borrow::Borrow;
 use std::collections::BTreeMap;
 use std::sync::{Mutex, OnceLock, PoisonError};
 
@@ -191,7 +192,11 @@ fn library_index(op: &BinOp) -> Option<usize> {
 /// few KB; every other operator or config is probed per call. Looking up a
 /// known fact takes no lock and allocates nothing unless the fact is a
 /// counterexample (its clone is the answer).
-pub fn audit_law(law: &RequiredLaw, domain: Domain, cfg: &AuditConfig) -> Option<Counterexample> {
+pub fn audit_law<O: Borrow<BinOp>>(
+    law: &RequiredLaw<O>,
+    domain: Domain,
+    cfg: &AuditConfig,
+) -> Option<Counterexample> {
     let probe = || {
         #[cfg(test)]
         PROBES.with(|n| n.set(n.get() + 1));
@@ -199,12 +204,14 @@ pub fn audit_law(law: &RequiredLaw, domain: Domain, cfg: &AuditConfig) -> Option
             Exactness::Approximate => cfg.tolerance,
             Exactness::Exact => 0.0,
         };
-        law.counterexample_with(&samples_for_domain(domain, cfg), rtol)
+        law.borrowed()
+            .map(|op| Borrow::<BinOp>::borrow(op).clone())
+            .counterexample_with(&samples_for_domain(domain, cfg), rtol)
     };
-    let (kind, first, second) = match law {
-        RequiredLaw::Associative(op) => (0, op, None),
-        RequiredLaw::Commutative(op) => (1, op, None),
-        RequiredLaw::DistributesOver(ot, op) => (2, ot, Some(op)),
+    let (kind, first, second): (usize, &BinOp, Option<&BinOp>) = match law {
+        RequiredLaw::Associative(op) => (0, op.borrow(), None),
+        RequiredLaw::Commutative(op) => (1, op.borrow(), None),
+        RequiredLaw::DistributesOver(ot, op) => (2, ot.borrow(), Some(op.borrow())),
     };
     if !first.is_library()
         || !second.is_none_or(BinOp::is_library)

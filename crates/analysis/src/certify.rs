@@ -144,8 +144,8 @@ fn kind_of(law: &RequiredLaw) -> &'static str {
 pub fn samples_for_certificate(cert: &Certificate, cfg: &AuditConfig) -> Option<Vec<Value>> {
     let mut domain = None;
     for law in &cert.laws {
-        for name in law.op_names() {
-            let d = domain_of_builtin(name)?;
+        for op in law.borrowed().operators() {
+            let d = domain_of_builtin(op.name())?;
             match domain {
                 None => domain = Some(d),
                 Some(prev) if prev == d => {}
@@ -236,7 +236,7 @@ pub fn validate_result(
                     .certificate
                     .laws
                     .first()
-                    .and_then(|l| l.op_names().first().and_then(|n| domain_of_builtin(n)))
+                    .and_then(|l| domain_of_builtin(l.borrowed().operators().next()?.name()))
                     .map_or(0.0, |d| match exactness_of(d) {
                         Exactness::Approximate => cfg.tolerance,
                         Exactness::Exact => 0.0,

@@ -30,7 +30,7 @@ use std::sync::Arc;
 use collopt_core::egraph::{
     saturate_program, LawGate, PlanStep, RuleEvent, SaturateConfig, SaturationOutcome, StageId,
 };
-use collopt_core::op::BinOp;
+use collopt_core::op::{BinOp, RequiredLaw};
 use collopt_core::parser::{parse_pipeline_spanned, ParseError, Span};
 use collopt_core::rewrite::RULE_PRIORITY;
 use collopt_core::rules;
@@ -315,7 +315,9 @@ pub fn lint_with_plan(
 /// `false` when a law fails on its operators' domain — the declaration
 /// lies, the matching rule must not be suggested, and the operator pass
 /// reports the lie; `true` when they hold or no one domain is known
-/// (trust the declarations).
+/// (trust the declarations). The laws borrow the window's operators, so a
+/// fact `audit` already knows (library operators, default config) is
+/// answered without building anything.
 ///
 /// `cfg.fallback_domain` applies only to the operators `prog` itself
 /// declares. Operators a rewrite *derived* (the fused
@@ -338,7 +340,7 @@ fn law_gate(prog: &Program, cfg: &LintConfig) -> LawGate {
         )
     });
     Arc::new(move |rule, window: &[&Stage]| {
-        let Some(laws) = rules::required_laws(rule, window.iter().copied()) else {
+        let Some(mut laws) = rules::required_laws(rule, window.iter().copied()) else {
             return true;
         };
         let declared = |name: &str| {
@@ -346,15 +348,15 @@ fn law_gate(prog: &Program, cfg: &LintConfig) -> LawGate {
             names.contains(name).then_some(*domain)
         };
         let mut domains = laws
-            .iter()
-            .flat_map(|law| law.op_names())
-            .map(|name| domain_of_builtin(name).or_else(|| declared(name)));
+            .clone()
+            .flat_map(RequiredLaw::operators)
+            .map(|op| domain_of_builtin(op.name()).or_else(|| declared(op.name())));
         // No domain, an unknown one or a second one: cannot sample.
         let Some(Some(domain)) = domains.next() else {
             return true;
         };
         domains.any(|d| d != Some(domain))
-            || laws.iter().all(|l| audit_law(l, domain, &audit).is_none())
+            || laws.all(|law| audit_law(&law, domain, &audit).is_none())
     })
 }
 

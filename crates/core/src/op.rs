@@ -326,16 +326,47 @@ impl std::fmt::Display for Counterexample {
 /// An algebraic side condition over concrete operators — the unit a
 /// rewrite certificate is made of, and the unit the operator auditor
 /// checks. Unlike the boolean `check_*` methods this type can *search*
-/// for counterexamples, shrink them, and describe itself.
+/// for counterexamples, shrink them, and describe itself. A matcher hands
+/// its laws out over borrowed operators (`RequiredLaw<&BinOp>`), so a
+/// caller that only reads them builds nothing.
 #[derive(Debug, Clone)]
-pub enum RequiredLaw {
+pub enum RequiredLaw<O = BinOp> {
     /// `(a⊕b)⊕c = a⊕(b⊕c)`.
-    Associative(BinOp),
+    Associative(O),
     /// `a⊕b = b⊕a`.
-    Commutative(BinOp),
+    Commutative(O),
     /// `a ⊗ (b⊕c) = (a⊗b) ⊕ (a⊗c)` and its mirrored form (the fused
     /// operators multiply on either side).
-    DistributesOver(BinOp, BinOp),
+    DistributesOver(O, O),
+}
+
+impl<O> RequiredLaw<O> {
+    /// The same law over borrowed operators.
+    pub fn borrowed(&self) -> RequiredLaw<&O> {
+        match self {
+            RequiredLaw::Associative(op) => RequiredLaw::Associative(op),
+            RequiredLaw::Commutative(op) => RequiredLaw::Commutative(op),
+            RequiredLaw::DistributesOver(ot, op) => RequiredLaw::DistributesOver(ot, op),
+        }
+    }
+
+    /// The same law over `f` of each operator.
+    pub fn map<P>(self, mut f: impl FnMut(O) -> P) -> RequiredLaw<P> {
+        match self {
+            RequiredLaw::Associative(op) => RequiredLaw::Associative(f(op)),
+            RequiredLaw::Commutative(op) => RequiredLaw::Commutative(f(op)),
+            RequiredLaw::DistributesOver(ot, op) => RequiredLaw::DistributesOver(f(ot), f(op)),
+        }
+    }
+
+    /// The operator(s) the law constrains, in order.
+    pub fn operators(self) -> impl Iterator<Item = O> {
+        let (first, second) = match self {
+            RequiredLaw::Associative(op) | RequiredLaw::Commutative(op) => (op, None),
+            RequiredLaw::DistributesOver(ot, op) => (ot, Some(op)),
+        };
+        std::iter::once(first).chain(second)
+    }
 }
 
 impl RequiredLaw {
@@ -358,29 +389,13 @@ impl RequiredLaw {
         }
     }
 
-    /// Name(s) of the operator(s) the law constrains.
-    pub fn op_names(&self) -> Vec<&str> {
-        match self {
-            RequiredLaw::Associative(op) | RequiredLaw::Commutative(op) => vec![op.name()],
-            RequiredLaw::DistributesOver(ot, op) => vec![ot.name(), op.name()],
-        }
-    }
-
-    /// The operator(s) the law constrains.
-    pub fn ops(&self) -> Vec<&BinOp> {
-        match self {
-            RequiredLaw::Associative(op) | RequiredLaw::Commutative(op) => vec![op],
-            RequiredLaw::DistributesOver(ot, op) => vec![ot, op],
-        }
-    }
-
     /// Whether the law is exempt from sampling: it constrains an operator
     /// wider than one word per element — a fused tuple operator such as
     /// `op_sr2`, met in second-generation windows. Scalar sample pools
     /// cannot probe it, and its laws hold by construction whenever the
     /// source operators' certified laws do.
     pub fn holds_by_construction(&self) -> bool {
-        self.ops().iter().any(|op| op.width() > 1.0)
+        self.borrowed().operators().any(|op| op.width() > 1.0)
     }
 
     /// Check the law at one concrete assignment. Returns the first failing
@@ -414,11 +429,6 @@ impl RequiredLaw {
                 differ(&l2, &r2).then(|| ("(b⊕c)⊗a = (b⊗a)⊕(c⊗a)".to_string(), l2, r2))
             }
         }
-    }
-
-    /// Does the law hold on every assignment drawn from `samples`?
-    pub fn holds_on(&self, samples: &[Value]) -> bool {
-        self.counterexample(samples).is_none()
     }
 
     /// Exhaustive search over all assignments from `samples` (default
@@ -971,7 +981,8 @@ mod tests {
     fn law_metadata_is_consistent() {
         let law = RequiredLaw::DistributesOver(mul(), add());
         assert_eq!(law.arity(), 3);
-        assert_eq!(law.op_names(), vec!["mul", "add"]);
+        let names: Vec<&str> = law.borrowed().operators().map(BinOp::name).collect();
+        assert_eq!(names, ["mul", "add"]);
         assert_eq!(RequiredLaw::Commutative(add()).arity(), 2);
         assert_eq!(
             RequiredLaw::Associative(add()).describe(),

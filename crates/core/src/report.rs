@@ -11,7 +11,7 @@ use collopt_machine::{
     write_json_display, write_json_num, write_json_str, ClockParams, FaultPlan, Json,
 };
 
-use crate::exec::{execute, execute_faulted, execute_profiled, execute_traced_with, ExecConfig};
+use crate::exec::{execute, execute_faulted, execute_traced_with, ExecConfig};
 use crate::rewrite::{program_cost, stage_cost, OptimizeResult, RewriteStep, Rewriter, Witness};
 use crate::rules::enabling::Normalization;
 use crate::term::Program;
@@ -246,38 +246,6 @@ pub fn optimize_result_json(
     Json::parse(&text).expect("the written document is valid JSON")
 }
 
-/// Render a per-stage table with *measured* simulated times next to the
-/// analytic predictions, by actually running the program on the machine.
-pub fn measured_stage_table(prog: &Program, inputs: &[Value], params: &MachineParams) -> String {
-    let m = inputs[0].block_len() as f64;
-    let clock = ClockParams::new(params.ts, params.tw);
-    let (outcome, finish) = execute_profiled(prog, inputs, clock);
-    let mut out = String::from(
-        "| # | stage | predicted | measured |
-|---|-------|----------:|---------:|
-",
-    );
-    let mut prev = 0.0;
-    for (i, (stage, &t)) in prog.stages().iter().zip(&finish).enumerate() {
-        out.push_str(&format!(
-            "| {} | `{}` | {:.0} | {:.0} |
-",
-            i,
-            stage.describe(),
-            stage_cost(stage, params, m),
-            t - prev
-        ));
-        prev = t;
-    }
-    out.push_str(&format!(
-        "| | **total** | **{:.0}** | **{:.0}** |
-",
-        program_cost(prog, params, m),
-        outcome.makespan
-    ));
-    out
-}
-
 /// Run `prog` with per-stage profiling and render where the time went:
 /// the stage/rank busy–idle tables of
 /// [`collopt_machine::ProfileReport`] plus a one-line summary of the
@@ -395,25 +363,6 @@ mod tests {
             optimization_report(&prog, &Rewriter::cost_guided(params, 1e6), &params, 1e6);
         assert!(result.steps.is_empty());
         assert!(report.contains("No optimization rule pays off"));
-    }
-
-    #[test]
-    fn measured_table_contains_both_columns() {
-        let params = MachineParams::new(8, 100.0, 2.0);
-        let prog = Program::new().scan(lib::add()).reduce(lib::add());
-        let inputs: Vec<Value> = (0..8).map(|_| Value::int_list([1, 2, 3, 4])).collect();
-        let table = measured_stage_table(&prog, &inputs, &params);
-        assert!(table.contains("predicted"));
-        assert!(table.contains("measured"));
-        // On a power-of-two machine the two total columns agree exactly,
-        // so the rendered strings coincide.
-        let total_line = table.lines().last().unwrap();
-        let nums: Vec<&str> = total_line
-            .split("**")
-            .filter(|s| s.trim().chars().next().is_some_and(|c| c.is_ascii_digit()))
-            .collect();
-        assert_eq!(nums.len(), 2);
-        assert_eq!(nums[0], nums[1], "{table}");
     }
 
     #[test]

@@ -23,7 +23,7 @@
 use collopt_cost::{collectives as ccost, MachineParams};
 
 use crate::egraph::{saturate_program, SaturateConfig};
-use crate::op::{Counterexample, RequiredLaw};
+use crate::op::{BinOp, Counterexample, RequiredLaw};
 use crate::rules::enabling::{self, Normalization};
 use crate::rules::{self, Rule};
 use crate::term::{ComcastVariant, Program, Stage};
@@ -432,7 +432,8 @@ pub(crate) fn certify(
     at: usize,
     rejections: &mut Vec<RuleRejection>,
 ) -> Option<Certificate> {
-    let laws = hit.laws();
+    let mut laws = Vec::with_capacity(hit.laws().count());
+    laws.extend(hit.laws().map(|law| law.map(BinOp::clone)));
     let witness = match samples {
         None => Witness::Declared,
         Some(samples) => {

@@ -113,7 +113,7 @@ pub(crate) fn match_rule<'a>(
     })
 }
 
-impl Match<'_> {
+impl<'a> Match<'a> {
     /// `true` when only processor 0's value is guaranteed equal: the
     /// window ends in `reduce`, so the fused form never materializes what
     /// the other processors held after the window.
@@ -125,27 +125,27 @@ impl Match<'_> {
     /// associativity of each, in window order, then the entry's
     /// commutativity (of each) or distributivity. This is the
     /// machine-checkable content of a rewrite certificate — every law can
-    /// be re-verified later with [`RequiredLaw::counterexample`].
-    pub(crate) fn laws(&self) -> Vec<RequiredLaw> {
-        let ops = self.ops.iter().flatten();
-        let n = ops.clone().count();
+    /// be re-verified later with [`RequiredLaw::counterexample`]. The laws
+    /// borrow the window's operators; nothing is built.
+    pub(crate) fn laws(&self) -> impl Iterator<Item = RequiredLaw<&'a BinOp>> + Clone {
+        let ops = self.ops.into_iter().flatten();
         let class = self.rule.spec().laws;
-        let extra = match class {
-            Laws::Associative => 0,
-            Laws::Commutative => n,
-            Laws::Distributive { .. } => 1,
-        };
-        let mut laws = Vec::with_capacity(n + extra);
-        laws.extend(ops.clone().map(|&op| RequiredLaw::Associative(op.clone())));
-        match class {
-            Laws::Associative => {}
-            Laws::Commutative => laws.extend(ops.map(|&op| RequiredLaw::Commutative(op.clone()))),
+        let commutative = matches!(class, Laws::Commutative).then_some(ops.clone());
+        let distributive = match class {
             Laws::Distributive { .. } => {
                 let ot = self.otimes.expect("a distributive match binds ⊗");
-                laws.push(RequiredLaw::DistributesOver(ot.clone(), self.oplus.clone()));
+                Some(RequiredLaw::DistributesOver(ot, self.oplus))
             }
-        }
-        laws
+            _ => None,
+        };
+        ops.map(RequiredLaw::Associative)
+            .chain(
+                commutative
+                    .into_iter()
+                    .flatten()
+                    .map(RequiredLaw::Commutative),
+            )
+            .chain(distributive)
     }
 
     /// The stages replacing the window: the entry's RHS kind over the
@@ -235,11 +235,12 @@ fn inject(arity: usize) -> (&'static str, ValueFn) {
 /// `window`: associativity of each of its operators, in window order, then
 /// the entry's commutativity (of each) or distributivity, bound to the
 /// concrete operators. This is the machine-checkable content of a rewrite
-/// certificate. `None` when the window does not match.
+/// certificate, over the window's operators, borrowed. `None` when the
+/// window does not match.
 pub fn required_laws<'a>(
     rule: Rule,
     window: impl IntoIterator<Item = &'a Stage>,
-) -> Option<Vec<RequiredLaw>> {
+) -> Option<impl Iterator<Item = RequiredLaw<&'a BinOp>> + Clone> {
     match_rule(rule, window).map(|m| m.laws())
 }
 

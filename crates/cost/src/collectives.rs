@@ -127,16 +127,6 @@ pub fn allreduce_reduce_bcast_cost(params: &MachineParams, m: f64, ops: f64) -> 
     reduce(ops, 1.0).eval(params, m) + bcast().eval(params, m)
 }
 
-/// Reduce-to-root via reduce-scatter + binomial gather (power-of-two
-/// `p`): the gather's critical path is rank 0 receiving `2^j` segments
-/// in round `j`, i.e. `log p·ts + m(1−1/p)·tw`, giving
-/// `2 log p·ts + m(1−1/p)(2tw + ops)` in total — the same closed form as
-/// [`allreduce_rabenseifner_cost`].
-pub fn reduce_scatter_gather_cost(params: &MachineParams, m: f64, ops: f64) -> f64 {
-    reduce_scatter_halving_cost(params, m, ops)
-        + (params.log_p() * params.ts + m * frac(params) * params.tw)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -198,11 +188,6 @@ mod tests {
         assert_eq!(reduce_scatter_ring_cost(&p, m, 1.0), 1680.0);
         // ring allreduce: 1680 + 2·7·116 = 3304
         assert_eq!(allreduce_ring_cost(&p, m, 1.0), 3304.0);
-        // RS + gather equals rabenseifner's closed form.
-        assert_eq!(
-            reduce_scatter_gather_cost(&p, m, 1.0),
-            allreduce_rabenseifner_cost(&p, m, 1.0)
-        );
     }
 
     #[test]

@@ -578,11 +578,6 @@ impl Machine {
         self.params
     }
 
-    /// The attached fault plan, if any.
-    pub fn fault_plan(&self) -> Option<&FaultPlan> {
-        self.faults.as_deref()
-    }
-
     /// Run one SPMD program, surfacing injected faults as errors: `f` is
     /// called once per rank to build that rank's body as a future
     /// borrowing its [`Ctx`] (and nothing else — per-rank inputs are

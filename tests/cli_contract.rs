@@ -156,6 +156,25 @@ fn a_ragged_allreduce_is_priced_and_linted_as_the_butterfly_it_runs() {
 }
 
 #[test]
+fn lint_deny_warnings_passes_the_clean_corpus_and_fails_the_dirty_one() {
+    // Exit 0 on every file of `examples/pipelines/clean/`, nonzero on every
+    // file of `lints/`, read by directory so that a new file is covered.
+    for (dir, clean) in [("clean", true), ("lints", false)] {
+        let path = format!("{}/examples/pipelines/{dir}", env!("CARGO_MANIFEST_DIR"));
+        for entry in std::fs::read_dir(&path).expect("the pipeline corpus") {
+            let file = entry.expect("a directory entry").path();
+            if file.extension().is_none_or(|ext| ext != "pipeline") {
+                continue;
+            }
+            let file = file.to_str().expect("a UTF-8 path");
+            let out = collopt(&["lint", "--file", file, "--deny", "warnings"]);
+            let stdout = String::from_utf8_lossy(&out.stdout);
+            assert_eq!(out.status.success(), clean, "{file}: {stdout}");
+        }
+    }
+}
+
+#[test]
 fn the_edge_of_the_domain_is_accepted() {
     let mut args = vec!["scan(add) ; reduce(add)"];
     args.extend("--p 1 --ts 0 --tw 0 --m 0".split(' '));

@@ -1,9 +1,11 @@
 //! Golden-file tests for `collopt lint` output.
 //!
-//! The human renderer and the JSON renderer are public interfaces: CI
-//! gates parse the exit codes, editors and scripts parse the JSON. These
-//! tests pin both renderings byte-for-byte over the corpus in
-//! `examples/pipelines/`, at the default machine model (p=64, ts=200,
+//! The human renderer and the JSON renderer are public interfaces: gates
+//! read the exit codes (`tests/cli_contract.rs` pins them over the
+//! corpus), editors and scripts parse the JSON. These tests pin both
+//! renderings byte-for-byte over the corpus in `examples/pipelines/`, and
+//! hold every file of `clean/` free of warnings and every file of
+//! `lints/` to at least one, at the default machine model (p=64, ts=200,
 //! tw=2, m=32) unless noted. Regenerate a golden with e.g.
 //! `collopt lint --file examples/pipelines/lints/missed_fusion.pipeline
 //! --json > tests/golden/missed_fusion.json` after verifying the new
@@ -92,14 +94,30 @@ fn cost_regression_json_output_is_pinned() {
     assert_eq!(format!("{out}\n"), golden("cost_regression.json"));
 }
 
+/// Every `.pipeline` file of `examples/pipelines/{dir}/`, by name, with its
+/// source: a file added there is covered without editing a test.
+fn corpus_dir(dir: &str) -> Vec<(String, String)> {
+    let path = format!("{}/examples/pipelines/{dir}", env!("CARGO_MANIFEST_DIR"));
+    let mut names: Vec<String> = std::fs::read_dir(&path)
+        .unwrap_or_else(|e| panic!("missing corpus directory {path}: {e}"))
+        .map(|entry| entry.expect("a directory entry").file_name())
+        .map(|name| name.to_string_lossy().into_owned())
+        .filter(|name| name.ends_with(".pipeline"))
+        .collect();
+    names.sort();
+    assert!(!names.is_empty(), "{path} holds no pipeline");
+    names
+        .into_iter()
+        .map(|name| {
+            let src = corpus(&format!("{dir}/{name}"));
+            (name, src)
+        })
+        .collect()
+}
+
 #[test]
 fn clean_corpus_has_no_errors_or_warnings() {
-    for name in [
-        "clean/local_pipeline.pipeline",
-        "clean/scatter_work_gather.pipeline",
-        "clean/scan_hint.pipeline",
-    ] {
-        let src = corpus(name);
+    for (name, src) in corpus_dir("clean") {
         let report = lint_source(&src, &LintConfig::default()).unwrap();
         assert_eq!(
             report.errors() + report.warnings(),
@@ -112,16 +130,7 @@ fn clean_corpus_has_no_errors_or_warnings() {
 
 #[test]
 fn lint_corpus_each_triggers_a_warning_or_error() {
-    for name in [
-        "lints/missed_fusion.pipeline",
-        "lints/redundant_bcast.pipeline",
-        "lints/gather_scatter_roundtrip.pipeline",
-        "lints/float_fusion.pipeline",
-        "lints/lattice_fusion.pipeline",
-        "lints/distribution_mismatch.pipeline",
-        "lints/rank0_narrowing.pipeline",
-    ] {
-        let src = corpus(name);
+    for (name, src) in corpus_dir("lints") {
         let report = lint_source(&src, &LintConfig::default()).unwrap();
         assert!(
             report.errors() + report.warnings() > 0,

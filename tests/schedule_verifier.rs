@@ -5,7 +5,8 @@
 //! 1. **Breadth** — every shipped collective lowering must verify clean
 //!    (no deadlocks, no orphan messages, round counts matching the cost
 //!    model's closed forms) across the full p ∈ 2..=64 sweep, including
-//!    non-powers-of-two and blocks smaller than the machine (`m < p`).
+//!    non-powers-of-two and blocks smaller than the machine (`m < p`),
+//!    and at a p = 1024 stress point.
 //! 2. **Determinism** — the verifier is a pure function of `(p, m)`;
 //!    its byte-stable JSON rendering must not change between runs, and
 //!    both renderings are pinned: a golden file over a dozen points and
@@ -20,6 +21,7 @@
 use collopt::analysis::schedule::{
     render_reports_human, render_reports_json, verify_planted, verify_registry, ScheduleReport,
 };
+use collopt::analysis::Severity;
 use collopt::collectives::schedule::planted;
 use collopt::machine::{ClockParams, Machine};
 use collopt_bench::sweep_driver::par_map;
@@ -126,6 +128,50 @@ fn planted_bugs_are_rejected_at_every_applicable_point() {
             }
         }
     }
+}
+
+/// `collopt check --deny warnings`'s verdict — no error and no warning —
+/// at the CLI's default point, at a ragged non-power-of-two point and at
+/// the p = 1024 stress point, alltoall's Θ(p²) symbolic messages
+/// included; and at p = 1024 the planted drills keep their classification
+/// at scale — the swapped ring reduce-scatter stalls on a wait-for cycle
+/// through all 1,024 ranks, and the off-by-one broadcast leaves 17 orphan
+/// receives.
+#[test]
+fn the_verifier_holds_at_a_thousand_ranks() {
+    for (p, m) in [(64, 32), (48, 97), (1024, 32)] {
+        for report in verify_registry(p, m) {
+            assert!(
+                report
+                    .diagnostics
+                    .iter()
+                    .all(|d| d.severity == Severity::Note),
+                "{} at p={p} m={m}: {:#?}",
+                report.variant,
+                report.diagnostics
+            );
+        }
+    }
+    let (p, m) = (1024, 32);
+    let mut at_scale = 0;
+    for (report, expected) in verify_planted(p, m) {
+        let codes: Vec<&str> = report.diagnostics.iter().map(|d| d.code).collect();
+        assert!(
+            codes.contains(&expected),
+            "planted {} not rejected with {expected}: {codes:?}",
+            report.variant
+        );
+        match report.variant {
+            "planted_swapped_ring_reduce_scatter" => {
+                let cycle = &report.diagnostics[0].message;
+                assert_eq!(cycle.matches(" -> ").count(), p, "{cycle}");
+            }
+            "planted_off_by_one_bcast" => assert_eq!(codes, vec!["COL009"; 17]),
+            _ => continue,
+        }
+        at_scale += 1;
+    }
+    assert_eq!(at_scale, 2, "both drills run at p={p}");
 }
 
 // The dynamic halves: each statically-rejected lowering must actually
